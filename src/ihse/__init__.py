@@ -72,7 +72,6 @@ from .simulator import (
     BoundCheck,
     Pathology,
     SimEvent,
-    SimOptions,
     SimReport,
     check_collision_bounds,
     random_configuration,

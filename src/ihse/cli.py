@@ -15,15 +15,10 @@ import numpy as np
 
 from . import jsonio
 from .core import (
-    CONTACT_TOL,
-    CRIT_TOL,
-    FD_STEP,
-    GRAZING_TOL,
-    MAX_EVENTS,
-    SIMULTANEITY_TOL,
     Configuration,
     IHSEError,
     ModelParams,
+    Tolerances,
     UsageError,
     all_pairs,
     conserved_quantities,
@@ -47,7 +42,7 @@ from .measure_mc import (
 )
 from .rng import sample_generator
 from .scattering import CollisionKind, ScatteringOutcome, scatter
-from .simulator import SimOptions, SimReport, random_configuration, simulate
+from .simulator import SimReport, random_configuration, simulate
 from .tct import (
     TCTDomainClass,
     UnsupportedDimensionError,
@@ -158,27 +153,41 @@ def _measure_doc(est: MeasureEstimate) -> dict:
 
 # Flag tables: (name, type, default, help).  Defaults live here, not in
 # argparse, so values from --run-config can slot in under explicit flags.
-TOLERANCE_FLAGS = [
-    ("grazing_tol", float, GRAZING_TOL, "grazing band on the discriminant"),
-    ("simultaneity_tol", float, SIMULTANEITY_TOL, "distinct-pair simultaneity window"),
-    ("crit_tol", float, CRIT_TOL, "half-width of the critical energy band"),
-    ("contact_tol", float, CONTACT_TOL, "contact tolerance on pair gaps"),
-    ("h", float, FD_STEP, "finite-difference step"),
-    ("max_events", int, MAX_EVENTS, "event-count ceiling"),
-]
+# Tolerance flags map to Tolerances fields (--h sets fd_step) and take their
+# defaults from Tolerances().
+TOLERANCE_FIELDS = {
+    "grazing_tol": ("grazing_tol", float, "grazing band on the discriminant"),
+    "simultaneity_tol": ("simultaneity_tol", float, "distinct-pair simultaneity window"),
+    "crit_tol": ("crit_tol", float, "half-width of the critical energy band"),
+    "contact_tol": ("contact_tol", float, "contact tolerance on pair gaps"),
+    "h": ("fd_step", float, "finite-difference step"),
+    "max_events": ("max_events", int, "event-count ceiling"),
+}
+
+ENGINE_TOLERANCES = ("grazing_tol", "simultaneity_tol", "crit_tol", "contact_tol")
+
+# The tolerance flags each command's handler reads.
+COMMAND_TOLERANCES = {
+    "classify": ENGINE_TOLERANCES,
+    "flow": ENGINE_TOLERANCES,
+    "simulate": ENGINE_TOLERANCES + ("max_events",),
+    "jacobian": ENGINE_TOLERANCES + ("h",),
+    "scatter-check": ("grazing_tol", "crit_tol", "h"),
+    "tensor-lemma": (),
+    "measure": (),
+    "volume": ENGINE_TOLERANCES + ("max_events",),
+}
 
 COMMAND_FLAGS = {
     "classify": [
         ("config", str, None, "configuration JSON file"),
         ("tau", float, None, "time horizon"),
         ("eps0", float, None, "energy quantum lost per emitting collision"),
-        ("seed", int, 0, "seed recorded in the output"),
     ],
     "flow": [
         ("config", str, None, "configuration JSON file"),
         ("tau", float, None, "time horizon"),
         ("eps0", float, None, "energy quantum lost per emitting collision"),
-        ("seed", int, 0, "seed recorded in the output"),
     ],
     "simulate": [
         ("config", str, None, "configuration JSON file (omit to sample)"),
@@ -228,7 +237,6 @@ COMMAND_FLAGS = {
         ("radius", float, None, "ball radius around the center"),
         ("tau", float, None, "time horizon"),
         ("eps0", float, None, "energy quantum"),
-        ("seed", int, 0, "seed recorded in the output"),
         ("csv", str, None, "append a sweep row to this CSV file"),
     ],
 }
@@ -245,6 +253,17 @@ REQUIRED = {
 }
 
 
+def _command_flags(command: str) -> list[tuple]:
+    """The command's own flags followed by the tolerance flags it reads."""
+    defaults = Tolerances()
+    tolerances = [
+        (name, ftype, getattr(defaults, field), help_text)
+        for name, (field, ftype, help_text) in TOLERANCE_FIELDS.items()
+        if name in COMMAND_TOLERANCES[command]
+    ]
+    return COMMAND_FLAGS[command] + tolerances
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ihse",
@@ -252,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "inelastic hard spheres with emission.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in COMMAND_FLAGS.items():
+    for command in COMMAND_FLAGS:
         p = sub.add_parser(command)
-        for name, ftype, _, help_text in flags + TOLERANCE_FLAGS:
+        for name, ftype, _, help_text in _command_flags(command):
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=ftype, default=None, help=help_text)
         p.add_argument("--output", "-o", dest="output", type=str, default=None, help="output file (default: stdout)")
         p.add_argument(
@@ -276,7 +295,7 @@ def resolve_flags(args: argparse.Namespace) -> dict:
         if not isinstance(file_values, dict):
             raise UsageError("--run-config must contain a JSON object")
     resolved = {"command": command}
-    for name, ftype, default, _ in COMMAND_FLAGS[command] + TOLERANCE_FLAGS:
+    for name, ftype, default, _ in _command_flags(command):
         value = getattr(args, name)
         if value is None and name in file_values:
             raw = file_values[name]
@@ -294,6 +313,11 @@ def _load_configuration(path: str) -> Configuration:
     return Configuration.from_json_dict(jsonio.load_file(path))
 
 
+def _tolerances(flags: dict) -> Tolerances:
+    """The one Tolerances block of a command, from its resolved flags."""
+    return Tolerances(**{TOLERANCE_FIELDS[name][0]: flags[name] for name in COMMAND_TOLERANCES[flags["command"]]})
+
+
 def _document(flags: dict, body: dict) -> dict:
     return {"schema": SCHEMA, "config": flags, **body}
 
@@ -301,39 +325,19 @@ def _document(flags: dict, body: dict) -> dict:
 def cmd_classify(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
     params = ModelParams(flags["eps0"], cfg.dimension)
-    cls = _classify_with_flags(cfg, flags, params)
-    predictions = [
-        _prediction_doc(predict_pair(cfg, pair, flags["grazing_tol"])) for pair in all_pairs(cfg.n_particles)
-    ]
+    tol = _tolerances(flags)
+    cls = classify_tct_domain(cfg, flags["tau"], params, tol=tol)
+    predictions = [_prediction_doc(predict_pair(cfg, pair, tol=tol)) for pair in all_pairs(cfg.n_particles)]
     return _document(flags, {"classification": _classification_doc(cls), "predictions": predictions}), EXIT_OK
-
-
-def _classify_with_flags(cfg, flags, params):
-    return classify_tct_domain(
-        cfg,
-        flags["tau"],
-        params,
-        contact_tol=flags["contact_tol"],
-        grazing_tol=flags["grazing_tol"],
-        simultaneity_tol=flags["simultaneity_tol"],
-        crit_tol=flags["crit_tol"],
-    )
 
 
 def cmd_flow(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
     params = ModelParams(flags["eps0"], cfg.dimension)
-    result = tct_flow(
-        cfg,
-        flags["tau"],
-        params,
-        contact_tol=flags["contact_tol"],
-        grazing_tol=flags["grazing_tol"],
-        simultaneity_tol=flags["simultaneity_tol"],
-        crit_tol=flags["crit_tol"],
-    )
+    tol = _tolerances(flags)
+    result = tct_flow(cfg, flags["tau"], params, tol=tol)
     try:
-        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, flags["tau"], params)
+        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, flags["tau"], params, tol=tol)
         jacobian = {"det": det, "prefactor": prefactor, "det_N": det_n}
     except UnsupportedDimensionError:
         jacobian = {"det": None, "prefactor": None, "det_N": None}
@@ -359,13 +363,7 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
                 raise UsageError("sampled initial conditions need --N, --R1 and --R2")
         cfg = random_configuration(flags["seed"], 0, flags["N"], flags["dim"], flags["R1"], flags["R2"])
     params = ModelParams(flags["eps0"], cfg.dimension)
-    opts = SimOptions(
-        grazing_tol=flags["grazing_tol"],
-        simultaneity_tol=flags["simultaneity_tol"],
-        crit_tol=flags["crit_tol"],
-        max_events=flags["max_events"],
-    )
-    report = simulate(cfg, flags["T"], params, opts)
+    report = simulate(cfg, flags["T"], params, tol=_tolerances(flags))
     momentum, ke = conserved_quantities(report.final)
     body = {
         "initial": cfg.to_json_dict(),
@@ -385,6 +383,7 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
 
 
 def cmd_jacobian(flags: dict) -> tuple[dict, int]:
+    tol = _tolerances(flags)
     reports = []
     lines = []
     for index in range(flags["samples"]):
@@ -400,8 +399,9 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
             tau=flags["tau"],
             d=flags["dim"],
             fixed_eps0=flags["eps0"],
+            tol=tol,
         )
-        report = verify_flow_jacobian(cfg, flags["tau"], params, flags["h"])
+        report = verify_flow_jacobian(cfg, flags["tau"], params, tol=tol)
         reports.append(report)
         lines.append(_jacobian_report_doc(report))
     residuals = [r.residual for r in reports if r.residual is not None]
@@ -415,7 +415,8 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
 
 def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"], flags["dim"])
-    reports = verify_scattering_measure(flags["samples"], params, flags["seed"], h=flags["h"])
+    tol = _tolerances(flags)
+    reports = verify_scattering_measure(flags["samples"], params, flags["seed"], h=tol.fd_step)
     lines = []
     max_ledger = 0.0
     max_det_dev = 0.0
@@ -424,7 +425,7 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
         # below belongs to the sample the report was computed from.
         gen = sample_generator(flags["seed"], index)
         v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
-        outcome = scatter(v_i, v_j, omega, params, crit_tol=flags["crit_tol"], grazing_tol=flags["grazing_tol"])
+        outcome = scatter(v_i, v_j, omega, params, tol=tol)
         pre_ke = 0.5 * float(v_i @ v_i + v_j @ v_j)
         post_ke = pre_ke - outcome.energy_loss
         expected = params.epsilon0 if outcome.kind is CollisionKind.INELASTIC else 0.0
@@ -504,7 +505,7 @@ def cmd_measure(flags: dict) -> tuple[dict, int]:
 def cmd_volume(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
     params = ModelParams(flags["eps0"], cfg.dimension)
-    predicted, measured = ensemble_volume_evolution(cfg, flags["radius"], flags["tau"], params)
+    predicted, measured = ensemble_volume_evolution(cfg, flags["radius"], flags["tau"], params, tol=_tolerances(flags))
     if flags["csv"] is not None:
         jsonio.csv_append(
             flags["csv"],

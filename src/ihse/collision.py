@@ -11,14 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    GRAZING_TOL,
-    SIMULTANEITY_TOL,
-    Configuration,
-    IHSEError,
-    PairIndex,
-    all_pairs,
-)
+from .core import Configuration, IHSEError, PairIndex, Tolerances, all_pairs
 
 # A pair is ignored below this root when it has just collided: post-collision
 # states sit numerically on the contact sphere and would otherwise re-report
@@ -47,24 +40,14 @@ class CollisionPrediction:
 
 @dataclass(frozen=True)
 class FirstCollision:
-    """Earliest contact over all pairs; unique is False when a second pair
-    reaches contact within the simultaneity tolerance."""
+    """One scan of all pairs over a horizon: the earliest contact (time and
+    pair, both None when no pair reaches contact in time), whether it is
+    unique, and the earliest grazing encounter (None when there is none)."""
 
-    time: float
-    pair: PairIndex
+    time: Optional[float]
+    pair: Optional[PairIndex]
     unique: bool
-
-
-def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
-    """((x_i-x_j).(v_i-v_j))^2 - |v_i-v_j|^2 (|x_i-x_j|^2 - 1).
-
-    Positive: the pair's line of flight crosses the contact sphere
-    transversally.  Zero: tangential (grazing) encounter.  Negative: the
-    pair never reaches contact.
-    """
-    r, w = cfg.pair_state(pair)
-    b = float(r @ w)
-    return b * b - float(w @ w) * (float(r @ r) - 1.0)
+    graze: Optional[float] = None
 
 
 def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
@@ -86,73 +69,104 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float
     return b, a, delta, (q / a, c / q)
 
 
-def predict_pair(cfg: Configuration, pair: PairIndex, grazing_tol: float = GRAZING_TOL) -> CollisionPrediction:
-    """Full prediction record for one pair."""
-    r, w = cfg.pair_state(pair)
-    b, a, delta, roots = _quadratic_contact_roots(r, w)
-    grazing = abs(delta) <= grazing_tol
-    if grazing or roots is None or delta <= grazing_tol:
-        return CollisionPrediction(pair, delta, None, grazing)
+def _contact_time(delta: float, roots: Optional[tuple[float, float]], grazing_tol: float) -> Optional[float]:
+    """Smallest strictly positive root of a transversal encounter, or None."""
+    if roots is None or delta <= grazing_tol:
+        return None
     t_small, t_large = roots
-    time = None
     if t_small > 0.0:
-        time = t_small
-    elif t_large > 0.0:
+        return t_small
+    if t_large > 0.0:
         # Interior configurations never reach this branch; kept so the
         # prediction is meaningful for states inside the contact sphere.
-        time = t_large
-    return CollisionPrediction(pair, delta, time, False)
+        return t_large
+    return None
 
 
-def pair_collision_time(cfg: Configuration, pair: PairIndex, grazing_tol: float = GRAZING_TOL) -> Optional[float]:
+def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
+    """((x_i-x_j).(v_i-v_j))^2 - |v_i-v_j|^2 (|x_i-x_j|^2 - 1).
+
+    Positive: the pair's line of flight crosses the contact sphere
+    transversally.  Zero: tangential (grazing) encounter.  Negative: the
+    pair never reaches contact.
+    """
+    return _quadratic_contact_roots(*cfg.pair_state(pair))[2]
+
+
+def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
+    """Unit vector from particle i toward particle j."""
+    r, _ = cfg.pair_state(pair)  # x_i - x_j
+    return -r / np.linalg.norm(r)
+
+
+def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
+    """Full prediction record for one pair."""
+    _, _, delta, roots = _quadratic_contact_roots(*cfg.pair_state(pair))
+    return CollisionPrediction(
+        pair, delta, _contact_time(delta, roots, tol.grazing_tol), abs(delta) <= tol.grazing_tol
+    )
+
+
+def pair_collision_time(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> Optional[float]:
     """Smallest strictly positive contact time of the pair, or None.
 
     None when the pair recedes, moves in parallel, or the encounter is
     grazing (|discriminant| <= grazing_tol).
     """
-    return predict_pair(cfg, pair, grazing_tol).time
+    return predict_pair(cfg, pair, tol=tol).time
 
 
 def first_collision(
     cfg: Configuration,
     horizon: float,
-    simultaneity_tol: float = SIMULTANEITY_TOL,
     *,
-    grazing_tol: float = GRAZING_TOL,
+    tol: Tolerances = Tolerances(),
     recent_pair: Optional[PairIndex] = None,
-    rearm_time: float = REARM_TIME,
 ) -> Optional[FirstCollision]:
-    """Earliest pair contact within the horizon.
+    """Earliest pair contact and earliest grazing encounter within the
+    horizon, from one pass over all pairs; None when there is neither.
 
-    Pairs are scanned in lexicographic order and ties are broken toward the
-    earlier pair before the simultaneity tolerance is applied.  For
-    recent_pair (the pair that scattered last), roots at or below rearm_time
-    are discarded; its members sit exactly on the contact sphere.
+    A pair is grazing when |discriminant| <= grazing_tol; it has no contact
+    time, and its tangential encounter at -b/a counts when it lies in
+    (0, horizon].  Pairs are scanned in lexicographic order and ties are
+    broken toward the earlier pair.  Simultaneity rule: the first contact is
+    not unique when the second-earliest contact of any other pair follows it
+    within simultaneity_tol, even when that second contact falls past the
+    horizon.  For recent_pair (the pair that scattered last), roots at or
+    below REARM_TIME are discarded; its members sit exactly on the contact
+    sphere.
     """
     if horizon <= 0:
         raise NoCollisionError("horizon must be positive")
-    best: Optional[FirstCollision] = None
+    best_time: Optional[float] = None
+    best_pair: Optional[PairIndex] = None
     second: Optional[float] = None
+    graze: Optional[float] = None
     for pair in all_pairs(cfg.n_particles):
-        time = pair_collision_time(cfg, pair, grazing_tol)
-        if time is None:
+        b, a, delta, roots = _quadratic_contact_roots(*cfg.pair_state(pair))
+        if abs(delta) <= tol.grazing_tol:
+            t_graze = -b / a if a != 0.0 and b < 0.0 else 0.0
+            if 0.0 < t_graze <= horizon and (graze is None or t_graze < graze):
+                graze = t_graze
             continue
-        if recent_pair is not None and pair == recent_pair and time <= rearm_time:
+        time = _contact_time(delta, roots, tol.grazing_tol)
+        if time is None or (time <= REARM_TIME and pair == recent_pair):
             continue
-        if best is None or time < best.time:
-            second = None if best is None else best.time
-            best = FirstCollision(time, pair, True)
+        if best_time is None or time < best_time:
+            second = best_time
+            best_time, best_pair = time, pair
         elif second is None or time < second:
             second = time
-    if best is None or best.time > horizon:
+    if best_time is not None and best_time > horizon:
+        best_time = best_pair = None
+    if best_time is None and graze is None:
         return None
-    if second is not None and second - best.time <= simultaneity_tol:
-        return FirstCollision(best.time, best.pair, False)
-    return best
+    unique = best_time is None or second is None or second - best_time > tol.simultaneity_tol
+    return FirstCollision(best_time, best_pair, unique, graze)
 
 
 def collision_time_gradients(
-    cfg: Configuration, pair: PairIndex, grazing_tol: float = GRAZING_TOL
+    cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the pair's contact time with respect to all
     positions and all velocities, as flat length-(N*d) vectors.
@@ -162,7 +176,7 @@ def collision_time_gradients(
     contact vector, grad wrt x_j its negative, and the velocity gradient is
     the position gradient scaled by the contact time.
     """
-    prediction = predict_pair(cfg, pair, grazing_tol)
+    prediction = predict_pair(cfg, pair, tol=tol)
     if prediction.grazing:
         raise GrazingCollisionError(f"pair {pair.as_list()} is grazing; contact time is not differentiable")
     if prediction.time is None:

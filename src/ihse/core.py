@@ -31,11 +31,13 @@ class UsageError(IHSEError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerance block shared by the CLI and the experiments."""
+    """Numerical tolerance block: the one carrier of every tolerance from
+    the CLI down to the event engine and the finite-difference oracles."""
 
     grazing_tol: float = GRAZING_TOL
     simultaneity_tol: float = SIMULTANEITY_TOL
     crit_tol: float = CRIT_TOL
+    contact_tol: float = CONTACT_TOL
     fd_step: float = FD_STEP
     max_events: int = MAX_EVENTS
 
@@ -43,6 +45,8 @@ class Tolerances:
         for name in ("grazing_tol", "simultaneity_tol", "crit_tol", "fd_step"):
             if not getattr(self, name) > 0:
                 raise UsageError(f"{name} must be positive")
+        if not self.contact_tol >= 0:
+            raise UsageError("contact_tol must be >= 0")
         if self.max_events <= 0:
             raise UsageError("max_events must be positive")
 
@@ -82,10 +86,6 @@ class PairIndex:
 
     def zero_based(self) -> tuple[int, int]:
         return self.i - 1, self.j - 1
-
-    def involves(self, other: "PairIndex") -> bool:
-        """True when the two pairs share at least one particle."""
-        return len({self.i, self.j} & {other.i, other.j}) > 0
 
     def as_list(self) -> list[int]:
         return [self.i, self.j]

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FD_STEP, Configuration, IHSEError, ModelParams, PairIndex, free_transport
-from .collision import first_collision, predict_pair
+from .core import FD_STEP, Configuration, IHSEError, ModelParams, PairIndex, Tolerances, free_transport
+from .collision import contact_direction, first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import (
     CollisionKind,
@@ -23,6 +23,7 @@ from .scattering import (
 )
 from .tct import (
     ExcludedConfigurationError,
+    TCTDomainClass,
     UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
@@ -75,37 +76,36 @@ class TensorLemmaCase:
 
 
 def fd_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray], tuple[np.ndarray, object]],
     point,
     h: float = FD_STEP,
-    *,
-    branch: Optional[Callable[[np.ndarray], object]] = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of fn at point, one column per input
+    """Central-difference Jacobian of a map at point, one column per input
     coordinate, shape (outputs, inputs).
 
-    When a branch callback is given, every stencil point must report the
+    fn returns (value, branch label).  Every stencil point must report the
     same label as the center; a mismatch raises BranchCrossingError rather
-    than differencing across a discontinuity.
+    than differencing across a discontinuity.  Labels are checked before
+    values, so a stencil point whose value is undefined (non-finite) on
+    another branch still reports the crossing.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise IHSEError("point must be a flat vector")
     if not h > 0:
         raise IHSEError("step h must be positive")
-    center_label = branch(point) if branch is not None else None
+    _, center_label = fn(point)
     columns = []
     for k in range(point.size):
         offset = np.zeros_like(point)
         offset[k] = h
-        plus, minus = point + offset, point - offset
-        if branch is not None:
-            for stencil in (plus, minus):
-                if branch(stencil) != center_label:
-                    raise BranchCrossingError(
-                        f"stencil point along coordinate {k} crosses a classification boundary"
-                    )
-        f_plus, f_minus = np.asarray(fn(plus), float), np.asarray(fn(minus), float)
+        values = []
+        for stencil in (point + offset, point - offset):
+            value, label = fn(stencil)
+            if label != center_label:
+                raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
+            values.append(np.asarray(value, float))
+        f_plus, f_minus = values
         if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
             raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
         columns.append((f_plus - f_minus) / (2.0 * h))
@@ -117,20 +117,20 @@ def fd_determinant(
     point,
     h: float = FD_STEP,
     *,
-    branch=None,
     refine: bool = True,
     disagreement_tol: float = 0.1,
 ) -> float:
-    """Determinant of the finite-difference Jacobian.
+    """Determinant of the finite-difference Jacobian of fn (a map returning
+    (value, branch label), as for fd_jacobian).
 
     With refine=True the determinant is computed at steps h and h/2 and
     Richardson-extrapolated; a relative disagreement beyond
     disagreement_tol flags the stencil as unreliable.
     """
-    det_h = float(np.linalg.det(fd_jacobian(fn, point, h, branch=branch)))
+    det_h = float(np.linalg.det(fd_jacobian(fn, point, h)))
     if not refine:
         return det_h
-    det_half = float(np.linalg.det(fd_jacobian(fn, point, h / 2.0, branch=branch)))
+    det_half = float(np.linalg.det(fd_jacobian(fn, point, h / 2.0)))
     if abs(det_h - det_half) > disagreement_tol * max(1.0, abs(det_half)):
         raise UnreliableStencilError(
             f"determinants at h and h/2 disagree: {det_h} vs {det_half}"
@@ -162,21 +162,17 @@ def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
     return formula, float(np.linalg.det(matrix))
 
 
-def _dispatched_velocity_map(z: np.ndarray, omega: np.ndarray, params: ModelParams) -> np.ndarray:
+def _dispatched_velocity_map(z: np.ndarray, omega: np.ndarray, params: ModelParams) -> tuple[np.ndarray, CollisionKind]:
+    """Post-collision velocities (v_i', v_j') for z = (v_i, v_j) at contact
+    direction omega, labelled with the branch of the collision law."""
     d = omega.size
     v_i, v_j = z[:d], z[d:]
     w = v_j - v_i
     if float(w @ w) > 4.0 * params.epsilon0:
         vi_post, vj_post, _, _ = inelastic_emission(v_i, v_j, omega, params.epsilon0)
-    else:
-        vi_post, vj_post = elastic_reflection(v_i, v_j, omega)
-    return np.concatenate([vi_post, vj_post])
-
-
-def _velocity_map_kind(z: np.ndarray, omega: np.ndarray, params: ModelParams) -> str:
-    d = omega.size
-    w = z[d:] - z[:d]
-    return "inelastic" if float(w @ w) > 4.0 * params.epsilon0 else "elastic"
+        return np.concatenate([vi_post, vj_post]), CollisionKind.INELASTIC
+    vi_post, vj_post = elastic_reflection(v_i, v_j, omega)
+    return np.concatenate([vi_post, vj_post]), CollisionKind.ELASTIC
 
 
 def draw_scattering_sample(
@@ -239,12 +235,7 @@ def verify_scattering_measure(
         gen = sample_generator(seed, index)
         v_i, v_j, omega, drawn = draw_scattering_sample(gen, params, kind=kind)
         z = np.concatenate([v_i, v_j])
-        jac = fd_jacobian(
-            lambda zz: _dispatched_velocity_map(zz, omega, params),
-            z,
-            h,
-            branch=lambda zz: _velocity_map_kind(zz, omega, params),
-        )
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
         fd_det = float(np.linalg.det(jac))
         if drawn is CollisionKind.ELASTIC:
             analytic = -1.0
@@ -256,29 +247,24 @@ def verify_scattering_measure(
     return reports
 
 
-def _flow_state_vector(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams) -> np.ndarray:
-    cfg = Configuration.from_vector(z, n, d)
-    return tct_flow(cfg, tau, params).final.to_vector()
-
-
-def _flow_branch(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams):
-    return classify_tct_domain(Configuration.from_vector(z, n, d), tau, params).signature()
+def _flow_map(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """One-collision flow of the phase-space vector z over [0, tau] with its
+    classification signature; NaN on excluded configurations."""
+    try:
+        result = tct_flow(Configuration.from_vector(z, n, d), tau, params, tol=tol)
+    except ExcludedConfigurationError as exc:
+        return np.full(z.size, np.nan), TCTDomainClass.excluded(exc.reason).signature()
+    return result.final.to_vector(), result.classification.signature()
 
 
 def _contact_velocity_block_det(cfg: Configuration, pair: PairIndex, t_c: float, params: ModelParams, h: float) -> float:
     """Finite-difference determinant of the colliding pair's velocity map at
     the contact position (the only non-identity block of det N)."""
     contact = free_transport(cfg, t_c)
-    r, _ = contact.pair_state(pair)
-    omega = -r / np.linalg.norm(r)
+    omega = contact_direction(contact, pair)
     i, j = pair.zero_based()
     z = np.concatenate([contact.velocities[i], contact.velocities[j]])
-    jac = fd_jacobian(
-        lambda zz: _dispatched_velocity_map(zz, omega, params),
-        z,
-        h,
-        branch=lambda zz: _velocity_map_kind(zz, omega, params),
-    )
+    jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
     return float(np.linalg.det(jac))
 
 
@@ -286,23 +272,21 @@ def verify_flow_jacobian(
     cfg: Configuration,
     tau: float,
     params: ModelParams,
-    h: float = FD_STEP,
+    *,
+    tol: Tolerances = Tolerances(),
 ) -> JacobianReport:
     """Compare the analytic flow determinant (prefactor * det N) against the
-    finite-difference determinant of the full phase-space flow map."""
-    classification = classify_tct_domain(cfg, tau, params)
+    finite-difference determinant (step tol.fd_step) of the full phase-space
+    flow map."""
+    classification = classify_tct_domain(cfg, tau, params, tol=tol)
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
     n, d = cfg.n_particles, cfg.dimension
-    fd_det = fd_determinant(
-        lambda z: _flow_state_vector(z, n, d, tau, params),
-        cfg.to_vector(),
-        h,
-        branch=lambda z: _flow_branch(z, n, d, tau, params),
-    )
+    h = tol.fd_step
+    fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
     analytic = prefactor = det_n_fd = None
     try:
-        analytic, prefactor, _ = analytic_flow_jacobian_det(cfg, tau, params)
+        analytic, prefactor, _ = analytic_flow_jacobian_det(cfg, tau, params, tol=tol)
     except UnsupportedDimensionError:
         pass
     if classification.is_single_collision:
@@ -320,6 +304,7 @@ def random_tct_case(
     d: int = 2,
     fixed_eps0: Optional[float] = None,
     max_tries: int = 2000,
+    tol: Tolerances = Tolerances(),
 ) -> tuple[Configuration, ModelParams]:
     """Random configuration classified as a single collision of the given
     kind over [0, tau], with margins keeping finite-difference stencils on
@@ -354,12 +339,12 @@ def random_tct_case(
         impact = 0.5 * gen.random()
         velocities[0] = velocities[1] + speed * direction + impact * tangent
         cfg = Configuration(positions, velocities)
-        fc = first_collision(cfg, tau)
+        fc = first_collision(cfg, tau, tol=tol)
         if fc is None or not fc.unique or fc.pair != PairIndex(1, 2):
             continue
         if not 0.05 * tau < fc.time < 0.8 * tau:
             continue
-        pred = predict_pair(cfg, fc.pair)
+        pred = predict_pair(cfg, fc.pair, tol=tol)
         if pred.discriminant < 0.1:
             continue
         _, w = cfg.pair_state(fc.pair)
@@ -380,7 +365,7 @@ def random_tct_case(
             else:
                 eps0 = s2 * (0.3 + 0.5 * gen.random())
         params = ModelParams(eps0, d)
-        classification = classify_tct_domain(cfg, tau, params)
+        classification = classify_tct_domain(cfg, tau, params, tol=tol)
         if not classification.is_single_collision:
             continue
         if kind is not None and classification.kind is not kind:

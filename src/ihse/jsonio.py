@@ -64,10 +64,6 @@ def dumps(obj, indent: int | None = None, _level: int = 0) -> str:
     raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def load_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:

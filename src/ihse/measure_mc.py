@@ -13,11 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, ModelParams, UsageError, kinetic_energy
+from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy
 from .jacobian_lab import BranchCrossingError, fd_determinant
 from .rng import BLOCK_SIZE, block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
-from .simulator import SimOptions, random_configuration, simulate
+from .simulator import random_configuration, simulate
 from .tct import contraction_factor
 
 SPEED_BAND_WIDTH = "relative_speed_band"  # band 2 sqrt(e0) <= |w| <= 2 sqrt(e0)(1 + (sqrt(2)-1) mu)
@@ -152,14 +152,11 @@ def estimate_pathological_measure(
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)
 
 
-def _flow_vector(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, opts: SimOptions) -> np.ndarray:
-    cfg = Configuration.from_vector(z, n, d)
-    return simulate(cfg, tau, params, opts).final.to_vector()
-
-
-def _flow_signature(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, opts: SimOptions):
-    cfg = Configuration.from_vector(z, n, d)
-    return simulate(cfg, tau, params, opts).event_signature
+def _flow_map(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """Multi-collision flow of the phase-space vector z over [0, tau] with
+    its event signature as the branch label."""
+    report = simulate(Configuration.from_vector(z, n, d), tau, params, tol=tol)
+    return report.final.to_vector(), report.event_signature
 
 
 def ensemble_volume_evolution(
@@ -167,7 +164,8 @@ def ensemble_volume_evolution(
     radius: float,
     tau: float,
     params: ModelParams,
-    opts: SimOptions = SimOptions(),
+    *,
+    tol: Tolerances = Tolerances(),
 ) -> tuple[float, float]:
     """(predicted, measured) local volume factor of the flow over [0, tau]
     around a trajectory.
@@ -182,7 +180,7 @@ def ensemble_volume_evolution(
     """
     if radius <= 0 or tau <= 0:
         raise UsageError("radius and tau must be positive")
-    report = simulate(center, tau, params, opts)
+    report = simulate(center, tau, params, tol=tol)
     if report.halted is not None:
         raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")
     predicted = 1.0
@@ -194,17 +192,12 @@ def ensemble_volume_evolution(
     n, d = center.n_particles, center.dimension
     center_sig = report.event_signature
 
-    def branch(z):
-        return _flow_signature(z, n, d, tau, params, opts)
+    def flow(z):
+        return _flow_map(z, n, d, tau, params, tol)
 
-    if branch(center.to_vector()) != center_sig:
+    if flow(center.to_vector())[1] != center_sig:
         raise BranchCrossingError("center signature not reproducible")
-    det = fd_determinant(
-        lambda z: _flow_vector(z, n, d, tau, params, opts),
-        center.to_vector(),
-        radius / 10.0,
-        branch=branch,
-    )
+    det = fd_determinant(flow, center.to_vector(), radius / 10.0)
     return predicted, abs(det)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CRIT_TOL, GRAZING_TOL, IHSEError, ModelParams, UsageError
+from .core import IHSEError, ModelParams, Tolerances, UsageError
 
 UNIT_NORM_TOL = 1e-12
 ZERO_RELATIVE_SPEED = 1e-14
@@ -136,8 +136,7 @@ def scatter(
     omega,
     params: ModelParams,
     *,
-    crit_tol: float = CRIT_TOL,
-    grazing_tol: float = GRAZING_TOL,
+    tol: Tolerances = Tolerances(),
 ) -> ScatteringOutcome:
     """Dispatched collision law for a genuinely pre-collisional pair.
 
@@ -155,9 +154,9 @@ def scatter(
     approach = float(w @ omega)
     if approach >= 0.0:
         raise NotPreCollisionalError("pair is not approaching along the contact direction")
-    if abs(approach) < grazing_tol * math.sqrt(w2):
+    if abs(approach) < tol.grazing_tol * math.sqrt(w2):
         raise GrazingContactError("contact is grazing")
-    if abs(w2 - 4.0 * params.epsilon0) <= crit_tol:
+    if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
         raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     if w2 > 4.0 * params.epsilon0:

@@ -12,39 +12,27 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CRIT_TOL,
-    GRAZING_TOL,
-    MAX_EVENTS,
-    SIMULTANEITY_TOL,
     Configuration,
     IHSEError,
     ModelParams,
     PairIndex,
+    Tolerances,
     UsageError,
-    all_pairs,
     free_transport,
     kinetic_energy,
     validate_configuration,
 )
-from .collision import REARM_TIME, first_collision
+from .collision import FirstCollision, contact_direction, first_collision
 from .rng import sample_generator, uniform_ball
-from .scattering import CollisionKind, scatter
-from .tct import contact_direction
+from .scattering import CollisionKind, ScatteringOutcome, scatter
 
 PATHOLOGY_SIMULTANEOUS = "simultaneous"
 PATHOLOGY_GRAZING = "grazing"
 PATHOLOGY_CRITICAL_ENERGY = "critical_energy"
 PATHOLOGY_MAX_EVENTS = "max_events"
 
-
-@dataclass(frozen=True)
-class SimOptions:
-    grazing_tol: float = GRAZING_TOL
-    simultaneity_tol: float = SIMULTANEITY_TOL
-    crit_tol: float = CRIT_TOL
-    max_events: int = MAX_EVENTS
-    n_checkpoints: int = 100
-    rearm_time: float = REARM_TIME
+# Free-flight overlap probes per run, evenly spaced over [0, T].
+N_CHECKPOINTS = 100
 
 
 @dataclass(frozen=True)
@@ -96,36 +84,70 @@ class BoundCheck:
     events_ok: bool
 
 
-def _grazing_encounter_time(cfg: Configuration, horizon: float, grazing_tol: float) -> Optional[float]:
-    """Earliest tangential encounter inside (0, horizon], if any."""
-    earliest = None
-    for pair in all_pairs(cfg.n_particles):
-        r, w = cfg.pair_state(pair)
-        a = float(w @ w)
-        b = float(r @ w)
-        if a == 0.0 or b >= 0.0:
-            continue
-        delta = b * b - a * (float(r @ r) - 1.0)
-        if abs(delta) <= grazing_tol:
-            t_graze = -b / a
-            if 0.0 < t_graze <= horizon and (earliest is None or t_graze < earliest):
-                earliest = t_graze
-    return earliest
+@dataclass(frozen=True)
+class Step:
+    """One event step: the all-pairs scan and, when it found a unique first
+    contact and no grazing encounter, the state at that contact with the
+    pair scattered.  The pair is left unscattered (outcome None) when its
+    squared relative speed lies in the critical band around 4 eps0."""
+
+    scan: Optional[FirstCollision]
+    state: Optional[Configuration] = None
+    outcome: Optional[ScatteringOutcome] = None
+    rel_speed_sq: Optional[float] = None
 
 
-def simulate(cfg: Configuration, T: float, params: ModelParams, opts: SimOptions = SimOptions()) -> SimReport:
+def collide(
+    cfg: Configuration, pair: PairIndex, t: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> tuple[Configuration, Optional[ScatteringOutcome], float]:
+    """(state, outcome, |v_i - v_j|^2): transport by t to the pair's contact,
+    check the critical band, and apply the dispatched collision law.  Inside
+    the band the transported state is returned unscattered with outcome
+    None."""
+    contact = free_transport(cfg, t)
+    i, j = pair.zero_based()
+    w = contact.velocities[i] - contact.velocities[j]
+    w2 = float(w @ w)
+    if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
+        return contact, None, w2
+    omega = contact_direction(contact, pair)
+    outcome = scatter(contact.velocities[i], contact.velocities[j], omega, params, tol=tol)
+    velocities = contact.velocities.copy()
+    velocities[i] = outcome.v_i_post
+    velocities[j] = outcome.v_j_post
+    return Configuration(contact.positions, velocities), outcome, w2
+
+
+def event_step(
+    cfg: Configuration,
+    horizon: float,
+    params: ModelParams,
+    *,
+    tol: Tolerances = Tolerances(),
+    recent_pair: Optional[PairIndex] = None,
+) -> Step:
+    """Scan all pairs over (0, horizon], then collide the first contact when
+    it is unique and no grazing encounter lies inside the horizon."""
+    scan = first_collision(cfg, horizon, tol=tol, recent_pair=recent_pair)
+    if scan is None or scan.graze is not None or not scan.unique:
+        return Step(scan)
+    return Step(scan, *collide(cfg, scan.pair, scan.time, params, tol=tol))
+
+
+def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> SimReport:
     """Run the event-driven dynamics from an interior configuration to time T.
 
     Each step advances to the earliest pair contact, applies the dispatched
     collision law, and continues.  Near-simultaneous distinct-pair contacts,
-    grazing encounters, relative speeds inside the critical band, and event
-    count overflow halt the run with an in-band pathology record.
+    grazing encounters at or before the next contact, relative speeds inside
+    the critical band, and event count overflow halt the run with an in-band
+    pathology record.
     """
     if T <= 0:
         raise UsageError("T must be positive")
-    if not validate_configuration(cfg).is_interior:
+    if not validate_configuration(cfg, tol.contact_tol).is_interior:
         raise UsageError("initial configuration must be interior (all gaps > 1)")
-    checkpoint_times = [T * (k + 1) / opts.n_checkpoints for k in range(opts.n_checkpoints)]
+    checkpoint_times = [T * (k + 1) / N_CHECKPOINTS for k in range(N_CHECKPOINTS)]
     events: list[SimEvent] = []
     min_sep = cfg.min_separation()
     state = cfg
@@ -146,54 +168,34 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, opts: SimOptions
         remaining = T - now
         if remaining <= 0:
             break
-        t_graze = _grazing_encounter_time(state, remaining, opts.grazing_tol)
-        fc = first_collision(
-            state,
-            remaining,
-            opts.simultaneity_tol,
-            grazing_tol=opts.grazing_tol,
-            recent_pair=recent,
-            rearm_time=opts.rearm_time,
-        )
-        if t_graze is not None and (fc is None or t_graze <= fc.time):
-            halted = Pathology(PATHOLOGY_GRAZING, now + t_graze)
-            break
-        if fc is None:
+        step = event_step(state, remaining, params, tol=tol, recent_pair=recent)
+        scan = step.scan
+        if scan is not None and scan.graze is not None:
+            if scan.time is None or scan.graze <= scan.time:
+                halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
+                break
+            # The graze lies past the next contact: step up to that contact.
+            step = event_step(state, scan.time, params, tol=tol, recent_pair=recent)
+            scan = step.scan
+        if scan is None:
             advance_through(T)
             state = free_transport(state, remaining)
             now = T
             break
-        if not fc.unique:
-            halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + fc.time)
+        if not scan.unique:
+            halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + scan.time)
             break
-        advance_through(now + fc.time)
-        state = free_transport(state, fc.time)
-        now += fc.time
+        advance_through(now + scan.time)
+        ke_before = kinetic_energy(state)
+        state = step.state
+        now += scan.time
         min_sep = min(min_sep, state.min_separation())
-        i, j = fc.pair.zero_based()
-        w = state.velocities[i] - state.velocities[j]
-        w2 = float(w @ w)
-        if abs(w2 - 4.0 * params.epsilon0) <= opts.crit_tol:
+        if step.outcome is None:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
-        ke_before = kinetic_energy(state)
-        omega = contact_direction(state, fc.pair)
-        outcome = scatter(
-            state.velocities[i],
-            state.velocities[j],
-            omega,
-            params,
-            crit_tol=opts.crit_tol,
-            grazing_tol=opts.grazing_tol,
-        )
-        velocities = state.velocities.copy()
-        velocities[i] = outcome.v_i_post
-        velocities[j] = outcome.v_j_post
-        state = Configuration(state.positions, velocities)
-        ke_after = kinetic_energy(state)
-        events.append(SimEvent(now, fc.pair, outcome.kind, ke_before, ke_after, w2))
-        recent = fc.pair
-        if len(events) >= opts.max_events:
+        events.append(SimEvent(now, scan.pair, step.outcome.kind, ke_before, kinetic_energy(state), step.rel_speed_sq))
+        recent = scan.pair
+        if len(events) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
 
@@ -208,7 +210,9 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, opts: SimOptions
     )
 
 
-def check_collision_bounds(report: SimReport, params: ModelParams, initial: Configuration, opts: SimOptions = SimOptions()) -> BoundCheck:
+def check_collision_bounds(
+    report: SimReport, params: ModelParams, initial: Configuration, *, tol: Tolerances = Tolerances()
+) -> BoundCheck:
     """Check the run against the a-priori bounds: the number of emitting
     collisions cannot exceed floor(KE_initial / epsilon0) (each removes
     exactly epsilon0), and the total event count must stay below the
@@ -223,9 +227,9 @@ def check_collision_bounds(report: SimReport, params: ModelParams, initial: Conf
         inelastic_margin=inelastic_limit - report.n_inelastic,
         inelastic_ok=report.n_inelastic <= inelastic_limit,
         event_count=event_count,
-        event_limit=opts.max_events,
-        event_margin=opts.max_events - event_count,
-        events_ok=event_count < opts.max_events,
+        event_limit=tol.max_events,
+        event_margin=tol.max_events - event_count,
+        events_ok=event_count < tol.max_events,
     )
 
 

@@ -10,24 +10,20 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
-    CONTACT_TOL,
-    CRIT_TOL,
-    GRAZING_TOL,
-    SIMULTANEITY_TOL,
     Configuration,
     IHSEError,
     ModelParams,
     PairIndex,
+    Tolerances,
     UsageError,
-    all_pairs,
     free_transport,
     validate_configuration,
 )
 from .collision import collision_time_gradients, first_collision, predict_pair
-from .scattering import CollisionKind, scatter
+from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
+from .scattering import CollisionKind, CriticalEnergyError
+from .simulator import Step, collide, event_step
 
 ELASTIC_DET_N = -1.0  # exact: reflection block has one -1 eigenvalue
 INELASTIC_DET_N_2D = -1.0  # exact in d=2: emission rescales and mirrors
@@ -104,143 +100,74 @@ class TCTResult:
     collision_record: Optional[tuple] = None  # (pair, t_c, ScatteringOutcome)
 
 
-def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
-    """Unit vector from particle i toward particle j."""
-    r, _ = cfg.pair_state(pair)  # x_i - x_j
-    return -r / np.linalg.norm(r)
-
-
-def _grazing_within(cfg: Configuration, tau: float, grazing_tol: float) -> bool:
-    """True when some pair has a tangential encounter inside (0, tau]."""
-    for pair in all_pairs(cfg.n_particles):
-        r, w = cfg.pair_state(pair)
-        a = float(w @ w)
-        b = float(r @ w)
-        if a == 0.0 or b >= 0.0:
-            continue
-        delta = b * b - a * (float(r @ r) - 1.0)
-        if abs(delta) <= grazing_tol and 0.0 < -b / a <= tau:
-            return True
-    return False
-
-
-def _post_collision_state(cfg: Configuration, pair: PairIndex, t_c: float, params: ModelParams, crit_tol, grazing_tol):
-    """Transport to contact and scatter the colliding pair."""
-    contact = free_transport(cfg, t_c)
-    omega = contact_direction(contact, pair)
-    i, j = pair.zero_based()
-    outcome = scatter(
-        contact.velocities[i],
-        contact.velocities[j],
-        omega,
-        params,
-        crit_tol=crit_tol,
-        grazing_tol=grazing_tol,
-    )
-    velocities = contact.velocities.copy()
-    velocities[i] = outcome.v_i_post
-    velocities[j] = outcome.v_j_post
-    return Configuration(contact.positions, velocities), outcome
+def _classify(cfg: Configuration, tau: float, params: ModelParams, tol: Tolerances) -> tuple[TCTDomainClass, Step]:
+    """The classification and the event step it rests on."""
+    if tau <= 0:
+        raise UsageError("tau must be positive")
+    if not validate_configuration(cfg, tol.contact_tol).is_interior:
+        return TCTDomainClass.excluded(ExclusionReason.BOUNDARY_START), Step(None)
+    step = event_step(cfg, tau, params, tol=tol)
+    scan = step.scan
+    if scan is None:
+        return TCTDomainClass.free(), step
+    if scan.graze is not None:
+        return TCTDomainClass.excluded(ExclusionReason.GRAZING), step
+    if not scan.unique:
+        return TCTDomainClass.excluded(ExclusionReason.SIMULTANEOUS), step
+    if step.outcome is None:
+        return TCTDomainClass.excluded(ExclusionReason.CRITICAL_ENERGY), step
+    remaining = tau - scan.time
+    if remaining > 0 and first_collision(step.state, remaining, tol=tol, recent_pair=scan.pair) is not None:
+        return TCTDomainClass.excluded(ExclusionReason.RECOLLISION), step
+    return TCTDomainClass.single_collision(scan.pair, scan.time, step.outcome.kind), step
 
 
 def classify_tct_domain(
-    cfg: Configuration,
-    tau: float,
-    params: ModelParams,
-    *,
-    contact_tol: float = CONTACT_TOL,
-    grazing_tol: float = GRAZING_TOL,
-    simultaneity_tol: float = SIMULTANEITY_TOL,
-    crit_tol: float = CRIT_TOL,
+    cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
 ) -> TCTDomainClass:
     """Classify an initial configuration over the horizon [0, tau].
 
-    Checks run in order: interior start, grazing encounters inside the
-    horizon, existence and uniqueness of the first collision, the critical
-    energy band, and finally a full rescan of the post-collisional state for
-    any further collision inside the remaining time (covering pairs that do
-    and do not involve the scattered particles alike).
+    Checks run in order: interior start, grazing encounters anywhere inside
+    the horizon, existence and uniqueness of the first collision, the
+    critical energy band, and finally a full rescan of the post-collisional
+    state for any further collision or graze inside the remaining time
+    (covering pairs that do and do not involve the scattered particles
+    alike).
     """
-    if tau <= 0:
-        raise UsageError("tau must be positive")
-    if not validate_configuration(cfg, contact_tol).is_interior:
-        return TCTDomainClass.excluded(ExclusionReason.BOUNDARY_START)
-    if _grazing_within(cfg, tau, grazing_tol):
-        return TCTDomainClass.excluded(ExclusionReason.GRAZING)
-    fc = first_collision(cfg, tau, simultaneity_tol, grazing_tol=grazing_tol)
-    if fc is None:
-        return TCTDomainClass.free()
-    if not fc.unique:
-        return TCTDomainClass.excluded(ExclusionReason.SIMULTANEOUS)
-    _, w = cfg.pair_state(fc.pair)
-    w2 = float(w @ w)
-    if abs(w2 - 4.0 * params.epsilon0) <= crit_tol:
-        return TCTDomainClass.excluded(ExclusionReason.CRITICAL_ENERGY)
-    kind = CollisionKind.INELASTIC if w2 > 4.0 * params.epsilon0 else CollisionKind.ELASTIC
-    post, _ = _post_collision_state(cfg, fc.pair, fc.time, params, crit_tol, grazing_tol)
-    remaining = tau - fc.time
-    if remaining > 0:
-        if _grazing_within(post, remaining, grazing_tol):
-            return TCTDomainClass.excluded(ExclusionReason.RECOLLISION)
-        again = first_collision(
-            post, remaining, simultaneity_tol, grazing_tol=grazing_tol, recent_pair=fc.pair
-        )
-        if again is not None:
-            return TCTDomainClass.excluded(ExclusionReason.RECOLLISION)
-    return TCTDomainClass.single_collision(fc.pair, fc.time, kind)
+    return _classify(cfg, tau, params, tol)[0]
 
 
-def tct_flow(
-    cfg: Configuration,
-    tau: float,
-    params: ModelParams,
-    *,
-    contact_tol: float = CONTACT_TOL,
-    grazing_tol: float = GRAZING_TOL,
-    simultaneity_tol: float = SIMULTANEITY_TOL,
-    crit_tol: float = CRIT_TOL,
-) -> TCTResult:
+def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> TCTResult:
     """Evolve the configuration over [0, tau]: free flight, or transport to
     the single collision, scatter, and transport the remaining time."""
-    classification = classify_tct_domain(
-        cfg,
-        tau,
-        params,
-        contact_tol=contact_tol,
-        grazing_tol=grazing_tol,
-        simultaneity_tol=simultaneity_tol,
-        crit_tol=crit_tol,
-    )
+    classification, step = _classify(cfg, tau, params, tol)
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
     if classification.is_free:
         return TCTResult(free_transport(cfg, tau), classification)
-    post, outcome = _post_collision_state(
-        cfg, classification.pair, classification.t_c, params, crit_tol, grazing_tol
-    )
-    final = free_transport(post, tau - classification.t_c)
-    return TCTResult(final, classification, (classification.pair, classification.t_c, outcome))
+    final = free_transport(step.state, tau - classification.t_c)
+    return TCTResult(final, classification, (classification.pair, classification.t_c, step.outcome))
 
 
-def flow_jacobian_prefactor(cfg: Configuration, pair: PairIndex, params: ModelParams, *, grazing_tol: float = GRAZING_TOL) -> float:
+def flow_jacobian_prefactor(
+    cfg: Configuration, pair: PairIndex, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> float:
     """1 + grad_X(t_c) . (V - V') from the analytic contact-time gradients.
 
     Evaluates to -1 for elastic collisions and -sqrt(1 - 4 eps0 / s^2) for
     emitting ones (s the pre-collisional relative speed), independent of
-    dimension.
+    dimension.  Raises CriticalEnergyError inside the critical band.
     """
-    grad_x, _ = collision_time_gradients(cfg, pair, grazing_tol)
-    pred = predict_pair(cfg, pair, grazing_tol)
-    post, _ = _post_collision_state(cfg, pair, pred.time, params, crit_tol=0.0, grazing_tol=grazing_tol)
+    grad_x, _ = collision_time_gradients(cfg, pair, tol=tol)
+    post, outcome, _ = collide(cfg, pair, predict_pair(cfg, pair, tol=tol).time, params, tol=tol)
+    if outcome is None:
+        raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
     dv = (cfg.velocities - post.velocities).ravel()
     return 1.0 + float(grad_x @ dv)
 
 
 def analytic_flow_jacobian_det(
-    cfg: Configuration,
-    tau: float,
-    params: ModelParams,
-    **tol_kwargs,
+    cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
 ) -> tuple[float, float, float]:
     """(det, prefactor, det_N) of the flow's Jacobian at cfg over [0, tau].
 
@@ -251,13 +178,12 @@ def analytic_flow_jacobian_det(
     collisions in d=2.  Emitting collisions in d != 2 have no closed form
     here and raise UnsupportedDimensionError.
     """
-    classification = classify_tct_domain(cfg, tau, params, **tol_kwargs)
+    classification = classify_tct_domain(cfg, tau, params, tol=tol)
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
     if classification.is_free:
         return 1.0, 1.0, 1.0
-    grazing_tol = tol_kwargs.get("grazing_tol", GRAZING_TOL)
-    prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, grazing_tol=grazing_tol)
+    prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, tol=tol)
     if classification.kind is CollisionKind.ELASTIC:
         det_n = ELASTIC_DET_N
     elif cfg.dimension == 2:

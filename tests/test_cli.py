@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
-from ihse.cli import run
-from ihse.jsonio import dumps, loads
+from ihse.cli import COMMAND_TOLERANCES, run
+from ihse.jsonio import dumps
 
 
 @pytest.fixture
@@ -249,5 +250,130 @@ class TestFlagResolution:
         )
         text = out.read_text()
         assert "9.9999999999999998e-13" in text  # grazing tolerance, full precision
-        reparsed = loads(text)
+        reparsed = json.loads(text)
         assert reparsed["config"]["grazing_tol"] == 1e-12
+
+
+# Configurations on which each tolerance flag decides the outcome.
+FLAG_CONFIGS = {
+    # receding pair 5e-10 outside contact: boundary start at the default
+    # contact tolerance, free flight at a tighter one
+    "near_contact": [([0.0, 0.0], [-1.0, 0.0]), ([1.0 + 5e-10, 0.0], [1.0, 0.0])],
+    # discriminant 0.0199: transversal by default, grazing at --grazing-tol 0.05
+    "near_graze": [([0.0, 0.0], [1.0, 0.0]), ([3.0, 0.99], [0.0, 0.0])],
+    # pair (1,2) meets at t=1 and pair (3,4) 5e-11 later
+    "twin_pairs": [
+        ([0.0, 0.0], [1.0, 0.0]),
+        ([3.0, 0.0], [-1.0, 0.0]),
+        ([0.0, 10.0], [1.0, 0.0]),
+        ([3.0 + 1e-10, 10.0], [-1.0, 0.0]),
+    ],
+    # as twin_pairs with pair (3,4) 5e-6 later
+    "staggered_pairs": [
+        ([0.0, 0.0], [1.0, 0.0]),
+        ([3.0, 0.0], [-1.0, 0.0]),
+        ([0.0, 10.0], [1.0, 0.0]),
+        ([3.0 + 1e-5, 10.0], [-1.0, 0.0]),
+    ],
+    # |v_i - v_j|^2 = 4 against 4 eps0 = 3.96: outside the default critical
+    # band, inside --crit-tol 0.1
+    "near_critical": [([0.0, 0.0], [1.0, 0.0]), ([3.0, 0.0], [-1.0, 0.0])],
+    # the C11 chain: two emitting collisions
+    "chain": [([3.0, 0.0], [0.0, 0.0]), ([0.0, 0.0], [3.0, 0.0]), ([6.0, 0.0], [-1.0, 0.0])],
+}
+
+JACOBIAN_ARGS = ["--samples", "2", "--seed", "7", "--n-particles", "4"]
+SCATTER_ARGS = ["--samples", "5", "--seed", "3", "--eps0", "0.75"]
+
+# (command, tolerance flag) -> (configuration, other arguments, flag value).
+FLAG_CASES = {
+    ("classify", "contact_tol"): ("near_contact", ["--tau", "1", "--eps0", "0.5"], "1e-12"),
+    ("classify", "grazing_tol"): ("near_graze", ["--tau", "5", "--eps0", "0.1875"], "0.05"),
+    ("classify", "simultaneity_tol"): ("twin_pairs", ["--tau", "1.00000000002", "--eps0", "0.5"], "1e-12"),
+    ("classify", "crit_tol"): ("near_critical", ["--tau", "2", "--eps0", "0.99"], "0.1"),
+    ("flow", "contact_tol"): ("near_contact", ["--tau", "1", "--eps0", "0.5"], "1e-12"),
+    ("flow", "grazing_tol"): ("near_graze", ["--tau", "5", "--eps0", "0.1875"], "0.05"),
+    ("flow", "simultaneity_tol"): ("twin_pairs", ["--tau", "1.00000000002", "--eps0", "0.5"], "1e-12"),
+    ("flow", "crit_tol"): ("near_critical", ["--tau", "2", "--eps0", "0.99"], "0.1"),
+    ("simulate", "contact_tol"): ("near_contact", ["--T", "1", "--eps0", "0.5"], "1e-12"),
+    ("simulate", "grazing_tol"): ("near_graze", ["--T", "5", "--eps0", "0.1875"], "0.05"),
+    ("simulate", "simultaneity_tol"): ("staggered_pairs", ["--T", "3", "--eps0", "0.5"], "1e-5"),
+    ("simulate", "crit_tol"): ("near_critical", ["--T", "2", "--eps0", "0.99"], "0.1"),
+    ("simulate", "max_events"): ("chain", ["--T", "1.5", "--eps0", "0.5"], "1"),
+    ("volume", "contact_tol"): ("near_contact", ["--radius", "1e-9", "--tau", "1", "--eps0", "0.5"], "1e-12"),
+    ("volume", "grazing_tol"): ("near_graze", ["--radius", "1e-6", "--tau", "5", "--eps0", "0.1875"], "0.05"),
+    ("volume", "simultaneity_tol"): ("staggered_pairs", ["--radius", "1e-6", "--tau", "3", "--eps0", "0.5"], "1e-5"),
+    ("volume", "crit_tol"): ("near_critical", ["--radius", "1e-3", "--tau", "2", "--eps0", "0.99"], "0.1"),
+    ("volume", "max_events"): ("chain", ["--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5"], "1"),
+    ("jacobian", "contact_tol"): (None, JACOBIAN_ARGS, "1"),
+    ("jacobian", "grazing_tol"): (None, JACOBIAN_ARGS, "2"),
+    ("jacobian", "simultaneity_tol"): (None, JACOBIAN_ARGS, "100"),
+    ("jacobian", "crit_tol"): (None, JACOBIAN_ARGS, "2"),
+    ("jacobian", "h"): (None, JACOBIAN_ARGS, "1e-5"),
+    ("scatter-check", "grazing_tol"): (None, SCATTER_ARGS, "0.5"),
+    ("scatter-check", "crit_tol"): (None, SCATTER_ARGS, "100"),
+    ("scatter-check", "h"): (None, SCATTER_ARGS, "1e-5"),
+}
+
+
+def _outcome(tmp_path, argv):
+    """(exit status, document without its echoed flags)."""
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    status = run(argv + ["--output", str(out)])
+    doc = json.loads(out.read_text()) if out.exists() else None
+    if doc is not None:
+        del doc["config"]
+    return status, doc
+
+
+class TestToleranceFlags:
+    def test_every_accepted_flag_has_a_case(self):
+        accepted = {(command, flag) for command, flags in COMMAND_TOLERANCES.items() for flag in flags}
+        assert set(FLAG_CASES) == accepted
+
+    @pytest.mark.parametrize("command,flag", sorted(FLAG_CASES))
+    def test_flag_changes_the_result(self, tmp_path, command, flag):
+        config, args, value = FLAG_CASES[command, flag]
+        argv = [command, *args]
+        if config is not None:
+            path = tmp_path / f"{config}.json"
+            particles = [{"x": x, "v": v} for x, v in FLAG_CONFIGS[config]]
+            path.write_text(dumps({"d": 2, "particles": particles}))
+            argv += ["--config", str(path)]
+        default = _outcome(tmp_path, argv)
+        flagged = _outcome(tmp_path, argv + [f"--{flag.replace('_', '-')}", value])
+        assert default != flagged
+
+    def test_flow_agrees_with_classify_under_simultaneity_tol(self, tmp_path):
+        path = tmp_path / "twin.json"
+        path.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["twin_pairs"]]}))
+        argv = ["--config", str(path), "--tau", "1.00000000002", "--eps0", "0.5", "--simultaneity-tol", "1e-12"]
+        classify_status, classify_doc = _outcome(tmp_path, ["classify", *argv])
+        flow_status, flow_doc = _outcome(tmp_path, ["flow", *argv])
+        assert classify_status == flow_status == 0
+        assert flow_doc["classification"] == classify_doc["classification"]
+        assert classify_doc["classification"]["variant"] == "single_collision"
+        assert flow_doc["jacobian"]["det"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("measure", "--grazing-tol"),
+            ("tensor-lemma", "--crit-tol"),
+            ("scatter-check", "--contact-tol"),
+            ("scatter-check", "--simultaneity-tol"),
+            ("scatter-check", "--max-events"),
+            ("classify", "--max-events"),
+            ("flow", "--max-events"),
+            ("jacobian", "--max-events"),
+            ("classify", "--seed"),
+            ("flow", "--seed"),
+            ("volume", "--seed"),
+        ],
+    )
+    def test_flags_without_effect_are_rejected(self, command, flag):
+        # (--h is left out: argparse reads it as an abbreviation of --help)
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "1e-9"])
+        assert exc.value.code == 2

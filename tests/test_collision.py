@@ -8,6 +8,7 @@ from ihse import (
     GrazingCollisionError,
     NoCollisionError,
     PairIndex,
+    Tolerances,
     collision_time_gradients,
     first_collision,
     free_transport,
@@ -103,6 +104,23 @@ class TestFirstCollision:
         # pair exactly at contact and receding: no event reported
         cfg = Configuration([[0, 0], [1, 0]], [[-1, 0], [1, 0]])
         assert first_collision(cfg, horizon=5.0, recent_pair=P12) is None
+
+    def test_graze_reported_in_the_same_scan(self):
+        fc = first_collision(two_body((3, 1)), horizon=5.0)
+        assert (fc.time, fc.pair, fc.graze) == (None, None, 3.0)
+        assert first_collision(two_body((3, 1)), horizon=2.0) is None
+
+    @pytest.mark.parametrize("simultaneity_tol,unique", [(6e-11, False), (4e-11, True)])
+    def test_simultaneity_rule_reaches_past_the_horizon(self, simultaneity_tol, unique):
+        # pair (1,2) meets at t=1 and pair (3,4) about 5e-11 later, past the
+        # horizon: the later contact still decides uniqueness
+        cfg = Configuration(
+            [[0, 0], [3, 0], [0, 10], [3 + 1e-10, 10]],
+            [[1, 0], [-1, 0], [1, 0], [-1, 0]],
+        )
+        fc = first_collision(cfg, horizon=1.0 + 2e-11, tol=Tolerances(simultaneity_tol=simultaneity_tol))
+        assert fc.pair == P12 and fc.time == pytest.approx(1.0, abs=1e-15)
+        assert fc.unique is unique
 
 
 class TestGradients:

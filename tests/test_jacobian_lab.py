@@ -22,15 +22,15 @@ from conftest import assert_close
 
 class TestFdJacobian:
     def test_identity_map(self):
-        jac = fd_jacobian(lambda z: z, np.zeros(4), 1e-6)
+        jac = fd_jacobian(lambda z: (z, None), np.zeros(4), 1e-6)
         assert_close(jac, np.eye(4), 1e-10, "identity")
 
     def test_linear_map_exact(self):
         gen = sample_generator(2, 0)
         a = gen.normal(size=(3, 5))
-        jac = fd_jacobian(lambda z: a @ z, np.zeros(5), 1e-6)
+        jac = fd_jacobian(lambda z: (a @ z, None), np.zeros(5), 1e-6)
         assert_close(jac, a, 1e-10, "linear at origin")
-        jac = fd_jacobian(lambda z: a @ z, gen.normal(size=5), 1e-6)
+        jac = fd_jacobian(lambda z: (a @ z, None), gen.normal(size=5), 1e-6)
         assert_close(jac, a, 1e-9, "linear at generic point")
 
     def test_free_transport_block_structure(self):
@@ -40,7 +40,7 @@ class TestFdJacobian:
         def flow(z):
             cfg = Configuration.from_vector(z, n, d)
             moved = cfg.positions + t * cfg.velocities
-            return np.concatenate([moved.ravel(), cfg.velocities.ravel()])
+            return np.concatenate([moved.ravel(), cfg.velocities.ravel()]), None
 
         z0 = Configuration([[0, 0], [3, 0]], [[1, 0], [0, 0]]).to_vector()
         jac = fd_jacobian(flow, z0, 1e-6)
@@ -50,19 +50,19 @@ class TestFdJacobian:
 
     def test_branch_crossing_detected(self):
         def fn(z):
-            return np.array([abs(z[0])])
+            return np.array([abs(z[0])]), z[0] > 0
 
         with pytest.raises(BranchCrossingError):
-            fd_jacobian(fn, np.array([0.0]), 1e-6, branch=lambda z: z[0] > 0)
+            fd_jacobian(fn, np.array([0.0]), 1e-6)
 
     def test_non_finite_detected(self):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-            fd_jacobian(lambda z: np.array([np.log(z[0])]), np.array([0.0]), 1e-6)
+            fd_jacobian(lambda z: (np.array([np.log(z[0])]), None), np.array([0.0]), 1e-6)
 
     def test_unreliable_stencil_detected(self):
         # steep cubic kink: determinants at h and h/2 disagree wildly
         def fn(z):
-            return np.array([z[0] + 1e6 * z[0] ** 3])
+            return np.array([z[0] + 1e6 * z[0] ** 3]), None
 
         with pytest.raises(UnreliableStencilError):
             fd_determinant(fn, np.array([0.0]), 1e-1)

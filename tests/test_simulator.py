@@ -6,11 +6,13 @@ import pytest
 from ihse import (
     CollisionKind,
     Configuration,
+    ExclusionReason,
     ModelParams,
     PairIndex,
-    SimOptions,
+    Tolerances,
     UsageError,
     check_collision_bounds,
+    classify_tct_domain,
     conserved_quantities,
     kinetic_energy,
     simulate,
@@ -21,6 +23,7 @@ from ihse.simulator import (
     PATHOLOGY_GRAZING,
     PATHOLOGY_MAX_EVENTS,
     PATHOLOGY_SIMULTANEOUS,
+    Pathology,
     collision_rich_configuration,
 )
 
@@ -70,9 +73,20 @@ class TestPathologies:
         report = simulate(symmetric_head_on, 2.0, ModelParams(1.0, 2))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_CRITICAL_ENERGY
 
+    def test_graze_after_the_next_contact(self):
+        # pair (1,2) collides at t=1; pair (3,4) grazes at t=4.  The run
+        # takes the collision and halts at the graze, while the
+        # one-collision classification excludes any graze in its horizon.
+        cfg = Configuration([[0, 0], [3, 0], [0, 10], [4, 11]], [[1, 0], [-1, 0], [1, 0], [0, 0]])
+        params = ModelParams(0.5, 2)
+        report = simulate(cfg, 6.0, params)
+        assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
+        assert report.halted == Pathology(PATHOLOGY_GRAZING, 4.0)
+        assert classify_tct_domain(cfg, 6.0, params).reason is ExclusionReason.GRAZING
+
     def test_event_overflow(self):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        report = simulate(chain, 1.5, ModelParams(0.5, 2), SimOptions(max_events=1))
+        report = simulate(chain, 1.5, ModelParams(0.5, 2), tol=Tolerances(max_events=1))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_MAX_EVENTS
         assert len(report.events) == 1
 
