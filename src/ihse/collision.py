@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, PairIndex, Tolerances, all_pairs
+from .core import Configuration, IHSEError, PairIndex, Tolerances, pair_differences, pair_indices
 
 # A pair is ignored below this root when it has just collided: post-collision
 # states sit numerically on the contact sphere and would otherwise re-report
@@ -50,37 +50,47 @@ class FirstCollision:
     graze: Optional[float] = None
 
 
-def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
-    """Roots of |r + t w|^2 = 1 as (b, a, delta, (t_small, t_large))."""
-    a = float(w @ w)
-    b = float(r @ w)
-    delta = b * b - a * (float(r @ r) - 1.0)
-    if a == 0.0 or delta < 0.0:
-        return b, a, delta, None
-    # Stable small/large roots: q = -b + sqrt(delta) never cancels when b < 0.
-    sq = math.sqrt(delta)
-    c = float(r @ r) - 1.0
-    if b < 0.0:
-        q = -b + sq
-        return b, a, delta, (c / q, q / a)
-    q = -b - sq  # b >= 0: both roots <= 0 when c >= 0
-    if q == 0.0:
-        return b, a, delta, (0.0, 0.0)
-    return b, a, delta, (q / a, c / q)
+def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of |r + t w|^2 = 1 for P pairs at once, from (P, d) arrays of
+    relative positions r = x_i - x_j and relative velocities w = v_i - v_j.
 
+    Returns three length-P arrays:
+      - delta: the discriminant b^2 - a c with a = |w|^2, b = r.w and
+        c = |r|^2 - 1;
+      - contact: the smallest strictly positive root of a transversal
+        encounter (delta > grazing_tol), inf when the pair recedes, moves
+        in parallel or grazes;
+      - graze: the tangential encounter time -b/a of a grazing pair
+        (|delta| <= grazing_tol) that approaches (a != 0, b < 0), inf
+        otherwise.
 
-def _contact_time(delta: float, roots: Optional[tuple[float, float]], grazing_tol: float) -> Optional[float]:
-    """Smallest strictly positive root of a transversal encounter, or None."""
-    if roots is None or delta <= grazing_tol:
-        return None
-    t_small, t_large = roots
-    if t_small > 0.0:
-        return t_small
-    if t_large > 0.0:
-        # Interior configurations never reach this branch; kept so the
-        # prediction is meaningful for states inside the contact sphere.
-        return t_large
-    return None
+    Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
+    The dot products use np.vecdot: with numpy's OpenBLAS, float(x @ y) of
+    two vectors is a fused multiply-add chain, and np.vecdot rounds exactly
+    as it does (checked on 300k random pairs in d = 2 and 3), while
+    (x * y).sum(-1) and einsum differ from it in the last bit for about one
+    pair in six.  So one call over all pairs gives the same bits as a call
+    per pair, and event times do not depend on how many pairs are solved
+    together.
+    """
+    a = np.vecdot(w, w)
+    b = np.vecdot(r, w)
+    c = np.vecdot(r, r) - 1.0
+    delta = b * b - a * c
+    approaching = b < 0.0
+    neg_b = -b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(delta)
+        q = np.where(approaching, neg_b + sq, neg_b - sq)
+        # With a > 0 and delta > 0, q < 0 when b >= 0: then q/a is negative
+        # and c/q is the only candidate.  When b < 0, c/q is the smaller
+        # root and q/a the larger, which is positive only for states inside
+        # the contact sphere (interior configurations never take it).
+        small, large = c / q, q / a
+        contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
+        contact = np.where((a != 0.0) & (delta > grazing_tol), contact, np.inf)
+        graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & approaching, neg_b / a, np.inf)
+    return delta, contact, graze
 
 
 def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
@@ -90,7 +100,7 @@ def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
     transversally.  Zero: tangential (grazing) encounter.  Negative: the
     pair never reaches contact.
     """
-    return _quadratic_contact_roots(*cfg.pair_state(pair))[2]
+    return predict_pair(cfg, pair).discriminant
 
 
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
@@ -101,10 +111,10 @@ def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
 
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
     """Full prediction record for one pair."""
-    _, _, delta, roots = _quadratic_contact_roots(*cfg.pair_state(pair))
-    return CollisionPrediction(
-        pair, delta, _contact_time(delta, roots, tol.grazing_tol), abs(delta) <= tol.grazing_tol
-    )
+    r, w = cfg.pair_state(pair)
+    deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
+    delta, time = float(deltas[0]), float(contacts[0])
+    return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
 
 
 def pair_collision_time(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> Optional[float]:
@@ -138,31 +148,27 @@ def first_collision(
     """
     if horizon <= 0:
         raise NoCollisionError("horizon must be positive")
-    best_time: Optional[float] = None
-    best_pair: Optional[PairIndex] = None
-    second: Optional[float] = None
-    graze: Optional[float] = None
-    for pair in all_pairs(cfg.n_particles):
-        b, a, delta, roots = _quadratic_contact_roots(*cfg.pair_state(pair))
-        if abs(delta) <= tol.grazing_tol:
-            t_graze = -b / a if a != 0.0 and b < 0.0 else 0.0
-            if 0.0 < t_graze <= horizon and (graze is None or t_graze < graze):
-                graze = t_graze
-            continue
-        time = _contact_time(delta, roots, tol.grazing_tol)
-        if time is None or (time <= REARM_TIME and pair == recent_pair):
-            continue
-        if best_time is None or time < best_time:
-            second = best_time
-            best_time, best_pair = time, pair
-        elif second is None or time < second:
-            second = time
-    if best_time is not None and best_time > horizon:
-        best_time = best_pair = None
-    if best_time is None and graze is None:
+    n = cfg.n_particles
+    if n < 2:
         return None
-    unique = best_time is None or second is None or second - best_time > tol.simultaneity_tol
-    return FirstCollision(best_time, best_pair, unique, graze)
+    r, w = pair_differences(cfg.positions), pair_differences(cfg.velocities)
+    _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
+    i, j = pair_indices(n)
+    if recent_pair is not None:
+        a, b = recent_pair.zero_based()
+        contact[(i == a) & (j == b) & (contact <= REARM_TIME)] = np.inf
+    k = int(np.argmin(contact))  # first occurrence: the lexicographically first pair
+    time = float(contact[k])
+    contact[k] = np.inf
+    second = float(contact.min())
+    grazes = graze[(0.0 < graze) & (graze <= horizon)]
+    t_graze = float(grazes.min()) if grazes.size else None
+    if time == math.inf or time > horizon:
+        if t_graze is None:
+            return None
+        return FirstCollision(None, None, True, t_graze)
+    pair = PairIndex(int(i[k]) + 1, int(j[k]) + 1)
+    return FirstCollision(time, pair, second - time > tol.simultaneity_tol, t_graze)
 
 
 def collision_time_gradients(

@@ -5,9 +5,9 @@ phase-space membership, free transport, and conserved-quantity diagnostics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -91,9 +91,21 @@ class PairIndex:
         return [self.i, self.j]
 
 
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based index arrays (i, j), i < j, of all pairs of n particles in
+    lexicographic order: the one source of pair order for every all-pairs
+    array.  Cached per n and read-only."""
+    i, j = np.triu_indices(n, k=1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def all_pairs(n: int) -> list[PairIndex]:
     """All ordered pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
-    return [PairIndex(i, j) for i, j in combinations(range(1, n + 1), 2)]
+    i, j = pair_indices(n)
+    return [PairIndex(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist())]
 
 
 class Configuration:
@@ -142,13 +154,7 @@ class Configuration:
         return float(np.linalg.norm(r))
 
     def min_separation(self) -> float:
-        n = self.n_particles
-        if n == 1:
-            return math.inf
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        iu = np.triu_indices(n, k=1)
-        return float(dist[iu].min())
+        return min_pair_separation(self.positions)
 
     def to_vector(self) -> np.ndarray:
         """Flat phase-space vector: positions then velocities, particle-major."""
@@ -215,6 +221,38 @@ class DomainStatus:
         return self.kind is DomainKind.INTERIOR
 
 
+def pair_differences(values: np.ndarray) -> np.ndarray:
+    """values[i] - values[j] for every pair (i, j) in pair_indices order,
+    taken over the particle axis of an (..., N, d) array."""
+    i, j = pair_indices(values.shape[-2])
+    diff = values.take(i, axis=-2)
+    return np.subtract(diff, values.take(j, axis=-2), out=diff)
+
+
+def min_pair_separation(positions: np.ndarray) -> float:
+    """Smallest pair separation over a stack (..., N, d) of position sets;
+    inf for a single particle.
+
+    Squares are summed as in numpy's axis-wise norm (no fused multiply-add),
+    which differs in the last bit from the square root of a dot product for
+    some pairs; reported minimum separations keep this form.  The root of
+    the smallest sum equals the smallest root, as sqrt is monotone.
+    """
+    r = pair_differences(positions)
+    if r.shape[-2] == 0:
+        return math.inf
+    return math.sqrt(float(np.square(r, out=r).sum(axis=-1).min()))
+
+
+def pair_separations(positions: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| of every pair of an (N, d) position array, in
+    pair_indices order.  Each value is the square root of the same dot
+    product np.linalg.norm takes of one vector, so it equals
+    float(np.linalg.norm(x_i - x_j)) bit for bit."""
+    r = pair_differences(positions)
+    return np.sqrt(np.vecdot(r, r))
+
+
 def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> DomainStatus:
     """Classify a configuration against the hard-sphere domain.
 
@@ -224,17 +262,14 @@ def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> Doma
     """
     if tol < 0:
         raise UsageError("tol must be >= 0")
-    boundary, invalid = [], []
-    for pair in all_pairs(cfg.n_particles):
-        s = cfg.separation(pair)
-        if abs(s - 1.0) <= tol:
-            boundary.append(pair)
-        elif s < 1.0 - tol:
-            invalid.append(pair)
-    if invalid:
-        return DomainStatus(DomainKind.INVALID, tuple(invalid))
-    if boundary:
-        return DomainStatus(DomainKind.BOUNDARY, tuple(boundary))
+    s = pair_separations(cfg.positions)
+    boundary = np.abs(s - 1.0) <= tol
+    invalid = ~boundary & (s < 1.0 - tol)
+    for kind, flagged in ((DomainKind.INVALID, invalid), (DomainKind.BOUNDARY, boundary)):
+        hits = np.flatnonzero(flagged)
+        if hits.size:
+            i, j = pair_indices(cfg.n_particles)
+            return DomainStatus(kind, tuple(PairIndex(int(i[k]) + 1, int(j[k]) + 1) for k in hits))
     return DomainStatus(DomainKind.INTERIOR)
 
 

@@ -12,7 +12,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FD_STEP, Configuration, IHSEError, ModelParams, PairIndex, Tolerances, free_transport
+from .core import (
+    FD_STEP,
+    Configuration,
+    IHSEError,
+    ModelParams,
+    PairIndex,
+    Tolerances,
+    free_transport,
+    pair_separations,
+)
 from .collision import contact_direction, first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import (
@@ -377,14 +386,6 @@ def random_tct_case(
 def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: float, spread: float, max_tries: int = 500) -> np.ndarray:
     for _ in range(max_tries):
         pts = spread * gen.uniform(-1.0, 1.0, size=(n, d))
-        ok = True
-        for a in range(n):
-            for b in range(a + 1, n):
-                if float(np.linalg.norm(pts[a] - pts[b])) < min_gap:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if (pair_separations(pts) >= min_gap).all():
             return pts
     raise IHSEError("failed to spread particles")

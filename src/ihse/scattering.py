@@ -89,6 +89,24 @@ def _check_unit(omega: np.ndarray):
         raise UsageError("omega must be a unit vector")
 
 
+def _reflected_direction(w: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """sigma for the relative velocity w = v_j - v_i and a checked unit omega."""
+    speed = float(np.linalg.norm(w))
+    if speed < ZERO_RELATIVE_SPEED:
+        raise ZeroRelativeVelocityError("relative velocity is zero")
+    u = w / speed
+    return u - 2.0 * float(u @ omega) * omega
+
+
+def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2: float, epsilon0: float):
+    """inelastic_emission on float arrays with omega checked and
+    w2 = |v_j - v_i|^2 above 4*epsilon0."""
+    sigma = _reflected_direction(v_j - v_i, omega)
+    kappa = math.sqrt(w2 / 4.0 - epsilon0)
+    mean = 0.5 * (v_i + v_j)
+    return mean - sigma * kappa, mean + sigma * kappa, sigma, kappa
+
+
 def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     """Reflection of the normalized relative velocity (v_j - v_i)/|v_j - v_i|
     through the plane orthogonal to omega; always unit norm."""
@@ -96,12 +114,7 @@ def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     _check_unit(omega)
-    w = v_j - v_i
-    speed = float(np.linalg.norm(w))
-    if speed < ZERO_RELATIVE_SPEED:
-        raise ZeroRelativeVelocityError("relative velocity is zero")
-    u = w / speed
-    return u - 2.0 * float(u @ omega) * omega
+    return _reflected_direction(v_j - v_i, omega)
 
 
 def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +134,12 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     """
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     w2 = float((v_j - v_i) @ (v_j - v_i))
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
-    sigma = sigma_direction(v_i, v_j, omega)
-    kappa = math.sqrt(w2 / 4.0 - epsilon0)
-    mean = 0.5 * (v_i + v_j)
-    return mean - sigma * kappa, mean + sigma * kappa, sigma, kappa
+    _check_unit(omega)
+    return _emission(v_i, v_j, omega, w2, epsilon0)
 
 
 def scatter(
@@ -160,7 +172,7 @@ def scatter(
         raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     if w2 > 4.0 * params.epsilon0:
-        vi_post, vj_post, sigma, kappa = inelastic_emission(v_i, v_j, omega, params.epsilon0)
+        vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, params.epsilon0)
         kind, sig, kap = CollisionKind.INELASTIC, sigma, kappa
     else:
         vi_post, vj_post = elastic_reflection(v_i, v_j, omega)

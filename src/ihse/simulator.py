@@ -20,6 +20,8 @@ from .core import (
     UsageError,
     free_transport,
     kinetic_energy,
+    min_pair_separation,
+    pair_separations,
     validate_configuration,
 )
 from .collision import FirstCollision, contact_direction, first_collision
@@ -147,7 +149,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
         raise UsageError("T must be positive")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         raise UsageError("initial configuration must be interior (all gaps > 1)")
-    checkpoint_times = [T * (k + 1) / N_CHECKPOINTS for k in range(N_CHECKPOINTS)]
+    checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
     events: list[SimEvent] = []
     min_sep = cfg.min_separation()
     state = cfg
@@ -157,12 +159,14 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     next_checkpoint = 0
 
     def advance_through(segment_end: float):
-        """Free-transport bookkeeping for checkpoints inside the segment."""
+        """Overlap probes at the checkpoints inside the segment, transported
+        from the segment's start in one array operation."""
         nonlocal next_checkpoint, min_sep
-        while next_checkpoint < len(checkpoint_times) and checkpoint_times[next_checkpoint] <= segment_end + 1e-15:
-            probe = free_transport(state, checkpoint_times[next_checkpoint] - now)
-            min_sep = min(min_sep, probe.min_separation())
-            next_checkpoint += 1
+        stop = int(np.searchsorted(checkpoint_times, segment_end + 1e-15, side="right"))
+        if stop > next_checkpoint:
+            t = checkpoint_times[next_checkpoint:stop] - now
+            min_sep = min(min_sep, min_pair_separation(state.positions + t[:, None, None] * state.velocities))
+            next_checkpoint = stop
 
     while True:
         remaining = T - now
@@ -252,15 +256,7 @@ def random_configuration(
     dof = n_particles * dimension
     for _ in range(max_tries):
         x = uniform_ball(gen, 1, dof, r_positions)[0].reshape(n_particles, dimension)
-        cfg_ok = True
-        for a in range(n_particles):
-            for b in range(a + 1, n_particles):
-                if float(np.linalg.norm(x[a] - x[b])) <= min_gap:
-                    cfg_ok = False
-                    break
-            if not cfg_ok:
-                break
-        if cfg_ok:
+        if (pair_separations(x) > min_gap).all():
             v = uniform_ball(gen, 1, dof, r_velocities)[0].reshape(n_particles, dimension)
             return Configuration(x, v)
     raise IHSEError(

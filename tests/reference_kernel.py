@@ -1,0 +1,95 @@
+"""Pair-by-pair reference for ``ihse.collision.first_collision``.
+
+This is the scalar loop the array kernel replaced: one Python evaluation of
+the contact quadratic per pair, pairs visited in lexicographic order.  It
+stays in the tests so that the kernel can be required to give identical
+results, field for field and bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import Optional
+
+import numpy as np
+
+from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError
+from ihse.core import Configuration, PairIndex, Tolerances
+
+
+def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
+    """Roots of |r + t w|^2 = 1 as (b, a, delta, (t_small, t_large))."""
+    a = float(w @ w)
+    b = float(r @ w)
+    delta = b * b - a * (float(r @ r) - 1.0)
+    if a == 0.0 or delta < 0.0:
+        return b, a, delta, None
+    sq = math.sqrt(delta)
+    c = float(r @ r) - 1.0
+    if b < 0.0:
+        q = -b + sq
+        return b, a, delta, (c / q, q / a)
+    q = -b - sq
+    if q == 0.0:
+        return b, a, delta, (0.0, 0.0)
+    return b, a, delta, (q / a, c / q)
+
+
+def contact_time(delta: float, roots: Optional[tuple[float, float]], grazing_tol: float) -> Optional[float]:
+    """Smallest strictly positive root of a transversal encounter, or None."""
+    if roots is None or delta <= grazing_tol:
+        return None
+    t_small, t_large = roots
+    if t_small > 0.0:
+        return t_small
+    if t_large > 0.0:
+        return t_large
+    return None
+
+
+def pairs(n: int) -> list[PairIndex]:
+    return [PairIndex(i, j) for i, j in combinations(range(1, n + 1), 2)]
+
+
+def pair_prediction(cfg: Configuration, pair: PairIndex, tol: Tolerances) -> tuple[float, Optional[float], bool]:
+    """(discriminant, contact time or None, grazing flag) of one pair."""
+    _, _, delta, roots = quadratic_contact_roots(*cfg.pair_state(pair))
+    return delta, contact_time(delta, roots, tol.grazing_tol), abs(delta) <= tol.grazing_tol
+
+
+def first_collision(
+    cfg: Configuration,
+    horizon: float,
+    *,
+    tol: Tolerances = Tolerances(),
+    recent_pair: Optional[PairIndex] = None,
+) -> Optional[FirstCollision]:
+    """Same contract as ihse.collision.first_collision, one pair at a time."""
+    if horizon <= 0:
+        raise NoCollisionError("horizon must be positive")
+    best_time: Optional[float] = None
+    best_pair: Optional[PairIndex] = None
+    second: Optional[float] = None
+    graze: Optional[float] = None
+    for pair in pairs(cfg.n_particles):
+        b, a, delta, roots = quadratic_contact_roots(*cfg.pair_state(pair))
+        if abs(delta) <= tol.grazing_tol:
+            t_graze = -b / a if a != 0.0 and b < 0.0 else 0.0
+            if 0.0 < t_graze <= horizon and (graze is None or t_graze < graze):
+                graze = t_graze
+            continue
+        time = contact_time(delta, roots, tol.grazing_tol)
+        if time is None or (time <= REARM_TIME and pair == recent_pair):
+            continue
+        if best_time is None or time < best_time:
+            second = best_time
+            best_time, best_pair = time, pair
+        elif second is None or time < second:
+            second = time
+    if best_time is not None and best_time > horizon:
+        best_time = best_pair = None
+    if best_time is None and graze is None:
+        return None
+    unique = best_time is None or second is None or second - best_time > tol.simultaneity_tol
+    return FirstCollision(best_time, best_pair, unique, graze)

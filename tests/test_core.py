@@ -17,6 +17,7 @@ from ihse import (
     free_transport,
     validate_configuration,
 )
+from ihse.core import pair_indices
 from ihse.jsonio import dumps, format_float
 
 from conftest import assert_close
@@ -141,6 +142,14 @@ class TestPairs:
     def test_all_pairs_lexicographic(self):
         pairs = all_pairs(3)
         assert pairs == [PairIndex(1, 2), PairIndex(1, 3), PairIndex(2, 3)]
+
+    def test_pair_indices_are_cached_read_only_and_lexicographic(self):
+        i, j = pair_indices(4)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert pair_indices(4)[0] is i
+        with pytest.raises(ValueError):
+            i[0] = 3
+        assert pair_indices(1)[0].size == 0
 
 
 class TestSerialization:

@@ -1,20 +1,56 @@
-"""Bit-identity pin of the event engine.
+"""Bit-identity pins of the event engine.
 
-The digest covers, for fixed ensembles of the acceptance criteria, every
+GOLDEN_SHA256 covers, for fixed ensembles of the acceptance criteria, every
 event's pair, kind and exact time (as a hex float) plus the final state's
 raw bytes, and the one-collision classification signatures.  Any change to
 event order, event times or post-collision states changes the digest.
+
+DETAIL_SHA256 covers what the first leaves out: reported minimum
+separations and every event's energies and squared relative speed, a d=3
+ensemble and dense d=2/d=3 clusters (also under loose tolerances), domain
+statuses at three contact tolerances, single-pair predictions, discriminants
+and contact-time gradients, all-pairs scans with and without a recent pair,
+rejection-sampled draws, and scattering outcomes.
+
+Both digests hash exact floating-point bits, so they are bound to the
+numpy/BLAS build they were taken with: the numpy 2.4 wheel with its bundled
+OpenBLAS 0.3.31 on x86-64.  That OpenBLAS picks its kernel by CPU at run
+time, so a different BLAS, build or CPU that rounds dot products otherwise
+(for instance without fused multiply-add) changes the digests without any
+change in this package.
 """
 
 import hashlib
 import math
 
-from ihse import CollisionKind, Configuration, ModelParams, classify_tct_domain, simulate
+import numpy as np
+
+from ihse import (
+    CollisionKind,
+    Configuration,
+    IHSEError,
+    ModelParams,
+    PairIndex,
+    Tolerances,
+    all_pairs,
+    classify_tct_domain,
+    collision_time_gradients,
+    first_collision,
+    grazing_discriminant,
+    inelastic_emission,
+    predict_pair,
+    scatter,
+    sigma_direction,
+    simulate,
+    validate_configuration,
+)
 from ihse.jacobian_lab import random_tct_case
 from ihse.measure_mc import low_energy_ensemble
-from ihse.simulator import collision_rich_configuration
+from ihse.rng import unit_vector
+from ihse.simulator import collision_rich_configuration, random_configuration
 
 GOLDEN_SHA256 = "afbee89ad45ba93650baabd223af86f25f1c6034b8f36e0a3a8d3c282a247ad6"
+DETAIL_SHA256 = "21f48f883ace5f4c0b00d32b52b16f3e359e26db9ff30f6b0ca0eb0f7551047b"
 
 
 def _feed_report(digest, report):
@@ -43,3 +79,126 @@ def test_engine_digest_is_pinned():
         cfg, params = random_tct_case(505, index, 2 + index % 3, kind=kind, tau=1.0)
         digest.update(repr(classify_tct_domain(cfg, 1.0, params).signature()).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _cluster(gen, side, spacing, jitter, drift, d):
+    """Jittered square or cubic lattice with Gaussian velocities plus an inward drift."""
+    sites = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), -1).reshape(-1, d)
+    positions = spacing * sites + gen.uniform(-jitter, jitter, sites.shape)
+    velocities = gen.standard_normal(sites.shape)
+    inward = positions.mean(axis=0) - positions
+    velocities += drift * inward / np.linalg.norm(inward, axis=1, keepdims=True)
+    return Configuration(positions, velocities)
+
+
+def _grazing_aimed(gen, n, d):
+    """Spread configuration whose pair (1, 2) approaches tangentially."""
+    positions = 6.0 * gen.uniform(-1.0, 1.0, (n, d))
+    positions[1] = positions[0] + (2.0 + gen.random()) * unit_vector(gen, d)
+    velocities = gen.standard_normal((n, d))
+    r = positions[0] - positions[1]
+    length = float(np.linalg.norm(r))
+    axis = r / length
+    perp = unit_vector(gen, d)
+    perp -= float(perp @ axis) * axis
+    perp /= float(np.linalg.norm(perp))
+    velocities[0] = velocities[1] + (0.5 + gen.random()) * (
+        -axis * math.sqrt(length**2 - 1.0) / length + perp / length
+    )
+    return Configuration(positions, velocities)
+
+
+def _feed_details(digest, report):
+    digest.update(f"min_sep:{report.min_separation.hex()};".encode())
+    for e in report.events:
+        digest.update(f"{e.pair.as_list()},{e.kind.value},{e.time.hex()},".encode())
+        digest.update(f"{e.ke_before.hex()},{e.ke_after.hex()},{e.rel_speed_sq.hex()};".encode())
+    _feed_report(digest, report)
+
+
+def _feed_prediction(digest, pred):
+    time = "none" if pred.time is None else pred.time.hex()
+    digest.update(f"{pred.pair.as_list()},{pred.discriminant.hex()},{time},{pred.grazing};".encode())
+
+
+def _feed_scan(digest, scan):
+    if scan is None:
+        digest.update(b"scan:none;")
+        return
+    time = "none" if scan.time is None else scan.time.hex()
+    pair = "none" if scan.pair is None else scan.pair.as_list()
+    graze = "none" if scan.graze is None else scan.graze.hex()
+    digest.update(f"scan:{time},{pair},{scan.unique},{graze};".encode())
+
+
+def test_engine_detail_digest_is_pinned():
+    digest = hashlib.sha256()
+    params = ModelParams(0.35, 2)
+    for index in range(40):  # C08 ensembles: separations and energy bookkeeping
+        cfg = collision_rich_configuration(808, index, 3 + index % 3, 2, 4.0, 1.5, 1.2)
+        _feed_details(digest, simulate(cfg, 10.0, params))
+    params = ModelParams(0.3, 3)
+    for index in range(60):  # d=3 collision-rich ensemble
+        cfg = collision_rich_configuration(303, index, 3 + index % 6, 3, 3.5, 1.5, 1.2)
+        digest.update(cfg.positions.tobytes() + cfg.velocities.tobytes())
+        _feed_details(digest, simulate(cfg, 10.0, params))
+    gen = np.random.default_rng(2024)
+    clusters = [_cluster(gen, 6, 1.6, 0.2, 0.5, 2) for _ in range(3)] + [_cluster(gen, 3, 1.5, 0.15, 0.5, 3)]
+    loose = Tolerances(grazing_tol=1e-6, simultaneity_tol=1e-4, crit_tol=1e-3)
+    for k, cfg in enumerate(clusters):  # dense N=36 (d=2) and N=27 (d=3) clusters
+        dim = cfg.dimension
+        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.5, dim)))
+        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.05 + 0.1 * k, dim), tol=loose))
+    probes = []
+    for index in range(40):
+        n, d = 2 + index % 9, 2 + index % 2
+        probes.append(random_configuration(707, index, n, d, 1.0 + 0.8 * n, 1.0))
+        probes.append(_grazing_aimed(gen, n, d))
+        spread = gen.uniform(-1.0, 1.0, (n, d)) * (0.6 + 0.2 * n)
+        probes.append(Configuration(spread, gen.standard_normal((n, d))))
+    probes.append(Configuration([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.5, 0.5]], np.zeros((4, 2))))
+    for cfg in probes:  # random, grazing-aimed and overlapping configurations
+        digest.update(cfg.positions.tobytes() + cfg.velocities.tobytes())
+        digest.update(f"min_sep:{cfg.min_separation().hex()};".encode())
+        for contact_tol in (0.0, 1e-9, 0.05):
+            status = validate_configuration(cfg, contact_tol)
+            digest.update(f"{status.kind.value},{[p.as_list() for p in status.pairs]};".encode())
+        for tol in (Tolerances(), loose):
+            for pair in all_pairs(cfg.n_particles):
+                pred = predict_pair(cfg, pair, tol=tol)
+                _feed_prediction(digest, pred)
+                digest.update(grazing_discriminant(cfg, pair).hex().encode())
+                if pred.time is not None and not pred.grazing:
+                    gx, gv = collision_time_gradients(cfg, pair, tol=tol)
+                    digest.update(gx.tobytes() + gv.tobytes())
+            if cfg.n_particles > 1:
+                for horizon in (0.5, 2.0, 50.0):
+                    _feed_scan(digest, first_collision(cfg, horizon, tol=tol))
+                    _feed_scan(digest, first_collision(cfg, horizon, tol=tol, recent_pair=PairIndex(1, 2)))
+    for index in range(30):  # rejection-sampled draws
+        kind = (CollisionKind.ELASTIC, CollisionKind.INELASTIC, None)[index % 3]
+        cfg, case_params = random_tct_case(606, index, 2 + index % 4, kind=kind, tau=1.0, d=2 + index % 2)
+        digest.update(cfg.positions.tobytes() + cfg.velocities.tobytes() + case_params.epsilon0.hex().encode())
+        n = 4 + index % 5
+        tight = random_configuration(616, index, n, 2 + index % 2, 0.8 * n, 1.0)
+        digest.update(tight.positions.tobytes() + tight.velocities.tobytes())
+    for index in range(300):  # scattering law on pre-collisional pairs
+        d = 2 + index % 2
+        omega = unit_vector(gen, d)
+        v_i = gen.standard_normal(d) + omega
+        v_j = gen.standard_normal(d) - omega
+        if float((v_j - v_i) @ omega) >= 0.0:
+            v_i, v_j = v_j, v_i
+        eps0 = (0.05, 0.5, 2.0)[index % 3]
+        try:
+            outcome = scatter(v_i, v_j, omega, ModelParams(eps0, d))
+        except IHSEError as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        digest.update(f"{outcome.kind.value},{outcome.energy_loss.hex()},{outcome.kappa!r};".encode())
+        digest.update(outcome.v_i_post.tobytes() + outcome.v_j_post.tobytes())
+        if outcome.sigma is not None:
+            digest.update(outcome.sigma.tobytes() + sigma_direction(v_i, v_j, omega).tobytes())
+            for part in inelastic_emission(v_i, v_j, omega, eps0):
+                digest.update(np.asarray(part).tobytes())
+    assert digest.hexdigest() == DETAIL_SHA256
