@@ -8,8 +8,11 @@ Exit codes: 0 success, 2 validation/usage error, 3 pathology-dominated run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,13 +65,9 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
 
-def _pair_doc(pair) -> list[int]:
-    return pair.as_list()
-
-
 def _prediction_doc(pred) -> dict:
     return {
-        "pair": _pair_doc(pred.pair),
+        "pair": pred.pair.as_list(),
         "delta": float(pred.discriminant),
         "tau": None if pred.time is None else float(pred.time),
         "grazing": pred.grazing,
@@ -78,7 +77,7 @@ def _prediction_doc(pred) -> dict:
 def _classification_doc(cls: TCTDomainClass) -> dict:
     return {
         "variant": cls.variant,
-        "pair": None if cls.pair is None else _pair_doc(cls.pair),
+        "pair": None if cls.pair is None else cls.pair.as_list(),
         "t_c": None if cls.t_c is None else float(cls.t_c),
         "kind": None if cls.kind is None else cls.kind.value,
         "reason": None if cls.reason is None else cls.reason.value,
@@ -97,23 +96,12 @@ def _outcome_doc(outcome: ScatteringOutcome) -> dict:
     }
 
 
-def _jacobian_report_doc(report) -> dict:
-    return {
-        "analytic_det": report.analytic_det,
-        "fd_det": report.fd_det,
-        "prefactor": report.prefactor,
-        "det_N_fd": report.det_N_fd,
-        "residual": report.residual,
-        "step": report.step,
-    }
-
-
 def _sim_report_doc(report: SimReport) -> dict:
     return {
         "events": [
             {
                 "time": e.time,
-                "pair": _pair_doc(e.pair),
+                "pair": e.pair.as_list(),
                 "kind": e.kind.value,
                 "ke_before": e.ke_before,
                 "ke_after": e.ke_after,
@@ -151,8 +139,17 @@ def _measure_doc(est: MeasureEstimate) -> dict:
     }
 
 
-# Flag tables: (name, type, default, help).  Defaults live here, not in
-# argparse, so values from --run-config can slot in under explicit flags.
+class Flag(NamedTuple):
+    """One flag --name (underscores as dashes).  Its default lives here, not
+    in argparse, so a --run-config value can slot in under an explicit flag."""
+
+    name: str
+    type: type
+    default: object
+    help: str
+    required: bool = False
+
+
 # Tolerance flags map to Tolerances fields (--h sets fd_step) and take their
 # defaults from Tolerances().
 TOLERANCE_FIELDS = {
@@ -166,146 +163,78 @@ TOLERANCE_FIELDS = {
 
 ENGINE_TOLERANCES = ("grazing_tol", "simultaneity_tol", "crit_tol", "contact_tol")
 
-# The tolerance flags each command's handler reads.
-COMMAND_TOLERANCES = {
-    "classify": ENGINE_TOLERANCES,
-    "flow": ENGINE_TOLERANCES,
-    "simulate": ENGINE_TOLERANCES + ("max_events",),
-    "jacobian": ENGINE_TOLERANCES + ("h",),
-    "scatter-check": ("grazing_tol", "crit_tol", "h"),
-    "tensor-lemma": (),
-    "measure": (),
-    "volume": ENGINE_TOLERANCES + ("max_events",),
-}
 
-COMMAND_FLAGS = {
-    "classify": [
-        ("config", str, None, "configuration JSON file"),
-        ("tau", float, None, "time horizon"),
-        ("eps0", float, None, "energy quantum lost per emitting collision"),
-    ],
-    "flow": [
-        ("config", str, None, "configuration JSON file"),
-        ("tau", float, None, "time horizon"),
-        ("eps0", float, None, "energy quantum lost per emitting collision"),
-    ],
-    "simulate": [
-        ("config", str, None, "configuration JSON file (omit to sample)"),
-        ("T", float, None, "final time"),
-        ("eps0", float, None, "energy quantum lost per emitting collision"),
-        ("seed", int, 0, "seed for sampled initial conditions"),
-        ("N", int, None, "number of particles when sampling"),
-        ("dim", int, 2, "dimension when sampling"),
-        ("R1", float, None, "stacked-position ball radius when sampling"),
-        ("R2", float, None, "stacked-velocity ball radius when sampling"),
-        ("events_csv", str, None, "append per-event CSV rows to this file"),
-    ],
-    "jacobian": [
-        ("tau", float, 1.0, "time horizon of each one-collision case"),
-        ("eps0", float, None, "fixed energy quantum (default: drawn per case)"),
-        ("samples", int, 100, "number of random cases"),
-        ("seed", int, 0, "stream seed"),
-        ("dim", int, 2, "dimension"),
-        ("n_particles", int, 3, "particles per case"),
-    ],
-    "scatter-check": [
-        ("samples", int, 100, "number of random scattering inputs"),
-        ("seed", int, 0, "stream seed"),
-        ("eps0", float, 0.75, "energy quantum"),
-        ("dim", int, 2, "dimension"),
-    ],
-    "tensor-lemma": [
-        ("samples", int, 10000, "number of random coefficient draws"),
-        ("seed", int, 1, "stream seed"),
-    ],
-    "measure": [
-        ("family", str, None, "pathological set family: E or P"),
-        ("N", int, None, "number of particles"),
-        ("k", int, 0, "time-shift index"),
-        ("delta", float, None, "proximity scale"),
-        ("mu", float, None, "relative-speed band parameter (family P)"),
-        ("R1", float, None, "position truncation radius"),
-        ("R2", float, None, "velocity truncation radius"),
-        ("eps0", float, None, "energy quantum"),
-        ("samples", int, 100000, "Monte Carlo samples"),
-        ("seed", int, 0, "stream seed"),
-        ("band", str, SPEED_BAND_WIDTH, f"speed band form: {SPEED_BAND_WIDTH} | {SPEED_BAND_CUTOFF}"),
-        ("csv", str, None, "append a sweep row to this CSV file"),
-    ],
-    "volume": [
-        ("config", str, None, "center configuration JSON file"),
-        ("radius", float, None, "ball radius around the center"),
-        ("tau", float, None, "time horizon"),
-        ("eps0", float, None, "energy quantum"),
-        ("csv", str, None, "append a sweep row to this CSV file"),
-    ],
-}
+class Command(NamedTuple):
+    """One CLI command: its handler, its own flags, and the names of the
+    tolerance flags it reads."""
 
-REQUIRED = {
-    "classify": ("config", "tau", "eps0"),
-    "flow": ("config", "tau", "eps0"),
-    "simulate": ("T", "eps0"),
-    "jacobian": (),
-    "scatter-check": (),
-    "tensor-lemma": (),
-    "measure": ("family", "N", "delta", "R1", "R2", "eps0"),
-    "volume": ("config", "radius", "tau", "eps0"),
-}
+    handler: Callable[[dict], tuple[dict, int]]
+    flags: tuple[Flag, ...]
+    tolerances: tuple[str, ...] = ()
+
+    def all_flags(self) -> tuple[Flag, ...]:
+        """The command's own flags followed by its tolerance flags."""
+        defaults = Tolerances()
+        return self.flags + tuple(
+            Flag(name, ftype, getattr(defaults, field), help_text)
+            for name, (field, ftype, help_text) in TOLERANCE_FIELDS.items()
+            if name in self.tolerances
+        )
 
 
-def _command_flags(command: str) -> list[tuple]:
-    """The command's own flags followed by the tolerance flags it reads."""
-    defaults = Tolerances()
-    tolerances = [
-        (name, ftype, getattr(defaults, field), help_text)
-        for name, (field, ftype, help_text) in TOLERANCE_FIELDS.items()
-        if name in COMMAND_TOLERANCES[command]
-    ]
-    return COMMAND_FLAGS[command] + tolerances
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.  Flags must be
+    spelled in full: a prefix of a flag is not accepted."""
     parser = argparse.ArgumentParser(
         prog="ihse",
         description="Event-driven dynamics and numerical verification lab for "
         "inelastic hard spheres with emission.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMAND_FLAGS:
-        p = sub.add_parser(command)
-        for name, ftype, _, help_text in _command_flags(command):
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=ftype, default=None, help=help_text)
-        p.add_argument("--output", "-o", dest="output", type=str, default=None, help="output file (default: stdout)")
-        p.add_argument(
-            "--run-config",
-            dest="run_config",
-            type=str,
-            default=None,
-            help="JSON file of flag defaults; explicit flags override",
-        )
+    for command, entry in COMMANDS.items():
+        p = sub.add_parser(command, allow_abbrev=False)
+        for flag in entry.all_flags():
+            p.add_argument(f"--{flag.name.replace('_', '-')}", dest=flag.name, type=flag.type, help=flag.help)
+        p.add_argument("--output", "-o", dest="output", help="output file (default: stdout)")
+        p.add_argument("--run-config", dest="run_config", help="JSON file of flag defaults; explicit flags override")
     return parser
 
 
+def _file_value(name: str, ftype: type, raw):
+    """A --run-config value converted as the command line converts the text
+    of its flag; a JSON number also serves a float flag, and an int flag when
+    it is integral.  null leaves the flag unset."""
+    if raw is None:
+        return None
+    number = ftype is not str and type(raw) in (int, float)
+    try:
+        if isinstance(raw, str) or (number and (ftype is float or int(raw) == raw)):
+            return ftype(raw)
+    except (ValueError, OverflowError):
+        pass
+    raise UsageError(f"--run-config key '{name}': invalid {ftype.__name__} value {raw!r}")
+
+
 def resolve_flags(args: argparse.Namespace) -> dict:
-    """Merge explicit flags over --run-config values over builtin defaults."""
+    """Merge explicit flags over --run-config values over builtin defaults.
+    The file's keys must be the command's flag names."""
     command = args.command
-    file_values = {}
-    if args.run_config is not None:
-        file_values = jsonio.load_file(args.run_config)
-        if not isinstance(file_values, dict):
-            raise UsageError("--run-config must contain a JSON object")
+    flags = {flag.name: flag for flag in COMMANDS[command].all_flags()}
+    file_values = {} if args.run_config is None else jsonio.load_file(args.run_config)
+    if not isinstance(file_values, dict):
+        raise UsageError("--run-config must contain a JSON object")
+    for name, raw in file_values.items():
+        if name not in flags:
+            raise UsageError(f"--run-config key '{name}' is not a flag of '{command}'")
+        file_values[name] = _file_value(name, flags[name].type, raw)
     resolved = {"command": command}
-    for name, ftype, default, _ in _command_flags(command):
-        value = getattr(args, name)
-        if value is None and name in file_values:
-            raw = file_values[name]
-            value = raw if raw is None else ftype(raw)
-        if value is None:
-            value = default
-        resolved[name] = value
-    for name in REQUIRED[command]:
-        if resolved.get(name) is None:
+    for name, flag in flags.items():
+        value = next((v for v in (getattr(args, name), file_values.get(name)) if v is not None), flag.default)
+        if value is None and flag.required:
             raise UsageError(f"--{name.replace('_', '-')} is required for '{command}'")
+        resolved[name] = value
     return resolved
 
 
@@ -315,7 +244,7 @@ def _load_configuration(path: str) -> Configuration:
 
 def _tolerances(flags: dict) -> Tolerances:
     """The one Tolerances block of a command, from its resolved flags."""
-    return Tolerances(**{TOLERANCE_FIELDS[name][0]: flags[name] for name in COMMAND_TOLERANCES[flags["command"]]})
+    return Tolerances(**{TOLERANCE_FIELDS[name][0]: flags[name] for name in COMMANDS[flags["command"]].tolerances})
 
 
 def _document(flags: dict, body: dict) -> dict:
@@ -344,7 +273,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record
-        record = {"pair": _pair_doc(pair), "t_c": t_c, "outcome": _outcome_doc(outcome)}
+        record = {"pair": pair.as_list(), "t_c": t_c, "outcome": _outcome_doc(outcome)}
     body = {
         "classification": _classification_doc(result.classification),
         "final": result.final.to_json_dict(),
@@ -403,7 +332,7 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
         )
         report = verify_flow_jacobian(cfg, flags["tau"], params, tol=tol)
         reports.append(report)
-        lines.append(_jacobian_report_doc(report))
+        lines.append(dataclasses.asdict(report))
     residuals = [r.residual for r in reports if r.residual is not None]
     summary = {
         "n_samples": len(reports),
@@ -525,24 +454,93 @@ def _thread_cap() -> int:
         raise UsageError(f"IHSE_THREADS must be an integer, got {raw!r}") from exc
 
 
-HANDLERS = {
-    "classify": cmd_classify,
-    "flow": cmd_flow,
-    "simulate": cmd_simulate,
-    "jacobian": cmd_jacobian,
-    "scatter-check": cmd_scatter_check,
-    "tensor-lemma": cmd_tensor_lemma,
-    "measure": cmd_measure,
-    "volume": cmd_volume,
+CONFIG_FLAG = Flag("config", str, None, "configuration JSON file", required=True)
+TAU_FLAG = Flag("tau", float, None, "time horizon", required=True)
+EPS0_FLAG = Flag("eps0", float, None, "energy quantum lost per emitting collision", required=True)
+
+COMMANDS = {
+    "classify": Command(cmd_classify, (CONFIG_FLAG, TAU_FLAG, EPS0_FLAG), ENGINE_TOLERANCES),
+    "flow": Command(cmd_flow, (CONFIG_FLAG, TAU_FLAG, EPS0_FLAG), ENGINE_TOLERANCES),
+    "simulate": Command(
+        cmd_simulate,
+        (
+            Flag("config", str, None, "configuration JSON file (omit to sample)"),
+            Flag("T", float, None, "final time", required=True),
+            EPS0_FLAG,
+            Flag("seed", int, 0, "seed for sampled initial conditions"),
+            Flag("N", int, None, "number of particles when sampling"),
+            Flag("dim", int, 2, "dimension when sampling"),
+            Flag("R1", float, None, "stacked-position ball radius when sampling"),
+            Flag("R2", float, None, "stacked-velocity ball radius when sampling"),
+            Flag("events_csv", str, None, "append per-event CSV rows to this file"),
+        ),
+        ENGINE_TOLERANCES + ("max_events",),
+    ),
+    "jacobian": Command(
+        cmd_jacobian,
+        (
+            Flag("tau", float, 1.0, "time horizon of each one-collision case"),
+            Flag("eps0", float, None, "fixed energy quantum (default: drawn per case)"),
+            Flag("samples", int, 100, "number of random cases"),
+            Flag("seed", int, 0, "stream seed"),
+            Flag("dim", int, 2, "dimension"),
+            Flag("n_particles", int, 3, "particles per case"),
+        ),
+        ENGINE_TOLERANCES + ("h",),
+    ),
+    "scatter-check": Command(
+        cmd_scatter_check,
+        (
+            Flag("samples", int, 100, "number of random scattering inputs"),
+            Flag("seed", int, 0, "stream seed"),
+            Flag("eps0", float, 0.75, "energy quantum"),
+            Flag("dim", int, 2, "dimension"),
+        ),
+        ("grazing_tol", "crit_tol", "h"),
+    ),
+    "tensor-lemma": Command(
+        cmd_tensor_lemma,
+        (
+            Flag("samples", int, 10000, "number of random coefficient draws"),
+            Flag("seed", int, 1, "stream seed"),
+        ),
+    ),
+    "measure": Command(
+        cmd_measure,
+        (
+            Flag("family", str, None, "pathological set family: E or P", required=True),
+            Flag("N", int, None, "number of particles", required=True),
+            Flag("k", int, 0, "time-shift index"),
+            Flag("delta", float, None, "proximity scale", required=True),
+            Flag("mu", float, None, "relative-speed band parameter (family P)"),
+            Flag("R1", float, None, "position truncation radius", required=True),
+            Flag("R2", float, None, "velocity truncation radius", required=True),
+            Flag("eps0", float, None, "energy quantum", required=True),
+            Flag("samples", int, 100000, "Monte Carlo samples"),
+            Flag("seed", int, 0, "stream seed"),
+            Flag("band", str, SPEED_BAND_WIDTH, f"speed band form: {SPEED_BAND_WIDTH} | {SPEED_BAND_CUTOFF}"),
+            Flag("csv", str, None, "append a sweep row to this CSV file"),
+        ),
+    ),
+    "volume": Command(
+        cmd_volume,
+        (
+            Flag("config", str, None, "center configuration JSON file", required=True),
+            Flag("radius", float, None, "ball radius around the center", required=True),
+            TAU_FLAG,
+            Flag("eps0", float, None, "energy quantum", required=True),
+            Flag("csv", str, None, "append a sweep row to this CSV file"),
+        ),
+        ENGINE_TOLERANCES + ("max_events",),
+    ),
 }
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         flags = resolve_flags(args)
-        document, status = HANDLERS[args.command](flags)
+        document, status = COMMANDS[args.command].handler(flags)
     except (UsageError, IHSEError) as exc:
         print(f"ihse {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PATHOLOGY

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy
+from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy, pair_differences
 from .jacobian_lab import BranchCrossingError, fd_determinant
 from .rng import BLOCK_SIZE, block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
@@ -84,12 +84,11 @@ def ball_volume(dim: int, radius: float) -> float:
 
 def _pair_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise distances for a block of stacked configurations,
-    shape (block, n_pairs)."""
-    diff = points[:, :, None, :] - points[:, None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    n = points.shape[1]
-    iu = np.triu_indices(n, k=1)
-    return dist[:, iu[0], iu[1]]
+    shape (block, n_pairs), in pair_indices order.  Squares are summed as in
+    numpy's axis-wise norm, so a distance on a set's boundary rounds as it
+    always has."""
+    r = pair_differences(points)
+    return np.sqrt(np.square(r, out=r).sum(axis=-1))
 
 
 def _count_hits_block(spec: PathologicalSetSpec, gen: np.random.Generator, count: int) -> int:

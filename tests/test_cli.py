@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
-from ihse.cli import COMMAND_TOLERANCES, run
+from ihse.cli import COMMANDS, build_parser, run
 from ihse.jsonio import dumps
 
 
@@ -244,6 +246,41 @@ class TestFlagResolution:
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert leftovers == []
 
+    @pytest.mark.parametrize(
+        "command,values,key",
+        [
+            ("flow", {"tau": "abc"}, "tau"),  # not a float
+            ("flow", {"typo": 1}, "typo"),  # not a flag
+            ("flow", {"grazing-tol": 5}, "grazing-tol"),  # keys use underscores
+            ("measure", {"grazing_tol": 5}, "grazing_tol"),  # a tolerance measure does not read
+            ("jacobian", {"samples": 2.5}, "samples"),  # not integral
+            ("jacobian", {"seed": True}, "seed"),  # not a number
+            ("flow", {"config": 1}, "config"),  # not a string
+        ],
+    )
+    def test_bad_run_config_key_is_usage_error(self, tmp_path, two_body_file, capsys, command, values, key):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps(values))
+        argv = [command, "--run-config", str(run_config)]
+        if command == "flow":
+            argv += ["--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"]
+        assert run(argv) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_run_config_values_convert_like_flags(self, tmp_path):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"samples": 3.0, "seed": "7", "tau": 1, "n_particles": None}))
+        status, out = run_to_file(tmp_path, ["jacobian", "--run-config", str(run_config)])
+        assert status == 0
+        config = json.loads(out.read_text())["config"]
+        assert [config[name] for name in ("samples", "seed", "tau", "n_particles")] == [3, 7, 1.0, 3]
+
+    def test_parser_is_built_once(self, tmp_path):
+        build_parser.cache_clear()
+        for _ in range(2):
+            run(["tensor-lemma", "--samples", "1", "--output", str(tmp_path / "out.json")])
+        assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 1)
+
     def test_seventeen_digit_floats(self, tmp_path, two_body_file):
         status, out = run_to_file(
             tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"]
@@ -327,9 +364,30 @@ def _outcome(tmp_path, argv):
     return status, doc
 
 
+def test_readme_flag_table_lists_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0]] = [[] if cell == "none" else cell.split() for cell in cells[1:]]
+
+    def spelled(names):
+        return [f"--{name.replace('_', '-')}" for name in names]
+
+    assert rows == {
+        command: [
+            spelled(flag.name for flag in entry.flags),
+            spelled(flag.name for flag in entry.flags if flag.required),
+            spelled(entry.tolerances),
+        ]
+        for command, entry in COMMANDS.items()
+    }
+
+
 class TestToleranceFlags:
     def test_every_accepted_flag_has_a_case(self):
-        accepted = {(command, flag) for command, flags in COMMAND_TOLERANCES.items() for flag in flags}
+        accepted = {(command, flag) for command, entry in COMMANDS.items() for flag in entry.tolerances}
         assert set(FLAG_CASES) == accepted
 
     @pytest.mark.parametrize("command,flag", sorted(FLAG_CASES))
@@ -370,10 +428,54 @@ class TestToleranceFlags:
             ("classify", "--seed"),
             ("flow", "--seed"),
             ("volume", "--seed"),
+            ("classify", "--h"),
+            ("measure", "--h"),
         ],
     )
     def test_flags_without_effect_are_rejected(self, command, flag):
-        # (--h is left out: argparse reads it as an abbreviation of --help)
         with pytest.raises(SystemExit) as exc:
             run([command, flag, "1e-9"])
         assert exc.value.code == 2
+
+
+# Output bytes and exit status of a fixed invocation of every command, a
+# --run-config run, and the CSV files they write, captured before the CLI's
+# tables were merged into one.
+DOCUMENTS_SHA256 = "423fc6020287be4e9275f87ef32b0488562917071428cd0bed90be5cfd1076a4"
+
+DIGEST_CONFIGS = {
+    "two_body.json": [([0.0, 0.0], [1.0, 0.0]), ([3.0, 0.0], [0.0, 0.0])],
+    "chain.json": FLAG_CONFIGS["chain"],
+}
+
+DIGEST_RUNS = [
+    ["classify", "--config", "two_body.json", "--tau", "3", "--eps0", "0.75"],
+    ["flow", "--config", "two_body.json", "--tau", "3", "--eps0", "0.1875", "--crit-tol", "1e-9"],
+    ["simulate", "--config", "chain.json", "--T", "1.5", "--eps0", "0.5", "--events-csv", "events.csv"],
+    ["simulate", "--T", "10", "--eps0", "0.35", "--seed", "7", "--N", "4", "--R1", "4", "--R2", "1.5"],
+    ["jacobian", "--dim", "2", "--samples", "4", "--seed", "7", "--n-particles", "3"],
+    ["scatter-check", "--samples", "10", "--seed", "3", "--eps0", "0.75", "--dim", "2", "--h", "1e-5"],
+    ["tensor-lemma", "--samples", "200", "--seed", "1"],
+    [
+        "measure", "--family", "P", "--N", "3", "--delta", "0.3", "--mu", "0.5", "--R1", "3", "--R2", "1",
+        "--eps0", "0.01", "--samples", "20000", "--seed", "5", "--csv", "sweep.csv",
+    ],
+    ["volume", "--config", "chain.json", "--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5", "--csv", "volume.csv"],
+    ["flow", "--config", "two_body.json", "--run-config", "run.json", "--tau", "3"],
+]
+
+
+def test_documents_digest_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IHSE_THREADS", "2")
+    for name, particles in DIGEST_CONFIGS.items():
+        (tmp_path / name).write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in particles]}))
+    (tmp_path / "run.json").write_text(dumps({"tau": 1.0, "eps0": 0.1875, "grazing_tol": 1e-11}))
+    digest = hashlib.sha256()
+    for argv in DIGEST_RUNS:
+        status = run(argv + ["--output", "out.json"])
+        digest.update(f"{' '.join(argv)}:{status};".encode())
+        digest.update((tmp_path / "out.json").read_bytes())
+    for name in ("events.csv", "sweep.csv", "volume.csv"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == DOCUMENTS_SHA256

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,10 +12,16 @@ from ihse import (
     ensemble_volume_evolution,
     estimate_pathological_measure,
 )
-from ihse.measure_mc import SPEED_BAND_CUTOFF, ball_volume
+from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances, ball_volume
+from ihse.rng import block_generator, uniform_ball
 from ihse.simulator import collision_rich_configuration, simulate
 
 PARAMS = ModelParams(0.01, 2)
+
+# Hits of every case below, and the pair distances of fixed blocks, captured
+# before the pair scan was rewritten; bound to the numpy build like the
+# engine digests in test_golden.py.
+HITS_SHA256 = "b1ec1f83a93cec2656069e78333894e3be0d1fcd7d62149fc737b71f9ab5cf9c"
 
 
 def e_spec(delta, k=0, n=3, r1=3.0, r2=1.0):
@@ -147,3 +154,21 @@ class TestVolumeEvolution:
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
         with pytest.raises(BranchCrossingError):
             ensemble_volume_evolution(chain, 5.0, 1.5, ModelParams(0.5, 2))
+
+
+def test_hits_digest_is_pinned():
+    digest = hashlib.sha256()
+    for n in (2, 3, 5, 8):
+        for index in range(20):
+            points = uniform_ball(block_generator(41, index), 4096, 2 * n, 3.0).reshape(4096, n, 2)
+            digest.update(_pair_distances(points).tobytes())
+    cases = [("E", SPEED_BAND_WIDTH), ("P", SPEED_BAND_WIDTH), ("P", SPEED_BAND_CUTOFF)]
+    for family, band in cases:
+        for n in (2, 3, 4):
+            for k in (0, 2):
+                mu = None if family == "E" else 0.5
+                spec = PathologicalSetSpec(family, n, k, 0.3, mu, 3.0, 1.0, PARAMS, band=band)
+                for threads in (1, 2):
+                    est = estimate_pathological_measure(spec, 3 * 4096 + 1000, seed=11, threads=threads)
+                    digest.update(f"{family},{band},{n},{k},{threads}:{est.hits};".encode())
+    assert digest.hexdigest() == HITS_SHA256
