@@ -8,13 +8,10 @@ Exit codes: 0 success, 2 validation/usage error, 3 pathology-dominated run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import jsonio
 from .core import (
@@ -44,10 +41,9 @@ from .measure_mc import (
     estimate_pathological_measure,
 )
 from .rng import sample_generator
-from .scattering import CollisionKind, ScatteringOutcome, scatter
-from .simulator import SimReport, random_configuration, simulate
+from .scattering import CollisionKind, scatter
+from .simulator import random_configuration, simulate
 from .tct import (
-    TCTDomainClass,
     UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
@@ -61,61 +57,12 @@ EXIT_USAGE = 2
 EXIT_PATHOLOGY = 3
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
-
-
 def _prediction_doc(pred) -> dict:
     return {
         "pair": pred.pair.as_list(),
         "delta": float(pred.discriminant),
         "tau": None if pred.time is None else float(pred.time),
         "grazing": pred.grazing,
-    }
-
-
-def _classification_doc(cls: TCTDomainClass) -> dict:
-    return {
-        "variant": cls.variant,
-        "pair": None if cls.pair is None else cls.pair.as_list(),
-        "t_c": None if cls.t_c is None else float(cls.t_c),
-        "kind": None if cls.kind is None else cls.kind.value,
-        "reason": None if cls.reason is None else cls.reason.value,
-    }
-
-
-def _outcome_doc(outcome: ScatteringOutcome) -> dict:
-    return {
-        "kind": outcome.kind.value,
-        "omega": _floats(outcome.omega),
-        "sigma": None if outcome.sigma is None else _floats(outcome.sigma),
-        "kappa": None if outcome.kappa is None else float(outcome.kappa),
-        "v_i_post": _floats(outcome.v_i_post),
-        "v_j_post": _floats(outcome.v_j_post),
-        "energy_loss": float(outcome.energy_loss),
-    }
-
-
-def _sim_report_doc(report: SimReport) -> dict:
-    return {
-        "events": [
-            {
-                "time": e.time,
-                "pair": e.pair.as_list(),
-                "kind": e.kind.value,
-                "ke_before": e.ke_before,
-                "ke_after": e.ke_after,
-                "rel_speed_sq": e.rel_speed_sq,
-            }
-            for e in report.events
-        ],
-        "final": report.final.to_json_dict(),
-        "n_elastic": report.n_elastic,
-        "n_inelastic": report.n_inelastic,
-        "min_separation": report.min_separation,
-        "halted": None
-        if report.halted is None
-        else {"reason": report.halted.reason, "time": report.halted.time},
     }
 
 
@@ -257,7 +204,7 @@ def cmd_classify(flags: dict) -> tuple[dict, int]:
     tol = _tolerances(flags)
     cls = classify_tct_domain(cfg, flags["tau"], params, tol=tol)
     predictions = [_prediction_doc(predict_pair(cfg, pair, tol=tol)) for pair in all_pairs(cfg.n_particles)]
-    return _document(flags, {"classification": _classification_doc(cls), "predictions": predictions}), EXIT_OK
+    return _document(flags, {"classification": cls, "predictions": predictions}), EXIT_OK
 
 
 def cmd_flow(flags: dict) -> tuple[dict, int]:
@@ -273,10 +220,10 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record
-        record = {"pair": pair.as_list(), "t_c": t_c, "outcome": _outcome_doc(outcome)}
+        record = {"pair": pair, "t_c": t_c, "outcome": outcome}
     body = {
-        "classification": _classification_doc(result.classification),
-        "final": result.final.to_json_dict(),
+        "classification": result.classification,
+        "final": result.final,
         "collision_record": record,
         "jacobian": jacobian,
     }
@@ -295,18 +242,17 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
     report = simulate(cfg, flags["T"], params, tol=_tolerances(flags))
     momentum, ke = conserved_quantities(report.final)
     body = {
-        "initial": cfg.to_json_dict(),
-        "report": _sim_report_doc(report),
-        "final_momentum": _floats(momentum),
+        "initial": cfg,
+        "report": report,
+        "final_momentum": momentum,
         "final_kinetic_energy": ke,
     }
     if flags["events_csv"] is not None:
-        for e in report.events:
-            jsonio.csv_append(
-                flags["events_csv"],
-                ["time", "i", "j", "kind", "ke_before", "ke_after"],
-                [e.time, e.pair.i, e.pair.j, e.kind.value, e.ke_before, e.ke_after],
-            )
+        jsonio.csv_append(
+            flags["events_csv"],
+            ["time", "i", "j", "kind", "ke_before", "ke_after"],
+            [[e.time, e.pair.i, e.pair.j, e.kind.value, e.ke_before, e.ke_after] for e in report.events],
+        )
     status = EXIT_PATHOLOGY if report.halted is not None else EXIT_OK
     return _document(flags, body), status
 
@@ -314,7 +260,6 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
 def cmd_jacobian(flags: dict) -> tuple[dict, int]:
     tol = _tolerances(flags)
     reports = []
-    lines = []
     for index in range(flags["samples"]):
         if flags["eps0"] is None:
             kind = CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC
@@ -330,15 +275,13 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
             fixed_eps0=flags["eps0"],
             tol=tol,
         )
-        report = verify_flow_jacobian(cfg, flags["tau"], params, tol=tol)
-        reports.append(report)
-        lines.append(dataclasses.asdict(report))
+        reports.append(verify_flow_jacobian(cfg, flags["tau"], params, tol=tol))
     residuals = [r.residual for r in reports if r.residual is not None]
     summary = {
         "n_samples": len(reports),
         "max_residual": max(residuals) if residuals else None,
     }
-    doc = _document(flags, {"reports": lines, "summary": summary})
+    doc = _document(flags, {"reports": reports, "summary": summary})
     return doc, EXIT_OK if reports else EXIT_PATHOLOGY
 
 
@@ -407,8 +350,6 @@ def cmd_tensor_lemma(flags: dict) -> tuple[dict, int]:
 
 
 def cmd_measure(flags: dict) -> tuple[dict, int]:
-    if flags["family"] not in ("E", "P"):
-        raise UsageError("--family must be E or P")
     spec = PathologicalSetSpec(
         family=flags["family"],
         n_particles=flags["N"],
@@ -426,7 +367,7 @@ def cmd_measure(flags: dict) -> tuple[dict, int]:
         jsonio.csv_append(
             flags["csv"],
             ["delta", "mu", "estimate", "ci95"],
-            [spec.delta, spec.mu if spec.mu is not None else "", estimate.volume, estimate.ci95],
+            [[spec.delta, spec.mu if spec.mu is not None else "", estimate.volume, estimate.ci95]],
         )
     return _document(flags, {"estimate": _measure_doc(estimate)}), EXIT_OK
 
@@ -439,7 +380,7 @@ def cmd_volume(flags: dict) -> tuple[dict, int]:
         jsonio.csv_append(
             flags["csv"],
             ["tau", "radius", "predicted", "measured"],
-            [flags["tau"], flags["radius"], predicted, measured],
+            [[flags["tau"], flags["radius"], predicted, measured]],
         )
     return _document(flags, {"predicted": predicted, "measured": measured}), EXIT_OK
 
@@ -544,7 +485,7 @@ def run(argv=None) -> int:
     except (UsageError, IHSEError) as exc:
         print(f"ihse {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PATHOLOGY
-    text = jsonio.dumps(document, indent=2) + "\n"
+    text = jsonio.dumps(document) + "\n"
     if args.output is not None:
         jsonio.write_atomic(args.output, text)
     else:

@@ -5,63 +5,80 @@ go through a temp file plus rename so outputs are atomic.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
-import math
 import os
 from pathlib import Path
 
-from .core import UsageError
+import numpy as np
+
+from .core import Configuration, PairIndex, UsageError
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# The string escaping of json.dumps (ASCII output, \uXXXX for the rest).
+_escape = json.encoder.encode_basestring_ascii
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
 
 
-def dumps(obj, indent: int | None = None, _level: int = 0) -> str:
-    """Serialize to JSON with 17-significant-digit floats.
+def dumps(obj) -> str:
+    """Serialize a document as JSON, indented by two spaces per level, with
+    17-significant-digit floats and strings escaped as json.dumps does.
 
-    Accepts dict/list/tuple/str/bool/None/int/float; numpy scalars and
-    arrays should be converted by the caller.
+    Besides dict/list/tuple/str/bool/None/int/float it encodes the package's
+    records: a dataclass as an object of its fields in declaration order, an
+    Enum as its value, a PairIndex as [i, j], a Configuration as its
+    to_json_dict() and a numpy array as its elements.  A record's block keys
+    are its field names, so renaming a field changes the documents.
     """
-    pad = nl = ""
-    if indent is not None:
-        nl = "\n"
-        pad = " " * (indent * (_level + 1))
-        close_pad = " " * (indent * _level)
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    """obj as JSON; newline is a line break plus the current indentation."""
+    if isinstance(obj, float):
+        return format_float(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{pad}{json.dumps(str(key))}: {dumps(value, indent, _level + 1)}" for key, value in obj.items()
-        ]
-        sep = "," + nl if indent is not None else ", "
-        if indent is None:
-            return "{" + sep.join(item.strip() for item in items) + "}"
-        return "{" + nl + sep.join(items) + nl + close_pad + "}"
+        items = (f"{_escape(str(key))}: {_encode(value, inner)}" for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}{dumps(value, indent, _level + 1)}" for value in obj]
-        if indent is None:
-            return "[" + ", ".join(item.strip() for item in items) + "]"
-        return "[" + nl + ("," + nl).join(items) + nl + close_pad + "]"
-    raise UsageError(f"cannot serialize {type(obj).__name__}")
+        return "[" + inner + ("," + inner).join(_encode(value, inner) for value in obj) + newline + "]"
+    return _encode(_plain(obj), newline)
+
+
+def _plain(record):
+    """The dict, list or scalar a record is written as."""
+    if isinstance(record, np.ndarray):
+        return record.tolist()
+    if isinstance(record, enum.Enum):
+        return record.value
+    if isinstance(record, PairIndex):
+        return record.as_list()
+    if isinstance(record, Configuration):
+        return record.to_json_dict()
+    if dataclasses.is_dataclass(record):
+        return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
+    raise UsageError(f"cannot serialize {type(record).__name__}")
 
 
 def load_file(path) -> dict:
@@ -90,12 +107,13 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def csv_append(path, header: list[str], row: list):
-    """Append one row, creating the file with a header line when absent."""
+def csv_append(path, header: list[str], rows: list[list]):
+    """Append rows, creating the file with a header line when absent.  With no
+    rows nothing is written, so an absent file stays absent."""
+    if not rows:
+        return
     path = Path(path)
-    line = ",".join(csv_cell(v) for v in row) + "\n"
-    if not path.exists():
-        path.write_text(",".join(header) + "\n" + line, encoding="utf-8")
-    else:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+    lines = [",".join(header)] if not path.exists() else []
+    lines += [",".join(csv_cell(v) for v in row) for row in rows]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")

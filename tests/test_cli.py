@@ -187,6 +187,14 @@ class TestMeasureAndVolume:
         assert doc["estimate"]["hits"] > 0
         assert csv_path.read_text().splitlines()[0] == "delta,mu,estimate,ci95"
 
+    @pytest.mark.parametrize("flag, value", [("--family", "X"), ("--band", "bogus")])
+    def test_measure_rejects_bad_spec(self, tmp_path, capsys, flag, value):
+        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+        status, out = run_to_file(tmp_path, argv + [flag, value])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("ihse measure: ")
+
     def test_volume_chain(self, tmp_path):
         chain = tmp_path / "chain.json"
         chain.write_text(
@@ -479,3 +487,40 @@ def test_documents_digest_is_pinned(tmp_path, monkeypatch):
     for name in ("events.csv", "sweep.csv", "volume.csv"):
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == DOCUMENTS_SHA256
+
+
+# Documents whose records take the less common branches: a halted run, an
+# elastic outcome (sigma and kappa null), an excluded classification, d=3
+# Jacobian reports (analytic determinant null) and a run without events,
+# captured before the documents were encoded from the engine records directly.
+RECORDS_SHA256 = "39e0bf6c7dcda6031bf2a25678c3b7dcead4a912b2e1ae5e0530f51792f7ae7c"
+
+RECORD_CONFIGS = {
+    "two_body.json": DIGEST_CONFIGS["two_body.json"],
+    "chain.json": FLAG_CONFIGS["chain"],
+    "touching.json": [([0.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, 0.0])],
+}
+
+RECORD_RUNS = [
+    ["simulate", "--config", "chain.json", "--T", "1.5", "--eps0", "0.5", "--max-events", "1"],
+    ["flow", "--config", "two_body.json", "--tau", "3", "--eps0", "10"],
+    ["classify", "--config", "touching.json", "--tau", "1", "--eps0", "0.5"],
+    ["jacobian", "--dim", "3", "--samples", "3"],
+    ["simulate", "--config", "two_body.json", "--T", "1", "--eps0", "0.5", "--events-csv", "none.csv"],
+]
+
+
+def test_record_documents_digest_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, particles in RECORD_CONFIGS.items():
+        (tmp_path / name).write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in particles]}))
+    digest = hashlib.sha256()
+    statuses = []
+    for argv in RECORD_RUNS:
+        status = run(argv + ["--output", "out.json"])
+        statuses.append(status)
+        digest.update(f"{' '.join(argv)}:{status};".encode())
+        digest.update((tmp_path / "out.json").read_bytes())
+    assert statuses[0] == 3
+    assert not (tmp_path / "none.csv").exists()
+    assert digest.hexdigest() == RECORDS_SHA256

@@ -18,6 +18,8 @@ from ihse import (
     validate_configuration,
 )
 from ihse.core import pair_indices
+from ihse.scattering import CollisionKind
+from ihse.simulator import SimEvent
 from ihse.jsonio import dumps, format_float
 
 from conftest import assert_close
@@ -162,6 +164,24 @@ class TestSerialization:
         third = 1.0 / 3.0
         assert float(format_float(third)) == third
         assert format_float(third) == "0.33333333333333331"
+
+    def test_dumps_exact_text(self):
+        doc = {"\u00e9t\u00e9": [math.nan, math.inf, -math.inf, 0.1], "empty": {}, "none": [], "pair": (True, None)}
+        assert dumps(doc) == (
+            '{\n  "\\u00e9t\\u00e9": [\n    NaN,\n    Infinity,\n    -Infinity,\n    0.10000000000000001\n  ],\n'
+            '  "empty": {},\n  "none": [],\n  "pair": [\n    true,\n    null\n  ]\n}'
+        )
+        assert dumps({}) == "{}" and dumps([]) == "[]" and dumps("a\"b") == '"a\\"b"'
+
+    def test_dumps_encodes_records(self, head_on):
+        event = SimEvent(0.5, PairIndex(1, 2), CollisionKind.INELASTIC, 1.0, 0.75, 4.0)
+        plain = {"time": 0.5, "pair": [1, 2], "kind": "inelastic", "ke_before": 1.0, "ke_after": 0.75, "rel_speed_sq": 4.0}
+        assert dumps(event) == dumps(plain)
+        assert dumps([head_on, np.array([[1.5, -0.0]])]) == dumps([head_on.to_json_dict(), [[1.5, -0.0]]])
+
+    def test_dumps_rejects_unsupported_objects(self):
+        with pytest.raises(UsageError, match="cannot serialize object"):
+            dumps({"x": [object()]})
 
     def test_vector_round_trip(self, head_on):
         z = head_on.to_vector()
