@@ -61,7 +61,7 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
         encounter (delta > grazing_tol), inf when the pair recedes, moves
         in parallel or grazes;
       - graze: the tangential encounter time -b/a of a grazing pair
-        (|delta| <= grazing_tol) that approaches (a != 0, b < 0), inf
+        (|delta| <= grazing_tol) that approaches (a != 0 and -b/a > 0), inf
         otherwise.
 
     Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
@@ -71,7 +71,8 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     (x * y).sum(-1) and einsum differ from it in the last bit for about one
     pair in six.  So one call over all pairs gives the same bits as a call
     per pair, and event times do not depend on how many pairs are solved
-    together.
+    together.  Callers suppress divide and invalid warnings (np.errstate):
+    parallel and non-meeting pairs divide by zero or root negative deltas.
     """
     a = np.vecdot(w, w)
     b = np.vecdot(r, w)
@@ -79,17 +80,17 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     delta = b * b - a * c
     approaching = b < 0.0
     neg_b = -b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(delta)
-        q = np.where(approaching, neg_b + sq, neg_b - sq)
-        # With a > 0 and delta > 0, q < 0 when b >= 0: then q/a is negative
-        # and c/q is the only candidate.  When b < 0, c/q is the smaller
-        # root and q/a the larger, which is positive only for states inside
-        # the contact sphere (interior configurations never take it).
-        small, large = c / q, q / a
-        contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
-        contact = np.where((a != 0.0) & (delta > grazing_tol), contact, np.inf)
-        graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & approaching, neg_b / a, np.inf)
+    sq = np.sqrt(delta)
+    q = np.where(approaching, neg_b + sq, neg_b - sq)
+    # With a > 0 and delta > 0, q < 0 when b >= 0: then q/a is negative
+    # and c/q is the only candidate.  When b < 0, c/q is the smaller
+    # root and q/a the larger, which is positive only for states inside
+    # the contact sphere (interior configurations never take it).
+    small, large = c / q, q / a
+    contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
+    contact = np.where((a != 0.0) & (delta > grazing_tol), contact, np.inf)
+    t_graze = neg_b / a
+    graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & (t_graze > 0.0), t_graze, np.inf)
     return delta, contact, graze
 
 
@@ -112,7 +113,8 @@ def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
     """Full prediction record for one pair."""
     r, w = cfg.pair_state(pair)
-    deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
     delta, time = float(deltas[0]), float(contacts[0])
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
 
@@ -126,6 +128,33 @@ def pair_collision_time(cfg: Configuration, pair: PairIndex, *, tol: Tolerances 
     return predict_pair(cfg, pair, tol=tol).time
 
 
+def first_contacts(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    *,
+    tol: Tolerances = Tolerances(),
+    recent: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """first_collision's scan of a stack (..., N, d) of states, no horizon
+    applied: per state the earliest contact time (inf if none), its pair's
+    index in pair_indices order, whether it is unique, and the earliest
+    graze (inf if none).  recent masks (..., P) the pair scattered last."""
+    r, w = pair_differences(positions), pair_differences(velocities)
+    # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
+        if recent is not None:
+            contact[recent & (contact <= REARM_TIME)] = np.inf
+        if contact.shape[-1] < 2:  # pad with pairs that never meet, so that a second contact exists
+            pad = np.full(contact.shape[:-1] + (2 - contact.shape[-1],), np.inf)
+            contact, graze = np.concatenate([contact, pad], axis=-1), np.concatenate([graze, pad], axis=-1)
+        k = contact.argmin(axis=-1)  # first occurrence: the lexicographically first pair
+        lowest = np.partition(contact, 1, axis=-1)
+        time, second = lowest[..., 0], lowest[..., 1]
+        unique = second - time > tol.simultaneity_tol
+    return time, k, unique, graze.min(axis=-1)
+
+
 def first_collision(
     cfg: Configuration,
     horizon: float,
@@ -136,39 +165,28 @@ def first_collision(
     """Earliest pair contact and earliest grazing encounter within the
     horizon, from one pass over all pairs; None when there is neither.
 
-    A pair is grazing when |discriminant| <= grazing_tol; it has no contact
-    time, and its tangential encounter at -b/a counts when it lies in
-    (0, horizon].  Pairs are scanned in lexicographic order and ties are
-    broken toward the earlier pair.  Simultaneity rule: the first contact is
-    not unique when the second-earliest contact of any other pair follows it
-    within simultaneity_tol, even when that second contact falls past the
-    horizon.  For recent_pair (the pair that scattered last), roots at or
-    below REARM_TIME are discarded; its members sit exactly on the contact
-    sphere.
+    The one-state view of first_contacts.  A pair is grazing when
+    |discriminant| <= grazing_tol; it has no contact time, and its
+    tangential encounter at -b/a counts when it lies in (0, horizon].  Pairs
+    are scanned in lexicographic order and ties are broken toward the
+    earlier pair.  Simultaneity rule: the first contact is not unique when
+    the second-earliest contact of any other pair follows it within
+    simultaneity_tol, even when that second contact falls past the horizon.
+    For recent_pair (the pair that scattered last), roots at or below
+    REARM_TIME are discarded; its members sit exactly on the contact sphere.
     """
     if horizon <= 0:
         raise NoCollisionError("horizon must be positive")
-    n = cfg.n_particles
-    if n < 2:
-        return None
-    r, w = pair_differences(cfg.positions), pair_differences(cfg.velocities)
-    _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
-    i, j = pair_indices(n)
+    i, j = pair_indices(cfg.n_particles)
+    recent = None
     if recent_pair is not None:
         a, b = recent_pair.zero_based()
-        contact[(i == a) & (j == b) & (contact <= REARM_TIME)] = np.inf
-    k = int(np.argmin(contact))  # first occurrence: the lexicographically first pair
-    time = float(contact[k])
-    contact[k] = np.inf
-    second = float(contact.min())
-    grazes = graze[(0.0 < graze) & (graze <= horizon)]
-    t_graze = float(grazes.min()) if grazes.size else None
-    if time == math.inf or time > horizon:
-        if t_graze is None:
-            return None
-        return FirstCollision(None, None, True, t_graze)
-    pair = PairIndex(int(i[k]) + 1, int(j[k]) + 1)
-    return FirstCollision(time, pair, second - time > tol.simultaneity_tol, t_graze)
+        recent = (i == a) & (j == b)
+    time, k, unique, graze = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
+    t_graze = float(graze) if graze <= horizon else None
+    if not time <= horizon:
+        return None if t_graze is None else FirstCollision(None, None, True, t_graze)
+    return FirstCollision(float(time), PairIndex(int(i[k]) + 1, int(j[k]) + 1), bool(unique), t_graze)
 
 
 def collision_time_gradients(

@@ -245,12 +245,20 @@ def min_pair_separation(positions: np.ndarray) -> float:
 
 
 def pair_separations(positions: np.ndarray) -> np.ndarray:
-    """|x_i - x_j| of every pair of an (N, d) position array, in
+    """|x_i - x_j| of every pair of an (..., N, d) position array, in
     pair_indices order.  Each value is the square root of the same dot
     product np.linalg.norm takes of one vector, so it equals
     float(np.linalg.norm(x_i - x_j)) bit for bit."""
     r = pair_differences(positions)
     return np.sqrt(np.vecdot(r, r))
+
+
+def domain_masks(positions: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(invalid, boundary) pair masks of a stack (..., N, d) of position sets,
+    by validate_configuration's rules; interior states have neither."""
+    s = pair_separations(positions)
+    boundary = np.abs(s - 1.0) <= tol
+    return ~boundary & (s < 1.0 - tol), boundary
 
 
 def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> DomainStatus:
@@ -262,9 +270,7 @@ def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> Doma
     """
     if tol < 0:
         raise UsageError("tol must be >= 0")
-    s = pair_separations(cfg.positions)
-    boundary = np.abs(s - 1.0) <= tol
-    invalid = ~boundary & (s < 1.0 - tol)
+    invalid, boundary = domain_masks(cfg.positions, tol)
     for kind, flagged in ((DomainKind.INVALID, invalid), (DomainKind.BOUNDARY, boundary)):
         hits = np.flatnonzero(flagged)
         if hits.size:

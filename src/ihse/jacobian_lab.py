@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,24 +19,17 @@ from .core import (
     ModelParams,
     PairIndex,
     Tolerances,
-    free_transport,
     pair_separations,
 )
-from .collision import contact_direction, first_collision, predict_pair
+from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
-from .scattering import (
-    CollisionKind,
-    elastic_reflection,
-    inelastic_emission,
-    scattering_velocity_det_analytic,
-)
+from .scattering import CollisionKind, _check_unit, dispatched_law, scattering_velocity_det_analytic
 from .tct import (
     ExcludedConfigurationError,
-    TCTDomainClass,
     UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
-    tct_flow,
+    tct_stack,
 )
 
 
@@ -84,41 +77,57 @@ class TensorLemmaCase:
     omega: np.ndarray
 
 
+def _difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:
+    """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian)."""
+    for k in range(len(labels) // 2):
+        for label in labels[2 * k : 2 * k + 2]:
+            if isinstance(label, Exception):
+                raise label
+            if label != center_label:
+                raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
+        if not np.isfinite(values[2 * k : 2 * k + 2]).all():
+            raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).T
+
+
+def _fd_jacobians(fn, point, steps: tuple[float, ...]) -> list[np.ndarray]:
+    """fd_jacobian at each step, with one call of fn on every stencil."""
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 1:
+        raise IHSEError("point must be a flat vector")
+    if not steps[0] > 0:
+        raise IHSEError("step h must be positive")
+    offsets = np.eye(point.size)
+    stencils = [np.stack([point + h * offsets, point - h * offsets], axis=1) for h in steps]
+    values, labels = fn(np.concatenate([point[None]] + [rows.reshape(-1, point.size) for rows in stencils]))
+    values = np.asarray(values, dtype=float)
+    if isinstance(labels[0], Exception):
+        raise labels[0]
+    rows = 2 * point.size
+    return [
+        _difference_quotients(values[1 + s * rows : 1 + (s + 1) * rows], labels[1 + s * rows : 1 + (s + 1) * rows], labels[0], h)
+        for s, h in enumerate(steps)
+    ]
+
+
 def fd_jacobian(
-    fn: Callable[[np.ndarray], tuple[np.ndarray, object]],
+    fn: Callable[[np.ndarray], tuple[np.ndarray, Sequence]],
     point,
     h: float = FD_STEP,
 ) -> np.ndarray:
     """Central-difference Jacobian of a map at point, one column per input
     coordinate, shape (outputs, inputs).
 
-    fn returns (value, branch label).  Every stencil point must report the
-    same label as the center; a mismatch raises BranchCrossingError rather
-    than differencing across a discontinuity.  Labels are checked before
-    values, so a stencil point whose value is undefined (non-finite) on
-    another branch still reports the crossing.
+    fn is a batch map: from points as rows of an (S, n) array it returns
+    (values (S, m), labels of length S), a branch label per row or instead
+    the exception that row raises alone.  The center and its 2n stencil
+    points go to fn in one call.  Failures come as a loop over the points
+    would meet them: the center's error; then per coordinate k, ascending,
+    the +e_k and then the -e_k point, each with its error before a label
+    other than the center's (BranchCrossingError: no differencing across a
+    discontinuity); then NonFiniteError for a non-finite value on either.
     """
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1:
-        raise IHSEError("point must be a flat vector")
-    if not h > 0:
-        raise IHSEError("step h must be positive")
-    _, center_label = fn(point)
-    columns = []
-    for k in range(point.size):
-        offset = np.zeros_like(point)
-        offset[k] = h
-        values = []
-        for stencil in (point + offset, point - offset):
-            value, label = fn(stencil)
-            if label != center_label:
-                raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
-            values.append(np.asarray(value, float))
-        f_plus, f_minus = values
-        if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
-            raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
-        columns.append((f_plus - f_minus) / (2.0 * h))
-    return np.array(columns).T
+    return _fd_jacobians(fn, point, (h,))[0]
 
 
 def fd_determinant(
@@ -129,17 +138,18 @@ def fd_determinant(
     refine: bool = True,
     disagreement_tol: float = 0.1,
 ) -> float:
-    """Determinant of the finite-difference Jacobian of fn (a map returning
-    (value, branch label), as for fd_jacobian).
+    """Determinant of the finite-difference Jacobian of fn (a batch map, as
+    for fd_jacobian).
 
     With refine=True the determinant is computed at steps h and h/2 and
     Richardson-extrapolated; a relative disagreement beyond
-    disagreement_tol flags the stencil as unreliable.
+    disagreement_tol flags the stencil as unreliable.  The center and the
+    stencils at both steps go to fn in one call; every failure at step h
+    comes before any at h/2, and UnreliableStencilError comes last.
     """
-    det_h = float(np.linalg.det(fd_jacobian(fn, point, h)))
     if not refine:
-        return det_h
-    det_half = float(np.linalg.det(fd_jacobian(fn, point, h / 2.0)))
+        return float(np.linalg.det(fd_jacobian(fn, point, h)))
+    det_h, det_half = (float(np.linalg.det(jac)) for jac in _fd_jacobians(fn, point, (h, h / 2.0)))
     if abs(det_h - det_half) > disagreement_tol * max(1.0, abs(det_half)):
         raise UnreliableStencilError(
             f"determinants at h and h/2 disagree: {det_h} vs {det_half}"
@@ -171,17 +181,16 @@ def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
     return formula, float(np.linalg.det(matrix))
 
 
-def _dispatched_velocity_map(z: np.ndarray, omega: np.ndarray, params: ModelParams) -> tuple[np.ndarray, CollisionKind]:
-    """Post-collision velocities (v_i', v_j') for z = (v_i, v_j) at contact
-    direction omega, labelled with the branch of the collision law."""
+def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, params: ModelParams) -> tuple[np.ndarray, list]:
+    """Batch map: post-collision velocities (v_i', v_j') of rows (v_i, v_j)
+    at contact direction omega, labelled with the collision law's branch."""
     d = omega.size
-    v_i, v_j = z[:d], z[d:]
-    w = v_j - v_i
-    if float(w @ w) > 4.0 * params.epsilon0:
-        vi_post, vj_post, _, _ = inelastic_emission(v_i, v_j, omega, params.epsilon0)
-        return np.concatenate([vi_post, vj_post]), CollisionKind.INELASTIC
-    vi_post, vj_post = elastic_reflection(v_i, v_j, omega)
-    return np.concatenate([vi_post, vj_post]), CollisionKind.ELASTIC
+    v_i, v_j = points[:, :d], points[:, d:]
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, params.epsilon0)
+    if emitting.any():
+        _check_unit(omega)
+    kinds = [CollisionKind.INELASTIC if e else CollisionKind.ELASTIC for e in emitting]
+    return np.concatenate([vi_post, vj_post], axis=1), kinds
 
 
 def draw_scattering_sample(
@@ -256,25 +265,17 @@ def verify_scattering_measure(
     return reports
 
 
-def _flow_map(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """One-collision flow of the phase-space vector z over [0, tau] with its
-    classification signature; NaN on excluded configurations."""
-    try:
-        result = tct_flow(Configuration.from_vector(z, n, d), tau, params, tol=tol)
-    except ExcludedConfigurationError as exc:
-        return np.full(z.size, np.nan), TCTDomainClass.excluded(exc.reason).signature()
-    return result.final.to_vector(), result.classification.signature()
-
-
-def _contact_velocity_block_det(cfg: Configuration, pair: PairIndex, t_c: float, params: ModelParams, h: float) -> float:
-    """Finite-difference determinant of the colliding pair's velocity map at
-    the contact position (the only non-identity block of det N)."""
-    contact = free_transport(cfg, t_c)
-    omega = contact_direction(contact, pair)
-    i, j = pair.zero_based()
-    z = np.concatenate([contact.velocities[i], contact.velocities[j]])
-    jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
-    return float(np.linalg.det(jac))
+def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """Batch map: the one-collision flow of phase-space rows over [0, tau],
+    labelled with classification signatures; NaN on excluded rows."""
+    m = n * d
+    stack = tct_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
+    values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
+    labels = [
+        error if error is not None else classification.signature()
+        for classification, error in zip(stack.classifications, stack.errors)
+    ]
+    return values, labels
 
 
 def verify_flow_jacobian(
@@ -286,8 +287,10 @@ def verify_flow_jacobian(
 ) -> JacobianReport:
     """Compare the analytic flow determinant (prefactor * det N) against the
     finite-difference determinant (step tol.fd_step) of the full phase-space
-    flow map."""
-    classification = classify_tct_domain(cfg, tau, params, tol=tol)
+    flow map, and report the finite-difference determinant of the colliding
+    pair's velocity map at contact (the only non-identity block of det N)."""
+    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
+    classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
     n, d = cfg.n_particles, cfg.dimension
@@ -299,7 +302,10 @@ def verify_flow_jacobian(
     except UnsupportedDimensionError:
         pass
     if classification.is_single_collision:
-        det_n_fd = _contact_velocity_block_det(cfg, classification.pair, classification.t_c, params, h)
+        i, j = classification.pair.zero_based()
+        z = np.concatenate([cfg.velocities[i], cfg.velocities[j]])  # free flight keeps velocities
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, stack.omega[0], params), z, h)
+        det_n_fd = float(np.linalg.det(jac))
     return JacobianReport.build(analytic, fd_det, prefactor, det_n_fd, h)
 
 

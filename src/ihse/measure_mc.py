@@ -151,11 +151,19 @@ def estimate_pathological_measure(
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)
 
 
-def _flow_map(z: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """Multi-collision flow of the phase-space vector z over [0, tau] with
-    its event signature as the branch label."""
-    report = simulate(Configuration.from_vector(z, n, d), tau, params, tol=tol)
-    return report.final.to_vector(), report.event_signature
+def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """Batch map: simulate each phase-space row over [0, tau], labelled with
+    its event signature (or the error its run raises)."""
+    values, labels = np.full(points.shape, np.nan), []
+    for row, z in enumerate(points):
+        try:
+            report = simulate(Configuration.from_vector(z, n, d), tau, params, tol=tol)
+        except IHSEError as exc:
+            labels.append(exc)
+            continue
+        values[row] = report.final.to_vector()
+        labels.append(report.event_signature)
+    return values, labels
 
 
 def ensemble_volume_evolution(
@@ -194,7 +202,7 @@ def ensemble_volume_evolution(
     def flow(z):
         return _flow_map(z, n, d, tau, params, tol)
 
-    if flow(center.to_vector())[1] != center_sig:
+    if flow(center.to_vector()[None])[1][0] != center_sig:
         raise BranchCrossingError("center signature not reproducible")
     det = fd_determinant(flow, center.to_vector(), radius / 10.0)
     return predicted, abs(det)

@@ -89,22 +89,66 @@ def _check_unit(omega: np.ndarray):
         raise UsageError("omega must be a unit vector")
 
 
-def _reflected_direction(w: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """sigma for the relative velocity w = v_j - v_i and a checked unit omega."""
-    speed = float(np.linalg.norm(w))
-    if speed < ZERO_RELATIVE_SPEED:
-        raise ZeroRelativeVelocityError("relative velocity is zero")
+# scatter's checks, in the order it applies them (see _failed_checks).
+SCATTER_CHECKS = (
+    (UsageError, "omega must be a unit vector"),
+    (NotPreCollisionalError, "pair is not approaching along the contact direction"),
+    (GrazingContactError, "contact is grazing"),
+    (CriticalEnergyError, "relative speed inside the critical band around the emission threshold"),
+    (ZeroRelativeVelocityError, "relative velocity is zero"),
+)
+
+
+def _failed_checks(omega_sq, w2, approach, epsilon0: float, tol: Tolerances) -> tuple:
+    """Whether each of scatter's checks (SCATTER_CHECKS) fails, from |omega|^2,
+    w2 = |v_j - v_i|^2 and approach = (v_j - v_i).omega, numbers or arrays."""
+    speed = np.sqrt(w2)
+    return (
+        abs(omega_sq - 1.0) > 2 * UNIT_NORM_TOL,
+        approach >= 0.0,
+        abs(approach) < tol.grazing_tol * speed,
+        abs(w2 - 4.0 * epsilon0) <= tol.crit_tol,
+        (w2 > 4.0 * epsilon0) & (speed < ZERO_RELATIVE_SPEED),
+    )
+
+
+def _reflected_direction(w: np.ndarray, speed, omega: np.ndarray) -> np.ndarray:
+    """sigma for relative velocities w = v_j - v_i (..., d) with nonzero
+    speeds (a number or (..., 1)) and checked unit omega.  np.vecdot rounds
+    as float(x @ y) does, so a pair gets the same bits alone or stacked."""
     u = w / speed
-    return u - 2.0 * float(u @ omega) * omega
+    return u - 2.0 * np.vecdot(u, omega, keepdims=True) * omega
 
 
-def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2: float, epsilon0: float):
-    """inelastic_emission on float arrays with omega checked and
-    w2 = |v_j - v_i|^2 above 4*epsilon0."""
-    sigma = _reflected_direction(v_j - v_i, omega)
-    kappa = math.sqrt(w2 / 4.0 - epsilon0)
-    mean = 0.5 * (v_i + v_j)
-    return mean - sigma * kappa, mean + sigma * kappa, sigma, kappa
+def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0: float):
+    """(v_i', v_j', sigma, kappa) of the emitting law on (..., d) arrays, for a
+    checked omega and w2 = |v_j - v_i|^2 (a number or (..., 1)) above 4 eps0."""
+    sigma = _reflected_direction(v_j - v_i, np.sqrt(w2), omega)
+    kappa = np.sqrt(w2 / 4.0 - epsilon0)
+    mean, spread = 0.5 * (v_i + v_j), sigma * kappa
+    return mean - spread, mean + spread, sigma, kappa
+
+
+def _elastic_transfer(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, approach) -> tuple[np.ndarray, np.ndarray]:
+    """The elastic law on (..., d) arrays from approach = (v_j - v_i).omega
+    (a number or (..., 1)), which is exactly -(v_i - v_j).omega."""
+    transfer = approach * omega
+    return v_i + transfer, v_j - transfer
+
+
+def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0: float):
+    """(v_i', v_j', emitting) of the unguarded dispatched law on R pairs,
+    (R, d) arrays with a checked omega (d,) or (R, d): scatter's bits."""
+    w = v_j - v_i
+    w2 = np.vecdot(w, w)
+    emitting = w2 > 4.0 * epsilon0
+    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, np.vecdot(w, omega, keepdims=True))
+    if emitting.any():
+        omega = omega[emitting] if omega.ndim > 1 else omega
+        vi_post[emitting], vj_post[emitting], _, _ = _emission(
+            v_i[emitting], v_j[emitting], omega, w2[emitting, None], epsilon0
+        )
+    return vi_post, vj_post, emitting
 
 
 def sigma_direction(v_i, v_j, omega) -> np.ndarray:
@@ -114,7 +158,10 @@ def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     _check_unit(omega)
-    return _reflected_direction(v_j - v_i, omega)
+    w = v_j - v_i
+    if (speed := math.sqrt(float(w @ w))) < ZERO_RELATIVE_SPEED:
+        raise ZeroRelativeVelocityError("relative velocity is zero")
+    return _reflected_direction(w, speed, omega)
 
 
 def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +169,7 @@ def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    transfer = float((v_i - v_j) @ omega) * omega
-    return v_i - transfer, v_j + transfer
+    return _elastic_transfer(v_i, v_j, omega, float((v_j - v_i) @ omega))
 
 
 def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -139,7 +185,10 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
     _check_unit(omega)
-    return _emission(v_i, v_j, omega, w2, epsilon0)
+    if math.sqrt(w2) < ZERO_RELATIVE_SPEED:
+        raise ZeroRelativeVelocityError("relative velocity is zero")
+    vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, epsilon0)
+    return vi_post, vj_post, sigma, float(kappa)
 
 
 def scatter(
@@ -160,22 +209,18 @@ def scatter(
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    _check_unit(omega)
     w = v_j - v_i
-    w2 = float(w @ w)
-    approach = float(w @ omega)
-    if approach >= 0.0:
-        raise NotPreCollisionalError("pair is not approaching along the contact direction")
-    if abs(approach) < tol.grazing_tol * math.sqrt(w2):
-        raise GrazingContactError("contact is grazing")
-    if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
-        raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
+    w2, approach = np.vecdot(w, w), float(w @ omega)
+    failed_checks = _failed_checks(float(omega @ omega), w2, approach, params.epsilon0, tol)
+    if any(failed_checks):
+        error, message = SCATTER_CHECKS[failed_checks.index(True)]
+        raise error(message)
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     if w2 > 4.0 * params.epsilon0:
         vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, params.epsilon0)
-        kind, sig, kap = CollisionKind.INELASTIC, sigma, kappa
+        kind, sig, kap = CollisionKind.INELASTIC, sigma, float(kappa)
     else:
-        vi_post, vj_post = elastic_reflection(v_i, v_j, omega)
+        vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach)
         kind, sig, kap = CollisionKind.ELASTIC, None, None
     ke_post = 0.5 * (float(vi_post @ vi_post) + float(vj_post @ vj_post))
     return ScatteringOutcome(

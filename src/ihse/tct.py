@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     Configuration,
     IHSEError,
@@ -17,13 +19,13 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
-    free_transport,
-    validate_configuration,
+    domain_masks,
+    pair_indices,
 )
-from .collision import collision_time_gradients, first_collision, predict_pair
+from .collision import collision_time_gradients, first_contacts, predict_pair
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
-from .scattering import CollisionKind, CriticalEnergyError
-from .simulator import Step, collide, event_step
+from .scattering import SCATTER_CHECKS, CollisionKind, CriticalEnergyError, _failed_checks, dispatched_law, scatter
+from .simulator import collide
 
 ELASTIC_DET_N = -1.0  # exact: reflection block has one -1 eigenvalue
 INELASTIC_DET_N_2D = -1.0  # exact in d=2: emission rescales and mirrors
@@ -100,26 +102,94 @@ class TCTResult:
     collision_record: Optional[tuple] = None  # (pair, t_c, ScatteringOutcome)
 
 
-def _classify(cfg: Configuration, tau: float, params: ModelParams, tol: Tolerances) -> tuple[TCTDomainClass, Step]:
-    """The classification and the event step it rests on."""
+@dataclass(frozen=True)
+class TCTStack:
+    """Per state, as it gives them alone: its classification or instead its
+    error, its flow to tau (NaN when excluded or failing) and its collision's
+    contact direction (NaN without one)."""
+
+    classifications: list[Optional[TCTDomainClass]]
+    errors: list[Optional[IHSEError]]
+    positions: np.ndarray  # (S, N, d)
+    velocities: np.ndarray  # (S, N, d)
+    omega: np.ndarray  # (S, d)
+
+    def one(self) -> TCTDomainClass:
+        """The classification of a one-state stack; raises its error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return self.classifications[0]
+
+
+def tct_stack(
+    positions: np.ndarray, velocities: np.ndarray, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> TCTStack:
+    """Classify and flow a stack (S, N, d) of states over [0, tau] in one pass
+    of array operations, each row with the bits its state gets alone;
+    classify_tct_domain and tct_flow are its S=1 view."""
     if tau <= 0:
         raise UsageError("tau must be positive")
-    if not validate_configuration(cfg, tol.contact_tol).is_interior:
-        return TCTDomainClass.excluded(ExclusionReason.BOUNDARY_START), Step(None)
-    step = event_step(cfg, tau, params, tol=tol)
-    scan = step.scan
-    if scan is None:
-        return TCTDomainClass.free(), step
-    if scan.graze is not None:
-        return TCTDomainClass.excluded(ExclusionReason.GRAZING), step
-    if not scan.unique:
-        return TCTDomainClass.excluded(ExclusionReason.SIMULTANEOUS), step
-    if step.outcome is None:
-        return TCTDomainClass.excluded(ExclusionReason.CRITICAL_ENERGY), step
-    remaining = tau - scan.time
-    if remaining > 0 and first_collision(step.state, remaining, tol=tol, recent_pair=scan.pair) is not None:
-        return TCTDomainClass.excluded(ExclusionReason.RECOLLISION), step
-    return TCTDomainClass.single_collision(scan.pair, scan.time, step.outcome.kind), step
+    s, n, d = positions.shape
+    i, j = pair_indices(n)
+    invalid, boundary = domain_masks(positions, tol.contact_tol)
+    interior = ~(invalid | boundary).any(axis=-1)
+    time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
+    rows = np.flatnonzero(interior & (graze > tau) & (time <= tau) & unique)
+    final_x, final_v, omega = positions + tau * velocities, velocities.copy(), np.full((s, d), np.nan)
+    collided = {}
+    if rows.size:
+        # Transport to the contact, check and apply the law (as
+        # simulator.collide), then rescan the remaining time.
+        at, pair, t = np.arange(rows.size), k[rows], time[rows]
+        x = positions[rows] + t[:, None, None] * velocities[rows]
+        v = velocities[rows]
+        v_i, v_j, r = v[at, i[pair]], v[at, j[pair]], x[at, i[pair]] - x[at, j[pair]]
+        contact = -r / np.sqrt(np.vecdot(r, r))[:, None]
+        w = v_j - v_i
+        failed = np.array(_failed_checks(np.vecdot(contact, contact), np.vecdot(w, w), np.vecdot(w, contact), params.epsilon0, tol))
+        critical = failed[3]  # collide's band check, made before scatter's checks
+        check = np.where(critical | ~failed.any(axis=0), -1, failed.argmax(axis=0))
+        v[at, i[pair]], v[at, j[pair]], emitting = dispatched_law(v_i, v_j, contact, params.epsilon0)
+        remaining = tau - t
+        again = np.flatnonzero((check < 0) & ~critical & (remaining > 0))
+        recollides = np.zeros(rows.size, dtype=bool)
+        if again.size:
+            recent = np.arange(i.size) == pair[again, None]
+            t2, _, _, graze2 = first_contacts(x[again], v[again], tol=tol, recent=recent)
+            recollides[again] = np.minimum(t2, graze2) <= remaining[again]
+        final_x[rows], final_v[rows], omega[rows] = x + remaining[:, None, None] * v, v, contact
+        collided = dict(zip(rows.tolist(), zip(critical.tolist(), check.tolist(), recollides.tolist(), emitting.tolist())))
+    classifications, errors = [], []
+    for row in range(s):
+        reason = error = classification = None
+        if not interior[row]:
+            reason = ExclusionReason.BOUNDARY_START
+        elif graze[row] <= tau:
+            reason = ExclusionReason.GRAZING
+        elif not time[row] <= tau:
+            classification = TCTDomainClass.free()
+        elif not unique[row]:
+            reason = ExclusionReason.SIMULTANEOUS
+        else:
+            crit, failed_check, recollide, emits = collided[row]
+            if crit:
+                reason = ExclusionReason.CRITICAL_ENERGY
+            elif failed_check >= 0:
+                error_type, message = SCATTER_CHECKS[failed_check]
+                error = error_type(message)
+            elif recollide:
+                reason = ExclusionReason.RECOLLISION
+            else:
+                kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
+                pair_index = PairIndex(int(i[k[row]]) + 1, int(j[k[row]]) + 1)
+                classification = TCTDomainClass.single_collision(pair_index, float(time[row]), kind)
+        if reason is not None:
+            classification = TCTDomainClass.excluded(reason)
+        if classification is None or classification.is_excluded:
+            final_x[row] = final_v[row] = np.nan
+        classifications.append(classification)
+        errors.append(error)
+    return TCTStack(classifications, errors, final_x, final_v, omega)
 
 
 def classify_tct_domain(
@@ -134,19 +204,22 @@ def classify_tct_domain(
     (covering pairs that do and do not involve the scattered particles
     alike).
     """
-    return _classify(cfg, tau, params, tol)[0]
+    return tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol).one()
 
 
 def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> TCTResult:
     """Evolve the configuration over [0, tau]: free flight, or transport to
     the single collision, scatter, and transport the remaining time."""
-    classification, step = _classify(cfg, tau, params, tol)
+    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
+    classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
+    final = Configuration(stack.positions[0], stack.velocities[0])
     if classification.is_free:
-        return TCTResult(free_transport(cfg, tau), classification)
-    final = free_transport(step.state, tau - classification.t_c)
-    return TCTResult(final, classification, (classification.pair, classification.t_c, step.outcome))
+        return TCTResult(final, classification)
+    i, j = classification.pair.zero_based()
+    outcome = scatter(cfg.velocities[i], cfg.velocities[j], stack.omega[0], params, tol=tol)
+    return TCTResult(final, classification, (classification.pair, classification.t_c, outcome))
 
 
 def flow_jacobian_prefactor(

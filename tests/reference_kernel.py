@@ -1,9 +1,12 @@
-"""Pair-by-pair reference for ``ihse.collision.first_collision``.
+"""Pair-by-pair reference for ``ihse.collision.first_collision``, and a
+one-state reference for ``ihse.tct.tct_stack``.
 
-This is the scalar loop the array kernel replaced: one Python evaluation of
-the contact quadratic per pair, pairs visited in lexicographic order.  It
-stays in the tests so that the kernel can be required to give identical
-results, field for field and bit for bit.
+The first is the scalar loop the array kernel replaced: one Python
+evaluation of the contact quadratic per pair, pairs visited in
+lexicographic order.  The second is the one-collision flow of a single
+state composed from the multi-collision simulator's event step, as the
+stacked flow replaced it.  Both stay in the tests so that the kernels can be
+required to give identical results, field for field and bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError
-from ihse.core import Configuration, PairIndex, Tolerances
+from ihse.core import Configuration, ModelParams, PairIndex, Tolerances, free_transport, validate_configuration
+from ihse.simulator import event_step
+from ihse.tct import ExclusionReason, TCTDomainClass
 
 
 def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
@@ -93,3 +98,29 @@ def first_collision(
         return None
     unique = best_time is None or second is None or second - best_time > tol.simultaneity_tol
     return FirstCollision(best_time, best_pair, unique, graze)
+
+
+def tct_flow(
+    cfg: Configuration, tau: float, params: ModelParams, tol: Tolerances
+) -> tuple[TCTDomainClass, Optional[Configuration], Optional[tuple]]:
+    """(classification, state at tau or None when excluded, collision record
+    or None) of one state, through simulator.event_step.  Raises what the
+    state's scatter raises."""
+    excluded = TCTDomainClass.excluded
+    if not validate_configuration(cfg, tol.contact_tol).is_interior:
+        return excluded(ExclusionReason.BOUNDARY_START), None, None
+    step = event_step(cfg, tau, params, tol=tol)
+    scan = step.scan
+    if scan is None:
+        return TCTDomainClass.free(), free_transport(cfg, tau), None
+    if scan.graze is not None:
+        return excluded(ExclusionReason.GRAZING), None, None
+    if not scan.unique:
+        return excluded(ExclusionReason.SIMULTANEOUS), None, None
+    if step.outcome is None:
+        return excluded(ExclusionReason.CRITICAL_ENERGY), None, None
+    remaining = tau - scan.time
+    if remaining > 0 and first_collision(step.state, remaining, tol=tol, recent_pair=scan.pair) is not None:
+        return excluded(ExclusionReason.RECOLLISION), None, None
+    classification = TCTDomainClass.single_collision(scan.pair, scan.time, step.outcome.kind)
+    return classification, free_transport(step.state, remaining), (scan.pair, scan.time, step.outcome)

@@ -206,7 +206,9 @@ def test_c07_spherical_emission_map_preserves_measure():
             rho = float(np.linalg.norm(v))
             if rho**3 <= 4.0 * params.epsilon0 + 0.1:
                 continue
-            jac = fd_jacobian(lambda z: (emission_map_cartesian_3d(z, params), None), v, 1e-6)
+            jac = fd_jacobian(
+                lambda z: (np.array([emission_map_cartesian_3d(row, params) for row in z]), [None] * len(z)), v, 1e-6
+            )
             assert abs(abs(float(np.linalg.det(jac))) - 1.0) <= 1e-6
             produced += 1
 

@@ -5,6 +5,7 @@ from ihse import (
     BranchCrossingError,
     CollisionKind,
     Configuration,
+    IHSEError,
     ModelParams,
     NonFiniteError,
     TensorLemmaCase,
@@ -22,25 +23,28 @@ from conftest import assert_close
 
 class TestFdJacobian:
     def test_identity_map(self):
-        jac = fd_jacobian(lambda z: (z, None), np.zeros(4), 1e-6)
+        jac = fd_jacobian(lambda z: (z, [None] * len(z)), np.zeros(4), 1e-6)
         assert_close(jac, np.eye(4), 1e-10, "identity")
 
     def test_linear_map_exact(self):
         gen = sample_generator(2, 0)
         a = gen.normal(size=(3, 5))
-        jac = fd_jacobian(lambda z: (a @ z, None), np.zeros(5), 1e-6)
+        jac = fd_jacobian(lambda z: (z @ a.T, [None] * len(z)), np.zeros(5), 1e-6)
         assert_close(jac, a, 1e-10, "linear at origin")
-        jac = fd_jacobian(lambda z: (a @ z, None), gen.normal(size=5), 1e-6)
+        jac = fd_jacobian(lambda z: (z @ a.T, [None] * len(z)), gen.normal(size=5), 1e-6)
         assert_close(jac, a, 1e-9, "linear at generic point")
 
     def test_free_transport_block_structure(self):
         t = 0.7
         n, d = 2, 2
 
-        def flow(z):
-            cfg = Configuration.from_vector(z, n, d)
-            moved = cfg.positions + t * cfg.velocities
-            return np.concatenate([moved.ravel(), cfg.velocities.ravel()]), None
+        def flow(points):
+            values = []
+            for z in points:
+                cfg = Configuration.from_vector(z, n, d)
+                moved = cfg.positions + t * cfg.velocities
+                values.append(np.concatenate([moved.ravel(), cfg.velocities.ravel()]))
+            return np.array(values), [None] * len(points)
 
         z0 = Configuration([[0, 0], [3, 0]], [[1, 0], [0, 0]]).to_vector()
         jac = fd_jacobian(flow, z0, 1e-6)
@@ -50,22 +54,58 @@ class TestFdJacobian:
 
     def test_branch_crossing_detected(self):
         def fn(z):
-            return np.array([abs(z[0])]), z[0] > 0
+            return np.abs(z[:, :1]), z[:, 0] > 0
 
         with pytest.raises(BranchCrossingError):
             fd_jacobian(fn, np.array([0.0]), 1e-6)
 
     def test_non_finite_detected(self):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-            fd_jacobian(lambda z: (np.array([np.log(z[0])]), None), np.array([0.0]), 1e-6)
+            fd_jacobian(lambda z: (np.log(z[:, :1]), [None] * len(z)), np.array([0.0]), 1e-6)
 
     def test_unreliable_stencil_detected(self):
         # steep cubic kink: determinants at h and h/2 disagree wildly
         def fn(z):
-            return np.array([z[0] + 1e6 * z[0] ** 3]), None
+            return z[:, :1] + 1e6 * z[:, :1] ** 3, [None] * len(z)
 
         with pytest.raises(UnreliableStencilError):
             fd_determinant(fn, np.array([0.0]), 1e-1)
+
+    @staticmethod
+    def _labelled(label_of):
+        """Identity batch map whose row labels (or errors) come from label_of(row)."""
+        return lambda z: (z, [label_of(row) for row in z])
+
+    def test_crossing_at_coordinate_0_beats_error_at_coordinate_1(self):
+        fn = self._labelled(lambda row: IHSEError("row fails") if row[1] > 0 else row[0] > 0)
+        with pytest.raises(BranchCrossingError, match="coordinate 0"):
+            fd_jacobian(fn, np.zeros(2), 1e-6)
+        with pytest.raises(BranchCrossingError, match="coordinate 0"):
+            fd_determinant(fn, np.zeros(2), 1e-6)
+
+    def test_error_at_coordinate_0_beats_crossing_at_coordinate_1(self):
+        fn = self._labelled(lambda row: IHSEError("row fails") if row[0] > 0 else row[1] > 0)
+        with pytest.raises(IHSEError, match="row fails"):
+            fd_jacobian(fn, np.zeros(2), 1e-6)
+        with pytest.raises(IHSEError, match="row fails"):
+            fd_determinant(fn, np.zeros(2), 1e-6)
+
+    def test_non_finite_at_h_beats_crossing_at_half_h(self):
+        # rows at |z| = h are on the center's branch but not finite; rows at
+        # |z| = h/2 are finite but on another branch
+        def fn(z):
+            values = np.where(np.abs(z) > 0.75, np.nan, z)
+            return values, [0.25 < abs(row[0]) < 0.75 for row in z]
+
+        with pytest.raises(NonFiniteError, match="coordinate 0"):
+            fd_determinant(fn, np.zeros(1), 1.0)
+        with pytest.raises(BranchCrossingError, match="coordinate 0"):
+            fd_jacobian(fn, np.zeros(1), 0.5)
+
+    def test_center_error_comes_first(self):
+        fn = self._labelled(lambda row: IHSEError("center fails") if not row.any() else None)
+        with pytest.raises(IHSEError, match="center fails"):
+            fd_determinant(fn, np.zeros(2), 1e-6)
 
 
 class TestTensorLemma:

@@ -9,7 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from ihse import CollisionPrediction, Configuration, ModelParams, PairIndex, Tolerances, first_collision, predict_pair
+from ihse import (
+    CollisionPrediction,
+    Configuration,
+    FirstCollision,
+    ModelParams,
+    PairIndex,
+    Tolerances,
+    first_collision,
+    predict_pair,
+)
+from ihse.collision import first_contacts
+from ihse.core import pair_indices
 from ihse.simulator import collide
 
 TOLERANCES = (
@@ -111,7 +122,29 @@ def test_kernel_matches_reference(n, d, layout, tol, seed):
     if collided is None and n > 1:  # a recent pair away from contact must change nothing
         a = int(gen.integers(1, n))
         recents[1] = PairIndex(a, int(gen.integers(a + 1, n + 1)))
-    for scan_tol, horizon in _cases(cfg, tol, gen):
+    cases = _cases(cfg, tol, gen)
+    for scan_tol, horizon in cases:
         for recent in recents:
             expected = ref.first_collision(cfg, horizon, tol=scan_tol, recent_pair=recent)
             assert first_collision(cfg, horizon, tol=scan_tol, recent_pair=recent) == expected
+    # The same scans as the rows of one stack, each row with its own recent
+    # pair and then its own horizon.
+    i, j = pair_indices(n)
+    for scan_tol in {t for t, _ in cases}:
+        rows = [(horizon, recent) for t, horizon in cases if t == scan_tol for recent in recents]
+        masks = [(i == recent.i - 1) & (j == recent.j - 1) if recent else np.zeros(i.size, bool) for _, recent in rows]
+        shape = (len(rows),) + cfg.positions.shape
+        time, k, unique, graze = first_contacts(
+            np.broadcast_to(cfg.positions, shape),
+            np.broadcast_to(cfg.velocities, shape),
+            tol=scan_tol,
+            recent=np.array(masks).reshape(len(rows), i.size),
+        )
+        for row, (horizon, recent) in enumerate(rows):
+            t_graze = float(graze[row]) if graze[row] <= horizon else None
+            if time[row] <= horizon:
+                pair = PairIndex(int(i[k[row]]) + 1, int(j[k[row]]) + 1)
+                stacked = FirstCollision(float(time[row]), pair, bool(unique[row]), t_graze)
+            else:
+                stacked = None if t_graze is None else FirstCollision(None, None, True, t_graze)
+            assert stacked == ref.first_collision(cfg, horizon, tol=scan_tol, recent_pair=recent)

@@ -1,0 +1,148 @@
+"""The stacked one-collision flow against one state at a time: every row of
+``tct_stack`` must carry the classification, the state at tau and the
+error that the same state gives alone, both through the one-state views
+``classify_tct_domain`` and ``tct_flow`` and through the reference
+composition in ``reference_kernel``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernel as ref
+from ihse import (
+    Configuration,
+    ExcludedConfigurationError,
+    ExclusionReason,
+    IHSEError,
+    ModelParams,
+    Tolerances,
+    classify_tct_domain,
+    tct_flow,
+)
+from ihse.scattering import GrazingContactError
+from ihse.tct import tct_stack
+
+FAR = [[-40.0, 40.0], [40.0, 40.0]]  # two resting particles no one reaches
+REST = [[0.0, 0.0], [0.0, 0.0]]
+
+# One N=4, d=2 state per branch at tau=3.5, eps0=1 (emitting above
+# |w|^2 = 4) and grazing_tol=0.1, the tolerance at which a fast pair crossing
+# the contact sphere shallowly (0.1 < discriminant < 0.01 |w|^2) reaches a
+# contact that scatter rejects as grazing.
+BRANCHES = {
+    "free": ([[0, 0], [3, 0]] + FAR, [[0.5, 0], [0, 0]] + REST, "free"),
+    "elastic": ([[0, 0], [3, 0]] + FAR, [[1, 0], [0, 0]] + REST, "elastic"),
+    "emitting": ([[0, 0], [5, 0]] + FAR, [[3, 0], [0, 0]] + REST, "inelastic"),
+    "grazing": ([[0, 0], [3, 1]] + FAR, [[1, 0], [0, 0]] + REST, ExclusionReason.GRAZING),
+    "simultaneous": ([[0, 0], [3, 0], [0, 10], [3, 10]], [[1, 0], [0, 0], [1, 0], [0, 0]], ExclusionReason.SIMULTANEOUS),
+    "critical": ([[0, 0], [3, 0]] + FAR, [[1, 0], [-1, 0]] + REST, ExclusionReason.CRITICAL_ENERGY),
+    "recollision": ([[3, 0], [0, 0], [6, 0], [40, 40]], [[0, 0], [3, 0], [-1, 0], [0, 0]], ExclusionReason.RECOLLISION),
+    "boundary": ([[0, 0], [1, 0]] + FAR, REST + REST, ExclusionReason.BOUNDARY_START),
+    "scatter_raises": ([[-3, 0.995], [0, 0]] + FAR, [[10, 0], [0, 0]] + REST, GrazingContactError),
+}
+BRANCH_TAU, BRANCH_PARAMS, BRANCH_TOL = 3.5, ModelParams(1.0, 2), Tolerances(grazing_tol=0.1)
+
+
+def _outcome(call):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return call(), None
+    except IHSEError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_rows_match(positions, velocities, tau, params, tol):
+    stack = tct_stack(positions, velocities, tau, params, tol=tol)
+    assert len(stack.classifications) == len(stack.errors) == len(positions)
+    for row, cfg in enumerate(Configuration(x, v) for x, v in zip(positions, velocities)):
+        error = stack.errors[row]
+        stacked = (None, (type(error), str(error))) if error is not None else (stack.classifications[row], None)
+        assert _outcome(lambda: classify_tct_domain(cfg, tau, params, tol=tol)) == stacked
+        reference, reference_error = _outcome(lambda: ref.tct_flow(cfg, tau, params, tol))
+        assert reference_error == stacked[1]
+        flow, flow_error = _outcome(lambda: tct_flow(cfg, tau, params, tol=tol))
+        if error is not None:
+            assert flow_error == stacked[1]
+            continue
+        classification, final, record = reference
+        assert classification == stack.classifications[row]
+        if classification.is_excluded:
+            assert flow_error == (ExcludedConfigurationError, str(ExcludedConfigurationError(classification.reason)))
+            assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
+            continue
+        assert flow.classification == classification
+        for result in (final, flow.final):
+            assert stack.positions[row].tobytes() == result.positions.tobytes()
+            assert stack.velocities[row].tobytes() == result.velocities.tobytes()
+        if record is None:
+            assert flow.collision_record is None
+            continue
+        (pair, t_c, expected), (flow_pair, flow_t_c, outcome) = record, flow.collision_record
+        assert (flow_pair, flow_t_c) == (pair, t_c)
+        assert (outcome.kind, outcome.kappa, outcome.energy_loss) == (expected.kind, expected.kappa, expected.energy_loss)
+        for name in ("omega", "v_i_post", "v_j_post"):
+            assert getattr(outcome, name).tobytes() == getattr(expected, name).tobytes()
+        if outcome.sigma is not None:
+            assert outcome.sigma.tobytes() == expected.sigma.tobytes()
+
+
+def test_one_state_per_branch():
+    positions = np.array([x for x, _, _ in BRANCHES.values()], dtype=float)
+    velocities = np.array([v for _, v, _ in BRANCHES.values()], dtype=float)
+    stack = tct_stack(positions, velocities, BRANCH_TAU, BRANCH_PARAMS, tol=BRANCH_TOL)
+    for row, (name, (_, _, expected)) in enumerate(BRANCHES.items()):
+        classification, error = stack.classifications[row], stack.errors[row]
+        if expected is GrazingContactError:
+            assert classification is None and isinstance(error, GrazingContactError), name
+        elif isinstance(expected, ExclusionReason):
+            assert error is None and classification.reason is expected, name
+        elif expected == "free":
+            assert error is None and classification.is_free, name
+        else:
+            assert error is None and classification.kind.value == expected, name
+    _assert_rows_match(positions, velocities, BRANCH_TAU, BRANCH_PARAMS, BRANCH_TOL)
+
+
+def test_bad_horizon_raises_for_the_stack():
+    positions = np.array([BRANCHES["free"][0]], dtype=float)
+    velocities = np.array([BRANCHES["free"][1]], dtype=float)
+    with pytest.raises(IHSEError, match="tau must be positive"):
+        tct_stack(positions, velocities, 0.0, BRANCH_PARAMS)
+
+
+def _centre(gen, n, d):
+    """A state whose first two particles are aimed at each other, the others
+    scattered around them."""
+    x = gen.uniform(-1.0, 1.0, (n, d)) * 2.2 * n
+    v = gen.normal(size=(n, d)) * gen.choice([0.2, 1.0, 5.0])
+    axis = gen.normal(size=d)
+    x[0] = x[1] + gen.uniform(1.05, 3.0) * axis / np.linalg.norm(axis)
+    v[0] = v[1] - (x[0] - x[1]) * gen.uniform(0.2, 3.0) + gen.normal(size=d) * gen.choice([0.0, 0.3, 1.0])
+    return np.concatenate([x.ravel(), v.ravel()])
+
+
+@given(
+    n=st.integers(2, 5),
+    d=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.sampled_from((1e-6, 1e-2, 0.1, 0.5)),
+    eps0=st.sampled_from((0.01, 0.3, 2.0, 20.0, np.inf)),
+    grazing_tol=st.sampled_from((1e-12, 1e-3, 0.1, 0.5)),
+    simultaneity_tol=st.sampled_from((1e-10, 1e-2, 0.3)),
+    crit_tol=st.sampled_from((1e-10, 0.5, 3.0)),
+    tau=st.sampled_from((0.3, 1.0, 3.0, 10.0)),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_stacks_match_one_state_at_a_time(n, d, seed, h, eps0, grazing_tol, simultaneity_tol, crit_tol, tau):
+    # Each stack is a finite-difference stencil (center and center +/- h e_k)
+    # around an aimed collision; with the coarser steps and tolerances its
+    # rows straddle the free/contact, emitting/critical/elastic, grazing,
+    # simultaneity, recollision and boundary-start boundaries.
+    gen = np.random.default_rng(seed)
+    centre = _centre(gen, n, d)
+    points = np.vstack([centre, centre + h * np.eye(centre.size), centre - h * np.eye(centre.size)])
+    m = n * d
+    tol = Tolerances(grazing_tol=grazing_tol, simultaneity_tol=simultaneity_tol, crit_tol=crit_tol)
+    positions, velocities = points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d)
+    _assert_rows_match(positions, velocities, tau, ModelParams(eps0, d), tol)
