@@ -60,9 +60,10 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
       - contact: the smallest strictly positive root of a transversal
         encounter (delta > grazing_tol), inf when the pair recedes, moves
         in parallel or grazes;
-      - graze: the tangential encounter time -b/a of a grazing pair
-        (|delta| <= grazing_tol) that approaches (a != 0 and -b/a > 0), inf
-        otherwise.
+      - graze: the encounter time of a grazing pair (|delta| <=
+        grazing_tol) that approaches (a != 0, b < 0), when positive: its
+        entry root c/q when delta > 0 (its centres are one diameter apart
+        there, before the closest approach), else -b/a; inf otherwise.
 
     Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
     The dot products use np.vecdot: with numpy's OpenBLAS, float(x @ y) of
@@ -89,8 +90,8 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     small, large = c / q, q / a
     contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
     contact = np.where((a != 0.0) & (delta > grazing_tol), contact, np.inf)
-    t_graze = neg_b / a
-    graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & (t_graze > 0.0), t_graze, np.inf)
+    t_graze = np.where(delta > 0.0, small, neg_b / a)
+    graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & approaching & (t_graze > 0.0), t_graze, np.inf)
     return delta, contact, graze
 
 
@@ -166,8 +167,10 @@ def first_collision(
     horizon, from one pass over all pairs; None when there is neither.
 
     The one-state view of first_contacts.  A pair is grazing when
-    |discriminant| <= grazing_tol; it has no contact time, and its
-    tangential encounter at -b/a counts when it lies in (0, horizon].  Pairs
+    |discriminant| <= grazing_tol; it has no contact time, and its encounter
+    counts when it lies in (0, horizon].  The encounter is timed at the
+    entry root when the discriminant is positive, so a shallow crossing
+    halts a run before the pair can overlap, and at -b/a otherwise.  Pairs
     are scanned in lexicographic order and ties are broken toward the
     earlier pair.  Simultaneity rule: the first contact is not unique when
     the second-earliest contact of any other pair follows it within

@@ -80,7 +80,9 @@ def first_collision(
     for pair in pairs(cfg.n_particles):
         b, a, delta, roots = quadratic_contact_roots(*cfg.pair_state(pair))
         if abs(delta) <= tol.grazing_tol:
-            t_graze = -b / a if a != 0.0 and b < 0.0 else 0.0
+            t_graze = 0.0
+            if a != 0.0 and b < 0.0:
+                t_graze = roots[0] if delta > 0.0 else -b / a  # entry root of a shallow crossing
             if 0.0 < t_graze <= horizon and (graze is None or t_graze < graze):
                 graze = t_graze
             continue

@@ -50,7 +50,7 @@ from ihse.rng import unit_vector
 from ihse.simulator import collision_rich_configuration, random_configuration
 
 GOLDEN_SHA256 = "afbee89ad45ba93650baabd223af86f25f1c6034b8f36e0a3a8d3c282a247ad6"
-DETAIL_SHA256 = "21f48f883ace5f4c0b00d32b52b16f3e359e26db9ff30f6b0ca0eb0f7551047b"
+DETAIL_SHA256 = "71c537aa2b12c10cba20509827bd5f6efc8d3916987c12cf4f4cb668ab681b8e"
 
 
 def _feed_report(digest, report):

@@ -84,7 +84,7 @@ def _anchors(cfg, tol):
         b, a, delta, roots = ref.quadratic_contact_roots(*cfg.pair_state(pair))
         if abs(delta) <= tol.grazing_tol:
             if a != 0.0 and b < 0.0:
-                grazes.append(-b / a)
+                grazes.append(roots[0] if delta > 0.0 else -b / a)
         elif (t := ref.contact_time(delta, roots, tol.grazing_tol)) is not None:
             contacts.append(t)
     return sorted(contacts), sorted(grazes)

@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ihse import simulator
 
 from ihse import (
     CollisionKind,
@@ -83,6 +88,17 @@ class TestPathologies:
         assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
         assert report.halted == Pathology(PATHOLOGY_GRAZING, 4.0)
         assert classify_tct_domain(cfg, 6.0, params).reason is ExclusionReason.GRAZING
+
+    def test_shallow_crossing_halts_at_its_entry(self):
+        # pair (1,2) crosses the contact sphere shallowly (discriminant
+        # 1 - 0.96^2 <= grazing_tol) from t = 3 - 0.28 to t = 3 + 0.28, and
+        # pair (3,4) collides at t = 2.9, between the entry and the closest
+        # approach at t = 3: the run halts at the entry, before any overlap
+        cfg = Configuration([[0, 0], [3, 0.96], [0, 10], [3.9, 10]], [[1, 0], [0, 0], [1, 0], [0, 0]])
+        report = simulate(cfg, 5.0, ModelParams(0.5, 2), tol=Tolerances(grazing_tol=0.1))
+        assert report.events == ()
+        assert report.halted == Pathology(PATHOLOGY_GRAZING, 3.0 - math.sqrt(1.0 - 0.96**2))
+        assert report.halted.time == pytest.approx(2.72, abs=1e-12)
 
     def test_event_overflow(self):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
@@ -176,3 +192,44 @@ class TestBounds:
             if report.n_inelastic > 1:
                 violations += 1
         assert violations == 0
+
+
+# collision_rich_configuration(3, index, 4, 2, 5.0, 2.0, 1.2) runs over T=10
+# at eps0=0.05 in which a shallow crossing, timed at its closest approach,
+# let another contact go first and the pair overlap (grazing_tol 0.1: 97,
+# 409, 689, 1149; 0.03: 97, 1459; 0.01: 1459).
+SHALLOW_CROSSINGS = (97, 409, 689, 1149, 1459)
+
+
+def _scanned_separations(index, grazing_tol):
+    """The run's report and the smallest pair separation of every state it
+    scanned."""
+    tol = Tolerances(grazing_tol=grazing_tol)
+    cfg = collision_rich_configuration(3, index, 4, 2, 5.0, 2.0, 1.2)
+    separations = []
+    scan = simulator.first_collision
+
+    def recording(state, horizon, **kwargs):
+        separations.append(state.min_separation())
+        return scan(state, horizon, **kwargs)
+
+    with mock.patch.object(simulator, "first_collision", recording):
+        report = simulate(cfg, 10.0, ModelParams(0.05, 2), tol=tol)
+    return report, min(separations), tol
+
+
+@pytest.mark.parametrize("index", SHALLOW_CROSSINGS)
+@pytest.mark.parametrize("grazing_tol", (0.1, 0.03, 0.01))
+def test_shallow_crossings_never_overlap(index, grazing_tol):
+    report, closest, tol = _scanned_separations(index, grazing_tol)
+    assert closest >= 1.0 - tol.contact_tol
+    assert report.min_separation >= 1.0 - tol.contact_tol
+
+
+@given(index=st.integers(0, 1499), exponent=st.floats(-12.0, -1.0))
+@settings(max_examples=60, deadline=None)
+def test_no_scan_starts_from_an_overlap(index, exponent):
+    # simulate returns (no engine error escapes) and never scans a state
+    # with a pair closer than one diameter, at any grazing_tol up to 0.1
+    _, closest, tol = _scanned_separations(index, 10.0**exponent)
+    assert closest >= 1.0 - tol.contact_tol

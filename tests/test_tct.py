@@ -8,6 +8,7 @@ from ihse import (
     ExclusionReason,
     ModelParams,
     PairIndex,
+    Tolerances,
     UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
@@ -47,6 +48,15 @@ class TestClassification:
     def test_grazing_beyond_horizon_is_free(self, params_elastic_example):
         cfg = Configuration([[0, 0], [3, 1]], [[1, 0], [0, 0]])
         assert classify_tct_domain(cfg, 2.0, params_elastic_example).is_free
+
+    def test_shallow_crossing_excluded_from_its_entry(self, params_elastic_example):
+        # discriminant 1 - 0.96^2 <= grazing_tol: the pair is one diameter
+        # apart at t = 3 - 0.28 <= tau, before its closest approach at t = 3
+        cfg = Configuration([[0, 0], [3, 0.96]], [[1, 0], [0, 0]])
+        tol = Tolerances(grazing_tol=0.1)
+        cls = classify_tct_domain(cfg, 2.9, params_elastic_example, tol=tol)
+        assert cls.is_excluded and cls.reason is ExclusionReason.GRAZING
+        assert classify_tct_domain(cfg, 2.7, params_elastic_example, tol=tol).is_free
 
     def test_simultaneous_excluded(self, params_elastic_example):
         cfg = Configuration(
