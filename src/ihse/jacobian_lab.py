@@ -23,7 +23,7 @@ from .core import (
 )
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
-from .scattering import CollisionKind, _check_unit, dispatched_law, scattering_velocity_det_analytic
+from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
 from .tct import (
     ExcludedConfigurationError,
     UnsupportedDimensionError,
@@ -188,7 +188,7 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, params: Mode
     v_i, v_j = points[:, :d], points[:, d:]
     vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, params.epsilon0)
     if emitting.any():
-        _check_unit(omega)
+        check_unit(omega)
     kinds = [CollisionKind.INELASTIC if e else CollisionKind.ELASTIC for e in emitting]
     return np.concatenate([vi_post, vj_post], axis=1), kinds
 

@@ -84,12 +84,13 @@ class RadialCoordinates:
         return 2 if self.phi is None else 3
 
 
-def _check_unit(omega: np.ndarray):
+def check_unit(omega: np.ndarray):
+    """Raise UsageError unless omega is a unit vector (to 2 UNIT_NORM_TOL)."""
     if abs(float(omega @ omega) - 1.0) > 2 * UNIT_NORM_TOL:
         raise UsageError("omega must be a unit vector")
 
 
-# scatter's checks, in the order it applies them (see _failed_checks).
+# scatter's checks, in the order it applies them (see failed_checks).
 SCATTER_CHECKS = (
     (UsageError, "omega must be a unit vector"),
     (NotPreCollisionalError, "pair is not approaching along the contact direction"),
@@ -99,7 +100,7 @@ SCATTER_CHECKS = (
 )
 
 
-def _failed_checks(omega_sq, w2, approach, epsilon0: float, tol: Tolerances) -> tuple:
+def failed_checks(omega_sq, w2, approach, epsilon0: float, tol: Tolerances) -> tuple:
     """Whether each of scatter's checks (SCATTER_CHECKS) fails, from |omega|^2,
     w2 = |v_j - v_i|^2 and approach = (v_j - v_i).omega, numbers or arrays."""
     speed = np.sqrt(w2)
@@ -157,7 +158,7 @@ def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    _check_unit(omega)
+    check_unit(omega)
     w = v_j - v_i
     if (speed := math.sqrt(float(w @ w))) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
@@ -184,7 +185,7 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     w2 = float((v_j - v_i) @ (v_j - v_i))
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
-    _check_unit(omega)
+    check_unit(omega)
     if math.sqrt(w2) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
     vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, epsilon0)
@@ -211,9 +212,9 @@ def scatter(
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
     w2, approach = np.vecdot(w, w), float(w @ omega)
-    failed_checks = _failed_checks(float(omega @ omega), w2, approach, params.epsilon0, tol)
-    if any(failed_checks):
-        error, message = SCATTER_CHECKS[failed_checks.index(True)]
+    failed = failed_checks(float(omega @ omega), w2, approach, params.epsilon0, tol)
+    if any(failed):
+        error, message = SCATTER_CHECKS[failed.index(True)]
         raise error(message)
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     if w2 > 4.0 * params.epsilon0:

@@ -24,7 +24,7 @@ from .core import (
 )
 from .collision import collision_time_gradients, first_contacts, predict_pair
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
-from .scattering import SCATTER_CHECKS, CollisionKind, CriticalEnergyError, _failed_checks, dispatched_law, scatter
+from .scattering import SCATTER_CHECKS, CollisionKind, CriticalEnergyError, dispatched_law, failed_checks, scatter
 from .simulator import collide
 
 ELASTIC_DET_N = -1.0  # exact: reflection block has one -1 eigenvalue
@@ -104,9 +104,9 @@ class TCTResult:
 
 @dataclass(frozen=True)
 class TCTStack:
-    """Per state, as it gives them alone: its classification or instead its
-    error, its flow to tau (NaN when excluded or failing) and its collision's
-    contact direction (NaN without one)."""
+    """Row by row, what each state of a stack gives alone: its classification
+    (None when it raises, with the error in errors), its state at tau (NaN
+    when excluded or raising) and its collision's contact direction."""
 
     classifications: list[Optional[TCTDomainClass]]
     errors: list[Optional[IHSEError]]
@@ -146,8 +146,9 @@ def tct_stack(
         v_i, v_j, r = v[at, i[pair]], v[at, j[pair]], x[at, i[pair]] - x[at, j[pair]]
         contact = -r / np.sqrt(np.vecdot(r, r))[:, None]
         w = v_j - v_i
-        failed = np.array(_failed_checks(np.vecdot(contact, contact), np.vecdot(w, w), np.vecdot(w, contact), params.epsilon0, tol))
-        critical = failed[3]  # collide's band check, made before scatter's checks
+        checks = failed_checks(np.vecdot(contact, contact), np.vecdot(w, w), np.vecdot(w, contact), params.epsilon0, tol)
+        failed = np.array(checks)
+        critical = failed[3]  # the band check: collide makes it before scatter's checks
         check = np.where(critical | ~failed.any(axis=0), -1, failed.argmax(axis=0))
         v[at, i[pair]], v[at, j[pair]], emitting = dispatched_law(v_i, v_j, contact, params.epsilon0)
         remaining = tau - t
