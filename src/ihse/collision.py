@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, PairIndex, Tolerances, pair_differences, pair_indices
+from .core import Configuration, IHSEError, PairIndex, Tolerances, pair_differences, pair_indices, pair_position
 
 # A pair is ignored below this root when it has just collided: post-collision
 # states sit numerically on the contact sphere and would otherwise re-report
@@ -88,10 +88,11 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     # root and q/a the larger, which is positive only for states inside
     # the contact sphere (interior configurations never take it).
     small, large = c / q, q / a
+    moving = a != 0.0
     contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
-    contact = np.where((a != 0.0) & (delta > grazing_tol), contact, np.inf)
+    contact = np.where(moving & (delta > grazing_tol), contact, np.inf)
     t_graze = np.where(delta > 0.0, small, neg_b / a)
-    graze = np.where((np.abs(delta) <= grazing_tol) & (a != 0.0) & approaching & (t_graze > 0.0), t_graze, np.inf)
+    graze = np.where((np.abs(delta) <= grazing_tol) & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
     return delta, contact, graze
 
 
@@ -108,7 +109,7 @@ def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
     """Unit vector from particle i toward particle j."""
     r, _ = cfg.pair_state(pair)  # x_i - x_j
-    return -r / np.linalg.norm(r)
+    return -r / math.sqrt(float(r @ r))  # np.linalg.norm(r), bit for bit
 
 
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
@@ -180,11 +181,9 @@ def first_collision(
     """
     if horizon <= 0:
         raise NoCollisionError("horizon must be positive")
-    i, j = pair_indices(cfg.n_particles)
-    recent = None
-    if recent_pair is not None:
-        a, b = recent_pair.zero_based()
-        recent = (i == a) & (j == b)
+    n = cfg.n_particles
+    i, j = pair_indices(n)
+    recent = None if recent_pair is None else np.arange(i.size) == pair_position(n, recent_pair)
     time, k, unique, graze = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
     t_graze = float(graze) if graze <= horizon else None
     if not time <= horizon:

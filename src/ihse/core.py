@@ -102,6 +102,12 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def pair_position(n: int, pair: PairIndex) -> int:
+    """Index of pair in the pair_indices(n) order."""
+    a, b = pair.zero_based()
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
 def all_pairs(n: int) -> list[PairIndex]:
     """All ordered pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
     i, j = pair_indices(n)

@@ -103,11 +103,8 @@ def _fd_jacobians(fn, point, steps: tuple[float, ...]) -> list[np.ndarray]:
     values = np.asarray(values, dtype=float)
     if isinstance(labels[0], Exception):
         raise labels[0]
-    rows = 2 * point.size
-    return [
-        _difference_quotients(values[1 + s * rows : 1 + (s + 1) * rows], labels[1 + s * rows : 1 + (s + 1) * rows], labels[0], h)
-        for s, h in enumerate(steps)
-    ]
+    rows = [slice(start, start + 2 * point.size) for start in range(1, len(labels), 2 * point.size)]
+    return [_difference_quotients(values[r], labels[r], labels[0], h) for r, h in zip(rows, steps)]
 
 
 def fd_jacobian(

@@ -17,7 +17,7 @@ from ihse import (
     free_transport,
     validate_configuration,
 )
-from ihse.core import pair_indices
+from ihse.core import pair_indices, pair_position
 from ihse.scattering import CollisionKind
 from ihse.simulator import SimEvent
 from ihse.jsonio import dumps, format_float
@@ -152,6 +152,9 @@ class TestPairs:
         with pytest.raises(ValueError):
             i[0] = 3
         assert pair_indices(1)[0].size == 0
+        for n in range(2, 7):
+            i, j = pair_indices(n)
+            assert [pair_position(n, PairIndex(a + 1, b + 1)) for a, b in zip(i, j)] == list(range(i.size))
 
 
 class TestSerialization:
