@@ -103,9 +103,9 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_position(n: int, pair: PairIndex) -> int:
-    """Index of pair in the pair_indices(n) order."""
+    """Index of pair in the pair_indices(n) order; -1 for a pair beyond n."""
     a, b = pair.zero_based()
-    return a * (2 * n - a - 1) // 2 + b - a - 1
+    return a * (2 * n - a - 1) // 2 + b - a - 1 if b < n else -1
 
 
 def all_pairs(n: int) -> list[PairIndex]:

@@ -155,6 +155,7 @@ class TestPairs:
         for n in range(2, 7):
             i, j = pair_indices(n)
             assert [pair_position(n, PairIndex(a + 1, b + 1)) for a, b in zip(i, j)] == list(range(i.size))
+            assert pair_position(n, PairIndex(1, n + 1)) == -1
 
 
 class TestSerialization:
