@@ -390,9 +390,12 @@ def _thread_cap() -> int:
     if raw is None:
         return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError as exc:
         raise UsageError(f"IHSE_THREADS must be an integer, got {raw!r}") from exc
+    if threads < 1:
+        raise UsageError(f"IHSE_THREADS must be at least 1, got {raw!r}")
+    return threads
 
 
 CONFIG_FLAG = Flag("config", str, None, "configuration JSON file", required=True)

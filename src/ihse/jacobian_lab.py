@@ -27,7 +27,7 @@ from .scattering import CollisionKind, check_unit, dispatched_law, scattering_ve
 from .tct import (
     ExcludedConfigurationError,
     UnsupportedDimensionError,
-    analytic_flow_jacobian_det,
+    _classified_flow_det,
     classify_tct_domain,
     tct_stack,
 )
@@ -295,7 +295,7 @@ def verify_flow_jacobian(
     fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
     analytic = prefactor = det_n_fd = None
     try:
-        analytic, prefactor, _ = analytic_flow_jacobian_det(cfg, tau, params, tol=tol)
+        analytic, prefactor, _ = _classified_flow_det(cfg, classification, params, tol=tol)
     except UnsupportedDimensionError:
         pass
     if classification.is_single_collision:

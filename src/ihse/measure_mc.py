@@ -17,7 +17,7 @@ from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError,
 from .jacobian_lab import BranchCrossingError, fd_determinant
 from .rng import BLOCK_SIZE, block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
-from .simulator import random_configuration, simulate
+from .simulator import random_configuration, simulate, simulate_stack
 from .tct import contraction_factor
 
 SPEED_BAND_WIDTH = "relative_speed_band"  # band 2 sqrt(e0) <= |w| <= 2 sqrt(e0)(1 + (sqrt(2)-1) mu)
@@ -152,17 +152,13 @@ def estimate_pathological_measure(
 
 
 def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """Batch map: simulate each phase-space row over [0, tau], labelled with
-    its event signature (or the error its run raises)."""
-    values, labels = np.full(points.shape, np.nan), []
-    for row, z in enumerate(points):
-        try:
-            report = simulate(Configuration.from_vector(z, n, d), tau, params, tol=tol)
-        except IHSEError as exc:
-            labels.append(exc)
-            continue
-        values[row] = report.final.to_vector()
-        labels.append(report.event_signature)
+    """Batch map: the multi-collision flow of phase-space rows over [0, tau],
+    all rows in one simulate_stack call, each labelled with its event
+    signature (or the error its run raises alone); NaN on raising rows."""
+    m = n * d
+    stack = simulate_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
+    values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
+    labels = [error if report is None else report.event_signature for report, error in zip(stack.reports, stack.errors)]
     return values, labels
 
 
@@ -183,7 +179,9 @@ def ensemble_volume_evolution(
     Jacobian of the full flow map at the center with step radius/10; every
     stencil point must reproduce the center's event sequence (same pairs,
     kinds, order), otherwise BranchCrossingError is raised so the caller can
-    shrink the radius.
+    shrink the radius.  The center trajectory is one simulate run.  A
+    one-row simulate_stack call must reproduce its signature, and the center
+    with every stencil point at both FD steps is one more simulate_stack call.
     """
     if radius <= 0 or tau <= 0:
         raise UsageError("radius and tau must be positive")

@@ -98,6 +98,7 @@ SCATTER_CHECKS = (
     (CriticalEnergyError, "relative speed inside the critical band around the emission threshold"),
     (ZeroRelativeVelocityError, "relative velocity is zero"),
 )
+CRITICAL_BAND = 3  # SCATTER_CHECKS index of the critical band check
 
 
 def failed_checks(omega_sq, w2, approach, epsilon0: float, tol: Tolerances) -> tuple:

@@ -18,15 +18,20 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
+    all_pairs,
+    domain_masks,
     free_transport,
     kinetic_energy,
     min_pair_separation,
+    pair_differences,
+    pair_indices,
     pair_separations,
     validate_configuration,
 )
-from .collision import FirstCollision, contact_direction, first_collision
+from .collision import FirstCollision, contact_direction, first_collision, first_contacts
 from .rng import sample_generator, uniform_ball
-from .scattering import CollisionKind, ScatteringOutcome, scatter
+from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, ScatteringOutcome, scatter
+from .scattering import dispatched_law, failed_checks
 
 PATHOLOGY_SIMULTANEOUS = "simultaneous"
 PATHOLOGY_GRAZING = "grazing"
@@ -70,6 +75,18 @@ class SimReport:
         if self.halted is not None:
             sig = sig + (("halted", self.halted.reason),)
         return sig
+
+
+@dataclass(frozen=True)
+class SimStack:
+    """Row by row, what simulate gives each state of a stack alone: its
+    report (None when the run raises, with the error in errors) and its
+    final state (NaN when the run raises)."""
+
+    reports: list[Optional[SimReport]]
+    errors: list[Optional[IHSEError]]
+    positions: np.ndarray  # (S, N, d)
+    velocities: np.ndarray  # (S, N, d)
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,30 @@ def collide(
     velocities[i] = outcome.v_i_post
     velocities[j] = outcome.v_j_post
     return Configuration(contact.positions, velocities), outcome, w2
+
+
+def collide_stack(
+    positions: np.ndarray, velocities: np.ndarray, k: np.ndarray, t: np.ndarray, params: ModelParams, *, tol: Tolerances
+) -> tuple[np.ndarray, ...]:
+    """collide on a stack (R, N, d) of states, row r with the pair at
+    position k[r] of pair_indices and the contact time t[r], each row with
+    the bits collide gives it alone.  Returns (positions, velocities, omega,
+    rel_speed_sq, emitting, check) at the contacts.  check is -1 for a
+    scattered row, else the SCATTER_CHECKS index of the first failed check
+    in collide's order: the critical band (CRITICAL_BAND; the row is left
+    unscattered, as collide leaves it) before scatter's own checks."""
+    at, i, j = np.arange(k.size), *(index[k] for index in pair_indices(positions.shape[-2]))
+    x, v = positions + t[:, None, None] * velocities, velocities.copy()
+    v_i, v_j, r = v[at, i], v[at, j], x[at, i] - x[at, j]
+    omega = -r / np.sqrt(np.vecdot(r, r))[:, None]
+    w = v_j - v_i
+    w2 = np.vecdot(w, w)
+    failed = np.array(failed_checks(np.vecdot(omega, omega), w2, np.vecdot(w, omega), params.epsilon0, tol))
+    check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, params.epsilon0)
+    scattered = (check < 0)[:, None]
+    v[at, i], v[at, j] = np.where(scattered, vi_post, v_i), np.where(scattered, vj_post, v_j)
+    return x, v, omega, w2, emitting, check
 
 
 def event_step(
@@ -203,15 +244,103 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
 
+    return _report(events, state, min_sep, halted)
+
+
+def _report(events: list[SimEvent], final: Configuration, min_sep: float, halted: Optional[Pathology]) -> SimReport:
     n_inelastic = sum(1 for e in events if e.kind is CollisionKind.INELASTIC)
-    return SimReport(
-        events=tuple(events),
-        final=state,
-        n_elastic=len(events) - n_inelastic,
-        n_inelastic=n_inelastic,
-        min_separation=min_sep,
-        halted=halted,
-    )
+    return SimReport(tuple(events), final, len(events) - n_inelastic, n_inelastic, min_sep, halted)
+
+
+def _squared_separations(positions: np.ndarray) -> np.ndarray:
+    """Squared separation of every pair of a stack (..., N, d) of position
+    sets, summed as min_pair_separation sums it."""
+    r = pair_differences(positions)
+    return np.square(r, out=r).sum(axis=-1)
+
+
+def simulate_stack(
+    positions: np.ndarray, velocities: np.ndarray, T: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> SimStack:
+    """simulate on a stack (S, N, d) of states, the rows advanced in
+    lockstep: each step scans the running rows at once, settles every row's
+    verdict as simulate does, probes the checkpoints of the moving rows in
+    one array operation and collides the colliding rows together
+    (collide_stack).  Every row gets the report, the final state and the
+    error simulate gives its state alone, bit for bit, as long as its
+    transport stays finite; a non-interior start and a failed scatter check
+    are that row's error.  simulate stays the one-state loop: on one state
+    it is the faster of the two.
+    """
+    if T <= 0:
+        raise UsageError("T must be positive")
+    s, n, _ = positions.shape
+    pairs = all_pairs(n)
+    x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
+    running = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
+    errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in running]
+    checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
+    min_sq = _squared_separations(x).min(axis=-1, initial=np.inf)
+    now, recent, next_checkpoint = np.zeros(s), np.full(s, -1), np.zeros(s, dtype=int)
+    events, halted = [[] for _ in range(s)], [None] * s
+    while (active := np.flatnonzero(running & (T - now > 0))).size:
+        remaining = T - now[active]
+        time, k, unique, graze = first_contacts(
+            x[active], v[active], tol=tol, recent=recent[active, None] == np.arange(len(pairs))
+        )
+        grazing = graze <= np.minimum(time, remaining)
+        free = ~grazing & ~(time <= remaining)
+        simultaneous = ~(grazing | free | unique)
+        colliding = ~(grazing | free) & unique
+        for a in np.flatnonzero(grazing | simultaneous).tolist():
+            reason, t = (PATHOLOGY_GRAZING, graze[a]) if grazing[a] else (PATHOLOGY_SIMULTANEOUS, time[a])
+            halted[active[a]] = Pathology(reason, float(now[active[a]] + t))
+        running[active[grazing | simultaneous]] = False
+        # Overlap probes at the checkpoints each moving row passes, over the
+        # checkpoint columns some row needs, transported from segment starts.
+        moving = free | colliding
+        rows = active[moving]
+        stop = np.searchsorted(checkpoint_times, np.where(free, T, now[active] + time)[moving] + 1e-15, side="right")
+        probing = stop > next_checkpoint[rows]
+        if probing.any():
+            rows, stop = rows[probing], stop[probing]
+            start = next_checkpoint[rows]
+            columns = np.arange(start.min(), stop.max())
+            t = checkpoint_times[columns] - now[rows, None]
+            inside = (columns >= start[:, None]) & (columns < stop[:, None])
+            probes = _squared_separations(x[rows, None] + t[..., None, None] * v[rows, None])
+            min_sq[rows] = np.minimum(min_sq[rows], probes.min(axis=(1, 2), initial=np.inf, where=inside[..., None]))
+            next_checkpoint[rows] = stop
+        rows = active[free]
+        x[rows] += remaining[free, None, None] * v[rows]
+        now[rows] = T
+        rows, k, t = active[colliding], k[colliding], time[colliding]
+        ke_before = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
+        x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params, tol=tol)
+        now[rows] += t
+        min_sq[rows] = np.minimum(min_sq[rows], _squared_separations(x[rows]).min(axis=-1, initial=np.inf))
+        ke_after = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
+        ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke_after.tolist(), w2.tolist())
+        for (row, pair, at, before, after, s2), failed, emits in zip(ledger, check.tolist(), emitting.tolist()):
+            if failed == CRITICAL_BAND:
+                halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, at)
+            elif failed >= 0:
+                error_type, message = SCATTER_CHECKS[failed]
+                errors[row] = error_type(message)
+            else:
+                kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
+                events[row].append(SimEvent(at, pairs[pair], kind, before, after, s2))
+                recent[row] = pair
+                if len(events[row]) >= tol.max_events:
+                    halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, at)
+            running[row] = halted[row] is None and errors[row] is None
+    raised = np.array([error is not None for error in errors], dtype=bool)
+    x[raised] = v[raised] = np.nan
+    reports = [
+        None if raised[r] else _report(events[r], Configuration(x[r], v[r]), math.sqrt(min_sq[r]), halted[r])
+        for r in range(s)
+    ]
+    return SimStack(reports, errors, x, v)
 
 
 def check_collision_bounds(

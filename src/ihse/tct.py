@@ -24,8 +24,8 @@ from .core import (
 )
 from .collision import collision_time_gradients, first_contacts, predict_pair
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
-from .scattering import SCATTER_CHECKS, CollisionKind, CriticalEnergyError, dispatched_law, failed_checks, scatter
-from .simulator import collide
+from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, CriticalEnergyError, scatter
+from .simulator import collide, collide_stack
 
 ELASTIC_DET_N = -1.0  # exact: reflection block has one -1 eigenvalue
 INELASTIC_DET_N_2D = -1.0  # exact in d=2: emission rescales and mirrors
@@ -138,28 +138,18 @@ def tct_stack(
     final_x, final_v, omega = positions + tau * velocities, velocities.copy(), np.full((s, d), np.nan)
     collided = {}
     if rows.size:
-        # Transport to the contact, check and apply the law (as
-        # simulator.collide), then rescan the remaining time.
-        at, pair, t = np.arange(rows.size), k[rows], time[rows]
-        x = positions[rows] + t[:, None, None] * velocities[rows]
-        v = velocities[rows]
-        v_i, v_j, r = v[at, i[pair]], v[at, j[pair]], x[at, i[pair]] - x[at, j[pair]]
-        contact = -r / np.sqrt(np.vecdot(r, r))[:, None]
-        w = v_j - v_i
-        checks = failed_checks(np.vecdot(contact, contact), np.vecdot(w, w), np.vecdot(w, contact), params.epsilon0, tol)
-        failed = np.array(checks)
-        critical = failed[3]  # the band check: collide makes it before scatter's checks
-        check = np.where(critical | ~failed.any(axis=0), -1, failed.argmax(axis=0))
-        v[at, i[pair]], v[at, j[pair]], emitting = dispatched_law(v_i, v_j, contact, params.epsilon0)
+        # Collide at the contact, then rescan the remaining time.
+        pair, t = k[rows], time[rows]
+        x, v, contact, _, emitting, check = collide_stack(positions[rows], velocities[rows], pair, t, params, tol=tol)
         remaining = tau - t
-        again = np.flatnonzero((check < 0) & ~critical & (remaining > 0))
+        again = np.flatnonzero((check < 0) & (remaining > 0))
         recollides = np.zeros(rows.size, dtype=bool)
         if again.size:
             recent = np.arange(i.size) == pair[again, None]
             t2, _, _, graze2 = first_contacts(x[again], v[again], tol=tol, recent=recent)
             recollides[again] = np.minimum(t2, graze2) <= remaining[again]
         final_x[rows], final_v[rows], omega[rows] = x + remaining[:, None, None] * v, v, contact
-        collided = dict(zip(rows.tolist(), zip(critical.tolist(), check.tolist(), recollides.tolist(), emitting.tolist())))
+        collided = dict(zip(rows.tolist(), zip(check.tolist(), recollides.tolist(), emitting.tolist())))
     classifications, errors = [], []
     for row in range(s):
         reason = error = classification = None
@@ -172,8 +162,8 @@ def tct_stack(
         elif not unique[row]:
             reason = ExclusionReason.SIMULTANEOUS
         else:
-            crit, failed_check, recollide, emits = collided[row]
-            if crit:
+            failed_check, recollide, emits = collided[row]
+            if failed_check == CRITICAL_BAND:
                 reason = ExclusionReason.CRITICAL_ENERGY
             elif failed_check >= 0:
                 error_type, message = SCATTER_CHECKS[failed_check]
@@ -255,6 +245,14 @@ def analytic_flow_jacobian_det(
     classification = classify_tct_domain(cfg, tau, params, tol=tol)
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
+    return _classified_flow_det(cfg, classification, params, tol=tol)
+
+
+def _classified_flow_det(
+    cfg: Configuration, classification: TCTDomainClass, params: ModelParams, *, tol: Tolerances
+) -> tuple[float, float, float]:
+    """analytic_flow_jacobian_det of a state already classified as free or
+    single collision over its horizon."""
     if classification.is_free:
         return 1.0, 1.0, 1.0
     prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, tol=tol)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ihse.cli import COMMANDS, build_parser, run
+from ihse import UsageError
+from ihse.cli import COMMANDS, _thread_cap, build_parser, run
 from ihse.jsonio import dumps
 
 
@@ -444,6 +445,18 @@ class TestToleranceFlags:
         with pytest.raises(SystemExit) as exc:
             run([command, flag, "1e-9"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("raw", ["0", "-2"])
+def test_thread_cap_below_one_is_usage_error(tmp_path, monkeypatch, capsys, raw):
+    # Both checks fail before any worker thread starts.
+    monkeypatch.setenv("IHSE_THREADS", raw)
+    with pytest.raises(UsageError, match=f"IHSE_THREADS must be at least 1, got '{raw}'"):
+        _thread_cap()
+    argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+    status, out = run_to_file(tmp_path, argv + ["--samples", "100", "--seed", "5"])
+    assert status == 2 and not out.exists()
+    assert f"IHSE_THREADS must be at least 1, got '{raw}'" in capsys.readouterr().err
 
 
 # Output bytes and exit status of a fixed invocation of every command, a

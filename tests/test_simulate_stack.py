@@ -1,0 +1,191 @@
+"""The lockstep multi-collision loop against one state at a time: every row
+of ``simulate_stack`` must carry what ``simulate`` gives the same state
+alone, bit for bit: the final state, every event (time, pair, kind,
+energies, relative speed), the halt reason and time, the minimum
+separation, and the exception type and message of a run that raises."""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ihse import Configuration, IHSEError, ModelParams, Tolerances, UsageError, simulate
+from ihse.measure_mc import _flow_map
+from ihse.scattering import GrazingContactError
+from ihse.simulator import (
+    PATHOLOGY_CRITICAL_ENERGY,
+    PATHOLOGY_GRAZING,
+    PATHOLOGY_MAX_EVENTS,
+    PATHOLOGY_SIMULTANEOUS,
+    collision_rich_configuration,
+    simulate_stack,
+)
+
+# The C11 double-emitting chain: particle 2 hits 1, which then hits 3.
+CHAIN_X, CHAIN_V = [[3.0, 0.0], [0.0, 0.0], [6.0, 0.0]], [[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]]
+HALTS = {PATHOLOGY_GRAZING, PATHOLOGY_SIMULTANEOUS, PATHOLOGY_CRITICAL_ENERGY, PATHOLOGY_MAX_EVENTS}
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _fingerprint(report):
+    """Everything a report holds, floats as hex so that equality is bitwise."""
+    events = tuple(
+        (_hex(e.time), e.pair, e.kind, _hex(e.ke_before), _hex(e.ke_after), _hex(e.rel_speed_sq)) for e in report.events
+    )
+    halted = None if report.halted is None else (report.halted.reason, _hex(report.halted.time))
+    final = (report.final.positions.tobytes(), report.final.velocities.tobytes())
+    return events, final, report.n_elastic, report.n_inelastic, _hex(report.min_separation), halted
+
+
+def _assert_rows_match(positions, velocities, T, params, tol) -> Counter:
+    """Compare every row with simulate alone; count how each row ended."""
+    stack = simulate_stack(positions, velocities, T, params, tol=tol)
+    assert len(stack.reports) == len(stack.errors) == len(positions)
+    endings = Counter()
+    for row, (x, v) in enumerate(zip(positions, velocities)):
+        try:
+            report = simulate(Configuration(x, v), T, params, tol=tol)
+        except IHSEError as exc:
+            error = stack.errors[row]
+            assert (type(error), str(error)) == (type(exc), str(exc)), row
+            assert stack.reports[row] is None
+            assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
+            endings[type(exc).__name__] += 1
+            continue
+        assert stack.errors[row] is None, (row, stack.errors[row])
+        assert _fingerprint(stack.reports[row]) == _fingerprint(report), row
+        assert stack.positions[row].tobytes() == report.final.positions.tobytes()
+        assert stack.velocities[row].tobytes() == report.final.velocities.tobytes()
+        endings[report.halted.reason if report.halted is not None else f"{len(report.events)} events"] += 1
+    return endings
+
+
+def _pad(rows, n, d):
+    """Embed N'-particle planar states in (n, d): zero extra coordinates, and
+    extra particles at rest far apart where nothing reaches them."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros(rows.shape[:1] + (n, d))
+    out[:, : rows.shape[1], : rows.shape[2]] = rows
+    for extra in range(rows.shape[1], n):
+        out[:, extra, 0] = 1000.0 * (extra + 1)
+    return out
+
+
+def _pathology_rows(eps0):
+    """(positions, velocities) of planar states that halt on grazing,
+    simultaneity and (for finite eps0) the critical band, one that starts
+    overlapped, one that starts at contact, and one whose contact scatter
+    rejects as grazing when grazing_tol is 0.1."""
+    s = math.sqrt(eps0) if math.isfinite(eps0) else 1.0
+    rows = [
+        ([[0, 0], [3, 1], [-40, 60], [40, 60]], [[1, 0], [0, 0], [0, 0], [0, 0]]),
+        ([[0, 0], [3, 0], [0, 10], [3, 10]], [[1, 0], [0, 0], [1, 0], [0, 0]]),
+        ([[0, 0], [3, 0], [-40, 60], [40, 60]], [[s, 0], [-s, 0], [0, 0], [0, 0]]),
+        ([[0, 0], [0.5, 0], [-40, 60], [40, 60]], [[1, 0], [0, 0], [0, 0], [0, 0]]),
+        ([[0, 0], [1, 0], [-40, 60], [40, 60]], [[0, 0], [0, 0], [0, 0], [0, 0]]),
+        ([[-3, 0.995], [0, 0], [-40, 60], [40, 60]], [[10, 0], [0, 0], [0, 0], [0, 0]]),
+    ]
+    return [x for x, _ in rows], [v for _, v in rows]
+
+
+def _near_miss(T):
+    """A planar state whose two particles pass at distance 1.5, closest at
+    the first overlap checkpoint T/100: its minimum separation is probed
+    there and nowhere else."""
+    return [[0, 0], [0.02 * T, 1.5], [-40, 60], [40, 60]], [[1, 0], [-1, 0], [0, 0], [0, 0]]
+
+
+def _stack(n, d, seed, h, draws, eps0, T):
+    """C11 stencil at step h, collision-rich draws, the pathology rows and a
+    near miss at T, all embedded in (n, d)."""
+    centre_x, centre_v = _pad([CHAIN_X], n, d)[0], _pad([CHAIN_V], n, d)[0]
+    centre = np.concatenate([centre_x.ravel(), centre_v.ravel()])
+    offsets = h * np.eye(centre.size)
+    points = np.vstack([centre, centre + offsets, centre - offsets])
+    m = n * d
+    xs, vs = [points[:, :m].reshape(-1, n, d)], [points[:, m:].reshape(-1, n, d)]
+    for index in range(draws):
+        cfg = collision_rich_configuration(seed, index, n, d, 1.0 + 0.9 * n, 0.5 + index % 3, 1.2 * (index % 2))
+        xs.append(cfg.positions[None])
+        vs.append(cfg.velocities[None])
+    x, v = _pathology_rows(eps0)
+    x.append(_near_miss(T)[0])
+    v.append(_near_miss(T)[1])
+    xs.append(_pad(x, n, d))
+    vs.append(_pad(v, n, d))
+    return np.concatenate(xs), np.concatenate(vs)
+
+
+TOLERANCE_SETS = (
+    Tolerances(),
+    Tolerances(grazing_tol=0.1, simultaneity_tol=0.1, crit_tol=0.1),
+    Tolerances(grazing_tol=1e-3, simultaneity_tol=0.05, crit_tol=1e-3, max_events=2),
+    Tolerances(grazing_tol=0.1, simultaneity_tol=1e-10, crit_tol=0.1, max_events=1),
+    Tolerances(max_events=3),
+)
+
+
+def test_random_stacks_match_one_state_at_a_time():
+    endings = Counter()
+
+    @given(
+        n=st.sampled_from((4, 5)),
+        d=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**31 - 1),
+        h=st.sampled_from((1e-6, 1e-4, 1e-2, 0.1, 0.4)),
+        draws=st.integers(0, 8),
+        eps0=st.sampled_from((0.05, 0.5, 1.0, 4.0, math.inf)),
+        tol=st.sampled_from(TOLERANCE_SETS),
+        T=st.sampled_from((0.5, 1.5, 4.0, 10.0)),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def check(n, d, seed, h, draws, eps0, tol, T):
+        positions, velocities = _stack(n, d, seed, h, draws, eps0, T)
+        endings.update(_assert_rows_match(positions, velocities, T, ModelParams(eps0, d), tol))
+
+    check()
+    assert HALTS <= set(endings), endings
+    assert {"UsageError", "GrazingContactError"} <= set(endings), endings
+    assert len({key for key in endings if key.endswith(" events")}) >= 4, endings
+
+
+def test_one_row_per_ending():
+    eps0, tol = 1.0, Tolerances(grazing_tol=0.1, max_events=2)
+    x, v = _pathology_rows(eps0)
+    x += [CHAIN_X + [[-40, 60]], [[0, 0], [3, 0], [-40, 60], [40, 60]], _near_miss(3.5)[0]]
+    v += [CHAIN_V + [[0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]], _near_miss(3.5)[1]]
+    positions, velocities = np.array(x, dtype=float), np.array(v, dtype=float)
+    stack = simulate_stack(positions, velocities, 3.5, ModelParams(eps0, 2), tol=tol)
+    halts = [None if r is None or r.halted is None else r.halted.reason for r in stack.reports]
+    assert halts[:3] == [PATHOLOGY_GRAZING, PATHOLOGY_SIMULTANEOUS, PATHOLOGY_CRITICAL_ENERGY]
+    assert halts[3:] == [None] * 3 + [PATHOLOGY_MAX_EVENTS] + [None] * 2
+    errors = [type(e) for e in stack.errors]
+    assert errors == [type(None)] * 3 + [UsageError, UsageError, GrazingContactError] + [type(None)] * 3
+    assert len(stack.reports[-2].events) == 1
+    assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.5, abs=1e-12)
+    _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0, 2), tol)
+
+
+def test_bad_horizon_raises_for_the_stack():
+    positions, velocities = np.array([CHAIN_X], dtype=float), np.array([CHAIN_V], dtype=float)
+    with pytest.raises(UsageError, match="T must be positive"):
+        simulate_stack(positions, velocities, 0.0, ModelParams(0.5, 2))
+
+
+def test_flow_map_rows_are_simulate_runs():
+    # The volume FD map: one stacked call gives each row simulate's final
+    # vector and event signature.
+    centre = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
+    points = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
+    params = ModelParams(0.5, 2)
+    values, labels = _flow_map(points, 3, 2, 1.5, params, Tolerances())
+    for z, value, label in zip(points, values, labels):
+        report = simulate(Configuration.from_vector(z, 3, 2), 1.5, params)
+        assert value.tobytes() == report.final.to_vector().tobytes()
+        assert label == report.event_signature
