@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy, pair_differences
+from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy, pair_indices
 from .jacobian_lab import BranchCrossingError, fd_determinant
-from .rng import BLOCK_SIZE, block_generator, blocks, sample_generator, uniform_ball
+from .rng import block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
 from .simulator import random_configuration, simulate, simulate_stack
 from .tct import contraction_factor
@@ -83,24 +83,44 @@ def ball_volume(dim: int, radius: float) -> float:
 
 
 def _pair_distances(points: np.ndarray) -> np.ndarray:
-    """Pairwise distances for a block of stacked configurations,
-    shape (block, n_pairs), in pair_indices order.  Squares are summed as in
-    numpy's axis-wise norm, so a distance on a set's boundary rounds as it
-    always has."""
-    r = pair_differences(points)
-    return np.sqrt(np.square(r, out=r).sum(axis=-1))
+    """Pairwise distances for a block of stacked configurations (block, N, d),
+    shape (block, n_pairs), in pair_indices order.
+
+    Each pair is computed column by column: the square of its component-0
+    difference, plus the square of each further component in order, then
+    the root.  For d < 8 that is the left-to-right sum numpy's axis-wise
+    norm takes, so a distance on a set's boundary rounds as it always has.
+    The result is a view of a pair-major buffer: each pair's column is
+    contiguous, and reductions over the pairs run one column at a time.
+    """
+    count, n, d = points.shape
+    i, j = pair_indices(n)
+    dist = np.empty((i.size, count))
+    for row, a, b in zip(dist, i.tolist(), j.tolist()):
+        np.subtract(points[:, a, 0], points[:, b, 0], out=row)
+        np.square(row, out=row)
+        for c in range(1, d):
+            diff = points[:, a, c] - points[:, b, c]
+            row += np.square(diff, out=diff)
+        np.sqrt(row, out=row)
+    return dist.T
 
 
 def _count_hits_block(spec: PathologicalSetSpec, gen: np.random.Generator, count: int) -> int:
+    """Hits among one block of count draws from gen.
+
+    Both families draw the positions first.  Family E reads nothing else
+    and draws nothing more; family P then draws the velocities from the same
+    stream, so its draws are those of a kernel that always drew both."""
     n, d = spec.n_particles, spec.params.dimension
     x = uniform_ball(gen, count, n * d, spec.position_radius).reshape(count, n, d)
-    v = uniform_ball(gen, count, n * d, spec.R2).reshape(count, n, d)
     xdist = _pair_distances(x)
     interior = (xdist > 1.0).all(axis=1)
     if spec.family == "E":
         proximity = 1.0 + 1.5 * math.sqrt(2.0) * spec.delta * spec.R2
         hits = interior & ((xdist <= proximity).sum(axis=1) >= 2)
         return int(hits.sum())
+    v = uniform_ball(gen, count, n * d, spec.R2).reshape(count, n, d)
     proximity = 1.0 + math.sqrt(2.0) * spec.delta * spec.R2
     vdist = _pair_distances(v)
     eps0 = spec.params.epsilon0
@@ -121,19 +141,18 @@ def estimate_pathological_measure(
     seed: int,
     *,
     threads: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> MeasureEstimate:
     """Hit-or-miss estimate of the set's Lebesgue measure.
 
     Sampling is uniform on the product of stacked-norm balls
     B(0, R1 + k delta R2) x B(0, R2); draws whose configuration is not
-    interior cannot belong to the set and count as misses.  Blocks are keyed
-    by (seed, block index), so the result is independent of thread count and
-    evaluation order.
+    interior cannot belong to the set and count as misses.  Blocks of
+    rng.BLOCK_SIZE draws are keyed by (seed, block index), so the result is
+    independent of thread count and evaluation order.
     """
     if n_samples <= 0:
         raise UsageError("n_samples must be positive")
-    work = list(blocks(n_samples, block_size))
+    work = list(blocks(n_samples))
 
     def run(item):
         index, count = item
@@ -182,9 +201,14 @@ def ensemble_volume_evolution(
     shrink the radius.  The center trajectory is one simulate run.  A
     one-row simulate_stack call must reproduce its signature, and the center
     with every stencil point at both FD steps is one more simulate_stack call.
+    A radius whose stencil reaches a coordinate with a non-finite square is
+    a UsageError, raised before any trajectory runs.
     """
-    if radius <= 0 or tau <= 0:
+    if not (radius > 0 and tau > 0):
         raise UsageError("radius and tau must be positive")
+    extent = float(np.abs(center.to_vector()).max()) + radius / 10.0
+    if not math.isfinite(extent * extent):
+        raise UsageError(f"--radius {radius!r} is too large: the FD stencil reaches {extent!r}, whose square overflows")
     report = simulate(center, tau, params, tol=tol)
     if report.halted is not None:
         raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")

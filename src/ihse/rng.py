@@ -24,11 +24,11 @@ def sample_generator(seed: int, sample_index: int) -> np.random.Generator:
     return block_generator(seed, sample_index)
 
 
-def blocks(n_samples: int, block_size: int = BLOCK_SIZE):
-    """Yield (block_index, count) covering n_samples."""
-    full, rest = divmod(n_samples, block_size)
+def blocks(n_samples: int):
+    """Yield (block_index, count) covering n_samples in blocks of BLOCK_SIZE."""
+    full, rest = divmod(n_samples, BLOCK_SIZE)
     for b in range(full):
-        yield b, block_size
+        yield b, BLOCK_SIZE
     if rest:
         yield full, rest
 

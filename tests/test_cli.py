@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,21 @@ class TestMeasureAndVolume:
         assert status == 0
         doc = json.loads(out.read_text())
         assert abs(doc["predicted"] - doc["measured"]) <= 1e-4
+
+    def test_volume_rejects_overflowing_radius(self, tmp_path, capsys):
+        # a stencil step of 1e299 squares to inf: a usage error before any
+        # trajectory runs, with no overflow warning from the engine
+        chain = tmp_path / "chain.json"
+        chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, out = run_to_file(
+                tmp_path, ["volume", "--config", str(chain), "--radius", "1e300", "--tau", "1.5", "--eps0", "0.5"]
+            )
+        assert status == 2
+        assert not out.exists()
+        assert "--radius" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestFlagResolution:

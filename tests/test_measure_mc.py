@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from ihse import (
@@ -12,8 +13,9 @@ from ihse import (
     ensemble_volume_evolution,
     estimate_pathological_measure,
 )
+from ihse.core import pair_indices
 from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances, ball_volume
-from ihse.rng import block_generator, uniform_ball
+from ihse.rng import BLOCK_SIZE, block_generator, uniform_ball
 from ihse.simulator import collision_rich_configuration, simulate
 
 PARAMS = ModelParams(0.01, 2)
@@ -73,6 +75,14 @@ class TestEstimator:
         c = estimate_pathological_measure(e_spec(0.3), 50_000, seed=3, threads=4)
         assert a.hits == b.hits == c.hits
 
+    @pytest.mark.parametrize("spec", [e_spec(0.3), p_spec(0.3, 0.5), p_spec(0.3, 0.5, band=SPEED_BAND_CUTOFF)])
+    def test_hits_equal_at_every_thread_count(self, spec):
+        # six blocks, the last one partial: at 7 threads some workers get none
+        n_samples = 5 * BLOCK_SIZE + 123
+        hits = [estimate_pathological_measure(spec, n_samples, seed=13, threads=t).hits for t in (1, 2, 3, 7)]
+        assert hits[0] > 0
+        assert hits == [hits[0]] * 4
+
     def test_double_proximity_scaling_ratio(self):
         # halving delta divides the double-proximity volume by roughly four
         big = estimate_pathological_measure(e_spec(0.3), 1_000_000, seed=5)
@@ -93,6 +103,51 @@ class TestEstimator:
     def test_cutoff_band_variant(self):
         est = estimate_pathological_measure(p_spec(0.3, 0.4, band=SPEED_BAND_CUTOFF), 100_000, seed=9)
         assert est.hits >= 0  # predicate evaluates; band is narrower than the default at same mu
+
+
+def _axis_sum_distances(points):
+    """Pair distances as the square root of numpy's sum over the length-d axis."""
+    i, j = pair_indices(points.shape[-2])
+    return np.sqrt(np.square(points[:, i] - points[:, j]).sum(axis=-1))
+
+
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_random_blocks_match_axis_sum(self, n, d):
+        for index in range(4):
+            points = uniform_ball(block_generator(17, index), 1000, n * d, 3.0).reshape(1000, n, d)
+            got = _pair_distances(points)
+            assert got.shape == (1000, n * (n - 1) // 2)
+            assert _hex(got) == _hex(_axis_sum_distances(points))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_distances_on_set_boundaries(self, d):
+        # pairs placed so a distance lands exactly on 1.0, on the E and P
+        # proximity thresholds at delta 0.3, R2 1, or one ulp to either side
+        e_proximity = 1.0 + 1.5 * math.sqrt(2.0) * 0.3 * 1.0
+        p_proximity = 1.0 + math.sqrt(2.0) * 0.3 * 1.0
+        targets = [1.0, e_proximity, p_proximity]
+        offsets = []
+        for t in targets:
+            for value in (t, np.nextafter(t, 0.0), np.nextafter(t, 2.0)):
+                for axis in range(d):
+                    for sign in (1.0, -1.0):
+                        offset = np.zeros(d)
+                        offset[axis] = sign * value
+                        offsets.append(offset)
+            offsets.append(np.full(d, t / math.sqrt(d)))
+        offsets = np.array(offsets)
+        third = np.random.default_rng(3).uniform(-3.0, 3.0, size=offsets.shape)
+        points = np.stack([np.zeros_like(offsets), offsets, third], axis=1)
+        got = _pair_distances(points)
+        assert _hex(got) == _hex(_axis_sum_distances(points))
+        for t in targets:
+            assert np.count_nonzero(got[:, 0] == t) >= 2 * d
 
 
 class TestVolumeEvolution:
