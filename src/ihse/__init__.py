@@ -50,7 +50,6 @@ from .tct import (
     ExclusionReason,
     TCTDomainClass,
     TCTResult,
-    UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
     contraction_factor,

@@ -43,12 +43,7 @@ from .measure_mc import (
 from .rng import sample_generator
 from .scattering import CollisionKind, scatter
 from .simulator import random_configuration, simulate
-from .tct import (
-    UnsupportedDimensionError,
-    analytic_flow_jacobian_det,
-    classify_tct_domain,
-    tct_flow,
-)
+from .tct import analytic_flow_jacobian_det, classify_tct_domain, tct_flow
 
 SCHEMA = "ihse/1"
 
@@ -212,11 +207,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"], cfg.dimension)
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
-    try:
-        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, flags["tau"], params, tol=tol)
-        jacobian = {"det": det, "prefactor": prefactor, "det_N": det_n}
-    except UnsupportedDimensionError:
-        jacobian = {"det": None, "prefactor": None, "det_N": None}
+    det, prefactor, det_n = analytic_flow_jacobian_det(cfg, flags["tau"], params, tol=tol)
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record
@@ -225,7 +216,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
         "classification": result.classification,
         "final": result.final,
         "collision_record": record,
-        "jacobian": jacobian,
+        "jacobian": {"det": det, "prefactor": prefactor, "det_N": det_n},
     }
     return _document(flags, body), EXIT_OK
 
@@ -276,10 +267,9 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
             tol=tol,
         )
         reports.append(verify_flow_jacobian(cfg, flags["tau"], params, tol=tol))
-    residuals = [r.residual for r in reports if r.residual is not None]
     summary = {
         "n_samples": len(reports),
-        "max_residual": max(residuals) if residuals else None,
+        "max_residual": max((r.residual for r in reports), default=None),
     }
     doc = _document(flags, {"reports": reports, "summary": summary})
     return doc, EXIT_OK if reports else EXIT_PATHOLOGY
@@ -302,8 +292,7 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
         post_ke = pre_ke - outcome.energy_loss
         expected = params.epsilon0 if outcome.kind is CollisionKind.INELASTIC else 0.0
         max_ledger = max(max_ledger, abs(outcome.energy_loss - expected))
-        if flags["dim"] == 2:
-            max_det_dev = max(max_det_dev, abs(abs(report.fd_det) - 1.0))
+        max_det_dev = max(max_det_dev, abs(report.fd_det - report.analytic_det))
         lines.append(
             {
                 "kind": outcome.kind.value,
@@ -316,7 +305,7 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     summary = {
         "n_samples": len(lines),
         "max_energy_ledger_error": max_ledger,
-        "max_abs_det_deviation": max_det_dev if flags["dim"] == 2 else None,
+        "max_abs_det_deviation": max_det_dev,
     }
     return _document(flags, {"samples": lines, "summary": summary}), EXIT_OK if lines else EXIT_PATHOLOGY
 

@@ -24,13 +24,7 @@ from .core import (
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import (
-    ExcludedConfigurationError,
-    UnsupportedDimensionError,
-    _classified_flow_det,
-    classify_tct_domain,
-    tct_stack,
-)
+from .tct import ExcludedConfigurationError, _classified_flow_det, classify_tct_domain, tct_stack
 
 
 class BranchCrossingError(IHSEError):
@@ -50,18 +44,16 @@ class UnreliableStencilError(IHSEError):
 class JacobianReport:
     """Analytic vs finite-difference determinant comparison for one input."""
 
-    analytic_det: Optional[float]
+    analytic_det: float
     fd_det: float
     prefactor: Optional[float]
     det_N_fd: Optional[float]
-    residual: Optional[float]
+    residual: float
     step: float
 
     @staticmethod
     def build(analytic_det, fd_det, prefactor, det_n_fd, step) -> "JacobianReport":
-        residual = None
-        if analytic_det is not None:
-            residual = abs(analytic_det - fd_det) / max(1.0, abs(fd_det))
+        residual = abs(analytic_det - fd_det) / max(1.0, abs(fd_det))
         return JacobianReport(analytic_det, fd_det, prefactor, det_n_fd, residual, step)
 
 
@@ -237,8 +229,10 @@ def verify_scattering_measure(
     h: float = FD_STEP,
 ) -> list[JacobianReport]:
     """Finite-difference determinants of the velocity scattering map on
-    random valid inputs, with the analytic determinant alongside where a
-    closed form exists (d=2 both branches; elastic in any dimension).
+    random valid inputs, with the closed-form determinant
+    scattering_velocity_det_analytic alongside, on both branches in any
+    dimension: -1 elastic, -(1 - 4 eps0 / s^2)^((d-2)/2) emitting.  So the
+    emitting map preserves velocity measure (|det| = 1) only in d=2.
 
     Sampling is keyed per index, so the report list is independent of
     evaluation order.
@@ -248,17 +242,12 @@ def verify_scattering_measure(
     reports = []
     for index in range(samples):
         gen = sample_generator(seed, index)
-        v_i, v_j, omega, drawn = draw_scattering_sample(gen, params, kind=kind)
+        v_i, v_j, omega, _ = draw_scattering_sample(gen, params, kind=kind)
         z = np.concatenate([v_i, v_j])
         jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
-        fd_det = float(np.linalg.det(jac))
-        if drawn is CollisionKind.ELASTIC:
-            analytic = -1.0
-        elif params.dimension == 2:
-            analytic = scattering_velocity_det_analytic(v_i, v_j, omega, params)
-        else:
-            analytic = None  # recorded as data: no closed form claimed
-        reports.append(JacobianReport.build(analytic, fd_det, None, None, h))
+        w = v_j - v_i
+        analytic = scattering_velocity_det_analytic(float(w @ w), params)
+        reports.append(JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h))
     return reports
 
 
@@ -293,11 +282,8 @@ def verify_flow_jacobian(
     n, d = cfg.n_particles, cfg.dimension
     h = tol.fd_step
     fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
-    analytic = prefactor = det_n_fd = None
-    try:
-        analytic, prefactor, _ = _classified_flow_det(cfg, classification, params, tol=tol)
-    except UnsupportedDimensionError:
-        pass
+    analytic, prefactor, _ = _classified_flow_det(cfg, classification, params, tol=tol)
+    det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()
         z = np.concatenate([cfg.velocities[i], cfg.velocities[j]])  # free flight keeps velocities

@@ -193,32 +193,35 @@ def ensemble_volume_evolution(
     around a trajectory.
 
     predicted multiplies the analytic per-event factors along the center
-    trajectory: sqrt(1 - 4 eps0 / s^2) per emitting collision (d=2),
-    1 per elastic collision.  measured is |det| of the finite-difference
-    Jacobian of the full flow map at the center with step radius/10; every
-    stencil point must reproduce the center's event sequence (same pairs,
-    kinds, order), otherwise BranchCrossingError is raised so the caller can
-    shrink the radius.  The center trajectory is one simulate run.  A
+    trajectory: contraction_factor, (1 - 4 eps0 / s^2)^((d-1)/2), per
+    emitting collision and 1 per elastic collision, in any dimension d.
+    measured is |det| of the finite-difference Jacobian of the full flow
+    map at the center with step radius/10; every stencil point must
+    reproduce the center's event sequence (same pairs, kinds, order),
+    otherwise BranchCrossingError is raised so the caller can shrink the
+    radius.  The center trajectory is one simulate run.  A
     one-row simulate_stack call must reproduce its signature, and the center
     with every stencil point at both FD steps is one more simulate_stack call.
-    A radius whose stencil reaches a coordinate with a non-finite square is
-    a UsageError, raised before any trajectory runs.
+    A radius for which the contact quadratic's b*b or a*c (fourth degree in
+    the coordinates) may overflow on the stencil over [0, tau] is a
+    UsageError, raised before any trajectory runs.
     """
     if not (radius > 0 and tau > 0):
         raise UsageError("radius and tau must be positive")
-    extent = float(np.abs(center.to_vector()).max()) + radius / 10.0
-    if not math.isfinite(extent * extent):
-        raise UsageError(f"--radius {radius!r} is too large: the FD stencil reaches {extent!r}, whose square overflows")
+    n, d = center.n_particles, center.dimension
+    # Kinetic energy never grows, so no coordinate of a stencil run leaves
+    # reach, and no pair's |r|^2 or |w|^2 exceeds square.
+    reach = (float(np.abs(center.to_vector()).max()) + radius / 10.0) * (1.0 + tau * math.sqrt(n * d))
+    square = d * (2.0 * reach) * (2.0 * reach)
+    if not math.isfinite(square * square):
+        raise UsageError(f"--radius {radius!r} is too large: the contact roots on its FD stencil overflow")
     report = simulate(center, tau, params, tol=tol)
     if report.halted is not None:
         raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")
     predicted = 1.0
     for event in report.events:
         if event.kind is CollisionKind.INELASTIC:
-            if center.dimension != 2:
-                raise IHSEError("analytic contraction factors for emitting collisions require d=2")
             predicted *= contraction_factor(event.rel_speed_sq, params)
-    n, d = center.n_particles, center.dimension
     center_sig = report.event_signature
 
     def flow(z):

@@ -243,7 +243,9 @@ def radial_emission_map(coords: RadialCoordinates, params: ModelParams) -> Radia
     dispatched law conjugated into polar coordinates about the contact
     plane.  d=3: (rho, theta, phi) -> ((rho^3 - 4 eps0)^(1/3), -theta, phi),
     the cubic-radius variant whose induced Cartesian map is measure
-    preserving in three dimensions.
+    preserving in three dimensions.  It loses an energy that depends on rho,
+    not a fixed eps0, so it is a separate model: the dispatched law contracts
+    velocity measure in d=3 (see scattering_velocity_det_analytic).
     """
     eps0 = params.epsilon0
     if coords.dimension == 2:
@@ -276,7 +278,8 @@ def cartesian_to_spherical(v) -> RadialCoordinates:
 
 def emission_map_cartesian_3d(v, params: ModelParams) -> np.ndarray:
     """Cartesian form of the d=3 radial emission map: rescale the radius to
-    (rho^3 - 4 eps0)^(1/3) and mirror the z component (theta -> -theta)."""
+    (rho^3 - 4 eps0)^(1/3) and mirror the z component (theta -> -theta).
+    Measure preserving, but not the engine's fixed-eps0 law."""
     v = np.asarray(v, dtype=float)
     rho = float(np.linalg.norm(v))
     if not rho**3 > 4.0 * params.epsilon0:
@@ -288,7 +291,8 @@ def emission_map_cartesian_3d(v, params: ModelParams) -> np.ndarray:
 def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian of the velocity map (v_i, v_j) -> (v_i', v_j') at
     fixed contact direction, as a 2d x 2d matrix in block form
-    [[B+, B-], [B-, B+]] with B+/- = I/2 +/- A.
+    [[B+, B-], [B-, B+]] with B+/- = I/2 +/- A; its determinant is det(2A),
+    which scattering_velocity_det_analytic gives in closed form.
 
     For the elastic branch A = I/2 - omega (x) omega.  For the emitting
     branch, with w = v_j - v_i, u = w/|w| and kappa^2 = |w|^2/4 - eps0:
@@ -322,10 +326,23 @@ def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.nda
     return np.block([[b_plus, b_minus], [b_minus, b_plus]])
 
 
-def scattering_velocity_det_analytic(v_i, v_j, omega, params: ModelParams) -> float:
-    """det of the analytic scattering Jacobian, computed as det(2A) from the
-    assembled block structure (row reduction of [[I/2+A, I/2-A], ...])."""
-    jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
-    d = np.asarray(omega).shape[0]
-    two_a = jac[:d, :d] - jac[:d, d:]  # (I/2 + A) - (I/2 - A)
-    return float(np.linalg.det(two_a))
+def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams) -> float:
+    """det N, the determinant of the velocity map (v_i, v_j) -> (v_i', v_j')
+    at fixed contact direction, for a pair with squared relative speed s^2:
+    -1 at or below 4 eps0, else -x^((d-2)/2) with x = 1 - 4 eps0 / s^2.
+
+    The map keeps the mean (v_i + v_j)/2 and sends w = v_j - v_i to
+    w' = 2 kappa(|w|) R(w/|w|), with R the reflection through the plane
+    orthogonal to omega (det R = -1).  The change of variables to mean and
+    w has determinant 1, so det N, which is det(2A) of
+    scattering_velocity_jacobian, is the determinant of that map.
+    Elastic: w' = R w.  Emitting: kappa(r) = sqrt(r^2/4 - eps0) makes the
+    radial map r -> 2 kappa(r) stretch the radius by d(2 kappa)/dr =
+    r/(2 kappa) and each of the d-1 tangential directions by 2 kappa/r, so
+    det N = -(2 kappa/r)^(d-2) = -x^((d-2)/2), as (2 kappa/r)^2 = x.  Thus
+    the emitting law preserves velocity measure only in d=2, and
+    |det N| < 1 in d>=3.
+    """
+    if not rel_speed_sq > 4.0 * params.epsilon0:
+        return -1.0
+    return -((1.0 - 4.0 * params.epsilon0 / rel_speed_sq) ** ((params.dimension - 2) / 2))

@@ -24,11 +24,15 @@ from .core import (
 )
 from .collision import collision_time_gradients, first_contacts, predict_pair
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
-from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, CriticalEnergyError, scatter
+from .scattering import (
+    CRITICAL_BAND,
+    SCATTER_CHECKS,
+    CollisionKind,
+    CriticalEnergyError,
+    scatter,
+    scattering_velocity_det_analytic,
+)
 from .simulator import collide, collide_stack
-
-ELASTIC_DET_N = -1.0  # exact: reflection block has one -1 eigenvalue
-INELASTIC_DET_N_2D = -1.0  # exact in d=2: emission rescales and mirrors
 
 
 class ExclusionReason(enum.Enum):
@@ -45,10 +49,6 @@ class ExcludedConfigurationError(IHSEError):
     def __init__(self, reason: ExclusionReason):
         self.reason = reason
         super().__init__(f"configuration excluded from the one-collision domain: {reason.value}")
-
-
-class UnsupportedDimensionError(IHSEError):
-    """No closed-form determinant is claimed for this case."""
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,11 @@ def analytic_flow_jacobian_det(
 
     Collision-free flow is volume preserving (all factors 1).  With one
     collision, det = prefactor * det_N where the prefactor comes from the
-    analytic contact-time gradients and det_N is the closed-form scattering
-    determinant: -1 for elastic collisions in any dimension and for emitting
-    collisions in d=2.  Emitting collisions in d != 2 have no closed form
-    here and raise UnsupportedDimensionError.
+    analytic contact-time gradients (-1 elastic, -sqrt(x) emitting, with
+    x = 1 - 4 eps0 / s^2) and det_N is the closed-form scattering
+    determinant scattering_velocity_det_analytic (-1 elastic, -x^((d-2)/2)
+    emitting), in any dimension d.  So det is 1 for an elastic collision and
+    x^((d-1)/2) for an emitting one.
     """
     classification = classify_tct_domain(cfg, tau, params, tol=tol)
     if classification.is_excluded:
@@ -256,20 +257,17 @@ def _classified_flow_det(
     if classification.is_free:
         return 1.0, 1.0, 1.0
     prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, tol=tol)
-    if classification.kind is CollisionKind.ELASTIC:
-        det_n = ELASTIC_DET_N
-    elif cfg.dimension == 2:
-        det_n = INELASTIC_DET_N_2D
-    else:
-        raise UnsupportedDimensionError(
-            "no closed-form determinant for emitting collisions outside d=2; use the finite-difference oracle"
-        )
+    _, w = cfg.pair_state(classification.pair)
+    det_n = scattering_velocity_det_analytic(float(w @ w), params)
     return prefactor * det_n, prefactor, det_n
 
 
 def contraction_factor(rel_speed_sq: float, params: ModelParams) -> float:
-    """Per-collision volume factor sqrt(1 - 4 eps0 / s^2) of an emitting
-    collision with pre-collisional squared relative speed s^2."""
+    """Per-collision phase-space volume factor |prefactor * det_N| =
+    sqrt(x) * x^((d-2)/2) = x^((d-1)/2) of an emitting collision with
+    pre-collisional squared relative speed s^2, x = 1 - 4 eps0 / s^2, in
+    dimension params.dimension; sqrt(x) in d=2."""
     if not rel_speed_sq > 4.0 * params.epsilon0:
         raise IHSEError("relative speed below the emission threshold")
-    return math.sqrt(1.0 - 4.0 * params.epsilon0 / rel_speed_sq)
+    prefactor = -math.sqrt(1.0 - 4.0 * params.epsilon0 / rel_speed_sq)
+    return prefactor * scattering_velocity_det_analytic(rel_speed_sq, params)

@@ -28,7 +28,7 @@ from ihse import (
     verify_flow_jacobian,
     verify_scattering_measure,
 )
-from ihse.jacobian_lab import TensorLemmaCase, fd_jacobian, random_tct_case
+from ihse.jacobian_lab import TensorLemmaCase, draw_scattering_sample, fd_jacobian, random_tct_case
 from ihse.measure_mc import (
     PathologicalSetSpec,
     ensemble_volume_evolution,
@@ -36,7 +36,7 @@ from ihse.measure_mc import (
     low_energy_ensemble,
 )
 from ihse.rng import block_generator, sample_generator
-from ihse.scattering import emission_map_cartesian_3d
+from ihse.scattering import emission_map_cartesian_3d, scattering_velocity_jacobian
 from ihse.simulator import collision_rich_configuration
 
 
@@ -105,13 +105,19 @@ def test_c02_elastic_involution():
 
 def test_c03_planar_scattering_measure_preservation():
     with criterion(3, "emitting scattering in d=2: FD |det| = 1 +/- 1e-6 and det(2A) matches FD to 1e-8", 30.0):
-        reports = verify_scattering_measure(
-            10_000, ModelParams(0.75, 2), seed=303, kind=CollisionKind.INELASTIC
-        )
+        params = ModelParams(0.75, 2)
+        reports = verify_scattering_measure(10_000, params, seed=303, kind=CollisionKind.INELASTIC)
         assert len(reports) == 10_000
-        for report in reports:
+        for index, report in enumerate(reports):
             assert 1.0 - 1e-6 <= abs(report.fd_det) <= 1.0 + 1e-6
-            assert report.residual <= 1e-8
+            # det(2A) of the assembled block Jacobian, on the sample the
+            # report was computed from (same per-index stream)
+            gen = sample_generator(303, index)
+            v_i, v_j, omega, _ = draw_scattering_sample(gen, params, kind=CollisionKind.INELASTIC)
+            jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
+            det_2a = float(np.linalg.det(jac[:2, :2] - jac[:2, 2:]))
+            assert abs(det_2a - report.fd_det) / max(1.0, abs(report.fd_det)) <= 1e-8
+            assert report.residual <= 1e-8  # closed form -1 vs FD
 
 
 def test_c04_tensor_sum_determinant_identity():

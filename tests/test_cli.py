@@ -171,6 +171,24 @@ class TestVerificationCommands:
         sample = doc["samples"][0]
         assert set(sample) == {"kind", "pre_ke", "post_ke", "loss", "fd_det"}
 
+    def test_closed_forms_in_3d(self, tmp_path):
+        # jacobian and scatter-check certify d=3 as they certify d=2
+        status, out = run_to_file(tmp_path, ["jacobian", "--dim", "3", "--samples", "4"])
+        assert status == 0
+        doc = json.loads(out.read_text())
+        assert all(report["analytic_det"] is not None for report in doc["reports"])
+        assert doc["summary"]["max_residual"] <= 1e-5
+        status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "20", "--seed", "3", "--eps0", "0.75", "--dim", "3"])
+        assert status == 0
+        assert json.loads(out.read_text())["summary"]["max_abs_det_deviation"] <= 1e-6
+        head_on = tmp_path / "head_on3.json"
+        head_on.write_text(dumps({"d": 3, "particles": [{"x": [0, 0, 0], "v": [1, 0, 0]}, {"x": [3, 0, 0], "v": [-1, 0, 0]}]}))
+        status, out = run_to_file(tmp_path, ["flow", "--config", str(head_on), "--tau", "2", "--eps0", "0.75"])
+        assert status == 0
+        jacobian = json.loads(out.read_text())["jacobian"]
+        assert jacobian["det_N"] == -0.5
+        assert jacobian["det"] == pytest.approx(0.25, abs=1e-12)
+
 
 class TestMeasureAndVolume:
     def test_measure_with_csv(self, tmp_path):
@@ -232,6 +250,21 @@ class TestMeasureAndVolume:
         assert not out.exists()
         assert "--radius" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("radius", ["1e100", "1e150"])
+    def test_volume_rejects_radius_overflowing_the_contact_quadratic(self, tmp_path, capsys, radius):
+        # the stencil squares to a finite value, but the contact quadratic's
+        # b*b and a*c, fourth degree in the coordinates, would overflow
+        chain = tmp_path / "chain.json"
+        chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_to_file(
+                tmp_path, ["volume", "--config", str(chain), "--radius", radius, "--tau", "1.5", "--eps0", "0.5"]
+            )
+        assert status == 2
+        assert not out.exists()
+        assert "--radius" in capsys.readouterr().err
 
 
 class TestFlagResolution:
@@ -520,9 +553,11 @@ def test_documents_digest_is_pinned(tmp_path, monkeypatch):
 
 # Documents whose records take the less common branches: a halted run, an
 # elastic outcome (sigma and kappa null), an excluded classification, d=3
-# Jacobian reports (analytic determinant null) and a run without events,
-# captured before the documents were encoded from the engine records directly.
-RECORDS_SHA256 = "39e0bf6c7dcda6031bf2a25678c3b7dcead4a912b2e1ae5e0530f51792f7ae7c"
+# Jacobian reports (emitting ones with the closed-form analytic determinant)
+# and a run without events.  Re-pinned when the d=3 emitting reports gained
+# their analytic determinant, prefactor and residual; the other documents
+# are unchanged since before they were encoded from the engine records.
+RECORDS_SHA256 = "e2ff3e531300053c76dd793a66766a80e583450e12caa1c4807744c32ddf9e75"
 
 RECORD_CONFIGS = {
     "two_body.json": DIGEST_CONFIGS["two_body.json"],

@@ -15,8 +15,9 @@ from ihse import (
     verify_flow_jacobian,
     verify_scattering_measure,
 )
-from ihse.jacobian_lab import UnreliableStencilError, random_tct_case
+from ihse.jacobian_lab import UnreliableStencilError, draw_scattering_sample, random_tct_case
 from ihse.rng import sample_generator
+from ihse.scattering import scattering_velocity_det_analytic, scattering_velocity_jacobian
 
 from conftest import assert_close
 
@@ -153,7 +154,7 @@ class TestScatteringMeasure:
         reports = verify_scattering_measure(100, ModelParams(0.75, 2), seed=7)
         for report in reports:
             assert abs(abs(report.fd_det) - 1.0) <= 1e-6
-            assert report.residual <= 1e-8  # analytic det(2A) vs FD
+            assert report.residual <= 1e-8  # closed form -1 vs FD
 
     def test_planar_elastic_branch(self):
         # the elastic branch is linear, so a larger step has no truncation
@@ -164,6 +165,25 @@ class TestScatteringMeasure:
         for report in reports:
             assert abs(abs(report.fd_det) - 1.0) <= 1e-10
             assert report.analytic_det == -1.0
+
+    def test_closed_form_matches_det_2a_and_fd(self):
+        # det N = -1 elastic, -(1 - 4 eps0 / s^2)^((d-2)/2) emitting, against
+        # det(2A) of the assembled block Jacobian and against FD
+        for d in (2, 3, 4, 5):
+            params = ModelParams(0.4, d)
+            for kind in (CollisionKind.ELASTIC, CollisionKind.INELASTIC):
+                reports = verify_scattering_measure(25, params, seed=31, kind=kind)
+                for index, report in enumerate(reports):
+                    v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(31, index), params, kind=kind)
+                    w = v_j - v_i
+                    closed = scattering_velocity_det_analytic(float(w @ w), params)
+                    jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
+                    det_2a = float(np.linalg.det(jac[:d, :d] - jac[:d, d:]))
+                    assert report.analytic_det == closed
+                    assert abs(closed - det_2a) <= 1e-12
+                    assert abs(closed - report.fd_det) <= 1e-8
+                    if kind is CollisionKind.INELASTIC and d > 2:
+                        assert abs(closed) < 1.0
 
     def test_3d_emitting_determinant_regression(self):
         # pinned by the finite-difference oracle: the emitting law in d=3
@@ -177,17 +197,15 @@ class TestScatteringMeasure:
         det = float(np.linalg.det(jac))
         assert det == pytest.approx(-0.5, abs=1e-8)
         assert abs(det) != pytest.approx(1.0, abs=1e-3)
+        assert scattering_velocity_det_analytic(4.0, params) == -0.5
 
     def test_analytic_matches_fd_in_3d(self):
         # the closed-form block Jacobian is dimension generic even though
         # only d=2 preserves measure
         from ihse.jacobian_lab import _dispatched_velocity_map
-        from ihse.scattering import scattering_velocity_jacobian
 
         params = ModelParams(0.4, 3)
         gen = sample_generator(9, 0)
-        from ihse.jacobian_lab import draw_scattering_sample
-
         for _ in range(50):
             v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
             z = np.concatenate([v_i, v_j])

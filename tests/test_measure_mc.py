@@ -6,6 +6,7 @@ import pytest
 
 from ihse import (
     BranchCrossingError,
+    CollisionKind,
     Configuration,
     ModelParams,
     PathologicalSetSpec,
@@ -172,6 +173,23 @@ class TestVolumeEvolution:
         predicted, measured = ensemble_volume_evolution(chain, 1e-3, 1.5, params)
         assert predicted == pytest.approx(expected, rel=1e-12)
         assert measured == pytest.approx(predicted, abs=1e-4)
+
+    def test_double_emitting_chain_3d(self):
+        # the C11 chain embedded in d=3 with off-axis jitter: each emitting
+        # event contracts volume by (1 - 4 eps0 / s^2)^((d-1)/2)
+        chain = Configuration(
+            [[3, 0.1, -0.05], [0, 0, 0], [6, -0.08, 0.06]],
+            [[0, 0.02, 0.01], [3, 0.05, -0.04], [-1, -0.03, 0.02]],
+        )
+        params = ModelParams(0.5, 3)
+        report = simulate(chain, 1.5, params)
+        assert [e.kind for e in report.events] == [CollisionKind.INELASTIC, CollisionKind.INELASTIC]
+        expected = 1.0
+        for event in report.events:
+            expected *= 1.0 - 4.0 * params.epsilon0 / event.rel_speed_sq
+        predicted, measured = ensemble_volume_evolution(chain, 1e-3, 1.5, params)
+        assert predicted == pytest.approx(expected, rel=1e-12)
+        assert abs(measured - predicted) <= 1e-4
 
     def test_elastic_multi_collision_preserves_volume(self):
         params = ModelParams(math.inf, 2)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from ihse import (
     ModelParams,
     PairIndex,
     Tolerances,
-    UnsupportedDimensionError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
     conserved_quantities,
     free_transport,
     tct_flow,
 )
+from ihse.jacobian_lab import random_tct_case, verify_flow_jacobian
 from ihse.tct import flow_jacobian_prefactor
 
 from conftest import assert_close
@@ -185,10 +187,29 @@ class TestAnalyticDeterminant:
     def test_free_flow_unit(self, head_on, params_elastic_example):
         assert analytic_flow_jacobian_det(head_on, 1.0, params_elastic_example) == (1.0, 1.0, 1.0)
 
-    def test_unsupported_inelastic_3d(self):
+    def test_inelastic_3d_head_on(self):
+        # s^2 = 4, eps0 = 0.75: x = 1/4, det_N = -x^(1/2), det = x
         cfg = Configuration([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [-1, 0, 0]])
-        with pytest.raises(UnsupportedDimensionError):
-            analytic_flow_jacobian_det(cfg, 2.0, ModelParams(0.75, 3))
+        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(0.75, 3))
+        assert det_n == -0.5
+        assert prefactor == pytest.approx(-0.5, abs=1e-12)
+        assert det == pytest.approx(0.25, abs=1e-12)
+
+    def test_inelastic_closed_form_matches_fd(self):
+        # C05's bounds in d=3 and d=4: residual <= 1e-5 and |fd det| within
+        # 1e-5 of x^((d-1)/2), x = 1 - 4 eps0 / s^2
+        for d, index in itertools.product((3, 4), range(8)):
+            cfg, params = random_tct_case(91 + d, index, 2 + index % 2, kind=CollisionKind.INELASTIC, d=d)
+            det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 1.0, params)
+            _, w = cfg.pair_state(P12)
+            x = 1.0 - 4.0 * params.epsilon0 / float(w @ w)
+            assert det_n == -(x ** ((d - 2) / 2))
+            assert det == pytest.approx(x ** ((d - 1) / 2), rel=1e-9)
+            report = verify_flow_jacobian(cfg, 1.0, params)
+            assert (report.analytic_det, report.prefactor) == (det, prefactor)
+            assert report.residual <= 1e-5
+            assert abs(abs(report.fd_det) - x ** ((d - 1) / 2)) <= 1e-5
+            assert report.det_N_fd == pytest.approx(det_n, abs=1e-6)
 
     def test_elastic_3d_supported(self):
         cfg = Configuration([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [-1, 0, 0]])
