@@ -26,11 +26,10 @@ from .core import (
 from .collision import predict_pair
 from .jacobian_lab import (
     TensorLemmaCase,
-    draw_scattering_sample,
     random_tct_case,
+    scattering_measure_samples,
     tensor_sum_det,
     verify_flow_jacobian,
-    verify_scattering_measure,
 )
 from .measure_mc import (
     SPEED_BAND_CUTOFF,
@@ -43,7 +42,7 @@ from .measure_mc import (
 from .rng import sample_generator
 from .scattering import CollisionKind, scatter
 from .simulator import random_configuration, simulate
-from .tct import analytic_flow_jacobian_det, classify_tct_domain, tct_flow
+from .tct import classified_flow_det, classify_tct_domain, tct_flow
 
 SCHEMA = "ihse/1"
 
@@ -207,7 +206,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"], cfg.dimension)
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
-    det, prefactor, det_n = analytic_flow_jacobian_det(cfg, flags["tau"], params, tol=tol)
+    det, prefactor, det_n = classified_flow_det(cfg, result.classification, params, tol=tol)
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record
@@ -223,6 +222,9 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
 
 def cmd_simulate(flags: dict) -> tuple[dict, int]:
     if flags["config"] is not None:
+        for flag in COMMANDS["simulate"].flags:
+            if flag.name in SAMPLING_FLAGS and flags[flag.name] != flag.default:
+                raise UsageError(f"--{flag.name} has no effect with --config")
         cfg = _load_configuration(flags["config"])
     else:
         for name in ("N", "R1", "R2"):
@@ -278,15 +280,10 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
 def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"], flags["dim"])
     tol = _tolerances(flags)
-    reports = verify_scattering_measure(flags["samples"], params, flags["seed"], h=tol.fd_step)
     lines = []
     max_ledger = 0.0
     max_det_dev = 0.0
-    for index, report in enumerate(reports):
-        # Same per-index stream as verify_scattering_measure, so the outcome
-        # below belongs to the sample the report was computed from.
-        gen = sample_generator(flags["seed"], index)
-        v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
+    for v_i, v_j, omega, report in scattering_measure_samples(flags["samples"], params, flags["seed"], h=tol.fd_step):
         outcome = scatter(v_i, v_j, omega, params, tol=tol)
         pre_ke = 0.5 * float(v_i @ v_i + v_j @ v_j)
         post_ke = pre_ke - outcome.energy_loss
@@ -390,6 +387,7 @@ def _thread_cap() -> int:
 CONFIG_FLAG = Flag("config", str, None, "configuration JSON file", required=True)
 TAU_FLAG = Flag("tau", float, None, "time horizon", required=True)
 EPS0_FLAG = Flag("eps0", float, None, "energy quantum lost per emitting collision", required=True)
+SAMPLING_FLAGS = ("seed", "N", "dim", "R1", "R2")  # simulate's flags for sampled initial conditions
 
 COMMANDS = {
     "classify": Command(cmd_classify, (CONFIG_FLAG, TAU_FLAG, EPS0_FLAG), ENGINE_TOLERANCES),

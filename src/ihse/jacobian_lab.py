@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .core import (
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import ExcludedConfigurationError, _classified_flow_det, classify_tct_domain, tct_stack
+from .tct import ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
 
 
 class BranchCrossingError(IHSEError):
@@ -119,27 +119,18 @@ def fd_jacobian(
     return _fd_jacobians(fn, point, (h,))[0]
 
 
-def fd_determinant(
-    fn,
-    point,
-    h: float = FD_STEP,
-    *,
-    refine: bool = True,
-    disagreement_tol: float = 0.1,
-) -> float:
+def fd_determinant(fn, point, h: float = FD_STEP) -> float:
     """Determinant of the finite-difference Jacobian of fn (a batch map, as
     for fd_jacobian).
 
-    With refine=True the determinant is computed at steps h and h/2 and
-    Richardson-extrapolated; a relative disagreement beyond
-    disagreement_tol flags the stencil as unreliable.  The center and the
-    stencils at both steps go to fn in one call; every failure at step h
-    comes before any at h/2, and UnreliableStencilError comes last.
+    The determinant is computed at steps h and h/2 and
+    Richardson-extrapolated; a relative disagreement beyond 0.1 flags the
+    stencil as unreliable.  The center and the stencils at both steps go to
+    fn in one call; every failure at step h comes before any at h/2, and
+    UnreliableStencilError comes last.
     """
-    if not refine:
-        return float(np.linalg.det(fd_jacobian(fn, point, h)))
     det_h, det_half = (float(np.linalg.det(jac)) for jac in _fd_jacobians(fn, point, (h, h / 2.0)))
-    if abs(det_h - det_half) > disagreement_tol * max(1.0, abs(det_half)):
+    if abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
         raise UnreliableStencilError(
             f"determinants at h and h/2 disagree: {det_h} vs {det_half}"
         )
@@ -187,21 +178,19 @@ def draw_scattering_sample(
     params: ModelParams,
     *,
     kind: Optional[CollisionKind] = None,
-    speed_scale: float = 1.0,
-    approach_margin: float = 0.05,
-    threshold_margin: float = 0.05,
-    max_tries: int = 1000,
 ):
-    """Random pre-collisional, non-grazing, non-critical (v_i, v_j, omega).
+    """Random pre-collisional, non-grazing, non-critical (v_i, v_j, omega):
+    standard normal velocities and a uniform unit omega, at most 1000 tries.
 
-    kind forces the emitting or elastic branch; margins keep the draw away
-    from grazing contact and from the dispatch threshold so finite
+    kind forces the emitting or elastic branch.  Margins keep the draw away
+    from grazing contact (|w.omega| >= 0.05 |w|) and from the dispatch
+    threshold (|w|^2 - 4 eps0 beyond 0.05 max(1, |w|^2)), so finite
     differences stay on one branch.
     """
     d = params.dimension
-    for _ in range(max_tries):
-        v_i = speed_scale * gen.standard_normal(d)
-        v_j = speed_scale * gen.standard_normal(d)
+    for _ in range(1000):
+        v_i = gen.standard_normal(d)
+        v_j = gen.standard_normal(d)
         omega = unit_vector(gen, d)
         w = v_j - v_i
         w2 = float(w @ w)
@@ -209,15 +198,39 @@ def draw_scattering_sample(
             continue
         if float(w @ omega) > 0.0:
             omega = -omega
-        if abs(float(w @ omega)) < approach_margin * math.sqrt(w2):
+        if abs(float(w @ omega)) < 0.05 * math.sqrt(w2):
             continue
-        if abs(w2 - 4.0 * params.epsilon0) <= threshold_margin * max(1.0, w2):
+        if abs(w2 - 4.0 * params.epsilon0) <= 0.05 * max(1.0, w2):
             continue
         drawn = CollisionKind.INELASTIC if w2 > 4.0 * params.epsilon0 else CollisionKind.ELASTIC
         if kind is not None and drawn is not kind:
             continue
         return v_i, v_j, omega, drawn
     raise IHSEError("could not draw a valid scattering sample within the retry budget")
+
+
+def scattering_measure_samples(
+    samples: int,
+    params: ModelParams,
+    seed: int,
+    *,
+    kind: Optional[CollisionKind] = None,
+    h: float = FD_STEP,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, JacobianReport]]:
+    """(v_i, v_j, omega, report) per sample index, each sample drawn once
+    (draw_scattering_sample on its own stream sample_generator(seed, index)):
+    the report compares the finite-difference determinant (step h) of the
+    velocity scattering map at the sample with the closed-form determinant
+    scattering_velocity_det_analytic."""
+    if samples <= 0:
+        raise IHSEError("samples must be positive")
+    for index in range(samples):
+        v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, kind=kind)
+        z = np.concatenate([v_i, v_j])
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
+        w = v_j - v_i
+        analytic = scattering_velocity_det_analytic(float(w @ w), params)
+        yield v_i, v_j, omega, JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h)
 
 
 def verify_scattering_measure(
@@ -235,20 +248,9 @@ def verify_scattering_measure(
     emitting map preserves velocity measure (|det| = 1) only in d=2.
 
     Sampling is keyed per index, so the report list is independent of
-    evaluation order.
+    evaluation order.  The reports of scattering_measure_samples.
     """
-    if samples <= 0:
-        raise IHSEError("samples must be positive")
-    reports = []
-    for index in range(samples):
-        gen = sample_generator(seed, index)
-        v_i, v_j, omega, _ = draw_scattering_sample(gen, params, kind=kind)
-        z = np.concatenate([v_i, v_j])
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
-        w = v_j - v_i
-        analytic = scattering_velocity_det_analytic(float(w @ w), params)
-        reports.append(JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h))
-    return reports
+    return [report for *_, report in scattering_measure_samples(samples, params, seed, kind=kind, h=h)]
 
 
 def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
@@ -282,7 +284,7 @@ def verify_flow_jacobian(
     n, d = cfg.n_particles, cfg.dimension
     h = tol.fd_step
     fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
-    analytic, prefactor, _ = _classified_flow_det(cfg, classification, params, tol=tol)
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, params, tol=tol)
     det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()
@@ -301,7 +303,6 @@ def random_tct_case(
     tau: float = 1.0,
     d: int = 2,
     fixed_eps0: Optional[float] = None,
-    max_tries: int = 2000,
     tol: Tolerances = Tolerances(),
 ) -> tuple[Configuration, ModelParams]:
     """Random configuration classified as a single collision of the given
@@ -313,9 +314,10 @@ def random_tct_case(
     relative speed so that both branches are exercised well away from the
     dispatch threshold; pass fixed_eps0 to pin it instead (draws whose
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
+    At most 2000 draws are tried.
     """
     gen = sample_generator(seed, index)
-    for _ in range(max_tries):
+    for _ in range(2000):
         positions = _spread_positions(gen, n_particles, d, min_gap=3.6, spread=2.0 + 1.5 * n_particles)
         # Pull particle 1 onto a shell close to particle 2 so contact falls
         # well inside the horizon.
@@ -372,8 +374,10 @@ def random_tct_case(
     raise IHSEError("failed to draw a one-collision configuration within the retry budget")
 
 
-def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: float, spread: float, max_tries: int = 500) -> np.ndarray:
-    for _ in range(max_tries):
+def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: float, spread: float) -> np.ndarray:
+    """n points uniform in the cube [-spread, spread]^d with every pairwise
+    gap at least min_gap, at most 500 tries."""
+    for _ in range(500):
         pts = spread * gen.uniform(-1.0, 1.0, size=(n, d))
         if (pair_separations(pts) >= min_gap).all():
             return pts

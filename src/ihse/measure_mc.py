@@ -28,7 +28,9 @@ SPEED_BAND_CUTOFF = "jacobian_cutoff"  # band 4 e0 <= |w|^2 < 4 e0 / (1 - mu)
 class PathologicalSetSpec:
     """Which pathological set to sample: double-proximity sets (family "E")
     or proximity-with-near-critical-speed sets (family "P"), at time-shift
-    index k inside the truncated region |X| <= R1 + k*delta*R2, |V| <= R2."""
+    index k inside the truncated region |X| <= R1 + k*delta*R2, |V| <= R2.
+    Only family P reads mu and the speed band form, so family E rejects a
+    mu and the jacobian_cutoff band."""
 
     family: str  # "E" | "P"
     n_particles: int
@@ -56,6 +58,10 @@ class PathologicalSetSpec:
                 raise UsageError("family P requires mu")
             if not (0 < self.mu <= 0.5):
                 raise UsageError("mu must lie in (0, 1/2]")
+        elif self.mu is not None:
+            raise UsageError("--mu has no effect on family E")
+        elif self.band == SPEED_BAND_CUTOFF:
+            raise UsageError(f"--band {SPEED_BAND_CUTOFF} has no effect on family E")
         if self.R1 <= 0 or self.R2 <= 0:
             raise UsageError("R1 and R2 must be positive")
         if self.params.dimension != 2:
@@ -238,16 +244,14 @@ def low_energy_ensemble(
     index: int,
     n_particles: int,
     params: ModelParams,
-    *,
-    r_positions: float = 4.0,
-    energy_fraction_range: tuple[float, float] = (0.3, 0.95),
 ) -> Configuration:
-    """Random interior configuration with total kinetic energy strictly
-    below 2*epsilon0 (scaled into the requested fraction of that bound)."""
-    cfg = random_configuration(seed, index, n_particles, params.dimension, r_positions, 1.0)
+    """Random interior configuration (positions in |X| <= 4, velocities in
+    |V| <= 1) with total kinetic energy strictly below 2*epsilon0: scaled
+    to a fraction of that bound drawn uniformly from [0.3, 0.95)."""
+    cfg = random_configuration(seed, index, n_particles, params.dimension, 4.0, 1.0)
     gen = sample_generator(seed ^ 0x5DEECE66D, index)
-    lo, hi = energy_fraction_range
-    target = (lo + (hi - lo) * gen.random()) * 2.0 * params.epsilon0
+    # (0.95 - 0.3) rounds to 0.6499999999999999, not 0.65: keep the expression.
+    target = (0.3 + (0.95 - 0.3) * gen.random()) * 2.0 * params.epsilon0
     ke = kinetic_energy(cfg)
     if ke <= 0:
         raise IHSEError("degenerate zero-velocity draw")

@@ -28,7 +28,7 @@ from .core import (
     pair_separations,
     validate_configuration,
 )
-from .collision import FirstCollision, contact_direction, first_collision, first_contacts
+from .collision import contact_direction, first_collision, first_contacts
 from .rng import sample_generator, uniform_ball
 from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, ScatteringOutcome, scatter
 from .scattering import dispatched_law, failed_checks
@@ -103,19 +103,6 @@ class BoundCheck:
     events_ok: bool
 
 
-@dataclass(frozen=True)
-class Step:
-    """One event step: the all-pairs scan and, when it found a unique first
-    contact and no grazing encounter, the state at that contact with the
-    pair scattered.  The pair is left unscattered (outcome None) when its
-    squared relative speed lies in the critical band around 4 eps0."""
-
-    scan: Optional[FirstCollision]
-    state: Optional[Configuration] = None
-    outcome: Optional[ScatteringOutcome] = None
-    rel_speed_sq: Optional[float] = None
-
-
 def collide(
     cfg: Configuration, pair: PairIndex, t: float, params: ModelParams, *, tol: Tolerances = Tolerances()
 ) -> tuple[Configuration, Optional[ScatteringOutcome], float]:
@@ -161,30 +148,16 @@ def collide_stack(
     return x, v, omega, w2, emitting, check
 
 
-def event_step(
-    cfg: Configuration,
-    horizon: float,
-    params: ModelParams,
-    *,
-    tol: Tolerances = Tolerances(),
-    recent_pair: Optional[PairIndex] = None,
-) -> Step:
-    """Scan all pairs over (0, horizon], then collide the first contact when
-    it is unique and no grazing encounter lies inside the horizon."""
-    scan = first_collision(cfg, horizon, tol=tol, recent_pair=recent_pair)
-    if scan is None or scan.graze is not None or not scan.unique:
-        return Step(scan)
-    return Step(scan, *collide(cfg, scan.pair, scan.time, params, tol=tol))
-
-
 def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> SimReport:
     """Run the event-driven dynamics from an interior configuration to time T.
 
-    Each step advances to the earliest pair contact, applies the dispatched
-    collision law, and continues.  Near-simultaneous distinct-pair contacts,
-    grazing encounters at or before the next contact, relative speeds inside
-    the critical band, and event count overflow halt the run with an in-band
-    pathology record.
+    Each event is one all-pairs scan (first_collision) over the remaining
+    time, then collide at the earliest pair contact, as simulate_stack steps
+    each row.  A graze at or before the next contact, or with no contact
+    left, halts the run; a graze past it is left to a later scan.
+    Near-simultaneous distinct-pair contacts, relative speeds inside the
+    critical band, and event count overflow halt the run too, each with an
+    in-band pathology record.
     """
     if T <= 0:
         raise UsageError("T must be positive")
@@ -209,19 +182,11 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             min_sep = min(min_sep, min_pair_separation(state.positions + t[:, None, None] * state.velocities))
             next_checkpoint = stop
 
-    while True:
-        remaining = T - now
-        if remaining <= 0:
+    while (remaining := T - now) > 0:
+        scan = first_collision(state, remaining, tol=tol, recent_pair=recent)
+        if scan is not None and scan.graze is not None and (scan.time is None or scan.graze <= scan.time):
+            halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
             break
-        step = event_step(state, remaining, params, tol=tol, recent_pair=recent)
-        scan = step.scan
-        if scan is not None and scan.graze is not None:
-            if scan.time is None or scan.graze <= scan.time:
-                halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
-                break
-            # The graze lies past the next contact: step up to that contact.
-            step = event_step(state, scan.time, params, tol=tol, recent_pair=recent)
-            scan = step.scan
         if scan is None:
             advance_through(T)
             state = free_transport(state, remaining)
@@ -232,13 +197,13 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             break
         advance_through(now + scan.time)
         ke_before = kinetic_energy(state)
-        state = step.state
+        state, outcome, rel_speed_sq = collide(state, scan.pair, scan.time, params, tol=tol)
         now += scan.time
         min_sep = min(min_sep, state.min_separation())
-        if step.outcome is None:
+        if outcome is None:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
-        events.append(SimEvent(now, scan.pair, step.outcome.kind, ke_before, kinetic_energy(state), step.rel_speed_sq))
+        events.append(SimEvent(now, scan.pair, outcome.kind, ke_before, kinetic_energy(state), rel_speed_sq))
         recent = scan.pair
         if len(events) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
@@ -373,19 +338,16 @@ def random_configuration(
     dimension: int,
     r_positions: float,
     r_velocities: float,
-    *,
-    min_gap: float = 1.0 + 1e-9,
-    max_tries: int = 10000,
 ) -> Configuration:
     """Interior configuration with the stacked position vector drawn
-    uniformly from the ball |X| <= r_positions (rejection sampled for
-    pairwise gaps) and the stacked velocity vector uniform in
-    |V| <= r_velocities."""
+    uniformly from the ball |X| <= r_positions (rejection sampled, at most
+    10000 tries, for every pairwise gap above 1 + 1e-9) and the stacked
+    velocity vector uniform in |V| <= r_velocities."""
     gen = sample_generator(seed, index)
     dof = n_particles * dimension
-    for _ in range(max_tries):
+    for _ in range(10000):
         x = uniform_ball(gen, 1, dof, r_positions)[0].reshape(n_particles, dimension)
-        if (pair_separations(x) > min_gap).all():
+        if (pair_separations(x) > 1.0 + 1e-9).all():
             v = uniform_ball(gen, 1, dof, r_velocities)[0].reshape(n_particles, dimension)
             return Configuration(x, v)
     raise IHSEError(

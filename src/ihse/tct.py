@@ -246,14 +246,15 @@ def analytic_flow_jacobian_det(
     classification = classify_tct_domain(cfg, tau, params, tol=tol)
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
-    return _classified_flow_det(cfg, classification, params, tol=tol)
+    return classified_flow_det(cfg, classification, params, tol=tol)
 
 
-def _classified_flow_det(
+def classified_flow_det(
     cfg: Configuration, classification: TCTDomainClass, params: ModelParams, *, tol: Tolerances
 ) -> tuple[float, float, float]:
     """analytic_flow_jacobian_det of a state already classified as free or
-    single collision over its horizon."""
+    single collision over its horizon (by tct_stack, classify_tct_domain or
+    tct_flow), without classifying it again."""
     if classification.is_free:
         return 1.0, 1.0, 1.0
     prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, tol=tol)

@@ -4,8 +4,8 @@ one-state reference for ``ihse.tct.tct_stack``.
 The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
 lexicographic order.  The second is the one-collision flow of a single
-state composed from the multi-collision simulator's event step, as the
-stacked flow replaced it.  Both stay in the tests so that the kernels can be
+state composed from that pair-by-pair scan and the simulator's one-state
+collide, as the stacked flow replaced it.  Both stay in the tests so that the kernels can be
 required to give identical results, field for field and bit for bit.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError
 from ihse.core import Configuration, ModelParams, PairIndex, Tolerances, free_transport, validate_configuration
-from ihse.simulator import event_step
+from ihse.simulator import collide
 from ihse.tct import ExclusionReason, TCTDomainClass
 
 
@@ -106,23 +106,23 @@ def tct_flow(
     cfg: Configuration, tau: float, params: ModelParams, tol: Tolerances
 ) -> tuple[TCTDomainClass, Optional[Configuration], Optional[tuple]]:
     """(classification, state at tau or None when excluded, collision record
-    or None) of one state, through simulator.event_step.  Raises what the
-    state's scatter raises."""
+    or None) of one state, through this module's first_collision and
+    simulator.collide.  Raises what the state's scatter raises."""
     excluded = TCTDomainClass.excluded
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         return excluded(ExclusionReason.BOUNDARY_START), None, None
-    step = event_step(cfg, tau, params, tol=tol)
-    scan = step.scan
+    scan = first_collision(cfg, tau, tol=tol)
     if scan is None:
         return TCTDomainClass.free(), free_transport(cfg, tau), None
     if scan.graze is not None:
         return excluded(ExclusionReason.GRAZING), None, None
     if not scan.unique:
         return excluded(ExclusionReason.SIMULTANEOUS), None, None
-    if step.outcome is None:
+    state, outcome, _ = collide(cfg, scan.pair, scan.time, params, tol=tol)
+    if outcome is None:
         return excluded(ExclusionReason.CRITICAL_ENERGY), None, None
     remaining = tau - scan.time
-    if remaining > 0 and first_collision(step.state, remaining, tol=tol, recent_pair=scan.pair) is not None:
+    if remaining > 0 and first_collision(state, remaining, tol=tol, recent_pair=scan.pair) is not None:
         return excluded(ExclusionReason.RECOLLISION), None, None
-    classification = TCTDomainClass.single_collision(scan.pair, scan.time, step.outcome.kind)
-    return classification, free_transport(step.state, remaining), (scan.pair, scan.time, step.outcome)
+    classification = TCTDomainClass.single_collision(scan.pair, scan.time, outcome.kind)
+    return classification, free_transport(state, remaining), (scan.pair, scan.time, outcome)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from ihse import UsageError
+from ihse import UsageError, jacobian_lab, tct
 from ihse.cli import COMMANDS, _thread_cap, build_parser, run
 from ihse.jsonio import dumps
 
@@ -30,6 +31,31 @@ def run_to_file(tmp_path, argv):
     out = tmp_path / "out.json"
     status = run(argv + ["--output", str(out)])
     return status, out
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name under every ihse module name that holds it; the
+    returned list grows by one per call."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for holder in list(sys.modules.values()):
+        if holder.__name__.startswith("ihse") and getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counting)
+    return calls
+
+
+def run_with_flag(tmp_path, argv, flag, value, via_run_config):
+    """run argv with one more flag, given on the command line or as a
+    --run-config key."""
+    if not via_run_config:
+        return run(argv + [flag, value])
+    run_config = tmp_path / "run.json"
+    run_config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    return run(argv + ["--run-config", str(run_config)])
 
 
 class TestFlowCommand:
@@ -73,6 +99,12 @@ class TestFlowCommand:
         )
         status = run(["flow", "--config", str(grazing), "--tau", "5", "--eps0", "0.75"])
         assert status == 3
+
+    def test_classifies_once(self, tmp_path, two_body_file, monkeypatch):
+        calls = count_calls(monkeypatch, tct, "tct_stack")
+        status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
+        assert status == 0
+        assert len(calls) == 1
 
 
 class TestClassifyCommand:
@@ -144,6 +176,18 @@ class TestSimulateCommand:
     def test_missing_sampling_flags_usage_error(self):
         assert run(["simulate", "--T", "5", "--eps0", "0.3"]) == 2
 
+    @pytest.mark.parametrize("via_run_config", [False, True])
+    @pytest.mark.parametrize("flag, value", [("--N", "7"), ("--R1", "4"), ("--R2", "1.5"), ("--seed", "9"), ("--dim", "3")])
+    def test_sampling_flags_rejected_with_config(self, tmp_path, two_body_file, capsys, flag, value, via_run_config):
+        argv = ["simulate", "--config", str(two_body_file), "--T", "3", "--eps0", "0.1875", "--output", str(tmp_path / "out.json")]
+        assert run_with_flag(tmp_path, argv, flag, value, via_run_config) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert f"ihse simulate: {flag} has no effect with --config" in capsys.readouterr().err
+
+    def test_default_sampling_flags_accepted_with_config(self, tmp_path, two_body_file):
+        argv = ["simulate", "--config", str(two_body_file), "--T", "3", "--eps0", "0.1875", "--seed", "0", "--dim", "2"]
+        assert run_to_file(tmp_path, argv)[0] == 0
+
 
 class TestVerificationCommands:
     def test_tensor_lemma_summary(self, tmp_path):
@@ -170,6 +214,13 @@ class TestVerificationCommands:
         assert doc["summary"]["max_abs_det_deviation"] <= 1e-6
         sample = doc["samples"][0]
         assert set(sample) == {"kind", "pre_ke", "post_ke", "loss", "fd_det"}
+
+    def test_scatter_check_draws_each_sample_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, jacobian_lab, "draw_scattering_sample")
+        status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "50", "--dim", "3"])
+        assert status == 0
+        assert len(json.loads(out.read_text())["samples"]) == 50
+        assert len(calls) == 50
 
     def test_closed_forms_in_3d(self, tmp_path):
         # jacobian and scatter-check certify d=3 as they certify d=2
@@ -214,6 +265,15 @@ class TestMeasureAndVolume:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("ihse measure: ")
+
+    @pytest.mark.parametrize("via_run_config", [False, True])
+    @pytest.mark.parametrize("flag, value", [("--mu", "0.4"), ("--band", "jacobian_cutoff")])
+    def test_family_e_rejects_p_flags(self, tmp_path, capsys, flag, value, via_run_config):
+        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+        argv += ["--samples", "100", "--output", str(tmp_path / "out.json")]
+        assert run_with_flag(tmp_path, argv, flag, value, via_run_config) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert capsys.readouterr().err.startswith(f"ihse measure: {flag} ")
 
     def test_volume_chain(self, tmp_path):
         chain = tmp_path / "chain.json"

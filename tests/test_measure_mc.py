@@ -51,6 +51,12 @@ class TestSpecValidation:
         with pytest.raises(UsageError):
             p_spec(0.3, 0.75)  # mu > 1/2
 
+    def test_e_rejects_what_only_p_reads(self):
+        with pytest.raises(UsageError, match="--mu"):
+            PathologicalSetSpec("E", 3, 0, 0.3, 0.4, 3.0, 1.0, PARAMS)
+        with pytest.raises(UsageError, match="--band"):
+            PathologicalSetSpec("E", 3, 0, 0.3, None, 3.0, 1.0, PARAMS, band=SPEED_BAND_CUTOFF)
+
     def test_dimension_must_be_2(self):
         with pytest.raises(UsageError):
             PathologicalSetSpec("E", 3, 0, 0.3, None, 3.0, 1.0, ModelParams(0.01, 3))

@@ -6,13 +6,14 @@ separation, and the exception type and message of a run that raises."""
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihse import Configuration, IHSEError, ModelParams, Tolerances, UsageError, simulate
+from ihse import Configuration, IHSEError, ModelParams, PairIndex, Tolerances, UsageError, simulate, simulator
 from ihse.measure_mc import _flow_map
 from ihse.scattering import GrazingContactError
 from ihse.simulator import (
@@ -170,6 +171,31 @@ def test_one_row_per_ending():
     assert len(stack.reports[-2].events) == 1
     assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.5, abs=1e-12)
     _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0, 2), tol)
+
+
+def test_one_scan_per_event_with_a_graze_past_the_contact():
+    # pair (1,2) collides at t=1; pair (3,4) crosses shallowly (discriminant
+    # 16 - (16 + 0.99^2 - 1), about 0.02 <= grazing_tol) with its entry at
+    # about t=3.86, past that contact: simulate scans once per event, as
+    # simulate_stack does, and takes the collision without a second scan
+    x = [[0.0, 0.0], [3.0, 0.0], [0.0, 10.0], [4.0, 10.99]]
+    v = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    params, tol = ModelParams(0.5, 2), Tolerances(grazing_tol=0.05)
+    scans = []
+    scan = simulator.first_collision
+
+    def counting(*args, **kwargs):
+        scans.append(scan(*args, **kwargs))
+        return scans[-1]
+
+    with mock.patch.object(simulator, "first_collision", counting):
+        report = simulate(Configuration(x, v), 6.0, params, tol=tol)
+    assert scans[0].time == 1.0 and scans[0].graze > 1.0
+    assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
+    assert report.halted.reason == PATHOLOGY_GRAZING and report.halted.time == pytest.approx(3.86, abs=0.01)
+    assert len(scans) <= len(report.events) + 1
+    stack = simulate_stack(np.array([x]), np.array([v]), 6.0, params, tol=tol)
+    assert _fingerprint(stack.reports[0]) == _fingerprint(report)
 
 
 def test_bad_horizon_raises_for_the_stack():
