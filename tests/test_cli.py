@@ -43,7 +43,7 @@ def count_calls(monkeypatch, module, name) -> list:
         return original(*args, **kwargs)
 
     for holder in list(sys.modules.values()):
-        if holder.__name__.startswith("ihse") and getattr(holder, name, None) is original:
+        if getattr(holder, "__name__", "").startswith("ihse") and getattr(holder, name, None) is original:
             monkeypatch.setattr(holder, name, counting)
     return calls
 
@@ -54,7 +54,7 @@ def run_with_flag(tmp_path, argv, flag, value, via_run_config):
     if not via_run_config:
         return run(argv + [flag, value])
     run_config = tmp_path / "run.json"
-    run_config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    run_config.write_text(json.dumps({flag[2:]: value}))
     return run(argv + ["--run-config", str(run_config)])
 
 
