@@ -188,6 +188,13 @@ def _tolerances(flags: dict) -> Tolerances:
     return Tolerances(**{TOLERANCE_FIELDS[name][0]: flags[name] for name in COMMANDS[flags["command"]].tolerances})
 
 
+def _samples(flags: dict) -> int:
+    """The command's --samples, which must be positive."""
+    if flags["samples"] <= 0:
+        raise UsageError("--samples must be positive")
+    return flags["samples"]
+
+
 def _document(flags: dict, body: dict) -> dict:
     return {"schema": SCHEMA, "config": flags, **body}
 
@@ -206,7 +213,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"], cfg.dimension)
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
-    det, prefactor, det_n = classified_flow_det(cfg, result.classification, params, tol=tol)
+    det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params, tol=tol)
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record
@@ -253,7 +260,7 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
 def cmd_jacobian(flags: dict) -> tuple[dict, int]:
     tol = _tolerances(flags)
     reports = []
-    for index in range(flags["samples"]):
+    for index in range(_samples(flags)):
         if flags["eps0"] is None:
             kind = CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC
         else:
@@ -271,10 +278,9 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
         reports.append(verify_flow_jacobian(cfg, flags["tau"], params, tol=tol))
     summary = {
         "n_samples": len(reports),
-        "max_residual": max((r.residual for r in reports), default=None),
+        "max_residual": max(r.residual for r in reports),
     }
-    doc = _document(flags, {"reports": reports, "summary": summary})
-    return doc, EXIT_OK if reports else EXIT_PATHOLOGY
+    return _document(flags, {"reports": reports, "summary": summary}), EXIT_OK
 
 
 def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
@@ -283,7 +289,7 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     lines = []
     max_ledger = 0.0
     max_det_dev = 0.0
-    for v_i, v_j, omega, report in scattering_measure_samples(flags["samples"], params, flags["seed"], h=tol.fd_step):
+    for v_i, v_j, omega, report in scattering_measure_samples(_samples(flags), params, flags["seed"], h=tol.fd_step):
         outcome = scatter(v_i, v_j, omega, params, tol=tol)
         pre_ke = 0.5 * float(v_i @ v_i + v_j @ v_j)
         post_ke = pre_ke - outcome.energy_loss
@@ -304,13 +310,13 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
         "max_energy_ledger_error": max_ledger,
         "max_abs_det_deviation": max_det_dev,
     }
-    return _document(flags, {"samples": lines, "summary": summary}), EXIT_OK if lines else EXIT_PATHOLOGY
+    return _document(flags, {"samples": lines, "summary": summary}), EXIT_OK
 
 
 def cmd_tensor_lemma(flags: dict) -> tuple[dict, int]:
     max_abs_diff = 0.0
     max_scaled_diff = 0.0
-    for index in range(flags["samples"]):
+    for index in range(_samples(flags)):
         gen = sample_generator(flags["seed"], index)
         lam, mu, nu = gen.uniform(-10.0, 10.0, size=3)
         u = gen.uniform(-10.0, 10.0, size=2)

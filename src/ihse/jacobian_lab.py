@@ -19,12 +19,13 @@ from .core import (
     ModelParams,
     PairIndex,
     Tolerances,
+    UsageError,
     pair_separations,
 )
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
+from .tct import RAISES, ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
 
 
 class BranchCrossingError(IHSEError):
@@ -255,14 +256,15 @@ def verify_scattering_measure(
 
 def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
     """Batch map: the one-collision flow of phase-space rows over [0, tau],
-    labelled with classification signatures; NaN on excluded rows."""
+    labelled with tct_stack's int row labels (one per free, excluded or
+    single-collision branch), and on a raising row with its error instead;
+    NaN on excluded and raising rows."""
     m = n * d
     stack = tct_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
     values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
-    labels = [
-        error if error is not None else classification.signature()
-        for classification, error in zip(stack.classifications, stack.errors)
-    ]
+    labels = stack.label.tolist()
+    for row in np.flatnonzero(stack.label <= RAISES).tolist():
+        labels[row] = stack.error(row)
     return values, labels
 
 
@@ -284,7 +286,7 @@ def verify_flow_jacobian(
     n, d = cfg.n_particles, cfg.dimension
     h = tol.fd_step
     fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
-    analytic, prefactor, _ = classified_flow_det(cfg, classification, params, tol=tol)
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, stack.velocities[0], params, tol=tol)
     det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()
@@ -316,6 +318,8 @@ def random_tct_case(
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
     At most 2000 draws are tried.
     """
+    if n_particles < 2:
+        raise UsageError("a one-collision case needs at least 2 particles")
     gen = sample_generator(seed, index)
     for _ in range(2000):
         positions = _spread_positions(gen, n_particles, d, min_gap=3.6, spread=2.0 + 1.5 * n_particles)

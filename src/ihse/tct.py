@@ -22,17 +22,16 @@ from .core import (
     domain_masks,
     pair_indices,
 )
-from .collision import collision_time_gradients, first_contacts, predict_pair
+from .collision import collision_time_gradients, first_contacts
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
 from .scattering import (
     CRITICAL_BAND,
     SCATTER_CHECKS,
     CollisionKind,
-    CriticalEnergyError,
     scatter,
     scattering_velocity_det_analytic,
 )
-from .simulator import collide, collide_stack
+from .simulator import collide_stack
 
 
 class ExclusionReason(enum.Enum):
@@ -86,14 +85,6 @@ class TCTDomainClass:
     def is_excluded(self) -> bool:
         return self.variant == "excluded"
 
-    def signature(self):
-        """Hashable branch label used for finite-difference stencil checks."""
-        if self.is_single_collision:
-            return ("single_collision", self.pair.i, self.pair.j, self.kind.value)
-        if self.is_excluded:
-            return ("excluded", self.reason.value)
-        return ("free",)
-
 
 @dataclass(frozen=True)
 class TCTResult:
@@ -102,23 +93,55 @@ class TCTResult:
     collision_record: Optional[tuple] = None  # (pair, t_c, ScatteringOutcome)
 
 
+# tct_stack labels each row with one int: 2 k + 1 for a single emitting
+# collision of the pair at position k of pair_indices and 2 k for an elastic
+# one, FREE, EXCLUDED[reason] (-2 - n for REASONS[n]), or RAISES - c when the
+# row's scatter fails check c of SCATTER_CHECKS and so raises its error.
+FREE = -1
+REASONS = tuple(ExclusionReason)
+EXCLUDED = {reason: -2 - n for n, reason in enumerate(REASONS)}
+RAISES = -2 - len(REASONS)
+# The label of a collided row that fails scatter check c: the critical band
+# excludes the row, and any other failed check raises.
+FAILED_CHECK = np.array(
+    [EXCLUDED[ExclusionReason.CRITICAL_ENERGY] if c == CRITICAL_BAND else RAISES - c for c in range(len(SCATTER_CHECKS))]
+)
+
+
 @dataclass(frozen=True)
 class TCTStack:
-    """Row by row, what each state of a stack gives alone: its classification
-    (None when it raises, with the error in errors), its state at tau (NaN
-    when excluded or raising) and its collision's contact direction."""
+    """Row by row, what each state of a stack gives alone: its label (see
+    FREE), its first contact time, its state at tau (NaN when excluded or
+    raising) and its collision's contact direction."""
 
-    classifications: list[Optional[TCTDomainClass]]
-    errors: list[Optional[IHSEError]]
+    label: np.ndarray  # (S,) int
+    t_c: np.ndarray  # (S,)
     positions: np.ndarray  # (S, N, d)
     velocities: np.ndarray  # (S, N, d)
     omega: np.ndarray  # (S, d)
 
-    def one(self) -> TCTDomainClass:
-        """The classification of a one-state stack; raises its error."""
-        if self.errors[0] is not None:
-            raise self.errors[0]
-        return self.classifications[0]
+    def error(self, row: int) -> Optional[IHSEError]:
+        """The error the row's state raises alone, or None."""
+        check = RAISES - self.label.item(row)
+        if check < 0:
+            return None
+        error_type, message = SCATTER_CHECKS[check]
+        return error_type(message)
+
+    def one(self, row: int = 0) -> TCTDomainClass:
+        """The classification of a row, by default the state of a one-state
+        stack, built from its label; raises the row's error."""
+        label = self.label.item(row)
+        if label <= RAISES:
+            raise self.error(row)
+        if label == FREE:
+            return TCTDomainClass.free()
+        if label < 0:
+            return TCTDomainClass.excluded(REASONS[-2 - label])
+        k, emits = divmod(label, 2)
+        i, j = pair_indices(self.positions.shape[1])
+        kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
+        return TCTDomainClass.single_collision(PairIndex(i.item(k) + 1, j.item(k) + 1), self.t_c.item(row), kind)
 
 
 def tct_stack(
@@ -130,57 +153,35 @@ def tct_stack(
     if tau <= 0:
         raise UsageError("tau must be positive")
     s, n, d = positions.shape
-    i, j = pair_indices(n)
     invalid, boundary = domain_masks(positions, tol.contact_tol)
-    interior = ~(invalid | boundary).any(axis=-1)
     time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
-    rows = np.flatnonzero(interior & (graze > tau) & (time <= tau) & unique)
+    # A contact inside the horizon is simultaneous until it is found unique;
+    # the checks before it overrule it.
+    simultaneous = EXCLUDED[ExclusionReason.SIMULTANEOUS]
+    label = np.where(time <= tau, simultaneous, FREE)
+    label[graze <= tau] = EXCLUDED[ExclusionReason.GRAZING]
+    label[(invalid | boundary).any(axis=-1)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
+    rows = ((label == simultaneous) & unique).nonzero()[0]
     final_x, final_v, omega = positions + tau * velocities, velocities.copy(), np.full((s, d), np.nan)
-    collided = {}
     if rows.size:
         # Collide at the contact, then rescan the remaining time.
         pair, t = k[rows], time[rows]
-        x, v, contact, _, emitting, check = collide_stack(positions[rows], velocities[rows], pair, t, params, tol=tol)
+        x, v, omega[rows], _, emitting, check = collide_stack(
+            positions[rows], velocities[rows], pair, t, params, tol=tol
+        )
         remaining = tau - t
-        again = np.flatnonzero((check < 0) & (remaining > 0))
-        recollides = np.zeros(rows.size, dtype=bool)
+        code = 2 * pair + emitting
+        failed = check >= 0
+        code[failed] = FAILED_CHECK[check[failed]]
+        again = (~failed & (remaining > 0)).nonzero()[0]
         if again.size:
-            recent = np.arange(i.size) == pair[again, None]
+            recent = np.arange(n * (n - 1) // 2) == pair[again, None]
             t2, _, _, graze2 = first_contacts(x[again], v[again], tol=tol, recent=recent)
-            recollides[again] = np.minimum(t2, graze2) <= remaining[again]
-        final_x[rows], final_v[rows], omega[rows] = x + remaining[:, None, None] * v, v, contact
-        collided = dict(zip(rows.tolist(), zip(check.tolist(), recollides.tolist(), emitting.tolist())))
-    classifications, errors = [], []
-    for row in range(s):
-        reason = error = classification = None
-        if not interior[row]:
-            reason = ExclusionReason.BOUNDARY_START
-        elif graze[row] <= tau:
-            reason = ExclusionReason.GRAZING
-        elif not time[row] <= tau:
-            classification = TCTDomainClass.free()
-        elif not unique[row]:
-            reason = ExclusionReason.SIMULTANEOUS
-        else:
-            failed_check, recollide, emits = collided[row]
-            if failed_check == CRITICAL_BAND:
-                reason = ExclusionReason.CRITICAL_ENERGY
-            elif failed_check >= 0:
-                error_type, message = SCATTER_CHECKS[failed_check]
-                error = error_type(message)
-            elif recollide:
-                reason = ExclusionReason.RECOLLISION
-            else:
-                kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
-                pair_index = PairIndex(int(i[k[row]]) + 1, int(j[k[row]]) + 1)
-                classification = TCTDomainClass.single_collision(pair_index, float(time[row]), kind)
-        if reason is not None:
-            classification = TCTDomainClass.excluded(reason)
-        if classification is None or classification.is_excluded:
-            final_x[row] = final_v[row] = np.nan
-        classifications.append(classification)
-        errors.append(error)
-    return TCTStack(classifications, errors, final_x, final_v, omega)
+            code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
+        final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
+    dropped = label < FREE
+    final_x[dropped] = final_v[dropped] = np.nan
+    return TCTStack(label, time, final_x, final_v, omega)
 
 
 def classify_tct_domain(
@@ -213,23 +214,6 @@ def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolera
     return TCTResult(final, classification, (classification.pair, classification.t_c, outcome))
 
 
-def flow_jacobian_prefactor(
-    cfg: Configuration, pair: PairIndex, params: ModelParams, *, tol: Tolerances = Tolerances()
-) -> float:
-    """1 + grad_X(t_c) . (V - V') from the analytic contact-time gradients.
-
-    Evaluates to -1 for elastic collisions and -sqrt(1 - 4 eps0 / s^2) for
-    emitting ones (s the pre-collisional relative speed), independent of
-    dimension.  Raises CriticalEnergyError inside the critical band.
-    """
-    grad_x, _ = collision_time_gradients(cfg, pair, tol=tol)
-    post, outcome, _ = collide(cfg, pair, predict_pair(cfg, pair, tol=tol).time, params, tol=tol)
-    if outcome is None:
-        raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
-    dv = (cfg.velocities - post.velocities).ravel()
-    return 1.0 + float(grad_x @ dv)
-
-
 def analytic_flow_jacobian_det(
     cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
 ) -> tuple[float, float, float]:
@@ -243,21 +227,24 @@ def analytic_flow_jacobian_det(
     emitting), in any dimension d.  So det is 1 for an elastic collision and
     x^((d-1)/2) for an emitting one.
     """
-    classification = classify_tct_domain(cfg, tau, params, tol=tol)
+    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
+    classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
-    return classified_flow_det(cfg, classification, params, tol=tol)
+    return classified_flow_det(cfg, classification, stack.velocities[0], params, tol=tol)
 
 
 def classified_flow_det(
-    cfg: Configuration, classification: TCTDomainClass, params: ModelParams, *, tol: Tolerances
+    cfg: Configuration, classification: TCTDomainClass, velocities: np.ndarray, params: ModelParams, *, tol: Tolerances
 ) -> tuple[float, float, float]:
     """analytic_flow_jacobian_det of a state already classified as free or
     single collision over its horizon (by tct_stack, classify_tct_domain or
-    tct_flow), without classifying it again."""
+    tct_flow), without classifying it again.  velocities are the state's at
+    tau, the post-collisional V' of the prefactor 1 + grad_X(t_c) . (V - V')."""
     if classification.is_free:
         return 1.0, 1.0, 1.0
-    prefactor = flow_jacobian_prefactor(cfg, classification.pair, params, tol=tol)
+    grad_x, _ = collision_time_gradients(cfg, classification.pair, tol=tol)
+    prefactor = 1.0 + float(grad_x @ (cfg.velocities - velocities).ravel())
     _, w = cfg.pair_state(classification.pair)
     det_n = scattering_velocity_det_analytic(float(w @ w), params)
     return prefactor * det_n, prefactor, det_n

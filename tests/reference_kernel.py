@@ -1,12 +1,16 @@
-"""Pair-by-pair reference for ``ihse.collision.first_collision``, and a
-one-state reference for ``ihse.tct.tct_stack``.
+"""Pair-by-pair reference for ``ihse.collision.first_collision``, a
+one-state reference for ``ihse.tct.tct_stack``, and one for the flow
+determinant's prefactor.
 
 The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
 lexicographic order.  The second is the one-collision flow of a single
 state composed from that pair-by-pair scan and the simulator's one-state
-collide, as the stacked flow replaced it.  Both stay in the tests so that the kernels can be
-required to give identical results, field for field and bit for bit.
+collide, as the stacked flow replaced it.  The third collides the pair
+again for its post-collisional velocities, as the prefactor was computed
+before it read them from the stacked flow.  All stay in the tests so that
+the kernels can be required to give identical results, field for field and
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError
+from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError, collision_time_gradients, predict_pair
 from ihse.core import Configuration, ModelParams, PairIndex, Tolerances, free_transport, validate_configuration
+from ihse.scattering import CriticalEnergyError
 from ihse.simulator import collide
 from ihse.tct import ExclusionReason, TCTDomainClass
 
@@ -126,3 +131,20 @@ def tct_flow(
         return excluded(ExclusionReason.RECOLLISION), None, None
     classification = TCTDomainClass.single_collision(scan.pair, scan.time, outcome.kind)
     return classification, free_transport(state, remaining), (scan.pair, scan.time, outcome)
+
+
+def flow_jacobian_prefactor(
+    cfg: Configuration, pair: PairIndex, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> float:
+    """1 + grad_X(t_c) . (V - V') from the analytic contact-time gradients.
+
+    Evaluates to -1 for elastic collisions and -sqrt(1 - 4 eps0 / s^2) for
+    emitting ones (s the pre-collisional relative speed), independent of
+    dimension.  Raises CriticalEnergyError inside the critical band.
+    """
+    grad_x, _ = collision_time_gradients(cfg, pair, tol=tol)
+    post, outcome, _ = collide(cfg, pair, predict_pair(cfg, pair, tol=tol).time, params, tol=tol)
+    if outcome is None:
+        raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
+    dv = (cfg.velocities - post.velocities).ravel()
+    return 1.0 + float(grad_x @ dv)

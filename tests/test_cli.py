@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ihse import UsageError, jacobian_lab, tct
+from ihse import UsageError, collision, jacobian_lab, scattering, simulator, tct
 from ihse.cli import COMMANDS, _thread_cap, build_parser, run
 from ihse.jsonio import dumps
 
@@ -105,6 +105,20 @@ class TestFlowCommand:
         status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
         assert status == 0
         assert len(calls) == 1
+
+    def test_collides_once(self, tmp_path, two_body_file, monkeypatch):
+        # One stacked collide; scatter once more for the document's outcome
+        # record; one pair prediction, in collision_time_gradients.
+        names = {scattering: ("dispatched_law", "scatter"), simulator: ("collide",), collision: ("predict_pair",)}
+        calls = {name: count_calls(monkeypatch, module, name) for module, group in names.items() for name in group}
+        status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
+        assert status == 0
+        assert {name: len(made) for name, made in calls.items()} == {
+            "dispatched_law": 1,
+            "scatter": 1,
+            "collide": 0,
+            "predict_pair": 1,
+        }
 
 
 class TestClassifyCommand:
@@ -221,6 +235,19 @@ class TestVerificationCommands:
         assert status == 0
         assert len(json.loads(out.read_text())["samples"]) == 50
         assert len(calls) == 50
+
+    @pytest.mark.parametrize("command, samples", [("jacobian", "-3"), ("scatter-check", "0"), ("tensor-lemma", "-2")])
+    def test_non_positive_samples_is_usage_error(self, tmp_path, capsys, command, samples):
+        status, out = run_to_file(tmp_path, [command, "--samples", samples])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {command}: --samples must be positive\n"
+
+    def test_jacobian_rejects_one_particle(self, tmp_path, capsys):
+        status, out = run_to_file(tmp_path, ["jacobian", "--samples", "2", "--n-particles", "1"])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("ihse jacobian: ")
 
     def test_closed_forms_in_3d(self, tmp_path):
         # jacobian and scatter-check certify d=3 as they certify d=2

@@ -18,7 +18,6 @@ from ihse import (
     tct_flow,
 )
 from ihse.jacobian_lab import random_tct_case, verify_flow_jacobian
-from ihse.tct import flow_jacobian_prefactor
 
 from conftest import assert_close
 
@@ -215,10 +214,6 @@ class TestAnalyticDeterminant:
         cfg = Configuration([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [-1, 0, 0]])
         det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(2.0, 3))
         assert abs(det) == pytest.approx(1.0, abs=1e-9)
-
-    def test_prefactor_is_minus_one_elastic(self, head_on, params_elastic_example):
-        value = flow_jacobian_prefactor(head_on, P12, params_elastic_example)
-        assert value == pytest.approx(-1.0, abs=1e-9)
 
     def test_excluded_raises(self, symmetric_head_on):
         with pytest.raises(ExcludedConfigurationError):

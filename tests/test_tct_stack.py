@@ -2,7 +2,8 @@
 ``tct_stack`` must carry the classification, the state at tau and the
 error that the same state gives alone, both through the one-state views
 ``classify_tct_domain`` and ``tct_flow`` and through the reference
-composition in ``reference_kernel``."""
+composition in ``reference_kernel``; and the flow determinant's prefactor
+must equal the reference's bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,15 +12,19 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 from ihse import (
+    CollisionKind,
     Configuration,
     ExcludedConfigurationError,
     ExclusionReason,
     IHSEError,
     ModelParams,
+    PairIndex,
     Tolerances,
+    analytic_flow_jacobian_det,
     classify_tct_domain,
     tct_flow,
 )
+from ihse.jacobian_lab import random_tct_case
 from ihse.scattering import GrazingContactError
 from ihse.tct import tct_stack
 
@@ -54,10 +59,10 @@ def _outcome(call):
 
 def _assert_rows_match(positions, velocities, tau, params, tol):
     stack = tct_stack(positions, velocities, tau, params, tol=tol)
-    assert len(stack.classifications) == len(stack.errors) == len(positions)
+    assert stack.label.shape == stack.t_c.shape == (len(positions),)
     for row, cfg in enumerate(Configuration(x, v) for x, v in zip(positions, velocities)):
-        error = stack.errors[row]
-        stacked = (None, (type(error), str(error))) if error is not None else (stack.classifications[row], None)
+        error, stacked = stack.error(row), _outcome(lambda: stack.one(row))
+        assert stacked[1] == (None if error is None else (type(error), str(error)))
         assert _outcome(lambda: classify_tct_domain(cfg, tau, params, tol=tol)) == stacked
         reference, reference_error = _outcome(lambda: ref.tct_flow(cfg, tau, params, tol))
         assert reference_error == stacked[1]
@@ -66,7 +71,7 @@ def _assert_rows_match(positions, velocities, tau, params, tol):
             assert flow_error == stacked[1]
             continue
         classification, final, record = reference
-        assert classification == stack.classifications[row]
+        assert classification == stack.one(row)
         if classification.is_excluded:
             assert flow_error == (ExcludedConfigurationError, str(ExcludedConfigurationError(classification.reason)))
             assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
@@ -92,15 +97,20 @@ def test_one_state_per_branch():
     velocities = np.array([v for _, v, _ in BRANCHES.values()], dtype=float)
     stack = tct_stack(positions, velocities, BRANCH_TAU, BRANCH_PARAMS, tol=BRANCH_TOL)
     for row, (name, (_, _, expected)) in enumerate(BRANCHES.items()):
-        classification, error = stack.classifications[row], stack.errors[row]
+        error = stack.error(row)
         if expected is GrazingContactError:
-            assert classification is None and isinstance(error, GrazingContactError), name
-        elif isinstance(expected, ExclusionReason):
-            assert error is None and classification.reason is expected, name
+            assert isinstance(error, GrazingContactError), name
+            with pytest.raises(GrazingContactError):
+                stack.one(row)
+            continue
+        assert error is None, name
+        classification = stack.one(row)
+        if isinstance(expected, ExclusionReason):
+            assert classification.reason is expected, name
         elif expected == "free":
-            assert error is None and classification.is_free, name
+            assert classification.is_free, name
         else:
-            assert error is None and classification.kind.value == expected, name
+            assert classification.kind.value == expected, name
     _assert_rows_match(positions, velocities, BRANCH_TAU, BRANCH_PARAMS, BRANCH_TOL)
 
 
@@ -109,6 +119,17 @@ def test_bad_horizon_raises_for_the_stack():
     velocities = np.array([BRANCHES["free"][1]], dtype=float)
     with pytest.raises(IHSEError, match="tau must be positive"):
         tct_stack(positions, velocities, 0.0, BRANCH_PARAMS)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("kind", tuple(CollisionKind))
+def test_prefactor_matches_the_reference(d, kind):
+    # The prefactor reads V' from the stacked flow; the reference collides
+    # the pair again for it.
+    for index in range(10):
+        cfg, params = random_tct_case(71 + d, index, 2 + index % 3, kind=kind, d=d)
+        _, prefactor, _ = analytic_flow_jacobian_det(cfg, 1.0, params)
+        assert prefactor.hex() == ref.flow_jacobian_prefactor(cfg, PairIndex(1, 2), params).hex(), index
 
 
 def _centre(gen, n, d):
