@@ -160,7 +160,7 @@ class Configuration:
         return float(np.linalg.norm(r))
 
     def min_separation(self) -> float:
-        return min_pair_separation(self.positions)
+        return math.sqrt(squared_separations(self.positions).min(initial=math.inf))
 
     def to_vector(self) -> np.ndarray:
         """Flat phase-space vector: positions then velocities, particle-major."""
@@ -235,19 +235,14 @@ def pair_differences(values: np.ndarray) -> np.ndarray:
     return np.subtract(diff, values.take(j, axis=-2), out=diff)
 
 
-def min_pair_separation(positions: np.ndarray) -> float:
-    """Smallest pair separation over a stack (..., N, d) of position sets;
-    inf for a single particle.
-
-    Squares are summed as in numpy's axis-wise norm (no fused multiply-add),
-    which differs in the last bit from the square root of a dot product for
-    some pairs; reported minimum separations keep this form.  The root of
-    the smallest sum equals the smallest root, as sqrt is monotone.
-    """
+def squared_separations(positions: np.ndarray) -> np.ndarray:
+    """Squared separation of every pair of a stack (..., N, d) of position
+    sets, in pair_indices order.  Squares are summed as in numpy's axis-wise
+    norm (no fused multiply-add), which differs in the last bit from a dot
+    product for some pairs; reported minimum separations keep this form, and
+    the root of the smallest sum equals the smallest root."""
     r = pair_differences(positions)
-    if r.shape[-2] == 0:
-        return math.inf
-    return math.sqrt(float(np.square(r, out=r).sum(axis=-1).min()))
+    return np.square(r, out=r).sum(axis=-1)
 
 
 def pair_separations(positions: np.ndarray) -> np.ndarray:
@@ -290,6 +285,19 @@ def free_transport(cfg: Configuration, t: float) -> Configuration:
     if not math.isfinite(t):
         raise UsageError("transport time must be finite")
     return Configuration(cfg.positions + t * cfg.velocities, cfg.velocities)
+
+
+def check_reach(cfg: Configuration, horizon: float, name: str, subject: str, spread: float = 0.0) -> None:
+    """UsageError unless 0 < horizon < inf and no run over [0, horizon] from
+    within spread of cfg per coordinate can overflow the contact quadratic's
+    b*b or a*c (fourth degree in the coordinates).  Kinetic energy never
+    grows, so no coordinate leaves reach and no |r|^2 or |w|^2 tops square."""
+    if not 0 < horizon < math.inf:
+        raise UsageError(f"{name} must be positive and finite")
+    reach = (float(np.abs(cfg.to_vector()).max()) + spread) * (1.0 + horizon * math.sqrt(cfg.positions.size))
+    square = cfg.dimension * (2.0 * reach) * (2.0 * reach)
+    if not math.isfinite(square * square):
+        raise UsageError(f"{subject} is too large: the contact roots would overflow over [0, {name}]")
 
 
 def conserved_quantities(cfg: Configuration) -> tuple[np.ndarray, float]:

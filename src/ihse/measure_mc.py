@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, kinetic_energy, pair_indices
+from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach, kinetic_energy
+from .core import pair_indices
 from .jacobian_lab import BranchCrossingError, fd_determinant
 from .rng import block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
@@ -208,19 +209,13 @@ def ensemble_volume_evolution(
     radius.  The center trajectory is one simulate run.  A
     one-row simulate_stack call must reproduce its signature, and the center
     with every stencil point at both FD steps is one more simulate_stack call.
-    A radius for which the contact quadratic's b*b or a*c (fourth degree in
-    the coordinates) may overflow on the stencil over [0, tau] is a
-    UsageError, raised before any trajectory runs.
+    A radius whose stencil could overflow the contact roots over [0, tau]
+    (check_reach) is a UsageError, raised before any trajectory runs.
     """
     if not (radius > 0 and tau > 0):
         raise UsageError("radius and tau must be positive")
+    check_reach(center, tau, "tau", f"--radius {radius!r}", radius / 10.0)
     n, d = center.n_particles, center.dimension
-    # Kinetic energy never grows, so no coordinate of a stencil run leaves
-    # reach, and no pair's |r|^2 or |w|^2 exceeds square.
-    reach = (float(np.abs(center.to_vector()).max()) + radius / 10.0) * (1.0 + tau * math.sqrt(n * d))
-    square = d * (2.0 * reach) * (2.0 * reach)
-    if not math.isfinite(square * square):
-        raise UsageError(f"--radius {radius!r} is too large: the contact roots on its FD stencil overflow")
     report = simulate(center, tau, params, tol=tol)
     if report.halted is not None:
         raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")

@@ -19,18 +19,17 @@ from .core import (
     Tolerances,
     UsageError,
     all_pairs,
+    check_reach,
     domain_masks,
-    free_transport,
     kinetic_energy,
-    min_pair_separation,
-    pair_differences,
     pair_indices,
     pair_separations,
+    squared_separations,
     validate_configuration,
 )
-from .collision import contact_direction, first_collision, first_contacts
+from .collision import first_collision, first_contacts
 from .rng import sample_generator, uniform_ball
-from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, ScatteringOutcome, scatter
+from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, scatter
 from .scattering import dispatched_law, failed_checks
 
 PATHOLOGY_SIMULTANEOUS = "simultaneous"
@@ -40,6 +39,10 @@ PATHOLOGY_MAX_EVENTS = "max_events"
 
 # Free-flight overlap probes per run, evenly spaced over [0, T].
 N_CHECKPOINTS = 100
+# Stacks of position sets a simulate run gathers before it folds them into
+# its minimum separation.  Larger batches save little time on dense
+# clusters and raise the peak memory of a run.
+PROBE_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -103,37 +106,16 @@ class BoundCheck:
     events_ok: bool
 
 
-def collide(
-    cfg: Configuration, pair: PairIndex, t: float, params: ModelParams, *, tol: Tolerances = Tolerances()
-) -> tuple[Configuration, Optional[ScatteringOutcome], float]:
-    """(state, outcome, |v_i - v_j|^2): transport by t to the pair's contact,
-    check the critical band, and apply the dispatched collision law.  Inside
-    the band the transported state is returned unscattered with outcome
-    None."""
-    contact = free_transport(cfg, t)
-    i, j = pair.zero_based()
-    w = contact.velocities[i] - contact.velocities[j]
-    w2 = float(w @ w)
-    if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
-        return contact, None, w2
-    omega = contact_direction(contact, pair)
-    outcome = scatter(contact.velocities[i], contact.velocities[j], omega, params, tol=tol)
-    velocities = contact.velocities.copy()
-    velocities[i] = outcome.v_i_post
-    velocities[j] = outcome.v_j_post
-    return Configuration(contact.positions, velocities), outcome, w2
-
-
 def collide_stack(
     positions: np.ndarray, velocities: np.ndarray, k: np.ndarray, t: np.ndarray, params: ModelParams, *, tol: Tolerances
 ) -> tuple[np.ndarray, ...]:
-    """collide on a stack (R, N, d) of states, row r with the pair at
-    position k[r] of pair_indices and the contact time t[r], each row with
-    the bits collide gives it alone.  Returns (positions, velocities, omega,
-    rel_speed_sq, emitting, check) at the contacts.  check is -1 for a
-    scattered row, else the SCATTER_CHECKS index of the first failed check
-    in collide's order: the critical band (CRITICAL_BAND; the row is left
-    unscattered, as collide leaves it) before scatter's own checks."""
+    """simulate's collision on a stack (R, N, d) of states, row r with the
+    pair at position k[r] of pair_indices and the contact time t[r], each
+    row with the bits simulate gives it.  Returns (positions, velocities,
+    omega, rel_speed_sq, emitting, check) at the contacts.  check is -1 for
+    a scattered row, else the SCATTER_CHECKS index of the first failed
+    check: the critical band (CRITICAL_BAND; the row is left unscattered, as
+    simulate leaves it) before scatter's own checks."""
     at, i, j = np.arange(k.size), *(index[k] for index in pair_indices(positions.shape[-2]))
     x, v = positions + t[:, None, None] * velocities, velocities.copy()
     v_i, v_j, r = v[at, i], v[at, j], x[at, i] - x[at, j]
@@ -149,67 +131,76 @@ def collide_stack(
 
 
 def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> SimReport:
-    """Run the event-driven dynamics from an interior configuration to time T.
+    """Run the event-driven dynamics from an interior configuration to a
+    finite time T, the state carried as two arrays between events.
 
     Each event is one all-pairs scan (first_collision) over the remaining
-    time, then collide at the earliest pair contact, as simulate_stack steps
-    each row.  A graze at or before the next contact, or with no contact
-    left, halts the run; a graze past it is left to a later scan.
-    Near-simultaneous distinct-pair contacts, relative speeds inside the
-    critical band, and event count overflow halt the run too, each with an
-    in-band pathology record.
+    time, then the collision at the earliest pair contact (transport, the
+    critical band, scatter), as collide_stack collides a simulate_stack row.
+    A graze at or before the next contact, or with no contact left, halts
+    the run; so do near-simultaneous distinct-pair contacts, relative speeds
+    inside the critical band and event count overflow, each with an in-band
+    pathology record.  Each ke_before is the previous event's ke_after.
+    min_separation covers the initial state, every contact state and the
+    checkpoints passed; their position sets are folded into a running
+    minimum of squared separations PROBE_BATCH stacks at a time.
     """
-    if T <= 0:
-        raise UsageError("T must be positive")
+    check_reach(cfg, T, "T", "a coordinate")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         raise UsageError("initial configuration must be interior (all gaps > 1)")
     checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
     events: list[SimEvent] = []
-    min_sep = cfg.min_separation()
-    state = cfg
-    now = 0.0
+    x, v = cfg.positions, cfg.velocities.copy()
+    probes, min_sq, ke = [x[None]], math.inf, kinetic_energy(cfg)
+    now, next_checkpoint = 0.0, 0
     recent: Optional[PairIndex] = None
     halted: Optional[Pathology] = None
-    next_checkpoint = 0
 
     def advance_through(segment_end: float):
         """Overlap probes at the checkpoints inside the segment, transported
         from the segment's start in one array operation."""
-        nonlocal next_checkpoint, min_sep
+        nonlocal next_checkpoint, min_sq
         stop = int(np.searchsorted(checkpoint_times, segment_end + 1e-15, side="right"))
         if stop > next_checkpoint:
-            t = checkpoint_times[next_checkpoint:stop] - now
-            min_sep = min(min_sep, min_pair_separation(state.positions + t[:, None, None] * state.velocities))
+            probes.append(x + (checkpoint_times[next_checkpoint:stop] - now)[:, None, None] * v)
+            min_sq = _fold(probes, min_sq, PROBE_BATCH)
             next_checkpoint = stop
 
     while (remaining := T - now) > 0:
-        scan = first_collision(state, remaining, tol=tol, recent_pair=recent)
+        scan = first_collision(Configuration(x, v), remaining, tol=tol, recent_pair=recent)
         if scan is not None and scan.graze is not None and (scan.time is None or scan.graze <= scan.time):
             halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
             break
         if scan is None:
             advance_through(T)
-            state = free_transport(state, remaining)
+            x = x + remaining * v
             now = T
             break
         if not scan.unique:
             halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + scan.time)
             break
         advance_through(now + scan.time)
-        ke_before = kinetic_energy(state)
-        state, outcome, rel_speed_sq = collide(state, scan.pair, scan.time, params, tol=tol)
+        x = x + scan.time * v
         now += scan.time
-        min_sep = min(min_sep, state.min_separation())
-        if outcome is None:
+        probes.append(x[None])
+        min_sq = _fold(probes, min_sq, PROBE_BATCH)
+        i, j = scan.pair.zero_based()
+        w = v[i] - v[j]
+        rel_speed_sq = float(w @ w)
+        if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
-        events.append(SimEvent(now, scan.pair, outcome.kind, ke_before, kinetic_energy(state), rel_speed_sq))
+        r = x[i] - x[j]
+        outcome = scatter(v[i], v[j], -r / math.sqrt(float(r @ r)), params, tol=tol)
+        v[i], v[j] = outcome.v_i_post, outcome.v_j_post
+        ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
+        events.append(SimEvent(now, scan.pair, outcome.kind, ke_before, ke, rel_speed_sq))
         recent = scan.pair
         if len(events) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
 
-    return _report(events, state, min_sep, halted)
+    return _report(events, Configuration(x, v), math.sqrt(_fold(probes, min_sq)), halted)
 
 
 def _report(events: list[SimEvent], final: Configuration, min_sep: float, halted: Optional[Pathology]) -> SimReport:
@@ -217,11 +208,13 @@ def _report(events: list[SimEvent], final: Configuration, min_sep: float, halted
     return SimReport(tuple(events), final, len(events) - n_inelastic, n_inelastic, min_sep, halted)
 
 
-def _squared_separations(positions: np.ndarray) -> np.ndarray:
-    """Squared separation of every pair of a stack (..., N, d) of position
-    sets, summed as min_pair_separation sums it."""
-    r = pair_differences(positions)
-    return np.square(r, out=r).sum(axis=-1)
+def _fold(probes: list[np.ndarray], min_sq: float, batch: int = 1) -> float:
+    """min_sq lowered to the smallest squared pair separation of the gathered
+    stacks (k, N, d) of position sets, once batch are gathered; then empty."""
+    if len(probes) >= batch:
+        min_sq = min(min_sq, float(squared_separations(np.concatenate(probes)).min(initial=np.inf)))
+        probes.clear()
+    return min_sq
 
 
 def simulate_stack(
@@ -237,15 +230,15 @@ def simulate_stack(
     are that row's error.  simulate stays the one-state loop: on one state
     it is the faster of the two.
     """
-    if T <= 0:
-        raise UsageError("T must be positive")
+    if not 0 < T < math.inf:
+        raise UsageError("T must be positive and finite")
     s, n, _ = positions.shape
     pairs = all_pairs(n)
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
     running = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
     errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in running]
     checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
-    min_sq = _squared_separations(x).min(axis=-1, initial=np.inf)
+    min_sq = squared_separations(x).min(axis=-1, initial=np.inf)
     now, recent, next_checkpoint = np.zeros(s), np.full(s, -1), np.zeros(s, dtype=int)
     events, halted = [[] for _ in range(s)], [None] * s
     while (active := np.flatnonzero(running & (T - now > 0))).size:
@@ -273,7 +266,7 @@ def simulate_stack(
             columns = np.arange(start.min(), stop.max())
             t = checkpoint_times[columns] - now[rows, None]
             inside = (columns >= start[:, None]) & (columns < stop[:, None])
-            probes = _squared_separations(x[rows, None] + t[..., None, None] * v[rows, None])
+            probes = squared_separations(x[rows, None] + t[..., None, None] * v[rows, None])
             min_sq[rows] = np.minimum(min_sq[rows], probes.min(axis=(1, 2), initial=np.inf, where=inside[..., None]))
             next_checkpoint[rows] = stop
         rows = active[free]
@@ -283,7 +276,7 @@ def simulate_stack(
         ke_before = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params, tol=tol)
         now[rows] += t
-        min_sq[rows] = np.minimum(min_sq[rows], _squared_separations(x[rows]).min(axis=-1, initial=np.inf))
+        min_sq[rows] = np.minimum(min_sq[rows], squared_separations(x[rows]).min(axis=-1, initial=np.inf))
         ke_after = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke_after.tolist(), w2.tolist())
         for (row, pair, at, before, after, s2), failed, emits in zip(ledger, check.tolist(), emitting.tolist()):

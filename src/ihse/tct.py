@@ -19,6 +19,7 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
+    check_reach,
     domain_masks,
     pair_indices,
 )
@@ -150,8 +151,8 @@ def tct_stack(
     """Classify and flow a stack (S, N, d) of states over [0, tau] in one pass
     of array operations, each row with the bits its state gets alone;
     classify_tct_domain and tct_flow are its S=1 view."""
-    if tau <= 0:
-        raise UsageError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise UsageError("tau must be positive and finite")
     s, n, d = positions.shape
     invalid, boundary = domain_masks(positions, tol.contact_tol)
     time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
@@ -194,14 +195,17 @@ def classify_tct_domain(
     critical energy band, and finally a full rescan of the post-collisional
     state for any further collision or graze inside the remaining time
     (covering pairs that do and do not involve the scattered particles
-    alike).
+    alike).  A state that could overflow the contact roots is a UsageError.
     """
+    check_reach(cfg, tau, "tau", "a coordinate")
     return tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol).one()
 
 
 def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> TCTResult:
     """Evolve the configuration over [0, tau]: free flight, or transport to
-    the single collision, scatter, and transport the remaining time."""
+    the single collision, scatter, and transport the remaining time; a state
+    that could overflow the contact roots is a UsageError."""
+    check_reach(cfg, tau, "tau", "a coordinate")
     stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
     classification = stack.one()
     if classification.is_excluded:

@@ -1,16 +1,17 @@
 """Pair-by-pair reference for ``ihse.collision.first_collision``, a
-one-state reference for ``ihse.tct.tct_stack``, and one for the flow
-determinant's prefactor.
+one-state collide, a one-state reference for ``ihse.tct.tct_stack``, and
+one for the flow determinant's prefactor.
 
 The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
-lexicographic order.  The second is the one-collision flow of a single
-state composed from that pair-by-pair scan and the simulator's one-state
-collide, as the stacked flow replaced it.  The third collides the pair
-again for its post-collisional velocities, as the prefactor was computed
-before it read them from the stacked flow.  All stay in the tests so that
-the kernels can be required to give identical results, field for field and
-bit for bit.
+lexicographic order.  The second is the collision step that
+``ihse.simulator.simulate`` makes inline, here on Configuration objects.
+The third is the one-collision flow of a single state composed from that
+pair-by-pair scan and collide, as the stacked flow replaced it.  The fourth
+collides the pair again for its post-collisional velocities, as the
+prefactor was computed before it read them from the stacked flow.  All stay
+in the tests so that the kernels can be required to give identical results,
+field for field and bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from ihse.collision import REARM_TIME, FirstCollision, NoCollisionError, collision_time_gradients, predict_pair
+from ihse.collision import (
+    REARM_TIME,
+    FirstCollision,
+    NoCollisionError,
+    collision_time_gradients,
+    contact_direction,
+    predict_pair,
+)
 from ihse.core import Configuration, ModelParams, PairIndex, Tolerances, free_transport, validate_configuration
-from ihse.scattering import CriticalEnergyError
-from ihse.simulator import collide
+from ihse.scattering import CriticalEnergyError, ScatteringOutcome, scatter
 from ihse.tct import ExclusionReason, TCTDomainClass
 
 
@@ -107,12 +114,33 @@ def first_collision(
     return FirstCollision(best_time, best_pair, unique, graze)
 
 
+def collide(
+    cfg: Configuration, pair: PairIndex, t: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> tuple[Configuration, Optional[ScatteringOutcome], float]:
+    """(state, outcome, |v_i - v_j|^2): transport by t to the pair's contact,
+    check the critical band, and apply the dispatched collision law.  Inside
+    the band the transported state is returned unscattered with outcome
+    None."""
+    contact = free_transport(cfg, t)
+    i, j = pair.zero_based()
+    w = contact.velocities[i] - contact.velocities[j]
+    w2 = float(w @ w)
+    if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
+        return contact, None, w2
+    omega = contact_direction(contact, pair)
+    outcome = scatter(contact.velocities[i], contact.velocities[j], omega, params, tol=tol)
+    velocities = contact.velocities.copy()
+    velocities[i] = outcome.v_i_post
+    velocities[j] = outcome.v_j_post
+    return Configuration(contact.positions, velocities), outcome, w2
+
+
 def tct_flow(
     cfg: Configuration, tau: float, params: ModelParams, tol: Tolerances
 ) -> tuple[TCTDomainClass, Optional[Configuration], Optional[tuple]]:
     """(classification, state at tau or None when excluded, collision record
     or None) of one state, through this module's first_collision and
-    simulator.collide.  Raises what the state's scatter raises."""
+    collide.  Raises what the state's scatter raises."""
     excluded = TCTDomainClass.excluded
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         return excluded(ExclusionReason.BOUNDARY_START), None, None

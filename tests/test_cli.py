@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ihse import UsageError, collision, jacobian_lab, scattering, simulator, tct
+from ihse import UsageError, collision, jacobian_lab, scattering, tct
 from ihse.cli import COMMANDS, _thread_cap, build_parser, run
 from ihse.jsonio import dumps
 
@@ -109,14 +109,13 @@ class TestFlowCommand:
     def test_collides_once(self, tmp_path, two_body_file, monkeypatch):
         # One stacked collide; scatter once more for the document's outcome
         # record; one pair prediction, in collision_time_gradients.
-        names = {scattering: ("dispatched_law", "scatter"), simulator: ("collide",), collision: ("predict_pair",)}
+        names = {scattering: ("dispatched_law", "scatter"), collision: ("predict_pair",)}
         calls = {name: count_calls(monkeypatch, module, name) for module, group in names.items() for name in group}
         status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
         assert status == 0
         assert {name: len(made) for name, made in calls.items()} == {
             "dispatched_law": 1,
             "scatter": 1,
-            "collide": 0,
             "predict_pair": 1,
         }
 
@@ -201,6 +200,27 @@ class TestSimulateCommand:
     def test_default_sampling_flags_accepted_with_config(self, tmp_path, two_body_file):
         argv = ["simulate", "--config", str(two_body_file), "--T", "3", "--eps0", "0.1875", "--seed", "0", "--dim", "2"]
         assert run_to_file(tmp_path, argv)[0] == 0
+
+
+class TestHorizonAndReach:
+    @pytest.mark.parametrize("command, flag", [("simulate", "--T"), ("classify", "--tau"), ("flow", "--tau")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_horizon_is_usage_error(self, tmp_path, capsys, two_body_file, command, flag, value):
+        status, out = run_to_file(tmp_path, [command, "--config", str(two_body_file), flag, value, "--eps0", "0.1875"])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {command}: {flag[2:]} must be positive and finite\n"
+
+    @pytest.mark.parametrize("command, flag", [("simulate", "--T"), ("classify", "--tau"), ("flow", "--tau")])
+    def test_overflowing_contact_quadratic_is_usage_error(self, tmp_path, capsys, command, flag):
+        # a*c of the head-on pair overflows at speeds of 1e200
+        config = tmp_path / "fast.json"
+        particles = [{"x": [0.0, 0.0], "v": [1e200, 0.0]}, {"x": [3.0, 0.0], "v": [-1e200, 0.0]}]
+        config.write_text(dumps({"d": 2, "particles": particles}))
+        status, out = run_to_file(tmp_path, [command, "--config", str(config), flag, "1", "--eps0", "0.1875"])
+        assert status == 2
+        assert not out.exists()
+        assert "too large" in capsys.readouterr().err
 
 
 class TestVerificationCommands:

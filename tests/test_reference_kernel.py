@@ -21,7 +21,6 @@ from ihse import (
 )
 from ihse.collision import first_contacts
 from ihse.core import pair_indices
-from ihse.simulator import collide
 
 TOLERANCES = (
     Tolerances(),
@@ -72,7 +71,7 @@ def _configuration(layout, n, d, gen, tol):
     scan = ref.first_collision(cfg, 1e3, tol=tol)
     if scan is None or scan.time is None:
         return cfg, None
-    state, _, _ = collide(cfg, scan.pair, scan.time, ModelParams(0.3, d))
+    state, _, _ = ref.collide(cfg, scan.pair, scan.time, ModelParams(0.3, d))
     return state, scan.pair
 
 

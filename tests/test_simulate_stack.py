@@ -204,6 +204,60 @@ def test_bad_horizon_raises_for_the_stack():
         simulate_stack(positions, velocities, 0.0, ModelParams(0.5, 2))
 
 
+@pytest.mark.parametrize("T", (math.nan, math.inf))
+def test_non_finite_horizon_raises_for_the_stack(T):
+    positions, velocities = np.array([CHAIN_X], dtype=float), np.array([CHAIN_V], dtype=float)
+    with pytest.raises(UsageError, match="T must be positive and finite"):
+        simulate_stack(positions, velocities, T, ModelParams(0.5, 2))
+
+
+def _dense_cluster(seed):
+    """N = 32 disks on the sites of a 6 x 6 lattice (spacing 1.6) nearest
+    its centre, jittered by at most 0.2 per coordinate, with unit Gaussian
+    velocities plus an inward drift of 0.5."""
+    gen = np.random.default_rng(seed)
+    sites = np.array([(a, b) for a in range(6) for b in range(6)], dtype=float)
+    order = np.lexsort((sites[:, 1], sites[:, 0], np.square(sites - 2.5).sum(axis=1)))
+    x = 1.6 * sites[order[:32]] + gen.uniform(-0.2, 0.2, (32, 2))
+    inward = x.mean(axis=0) - x
+    v = gen.standard_normal((32, 2)) + 0.5 * inward / np.linalg.norm(inward, axis=1, keepdims=True)
+    return x, v
+
+
+def test_simulate_builds_one_state_per_event(monkeypatch):
+    # One scan and one Configuration per event; the overlap probes take no
+    # min_separation, and the ledger reads the kinetic energy once.
+    x, v = _dense_cluster(12)
+    params = ModelParams(0.5, 2)
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in [(simulator, "first_collision"), (simulator, "kinetic_energy")]:
+        count(owner, name)
+    for name in ("__init__", "min_separation"):
+        count(Configuration, name)
+    cfg = Configuration(x, v)
+    calls.clear()
+    report = simulate(cfg, 5.0, params)
+    monkeypatch.undo()
+    events = len(report.events)
+    assert report.halted is None and events >= 30
+    assert calls["first_collision"] == events + 1
+    assert calls["__init__"] <= events + 2
+    assert calls["min_separation"] == 0
+    assert calls["kinetic_energy"] == 1
+    stack = simulate_stack(x[None], v[None], 5.0, params)
+    assert _fingerprint(stack.reports[0]) == _fingerprint(report)
+
+
 def test_flow_map_rows_are_simulate_runs():
     # The volume FD map: one stacked call gives each row simulate's final
     # vector and event signature.

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from ihse import (
     conserved_quantities,
     kinetic_energy,
     simulate,
+    tct_flow,
 )
 from ihse.measure_mc import low_energy_ensemble
 from ihse.simulator import (
@@ -112,6 +114,25 @@ class TestPathologies:
         overlapping = Configuration([[0, 0], [0.5, 0]], [[0, 0], [0, 0]])
         with pytest.raises(UsageError):
             simulate(overlapping, 1.0, ModelParams(1.0, 2))
+
+
+    @pytest.mark.parametrize("T", (math.nan, math.inf))
+    def test_non_finite_horizon(self, head_on, T):
+        with pytest.raises(UsageError, match="T must be positive and finite"):
+            simulate(head_on, T, ModelParams(1.0, 2))
+
+
+# A head-on pair at +-1e200: the contact quadratic's a*c overflows, its
+# discriminant is NaN, and the pair would pass through itself unseen.
+OVERFLOWING = Configuration([[0.0, 0.0], [3.0, 0.0]], [[1e200, 0.0], [-1e200, 0.0]])
+
+
+@pytest.mark.parametrize("entry", (simulate, classify_tct_domain, tct_flow))
+def test_overflowing_contact_quadratic_is_a_usage_error(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="too large: the contact roots would overflow"):
+            entry(OVERFLOWING, 1.0, ModelParams(0.1875, 2))
 
 
 class TestChain:

@@ -5,6 +5,8 @@ error that the same state gives alone, both through the one-state views
 composition in ``reference_kernel``; and the flow determinant's prefactor
 must equal the reference's bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ihse import (
     ModelParams,
     PairIndex,
     Tolerances,
+    UsageError,
     analytic_flow_jacobian_det,
     classify_tct_domain,
     tct_flow,
@@ -119,6 +122,14 @@ def test_bad_horizon_raises_for_the_stack():
     velocities = np.array([BRANCHES["free"][1]], dtype=float)
     with pytest.raises(IHSEError, match="tau must be positive"):
         tct_stack(positions, velocities, 0.0, BRANCH_PARAMS)
+
+
+@pytest.mark.parametrize("tau", (math.nan, math.inf))
+def test_non_finite_horizon_raises_for_the_stack(tau):
+    positions = np.array([BRANCHES["free"][0]], dtype=float)
+    velocities = np.array([BRANCHES["free"][1]], dtype=float)
+    with pytest.raises(UsageError, match="tau must be positive and finite"):
+        tct_stack(positions, velocities, tau, BRANCH_PARAMS)
 
 
 @pytest.mark.parametrize("d", (2, 3))
