@@ -87,12 +87,15 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     # and c/q is the only candidate.  When b < 0, c/q is the smaller
     # root and q/a the larger, which is positive only for states inside
     # the contact sphere (interior configurations never take it).
-    small, large = c / q, q / a
+    small = c / q
     moving = a != 0.0
-    contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
-    contact = np.where(moving & (delta > grazing_tol), contact, np.inf)
+    contact = np.where(small > 0.0, small, q / a)
+    contact[~((contact > 0.0) & (delta > grazing_tol) & moving)] = np.inf
+    grazing = np.abs(delta) <= grazing_tol
+    if not grazing.any():  # the common case: no graze to time
+        return delta, contact, np.full_like(delta, np.inf)
     t_graze = np.where(delta > 0.0, small, neg_b / a)
-    graze = np.where((np.abs(delta) <= grazing_tol) & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
+    graze = np.where(grazing & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
     return delta, contact, graze
 
 

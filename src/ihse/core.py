@@ -235,14 +235,30 @@ def pair_differences(values: np.ndarray) -> np.ndarray:
     return np.subtract(diff, values.take(j, axis=-2), out=diff)
 
 
+def squared_norms(values: np.ndarray) -> np.ndarray:
+    """np.square(values).sum(axis=-1), bit for bit, for any shape.
+
+    numpy adds fewer than 8 terms left to right, one row at a time, which
+    costs a restarted inner loop per row; here the squared columns are added
+    in that order over all rows at once.  From 8 terms up numpy's own
+    (pairwise) reduction runs.  So np.sqrt of the result equals
+    np.linalg.norm(values, axis=-1) bit for bit."""
+    squares = np.square(values)
+    if not 1 < squares.shape[-1] < 8:
+        return squares.sum(axis=-1)
+    total = squares[..., 0] + squares[..., 1]
+    for column in range(2, squares.shape[-1]):
+        total += squares[..., column]
+    return total
+
+
 def squared_separations(positions: np.ndarray) -> np.ndarray:
     """Squared separation of every pair of a stack (..., N, d) of position
     sets, in pair_indices order.  Squares are summed as in numpy's axis-wise
-    norm (no fused multiply-add), which differs in the last bit from a dot
-    product for some pairs; reported minimum separations keep this form, and
-    the root of the smallest sum equals the smallest root."""
-    r = pair_differences(positions)
-    return np.square(r, out=r).sum(axis=-1)
+    norm (squared_norms; no fused multiply-add), which differs in the last
+    bit from a dot product for some pairs; reported minimum separations keep
+    this form, and the root of the smallest sum equals the smallest root."""
+    return squared_norms(pair_differences(positions))
 
 
 def pair_separations(positions: np.ndarray) -> np.ndarray:
@@ -287,17 +303,32 @@ def free_transport(cfg: Configuration, t: float) -> Configuration:
     return Configuration(cfg.positions + t * cfg.velocities, cfg.velocities)
 
 
+def within_reach(positions: np.ndarray, velocities: np.ndarray, horizon: float, spread: float = 0.0) -> np.ndarray:
+    """Per state of a stack (..., N, d): whether no run over [0, horizon]
+    from within spread of the state per coordinate can overflow the contact
+    quadratic's b*b or a*c (fourth degree in the coordinates).  Kinetic
+    energy never grows, so no coordinate leaves reach and no |r|^2 or |w|^2
+    tops square.  A non-finite state is out of reach."""
+    n, d = positions.shape[-2:]
+    top = np.maximum(np.abs(positions).max(axis=(-2, -1)), np.abs(velocities).max(axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (top + spread) * (1.0 + horizon * math.sqrt(n * d))
+        square = d * (2.0 * reach) * (2.0 * reach)
+        return np.isfinite(square * square)
+
+
+def reach_error(name: str, subject: str) -> UsageError:
+    """The error of a state out of reach (within_reach) over [0, name]."""
+    return UsageError(f"{subject} is too large: the contact roots would overflow over [0, {name}]")
+
+
 def check_reach(cfg: Configuration, horizon: float, name: str, subject: str, spread: float = 0.0) -> None:
-    """UsageError unless 0 < horizon < inf and no run over [0, horizon] from
-    within spread of cfg per coordinate can overflow the contact quadratic's
-    b*b or a*c (fourth degree in the coordinates).  Kinetic energy never
-    grows, so no coordinate leaves reach and no |r|^2 or |w|^2 tops square."""
+    """UsageError unless 0 < horizon < inf and cfg is within_reach over
+    [0, horizon], with spread."""
     if not 0 < horizon < math.inf:
         raise UsageError(f"{name} must be positive and finite")
-    reach = (float(np.abs(cfg.to_vector()).max()) + spread) * (1.0 + horizon * math.sqrt(cfg.positions.size))
-    square = cfg.dimension * (2.0 * reach) * (2.0 * reach)
-    if not math.isfinite(square * square):
-        raise UsageError(f"{subject} is too large: the contact roots would overflow over [0, {name}]")
+    if not within_reach(cfg.positions, cfg.velocities, horizon, spread):
+        raise reach_error(name, subject)
 
 
 def conserved_quantities(cfg: Configuration) -> tuple[np.ndarray, float]:

@@ -96,9 +96,11 @@ def _pair_distances(points: np.ndarray) -> np.ndarray:
     Each pair is computed column by column: the square of its component-0
     difference, plus the square of each further component in order, then
     the root.  For d < 8 that is the left-to-right sum numpy's axis-wise
-    norm takes, so a distance on a set's boundary rounds as it always has.
-    The result is a view of a pair-major buffer: each pair's column is
-    contiguous, and reductions over the pairs run one column at a time.
+    norm takes (the order of core.squared_norms), so a distance on a set's
+    boundary rounds as it always has.  Unlike squared_norms' row layout,
+    the result is a view of a pair-major buffer: each pair's column is
+    contiguous, and the reductions over the pairs that follow run one column
+    at a time, which on a block is many times faster than over rows.
     """
     count, n, d = points.shape
     i, j = pair_indices(n)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import squared_norms
+
 BLOCK_SIZE = 4096
 _MASK64 = (1 << 64) - 1
 
@@ -37,7 +39,7 @@ def uniform_ball(gen: np.random.Generator, count: int, dim: int, radius: float) 
     """Uniform draws from the dim-dimensional ball of the given radius,
     shape (count, dim)."""
     x = gen.standard_normal((count, dim))
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.sqrt(squared_norms(x))  # np.linalg.norm(x, axis=1), bit for bit
     norms[norms == 0.0] = 1.0
     r = radius * gen.random(count) ** (1.0 / dim)
     return x * (r / norms)[:, None]

@@ -24,8 +24,10 @@ from .core import (
     kinetic_energy,
     pair_indices,
     pair_separations,
+    reach_error,
     squared_separations,
     validate_configuration,
+    within_reach,
 )
 from .collision import first_collision, first_contacts
 from .rng import sample_generator, uniform_ball
@@ -225,20 +227,24 @@ def simulate_stack(
     verdict as simulate does, probes the checkpoints of the moving rows in
     one array operation and collides the colliding rows together
     (collide_stack).  Every row gets the report, the final state and the
-    error simulate gives its state alone, bit for bit, as long as its
-    transport stays finite; a non-interior start and a failed scatter check
-    are that row's error.  simulate stays the one-state loop: on one state
-    it is the faster of the two.
+    error simulate gives its state alone, bit for bit: a start out of reach
+    over [0, T] (within_reach, simulate's check_reach), a non-interior start
+    and a failed scatter check are that row's error.  simulate stays the
+    one-state loop: on one state it is the faster of the two.
     """
     if not 0 < T < math.inf:
         raise UsageError("T must be positive and finite")
     s, n, _ = positions.shape
     pairs = all_pairs(n)
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
-    running = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
-    errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in running]
+    reachable = within_reach(x, v, T)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
+        interior = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
+        min_sq = squared_separations(x).min(axis=-1, initial=np.inf)
+    errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
+    errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
+    running = reachable & interior
     checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
-    min_sq = squared_separations(x).min(axis=-1, initial=np.inf)
     now, recent, next_checkpoint = np.zeros(s), np.full(s, -1), np.zeros(s, dtype=int)
     events, halted = [[] for _ in range(s)], [None] * s
     while (active := np.flatnonzero(running & (T - now > 0))).size:

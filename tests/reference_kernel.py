@@ -1,13 +1,16 @@
-"""Pair-by-pair reference for ``ihse.collision.first_collision``, a
-one-state collide, a one-state reference for ``ihse.tct.tct_stack``, and
-one for the flow determinant's prefactor.
+"""Pair-by-pair reference for ``ihse.collision.first_collision``, the
+array contact roots as first written, a one-state collide, a one-state
+reference for ``ihse.tct.tct_stack``, and one for the flow determinant's
+prefactor.
 
 The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
-lexicographic order.  The second is the collision step that
+lexicographic order.  The second is ``ihse.collision._quadratic_contact_roots``
+before it skipped the graze branch when no pair grazes: every output by
+where passes.  The third is the collision step that
 ``ihse.simulator.simulate`` makes inline, here on Configuration objects.
-The third is the one-collision flow of a single state composed from that
-pair-by-pair scan and collide, as the stacked flow replaced it.  The fourth
+The fourth is the one-collision flow of a single state composed from that
+pair-by-pair scan and collide, as the stacked flow replaced it.  The fifth
 collides the pair again for its post-collisional velocities, as the
 prefactor was computed before it read them from the stacked flow.  All stay
 in the tests so that the kernels can be required to give identical results,
@@ -51,6 +54,25 @@ def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float,
     if q == 0.0:
         return b, a, delta, (0.0, 0.0)
     return b, a, delta, (q / a, c / q)
+
+
+def array_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta, contact, graze) of P pairs, as ihse.collision._quadratic_contact_roots."""
+    a = np.vecdot(w, w)
+    b = np.vecdot(r, w)
+    c = np.vecdot(r, r) - 1.0
+    delta = b * b - a * c
+    approaching = b < 0.0
+    neg_b = -b
+    sq = np.sqrt(delta)
+    q = np.where(approaching, neg_b + sq, neg_b - sq)
+    small, large = c / q, q / a
+    moving = a != 0.0
+    contact = np.where(small > 0.0, small, np.where(large > 0.0, large, np.inf))
+    contact = np.where(moving & (delta > grazing_tol), contact, np.inf)
+    t_graze = np.where(delta > 0.0, small, neg_b / a)
+    graze = np.where((np.abs(delta) <= grazing_tol) & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
+    return delta, contact, graze
 
 
 def contact_time(delta: float, roots: Optional[tuple[float, float]], grazing_tol: float) -> Optional[float]:

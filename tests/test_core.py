@@ -17,7 +17,7 @@ from ihse import (
     free_transport,
     validate_configuration,
 )
-from ihse.core import pair_indices, pair_position
+from ihse.core import pair_differences, pair_indices, pair_position, squared_norms, squared_separations
 from ihse.scattering import CollisionKind
 from ihse.simulator import SimEvent
 from ihse.jsonio import dumps, format_float
@@ -194,3 +194,30 @@ class TestSerialization:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(UsageError):
             Configuration.from_json_dict({"d": 3, "particles": [{"x": [0, 0], "v": [0, 0]}]})
+
+
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+class TestSquaredNorms:
+    """squared_norms against numpy's axis sum, bit for bit: below 8 terms it
+    adds columns in numpy's order, from 8 up it runs numpy's reduction."""
+
+    @pytest.mark.parametrize("length", range(1, 21))
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 4)])
+    def test_matches_axis_sum(self, stack, length):
+        gen = np.random.default_rng(length)
+        shape = stack + (45, length)  # (P, d), (k, P, d), (rows, cols, P, d)
+        values = gen.standard_normal(shape) * 10.0 ** gen.integers(-3, 4, shape)
+        got = squared_norms(values)
+        assert got.shape == shape[:-1]
+        assert _hex(got) == _hex(np.square(values).sum(axis=-1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_separations_of_240_particles(self, d):
+        positions = np.random.default_rng(d).uniform(-20.0, 20.0, (2, 240, d))
+        expected = np.square(pair_differences(positions)).sum(axis=-1)
+        assert expected.shape == (2, 240 * 239 // 2)
+        assert _hex(squared_separations(positions)) == _hex(expected)
+        assert _hex(squared_separations(positions[0])) == _hex(expected[0])

@@ -122,6 +122,22 @@ def _hex(values):
     return [float.hex(v) for v in np.ravel(values).tolist()]
 
 
+def _ball_by_norm(gen, count, dim, radius):
+    """rng.uniform_ball as first written, with np.linalg.norm."""
+    x = gen.standard_normal((count, dim))
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    r = radius * gen.random(count) ** (1.0 / dim)
+    return x * (r / norms)[:, None]
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_uniform_ball_matches_norm_body(dim):
+    for count in (1, 1000):
+        got = uniform_ball(block_generator(5, dim), count, dim, 2.5)
+        assert _hex(got) == _hex(_ball_by_norm(block_generator(5, dim), count, dim, 2.5))
+
+
 class TestPairDistances:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 5])

@@ -19,7 +19,7 @@ from ihse import (
     first_collision,
     predict_pair,
 )
-from ihse.collision import first_contacts
+from ihse.collision import _quadratic_contact_roots, first_contacts
 from ihse.core import pair_indices
 
 TOLERANCES = (
@@ -147,3 +147,43 @@ def test_kernel_matches_reference(n, d, layout, tol, seed):
             else:
                 stacked = None if t_graze is None else FirstCollision(None, None, True, t_graze)
             assert stacked == ref.first_collision(cfg, horizon, tol=scan_tol, recent_pair=recent)
+
+
+# Rows of the contact-roots test: free (random r and w), still (w = 0),
+# creeping (|w|^2 underflows to a = 0 while b * b does not), touching (r on
+# the contact sphere) and tangential (w aimed to touch the contact sphere,
+# so delta is zero up to rounding).
+ROW_KINDS = ("free", "still", "creeping", "touching", "tangential")
+
+
+@given(
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+    d=st.sampled_from((2, 3)),
+    grazing_tol=st.sampled_from((0.0, 1e-12, 0.05, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_contact_roots_match_reference(kinds, d, grazing_tol, seed):
+    gen = np.random.default_rng(seed)
+    r = gen.uniform(-3.0, 3.0, (len(kinds), d))
+    w = gen.standard_normal((len(kinds), d))
+    for row, kind in enumerate(kinds):
+        if kind == "still":
+            w[row] = 0.0
+        elif kind == "creeping":
+            r[row] *= 100.0 / np.linalg.norm(r[row])
+            w[row] *= 1e-163 / np.linalg.norm(w[row])
+        elif kind == "touching":
+            r[row] /= np.linalg.norm(r[row])
+        elif kind == "tangential":
+            axis = r[row] / np.linalg.norm(r[row])
+            length = 1.5 + 2.0 * gen.random()
+            perp = w[row] - (w[row] @ axis) * axis
+            perp /= np.linalg.norm(perp)
+            r[row] = length * axis
+            w[row] = (0.5 + gen.random()) * (-axis * math.sqrt(length**2 - 1.0) / length + perp / length)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = _quadratic_contact_roots(r, w, grazing_tol)
+        expected = ref.array_contact_roots(r, w, grazing_tol)
+    for got, want in zip(kernel, expected):
+        assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want.tolist()]

@@ -5,6 +5,7 @@ energies, relative speed), the halt reason and time, the minimum
 separation, and the exception type and message of a run that raises."""
 
 import math
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -269,3 +270,23 @@ def test_flow_map_rows_are_simulate_runs():
         report = simulate(Configuration.from_vector(z, 3, 2), 1.5, params)
         assert value.tobytes() == report.final.to_vector().tobytes()
         assert label == report.event_signature
+
+
+def test_row_out_of_reach_gets_the_error_of_simulate():
+    # The head-on pair at x = 0, 3 with velocities +-1e200, and a pair 1e200
+    # apart at rest, would overflow the contact roots over [0, 1]; the
+    # ordinary row beside them runs as alone, and no row warns.
+    positions = np.array([[[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [3.0, 0.0]]])
+    velocities = np.array([[[1e200, 0.0], [-1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [-2.0, 0.0]]])
+    params = ModelParams(0.5, 2)
+    with pytest.raises(UsageError) as raised:
+        simulate(Configuration(positions[0], velocities[0]), 1.0, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = simulate_stack(positions, velocities, 1.0, params)
+    for row in (0, 1):
+        assert stack.reports[row] is None
+        assert (type(stack.errors[row]), str(stack.errors[row])) == (UsageError, str(raised.value))
+        assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
+    assert stack.errors[2] is None and len(stack.reports[2].events) == 1
+    _assert_rows_match(positions, velocities, 1.0, params, Tolerances())
