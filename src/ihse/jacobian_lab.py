@@ -254,18 +254,17 @@ def verify_scattering_measure(
     return [report for *_, report in scattering_measure_samples(samples, params, seed, kind=kind, h=h)]
 
 
-def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """Batch map: the one-collision flow of phase-space rows over [0, tau],
-    labelled with tct_stack's int row labels (one per free, excluded or
-    single-collision branch), and on a raising row with its error instead;
-    NaN on excluded and raising rows."""
+def _flow_stack(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """tct_stack of phase-space rows over [0, tau] with its batch map rows:
+    the one-collision flow (NaN on excluded and raising rows), labelled with
+    tct_stack's int row labels, and on a raising row with its error instead."""
     m = n * d
     stack = tct_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
     values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
     labels = stack.label.tolist()
     for row in np.flatnonzero(stack.label <= RAISES).tolist():
         labels[row] = stack.error(row)
-    return values, labels
+    return stack, values, labels
 
 
 def verify_flow_jacobian(
@@ -278,20 +277,29 @@ def verify_flow_jacobian(
     """Compare the analytic flow determinant (prefactor * det N) against the
     finite-difference determinant (step tol.fd_step) of the full phase-space
     flow map, and report the finite-difference determinant of the colliding
-    pair's velocity map at contact (the only non-identity block of det N)."""
-    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
-    classification = stack.one()
-    if classification.is_excluded:
-        raise ExcludedConfigurationError(classification.reason)
+    pair's velocity map at contact (the only non-identity block of det N).
+    The state runs once, as row 0 of the stencil: its error or exclusion
+    comes before any finite-difference failure."""
     n, d = cfg.n_particles, cfg.dimension
     h = tol.fd_step
-    fd_det = fd_determinant(lambda z: _flow_map(z, n, d, tau, params, tol), cfg.to_vector(), h)
-    analytic, prefactor, _ = classified_flow_det(cfg, classification, stack.velocities[0], params, tol=tol)
+    center = []
+
+    def flow(z):
+        stack, values, labels = _flow_stack(z, n, d, tau, params, tol)
+        classification = stack.one(0)
+        if classification.is_excluded:
+            raise ExcludedConfigurationError(classification.reason)
+        center.append((classification, stack.velocities[0], stack.omega[0]))
+        return values, labels
+
+    fd_det = fd_determinant(flow, cfg.to_vector(), h)
+    (classification, velocities, omega), = center
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
     det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()
         z = np.concatenate([cfg.velocities[i], cfg.velocities[j]])  # free flight keeps velocities
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, stack.omega[0], params), z, h)
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
         det_n_fd = float(np.linalg.det(jac))
     return JacobianReport.build(analytic, fd_det, prefactor, det_n_fd, h)
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach, kinetic_energy
 from .core import pair_indices
-from .jacobian_lab import BranchCrossingError, fd_determinant
+from .jacobian_lab import fd_determinant
 from .rng import block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
-from .simulator import random_configuration, simulate, simulate_stack
+from .simulator import random_configuration, simulate_stack
 from .tct import contraction_factor
 
 SPEED_BAND_WIDTH = "relative_speed_band"  # band 2 sqrt(e0) <= |w| <= 2 sqrt(e0)(1 + (sqrt(2)-1) mu)
@@ -179,15 +179,20 @@ def estimate_pathological_measure(
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)
 
 
-def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """Batch map: the multi-collision flow of phase-space rows over [0, tau],
-    all rows in one simulate_stack call, each labelled with its event
-    signature (or the error its run raises alone); NaN on raising rows."""
+def _flow_stack(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """simulate_stack of phase-space rows over [0, tau] with _flow_map's rows."""
     m = n * d
     stack = simulate_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
     values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
     labels = [error if report is None else report.event_signature for report, error in zip(stack.reports, stack.errors)]
-    return values, labels
+    return stack, values, labels
+
+
+def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
+    """Batch map: the multi-collision flow of phase-space rows over [0, tau],
+    each labelled with its event signature (or the error its run raises
+    alone); NaN on raising rows."""
+    return _flow_stack(points, n, d, tau, params, tol)[1:]
 
 
 def ensemble_volume_evolution(
@@ -208,31 +213,33 @@ def ensemble_volume_evolution(
     map at the center with step radius/10; every stencil point must
     reproduce the center's event sequence (same pairs, kinds, order),
     otherwise BranchCrossingError is raised so the caller can shrink the
-    radius.  The center trajectory is one simulate run.  A
-    one-row simulate_stack call must reproduce its signature, and the center
-    with every stencil point at both FD steps is one more simulate_stack call.
-    A radius whose stencil could overflow the contact roots over [0, tau]
-    (check_reach) is a UsageError, raised before any trajectory runs.
+    radius.  The center and every stencil point at both FD steps are one
+    simulate_stack call, the center as row 0: its error, or a halt on a
+    pathology, comes before any finite-difference failure.  A radius whose
+    stencil could overflow the contact roots over [0, tau] (check_reach) is
+    a UsageError, raised before any trajectory runs.
     """
     if not (radius > 0 and tau > 0):
         raise UsageError("radius and tau must be positive")
     check_reach(center, tau, "tau", f"--radius {radius!r}", radius / 10.0)
     n, d = center.n_particles, center.dimension
-    report = simulate(center, tau, params, tol=tol)
-    if report.halted is not None:
-        raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")
-    predicted = 1.0
-    for event in report.events:
-        if event.kind is CollisionKind.INELASTIC:
-            predicted *= contraction_factor(event.rel_speed_sq, params)
-    center_sig = report.event_signature
+    reports = []
 
     def flow(z):
-        return _flow_map(z, n, d, tau, params, tol)
+        stack, values, labels = _flow_stack(z, n, d, tau, params, tol)
+        report = stack.reports[0]
+        if report is None:
+            raise stack.errors[0]
+        if report.halted is not None:
+            raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")
+        reports.append(report)
+        return values, labels
 
-    if flow(center.to_vector()[None])[1][0] != center_sig:
-        raise BranchCrossingError("center signature not reproducible")
     det = fd_determinant(flow, center.to_vector(), radius / 10.0)
+    predicted = 1.0
+    for event in reports[0].events:
+        if event.kind is CollisionKind.INELASTIC:
+            predicted *= contraction_factor(event.rel_speed_sq, params)
     return predicted, abs(det)
 
 

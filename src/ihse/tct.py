@@ -19,9 +19,10 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
-    check_reach,
     domain_masks,
     pair_indices,
+    reach_error,
+    within_reach,
 )
 from .collision import collision_time_gradients, first_contacts
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
@@ -96,12 +97,14 @@ class TCTResult:
 
 # tct_stack labels each row with one int: 2 k + 1 for a single emitting
 # collision of the pair at position k of pair_indices and 2 k for an elastic
-# one, FREE, EXCLUDED[reason] (-2 - n for REASONS[n]), or RAISES - c when the
-# row's scatter fails check c of SCATTER_CHECKS and so raises its error.
+# one, FREE, EXCLUDED[reason] (-2 - n for REASONS[n]), RAISES - c when the
+# row's scatter fails check c of SCATTER_CHECKS and so raises its error, or
+# OUT_OF_REACH when the state could overflow the contact roots over [0, tau].
 FREE = -1
 REASONS = tuple(ExclusionReason)
 EXCLUDED = {reason: -2 - n for n, reason in enumerate(REASONS)}
 RAISES = -2 - len(REASONS)
+OUT_OF_REACH = RAISES - len(SCATTER_CHECKS)
 # The label of a collided row that fails scatter check c: the critical band
 # excludes the row, and any other failed check raises.
 FAILED_CHECK = np.array(
@@ -126,6 +129,8 @@ class TCTStack:
         check = RAISES - self.label.item(row)
         if check < 0:
             return None
+        if check == len(SCATTER_CHECKS):
+            return reach_error("tau", "a coordinate")
         error_type, message = SCATTER_CHECKS[check]
         return error_type(message)
 
@@ -150,20 +155,24 @@ def tct_stack(
 ) -> TCTStack:
     """Classify and flow a stack (S, N, d) of states over [0, tau] in one pass
     of array operations, each row with the bits its state gets alone;
-    classify_tct_domain and tct_flow are its S=1 view."""
+    classify_tct_domain and tct_flow are its S=1 view.  A state that could
+    overflow the contact roots (within_reach) is its row's UsageError."""
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
     s, n, d = positions.shape
-    invalid, boundary = domain_masks(positions, tol.contact_tol)
-    time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
+        invalid, boundary = domain_masks(positions, tol.contact_tol)
+        time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
+        final_x = positions + tau * velocities
     # A contact inside the horizon is simultaneous until it is found unique;
     # the checks before it overrule it.
     simultaneous = EXCLUDED[ExclusionReason.SIMULTANEOUS]
     label = np.where(time <= tau, simultaneous, FREE)
     label[graze <= tau] = EXCLUDED[ExclusionReason.GRAZING]
     label[(invalid | boundary).any(axis=-1)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
+    label[~within_reach(positions, velocities, tau)] = OUT_OF_REACH
     rows = ((label == simultaneous) & unique).nonzero()[0]
-    final_x, final_v, omega = positions + tau * velocities, velocities.copy(), np.full((s, d), np.nan)
+    final_v, omega = velocities.copy(), np.full((s, d), np.nan)
     if rows.size:
         # Collide at the contact, then rescan the remaining time.
         pair, t = k[rows], time[rows]
@@ -197,7 +206,6 @@ def classify_tct_domain(
     (covering pairs that do and do not involve the scattered particles
     alike).  A state that could overflow the contact roots is a UsageError.
     """
-    check_reach(cfg, tau, "tau", "a coordinate")
     return tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol).one()
 
 
@@ -205,7 +213,6 @@ def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolera
     """Evolve the configuration over [0, tau]: free flight, or transport to
     the single collision, scatter, and transport the remaining time; a state
     that could overflow the contact roots is a UsageError."""
-    check_reach(cfg, tau, "tau", "a coordinate")
     stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
     classification = stack.one()
     if classification.is_excluded:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ihse import UsageError, collision, jacobian_lab, scattering, tct
+from ihse import UsageError, collision, jacobian_lab, scattering, simulator, tct
 from ihse.cli import COMMANDS, _thread_cap, build_parser, run
 from ihse.jsonio import dumps
 
@@ -240,6 +240,14 @@ class TestVerificationCommands:
         assert doc["summary"]["max_residual"] <= 1e-5
         assert len(doc["reports"]) == 6
 
+    def test_jacobian_classifies_each_centre_once(self, tmp_path, monkeypatch):
+        # per case: random_tct_case's acceptance check (one per case at the
+        # default seed) and the stencil's one stack, the centre as row 0
+        calls = count_calls(monkeypatch, tct, "tct_stack")
+        status, _ = run_to_file(tmp_path, ["jacobian", "--n-particles", "3", "--samples", "2"])
+        assert status == 0
+        assert len(calls) == 2 * 2
+
     def test_scatter_check_lines(self, tmp_path):
         status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "20", "--seed", "3", "--eps0", "0.75"])
         assert status == 0
@@ -342,6 +350,17 @@ class TestMeasureAndVolume:
         assert status == 0
         doc = json.loads(out.read_text())
         assert abs(doc["predicted"] - doc["measured"]) <= 1e-4
+
+    def test_volume_runs_one_stack(self, tmp_path, monkeypatch):
+        # the centre is row 0 of the stencil's one simulate_stack call
+        calls = {name: count_calls(monkeypatch, simulator, name) for name in ("simulate", "simulate_stack")}
+        chain = tmp_path / "chain.json"
+        chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
+        status, _ = run_to_file(
+            tmp_path, ["volume", "--config", str(chain), "--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5"]
+        )
+        assert status == 0
+        assert {name: len(made) for name, made in calls.items()} == {"simulate": 0, "simulate_stack": 1}
 
     def test_volume_rejects_overflowing_radius(self, tmp_path, capsys):
         # a stencil step of 1e299 squares to inf: a usage error before any

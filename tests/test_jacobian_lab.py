@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from ihse import (
     BranchCrossingError,
     CollisionKind,
     Configuration,
+    ExcludedConfigurationError,
+    ExclusionReason,
     IHSEError,
     ModelParams,
     NonFiniteError,
     TensorLemmaCase,
+    UsageError,
     fd_determinant,
     fd_jacobian,
     tensor_sum_det,
@@ -231,6 +236,23 @@ class TestFlowJacobian:
         report = verify_flow_jacobian(head_on, 1.0, params_elastic_example)
         assert report.fd_det == pytest.approx(1.0, abs=1e-8)
         assert report.analytic_det == 1.0
+
+    def test_excluded_centre_raises(self):
+        # the pair grazes the contact sphere before t = 5: the centre, row 0
+        # of the stencil's one tct_stack call, is excluded before any FD check
+        cfg = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ExcludedConfigurationError) as raised:
+            verify_flow_jacobian(cfg, 5.0, ModelParams(0.75, 2))
+        assert raised.value.reason is ExclusionReason.GRAZING
+
+    def test_centre_out_of_reach_is_usage_error(self):
+        # the head-on pair at x = 0, 3 with velocities +-1e200 could overflow
+        # the contact roots over [0, 1]: tct_flow's UsageError, no warning
+        cfg = Configuration([[0.0, 0.0], [3.0, 0.0]], [[1e200, 0.0], [-1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=r"^a coordinate is too large"):
+                verify_flow_jacobian(cfg, 1.0, ModelParams(0.75, 2))
 
     def test_random_cases_residuals(self):
         worst = 0.0

@@ -8,8 +8,10 @@ from ihse import (
     BranchCrossingError,
     CollisionKind,
     Configuration,
+    IHSEError,
     ModelParams,
     PathologicalSetSpec,
+    Tolerances,
     UsageError,
     ensemble_volume_evolution,
     estimate_pathological_measure,
@@ -243,6 +245,20 @@ class TestVolumeEvolution:
             assert predicted <= 1.0
             checked += 1
         assert checked >= 5
+
+    def test_halted_centre_is_an_error(self):
+        # max_events=1 halts the chain's centre at its first collision, and
+        # every stencil row with it: no FD determinant of a halted run
+        chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
+        with pytest.raises(IHSEError, match="^center trajectory halted on pathology: max_events$"):
+            ensemble_volume_evolution(chain, 1e-3, 1.5, ModelParams(0.5, 2), tol=Tolerances(max_events=1))
+
+    def test_centre_error_comes_first(self):
+        # a non-interior centre is its row's error, raised before the
+        # stencil rows' branch crossings
+        cfg = Configuration([[0, 0], [1, 0], [5, 0]], [[0, 0], [0, 0], [-1, 0]])
+        with pytest.raises(UsageError, match="must be interior"):
+            ensemble_volume_evolution(cfg, 1e-3, 1.5, ModelParams(0.5, 2))
 
     def test_branch_crossing_reported(self):
         # radius so large the stencil flips the collision structure

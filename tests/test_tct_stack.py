@@ -6,6 +6,7 @@ composition in ``reference_kernel``; and the flow determinant's prefactor
 must equal the reference's bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_non_finite_horizon_raises_for_the_stack(tau):
     velocities = np.array([BRANCHES["free"][1]], dtype=float)
     with pytest.raises(UsageError, match="tau must be positive and finite"):
         tct_stack(positions, velocities, tau, BRANCH_PARAMS)
+
+
+def test_row_out_of_reach_gets_the_reach_error():
+    # The head-on pair at x = 0, 3 with velocities +-1e200, and a pair 1e200
+    # apart at rest, could overflow the contact roots over [0, 3]; the
+    # elastic row beside them keeps the bits it gets alone, and no row warns.
+    message = "a coordinate is too large: the contact roots would overflow over [0, tau]"
+    positions = np.array([[[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]], BRANCHES["elastic"][0][:2]])
+    velocities = np.array([[[1e200, 0.0], [-1e200, 0.0]], REST, BRANCHES["elastic"][1][:2]], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = tct_stack(positions, velocities, 3.0, BRANCH_PARAMS)
+        alone = tct_stack(positions[2:], velocities[2:], 3.0, BRANCH_PARAMS)
+        for row in (0, 1):
+            assert (type(stack.error(row)), str(stack.error(row))) == (UsageError, message)
+            with pytest.raises(UsageError, match=r"^a coordinate is too large"):
+                stack.one(row)
+            assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
+            cfg = Configuration(positions[row], velocities[row])
+            for one_state in (classify_tct_domain, tct_flow):
+                assert _outcome(lambda: one_state(cfg, 3.0, BRANCH_PARAMS)) == (None, (UsageError, message))
+    assert stack.one(2) == alone.one(0) and stack.one(2).kind is CollisionKind.ELASTIC
+    for name in ("label", "t_c", "positions", "velocities", "omega"):
+        assert getattr(stack, name)[2].tobytes() == getattr(alone, name)[0].tobytes(), name
 
 
 @pytest.mark.parametrize("d", (2, 3))
