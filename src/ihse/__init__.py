@@ -26,8 +26,6 @@ from .collision import (
     NoCollisionError,
     collision_time_gradients,
     first_collision,
-    grazing_discriminant,
-    pair_collision_time,
     predict_pair,
 )
 from .scattering import (

@@ -99,16 +99,6 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     return delta, contact, graze
 
 
-def grazing_discriminant(cfg: Configuration, pair: PairIndex) -> float:
-    """((x_i-x_j).(v_i-v_j))^2 - |v_i-v_j|^2 (|x_i-x_j|^2 - 1).
-
-    Positive: the pair's line of flight crosses the contact sphere
-    transversally.  Zero: tangential (grazing) encounter.  Negative: the
-    pair never reaches contact.
-    """
-    return predict_pair(cfg, pair).discriminant
-
-
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
     """Unit vector from particle i toward particle j."""
     r, _ = cfg.pair_state(pair)  # x_i - x_j
@@ -122,15 +112,6 @@ def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Toler
         deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
     delta, time = float(deltas[0]), float(contacts[0])
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
-
-
-def pair_collision_time(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> Optional[float]:
-    """Smallest strictly positive contact time of the pair, or None.
-
-    None when the pair recedes, moves in parallel, or the encounter is
-    grazing (|discriminant| <= grazing_tol).
-    """
-    return predict_pair(cfg, pair, tol=tol).time
 
 
 def first_contacts(

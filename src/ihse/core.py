@@ -62,15 +62,12 @@ class ModelParams:
 
     epsilon0: float
     dimension: int = 2
-    diameter: float = 1.0
 
     def __post_init__(self):
         if not self.epsilon0 > 0:
             raise UsageError("epsilon0 must be > 0")
         if self.dimension < 2 or self.dimension != int(self.dimension):
             raise UsageError("dimension must be an integer >= 2")
-        if self.diameter != 1.0:
-            raise UsageError("diameter is normalized to 1")
 
 
 @dataclass(frozen=True, order=True)
@@ -154,10 +151,6 @@ class Configuration:
         """Relative position x_i - x_j and relative velocity v_i - v_j."""
         i, j = pair.zero_based()
         return self.positions[i] - self.positions[j], self.velocities[i] - self.velocities[j]
-
-    def separation(self, pair: PairIndex) -> float:
-        r, _ = self.pair_state(pair)
-        return float(np.linalg.norm(r))
 
     def min_separation(self) -> float:
         return math.sqrt(squared_separations(self.positions).min(initial=math.inf))

@@ -25,7 +25,7 @@ from .core import (
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import RAISES, ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
+from .tct import ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
 
 
 class BranchCrossingError(IHSEError):
@@ -254,17 +254,15 @@ def verify_scattering_measure(
     return [report for *_, report in scattering_measure_samples(samples, params, seed, kind=kind, h=h)]
 
 
-def _flow_stack(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """tct_stack of phase-space rows over [0, tau] with its batch map rows:
-    the one-collision flow (NaN on excluded and raising rows), labelled with
-    tct_stack's int row labels, and on a raising row with its error instead."""
+def _stack_map(run, points: np.ndarray, n: int, d: int):
+    """The stacked flow of phase-space rows as a batch map: run (tct_stack or
+    simulate_stack, horizon and parameters bound) on the rows split into
+    (S, N, d) positions and velocities, as (stack, values, labels): the
+    rows of its final states (NaN where it gives none) and its labels()."""
     m = n * d
-    stack = tct_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
+    stack = run(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d))
     values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
-    labels = stack.label.tolist()
-    for row in np.flatnonzero(stack.label <= RAISES).tolist():
-        labels[row] = stack.error(row)
-    return stack, values, labels
+    return stack, values, stack.labels()
 
 
 def verify_flow_jacobian(
@@ -285,7 +283,7 @@ def verify_flow_jacobian(
     center = []
 
     def flow(z):
-        stack, values, labels = _flow_stack(z, n, d, tau, params, tol)
+        stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, params, tol=tol), z, n, d)
         classification = stack.one(0)
         if classification.is_excluded:
             raise ExcludedConfigurationError(classification.reason)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach, kinetic_energy
 from .core import pair_indices
-from .jacobian_lab import fd_determinant
+from .jacobian_lab import _stack_map, fd_determinant
 from .rng import block_generator, blocks, sample_generator, uniform_ball
 from .scattering import CollisionKind
 from .simulator import random_configuration, simulate_stack
@@ -179,22 +179,6 @@ def estimate_pathological_measure(
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)
 
 
-def _flow_stack(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """simulate_stack of phase-space rows over [0, tau] with _flow_map's rows."""
-    m = n * d
-    stack = simulate_stack(points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d), tau, params, tol=tol)
-    values = np.concatenate([stack.positions.reshape(-1, m), stack.velocities.reshape(-1, m)], axis=1)
-    labels = [error if report is None else report.event_signature for report, error in zip(stack.reports, stack.errors)]
-    return stack, values, labels
-
-
-def _flow_map(points: np.ndarray, n: int, d: int, tau: float, params: ModelParams, tol: Tolerances):
-    """Batch map: the multi-collision flow of phase-space rows over [0, tau],
-    each labelled with its event signature (or the error its run raises
-    alone); NaN on raising rows."""
-    return _flow_stack(points, n, d, tau, params, tol)[1:]
-
-
 def ensemble_volume_evolution(
     center: Configuration,
     radius: float,
@@ -226,7 +210,7 @@ def ensemble_volume_evolution(
     reports = []
 
     def flow(z):
-        stack, values, labels = _flow_stack(z, n, d, tau, params, tol)
+        stack, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, tau, params, tol=tol), z, n, d)
         report = stack.reports[0]
         if report is None:
             raise stack.errors[0]

@@ -41,10 +41,6 @@ PATHOLOGY_MAX_EVENTS = "max_events"
 
 # Free-flight overlap probes per run, evenly spaced over [0, T].
 N_CHECKPOINTS = 100
-# Stacks of position sets a simulate run gathers before it folds them into
-# its minimum separation.  Larger batches save little time on dense
-# clusters and raise the peak memory of a run.
-PROBE_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,11 @@ class SimStack:
     errors: list[Optional[IHSEError]]
     positions: np.ndarray  # (S, N, d)
     velocities: np.ndarray  # (S, N, d)
+
+    def labels(self) -> list:
+        """Per row, its run's event_signature, or instead the error the run
+        raises alone."""
+        return [error if report is None else report.event_signature for report, error in zip(self.reports, self.errors)]
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     inside the critical band and event count overflow, each with an in-band
     pathology record.  Each ke_before is the previous event's ke_after.
     min_separation covers the initial state, every contact state and the
-    checkpoints passed; their position sets are folded into a running
-    minimum of squared separations PROBE_BATCH stacks at a time.
+    checkpoints passed: the start is probed once, then each segment probes
+    its checkpoints and its contact state in one squared_separations call.
     """
     check_reach(cfg, T, "T", "a coordinate")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
@@ -153,39 +154,32 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
     events: list[SimEvent] = []
     x, v = cfg.positions, cfg.velocities.copy()
-    probes, min_sq, ke = [x[None]], math.inf, kinetic_energy(cfg)
+    min_sq, ke = float(squared_separations(x).min(initial=np.inf)), kinetic_energy(cfg)
     now, next_checkpoint = 0.0, 0
     recent: Optional[PairIndex] = None
     halted: Optional[Pathology] = None
-
-    def advance_through(segment_end: float):
-        """Overlap probes at the checkpoints inside the segment, transported
-        from the segment's start in one array operation."""
-        nonlocal next_checkpoint, min_sq
-        stop = int(np.searchsorted(checkpoint_times, segment_end + 1e-15, side="right"))
-        if stop > next_checkpoint:
-            probes.append(x + (checkpoint_times[next_checkpoint:stop] - now)[:, None, None] * v)
-            min_sq = _fold(probes, min_sq, PROBE_BATCH)
-            next_checkpoint = stop
-
     while (remaining := T - now) > 0:
         scan = first_collision(Configuration(x, v), remaining, tol=tol, recent_pair=recent)
         if scan is not None and scan.graze is not None and (scan.time is None or scan.graze <= scan.time):
             halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
             break
         if scan is None:
-            advance_through(T)
-            x = x + remaining * v
-            now = T
-            break
-        if not scan.unique:
+            end, step = T, remaining
+        elif not scan.unique:
             halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + scan.time)
             break
-        advance_through(now + scan.time)
-        x = x + scan.time * v
-        now += scan.time
-        probes.append(x[None])
-        min_sq = _fold(probes, min_sq, PROBE_BATCH)
+        else:
+            end, step = now + scan.time, scan.time
+        # The segment's overlap probes: the checkpoints it passes, transported
+        # from its start, and the contact state it ends at (not the end state
+        # of a free flight to T).
+        stop = int(np.searchsorted(checkpoint_times, end + 1e-15, side="right"))
+        probes = x + (checkpoint_times[next_checkpoint:stop] - now)[:, None, None] * v
+        x, now, next_checkpoint = x + step * v, end, stop
+        if scan is None:
+            min_sq = min(min_sq, float(squared_separations(probes).min(initial=np.inf)))
+            break
+        min_sq = min(min_sq, float(squared_separations(np.concatenate([probes, x[None]])).min(initial=np.inf)))
         i, j = scan.pair.zero_based()
         w = v[i] - v[j]
         rel_speed_sq = float(w @ w)
@@ -202,21 +196,12 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
 
-    return _report(events, Configuration(x, v), math.sqrt(_fold(probes, min_sq)), halted)
+    return _report(events, Configuration(x, v), math.sqrt(min_sq), halted)
 
 
 def _report(events: list[SimEvent], final: Configuration, min_sep: float, halted: Optional[Pathology]) -> SimReport:
     n_inelastic = sum(1 for e in events if e.kind is CollisionKind.INELASTIC)
     return SimReport(tuple(events), final, len(events) - n_inelastic, n_inelastic, min_sep, halted)
-
-
-def _fold(probes: list[np.ndarray], min_sq: float, batch: int = 1) -> float:
-    """min_sq lowered to the smallest squared pair separation of the gathered
-    stacks (k, N, d) of position sets, once batch are gathered; then empty."""
-    if len(probes) >= batch:
-        min_sq = min(min_sq, float(squared_separations(np.concatenate(probes)).min(initial=np.inf)))
-        probes.clear()
-    return min_sq
 
 
 def simulate_stack(

@@ -134,6 +134,10 @@ class TCTStack:
         error_type, message = SCATTER_CHECKS[check]
         return error_type(message)
 
+    def labels(self) -> list:
+        """Per row, its label, or instead the error its state raises alone."""
+        return [self.error(row) if label <= RAISES else label for row, label in enumerate(self.label.tolist())]
+
     def one(self, row: int = 0) -> TCTDomainClass:
         """The classification of a row, by default the state of a one-state
         stack, built from its label; raises the row's error."""

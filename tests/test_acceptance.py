@@ -20,7 +20,6 @@ from ihse import (
     collision_time_gradients,
     elastic_reflection,
     kinetic_energy,
-    pair_collision_time,
     predict_pair,
     scatter,
     simulate,
@@ -186,8 +185,8 @@ def test_c06_contact_time_gradient_identities():
                 zp[k] += h
                 zm[k] -= h
                 fd[k] = (
-                    pair_collision_time(Configuration.from_vector(zp, 2, 2), pair)
-                    - pair_collision_time(Configuration.from_vector(zm, 2, 2), pair)
+                    predict_pair(Configuration.from_vector(zp, 2, 2), pair).time
+                    - predict_pair(Configuration.from_vector(zm, 2, 2), pair).time
                 ) / (2 * h)
             analytic = np.concatenate([grad_x, grad_v])
             scale = max(1.0, float(np.abs(analytic).max()))

@@ -240,6 +240,22 @@ class TestVerificationCommands:
         assert doc["summary"]["max_residual"] <= 1e-5
         assert len(doc["reports"]) == 6
 
+    @pytest.mark.parametrize("eps0", ["2.0", "0.05"])
+    def test_jacobian_fixed_eps0(self, tmp_path, eps0):
+        # A fixed quantum takes the branch each draw lands on: with 4 eps0
+        # above every drawn squared relative speed each case is elastic
+        # (det 1), and far below it each case emits (det below 1).
+        status, out = run_to_file(tmp_path, ["jacobian", "--eps0", eps0, "--samples", "6"])
+        assert status == 0
+        doc = json.loads(out.read_text())
+        dets = [report["analytic_det"] for report in doc["reports"]]
+        assert len(dets) == 6
+        if eps0 == "2.0":
+            assert dets == [pytest.approx(1.0, abs=1e-12)] * 6
+        else:
+            assert all(det < 1.0 for det in dets)
+        assert doc["summary"]["max_residual"] <= 1e-5
+
     def test_jacobian_classifies_each_centre_once(self, tmp_path, monkeypatch):
         # per case: random_tct_case's acceptance check (one per case at the
         # default seed) and the stencil's one stack, the centre as row 0
@@ -421,6 +437,26 @@ class TestFlagResolution:
 
     def test_missing_input_file(self, tmp_path):
         assert run(["flow", "--config", str(tmp_path / "absent.json"), "--tau", "3", "--eps0", "1"]) == 2
+
+    def test_run_config_list_is_usage_error(self, tmp_path, two_body_file, capsys):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps([3.0, 0.1875]))
+        assert run(["flow", "--config", str(two_body_file), "--run-config", str(run_config)]) == 2
+        assert capsys.readouterr().err == "ihse flow: --run-config must contain a JSON object\n"
+
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text('{"d": 2, "particles": [')
+        status, out = run_to_file(tmp_path, ["flow", "--config", str(config), "--tau", "3", "--eps0", "1"])
+        assert status == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"ihse flow: malformed JSON in {config}: ")
+
+    def test_stdout_carries_the_output_file_bytes(self, tmp_path, two_body_file, capsys):
+        argv = ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"]
+        status, out = run_to_file(tmp_path, argv)
+        assert status == 0 and capsys.readouterr().out == ""
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_atomic_write_leaves_no_temp(self, tmp_path, two_body_file):
         status, out = run_to_file(
@@ -632,6 +668,14 @@ def test_thread_cap_below_one_is_usage_error(tmp_path, monkeypatch, capsys, raw)
     status, out = run_to_file(tmp_path, argv + ["--samples", "100", "--seed", "5"])
     assert status == 2 and not out.exists()
     assert f"IHSE_THREADS must be at least 1, got '{raw}'" in capsys.readouterr().err
+
+
+def test_thread_cap_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IHSE_THREADS", "abc")
+    argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+    status, out = run_to_file(tmp_path, argv + ["--samples", "100", "--seed", "5"])
+    assert status == 2 and not out.exists()
+    assert capsys.readouterr().err == "ihse measure: IHSE_THREADS must be an integer, got 'abc'\n"
 
 
 # Output bytes and exit status of a fixed invocation of every command, a

@@ -127,10 +127,6 @@ class TestModelParams:
             ModelParams(1.0, 1)
         assert ModelParams(1.0, 3).dimension == 3
 
-    def test_unit_diameter_enforced(self):
-        with pytest.raises(UsageError):
-            ModelParams(1.0, 2, diameter=2.0)
-
 
 class TestPairs:
     def test_ordering_enforced(self):

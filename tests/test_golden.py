@@ -36,7 +36,6 @@ from ihse import (
     classify_tct_domain,
     collision_time_gradients,
     first_collision,
-    grazing_discriminant,
     inelastic_emission,
     predict_pair,
     scatter,
@@ -177,7 +176,7 @@ def test_engine_detail_digest_is_pinned():
             for pair in all_pairs(cfg.n_particles):
                 pred = predict_pair(cfg, pair, tol=tol)
                 _feed_prediction(digest, pred)
-                digest.update(grazing_discriminant(cfg, pair).hex().encode())
+                digest.update(predict_pair(cfg, pair).discriminant.hex().encode())
                 if pred.time is not None and not pred.grazing:
                     gx, gv = collision_time_gradients(cfg, pair, tol=tol)
                     digest.update(gx.tobytes() + gv.tobytes())

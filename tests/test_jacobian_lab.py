@@ -269,7 +269,7 @@ class TestFlowJacobian:
     def test_gradient_identity_by_finite_differences(self):
         # velocity gradient of the contact time equals t_c times the
         # position gradient, checked entirely by finite differences
-        from ihse import PairIndex, pair_collision_time
+        from ihse import PairIndex
 
         from ihse import predict_pair
         from ihse.jacobian_lab import random_tct_case
@@ -279,7 +279,7 @@ class TestFlowJacobian:
         for index in range(120):
             cfg, _ = random_tct_case(12, index, 2, kind=None)
             pair = PairIndex(1, 2)
-            tau = pair_collision_time(cfg, pair)
+            tau = predict_pair(cfg, pair).time
             if tau is None or predict_pair(cfg, pair).discriminant <= 0.1:
                 continue
             z = cfg.to_vector()
@@ -289,8 +289,8 @@ class TestFlowJacobian:
                 zp[k] += h
                 zm[k] -= h
                 fd[k] = (
-                    pair_collision_time(Configuration.from_vector(zp, 2, 2), pair)
-                    - pair_collision_time(Configuration.from_vector(zm, 2, 2), pair)
+                    predict_pair(Configuration.from_vector(zp, 2, 2), pair).time
+                    - predict_pair(Configuration.from_vector(zm, 2, 2), pair).time
                 ) / (2 * h)
             scale = max(1.0, float(np.abs(fd).max()))
             assert np.abs(fd[4:] - tau * fd[:4]).max() <= 1e-6 * scale

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihse import Configuration, IHSEError, ModelParams, PairIndex, Tolerances, UsageError, simulate, simulator
-from ihse.measure_mc import _flow_map
+from ihse.jacobian_lab import _stack_map
 from ihse.scattering import GrazingContactError
 from ihse.simulator import (
     PATHOLOGY_CRITICAL_ENERGY,
@@ -25,6 +25,8 @@ from ihse.simulator import (
     collision_rich_configuration,
     simulate_stack,
 )
+
+from test_cli import count_calls
 
 # The C11 double-emitting chain: particle 2 hits 1, which then hits 3.
 CHAIN_X, CHAIN_V = [[3.0, 0.0], [0.0, 0.0], [6.0, 0.0]], [[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]]
@@ -227,7 +229,10 @@ def _dense_cluster(seed):
 
 def test_simulate_builds_one_state_per_event(monkeypatch):
     # One scan and one Configuration per event; the overlap probes take no
-    # min_separation, and the ledger reads the kinetic energy once.
+    # min_separation and make one squared_separations call for the start,
+    # one per segment advanced to a contact (its checkpoints and contact
+    # state) and one for the free flight to T; the ledger reads the kinetic
+    # energy once.
     x, v = _dense_cluster(12)
     params = ModelParams(0.5, 2)
     calls = Counter()
@@ -247,6 +252,7 @@ def test_simulate_builds_one_state_per_event(monkeypatch):
         count(Configuration, name)
     cfg = Configuration(x, v)
     calls.clear()
+    probes = count_calls(monkeypatch, simulator, "squared_separations")
     report = simulate(cfg, 5.0, params)
     monkeypatch.undo()
     events = len(report.events)
@@ -255,6 +261,7 @@ def test_simulate_builds_one_state_per_event(monkeypatch):
     assert calls["__init__"] <= events + 2
     assert calls["min_separation"] == 0
     assert calls["kinetic_energy"] == 1
+    assert len(probes) == 1 + events + 1
     stack = simulate_stack(x[None], v[None], 5.0, params)
     assert _fingerprint(stack.reports[0]) == _fingerprint(report)
 
@@ -265,7 +272,7 @@ def test_flow_map_rows_are_simulate_runs():
     centre = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
     points = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
     params = ModelParams(0.5, 2)
-    values, labels = _flow_map(points, 3, 2, 1.5, params, Tolerances())
+    _, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, 1.5, params, tol=Tolerances()), points, 3, 2)
     for z, value, label in zip(points, values, labels):
         report = simulate(Configuration.from_vector(z, 3, 2), 1.5, params)
         assert value.tobytes() == report.final.to_vector().tobytes()
