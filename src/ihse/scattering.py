@@ -153,6 +153,21 @@ def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0
     return vi_post, vj_post, emitting
 
 
+def checked_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0: float, tol: Tolerances):
+    """scatter's checks in their order, then the dispatched law, on one pair
+    of (d,) arrays with w2 = |v_j - v_i|^2 (the same bits as |v_i - v_j|^2):
+    (v_i', v_j', sigma, kappa), sigma and kappa None for an elastic exchange.
+    Raises the error of the first failed check (SCATTER_CHECKS)."""
+    approach = float((v_j - v_i) @ omega)
+    failed = failed_checks(float(omega @ omega), w2, approach, epsilon0, tol)
+    if any(failed):
+        error, message = SCATTER_CHECKS[failed.index(True)]
+        raise error(message)
+    if w2 > 4.0 * epsilon0:
+        return _emission(v_i, v_j, omega, w2, epsilon0)
+    return *_elastic_transfer(v_i, v_j, omega, approach), None, None
+
+
 def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     """Reflection of the normalized relative velocity (v_j - v_i)/|v_j - v_i|
     through the plane orthogonal to omega; always unit norm."""
@@ -212,28 +227,12 @@ def scatter(
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
-    w2, approach = np.vecdot(w, w), float(w @ omega)
-    failed = failed_checks(float(omega @ omega), w2, approach, params.epsilon0, tol)
-    if any(failed):
-        error, message = SCATTER_CHECKS[failed.index(True)]
-        raise error(message)
+    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, np.vecdot(w, w), params.epsilon0, tol)
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
-    if w2 > 4.0 * params.epsilon0:
-        vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, params.epsilon0)
-        kind, sig, kap = CollisionKind.INELASTIC, sigma, float(kappa)
-    else:
-        vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach)
-        kind, sig, kap = CollisionKind.ELASTIC, None, None
     ke_post = 0.5 * (float(vi_post @ vi_post) + float(vj_post @ vj_post))
-    return ScatteringOutcome(
-        kind=kind,
-        omega=omega,
-        sigma=sig,
-        kappa=kap,
-        v_i_post=vi_post,
-        v_j_post=vj_post,
-        energy_loss=ke_pre - ke_post,
-    )
+    kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
+    kappa = None if kappa is None else float(kappa)
+    return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
 
 
 def radial_emission_map(coords: RadialCoordinates, params: ModelParams) -> RadialCoordinates:

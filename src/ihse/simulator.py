@@ -29,10 +29,9 @@ from .core import (
     validate_configuration,
     within_reach,
 )
-from .collision import first_collision, first_contacts
+from .collision import first_contacts
 from .rng import sample_generator, uniform_ball
-from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, scatter
-from .scattering import dispatched_law, failed_checks
+from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, checked_law, dispatched_law, failed_checks
 
 PATHOLOGY_SIMULTANEOUS = "simultaneous"
 PATHOLOGY_GRAZING = "grazing"
@@ -137,16 +136,18 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     """Run the event-driven dynamics from an interior configuration to a
     finite time T, the state carried as two arrays between events.
 
-    Each event is one all-pairs scan (first_collision) over the remaining
-    time, then the collision at the earliest pair contact (transport, the
-    critical band, scatter), as collide_stack collides a simulate_stack row.
-    A graze at or before the next contact, or with no contact left, halts
-    the run; so do near-simultaneous distinct-pair contacts, relative speeds
-    inside the critical band and event count overflow, each with an in-band
-    pathology record.  Each ke_before is the previous event's ke_after.
-    min_separation covers the initial state, every contact state and the
-    checkpoints passed: the start is probed once, then each segment probes
-    its checkpoints and its contact state in one squared_separations call.
+    Each event is one all-pairs scan of the carried arrays (first_contacts)
+    over the remaining time, then the collision at the earliest pair contact
+    (transport, the critical band, scatter's checks and law: checked_law),
+    as collide_stack collides a simulate_stack row; no event builds a
+    Configuration.  A graze at or before the next contact, or with no
+    contact left, halts the run; so do near-simultaneous distinct-pair
+    contacts, relative speeds inside the critical band and event count
+    overflow, each with an in-band pathology record.  Each ke_before is the
+    previous event's ke_after.  min_separation covers the initial state,
+    every contact state and the checkpoints passed: the start is probed
+    once, then each segment probes its checkpoints and its contact state in
+    one squared_separations call.
     """
     check_reach(cfg, T, "T", "a coordinate")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
@@ -154,44 +155,44 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
     events: list[SimEvent] = []
     x, v = cfg.positions, cfg.velocities.copy()
+    first, second = pair_indices(cfg.n_particles)
+    recent = np.zeros(first.size, dtype=bool)  # the pair scattered last
     min_sq, ke = float(squared_separations(x).min(initial=np.inf)), kinetic_energy(cfg)
     now, next_checkpoint = 0.0, 0
-    recent: Optional[PairIndex] = None
     halted: Optional[Pathology] = None
     while (remaining := T - now) > 0:
-        scan = first_collision(Configuration(x, v), remaining, tol=tol, recent_pair=recent)
-        if scan is not None and scan.graze is not None and (scan.time is None or scan.graze <= scan.time):
-            halted = Pathology(PATHOLOGY_GRAZING, now + scan.graze)
+        time, k, unique, graze = (value.item() for value in first_contacts(x, v, tol=tol, recent=recent))
+        if graze <= min(time, remaining):
+            halted = Pathology(PATHOLOGY_GRAZING, now + graze)
             break
-        if scan is None:
-            end, step = T, remaining
-        elif not scan.unique:
-            halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + scan.time)
+        if time <= remaining and not unique:
+            halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + time)
             break
-        else:
-            end, step = now + scan.time, scan.time
         # The segment's overlap probes: the checkpoints it passes, transported
         # from its start, and the contact state it ends at (not the end state
         # of a free flight to T).
+        end = now + time if time <= remaining else T
         stop = int(np.searchsorted(checkpoint_times, end + 1e-15, side="right"))
-        probes = x + (checkpoint_times[next_checkpoint:stop] - now)[:, None, None] * v
-        x, now, next_checkpoint = x + step * v, end, stop
-        if scan is None:
-            min_sq = min(min_sq, float(squared_separations(probes).min(initial=np.inf)))
+        passed = checkpoint_times[next_checkpoint:stop] - now
+        if time > remaining:
+            min_sq = min(min_sq, float(squared_separations(x + passed[:, None, None] * v).min(initial=np.inf)))
+            x, now = x + remaining * v, T
             break
-        min_sq = min(min_sq, float(squared_separations(np.concatenate([probes, x[None]])).min(initial=np.inf)))
-        i, j = scan.pair.zero_based()
+        start, x, now = x, x + time * v, end
+        probes = x[None] if stop == next_checkpoint else np.concatenate([start + passed[:, None, None] * v, x[None]])
+        min_sq, next_checkpoint = min(min_sq, float(squared_separations(probes).min(initial=np.inf))), stop
+        i, j = int(first[k]), int(second[k])
         w = v[i] - v[j]
         rel_speed_sq = float(w @ w)
         if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
         r = x[i] - x[j]
-        outcome = scatter(v[i], v[j], -r / math.sqrt(float(r @ r)), params, tol=tol)
-        v[i], v[j] = outcome.v_i_post, outcome.v_j_post
+        v[i], v[j], sigma, _ = checked_law(v[i], v[j], -r / math.sqrt(float(r @ r)), rel_speed_sq, params.epsilon0, tol)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
-        events.append(SimEvent(now, scan.pair, outcome.kind, ke_before, ke, rel_speed_sq))
-        recent = scan.pair
+        kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
+        events.append(SimEvent(now, PairIndex(i + 1, j + 1), kind, ke_before, ke, rel_speed_sq))
+        recent[:], recent[k] = False, True
         if len(events) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihse import Configuration, IHSEError, ModelParams, PairIndex, Tolerances, UsageError, simulate, simulator
+from ihse import collision, scattering
 from ihse.jacobian_lab import _stack_map
 from ihse.scattering import GrazingContactError
 from ihse.simulator import (
@@ -185,15 +186,16 @@ def test_one_scan_per_event_with_a_graze_past_the_contact():
     v = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
     params, tol = ModelParams(0.5, 2), Tolerances(grazing_tol=0.05)
     scans = []
-    scan = simulator.first_collision
+    scan = simulator.first_contacts
 
     def counting(*args, **kwargs):
         scans.append(scan(*args, **kwargs))
         return scans[-1]
 
-    with mock.patch.object(simulator, "first_collision", counting):
+    with mock.patch.object(simulator, "first_contacts", counting):
         report = simulate(Configuration(x, v), 6.0, params, tol=tol)
-    assert scans[0].time == 1.0 and scans[0].graze > 1.0
+    time, _, _, graze = scans[0]
+    assert time == 1.0 and graze > 1.0
     assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
     assert report.halted.reason == PATHOLOGY_GRAZING and report.halted.time == pytest.approx(3.86, abs=0.01)
     assert len(scans) <= len(report.events) + 1
@@ -227,9 +229,15 @@ def _dense_cluster(seed):
     return x, v
 
 
-def test_simulate_builds_one_state_per_event(monkeypatch):
-    # One scan and one Configuration per event; the overlap probes take no
-    # min_separation and make one squared_separations call for the start,
+# The one-state scan and collide; no simulate event goes through them.
+LEGACY_STEPS = [(collision, "first_collision"), (scattering, "scatter")]
+
+
+def test_simulate_builds_no_state_per_event(monkeypatch):
+    # One first_contacts scan of the carried arrays per event, and no
+    # Configuration, first_collision or scatter per event: the run builds at
+    # most two states (its final one among them).  The overlap probes take
+    # no min_separation and make one squared_separations call for the start,
     # one per segment advanced to a contact (its checkpoints and contact
     # state) and one for the free flight to T; the ledger reads the kinetic
     # energy once.
@@ -246,22 +254,35 @@ def test_simulate_builds_one_state_per_event(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    for owner, name in [(simulator, "first_collision"), (simulator, "kinetic_energy")]:
+    for owner, name in [(simulator, "first_contacts"), (simulator, "kinetic_energy")]:
         count(owner, name)
     for name in ("__init__", "min_separation"):
         count(Configuration, name)
     cfg = Configuration(x, v)
     calls.clear()
     probes = count_calls(monkeypatch, simulator, "squared_separations")
+    legacy = {name: count_calls(monkeypatch, module, name) for module, name in LEGACY_STEPS}
     report = simulate(cfg, 5.0, params)
     monkeypatch.undo()
     events = len(report.events)
     assert report.halted is None and events >= 30
-    assert calls["first_collision"] == events + 1
-    assert calls["__init__"] <= events + 2
+    assert calls["first_contacts"] == events + 1
+    assert calls["__init__"] <= 2
     assert calls["min_separation"] == 0
     assert calls["kinetic_energy"] == 1
     assert len(probes) == 1 + events + 1
+    assert {name: len(made) for name, made in legacy.items()} == {"first_collision": 0, "scatter": 0}
+
+
+@pytest.mark.parametrize("eps0", (0.5, math.inf))
+@pytest.mark.parametrize("seed", range(12, 20))
+def test_dense_cluster_row_is_simulate(seed, eps0):
+    # The dense regime, where every event scans about 500 pairs: a one-row
+    # simulate_stack gives simulate's report, floats compared by float.hex.
+    x, v = _dense_cluster(seed)
+    params = ModelParams(eps0, 2)
+    report = simulate(Configuration(x, v), 5.0, params)
+    assert len(report.events) >= 20
     stack = simulate_stack(x[None], v[None], 5.0, params)
     assert _fingerprint(stack.reports[0]) == _fingerprint(report)
 

@@ -24,6 +24,7 @@ from ihse import (
     simulate,
     tct_flow,
 )
+from ihse.core import squared_separations
 from ihse.measure_mc import low_energy_ensemble
 from ihse.simulator import (
     PATHOLOGY_CRITICAL_ENERGY,
@@ -228,13 +229,13 @@ def _scanned_separations(index, grazing_tol):
     tol = Tolerances(grazing_tol=grazing_tol)
     cfg = collision_rich_configuration(3, index, 4, 2, 5.0, 2.0, 1.2)
     separations = []
-    scan = simulator.first_collision
+    scan = simulator.first_contacts
 
-    def recording(state, horizon, **kwargs):
-        separations.append(state.min_separation())
-        return scan(state, horizon, **kwargs)
+    def recording(positions, velocities, **kwargs):
+        separations.append(math.sqrt(squared_separations(positions).min(initial=math.inf)))
+        return scan(positions, velocities, **kwargs)
 
-    with mock.patch.object(simulator, "first_collision", recording):
+    with mock.patch.object(simulator, "first_contacts", recording):
         report = simulate(cfg, 10.0, ModelParams(0.05, 2), tol=tol)
     return report, min(separations), tol
 
