@@ -50,13 +50,14 @@ class FirstCollision:
     graze: Optional[float] = None
 
 
-def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[Optional[np.ndarray], ...]:
     """Roots of |r + t w|^2 = 1 for P pairs at once, from (P, d) arrays of
     relative positions r = x_i - x_j and relative velocities w = v_i - v_j.
 
-    Returns three length-P arrays:
-      - delta: the discriminant b^2 - a c with a = |w|^2, b = r.w and
-        c = |r|^2 - 1;
+    Returns six length-P arrays (graze None when no pair grazes):
+      - a = |w|^2, b = r.w and c = |r|^2 - 1, the coefficients of the
+        squared gap |r + t w|^2 - 1 = a t^2 + 2 b t + c;
+      - delta: the discriminant b^2 - a c;
       - contact: the smallest strictly positive root of a transversal
         encounter (delta > grazing_tol), inf when the pair recedes, moves
         in parallel or grazes;
@@ -93,10 +94,10 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     contact[~((contact > 0.0) & (delta > grazing_tol) & moving)] = np.inf
     grazing = np.abs(delta) <= grazing_tol
     if not grazing.any():  # the common case: no graze to time
-        return delta, contact, np.full_like(delta, np.inf)
+        return a, b, c, delta, contact, None
     t_graze = np.where(delta > 0.0, small, neg_b / a)
     graze = np.where(grazing & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
-    return delta, contact, graze
+    return a, b, c, delta, contact, graze
 
 
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
@@ -109,7 +110,7 @@ def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Toler
     """Full prediction record for one pair."""
     r, w = cfg.pair_state(pair)
     with np.errstate(divide="ignore", invalid="ignore"):
-        deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
+        *_, deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
     delta, time = float(deltas[0]), float(contacts[0])
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
 
@@ -117,28 +118,40 @@ def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Toler
 def first_contacts(
     positions: np.ndarray,
     velocities: np.ndarray,
+    horizon: float | np.ndarray,
     *,
     tol: Tolerances = Tolerances(),
     recent: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """first_collision's scan of a stack (..., N, d) of states, no horizon
-    applied: per state the earliest contact time (inf if none), its pair's
-    index in pair_indices order, whether it is unique, and the earliest
-    graze (inf if none).  recent masks (..., P) the pair scattered last."""
+) -> tuple[np.ndarray, ...]:
+    """first_collision's scan of a stack (..., N, d) of states, contacts not
+    cut at the horizon (a float, or one per state): per state the earliest
+    contact time (inf if none), its pair's index in pair_indices order,
+    whether it is unique, the earliest graze (inf if none), and closest,
+    the minimum of every pair's squared gap |r + t w|^2 - 1 over
+    [0, min(contact, horizon)].  recent masks (..., P) the pair scattered
+    last.
+
+    closest comes from each pair's coefficients at its closest approach
+    clipped to that span, t* = clip(-b/a, 0, span), never from the roots: it
+    also sees a contact the roots, the re-arm mask or the graze rule miss.
+    It is exact but for rounding, a few ulps of max(1, |r|^2)."""
     r, w = pair_differences(positions), pair_differences(velocities)
     # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
+        a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
         if recent is not None:
             contact[recent & (contact <= REARM_TIME)] = np.inf
         if contact.shape[-1] < 2:  # pad with pairs that never meet, so that a second contact exists
             pad = np.full(contact.shape[:-1] + (2 - contact.shape[-1],), np.inf)
-            contact, graze = np.concatenate([contact, pad], axis=-1), np.concatenate([graze, pad], axis=-1)
+            contact = np.concatenate([contact, pad], axis=-1)
         k = contact.argmin(axis=-1)  # first occurrence: the lexicographically first pair
         lowest = np.partition(contact, 1, axis=-1)
         time, second = lowest[..., 0], lowest[..., 1]
         unique = second - time > tol.simultaneity_tol
-    return time, k, unique, graze.min(axis=-1)
+        t = np.fmin(np.fmax(-b / a, 0.0), np.minimum(time, horizon)[..., None])  # fmax: a still pair's 0/0 is 0
+        closest = (c + t * (b + b + t * a)).min(axis=-1, initial=np.inf)
+    graze = np.full(time.shape, np.inf) if graze is None else graze.min(axis=-1)
+    return time, k, unique, graze, closest
 
 
 def first_collision(
@@ -168,7 +181,7 @@ def first_collision(
     n = cfg.n_particles
     i, j = pair_indices(n)
     recent = None if recent_pair is None else np.arange(i.size) == pair_position(n, recent_pair)
-    time, k, unique, graze = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
+    time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, horizon, tol=tol, recent=recent)
     t_graze = float(graze) if graze <= horizon else None
     if not time <= horizon:
         return None if t_graze is None else FirstCollision(None, None, True, t_graze)

@@ -38,9 +38,6 @@ PATHOLOGY_GRAZING = "grazing"
 PATHOLOGY_CRITICAL_ENERGY = "critical_energy"
 PATHOLOGY_MAX_EVENTS = "max_events"
 
-# Free-flight overlap probes per run, evenly spaced over [0, T].
-N_CHECKPOINTS = 100
-
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -144,43 +141,35 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     contact left, halts the run; so do near-simultaneous distinct-pair
     contacts, relative speeds inside the critical band and event count
     overflow, each with an in-band pathology record.  Each ke_before is the
-    previous event's ke_after.  min_separation covers the initial state,
-    every contact state and the checkpoints passed: the start is probed
-    once, then each segment probes its checkpoints and its contact state in
-    one squared_separations call.
+    previous event's ke_after.  min_separation covers every time in [0, T]
+    the run reaches: the start is probed once (squared_separations), then
+    each segment advanced takes its exact minimum squared gap from its own
+    scan (first_contacts' closest).
     """
     check_reach(cfg, T, "T", "a coordinate")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         raise UsageError("initial configuration must be interior (all gaps > 1)")
-    checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
     events: list[SimEvent] = []
     x, v = cfg.positions, cfg.velocities.copy()
     first, second = pair_indices(cfg.n_particles)
     recent = np.zeros(first.size, dtype=bool)  # the pair scattered last
     min_sq, ke = float(squared_separations(x).min(initial=np.inf)), kinetic_energy(cfg)
-    now, next_checkpoint = 0.0, 0
+    now = 0.0
     halted: Optional[Pathology] = None
     while (remaining := T - now) > 0:
-        time, k, unique, graze = (value.item() for value in first_contacts(x, v, tol=tol, recent=recent))
+        scan = first_contacts(x, v, remaining, tol=tol, recent=recent)
+        time, k, unique, graze, closest = (value.item() for value in scan)
         if graze <= min(time, remaining):
             halted = Pathology(PATHOLOGY_GRAZING, now + graze)
             break
         if time <= remaining and not unique:
             halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + time)
             break
-        # The segment's overlap probes: the checkpoints it passes, transported
-        # from its start, and the contact state it ends at (not the end state
-        # of a free flight to T).
-        end = now + time if time <= remaining else T
-        stop = int(np.searchsorted(checkpoint_times, end + 1e-15, side="right"))
-        passed = checkpoint_times[next_checkpoint:stop] - now
+        min_sq = min(min_sq, 1.0 + closest)
         if time > remaining:
-            min_sq = min(min_sq, float(squared_separations(x + passed[:, None, None] * v).min(initial=np.inf)))
             x, now = x + remaining * v, T
             break
-        start, x, now = x, x + time * v, end
-        probes = x[None] if stop == next_checkpoint else np.concatenate([start + passed[:, None, None] * v, x[None]])
-        min_sq, next_checkpoint = min(min_sq, float(squared_separations(probes).min(initial=np.inf))), stop
+        x, now = x + time * v, now + time
         i, j = int(first[k]), int(second[k])
         w = v[i] - v[j]
         rel_speed_sq = float(w @ w)
@@ -210,13 +199,14 @@ def simulate_stack(
 ) -> SimStack:
     """simulate on a stack (S, N, d) of states, the rows advanced in
     lockstep: each step scans the running rows at once, settles every row's
-    verdict as simulate does, probes the checkpoints of the moving rows in
-    one array operation and collides the colliding rows together
-    (collide_stack).  Every row gets the report, the final state and the
-    error simulate gives its state alone, bit for bit: a start out of reach
-    over [0, T] (within_reach, simulate's check_reach), a non-interior start
-    and a failed scatter check are that row's error.  simulate stays the
-    one-state loop: on one state it is the faster of the two.
+    verdict as simulate does, folds the scan's minimum squared gap of the
+    moving rows into min_separation and collides the colliding rows
+    together (collide_stack).  Every row gets the report, the final state
+    and the error simulate gives its state alone, bit for bit: a start out
+    of reach over [0, T] (within_reach, simulate's check_reach), a
+    non-interior start and a failed scatter check are that row's error.
+    simulate stays the one-state loop: on one state it is the faster of the
+    two.
     """
     if not 0 < T < math.inf:
         raise UsageError("T must be positive and finite")
@@ -230,13 +220,12 @@ def simulate_stack(
     errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
     errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
     running = reachable & interior
-    checkpoint_times = T * np.arange(1, N_CHECKPOINTS + 1) / N_CHECKPOINTS
-    now, recent, next_checkpoint = np.zeros(s), np.full(s, -1), np.zeros(s, dtype=int)
+    now, recent = np.zeros(s), np.full(s, -1)
     events, halted = [[] for _ in range(s)], [None] * s
     while (active := np.flatnonzero(running & (T - now > 0))).size:
         remaining = T - now[active]
-        time, k, unique, graze = first_contacts(
-            x[active], v[active], tol=tol, recent=recent[active, None] == np.arange(len(pairs))
+        time, k, unique, graze, closest = first_contacts(
+            x[active], v[active], remaining, tol=tol, recent=recent[active, None] == np.arange(len(pairs))
         )
         grazing = graze <= np.minimum(time, remaining)
         free = ~grazing & ~(time <= remaining)
@@ -246,21 +235,8 @@ def simulate_stack(
             reason, t = (PATHOLOGY_GRAZING, graze[a]) if grazing[a] else (PATHOLOGY_SIMULTANEOUS, time[a])
             halted[active[a]] = Pathology(reason, float(now[active[a]] + t))
         running[active[grazing | simultaneous]] = False
-        # Overlap probes at the checkpoints each moving row passes, over the
-        # checkpoint columns some row needs, transported from segment starts.
         moving = free | colliding
-        rows = active[moving]
-        stop = np.searchsorted(checkpoint_times, np.where(free, T, now[active] + time)[moving] + 1e-15, side="right")
-        probing = stop > next_checkpoint[rows]
-        if probing.any():
-            rows, stop = rows[probing], stop[probing]
-            start = next_checkpoint[rows]
-            columns = np.arange(start.min(), stop.max())
-            t = checkpoint_times[columns] - now[rows, None]
-            inside = (columns >= start[:, None]) & (columns < stop[:, None])
-            probes = squared_separations(x[rows, None] + t[..., None, None] * v[rows, None])
-            min_sq[rows] = np.minimum(min_sq[rows], probes.min(axis=(1, 2), initial=np.inf, where=inside[..., None]))
-            next_checkpoint[rows] = stop
+        min_sq[active[moving]] = np.minimum(min_sq[active[moving]], 1.0 + closest[moving])
         rows = active[free]
         x[rows] += remaining[free, None, None] * v[rows]
         now[rows] = T
@@ -268,7 +244,6 @@ def simulate_stack(
         ke_before = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params, tol=tol)
         now[rows] += t
-        min_sq[rows] = np.minimum(min_sq[rows], squared_separations(x[rows]).min(axis=-1, initial=np.inf))
         ke_after = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke_after.tolist(), w2.tolist())
         for (row, pair, at, before, after, s2), failed, emits in zip(ledger, check.tolist(), emitting.tolist()):

@@ -166,7 +166,7 @@ def tct_stack(
     s, n, d = positions.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
         invalid, boundary = domain_masks(positions, tol.contact_tol)
-        time, k, unique, graze = first_contacts(positions, velocities, tol=tol)
+        time, k, unique, graze, _ = first_contacts(positions, velocities, tau, tol=tol)
         final_x = positions + tau * velocities
     # A contact inside the horizon is simultaneous until it is found unique;
     # the checks before it overrule it.
@@ -190,7 +190,7 @@ def tct_stack(
         again = (~failed & (remaining > 0)).nonzero()[0]
         if again.size:
             recent = np.arange(n * (n - 1) // 2) == pair[again, None]
-            t2, _, _, graze2 = first_contacts(x[again], v[again], tol=tol, recent=recent)
+            t2, _, _, graze2, _ = first_contacts(x[again], v[again], remaining[again], tol=tol, recent=recent)
             code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
         final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
     dropped = label < FREE

@@ -7,7 +7,7 @@ The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
 lexicographic order.  The second is ``ihse.collision._quadratic_contact_roots``
 before it skipped the graze branch when no pair grazes: every output by
-where passes.  The third is the collision step that
+where passes, and a graze array even when no pair grazes.  The third is the collision step that
 ``ihse.simulator.simulate`` makes inline, here on Configuration objects.
 The fourth is the one-collision flow of a single state composed from that
 pair-by-pair scan and collide, as the stacked flow replaced it.  The fifth
@@ -56,8 +56,8 @@ def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float,
     return b, a, delta, (q / a, c / q)
 
 
-def array_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta, contact, graze) of P pairs, as ihse.collision._quadratic_contact_roots."""
+def array_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, ...]:
+    """(a, b, c, delta, contact, graze) of P pairs, as ihse.collision._quadratic_contact_roots."""
     a = np.vecdot(w, w)
     b = np.vecdot(r, w)
     c = np.vecdot(r, r) - 1.0
@@ -72,7 +72,7 @@ def array_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tup
     contact = np.where(moving & (delta > grazing_tol), contact, np.inf)
     t_graze = np.where(delta > 0.0, small, neg_b / a)
     graze = np.where((np.abs(delta) <= grazing_tol) & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
-    return delta, contact, graze
+    return a, b, c, delta, contact, graze
 
 
 def contact_time(delta: float, roots: Optional[tuple[float, float]], grazing_tol: float) -> Optional[float]:

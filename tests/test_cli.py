@@ -681,7 +681,7 @@ def test_thread_cap_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys)
 # Output bytes and exit status of a fixed invocation of every command, a
 # --run-config run, and the CSV files they write, captured before the CLI's
 # tables were merged into one.
-DOCUMENTS_SHA256 = "423fc6020287be4e9275f87ef32b0488562917071428cd0bed90be5cfd1076a4"
+DOCUMENTS_SHA256 = "e12e955e4bd8d6838d21e94c010c6980c5396246686dd8ba85a5bb11564d04ee"
 
 DIGEST_CONFIGS = {
     "two_body.json": [([0.0, 0.0], [1.0, 0.0]), ([3.0, 0.0], [0.0, 0.0])],

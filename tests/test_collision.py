@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from ihse import (
     free_transport,
     predict_pair,
 )
+from ihse.collision import first_contacts
+from ihse.core import squared_separations
 from ihse.rng import sample_generator
 
 from conftest import assert_close
@@ -119,6 +124,61 @@ class TestFirstCollision:
         fc = first_collision(cfg, horizon=1.0 + 2e-11, tol=Tolerances(simultaneity_tol=simultaneity_tol))
         assert fc.pair == P12 and fc.time == pytest.approx(1.0, abs=1e-15)
         assert fc.unique is unique
+
+
+def _exact_closest(x, v, span):
+    """Minimum over the pairs of one state and over t in [0, span] of the
+    squared gap |r + t w|^2 - 1, in rationals from the float inputs."""
+    values = []
+    for i, j in combinations(range(len(x)), 2):
+        r = [Fraction(p) - Fraction(q) for p, q in zip(x[i], x[j])]
+        w = [Fraction(p) - Fraction(q) for p, q in zip(v[i], v[j])]
+        a, b, c = sum(e * e for e in w), sum(e * f for e, f in zip(r, w)), sum(e * e for e in r) - 1
+        t = 0 if a == 0 else min(max(-b / a, Fraction(0)), span)
+        values.append(c + t * (2 * b + t * a))
+    return min(values)
+
+
+# How pair (1, 2) of a state of the closest-approach test moves: random,
+# parallel (w = 0), receding (closest approach already past) or approaching.
+PAIR_KINDS = ("free", "parallel", "receding", "approaching")
+
+
+class TestClosestApproach:
+    def test_graze_and_rearmed_contact_are_seen(self):
+        # a graze touches at t=3 with no contact time; a pair at contact,
+        # masked as the pair scattered last, touches at t=0
+        graze, rearmed = two_body((3, 1)), Configuration([[0, 0], [1, 0]], [[-1, 0], [1, 0]])
+        assert first_contacts(graze.positions, graze.velocities, 5.0)[4] == 0.0
+        assert first_contacts(graze.positions, graze.velocities, 2.0)[4] == 1.0
+        closest = first_contacts(rearmed.positions, rearmed.velocities, 5.0, recent=np.array([True]))[4]
+        assert closest == 0.0
+
+    @given(
+        n=st.integers(2, 4),
+        d=st.sampled_from((2, 3)),
+        kinds=st.lists(st.sampled_from(PAIR_KINDS), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closest_is_the_exact_minimum_gap(self, n, d, kinds, seed):
+        # closest is the exact minimum over [0, min(contact, horizon)] to a
+        # few ulps of the largest |r|^2 (at least 1) of its state
+        gen = np.random.default_rng(seed)
+        x = gen.uniform(-3.0, 3.0, (len(kinds), n, d))
+        v = gen.standard_normal((len(kinds), n, d))
+        for row, kind in enumerate(kinds):
+            if kind == "parallel":
+                v[row, 1] = v[row, 0]
+            elif kind != "free" and (kind == "receding") != ((x[row, 0] - x[row, 1]) @ (v[row, 0] - v[row, 1]) > 0):
+                v[row, 1] = 2.0 * v[row, 0] - v[row, 1]  # reverses w
+        horizon = gen.uniform(0.01, 10.0, len(kinds))
+        time, _, _, _, closest = first_contacts(x, v, horizon)
+        for row in range(len(kinds)):
+            span = Fraction(min(float(time[row]), float(horizon[row])))
+            exact = _exact_closest(x[row].tolist(), v[row].tolist(), span)
+            scale = max(1.0, float(squared_separations(x[row]).max()))
+            assert abs(Fraction(float(closest[row])) - exact) <= 4 * np.finfo(float).eps * scale
 
 
 class TestGradients:

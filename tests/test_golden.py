@@ -49,7 +49,7 @@ from ihse.rng import unit_vector
 from ihse.simulator import collision_rich_configuration, random_configuration
 
 GOLDEN_SHA256 = "afbee89ad45ba93650baabd223af86f25f1c6034b8f36e0a3a8d3c282a247ad6"
-DETAIL_SHA256 = "71c537aa2b12c10cba20509827bd5f6efc8d3916987c12cf4f4cb668ab681b8e"
+DETAIL_SHA256 = "86eeb3bba18b106dbf33b4b5111fcb4b9d0468bb7f32caa34dc950c6b9aef19d"
 
 
 def _feed_report(digest, report):

@@ -133,9 +133,10 @@ def test_kernel_matches_reference(n, d, layout, tol, seed):
         rows = [(horizon, recent) for t, horizon in cases if t == scan_tol for recent in recents]
         masks = [(i == recent.i - 1) & (j == recent.j - 1) if recent else np.zeros(i.size, bool) for _, recent in rows]
         shape = (len(rows),) + cfg.positions.shape
-        time, k, unique, graze = first_contacts(
+        time, k, unique, graze, _ = first_contacts(
             np.broadcast_to(cfg.positions, shape),
             np.broadcast_to(cfg.velocities, shape),
+            np.array([horizon for horizon, _ in rows]),
             tol=scan_tol,
             recent=np.array(masks).reshape(len(rows), i.size),
         )
@@ -183,7 +184,10 @@ def test_contact_roots_match_reference(kinds, d, grazing_tol, seed):
             r[row] = length * axis
             w[row] = (0.5 + gen.random()) * (-axis * math.sqrt(length**2 - 1.0) / length + perp / length)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = _quadratic_contact_roots(r, w, grazing_tol)
+        kernel = list(_quadratic_contact_roots(r, w, grazing_tol))
         expected = ref.array_contact_roots(r, w, grazing_tol)
-    for got, want in zip(kernel, expected):
+    if kernel[-1] is None:  # no pair grazes: no graze array
+        assert not (np.abs(expected[3]) <= grazing_tol).any()
+        kernel[-1] = np.full(len(kinds), np.inf)
+    for got, want in zip(kernel, expected, strict=True):
         assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want.tolist()]

@@ -99,16 +99,16 @@ def _pathology_rows(eps0):
     return [x for x, _ in rows], [v for _, v in rows]
 
 
-def _near_miss(T):
-    """A planar state whose two particles pass at distance 1.5, closest at
-    the first overlap checkpoint T/100: its minimum separation is probed
-    there and nowhere else."""
-    return [[0, 0], [0.02 * T, 1.5], [-40, 60], [40, 60]], [[1, 0], [-1, 0], [0, 0], [0, 0]]
+# Particle 1 passes under particle 2 at distance 1.25 at t = 0.15, between
+# any two of the sampled times 0.1, 0.2, ... of a run to T = 10.
+NEAR_MISS = [[0, 0], [0.15, 1.25]], [[1, 0], [0, 0]]
+# The same with two particles at rest far from it.
+NEAR_MISS_ROW = NEAR_MISS[0] + [[-40, 60], [40, 60]], NEAR_MISS[1] + [[0, 0], [0, 0]]
 
 
-def _stack(n, d, seed, h, draws, eps0, T):
+def _stack(n, d, seed, h, draws, eps0):
     """C11 stencil at step h, collision-rich draws, the pathology rows and a
-    near miss at T, all embedded in (n, d)."""
+    near miss, all embedded in (n, d)."""
     centre_x, centre_v = _pad([CHAIN_X], n, d)[0], _pad([CHAIN_V], n, d)[0]
     centre = np.concatenate([centre_x.ravel(), centre_v.ravel()])
     offsets = h * np.eye(centre.size)
@@ -120,8 +120,8 @@ def _stack(n, d, seed, h, draws, eps0, T):
         xs.append(cfg.positions[None])
         vs.append(cfg.velocities[None])
     x, v = _pathology_rows(eps0)
-    x.append(_near_miss(T)[0])
-    v.append(_near_miss(T)[1])
+    x.append(NEAR_MISS_ROW[0])
+    v.append(NEAR_MISS_ROW[1])
     xs.append(_pad(x, n, d))
     vs.append(_pad(v, n, d))
     return np.concatenate(xs), np.concatenate(vs)
@@ -151,7 +151,7 @@ def test_random_stacks_match_one_state_at_a_time():
     )
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def check(n, d, seed, h, draws, eps0, tol, T):
-        positions, velocities = _stack(n, d, seed, h, draws, eps0, T)
+        positions, velocities = _stack(n, d, seed, h, draws, eps0)
         endings.update(_assert_rows_match(positions, velocities, T, ModelParams(eps0, d), tol))
 
     check()
@@ -163,8 +163,8 @@ def test_random_stacks_match_one_state_at_a_time():
 def test_one_row_per_ending():
     eps0, tol = 1.0, Tolerances(grazing_tol=0.1, max_events=2)
     x, v = _pathology_rows(eps0)
-    x += [CHAIN_X + [[-40, 60]], [[0, 0], [3, 0], [-40, 60], [40, 60]], _near_miss(3.5)[0]]
-    v += [CHAIN_V + [[0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]], _near_miss(3.5)[1]]
+    x += [CHAIN_X + [[-40, 60]], [[0, 0], [3, 0], [-40, 60], [40, 60]], NEAR_MISS_ROW[0]]
+    v += [CHAIN_V + [[0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]], NEAR_MISS_ROW[1]]
     positions, velocities = np.array(x, dtype=float), np.array(v, dtype=float)
     stack = simulate_stack(positions, velocities, 3.5, ModelParams(eps0, 2), tol=tol)
     halts = [None if r is None or r.halted is None else r.halted.reason for r in stack.reports]
@@ -173,7 +173,7 @@ def test_one_row_per_ending():
     errors = [type(e) for e in stack.errors]
     assert errors == [type(None)] * 3 + [UsageError, UsageError, GrazingContactError] + [type(None)] * 3
     assert len(stack.reports[-2].events) == 1
-    assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.5, abs=1e-12)
+    assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.25, abs=1e-12)
     _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0, 2), tol)
 
 
@@ -194,13 +194,27 @@ def test_one_scan_per_event_with_a_graze_past_the_contact():
 
     with mock.patch.object(simulator, "first_contacts", counting):
         report = simulate(Configuration(x, v), 6.0, params, tol=tol)
-    time, _, _, graze = scans[0]
+    time, _, _, graze, _ = scans[0]
     assert time == 1.0 and graze > 1.0
     assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
     assert report.halted.reason == PATHOLOGY_GRAZING and report.halted.time == pytest.approx(3.86, abs=0.01)
     assert len(scans) <= len(report.events) + 1
     stack = simulate_stack(np.array([x]), np.array([v]), 6.0, params, tol=tol)
     assert _fingerprint(stack.reports[0]) == _fingerprint(report)
+
+
+def test_near_miss_between_sampled_times_is_seen():
+    # The exact closest approach, 1.25, from simulate, a one-row stack and
+    # a row of a larger stack; probes at T/100 steps would read 1.2509996.
+    params = ModelParams(0.5, 2)
+    report = simulate(Configuration(*NEAR_MISS), 10.0, params)
+    assert report.events == () and report.min_separation == pytest.approx(1.25, abs=1e-12)
+    one = simulate_stack(np.array([NEAR_MISS[0]], dtype=float), np.array([NEAR_MISS[1]], dtype=float), 10.0, params)
+    assert _fingerprint(one.reports[0]) == _fingerprint(report)
+    positions, velocities = _stack(4, 2, 5, 1e-4, 4, 0.5)
+    stack = simulate_stack(positions, velocities, 10.0, params)
+    assert stack.reports[-1].min_separation == pytest.approx(1.25, abs=1e-12)
+    _assert_rows_match(positions, velocities, 10.0, params, Tolerances())
 
 
 def test_bad_horizon_raises_for_the_stack():
@@ -236,11 +250,10 @@ LEGACY_STEPS = [(collision, "first_collision"), (scattering, "scatter")]
 def test_simulate_builds_no_state_per_event(monkeypatch):
     # One first_contacts scan of the carried arrays per event, and no
     # Configuration, first_collision or scatter per event: the run builds at
-    # most two states (its final one among them).  The overlap probes take
-    # no min_separation and make one squared_separations call for the start,
-    # one per segment advanced to a contact (its checkpoints and contact
-    # state) and one for the free flight to T; the ledger reads the kinetic
-    # energy once.
+    # most two states (its final one among them).  The overlap certificate
+    # takes no min_separation and makes one squared_separations call, for
+    # the start (each segment's minimum comes from its scan); the ledger
+    # reads the kinetic energy once.
     x, v = _dense_cluster(12)
     params = ModelParams(0.5, 2)
     calls = Counter()
@@ -270,7 +283,7 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     assert calls["__init__"] <= 2
     assert calls["min_separation"] == 0
     assert calls["kinetic_energy"] == 1
-    assert len(probes) == 1 + events + 1
+    assert len(probes) == 1
     assert {name: len(made) for name, made in legacy.items()} == {"first_collision": 0, "scatter": 0}
 
 

@@ -231,9 +231,9 @@ def _scanned_separations(index, grazing_tol):
     separations = []
     scan = simulator.first_contacts
 
-    def recording(positions, velocities, **kwargs):
+    def recording(positions, velocities, *args, **kwargs):
         separations.append(math.sqrt(squared_separations(positions).min(initial=math.inf)))
-        return scan(positions, velocities, **kwargs)
+        return scan(positions, velocities, *args, **kwargs)
 
     with mock.patch.object(simulator, "first_contacts", recording):
         report = simulate(cfg, 10.0, ModelParams(0.05, 2), tol=tol)
