@@ -26,10 +26,10 @@ from .core import (
 from .collision import predict_pair
 from .jacobian_lab import (
     TensorLemmaCase,
-    random_tct_case,
+    random_tct_cases,
     scattering_measure_samples,
     tensor_sum_det,
-    verify_flow_jacobian,
+    verify_flow_jacobians,
 )
 from .measure_mc import (
     SPEED_BAND_CUTOFF,
@@ -259,23 +259,25 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
 
 def cmd_jacobian(flags: dict) -> tuple[dict, int]:
     tol = _tolerances(flags)
-    reports = []
-    for index in range(_samples(flags)):
-        if flags["eps0"] is None:
-            kind = CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC
-        else:
-            kind = None  # fixed quantum: take the branch the draw lands on
-        cfg, params = random_tct_case(
-            flags["seed"],
-            index,
-            flags["n_particles"],
-            kind=kind,
-            tau=flags["tau"],
-            d=flags["dim"],
-            fixed_eps0=flags["eps0"],
-            tol=tol,
-        )
-        reports.append(verify_flow_jacobian(cfg, flags["tau"], params, tol=tol))
+    indices = range(_samples(flags))
+    if flags["eps0"] is None:
+        kinds = [CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC for index in indices]
+    else:
+        kinds = [None] * len(indices)  # fixed quantum: take the branch the draw lands on
+    cases = random_tct_cases(
+        flags["seed"],
+        indices,
+        flags["n_particles"],
+        kinds=kinds,
+        tau=flags["tau"],
+        d=flags["dim"],
+        fixed_eps0=flags["eps0"],
+        tol=tol,
+    )
+    reports = verify_flow_jacobians(cases, flags["tau"], tol=tol)
+    for report in reports:
+        if isinstance(report, IHSEError):
+            raise report  # the first failing case, as a loop over the cases meets it
     summary = {
         "n_samples": len(reports),
         "max_residual": max(r.residual for r in reports),

@@ -25,7 +25,11 @@ from .core import (
 from .collision import first_collision, predict_pair
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import ExcludedConfigurationError, classified_flow_det, classify_tct_domain, tct_stack
+from .tct import ExcludedConfigurationError, classified_flow_det, tct_stack
+
+# The most cases one tct_stack call holds: a jacobian run's acceptance rounds
+# and its finite-difference stencils are stacked this many cases at a time.
+CASES_PER_STACK = 100
 
 
 class BranchCrossingError(IHSEError):
@@ -72,32 +76,41 @@ class TensorLemmaCase:
 
 def _difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:
     """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian)."""
+    finite = np.isfinite(values).all(axis=1).tolist()
     for k in range(len(labels) // 2):
         for label in labels[2 * k : 2 * k + 2]:
             if isinstance(label, Exception):
                 raise label
             if label != center_label:
                 raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
-        if not np.isfinite(values[2 * k : 2 * k + 2]).all():
+        if not (finite[2 * k] and finite[2 * k + 1]):
             raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
     return ((values[0::2] - values[1::2]) / (2.0 * h)).T
 
 
-def _fd_jacobians(fn, point, steps: tuple[float, ...]) -> list[np.ndarray]:
-    """fd_jacobian at each step, with one call of fn on every stencil."""
+def _stencil_rows(point, steps: tuple[float, ...]) -> np.ndarray:
+    """The rows _fd_jacobians hands its batch map: the center, then per step
+    h the rows +h e_0, -h e_0, +h e_1, ... of point."""
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise IHSEError("point must be a flat vector")
     if not steps[0] > 0:
         raise IHSEError("step h must be positive")
-    offsets = np.eye(point.size)
-    stencils = [np.stack([point + h * offsets, point - h * offsets], axis=1) for h in steps]
-    values, labels = fn(np.concatenate([point[None]] + [rows.reshape(-1, point.size) for rows in stencils]))
+    offsets = np.repeat(np.eye(point.size), 2, axis=0)  # +e_0, -e_0, +e_1, ...
+    offsets[1::2] *= -1.0  # point + h (-e_k) is point - h e_k, bit for bit
+    return np.concatenate([point[None]] + [point + h * offsets for h in steps])
+
+
+def _fd_jacobians(fn, point, steps: tuple[float, ...]) -> list[np.ndarray]:
+    """fd_jacobian at each step, with one call of fn on every stencil."""
+    rows = _stencil_rows(point, steps)
+    values, labels = fn(rows)
     values = np.asarray(values, dtype=float)
     if isinstance(labels[0], Exception):
         raise labels[0]
-    rows = [slice(start, start + 2 * point.size) for start in range(1, len(labels), 2 * point.size)]
-    return [_difference_quotients(values[r], labels[r], labels[0], h) for r, h in zip(rows, steps)]
+    size = 2 * rows.shape[1]
+    blocks = [slice(start, start + size) for start in range(1, len(labels), size)]
+    return [_difference_quotients(values[b], labels[b], labels[0], h) for b, h in zip(blocks, steps)]
 
 
 def fd_jacobian(
@@ -162,16 +175,17 @@ def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
     return formula, float(np.linalg.det(matrix))
 
 
-def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, params: ModelParams) -> tuple[np.ndarray, list]:
+def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) -> tuple[np.ndarray, list]:
     """Batch map: post-collision velocities (v_i', v_j') of rows (v_i, v_j)
-    at contact direction omega, labelled with the collision law's branch."""
-    d = omega.size
+    at contact direction omega (d,), or one per row (R, d), and the quantum
+    epsilon0 (a float, or one per row), labelled True where the collision
+    law emits.  A non-unit omega of an emitting row is a UsageError."""
+    d = points.shape[1] // 2
     v_i, v_j = points[:, :d], points[:, d:]
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, params.epsilon0)
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, epsilon0)
     if emitting.any():
-        check_unit(omega)
-    kinds = [CollisionKind.INELASTIC if e else CollisionKind.ELASTIC for e in emitting]
-    return np.concatenate([vi_post, vj_post], axis=1), kinds
+        check_unit(omega[emitting] if omega.ndim > 1 else omega)
+    return np.concatenate([vi_post, vj_post], axis=1), emitting.tolist()
 
 
 def draw_scattering_sample(
@@ -228,7 +242,7 @@ def scattering_measure_samples(
     for index in range(samples):
         v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, kind=kind)
         z = np.concatenate([v_i, v_j])
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, h)
         w = v_j - v_i
         analytic = scattering_velocity_det_analytic(float(w @ w), params)
         yield v_i, v_j, omega, JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h)
@@ -265,6 +279,13 @@ def _stack_map(run, points: np.ndarray, n: int, d: int):
     return stack, values, stack.labels()
 
 
+def _value(result):
+    """A batched function's result for one case, raised when it is an error."""
+    if isinstance(result, IHSEError):
+        raise result
+    return result
+
+
 def verify_flow_jacobian(
     cfg: Configuration,
     tau: float,
@@ -277,29 +298,74 @@ def verify_flow_jacobian(
     flow map, and report the finite-difference determinant of the colliding
     pair's velocity map at contact (the only non-identity block of det N).
     The state runs once, as row 0 of the stencil: its error or exclusion
-    comes before any finite-difference failure."""
-    n, d = cfg.n_particles, cfg.dimension
+    comes before any finite-difference failure.  The one-case view of
+    verify_flow_jacobians; raises the case's error."""
+    return _value(verify_flow_jacobians([(cfg, params)], tau, tol=tol)[0])
+
+
+def verify_flow_jacobians(cases: Sequence, tau: float, *, tol: Tolerances = Tolerances()) -> list:
+    """verify_flow_jacobian of each case (cfg, params) over [0, tau], or
+    instead the error it raises there; a case given as an error is passed
+    through.  The cases share one particle count and dimension.
+
+    Up to CASES_PER_STACK cases run as one stacked flow: every case's center
+    and stencils at h and h/2 are rows of one tct_stack call, each with its
+    case's quantum, and each case's fd_determinant takes its slice.  Then the
+    velocity maps of the single-collision cases are one dispatched law call.
+    So each case gets the report or the error it gets alone, bit for bit."""
+    results = list(cases)
+    drawn = [c for c, case in enumerate(results) if not isinstance(case, IHSEError)]
+    for start in range(0, len(drawn), CASES_PER_STACK):
+        chunk = drawn[start : start + CASES_PER_STACK]
+        for c, result in zip(chunk, _verify_stack([results[c] for c in chunk], tau, tol)):
+            results[c] = result
+    return results
+
+
+def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
+    """verify_flow_jacobians of cases that form one stack."""
     h = tol.fd_step
-    center = []
-
-    def flow(z):
-        stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, params, tol=tol), z, n, d)
-        classification = stack.one(0)
-        if classification.is_excluded:
-            raise ExcludedConfigurationError(classification.reason)
-        center.append((classification, stack.velocities[0], stack.omega[0]))
-        return values, labels
-
-    fd_det = fd_determinant(flow, cfg.to_vector(), h)
-    (classification, velocities, omega), = center
-    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
-    det_n_fd = None
-    if classification.is_single_collision:
-        i, j = classification.pair.zero_based()
-        z = np.concatenate([cfg.velocities[i], cfg.velocities[j]])  # free flight keeps velocities
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, h)
-        det_n_fd = float(np.linalg.det(jac))
-    return JacobianReport.build(analytic, fd_det, prefactor, det_n_fd, h)
+    n, d = cases[0][0].n_particles, cases[0][0].dimension
+    points = [cfg.to_vector() for cfg, _ in cases]
+    rows = [_stencil_rows(point, (h, h / 2.0)) for point in points]
+    size = len(rows[0])
+    eps0 = np.repeat([params.epsilon0 for _, params in cases], size)
+    stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
+    results, colliding = [], {}
+    for c, (cfg, params) in enumerate(cases):
+        at = slice(c * size, (c + 1) * size)
+        try:
+            classification = stack.one(at.start)
+            if classification.is_excluded:
+                raise ExcludedConfigurationError(classification.reason)
+            fd_det = fd_determinant(lambda _, at=at: (values[at], labels[at]), points[c], h)
+            velocities = stack.velocities[at.start]
+            analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
+        except IHSEError as error:
+            results.append(error)
+            continue
+        results.append((analytic, fd_det, prefactor))
+        if classification.is_single_collision:
+            i, j = classification.pair.zero_based()
+            # free flight keeps velocities: the pair's at contact are its initial ones
+            colliding[c] = np.concatenate([cfg.velocities[i], cfg.velocities[j]]), stack.omega[at.start]
+    det_n_fd = dict.fromkeys(range(len(cases)))
+    if colliding:
+        rows = [_stencil_rows(z, (h,)) for z, _ in colliding.values()]
+        size = len(rows[0])
+        omega = np.repeat([omega for _, omega in colliding.values()], size, axis=0)
+        eps0 = np.repeat([cases[c][1].epsilon0 for c in colliding], size)
+        values, labels = _dispatched_velocity_map(np.concatenate(rows), omega, eps0)
+        for row, (c, (z, _)) in enumerate(colliding.items()):
+            at = slice(row * size, (row + 1) * size)
+            try:
+                det_n_fd[c] = float(np.linalg.det(fd_jacobian(lambda _, at=at: (values[at], labels[at]), z, h)))
+            except IHSEError as error:
+                results[c] = error
+    return [
+        result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], h)
+        for c, result in enumerate(results)
+    ]
 
 
 def random_tct_case(
@@ -322,11 +388,71 @@ def random_tct_case(
     relative speed so that both branches are exercised well away from the
     dispatch threshold; pass fixed_eps0 to pin it instead (draws whose
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
-    At most 2000 draws are tried.
+    At most 2000 draws are tried, on the stream sample_generator(seed,
+    index).  The one-case view of random_tct_cases; raises the case's error.
+    """
+    cases = random_tct_cases(seed, [index], n_particles, kinds=[kind], tau=tau, d=d, fixed_eps0=fixed_eps0, tol=tol)
+    return _value(cases[0])
+
+
+def random_tct_cases(
+    seed: int,
+    indices: Sequence[int],
+    n_particles: int,
+    *,
+    kinds: Sequence[Optional[CollisionKind]],
+    tau: float = 1.0,
+    d: int = 2,
+    fixed_eps0: Optional[float] = None,
+    tol: Tolerances = Tolerances(),
+) -> list:
+    """random_tct_case of each index in indices, with kind kinds[c] for
+    indices[c], or instead the error it raises there.
+
+    The draws run in lockstep, CASES_PER_STACK cases at a time: each round
+    classifies the pending candidate of every case in one tct_stack call,
+    each row with its case's quantum, and each rejected case draws again
+    from its own stream.  So every case makes the draws, and gets the
+    configuration or the error, that it makes and gets alone.
     """
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
-    gen = sample_generator(seed, index)
+    results: list = [None] * len(indices)
+    for start in range(0, len(indices), CASES_PER_STACK):
+        chunk = range(start, min(start + CASES_PER_STACK, len(indices)))
+        draws = {
+            c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], tau, d, fixed_eps0, tol)
+            for c in chunk
+        }
+        sent = dict.fromkeys(chunk)  # what each pending case's draws are sent next
+        while sent:
+            candidates = {}
+            for c, classification in sent.items():
+                try:
+                    candidates[c] = draws[c].send(classification)
+                except StopIteration as accepted:
+                    results[c] = accepted.value
+                except IHSEError as error:
+                    results[c] = error
+            if not candidates:
+                break
+            cfgs, params = zip(*candidates.values())
+            x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
+            stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
+            sent = {}
+            for row, c in enumerate(candidates):
+                if (error := stack.error(row)) is not None:
+                    results[c] = error
+                else:
+                    sent[c] = stack.one(row)
+    return results
+
+
+def _case_draws(gen: np.random.Generator, n_particles: int, kind, tau: float, d: int, fixed_eps0, tol: Tolerances):
+    """random_tct_case's draws from gen, as a generator: it yields each
+    candidate (cfg, params) that passes the checks before classification,
+    is sent back the candidate's classification, and returns the accepted
+    (cfg, params)."""
     for _ in range(2000):
         positions = _spread_positions(gen, n_particles, d, min_gap=3.6, spread=2.0 + 1.5 * n_particles)
         # Pull particle 1 onto a shell close to particle 2 so contact falls
@@ -375,7 +501,7 @@ def random_tct_case(
             else:
                 eps0 = s2 * (0.3 + 0.5 * gen.random())
         params = ModelParams(eps0, d)
-        classification = classify_tct_domain(cfg, tau, params, tol=tol)
+        classification = yield cfg, params
         if not classification.is_single_collision:
             continue
         if kind is not None and classification.kind is not kind:

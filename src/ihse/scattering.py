@@ -85,8 +85,9 @@ class RadialCoordinates:
 
 
 def check_unit(omega: np.ndarray):
-    """Raise UsageError unless omega is a unit vector (to 2 UNIT_NORM_TOL)."""
-    if abs(float(omega @ omega) - 1.0) > 2 * UNIT_NORM_TOL:
+    """Raise UsageError unless omega, a vector (d,) or a stack (R, d) of
+    them, is unit (to 2 UNIT_NORM_TOL)."""
+    if (np.abs(np.vecdot(omega, omega) - 1.0) > 2 * UNIT_NORM_TOL).any():
         raise UsageError("omega must be a unit vector")
 
 
@@ -101,9 +102,10 @@ SCATTER_CHECKS = (
 CRITICAL_BAND = 3  # SCATTER_CHECKS index of the critical band check
 
 
-def failed_checks(omega_sq, w2, approach, epsilon0: float, tol: Tolerances) -> tuple:
+def failed_checks(omega_sq, w2, approach, epsilon0, tol: Tolerances) -> tuple:
     """Whether each of scatter's checks (SCATTER_CHECKS) fails, from |omega|^2,
-    w2 = |v_j - v_i|^2 and approach = (v_j - v_i).omega, numbers or arrays."""
+    w2 = |v_j - v_i|^2, approach = (v_j - v_i).omega and the quantum
+    epsilon0, numbers or arrays."""
     speed = np.sqrt(w2)
     return (
         abs(omega_sq - 1.0) > 2 * UNIT_NORM_TOL,
@@ -122,9 +124,10 @@ def _reflected_direction(w: np.ndarray, speed, omega: np.ndarray) -> np.ndarray:
     return u - 2.0 * np.vecdot(u, omega, keepdims=True) * omega
 
 
-def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0: float):
+def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0):
     """(v_i', v_j', sigma, kappa) of the emitting law on (..., d) arrays, for a
-    checked omega and w2 = |v_j - v_i|^2 (a number or (..., 1)) above 4 eps0."""
+    checked omega and w2 = |v_j - v_i|^2 above 4 eps0 (w2 and epsilon0 each a
+    number or (..., 1))."""
     sigma = _reflected_direction(v_j - v_i, np.sqrt(w2), omega)
     kappa = np.sqrt(w2 / 4.0 - epsilon0)
     mean, spread = 0.5 * (v_i + v_j), sigma * kappa
@@ -138,15 +141,18 @@ def _elastic_transfer(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, appro
     return v_i + transfer, v_j - transfer
 
 
-def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0: float):
+def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0):
     """(v_i', v_j', emitting) of the unguarded dispatched law on R pairs,
-    (R, d) arrays with a checked omega (d,) or (R, d): scatter's bits."""
+    (R, d) arrays with a checked omega (d,) or (R, d) and the quantum
+    epsilon0 a float or one per pair (R,): each pair with scatter's bits at
+    its own quantum."""
     w = v_j - v_i
     w2 = np.vecdot(w, w)
     emitting = w2 > 4.0 * epsilon0
     vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, np.vecdot(w, omega, keepdims=True))
     if emitting.any():
         omega = omega[emitting] if omega.ndim > 1 else omega
+        epsilon0 = epsilon0[emitting, None] if np.ndim(epsilon0) else epsilon0
         vi_post[emitting], vj_post[emitting], _, _ = _emission(
             v_i[emitting], v_j[emitting], omega, w2[emitting, None], epsilon0
         )

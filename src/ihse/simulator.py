@@ -106,24 +106,26 @@ class BoundCheck:
 
 
 def collide_stack(
-    positions: np.ndarray, velocities: np.ndarray, k: np.ndarray, t: np.ndarray, params: ModelParams, *, tol: Tolerances
+    positions: np.ndarray, velocities: np.ndarray, k: np.ndarray, t: np.ndarray, epsilon0, *, tol: Tolerances
 ) -> tuple[np.ndarray, ...]:
     """simulate's collision on a stack (R, N, d) of states, row r with the
-    pair at position k[r] of pair_indices and the contact time t[r], each
-    row with the bits simulate gives it.  Returns (positions, velocities,
-    omega, rel_speed_sq, emitting, check) at the contacts.  check is -1 for
-    a scattered row, else the SCATTER_CHECKS index of the first failed
-    check: the critical band (CRITICAL_BAND; the row is left unscattered, as
-    simulate leaves it) before scatter's own checks."""
+    pair at position k[r] of pair_indices, the contact time t[r] and the
+    quantum epsilon0 (a float, or epsilon0[r] when one is given per row),
+    each row with the bits simulate gives it at that quantum.  Returns
+    (positions, velocities, omega, rel_speed_sq, emitting, check) at the
+    contacts.  check is -1 for a scattered row, else the SCATTER_CHECKS
+    index of the first failed check: the critical band (CRITICAL_BAND; the
+    row is left unscattered, as simulate leaves it) before scatter's own
+    checks."""
     at, i, j = np.arange(k.size), *(index[k] for index in pair_indices(positions.shape[-2]))
     x, v = positions + t[:, None, None] * velocities, velocities.copy()
     v_i, v_j, r = v[at, i], v[at, j], x[at, i] - x[at, j]
     omega = -r / np.sqrt(np.vecdot(r, r))[:, None]
     w = v_j - v_i
     w2 = np.vecdot(w, w)
-    failed = np.array(failed_checks(np.vecdot(omega, omega), w2, np.vecdot(w, omega), params.epsilon0, tol))
+    failed = np.array(failed_checks(np.vecdot(omega, omega), w2, np.vecdot(w, omega), epsilon0, tol))
     check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, params.epsilon0)
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, epsilon0)
     scattered = (check < 0)[:, None]
     v[at, i], v[at, j] = np.where(scattered, vi_post, v_i), np.where(scattered, vj_post, v_j)
     return x, v, omega, w2, emitting, check
@@ -242,7 +244,7 @@ def simulate_stack(
         now[rows] = T
         rows, k, t = active[colliding], k[colliding], time[colliding]
         ke_before = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
-        x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params, tol=tol)
+        x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
         now[rows] += t
         ke_after = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke_after.tolist(), w2.tolist())

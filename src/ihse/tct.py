@@ -155,12 +155,14 @@ class TCTStack:
 
 
 def tct_stack(
-    positions: np.ndarray, velocities: np.ndarray, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+    positions: np.ndarray, velocities: np.ndarray, tau: float, epsilon0, *, tol: Tolerances = Tolerances()
 ) -> TCTStack:
     """Classify and flow a stack (S, N, d) of states over [0, tau] in one pass
-    of array operations, each row with the bits its state gets alone;
-    classify_tct_domain and tct_flow are its S=1 view.  A state that could
-    overflow the contact roots (within_reach) is its row's UsageError."""
+    of array operations, each row with the bits its state gets alone at its
+    quantum: epsilon0 is a float, or one per row (S,), as when the stack
+    holds the states of several models.  classify_tct_domain and tct_flow
+    are its S=1 view.  A state that could overflow the contact roots
+    (within_reach) is its row's UsageError."""
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
     s, n, d = positions.shape
@@ -180,8 +182,9 @@ def tct_stack(
     if rows.size:
         # Collide at the contact, then rescan the remaining time.
         pair, t = k[rows], time[rows]
+        quantum = np.asarray(epsilon0)[rows] if np.ndim(epsilon0) else epsilon0
         x, v, omega[rows], _, emitting, check = collide_stack(
-            positions[rows], velocities[rows], pair, t, params, tol=tol
+            positions[rows], velocities[rows], pair, t, quantum, tol=tol
         )
         remaining = tau - t
         code = 2 * pair + emitting
@@ -210,14 +213,14 @@ def classify_tct_domain(
     (covering pairs that do and do not involve the scattered particles
     alike).  A state that could overflow the contact roots is a UsageError.
     """
-    return tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol).one()
+    return tct_stack(cfg.positions[None], cfg.velocities[None], tau, params.epsilon0, tol=tol).one()
 
 
 def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> TCTResult:
     """Evolve the configuration over [0, tau]: free flight, or transport to
     the single collision, scatter, and transport the remaining time; a state
     that could overflow the contact roots is a UsageError."""
-    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
+    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params.epsilon0, tol=tol)
     classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
@@ -242,7 +245,7 @@ def analytic_flow_jacobian_det(
     emitting), in any dimension d.  So det is 1 for an elastic collision and
     x^((d-1)/2) for an emitting one.
     """
-    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params, tol=tol)
+    stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params.epsilon0, tol=tol)
     classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)

@@ -1,7 +1,7 @@
 """Pair-by-pair reference for ``ihse.collision.first_collision``, the
 array contact roots as first written, a one-state collide, a one-state
-reference for ``ihse.tct.tct_stack``, and one for the flow determinant's
-prefactor.
+reference for ``ihse.tct.tct_stack``, one for the flow determinant's
+prefactor, and one-case references for the stacked ``jacobian`` cases.
 
 The first is the scalar loop the array kernel replaced: one Python
 evaluation of the contact quadratic per pair, pairs visited in
@@ -12,8 +12,10 @@ where passes, and a graze array even when no pair grazes.  The third is the coll
 The fourth is the one-collision flow of a single state composed from that
 pair-by-pair scan and collide, as the stacked flow replaced it.  The fifth
 collides the pair again for its post-collisional velocities, as the
-prefactor was computed before it read them from the stacked flow.  All stay
-in the tests so that the kernels can be required to give identical results,
+prefactor was computed before it read them from the stacked flow.  The last
+two draw and verify one ``jacobian`` case as a loop over the cases did before
+the cases were stacked: each candidate classified alone, and one stencil
+stack per case.  All stay in the tests so that the kernels can be required to give identical results,
 field for field and bit for bit.
 """
 
@@ -33,9 +35,33 @@ from ihse.collision import (
     contact_direction,
     predict_pair,
 )
-from ihse.core import Configuration, ModelParams, PairIndex, Tolerances, free_transport, validate_configuration
+from ihse.core import (
+    Configuration,
+    ModelParams,
+    PairIndex,
+    Tolerances,
+    UsageError,
+    free_transport,
+    validate_configuration,
+)
+from ihse.jacobian_lab import (
+    JacobianReport,
+    _case_draws,
+    _dispatched_velocity_map,
+    _stack_map,
+    fd_determinant,
+    fd_jacobian,
+)
+from ihse.rng import sample_generator
 from ihse.scattering import CriticalEnergyError, ScatteringOutcome, scatter
-from ihse.tct import ExclusionReason, TCTDomainClass
+from ihse.tct import (
+    ExcludedConfigurationError,
+    ExclusionReason,
+    TCTDomainClass,
+    classified_flow_det,
+    classify_tct_domain,
+    tct_stack,
+)
 
 
 def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
@@ -198,3 +224,57 @@ def flow_jacobian_prefactor(
         raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
     dv = (cfg.velocities - post.velocities).ravel()
     return 1.0 + float(grad_x @ dv)
+
+
+def random_tct_case(
+    seed: int,
+    index: int,
+    n_particles: int,
+    *,
+    kind,
+    tau: float = 1.0,
+    d: int = 2,
+    fixed_eps0: Optional[float] = None,
+    tol: Tolerances = Tolerances(),
+) -> tuple[Configuration, ModelParams]:
+    """ihse.jacobian_lab.random_tct_case with each candidate of its draws
+    classified alone (classify_tct_domain) before the next is drawn."""
+    if n_particles < 2:
+        raise UsageError("a one-collision case needs at least 2 particles")
+    draws = _case_draws(sample_generator(seed, index), n_particles, kind, tau, d, fixed_eps0, tol)
+    classification = None
+    while True:
+        try:
+            cfg, params = draws.send(classification)
+        except StopIteration as accepted:
+            return accepted.value
+        classification = classify_tct_domain(cfg, tau, params, tol=tol)
+
+
+def verify_flow_jacobian(
+    cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolerances = Tolerances()
+) -> JacobianReport:
+    """ihse.jacobian_lab.verify_flow_jacobian with one tct_stack call for the
+    case's own center and stencils, and one velocity map call for its det N."""
+    n, d = cfg.n_particles, cfg.dimension
+    h = tol.fd_step
+    center = []
+
+    def flow(z):
+        stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, params.epsilon0, tol=tol), z, n, d)
+        classification = stack.one(0)
+        if classification.is_excluded:
+            raise ExcludedConfigurationError(classification.reason)
+        center.append((classification, stack.velocities[0], stack.omega[0]))
+        return values, labels
+
+    fd_det = fd_determinant(flow, cfg.to_vector(), h)
+    ((classification, velocities, omega),) = center
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
+    det_n_fd = None
+    if classification.is_single_collision:
+        i, j = classification.pair.zero_based()
+        z = np.concatenate([cfg.velocities[i], cfg.velocities[j]])  # free flight keeps velocities
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, h)
+        det_n_fd = float(np.linalg.det(jac))
+    return JacobianReport.build(analytic, fd_det, prefactor, det_n_fd, h)

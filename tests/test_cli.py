@@ -8,9 +8,24 @@ from pathlib import Path
 
 import pytest
 
-from ihse import UsageError, collision, jacobian_lab, scattering, simulator, tct
+from ihse import (
+    CollisionKind,
+    Configuration,
+    IHSEError,
+    ModelParams,
+    Tolerances,
+    UsageError,
+    collision,
+    jacobian_lab,
+    scattering,
+    simulator,
+    tct,
+)
 from ihse.cli import COMMANDS, _thread_cap, build_parser, run
+from ihse.core import FD_STEP
 from ihse.jsonio import dumps
+
+import reference_kernel as ref
 
 
 @pytest.fixture
@@ -257,12 +272,15 @@ class TestVerificationCommands:
         assert doc["summary"]["max_residual"] <= 1e-5
 
     def test_jacobian_classifies_each_centre_once(self, tmp_path, monkeypatch):
-        # per case: random_tct_case's acceptance check (one per case at the
-        # default seed) and the stencil's one stack, the centre as row 0
+        # per run, whatever the case count: one acceptance round of the
+        # lockstep draws (every case's first candidate is accepted at the
+        # default seed) and one stencil stack, each centre a row of it
         calls = count_calls(monkeypatch, tct, "tct_stack")
-        status, _ = run_to_file(tmp_path, ["jacobian", "--n-particles", "3", "--samples", "2"])
-        assert status == 0
-        assert len(calls) == 2 * 2
+        for samples in ("2", "6"):
+            calls.clear()
+            status, _ = run_to_file(tmp_path, ["jacobian", "--n-particles", "3", "--samples", samples])
+            assert status == 0
+            assert len(calls) == 2, samples
 
     def test_scatter_check_lines(self, tmp_path):
         status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "20", "--seed", "3", "--eps0", "0.75"])
@@ -292,6 +310,60 @@ class TestVerificationCommands:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("ihse jacobian: ")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--seed", "2", "--n-particles", "2", "--h", "0.3"], "BranchCrossingError"),  # at case 0
+            (["--seed", "0", "--n-particles", "2", "--h", "0.3"], "UnreliableStencilError"),  # at case 0
+            (["--seed", "3", "--n-particles", "2", "--tau", "5", "excluded"], "ExcludedConfigurationError"),
+        ],
+    )
+    def test_jacobian_reports_the_first_failing_case(self, tmp_path, monkeypatch, capsys, argv, expected):
+        # A later case whose draws run out of budget does not pre-empt an
+        # earlier case's failure: the run fails as the loop over the cases
+        # of reference_kernel, each drawn and verified alone, fails first.
+        budget = IHSEError("failed to draw a one-collision configuration within the retry budget")
+        substitutes = {2: budget}
+        if "excluded" in argv:  # case 1 is drawn as a pair that grazes before t = 5
+            argv = argv[:-1]
+            grazing = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
+            substitutes[1] = (grazing, ModelParams(0.75, 2))
+        flags = dict(zip(argv[0::2], argv[1::2]))
+        tau, tol = float(flags.get("--tau", 1.0)), Tolerances(fd_step=float(flags.get("--h", FD_STEP)))
+        loop_error = None
+        for index in range(4):
+            kind = CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC
+            try:
+                case = substitutes.get(index) or ref.random_tct_case(
+                    int(flags["--seed"]), index, int(flags["--n-particles"]), kind=kind, tau=tau, tol=tol
+                )
+                if isinstance(case, IHSEError):
+                    raise case
+                ref.verify_flow_jacobian(case[0], tau, case[1], tol=tol)
+            except IHSEError as error:
+                loop_error = error
+                break
+        assert type(loop_error).__name__ == expected
+
+        def given(case):  # draws that give the case without drawing
+            if isinstance(case, IHSEError):
+                raise case
+            return case
+            yield
+
+        drawn, original = [], jacobian_lab._case_draws
+
+        def substituted(gen, *args):
+            drawn.append(None)
+            index = len(drawn) - 1
+            return given(substitutes[index]) if index in substitutes else original(gen, *args)
+
+        monkeypatch.setattr(jacobian_lab, "_case_draws", substituted)
+        status, out = run_to_file(tmp_path, ["jacobian", "--samples", "4"] + argv)
+        assert len(drawn) == 4
+        assert (status, capsys.readouterr().err) == (3, f"ihse jacobian: {loop_error}\n")
+        assert not out.exists()
 
     def test_closed_forms_in_3d(self, tmp_path):
         # jacobian and scatter-check certify d=3 as they certify d=2

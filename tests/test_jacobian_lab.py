@@ -20,10 +20,18 @@ from ihse import (
     verify_flow_jacobian,
     verify_scattering_measure,
 )
-from ihse.jacobian_lab import UnreliableStencilError, draw_scattering_sample, random_tct_case
+from ihse import jacobian_lab
+from ihse.jacobian_lab import (
+    UnreliableStencilError,
+    draw_scattering_sample,
+    random_tct_case,
+    random_tct_cases,
+    verify_flow_jacobians,
+)
 from ihse.rng import sample_generator
 from ihse.scattering import scattering_velocity_det_analytic, scattering_velocity_jacobian
 
+import reference_kernel as ref
 from conftest import assert_close
 
 
@@ -198,7 +206,7 @@ class TestScatteringMeasure:
         params = ModelParams(0.75, 3)
         omega = np.array([0.6, 0.8, 0.0])
         z = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, 1e-6)
+        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, 1e-6)
         det = float(np.linalg.det(jac))
         assert det == pytest.approx(-0.5, abs=1e-8)
         assert abs(det) != pytest.approx(1.0, abs=1e-3)
@@ -214,7 +222,7 @@ class TestScatteringMeasure:
         for _ in range(50):
             v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
             z = np.concatenate([v_i, v_j])
-            fd = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params), z, 1e-6)
+            fd = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, 1e-6)
             analytic = scattering_velocity_jacobian(v_i, v_j, omega, params)
             assert_close(fd, analytic, 1e-7, "block Jacobian")
 
@@ -298,3 +306,60 @@ class TestFlowJacobian:
             if checked >= 50:
                 break
         assert checked >= 50
+
+
+def _report_hex(report) -> tuple:
+    return tuple(None if value is None else value.hex() for value in vars(report).values())
+
+
+class TestBatchedCases:
+    """random_tct_cases and verify_flow_jacobians against their one-case
+    views and the one-case loops of reference_kernel, bit for bit."""
+
+    def test_lockstep_draws_equal_each_case_alone(self, monkeypatch):
+        # With tau = 3 the third particle recollides with a candidate now and
+        # then, so a case is rejected by its classification and draws again
+        # in a second round.
+        rounds, stacked = [], jacobian_lab.tct_stack
+
+        def counting(positions, *args, **kwargs):
+            rounds.append(len(positions))
+            return stacked(positions, *args, **kwargs)
+
+        monkeypatch.setattr(jacobian_lab, "tct_stack", counting)
+        kind, options = CollisionKind.INELASTIC, dict(tau=3.0, fixed_eps0=1.0)
+        cases = random_tct_cases(2, range(12), 3, kinds=[kind] * 12, **options)
+        assert rounds[0] == 12 and len(rounds) >= 2
+        for index, (cfg, params) in enumerate(cases):
+            for draw in (random_tct_case, ref.random_tct_case):
+                alone, alone_params = draw(2, index, 3, kind=kind, **options)
+                assert params == alone_params and params.epsilon0 == 1.0
+                assert cfg.positions.tobytes() == alone.positions.tobytes(), index
+                assert cfg.velocities.tobytes() == alone.velocities.tobytes(), index
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_batched_reports_equal_each_case_alone(self, monkeypatch, n, d):
+        # 7 cases in stacks of 3: two full stacks and one of 1
+        monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", 3)
+        kinds = [CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC for index in range(7)]
+        cases = random_tct_cases(19, range(7), n, kinds=kinds, d=d)
+        reports = verify_flow_jacobians(cases, 1.0)
+        for index, (report, kind) in enumerate(zip(reports, kinds)):
+            cfg, params = ref.random_tct_case(19, index, n, kind=kind, d=d)
+            assert _report_hex(report) == _report_hex(ref.verify_flow_jacobian(cfg, 1.0, params)), index
+            assert _report_hex(report) == _report_hex(verify_flow_jacobian(cfg, 1.0, params)), index
+            assert report.det_N_fd is not None
+
+    def test_errors_stay_with_their_cases(self):
+        # an excluded centre (the grazing pair of test_excluded_centre_raises)
+        # and a case passed in as an error sit beside cases that verify
+        cfg, params = random_tct_case(19, 0, 2, kind=CollisionKind.ELASTIC, tau=5.0)
+        grazing = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
+        budget = IHSEError("failed to draw a one-collision configuration within the retry budget")
+        cases = [(cfg, params), (grazing, ModelParams(0.75, 2)), budget, (cfg, params)]
+        reports = verify_flow_jacobians(cases, 5.0)
+        alone = ref.verify_flow_jacobian(cfg, 5.0, params)
+        assert _report_hex(reports[0]) == _report_hex(reports[3]) == _report_hex(alone)
+        assert isinstance(reports[1], ExcludedConfigurationError) and reports[1].reason is ExclusionReason.GRAZING
+        assert reports[2] is budget

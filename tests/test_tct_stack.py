@@ -62,7 +62,7 @@ def _outcome(call):
 
 
 def _assert_rows_match(positions, velocities, tau, params, tol):
-    stack = tct_stack(positions, velocities, tau, params, tol=tol)
+    stack = tct_stack(positions, velocities, tau, params.epsilon0, tol=tol)
     assert stack.label.shape == stack.t_c.shape == (len(positions),)
     for row, cfg in enumerate(Configuration(x, v) for x, v in zip(positions, velocities)):
         error, stacked = stack.error(row), _outcome(lambda: stack.one(row))
@@ -99,7 +99,7 @@ def _assert_rows_match(positions, velocities, tau, params, tol):
 def test_one_state_per_branch():
     positions = np.array([x for x, _, _ in BRANCHES.values()], dtype=float)
     velocities = np.array([v for _, v, _ in BRANCHES.values()], dtype=float)
-    stack = tct_stack(positions, velocities, BRANCH_TAU, BRANCH_PARAMS, tol=BRANCH_TOL)
+    stack = tct_stack(positions, velocities, BRANCH_TAU, BRANCH_PARAMS.epsilon0, tol=BRANCH_TOL)
     for row, (name, (_, _, expected)) in enumerate(BRANCHES.items()):
         error = stack.error(row)
         if expected is GrazingContactError:
@@ -122,7 +122,7 @@ def test_bad_horizon_raises_for_the_stack():
     positions = np.array([BRANCHES["free"][0]], dtype=float)
     velocities = np.array([BRANCHES["free"][1]], dtype=float)
     with pytest.raises(IHSEError, match="tau must be positive"):
-        tct_stack(positions, velocities, 0.0, BRANCH_PARAMS)
+        tct_stack(positions, velocities, 0.0, BRANCH_PARAMS.epsilon0)
 
 
 @pytest.mark.parametrize("tau", (math.nan, math.inf))
@@ -130,7 +130,7 @@ def test_non_finite_horizon_raises_for_the_stack(tau):
     positions = np.array([BRANCHES["free"][0]], dtype=float)
     velocities = np.array([BRANCHES["free"][1]], dtype=float)
     with pytest.raises(UsageError, match="tau must be positive and finite"):
-        tct_stack(positions, velocities, tau, BRANCH_PARAMS)
+        tct_stack(positions, velocities, tau, BRANCH_PARAMS.epsilon0)
 
 
 def test_row_out_of_reach_gets_the_reach_error():
@@ -142,8 +142,8 @@ def test_row_out_of_reach_gets_the_reach_error():
     velocities = np.array([[[1e200, 0.0], [-1e200, 0.0]], REST, BRANCHES["elastic"][1][:2]], dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = tct_stack(positions, velocities, 3.0, BRANCH_PARAMS)
-        alone = tct_stack(positions[2:], velocities[2:], 3.0, BRANCH_PARAMS)
+        stack = tct_stack(positions, velocities, 3.0, BRANCH_PARAMS.epsilon0)
+        alone = tct_stack(positions[2:], velocities[2:], 3.0, BRANCH_PARAMS.epsilon0)
         for row in (0, 1):
             assert (type(stack.error(row)), str(stack.error(row))) == (UsageError, message)
             with pytest.raises(UsageError, match=r"^a coordinate is too large"):
@@ -203,3 +203,58 @@ def test_random_stacks_match_one_state_at_a_time(n, d, seed, h, eps0, grazing_to
     tol = Tolerances(grazing_tol=grazing_tol, simultaneity_tol=simultaneity_tol, crit_tol=crit_tol)
     positions, velocities = points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d)
     _assert_rows_match(positions, velocities, tau, ModelParams(eps0, d), tol)
+
+
+def _hex(values) -> list:
+    return [value.hex() for value in np.ravel(values).tolist()]
+
+
+def _assert_rows_match_alone(positions, velocities, tau, eps0, tol):
+    """Every row of one stack with the quanta eps0 (one per row) carries the
+    bits of a one-row stack of its state at its own quantum."""
+    stack = tct_stack(positions, velocities, tau, eps0, tol=tol)
+    for row in range(len(positions)):
+        alone = tct_stack(positions[row : row + 1], velocities[row : row + 1], tau, float(eps0[row]), tol=tol)
+        assert stack.label[row] == alone.label[0], row
+        for name in ("t_c", "positions", "velocities", "omega"):
+            assert _hex(getattr(stack, name)[row]) == _hex(getattr(alone, name)[0]), (row, name)
+    return stack
+
+
+def test_rows_at_different_quanta_per_branch():
+    # The emitting state of BRANCHES (|w|^2 = 9) at four quanta: it emits at
+    # eps0 1 and 0.01, sits in the critical band at 9/4 and is elastic at inf.
+    x, v, _ = BRANCHES["emitting"]
+    positions, velocities = np.array([x] * 4, dtype=float), np.array([v] * 4, dtype=float)
+    eps0 = np.array([1.0, np.inf, 2.25, 0.01])
+    stack = _assert_rows_match_alone(positions, velocities, BRANCH_TAU, eps0, BRANCH_TOL)
+    kinds = [stack.one(row).kind for row in (0, 1, 3)]
+    assert kinds == [CollisionKind.INELASTIC, CollisionKind.ELASTIC, CollisionKind.INELASTIC]
+    assert stack.one(2).reason is ExclusionReason.CRITICAL_ENERGY
+    assert _hex(stack.velocities[0]) != _hex(stack.velocities[3])  # each row emits its own quantum
+
+
+@given(
+    n=st.integers(2, 4),
+    d=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.sampled_from((1e-6, 1e-2, 0.1)),
+    quanta=st.lists(st.sampled_from((0.01, 0.3, 2.0, 20.0, np.inf, "critical")), min_size=1, max_size=6),
+    crit_tol=st.sampled_from((1e-10, 0.5)),
+    tau=st.sampled_from((1.0, 3.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_rows_with_mixed_quanta_match_each_row_alone(n, d, seed, h, quanta, crit_tol, tau):
+    # A stencil around an aimed collision, its rows' quanta cycling through
+    # the drawn list: emitting (small), elastic (large, inf) and critical
+    # (4 eps0 = |w|^2 of the aimed pair, inside the band at any crit_tol).
+    gen = np.random.default_rng(seed)
+    centre = _centre(gen, n, d)
+    points = np.vstack([centre, centre + h * np.eye(centre.size), centre - h * np.eye(centre.size)])
+    m = n * d
+    positions, velocities = points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d)
+    w = velocities[:, 1] - velocities[:, 0]
+    critical = np.vecdot(w, w) / 4.0
+    cycle = quanta * len(points)
+    eps0 = np.array([critical[row] if cycle[row] == "critical" else cycle[row] for row in range(len(points))])
+    _assert_rows_match_alone(positions, velocities, tau, eps0, Tolerances(crit_tol=crit_tol))
