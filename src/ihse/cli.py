@@ -201,7 +201,7 @@ def _document(flags: dict, body: dict) -> dict:
 
 def cmd_classify(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
-    params = ModelParams(flags["eps0"], cfg.dimension)
+    params = ModelParams(flags["eps0"])
     tol = _tolerances(flags)
     cls = classify_tct_domain(cfg, flags["tau"], params, tol=tol)
     predictions = [_prediction_doc(predict_pair(cfg, pair, tol=tol)) for pair in all_pairs(cfg.n_particles)]
@@ -210,7 +210,7 @@ def cmd_classify(flags: dict) -> tuple[dict, int]:
 
 def cmd_flow(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
-    params = ModelParams(flags["eps0"], cfg.dimension)
+    params = ModelParams(flags["eps0"])
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
     det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params, tol=tol)
@@ -238,7 +238,7 @@ def cmd_simulate(flags: dict) -> tuple[dict, int]:
             if flags[name] is None:
                 raise UsageError("sampled initial conditions need --N, --R1 and --R2")
         cfg = random_configuration(flags["seed"], 0, flags["N"], flags["dim"], flags["R1"], flags["R2"])
-    params = ModelParams(flags["eps0"], cfg.dimension)
+    params = ModelParams(flags["eps0"])
     report = simulate(cfg, flags["T"], params, tol=_tolerances(flags))
     momentum, ke = conserved_quantities(report.final)
     body = {
@@ -286,12 +286,13 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
 
 
 def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
-    params = ModelParams(flags["eps0"], flags["dim"])
+    params = ModelParams(flags["eps0"])
     tol = _tolerances(flags)
     lines = []
     max_ledger = 0.0
     max_det_dev = 0.0
-    for v_i, v_j, omega, report in scattering_measure_samples(_samples(flags), params, flags["seed"], h=tol.fd_step):
+    samples = scattering_measure_samples(_samples(flags), params, flags["dim"], flags["seed"], h=tol.fd_step)
+    for v_i, v_j, omega, report in samples:
         outcome = scatter(v_i, v_j, omega, params, tol=tol)
         pre_ke = 0.5 * float(v_i @ v_i + v_j @ v_j)
         post_ke = pre_ke - outcome.energy_loss
@@ -352,7 +353,7 @@ def cmd_measure(flags: dict) -> tuple[dict, int]:
         mu=flags["mu"],
         R1=flags["R1"],
         R2=flags["R2"],
-        params=ModelParams(flags["eps0"], 2),
+        params=ModelParams(flags["eps0"]),
         band=flags["band"],
     )
     threads = _thread_cap()
@@ -368,7 +369,7 @@ def cmd_measure(flags: dict) -> tuple[dict, int]:
 
 def cmd_volume(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
-    params = ModelParams(flags["eps0"], cfg.dimension)
+    params = ModelParams(flags["eps0"])
     predicted, measured = ensemble_volume_evolution(cfg, flags["radius"], flags["tau"], params, tol=_tolerances(flags))
     if flags["csv"] is not None:
         jsonio.csv_append(

@@ -53,21 +53,18 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters: energy quantum lost per emitting collision and the
-    spatial dimension.  The particle diameter is fixed at 1.
+    """The model: the energy quantum lost per emitting collision, no more.
+    The particle diameter is fixed at 1; the dimension is the state's.
 
     ``epsilon0 = math.inf`` is the elastic-only sentinel: every collision
     falls below the emission threshold.
     """
 
     epsilon0: float
-    dimension: int = 2
 
     def __post_init__(self):
         if not self.epsilon0 > 0:
             raise UsageError("epsilon0 must be > 0")
-        if self.dimension < 2 or self.dimension != int(self.dimension):
-            raise UsageError("dimension must be an integer >= 2")
 
 
 @dataclass(frozen=True, order=True)
@@ -111,6 +108,11 @@ def all_pairs(n: int) -> list[PairIndex]:
     return [PairIndex(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist())]
 
 
+def check_dimension(d: int) -> None:
+    if d < 2:
+        raise UsageError("dimension must be an integer >= 2")
+
+
 class Configuration:
     """Positions and velocities of N spheres in dimension d.
 
@@ -127,8 +129,7 @@ class Configuration:
             raise UsageError(f"positions/velocities must share shape (N, d), got {x.shape} and {v.shape}")
         if x.shape[0] < 1:
             raise UsageError("need at least one particle")
-        if x.shape[1] < 1:
-            raise UsageError("dimension must be >= 1")
+        check_dimension(x.shape[1])
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise UsageError("positions and velocities must be finite")
         x.setflags(write=False)

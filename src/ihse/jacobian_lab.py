@@ -20,6 +20,7 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
+    check_dimension,
     pair_separations,
 )
 from .collision import first_collision, predict_pair
@@ -189,20 +190,16 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) ->
 
 
 def draw_scattering_sample(
-    gen: np.random.Generator,
-    params: ModelParams,
-    *,
-    kind: Optional[CollisionKind] = None,
+    gen: np.random.Generator, params: ModelParams, d: int, *, kind: Optional[CollisionKind] = None
 ):
-    """Random pre-collisional, non-grazing, non-critical (v_i, v_j, omega):
-    standard normal velocities and a uniform unit omega, at most 1000 tries.
+    """Random pre-collisional, non-grazing, non-critical (v_i, v_j, omega) in
+    d dimensions: N(0, 1) velocities, a uniform unit omega, at most 1000 tries.
 
     kind forces the emitting or elastic branch.  Margins keep the draw away
     from grazing contact (|w.omega| >= 0.05 |w|) and from the dispatch
     threshold (|w|^2 - 4 eps0 beyond 0.05 max(1, |w|^2)), so finite
     differences stay on one branch.
     """
-    d = params.dimension
     for _ in range(1000):
         v_i = gen.standard_normal(d)
         v_j = gen.standard_normal(d)
@@ -227,37 +224,40 @@ def draw_scattering_sample(
 def scattering_measure_samples(
     samples: int,
     params: ModelParams,
+    d: int,
     seed: int,
     *,
     kind: Optional[CollisionKind] = None,
     h: float = FD_STEP,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, JacobianReport]]:
     """(v_i, v_j, omega, report) per sample index, each sample drawn once
-    (draw_scattering_sample on its own stream sample_generator(seed, index)):
-    the report compares the finite-difference determinant (step h) of the
-    velocity scattering map at the sample with the closed-form determinant
-    scattering_velocity_det_analytic."""
+    (draw_scattering_sample in dimension d on the stream
+    sample_generator(seed, index)): the report compares the finite-difference
+    determinant (step h) of the velocity scattering map at the sample with
+    the closed-form determinant scattering_velocity_det_analytic."""
     if samples <= 0:
         raise IHSEError("samples must be positive")
+    check_dimension(d)
     for index in range(samples):
-        v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, kind=kind)
+        v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, d, kind=kind)
         z = np.concatenate([v_i, v_j])
         jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, h)
         w = v_j - v_i
-        analytic = scattering_velocity_det_analytic(float(w @ w), params)
+        analytic = scattering_velocity_det_analytic(float(w @ w), params, d)
         yield v_i, v_j, omega, JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h)
 
 
 def verify_scattering_measure(
     samples: int,
     params: ModelParams,
+    d: int,
     seed: int,
     *,
     kind: Optional[CollisionKind] = None,
     h: float = FD_STEP,
 ) -> list[JacobianReport]:
     """Finite-difference determinants of the velocity scattering map on
-    random valid inputs, with the closed-form determinant
+    random valid inputs in dimension d, with the closed-form determinant
     scattering_velocity_det_analytic alongside, on both branches in any
     dimension: -1 elastic, -(1 - 4 eps0 / s^2)^((d-2)/2) emitting.  So the
     emitting map preserves velocity measure (|det| = 1) only in d=2.
@@ -265,7 +265,7 @@ def verify_scattering_measure(
     Sampling is keyed per index, so the report list is independent of
     evaluation order.  The reports of scattering_measure_samples.
     """
-    return [report for *_, report in scattering_measure_samples(samples, params, seed, kind=kind, h=h)]
+    return [report for *_, report in scattering_measure_samples(samples, params, d, seed, kind=kind, h=h)]
 
 
 def _stack_map(run, points: np.ndarray, n: int, d: int):
@@ -413,10 +413,14 @@ def random_tct_cases(
     classifies the pending candidate of every case in one tct_stack call,
     each row with its case's quantum, and each rejected case draws again
     from its own stream.  So every case makes the draws, and gets the
-    configuration or the error, that it makes and gets alone.
+    configuration or the error, that it makes and gets alone.  A d < 2 or a
+    tau outside (0, inf) is a UsageError, raised before any draw.
     """
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
+    check_dimension(d)
+    if not 0 < tau < math.inf:
+        raise UsageError("tau must be positive and finite")
     results: list = [None] * len(indices)
     for start in range(0, len(indices), CASES_PER_STACK):
         chunk = range(start, min(start + CASES_PER_STACK, len(indices)))
@@ -500,7 +504,7 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, tau: float, d:
                 eps0 = s2 * (0.15 + 0.6 * gen.random()) / 4.0
             else:
                 eps0 = s2 * (0.3 + 0.5 * gen.random())
-        params = ModelParams(eps0, d)
+        params = ModelParams(eps0)
         classification = yield cfg, params
         if not classification.is_single_collision:
             continue

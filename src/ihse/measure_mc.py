@@ -52,6 +52,8 @@ class PathologicalSetSpec:
             raise UsageError("k must be >= 0")
         if not (0 < self.delta <= 1):
             raise UsageError("delta must lie in (0, 1]")
+        if not (0 < self.R1 < math.inf and 0 < self.R2 < math.inf):
+            raise UsageError("R1 and R2 must be positive and finite")
         if self.delta > 2.0 / (3.0 * math.sqrt(2.0) * self.R2):
             raise UsageError("delta must satisfy delta <= 2 / (3 sqrt(2) R2)")
         if self.family == "P":
@@ -63,10 +65,6 @@ class PathologicalSetSpec:
             raise UsageError("--mu has no effect on family E")
         elif self.band == SPEED_BAND_CUTOFF:
             raise UsageError(f"--band {SPEED_BAND_CUTOFF} has no effect on family E")
-        if self.R1 <= 0 or self.R2 <= 0:
-            raise UsageError("R1 and R2 must be positive")
-        if self.params.dimension != 2:
-            raise UsageError("pathological-set estimates are defined for d=2")
         if self.band not in (SPEED_BAND_WIDTH, SPEED_BAND_CUTOFF):
             raise UsageError(f"unknown speed band form: {self.band}")
 
@@ -121,7 +119,7 @@ def _count_hits_block(spec: PathologicalSetSpec, gen: np.random.Generator, count
     Both families draw the positions first.  Family E reads nothing else
     and draws nothing more; family P then draws the velocities from the same
     stream, so its draws are those of a kernel that always drew both."""
-    n, d = spec.n_particles, spec.params.dimension
+    n, d = spec.n_particles, 2
     x = uniform_ball(gen, count, n * d, spec.position_radius).reshape(count, n, d)
     xdist = _pair_distances(x)
     interior = (xdist > 1.0).all(axis=1)
@@ -172,7 +170,7 @@ def estimate_pathological_measure(
             hits = sum(pool.map(run, work))
     else:
         hits = sum(run(item) for item in work)
-    n, d = spec.n_particles, spec.params.dimension
+    n, d = spec.n_particles, 2
     box = ball_volume(n * d, spec.position_radius) * ball_volume(n * d, spec.R2)
     fraction = hits / n_samples
     ci95 = 1.96 * math.sqrt(max(fraction * (1.0 - fraction), 0.0) / n_samples) * box
@@ -223,20 +221,15 @@ def ensemble_volume_evolution(
     predicted = 1.0
     for event in reports[0].events:
         if event.kind is CollisionKind.INELASTIC:
-            predicted *= contraction_factor(event.rel_speed_sq, params)
+            predicted *= contraction_factor(event.rel_speed_sq, params, d)
     return predicted, abs(det)
 
 
-def low_energy_ensemble(
-    seed: int,
-    index: int,
-    n_particles: int,
-    params: ModelParams,
-) -> Configuration:
-    """Random interior configuration (positions in |X| <= 4, velocities in
-    |V| <= 1) with total kinetic energy strictly below 2*epsilon0: scaled
-    to a fraction of that bound drawn uniformly from [0.3, 0.95)."""
-    cfg = random_configuration(seed, index, n_particles, params.dimension, 4.0, 1.0)
+def low_energy_ensemble(seed: int, index: int, n_particles: int, d: int, params: ModelParams) -> Configuration:
+    """Random interior d-dimensional configuration (|X| <= 4, |V| <= 1) with
+    total kinetic energy strictly below 2*epsilon0: scaled to a fraction of
+    that bound drawn uniformly from [0.3, 0.95)."""
+    cfg = random_configuration(seed, index, n_particles, d, 4.0, 1.0)
     gen = sample_generator(seed ^ 0x5DEECE66D, index)
     # (0.95 - 0.3) rounds to 0.6499999999999999, not 0.65: keep the expression.
     target = (0.3 + (0.95 - 0.3) * gen.random()) * 2.0 * params.epsilon0

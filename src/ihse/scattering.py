@@ -331,10 +331,10 @@ def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.nda
     return np.block([[b_plus, b_minus], [b_minus, b_plus]])
 
 
-def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams) -> float:
+def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams, d: int) -> float:
     """det N, the determinant of the velocity map (v_i, v_j) -> (v_i', v_j')
-    at fixed contact direction, for a pair with squared relative speed s^2:
-    -1 at or below 4 eps0, else -x^((d-2)/2) with x = 1 - 4 eps0 / s^2.
+    at fixed contact direction in d dimensions, for squared relative speed
+    s^2: -1 at or below 4 eps0, else -x^((d-2)/2) with x = 1 - 4 eps0 / s^2.
 
     The map keeps the mean (v_i + v_j)/2 and sends w = v_j - v_i to
     w' = 2 kappa(|w|) R(w/|w|), with R the reflection through the plane
@@ -350,4 +350,4 @@ def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams) -
     """
     if not rel_speed_sq > 4.0 * params.epsilon0:
         return -1.0
-    return -((1.0 - 4.0 * params.epsilon0 / rel_speed_sq) ** ((params.dimension - 2) / 2))
+    return -((1.0 - 4.0 * params.epsilon0 / rel_speed_sq) ** ((d - 2) / 2))

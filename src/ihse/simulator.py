@@ -19,6 +19,7 @@ from .core import (
     Tolerances,
     UsageError,
     all_pairs,
+    check_dimension,
     check_reach,
     domain_masks,
     kinetic_energy,
@@ -305,6 +306,7 @@ def random_configuration(
     uniformly from the ball |X| <= r_positions (rejection sampled, at most
     10000 tries, for every pairwise gap above 1 + 1e-9) and the stacked
     velocity vector uniform in |V| <= r_velocities."""
+    check_dimension(dimension)
     gen = sample_generator(seed, index)
     dof = n_particles * dimension
     for _ in range(10000):

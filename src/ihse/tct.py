@@ -264,16 +264,16 @@ def classified_flow_det(
     grad_x, _ = collision_time_gradients(cfg, classification.pair, tol=tol)
     prefactor = 1.0 + float(grad_x @ (cfg.velocities - velocities).ravel())
     _, w = cfg.pair_state(classification.pair)
-    det_n = scattering_velocity_det_analytic(float(w @ w), params)
+    det_n = scattering_velocity_det_analytic(float(w @ w), params, cfg.dimension)
     return prefactor * det_n, prefactor, det_n
 
 
-def contraction_factor(rel_speed_sq: float, params: ModelParams) -> float:
+def contraction_factor(rel_speed_sq: float, params: ModelParams, d: int) -> float:
     """Per-collision phase-space volume factor |prefactor * det_N| =
-    sqrt(x) * x^((d-2)/2) = x^((d-1)/2) of an emitting collision with
-    pre-collisional squared relative speed s^2, x = 1 - 4 eps0 / s^2, in
-    dimension params.dimension; sqrt(x) in d=2."""
+    sqrt(x) * x^((d-2)/2) = x^((d-1)/2) of an emitting collision in
+    dimension d with pre-collisional squared relative speed s^2,
+    x = 1 - 4 eps0 / s^2; sqrt(x) in d=2."""
     if not rel_speed_sq > 4.0 * params.epsilon0:
         raise IHSEError("relative speed below the emission threshold")
     prefactor = -math.sqrt(1.0 - 4.0 * params.epsilon0 / rel_speed_sq)
-    return prefactor * scattering_velocity_det_analytic(rel_speed_sq, params)
+    return prefactor * scattering_velocity_det_analytic(rel_speed_sq, params, d)

@@ -18,12 +18,12 @@ def symmetric_head_on():
 
 @pytest.fixture
 def params_elastic_example():
-    return ModelParams(0.75, 2)
+    return ModelParams(0.75)
 
 
 @pytest.fixture
 def params_inelastic_example():
-    return ModelParams(0.1875, 2)
+    return ModelParams(0.1875)
 
 
 def assert_close(actual, expected, tol, label=""):

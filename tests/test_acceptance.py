@@ -76,8 +76,9 @@ def test_c01_collision_law_ledger():
     with criterion(1, "momentum to 1e-12 per component, energy loss exactly eps0 or 0 to 1e-12", 5.0):
         eps0 = 0.75
         for dim in (2, 3):
-            params = ModelParams(eps0, dim)
+            params = ModelParams(eps0)
             v_i, v_j, omega = draw_valid_inputs(101, 50_000, dim, eps0)
+            assert v_i.shape[1:] == v_j.shape[1:] == omega.shape[1:] == (dim,)
             for k in range(v_i.shape[0]):
                 out = scatter(v_i[k], v_j[k], omega[k], params)
                 total_pre = v_i[k] + v_j[k]
@@ -104,15 +105,15 @@ def test_c02_elastic_involution():
 
 def test_c03_planar_scattering_measure_preservation():
     with criterion(3, "emitting scattering in d=2: FD |det| = 1 +/- 1e-6 and det(2A) matches FD to 1e-8", 30.0):
-        params = ModelParams(0.75, 2)
-        reports = verify_scattering_measure(10_000, params, seed=303, kind=CollisionKind.INELASTIC)
+        params = ModelParams(0.75)
+        reports = verify_scattering_measure(10_000, params, 2, seed=303, kind=CollisionKind.INELASTIC)
         assert len(reports) == 10_000
         for index, report in enumerate(reports):
             assert 1.0 - 1e-6 <= abs(report.fd_det) <= 1.0 + 1e-6
             # det(2A) of the assembled block Jacobian, on the sample the
             # report was computed from (same per-index stream)
             gen = sample_generator(303, index)
-            v_i, v_j, omega, _ = draw_scattering_sample(gen, params, kind=CollisionKind.INELASTIC)
+            v_i, v_j, omega, _ = draw_scattering_sample(gen, params, 2, kind=CollisionKind.INELASTIC)
             jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
             det_2a = float(np.linalg.det(jac[:2, :2] - jac[:2, 2:]))
             assert abs(det_2a - report.fd_det) / max(1.0, abs(report.fd_det)) <= 1e-8
@@ -201,7 +202,7 @@ def test_c06_contact_time_gradient_identities():
 
 def test_c07_spherical_emission_map_preserves_measure():
     with criterion(7, "d=3 radial emission map: FD |det| = 1 +/- 1e-6 over 1e3 samples", 10.0):
-        params = ModelParams(0.75, 3)
+        params = ModelParams(0.75)
         produced = 0
         index = 0
         while produced < 1000:
@@ -225,7 +226,7 @@ def test_c08_simulator_invariants():
         "count bound floor(KE0/eps0)",
         60.0,
     ):
-        params = ModelParams(0.35, 2)
+        params = ModelParams(0.35)
         event_counts = []
         for index in range(500):
             n = 3 + index % 3
@@ -253,9 +254,9 @@ def test_c08_simulator_invariants():
 
 def test_c09_low_energy_single_emission_regime():
     with criterion(9, "1000 runs with KE < 2 eps0: never more than one emitting collision", 30.0):
-        params = ModelParams(0.2, 2)
+        params = ModelParams(0.2)
         for index in range(1000):
-            cfg = low_energy_ensemble(909, index, 3, params)
+            cfg = low_energy_ensemble(909, index, 3, 2, params)
             assert kinetic_energy(cfg) < 2.0 * params.epsilon0
             report = simulate(cfg, 50.0, params)
             assert report.n_inelastic <= 1
@@ -268,7 +269,7 @@ def test_c10_pathological_measure_scalings():
         "1 +/- 0.2 in mu (1e6 samples per point, N=3)",
         300.0,
     ):
-        params = ModelParams(0.01, 2)
+        params = ModelParams(0.01)
         deltas = [0.3, 0.15, 0.075]
         volumes = []
         for i, delta in enumerate(deltas):
@@ -298,12 +299,12 @@ def test_c11_composed_volume_evolution():
         60.0,
     ):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        params = ModelParams(0.5, 2)
+        params = ModelParams(0.5)
         report = simulate(chain, 1.5, params)
         assert [e.kind for e in report.events] == [CollisionKind.INELASTIC, CollisionKind.INELASTIC]
         predicted, measured = ensemble_volume_evolution(chain, 1e-3, 1.5, params)
         assert abs(measured - predicted) <= 1e-4
-        elastic = ModelParams(math.inf, 2)
+        elastic = ModelParams(math.inf)
         checked = 0
         for index in range(12):
             cfg = collision_rich_configuration(1111, index, 3, 2, 4.0, 1.5, 1.2)

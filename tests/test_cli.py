@@ -238,6 +238,51 @@ class TestHorizonAndReach:
         assert "too large" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_jacobian_tau_is_usage_error_before_any_draw(self, tmp_path, capsys, monkeypatch, value):
+        draws = count_calls(monkeypatch, jacobian_lab, "_spread_positions")
+        status, out = run_to_file(tmp_path, ["jacobian", "--samples", "4", "--tau", value])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "ihse jacobian: tau must be positive and finite\n"
+        assert draws == []
+
+
+class TestDimensionEntry:
+    """The dimension is the state's: every entry of a state, a config file
+    or a --dim flag, rejects d < 2 with the same usage error."""
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "flow", "volume"])
+    def test_config_file_of_dimension_one(self, tmp_path, capsys, command):
+        config = tmp_path / "line.json"
+        config.write_text(dumps({"d": 1, "particles": [{"x": [0.0], "v": [1.0]}, {"x": [3.0], "v": [0.0]}]}))
+        horizon = ["--T", "1"] if command == "simulate" else ["--tau", "1"]
+        radius = ["--radius", "1e-3"] if command == "volume" else []
+        status, out = run_to_file(tmp_path, [command, "--config", str(config), "--eps0", "0.5"] + horizon + radius)
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {command}: dimension must be an integer >= 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--N", "3", "--R1", "4", "--R2", "1", "--T", "1", "--eps0", "0.5", "--dim", "1"],
+            ["simulate", "--N", "3", "--R1", "4", "--R2", "1", "--T", "1", "--eps0", "0.5", "--dim", "0"],
+            ["jacobian", "--samples", "2", "--dim", "1"],
+            ["jacobian", "--samples", "2", "--dim", "0"],
+            ["scatter-check", "--samples", "2", "--dim", "1"],
+            ["scatter-check", "--samples", "2", "--dim", "0"],
+        ],
+    )
+    def test_dim_flag_below_two(self, tmp_path, capsys, argv):
+        # checked before any draw: at --dim 0 the ball draw would divide by
+        # zero and the spread positions would exhaust their retries
+        status, out = run_to_file(tmp_path, argv)
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {argv[0]}: dimension must be an integer >= 2\n"
+
+
 class TestVerificationCommands:
     def test_tensor_lemma_summary(self, tmp_path):
         status, out = run_to_file(tmp_path, ["tensor-lemma", "--samples", "2000", "--seed", "1"])
@@ -328,7 +373,7 @@ class TestVerificationCommands:
         if "excluded" in argv:  # case 1 is drawn as a pair that grazes before t = 5
             argv = argv[:-1]
             grazing = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
-            substitutes[1] = (grazing, ModelParams(0.75, 2))
+            substitutes[1] = (grazing, ModelParams(0.75))
         flags = dict(zip(argv[0::2], argv[1::2]))
         tau, tol = float(flags.get("--tau", 1.0)), Tolerances(fd_step=float(flags.get("--h", FD_STEP)))
         loop_error = None
@@ -408,6 +453,18 @@ class TestMeasureAndVolume:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("ihse measure: ")
+
+    @pytest.mark.parametrize("flag, value", [("--R1", "nan"), ("--R1", "inf"), ("--R2", "nan"), ("--R2", "0")])
+    def test_measure_rejects_a_radius_not_positive_and_finite(self, tmp_path, capsys, flag, value):
+        # a NaN or infinite radius gave a NaN volume with exit 0, and R2 = 0
+        # a ZeroDivisionError from the delta bound
+        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_to_file(tmp_path, argv + ["--samples", "100", flag, value])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "ihse measure: R1 and R2 must be positive and finite\n"
 
     @pytest.mark.parametrize("via_run_config", [False, True])
     @pytest.mark.parametrize("flag, value", [("--mu", "0.4"), ("--band", "jacobian_cutoff")])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -115,17 +116,21 @@ class TestConservedQuantities:
 class TestModelParams:
     def test_epsilon_positive(self):
         with pytest.raises(UsageError):
-            ModelParams(0.0, 2)
+            ModelParams(0.0)
         with pytest.raises(UsageError):
-            ModelParams(-1.0, 2)
+            ModelParams(-1.0)
 
     def test_elastic_sentinel_allowed(self):
-        assert ModelParams(math.inf, 2).epsilon0 == math.inf
+        assert ModelParams(math.inf).epsilon0 == math.inf
 
     def test_dimension_bounds(self):
-        with pytest.raises(UsageError):
-            ModelParams(1.0, 1)
-        assert ModelParams(1.0, 3).dimension == 3
+        # the model is its quantum alone; the dimension is the state's, and
+        # states below d=2 are rejected where they enter
+        assert [f.name for f in dataclasses.fields(ModelParams)] == ["epsilon0"]
+        for d in (0, 1):
+            with pytest.raises(UsageError, match="dimension must be an integer >= 2"):
+                Configuration(np.zeros((2, d)), np.zeros((2, d)))
+        assert Configuration(np.zeros((1, 3)), np.ones((1, 3))).dimension == 3
 
 
 class TestPairs:

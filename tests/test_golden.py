@@ -73,16 +73,16 @@ def _signature(classification) -> tuple:
 
 def test_engine_digest_is_pinned():
     digest = hashlib.sha256()
-    params = ModelParams(0.35, 2)
+    params = ModelParams(0.35)
     for index in range(100):  # C08 ensembles
         cfg = collision_rich_configuration(808, index, 3 + index % 3, 2, 4.0, 1.5, 1.2)
         _feed_report(digest, simulate(cfg, 10.0, params))
-    params = ModelParams(0.2, 2)
+    params = ModelParams(0.2)
     for index in range(200):  # C09 runs
-        _feed_report(digest, simulate(low_energy_ensemble(909, index, 3, params), 50.0, params))
+        _feed_report(digest, simulate(low_energy_ensemble(909, index, 3, 2, params), 50.0, params))
     chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])  # C11
-    _feed_report(digest, simulate(chain, 1.5, ModelParams(0.5, 2)))
-    _feed_report(digest, simulate(chain, 1.5, ModelParams(math.inf, 2)))
+    _feed_report(digest, simulate(chain, 1.5, ModelParams(0.5)))
+    _feed_report(digest, simulate(chain, 1.5, ModelParams(math.inf)))
     for index in range(60):  # C05 cases
         kind = CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC
         cfg, params = random_tct_case(505, index, 2 + index % 3, kind=kind, tau=1.0)
@@ -142,11 +142,11 @@ def _feed_scan(digest, scan):
 
 def test_engine_detail_digest_is_pinned():
     digest = hashlib.sha256()
-    params = ModelParams(0.35, 2)
+    params = ModelParams(0.35)
     for index in range(40):  # C08 ensembles: separations and energy bookkeeping
         cfg = collision_rich_configuration(808, index, 3 + index % 3, 2, 4.0, 1.5, 1.2)
         _feed_details(digest, simulate(cfg, 10.0, params))
-    params = ModelParams(0.3, 3)
+    params = ModelParams(0.3)
     for index in range(60):  # d=3 collision-rich ensemble
         cfg = collision_rich_configuration(303, index, 3 + index % 6, 3, 3.5, 1.5, 1.2)
         digest.update(cfg.positions.tobytes() + cfg.velocities.tobytes())
@@ -156,8 +156,8 @@ def test_engine_detail_digest_is_pinned():
     loose = Tolerances(grazing_tol=1e-6, simultaneity_tol=1e-4, crit_tol=1e-3)
     for k, cfg in enumerate(clusters):  # dense N=36 (d=2) and N=27 (d=3) clusters
         dim = cfg.dimension
-        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.5, dim)))
-        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.05 + 0.1 * k, dim), tol=loose))
+        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.5)))
+        _feed_details(digest, simulate(cfg, 5.0, ModelParams(0.05 + 0.1 * k), tol=loose))
     probes = []
     for index in range(40):
         n, d = 2 + index % 9, 2 + index % 2
@@ -200,7 +200,7 @@ def test_engine_detail_digest_is_pinned():
             v_i, v_j = v_j, v_i
         eps0 = (0.05, 0.5, 2.0)[index % 3]
         try:
-            outcome = scatter(v_i, v_j, omega, ModelParams(eps0, d))
+            outcome = scatter(v_i, v_j, omega, ModelParams(eps0))
         except IHSEError as exc:
             digest.update(type(exc).__name__.encode())
             continue

@@ -164,7 +164,7 @@ class TestTensorLemma:
 
 class TestScatteringMeasure:
     def test_planar_measure_preservation(self):
-        reports = verify_scattering_measure(100, ModelParams(0.75, 2), seed=7)
+        reports = verify_scattering_measure(100, ModelParams(0.75), 2, seed=7)
         for report in reports:
             assert abs(abs(report.fd_det) - 1.0) <= 1e-6
             assert report.residual <= 1e-8  # closed form -1 vs FD
@@ -173,7 +173,7 @@ class TestScatteringMeasure:
         # the elastic branch is linear, so a larger step has no truncation
         # error and less round-off
         reports = verify_scattering_measure(
-            50, ModelParams(0.75, 2), seed=8, kind=CollisionKind.ELASTIC, h=1e-3
+            50, ModelParams(0.75), 2, seed=8, kind=CollisionKind.ELASTIC, h=1e-3
         )
         for report in reports:
             assert abs(abs(report.fd_det) - 1.0) <= 1e-10
@@ -183,13 +183,14 @@ class TestScatteringMeasure:
         # det N = -1 elastic, -(1 - 4 eps0 / s^2)^((d-2)/2) emitting, against
         # det(2A) of the assembled block Jacobian and against FD
         for d in (2, 3, 4, 5):
-            params = ModelParams(0.4, d)
+            params = ModelParams(0.4)
             for kind in (CollisionKind.ELASTIC, CollisionKind.INELASTIC):
-                reports = verify_scattering_measure(25, params, seed=31, kind=kind)
+                reports = verify_scattering_measure(25, params, d, seed=31, kind=kind)
                 for index, report in enumerate(reports):
-                    v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(31, index), params, kind=kind)
+                    v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(31, index), params, d, kind=kind)
+                    assert v_i.shape == v_j.shape == omega.shape == (d,)
                     w = v_j - v_i
-                    closed = scattering_velocity_det_analytic(float(w @ w), params)
+                    closed = scattering_velocity_det_analytic(float(w @ w), params, d)
                     jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
                     det_2a = float(np.linalg.det(jac[:d, :d] - jac[:d, d:]))
                     assert report.analytic_det == closed
@@ -203,24 +204,26 @@ class TestScatteringMeasure:
         # contracts velocity volume by sqrt(1 - 4 eps0 / |w|^2)
         from ihse.jacobian_lab import _dispatched_velocity_map
 
-        params = ModelParams(0.75, 3)
+        params = ModelParams(0.75)
         omega = np.array([0.6, 0.8, 0.0])
         z = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
         jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, 1e-6)
         det = float(np.linalg.det(jac))
+        assert jac.shape == (6, 6)
         assert det == pytest.approx(-0.5, abs=1e-8)
         assert abs(det) != pytest.approx(1.0, abs=1e-3)
-        assert scattering_velocity_det_analytic(4.0, params) == -0.5
+        assert scattering_velocity_det_analytic(4.0, params, 3) == -0.5
 
     def test_analytic_matches_fd_in_3d(self):
         # the closed-form block Jacobian is dimension generic even though
         # only d=2 preserves measure
         from ihse.jacobian_lab import _dispatched_velocity_map
 
-        params = ModelParams(0.4, 3)
+        params = ModelParams(0.4)
         gen = sample_generator(9, 0)
         for _ in range(50):
-            v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
+            v_i, v_j, omega, _ = draw_scattering_sample(gen, params, 3)
+            assert v_i.shape == v_j.shape == omega.shape == (3,)
             z = np.concatenate([v_i, v_j])
             fd = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, 1e-6)
             analytic = scattering_velocity_jacobian(v_i, v_j, omega, params)
@@ -235,7 +238,7 @@ class TestFlowJacobian:
         assert report.det_N_fd == pytest.approx(-1.0, abs=1e-6)
 
     def test_inelastic_contraction_case(self, symmetric_head_on):
-        report = verify_flow_jacobian(symmetric_head_on, 2.0, ModelParams(0.75, 2))
+        report = verify_flow_jacobian(symmetric_head_on, 2.0, ModelParams(0.75))
         assert abs(report.fd_det) == pytest.approx(0.5, abs=1e-6)
         assert report.residual <= 1e-6
         assert report.prefactor == pytest.approx(-0.5, abs=1e-9)
@@ -250,7 +253,7 @@ class TestFlowJacobian:
         # of the stencil's one tct_stack call, is excluded before any FD check
         cfg = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ExcludedConfigurationError) as raised:
-            verify_flow_jacobian(cfg, 5.0, ModelParams(0.75, 2))
+            verify_flow_jacobian(cfg, 5.0, ModelParams(0.75))
         assert raised.value.reason is ExclusionReason.GRAZING
 
     def test_centre_out_of_reach_is_usage_error(self):
@@ -260,7 +263,7 @@ class TestFlowJacobian:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UsageError, match=r"^a coordinate is too large"):
-                verify_flow_jacobian(cfg, 1.0, ModelParams(0.75, 2))
+                verify_flow_jacobian(cfg, 1.0, ModelParams(0.75))
 
     def test_random_cases_residuals(self):
         worst = 0.0
@@ -273,6 +276,14 @@ class TestFlowJacobian:
             if kind is CollisionKind.ELASTIC:
                 assert abs(abs(report.fd_det) - 1.0) <= 1e-6
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_model_of_the_quantum_alone_in_d(self, d):
+        # the analytic determinant takes d from the state, not the model
+        cfg, case_params = random_tct_case(7, 0, 3, kind=CollisionKind.INELASTIC, d=d)
+        assert cfg.dimension == d
+        report = verify_flow_jacobian(cfg, 1.0, ModelParams(case_params.epsilon0))
+        assert report.residual <= 1e-5
 
     def test_gradient_identity_by_finite_differences(self):
         # velocity gradient of the contact time equals t_c times the
@@ -357,7 +368,7 @@ class TestBatchedCases:
         cfg, params = random_tct_case(19, 0, 2, kind=CollisionKind.ELASTIC, tau=5.0)
         grazing = Configuration([[0.0, 0.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
         budget = IHSEError("failed to draw a one-collision configuration within the retry budget")
-        cases = [(cfg, params), (grazing, ModelParams(0.75, 2)), budget, (cfg, params)]
+        cases = [(cfg, params), (grazing, ModelParams(0.75)), budget, (cfg, params)]
         reports = verify_flow_jacobians(cases, 5.0)
         alone = ref.verify_flow_jacobian(cfg, 5.0, params)
         assert _report_hex(reports[0]) == _report_hex(reports[3]) == _report_hex(alone)

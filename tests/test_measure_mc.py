@@ -21,7 +21,7 @@ from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances
 from ihse.rng import BLOCK_SIZE, block_generator, uniform_ball
 from ihse.simulator import collision_rich_configuration, simulate
 
-PARAMS = ModelParams(0.01, 2)
+PARAMS = ModelParams(0.01)
 
 # Hits of every case below, and the pair distances of fixed blocks, captured
 # before the pair scan was rewritten; bound to the numpy build like the
@@ -59,9 +59,17 @@ class TestSpecValidation:
         with pytest.raises(UsageError, match="--band"):
             PathologicalSetSpec("E", 3, 0, 0.3, None, 3.0, 1.0, PARAMS, band=SPEED_BAND_CUTOFF)
 
-    def test_dimension_must_be_2(self):
-        with pytest.raises(UsageError):
-            PathologicalSetSpec("E", 3, 0, 0.3, None, 3.0, 1.0, ModelParams(0.01, 3))
+    @pytest.mark.parametrize("family", ["E", "P"])
+    @pytest.mark.parametrize(
+        "r1, r2",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (3.0, math.nan), (3.0, math.inf), (3.0, 0.0)],
+    )
+    def test_radii_positive_and_finite(self, family, r1, r2):
+        # a NaN or infinite radius would give a NaN volume; R2 = 0 would
+        # divide by zero in the delta bound
+        mu = 0.25 if family == "P" else None
+        with pytest.raises(UsageError, match="^R1 and R2 must be positive and finite$"):
+            PathologicalSetSpec(family, 3, 0, 0.3, mu, r1, r2, PARAMS)
 
 
 class TestEstimator:
@@ -178,18 +186,18 @@ class TestPairDistances:
 class TestVolumeEvolution:
     def test_collision_free(self):
         cfg = Configuration([[0, 0], [5, 0]], [[-0.3, 0], [0.3, 0]])
-        predicted, measured = ensemble_volume_evolution(cfg, 1e-3, 2.0, ModelParams(0.75, 2))
+        predicted, measured = ensemble_volume_evolution(cfg, 1e-3, 2.0, ModelParams(0.75))
         assert predicted == 1.0
         assert measured == pytest.approx(1.0, abs=1e-8)
 
     def test_single_emitting_collision(self, symmetric_head_on):
-        predicted, measured = ensemble_volume_evolution(symmetric_head_on, 1e-3, 2.0, ModelParams(0.75, 2))
+        predicted, measured = ensemble_volume_evolution(symmetric_head_on, 1e-3, 2.0, ModelParams(0.75))
         assert predicted == pytest.approx(0.5, abs=1e-15)
         assert measured == pytest.approx(predicted, abs=1e-5)
 
     def test_double_emitting_chain(self):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        params = ModelParams(0.5, 2)
+        params = ModelParams(0.5)
         report = simulate(chain, 1.5, params)
         expected = 1.0
         for event in report.events:
@@ -200,23 +208,25 @@ class TestVolumeEvolution:
 
     def test_double_emitting_chain_3d(self):
         # the C11 chain embedded in d=3 with off-axis jitter: each emitting
-        # event contracts volume by (1 - 4 eps0 / s^2)^((d-1)/2)
+        # event contracts volume by (1 - 4 eps0 / s^2)^((d-1)/2), d the
+        # centre's own dimension (the model is its quantum alone)
         chain = Configuration(
             [[3, 0.1, -0.05], [0, 0, 0], [6, -0.08, 0.06]],
             [[0, 0.02, 0.01], [3, 0.05, -0.04], [-1, -0.03, 0.02]],
         )
-        params = ModelParams(0.5, 3)
+        params = ModelParams(0.5)
         report = simulate(chain, 1.5, params)
         assert [e.kind for e in report.events] == [CollisionKind.INELASTIC, CollisionKind.INELASTIC]
         expected = 1.0
         for event in report.events:
             expected *= 1.0 - 4.0 * params.epsilon0 / event.rel_speed_sq
         predicted, measured = ensemble_volume_evolution(chain, 1e-3, 1.5, params)
+        assert chain.dimension == 3
         assert predicted == pytest.approx(expected, rel=1e-12)
         assert abs(measured - predicted) <= 1e-4
 
     def test_elastic_multi_collision_preserves_volume(self):
-        params = ModelParams(math.inf, 2)
+        params = ModelParams(math.inf)
         checked = 0
         for index in range(12):
             cfg = collision_rich_configuration(13, index, 3, 2, 4.0, 1.5, 1.2)
@@ -230,7 +240,7 @@ class TestVolumeEvolution:
         assert checked >= 3
 
     def test_contraction_never_expands(self):
-        params = ModelParams(0.35, 2)
+        params = ModelParams(0.35)
         checked = 0
         for index in range(20):
             cfg = collision_rich_configuration(23, index, 3, 2, 4.0, 1.5, 1.2)
@@ -251,20 +261,20 @@ class TestVolumeEvolution:
         # every stencil row with it: no FD determinant of a halted run
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
         with pytest.raises(IHSEError, match="^center trajectory halted on pathology: max_events$"):
-            ensemble_volume_evolution(chain, 1e-3, 1.5, ModelParams(0.5, 2), tol=Tolerances(max_events=1))
+            ensemble_volume_evolution(chain, 1e-3, 1.5, ModelParams(0.5), tol=Tolerances(max_events=1))
 
     def test_centre_error_comes_first(self):
         # a non-interior centre is its row's error, raised before the
         # stencil rows' branch crossings
         cfg = Configuration([[0, 0], [1, 0], [5, 0]], [[0, 0], [0, 0], [-1, 0]])
         with pytest.raises(UsageError, match="must be interior"):
-            ensemble_volume_evolution(cfg, 1e-3, 1.5, ModelParams(0.5, 2))
+            ensemble_volume_evolution(cfg, 1e-3, 1.5, ModelParams(0.5))
 
     def test_branch_crossing_reported(self):
         # radius so large the stencil flips the collision structure
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
         with pytest.raises(BranchCrossingError):
-            ensemble_volume_evolution(chain, 5.0, 1.5, ModelParams(0.5, 2))
+            ensemble_volume_evolution(chain, 5.0, 1.5, ModelParams(0.5))
 
 
 def test_hits_digest_is_pinned():

@@ -71,7 +71,7 @@ def _configuration(layout, n, d, gen, tol):
     scan = ref.first_collision(cfg, 1e3, tol=tol)
     if scan is None or scan.time is None:
         return cfg, None
-    state, _, _ = ref.collide(cfg, scan.pair, scan.time, ModelParams(0.3, d))
+    state, _, _ = ref.collide(cfg, scan.pair, scan.time, ModelParams(0.3))
     return state, scan.pair
 
 

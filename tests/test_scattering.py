@@ -51,7 +51,7 @@ class TestSigmaDirection:
 
 class TestScatterExamples:
     def test_inelastic_head_on(self):
-        out = scatter([1, 0], [-1, 0], [1, 0], ModelParams(0.75, 2))
+        out = scatter([1, 0], [-1, 0], [1, 0], ModelParams(0.75))
         assert out.kind is CollisionKind.INELASTIC
         assert_close(out.sigma, [1, 0], 1e-15)
         assert out.kappa == pytest.approx(0.5, abs=1e-15)
@@ -60,13 +60,13 @@ class TestScatterExamples:
         assert out.energy_loss == pytest.approx(0.75, abs=1e-12)
 
     def test_elastic_head_on_swap(self):
-        out = scatter([1, 0], [-1, 0], [1, 0], ModelParams(2.0, 2))
+        out = scatter([1, 0], [-1, 0], [1, 0], ModelParams(2.0))
         assert out.kind is CollisionKind.ELASTIC
         assert_close(out.v_i_post, [-1, 0], 1e-15)
         assert_close(out.v_j_post, [1, 0], 1e-15)
 
     def test_elastic_oblique(self):
-        out = scatter([1, 0], [0, 0], [S2, S2], ModelParams(2.0, 2))
+        out = scatter([1, 0], [0, 0], [S2, S2], ModelParams(2.0))
         assert out.kind is CollisionKind.ELASTIC
         assert_close(out.v_i_post, [0.5, -0.5], 1e-15)
         assert_close(out.v_j_post, [0.5, 0.5], 1e-15)
@@ -76,22 +76,23 @@ class TestScatterExamples:
 class TestScatterGuards:
     def test_not_pre_collisional(self):
         with pytest.raises(NotPreCollisionalError):
-            scatter([-1, 0], [1, 0], [1, 0], ModelParams(0.75, 2))
+            scatter([-1, 0], [1, 0], [1, 0], ModelParams(0.75))
 
     def test_critical_band(self):
         with pytest.raises(CriticalEnergyError):
-            scatter([1, 0], [-1, 0], [1, 0], ModelParams(1.0, 2))  # |w|^2 = 4 = 4*eps0
+            scatter([1, 0], [-1, 0], [1, 0], ModelParams(1.0))  # |w|^2 = 4 = 4*eps0
 
     def test_non_unit_omega(self):
         with pytest.raises(Exception):
-            scatter([1, 0], [-1, 0], [2, 0], ModelParams(0.75, 2))
+            scatter([1, 0], [-1, 0], [2, 0], ModelParams(0.75))
 
 
 def ledger_samples(dim, eps0, count, seed):
-    params = ModelParams(eps0, dim)
+    params = ModelParams(eps0)
     for index in range(count):
         gen = sample_generator(seed, index)
-        v_i, v_j, omega, _ = draw_scattering_sample(gen, params)
+        v_i, v_j, omega, _ = draw_scattering_sample(gen, params, dim)
+        assert v_i.shape == v_j.shape == omega.shape == (dim,)
         yield v_i, v_j, omega, scatter(v_i, v_j, omega, params), params
 
 
@@ -138,37 +139,37 @@ class TestInvariants:
 
 class TestRadialEmissionMap:
     def test_planar_example(self):
-        out = radial_emission_map(RadialCoordinates(2.0, math.pi / 3), ModelParams(0.75, 2))
+        out = radial_emission_map(RadialCoordinates(2.0, math.pi / 3), ModelParams(0.75))
         assert out.rho == pytest.approx(1.0, abs=1e-15)
         assert out.theta == pytest.approx(-math.pi / 3, abs=0)
 
     def test_spherical_example(self):
-        out = radial_emission_map(RadialCoordinates(2.0, 0.3, 1.0), ModelParams(1.0, 3))
+        out = radial_emission_map(RadialCoordinates(2.0, 0.3, 1.0), ModelParams(1.0))
         assert out.rho == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
         assert out.theta == pytest.approx(-0.3, abs=0)
         assert out.phi == pytest.approx(1.0, abs=0)
 
     def test_zero_quantum_limit_is_pure_reflection(self):
         # the elastic limit keeps the radius and only flips the angle
-        tiny = ModelParams(1e-300, 2)
+        tiny = ModelParams(1e-300)
         out = radial_emission_map(RadialCoordinates(1.7, 0.4), tiny)
         assert out.rho == pytest.approx(1.7, rel=1e-12)
         assert out.theta == -0.4
 
     def test_below_threshold(self):
         with pytest.raises(BelowThresholdError):
-            radial_emission_map(RadialCoordinates(1.0, 0.0), ModelParams(0.75, 2))
+            radial_emission_map(RadialCoordinates(1.0, 0.0), ModelParams(0.75))
         with pytest.raises(BelowThresholdError):
-            radial_emission_map(RadialCoordinates(1.0, 0.0, 0.0), ModelParams(0.75, 3))
+            radial_emission_map(RadialCoordinates(1.0, 0.0, 0.0), ModelParams(0.75))
 
     def test_planar_map_matches_center_of_mass_scatter(self):
         # conjugating the emitting branch into the contact frame reproduces
         # the polar form: radius sqrt(rho^2 - 4 eps0), angle flipped
-        params = ModelParams(0.4, 2)
+        params = ModelParams(0.4)
         gen = sample_generator(37, 0)
         checked = 0
         while checked < 200:
-            v_i, v_j, omega, kind = draw_scattering_sample(gen, params)
+            v_i, v_j, omega, kind = draw_scattering_sample(gen, params, 2)
             if kind is not CollisionKind.INELASTIC:
                 continue
             out = scatter(v_i, v_j, omega, params)
@@ -195,7 +196,7 @@ class TestRadialEmissionMap:
             assert_close(back, v, 1e-12 * max(1.0, float(np.linalg.norm(v))), "round trip")
 
     def test_cartesian_3d_form_matches_spherical(self):
-        params = ModelParams(0.2, 3)
+        params = ModelParams(0.2)
         gen = sample_generator(43, 0)
         for _ in range(100):
             v = gen.normal(size=3) * 1.5
@@ -205,6 +206,7 @@ class TestRadialEmissionMap:
             direct = emission_map_cartesian_3d(v, params)
             sph = cartesian_to_spherical(v)
             mapped = spherical_to_cartesian(radial_emission_map(sph, params))
+            assert sph.dimension == 3 and direct.shape == mapped.shape == (3,)
             assert_close(direct, mapped, 1e-10 * max(1.0, rho), "cartesian vs spherical")
 
 

@@ -152,7 +152,7 @@ def test_random_stacks_match_one_state_at_a_time():
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def check(n, d, seed, h, draws, eps0, tol, T):
         positions, velocities = _stack(n, d, seed, h, draws, eps0)
-        endings.update(_assert_rows_match(positions, velocities, T, ModelParams(eps0, d), tol))
+        endings.update(_assert_rows_match(positions, velocities, T, ModelParams(eps0), tol))
 
     check()
     assert HALTS <= set(endings), endings
@@ -166,7 +166,7 @@ def test_one_row_per_ending():
     x += [CHAIN_X + [[-40, 60]], [[0, 0], [3, 0], [-40, 60], [40, 60]], NEAR_MISS_ROW[0]]
     v += [CHAIN_V + [[0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]], NEAR_MISS_ROW[1]]
     positions, velocities = np.array(x, dtype=float), np.array(v, dtype=float)
-    stack = simulate_stack(positions, velocities, 3.5, ModelParams(eps0, 2), tol=tol)
+    stack = simulate_stack(positions, velocities, 3.5, ModelParams(eps0), tol=tol)
     halts = [None if r is None or r.halted is None else r.halted.reason for r in stack.reports]
     assert halts[:3] == [PATHOLOGY_GRAZING, PATHOLOGY_SIMULTANEOUS, PATHOLOGY_CRITICAL_ENERGY]
     assert halts[3:] == [None] * 3 + [PATHOLOGY_MAX_EVENTS] + [None] * 2
@@ -174,7 +174,7 @@ def test_one_row_per_ending():
     assert errors == [type(None)] * 3 + [UsageError, UsageError, GrazingContactError] + [type(None)] * 3
     assert len(stack.reports[-2].events) == 1
     assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.25, abs=1e-12)
-    _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0, 2), tol)
+    _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0), tol)
 
 
 def test_one_scan_per_event_with_a_graze_past_the_contact():
@@ -184,7 +184,7 @@ def test_one_scan_per_event_with_a_graze_past_the_contact():
     # simulate_stack does, and takes the collision without a second scan
     x = [[0.0, 0.0], [3.0, 0.0], [0.0, 10.0], [4.0, 10.99]]
     v = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
-    params, tol = ModelParams(0.5, 2), Tolerances(grazing_tol=0.05)
+    params, tol = ModelParams(0.5), Tolerances(grazing_tol=0.05)
     scans = []
     scan = simulator.first_contacts
 
@@ -206,7 +206,7 @@ def test_one_scan_per_event_with_a_graze_past_the_contact():
 def test_near_miss_between_sampled_times_is_seen():
     # The exact closest approach, 1.25, from simulate, a one-row stack and
     # a row of a larger stack; probes at T/100 steps would read 1.2509996.
-    params = ModelParams(0.5, 2)
+    params = ModelParams(0.5)
     report = simulate(Configuration(*NEAR_MISS), 10.0, params)
     assert report.events == () and report.min_separation == pytest.approx(1.25, abs=1e-12)
     one = simulate_stack(np.array([NEAR_MISS[0]], dtype=float), np.array([NEAR_MISS[1]], dtype=float), 10.0, params)
@@ -220,14 +220,14 @@ def test_near_miss_between_sampled_times_is_seen():
 def test_bad_horizon_raises_for_the_stack():
     positions, velocities = np.array([CHAIN_X], dtype=float), np.array([CHAIN_V], dtype=float)
     with pytest.raises(UsageError, match="T must be positive"):
-        simulate_stack(positions, velocities, 0.0, ModelParams(0.5, 2))
+        simulate_stack(positions, velocities, 0.0, ModelParams(0.5))
 
 
 @pytest.mark.parametrize("T", (math.nan, math.inf))
 def test_non_finite_horizon_raises_for_the_stack(T):
     positions, velocities = np.array([CHAIN_X], dtype=float), np.array([CHAIN_V], dtype=float)
     with pytest.raises(UsageError, match="T must be positive and finite"):
-        simulate_stack(positions, velocities, T, ModelParams(0.5, 2))
+        simulate_stack(positions, velocities, T, ModelParams(0.5))
 
 
 def _dense_cluster(seed):
@@ -255,7 +255,7 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     # the start (each segment's minimum comes from its scan); the ledger
     # reads the kinetic energy once.
     x, v = _dense_cluster(12)
-    params = ModelParams(0.5, 2)
+    params = ModelParams(0.5)
     calls = Counter()
 
     def count(owner, name):
@@ -293,7 +293,7 @@ def test_dense_cluster_row_is_simulate(seed, eps0):
     # The dense regime, where every event scans about 500 pairs: a one-row
     # simulate_stack gives simulate's report, floats compared by float.hex.
     x, v = _dense_cluster(seed)
-    params = ModelParams(eps0, 2)
+    params = ModelParams(eps0)
     report = simulate(Configuration(x, v), 5.0, params)
     assert len(report.events) >= 20
     stack = simulate_stack(x[None], v[None], 5.0, params)
@@ -305,7 +305,7 @@ def test_flow_map_rows_are_simulate_runs():
     # vector and event signature.
     centre = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
     points = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
-    params = ModelParams(0.5, 2)
+    params = ModelParams(0.5)
     _, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, 1.5, params, tol=Tolerances()), points, 3, 2)
     for z, value, label in zip(points, values, labels):
         report = simulate(Configuration.from_vector(z, 3, 2), 1.5, params)
@@ -319,7 +319,7 @@ def test_row_out_of_reach_gets_the_error_of_simulate():
     # ordinary row beside them runs as alone, and no row warns.
     positions = np.array([[[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [3.0, 0.0]]])
     velocities = np.array([[[1e200, 0.0], [-1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [-2.0, 0.0]]])
-    params = ModelParams(0.5, 2)
+    params = ModelParams(0.5)
     with pytest.raises(UsageError) as raised:
         simulate(Configuration(positions[0], velocities[0]), 1.0, params)
     with warnings.catch_warnings():

@@ -51,12 +51,12 @@ class TestSingleEvent:
 
     def test_receding_pair_free_flight(self):
         cfg = Configuration([[0, 0], [3, 0]], [[-1, 0], [1, 0]])
-        report = simulate(cfg, 5.0, ModelParams(0.75, 2))
+        report = simulate(cfg, 5.0, ModelParams(0.75))
         assert report.events == ()
         assert report.halted is None
 
     def test_elastic_sentinel_conserves_energy(self, head_on):
-        report = simulate(head_on, 3.0, ModelParams(math.inf, 2))
+        report = simulate(head_on, 3.0, ModelParams(math.inf))
         assert report.n_inelastic == 0 and report.n_elastic == 1
         assert kinetic_energy(report.final) == pytest.approx(kinetic_energy(head_on), abs=1e-12)
 
@@ -67,18 +67,18 @@ class TestPathologies:
             [[0, 0], [3, 0], [0, 10], [3, 10]],
             [[1, 0], [0, 0], [1, 0], [0, 0]],
         )
-        report = simulate(cfg, 5.0, ModelParams(0.75, 2))
+        report = simulate(cfg, 5.0, ModelParams(0.75))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_SIMULTANEOUS
         assert report.halted.time == pytest.approx(2.0, abs=1e-12)
 
     def test_grazing(self):
         cfg = Configuration([[0, 0], [3, 1]], [[1, 0], [0, 0]])
-        report = simulate(cfg, 5.0, ModelParams(0.75, 2))
+        report = simulate(cfg, 5.0, ModelParams(0.75))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_GRAZING
         assert report.halted.time == pytest.approx(3.0, abs=1e-12)
 
     def test_critical_energy(self, symmetric_head_on):
-        report = simulate(symmetric_head_on, 2.0, ModelParams(1.0, 2))
+        report = simulate(symmetric_head_on, 2.0, ModelParams(1.0))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_CRITICAL_ENERGY
 
     def test_graze_after_the_next_contact(self):
@@ -86,7 +86,7 @@ class TestPathologies:
         # takes the collision and halts at the graze, while the
         # one-collision classification excludes any graze in its horizon.
         cfg = Configuration([[0, 0], [3, 0], [0, 10], [4, 11]], [[1, 0], [-1, 0], [1, 0], [0, 0]])
-        params = ModelParams(0.5, 2)
+        params = ModelParams(0.5)
         report = simulate(cfg, 6.0, params)
         assert [(e.pair, e.time) for e in report.events] == [(PairIndex(1, 2), 1.0)]
         assert report.halted == Pathology(PATHOLOGY_GRAZING, 4.0)
@@ -98,29 +98,29 @@ class TestPathologies:
         # pair (3,4) collides at t = 2.9, between the entry and the closest
         # approach at t = 3: the run halts at the entry, before any overlap
         cfg = Configuration([[0, 0], [3, 0.96], [0, 10], [3.9, 10]], [[1, 0], [0, 0], [1, 0], [0, 0]])
-        report = simulate(cfg, 5.0, ModelParams(0.5, 2), tol=Tolerances(grazing_tol=0.1))
+        report = simulate(cfg, 5.0, ModelParams(0.5), tol=Tolerances(grazing_tol=0.1))
         assert report.events == ()
         assert report.halted == Pathology(PATHOLOGY_GRAZING, 3.0 - math.sqrt(1.0 - 0.96**2))
         assert report.halted.time == pytest.approx(2.72, abs=1e-12)
 
     def test_event_overflow(self):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        report = simulate(chain, 1.5, ModelParams(0.5, 2), tol=Tolerances(max_events=1))
+        report = simulate(chain, 1.5, ModelParams(0.5), tol=Tolerances(max_events=1))
         assert report.halted is not None and report.halted.reason == PATHOLOGY_MAX_EVENTS
         assert len(report.events) == 1
 
     def test_bad_inputs(self, head_on):
         with pytest.raises(UsageError):
-            simulate(head_on, 0.0, ModelParams(1.0, 2))
+            simulate(head_on, 0.0, ModelParams(1.0))
         overlapping = Configuration([[0, 0], [0.5, 0]], [[0, 0], [0, 0]])
         with pytest.raises(UsageError):
-            simulate(overlapping, 1.0, ModelParams(1.0, 2))
+            simulate(overlapping, 1.0, ModelParams(1.0))
 
 
     @pytest.mark.parametrize("T", (math.nan, math.inf))
     def test_non_finite_horizon(self, head_on, T):
         with pytest.raises(UsageError, match="T must be positive and finite"):
-            simulate(head_on, T, ModelParams(1.0, 2))
+            simulate(head_on, T, ModelParams(1.0))
 
 
 # A head-on pair at +-1e200: the contact quadratic's a*c overflows, its
@@ -133,13 +133,13 @@ def test_overflowing_contact_quadratic_is_a_usage_error(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match="too large: the contact roots would overflow"):
-            entry(OVERFLOWING, 1.0, ModelParams(0.1875, 2))
+            entry(OVERFLOWING, 1.0, ModelParams(0.1875))
 
 
 class TestChain:
     def test_double_inelastic_chain(self):
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        params = ModelParams(0.5, 2)
+        params = ModelParams(0.5)
         report = simulate(chain, 1.5, params)
         assert report.halted is None
         kinds = [e.kind for e in report.events]
@@ -156,7 +156,7 @@ class TestInvariantsOnEnsembles:
     def test_ledger_and_separation(self, index):
         n = 3 + index % 3
         cfg = collision_rich_configuration(99, index, n, 2, 4.0, 1.5, 1.2)
-        params = ModelParams(0.35, 2)
+        params = ModelParams(0.35)
         report = simulate(cfg, 10.0, params)
         mom0, ke0 = conserved_quantities(cfg)
         mom1, ke1 = conserved_quantities(report.final)
@@ -179,7 +179,7 @@ class TestInvariantsOnEnsembles:
 
     def test_determinism(self):
         cfg = collision_rich_configuration(7, 3, 4, 2, 4.0, 1.5, 1.2)
-        params = ModelParams(0.35, 2)
+        params = ModelParams(0.35)
         a = simulate(cfg, 10.0, params)
         b = simulate(cfg, 10.0, params)
         assert a.event_signature == b.event_signature
@@ -199,16 +199,16 @@ class TestBounds:
         assert check.inelastic_ok and check.events_ok
 
     def test_elastic_only_trivial(self, head_on):
-        params = ModelParams(math.inf, 2)
+        params = ModelParams(math.inf)
         report = simulate(head_on, 3.0, params)
         check = check_collision_bounds(report, params, head_on)
         assert check.inelastic_limit == 0 and check.inelastic_ok
 
     def test_low_energy_at_most_one_inelastic(self):
-        params = ModelParams(0.2, 2)
+        params = ModelParams(0.2)
         violations = 0
         for index in range(60):
-            cfg = low_energy_ensemble(17, index, 3, params)
+            cfg = low_energy_ensemble(17, index, 3, 2, params)
             assert kinetic_energy(cfg) < 2 * params.epsilon0
             report = simulate(cfg, 50.0, params)
             if report.n_inelastic > 1:
@@ -236,7 +236,7 @@ def _scanned_separations(index, grazing_tol):
         return scan(positions, velocities, *args, **kwargs)
 
     with mock.patch.object(simulator, "first_contacts", recording):
-        report = simulate(cfg, 10.0, ModelParams(0.05, 2), tol=tol)
+        report = simulate(cfg, 10.0, ModelParams(0.05), tol=tol)
     return report, min(separations), tol
 
 

@@ -18,6 +18,7 @@ from ihse import (
     tct_flow,
 )
 from ihse.jacobian_lab import random_tct_case, verify_flow_jacobian
+from ihse.tct import contraction_factor
 
 from conftest import assert_close
 
@@ -68,7 +69,7 @@ class TestClassification:
         assert cls.is_excluded and cls.reason is ExclusionReason.SIMULTANEOUS
 
     def test_critical_energy_excluded(self, symmetric_head_on):
-        cls = classify_tct_domain(symmetric_head_on, 2.0, ModelParams(1.0, 2))  # |w|^2 = 4 = 4*eps0
+        cls = classify_tct_domain(symmetric_head_on, 2.0, ModelParams(1.0))  # |w|^2 = 4 = 4*eps0
         assert cls.is_excluded and cls.reason is ExclusionReason.CRITICAL_ENERGY
 
     def test_boundary_start_excluded(self, params_elastic_example):
@@ -79,10 +80,10 @@ class TestClassification:
     def test_recollision_excluded(self):
         # particle 2 scatters off 1 and then reaches 3 inside the horizon
         chain = Configuration([[3, 0], [0, 0], [6, 0]], [[0, 0], [3, 0], [-1, 0]])
-        cls = classify_tct_domain(chain, 1.5, ModelParams(0.5, 2))
+        cls = classify_tct_domain(chain, 1.5, ModelParams(0.5))
         assert cls.is_excluded and cls.reason is ExclusionReason.RECOLLISION
         # shorter horizon sees only the first contact
-        cls = classify_tct_domain(chain, 0.9, ModelParams(0.5, 2))
+        cls = classify_tct_domain(chain, 0.9, ModelParams(0.5))
         assert cls.is_single_collision
 
     def test_second_pair_within_horizon_excluded(self, params_elastic_example):
@@ -136,7 +137,7 @@ class TestFlow:
 
     @pytest.mark.parametrize("eps0", [0.75, 0.1875])
     def test_conservation(self, head_on, eps0):
-        params = ModelParams(eps0, 2)
+        params = ModelParams(eps0)
         res = tct_flow(head_on, 3.0, params)
         mom0, ke0 = conserved_quantities(head_on)
         mom1, ke1 = conserved_quantities(res.final)
@@ -174,13 +175,13 @@ class TestAnalyticDeterminant:
         assert det_n == -1.0
 
     def test_inelastic_contraction(self, symmetric_head_on):
-        det, prefactor, det_n = analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(0.75, 2))
+        det, prefactor, det_n = analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(0.75))
         assert abs(det) == pytest.approx(0.5, abs=1e-12)
         assert prefactor == pytest.approx(-0.5, abs=1e-12)
         assert det_n == -1.0
 
     def test_small_quantum_limit(self, symmetric_head_on):
-        det, _, _ = analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(1e-12, 2))
+        det, _, _ = analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(1e-12))
         assert abs(det) == pytest.approx(1.0, rel=1e-9)
 
     def test_free_flow_unit(self, head_on, params_elastic_example):
@@ -189,7 +190,7 @@ class TestAnalyticDeterminant:
     def test_inelastic_3d_head_on(self):
         # s^2 = 4, eps0 = 0.75: x = 1/4, det_N = -x^(1/2), det = x
         cfg = Configuration([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [-1, 0, 0]])
-        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(0.75, 3))
+        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(0.75))
         assert det_n == -0.5
         assert prefactor == pytest.approx(-0.5, abs=1e-12)
         assert det == pytest.approx(0.25, abs=1e-12)
@@ -210,11 +211,16 @@ class TestAnalyticDeterminant:
             assert abs(abs(report.fd_det) - x ** ((d - 1) / 2)) <= 1e-5
             assert report.det_N_fd == pytest.approx(det_n, abs=1e-6)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_contraction_factor_takes_d(self, d):
+        # s^2 = 4, eps0 = 0.75: x = 1/4 and the factor is x^((d-1)/2)
+        assert contraction_factor(4.0, ModelParams(0.75), d) == 0.25 ** ((d - 1) / 2)
+
     def test_elastic_3d_supported(self):
         cfg = Configuration([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [-1, 0, 0]])
-        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(2.0, 3))
+        det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 2.0, ModelParams(2.0))
         assert abs(det) == pytest.approx(1.0, abs=1e-9)
 
     def test_excluded_raises(self, symmetric_head_on):
         with pytest.raises(ExcludedConfigurationError):
-            analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(1.0, 2))
+            analytic_flow_jacobian_det(symmetric_head_on, 2.0, ModelParams(1.0))

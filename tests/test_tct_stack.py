@@ -50,7 +50,7 @@ BRANCHES = {
     "boundary": ([[0, 0], [1, 0]] + FAR, REST + REST, ExclusionReason.BOUNDARY_START),
     "scatter_raises": ([[-3, 0.995], [0, 0]] + FAR, [[10, 0], [0, 0]] + REST, GrazingContactError),
 }
-BRANCH_TAU, BRANCH_PARAMS, BRANCH_TOL = 3.5, ModelParams(1.0, 2), Tolerances(grazing_tol=0.1)
+BRANCH_TAU, BRANCH_PARAMS, BRANCH_TOL = 3.5, ModelParams(1.0), Tolerances(grazing_tol=0.1)
 
 
 def _outcome(call):
@@ -202,7 +202,7 @@ def test_random_stacks_match_one_state_at_a_time(n, d, seed, h, eps0, grazing_to
     m = n * d
     tol = Tolerances(grazing_tol=grazing_tol, simultaneity_tol=simultaneity_tol, crit_tol=crit_tol)
     positions, velocities = points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d)
-    _assert_rows_match(positions, velocities, tau, ModelParams(eps0, d), tol)
+    _assert_rows_match(positions, velocities, tau, ModelParams(eps0), tol)
 
 
 def _hex(values) -> list:
