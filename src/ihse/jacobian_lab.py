@@ -17,16 +17,17 @@ from .core import (
     Configuration,
     IHSEError,
     ModelParams,
-    PairIndex,
     Tolerances,
     UsageError,
     check_dimension,
+    pair_indices,
+    pair_position,
     pair_separations,
 )
-from .collision import first_collision, predict_pair
+from .collision import _quadratic_contact_roots, first_contacts
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import ExcludedConfigurationError, classified_flow_det, tct_stack
+from .tct import classified_flow_dets, tct_stack
 
 # The most cases one tct_stack call holds: a jacobian run's acceptance rounds
 # and its finite-difference stencils are stacked this many cases at a time.
@@ -75,43 +76,77 @@ class TensorLemmaCase:
     omega: np.ndarray
 
 
-def _difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:
-    """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian)."""
-    finite = np.isfinite(values).all(axis=1).tolist()
-    for k in range(len(labels) // 2):
-        for label in labels[2 * k : 2 * k + 2]:
-            if isinstance(label, Exception):
-                raise label
-            if label != center_label:
-                raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
-        if not (finite[2 * k] and finite[2 * k + 1]):
-            raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
-    return ((values[0::2] - values[1::2]) / (2.0 * h)).T
+def _stencil_rows(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
+    """The rows a batch map is handed for a stack (C, m) of points: per
+    point its center, then per step h the rows +h e_0, -h e_0, +h e_1, ...;
+    shape (C, 1 + 2 m len(steps), m)."""
+    if not steps[0] > 0:
+        raise IHSEError("step h must be positive")
+    offsets = np.repeat(np.eye(points.shape[1]), 2, axis=0)  # +e_0, -e_0, +e_1, ...
+    offsets[1::2] *= -1.0  # point + h (-e_k) is point - h e_k, bit for bit
+    return np.concatenate([points[:, None]] + [points[:, None] + h * offsets for h in steps], axis=1)
 
 
-def _stencil_rows(point, steps: tuple[float, ...]) -> np.ndarray:
-    """The rows _fd_jacobians hands its batch map: the center, then per step
-    h the rows +h e_0, -h e_0, +h e_1, ... of point."""
+def _fd_jacobians(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> tuple[np.ndarray, list]:
+    """The finite-difference Jacobians of the stencils of cases points, from
+    a batch map's values and labels on all their rows (_stencil_rows of the
+    points, in its order): (jacobians (cases, len(steps), outputs, inputs),
+    errors), errors[c] None or the error stencil c raises (its jacobians
+    are then meaningless).
+
+    The checks are array passes over every stencil at once, and a stencil's
+    error is the one a loop over its rows meets first: the center's error;
+    then per step and per coordinate k, ascending, the +e_k and then the
+    -e_k point, each with its error before a label other than the center's
+    (BranchCrossingError: no differencing across a discontinuity); then
+    NonFiniteError for a non-finite value on either."""
+    size = len(labels) // cases
+    m = (size - 1) // (2 * len(steps))
+    labels = np.fromiter(labels, dtype=object, count=len(labels)).reshape(cases, size)
+    values = np.asarray(values, dtype=float).reshape(cases, size, -1)
+    # per stencil, step and coordinate k: which of its points +e_k, -e_k are off the center's label
+    crossing = np.not_equal(labels[:, 1:], labels[:, :1]).reshape(cases, -1, 2)
+    finite = np.isfinite(values[:, 1:]).all(axis=-1).reshape(cases, -1, 2).all(axis=-1)
+    failed = crossing.any(axis=-1) | ~finite
+    errors = [center if isinstance(center, Exception) else None for center in labels[:, 0].tolist()]
+    for c in np.flatnonzero(failed.any(axis=-1)).tolist():
+        if errors[c] is None:
+            at = int(failed[c].argmax())
+            k = at % m
+            if crossing[c, at].any():
+                label = labels[c, 1 + 2 * at + int(crossing[c, at].argmax())]
+                message = f"stencil point along coordinate {k} crosses a classification boundary"
+                errors[c] = label if isinstance(label, Exception) else BranchCrossingError(message)
+            else:
+                errors[c] = NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
+    h = np.repeat(steps, m)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):  # a stencil with an error may hold inf
+        quotients = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
+    return quotients.reshape(cases, len(steps), m, -1).swapaxes(-1, -2), errors
+
+
+def _fd_determinants(values, labels: Sequence, cases: int, h: float) -> tuple[list, list]:
+    """fd_determinant of each of a stack of stencils at steps h and h/2, as
+    for _fd_jacobians: (determinants, errors), errors[c] None or the error
+    stencil c raises, UnreliableStencilError after every _fd_jacobians
+    error."""
+    jacobians, errors = _fd_jacobians(values, labels, cases, (h, h / 2.0))
+    dets: list = [None] * cases
+    ok = [c for c, error in enumerate(errors) if error is None]
+    for c, (det_h, det_half) in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
+        if abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
+            errors[c] = UnreliableStencilError(f"determinants at h and h/2 disagree: {det_h} vs {det_half}")
+        else:
+            dets[c] = (4.0 * det_half - det_h) / 3.0
+    return dets, errors
+
+
+def _stencil_values(fn, point, steps: tuple[float, ...]) -> tuple[np.ndarray, Sequence]:
+    """fn's (values, labels) on the stencil rows of one point."""
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise IHSEError("point must be a flat vector")
-    if not steps[0] > 0:
-        raise IHSEError("step h must be positive")
-    offsets = np.repeat(np.eye(point.size), 2, axis=0)  # +e_0, -e_0, +e_1, ...
-    offsets[1::2] *= -1.0  # point + h (-e_k) is point - h e_k, bit for bit
-    return np.concatenate([point[None]] + [point + h * offsets for h in steps])
-
-
-def _fd_jacobians(fn, point, steps: tuple[float, ...]) -> list[np.ndarray]:
-    """fd_jacobian at each step, with one call of fn on every stencil."""
-    rows = _stencil_rows(point, steps)
-    values, labels = fn(rows)
-    values = np.asarray(values, dtype=float)
-    if isinstance(labels[0], Exception):
-        raise labels[0]
-    size = 2 * rows.shape[1]
-    blocks = [slice(start, start + size) for start in range(1, len(labels), size)]
-    return [_difference_quotients(values[b], labels[b], labels[0], h) for b, h in zip(blocks, steps)]
+    return fn(_stencil_rows(point[None], steps)[0])
 
 
 def fd_jacobian(
@@ -130,8 +165,13 @@ def fd_jacobian(
     the +e_k and then the -e_k point, each with its error before a label
     other than the center's (BranchCrossingError: no differencing across a
     discontinuity); then NonFiniteError for a non-finite value on either.
+    The one-point view of _fd_jacobians.
     """
-    return _fd_jacobians(fn, point, (h,))[0]
+    values, labels = _stencil_values(fn, point, (h,))
+    jacobians, (error,) = _fd_jacobians(values, labels, 1, (h,))
+    if error is not None:
+        raise error
+    return jacobians[0, 0]
 
 
 def fd_determinant(fn, point, h: float = FD_STEP) -> float:
@@ -142,14 +182,14 @@ def fd_determinant(fn, point, h: float = FD_STEP) -> float:
     Richardson-extrapolated; a relative disagreement beyond 0.1 flags the
     stencil as unreliable.  The center and the stencils at both steps go to
     fn in one call; every failure at step h comes before any at h/2, and
-    UnreliableStencilError comes last.
+    UnreliableStencilError comes last.  The one-point view of
+    _fd_determinants.
     """
-    det_h, det_half = (float(np.linalg.det(jac)) for jac in _fd_jacobians(fn, point, (h, h / 2.0)))
-    if abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
-        raise UnreliableStencilError(
-            f"determinants at h and h/2 disagree: {det_h} vs {det_half}"
-        )
-    return (4.0 * det_half - det_h) / 3.0
+    values, labels = _stencil_values(fn, point, (h, h / 2.0))
+    (det,), (error,) = _fd_determinants(values, labels, 1, h)
+    if error is not None:
+        raise error
+    return det
 
 
 def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
@@ -326,41 +366,44 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
     """verify_flow_jacobians of cases that form one stack."""
     h = tol.fd_step
     n, d = cases[0][0].n_particles, cases[0][0].dimension
-    points = [cfg.to_vector() for cfg, _ in cases]
-    rows = [_stencil_rows(point, (h, h / 2.0)) for point in points]
-    size = len(rows[0])
-    eps0 = np.repeat([params.epsilon0 for _, params in cases], size)
+    params = [p for _, p in cases]
+    points = np.stack([cfg.to_vector() for cfg, _ in cases])
+    x0, v0 = (half.reshape(-1, n, d) for half in np.split(points, 2, axis=1))
+    rows = _stencil_rows(points, (h, h / 2.0))
+    size = rows.shape[1]
+    eps0 = np.repeat([p.epsilon0 for p in params], size)
     stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
-    results, colliding = [], {}
-    for c, (cfg, params) in enumerate(cases):
-        at = slice(c * size, (c + 1) * size)
+    fd_dets, results = _fd_determinants(values, labels, len(cases), h)
+    classified = {}
+    for c in range(len(cases)):
         try:
-            classification = stack.one(at.start)
-            if classification.is_excluded:
-                raise ExcludedConfigurationError(classification.reason)
-            fd_det = fd_determinant(lambda _, at=at: (values[at], labels[at]), points[c], h)
-            velocities = stack.velocities[at.start]
-            analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
+            classified[c] = stack.one(c * size)
         except IHSEError as error:
-            results.append(error)
-            continue
-        results.append((analytic, fd_det, prefactor))
-        if classification.is_single_collision:
-            i, j = classification.pair.zero_based()
-            # free flight keeps velocities: the pair's at contact are its initial ones
-            colliding[c] = np.concatenate([cfg.velocities[i], cfg.velocities[j]]), stack.omega[at.start]
-    det_n_fd = dict.fromkeys(range(len(cases)))
+            results[c] = error  # the centre's error comes first
+    valid = list(classified)  # the cases whose centre classifies
+    at_tau = stack.velocities[size * np.array(valid, dtype=int)]
+    analytic = classified_flow_dets(x0[valid], v0[valid], list(classified.values()), at_tau, [params[c] for c in valid])
+    for c, det in zip(valid, analytic):
+        # an excluded centre's error comes first, the analytic determinant's after the FD errors
+        if classified[c].is_excluded or results[c] is None:
+            results[c] = det if isinstance(det, IHSEError) else (det[0], fd_dets[c], det[1])  # (det, fd, prefactor)
+    colliding = [c for c in valid if classified[c].is_single_collision and not isinstance(results[c], IHSEError)]
+    det_n_fd: list = [None] * len(cases)
     if colliding:
-        rows = [_stencil_rows(z, (h,)) for z, _ in colliding.values()]
-        size = len(rows[0])
-        omega = np.repeat([omega for _, omega in colliding.values()], size, axis=0)
-        eps0 = np.repeat([cases[c][1].epsilon0 for c in colliding], size)
-        values, labels = _dispatched_velocity_map(np.concatenate(rows), omega, eps0)
-        for row, (c, (z, _)) in enumerate(colliding.items()):
-            at = slice(row * size, (row + 1) * size)
-            try:
-                det_n_fd[c] = float(np.linalg.det(fd_jacobian(lambda _, at=at: (values[at], labels[at]), z, h)))
-            except IHSEError as error:
+        k = np.array([pair_position(n, classified[c].pair) for c in colliding])
+        i, j = (index[k] for index in pair_indices(n))
+        # free flight keeps velocities: the pair's at contact are its initial ones
+        z = np.concatenate([v0[colliding, i], v0[colliding, j]], axis=1)
+        rows = _stencil_rows(z, (h,))
+        omega = np.repeat(stack.omega[size * np.array(colliding)], rows.shape[1], axis=0)
+        eps0 = np.repeat([params[c].epsilon0 for c in colliding], rows.shape[1])
+        values, labels = _dispatched_velocity_map(rows.reshape(-1, 2 * d), omega, eps0)
+        jacobians, errors = _fd_jacobians(values, labels, len(colliding), (h,))
+        ok = [q for q, error in enumerate(errors) if error is None]
+        for q, det in zip(ok, np.linalg.det(jacobians[ok, 0]).tolist()):
+            det_n_fd[colliding[q]] = det
+        for c, error in zip(colliding, errors):
+            if error is not None:
                 results[c] = error
     return [
         result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], h)
@@ -409,12 +452,14 @@ def random_tct_cases(
     """random_tct_case of each index in indices, with kind kinds[c] for
     indices[c], or instead the error it raises there.
 
-    The draws run in lockstep, CASES_PER_STACK cases at a time: each round
-    classifies the pending candidate of every case in one tct_stack call,
-    each row with its case's quantum, and each rejected case draws again
-    from its own stream.  So every case makes the draws, and gets the
-    configuration or the error, that it makes and gets alone.  A d < 2 or a
-    tau outside (0, inf) is a UsageError, raised before any draw.
+    The draws run in lockstep, CASES_PER_STACK cases at a time.  Each round
+    checks the pending drawn state of every case in one pass (_prechecks),
+    until every pending case holds a candidate that passes; then one
+    tct_stack call classifies the candidates, each row with its case's
+    quantum, and each rejected case draws again from its own stream.  So
+    every case makes the draws, and gets the configuration or the error,
+    that it makes and gets alone.  A d < 2 or a tau outside (0, inf) is a
+    UsageError, raised before any draw.
     """
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
@@ -425,38 +470,58 @@ def random_tct_cases(
     for start in range(0, len(indices), CASES_PER_STACK):
         chunk = range(start, min(start + CASES_PER_STACK, len(indices)))
         draws = {
-            c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], tau, d, fixed_eps0, tol)
-            for c in chunk
+            c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], d, fixed_eps0) for c in chunk
         }
-        sent = dict.fromkeys(chunk)  # what each pending case's draws are sent next
+        sent = dict.fromkeys(chunk)  # what each case's draws are sent next
+        candidates = {}  # the cases whose candidate (cfg, params) awaits its classification
         while sent:
-            candidates = {}
-            for c, classification in sent.items():
+            drawn = {}  # the cases whose drawn state awaits its pre-check
+            for c, value in sent.items():
                 try:
-                    candidates[c] = draws[c].send(classification)
+                    request = draws[c].send(value)
                 except StopIteration as accepted:
                     results[c] = accepted.value
                 except IHSEError as error:
                     results[c] = error
-            if not candidates:
+                else:  # a candidate (cfg, params), or a drawn state (positions, velocities)
+                    (candidates if isinstance(request[1], ModelParams) else drawn)[c] = request
+            if drawn:
+                x, v = (np.stack(states) for states in zip(*drawn.values()))
+                sent = dict(zip(drawn, _prechecks(x, v, tau, tol).tolist()))
+            elif candidates:
+                cfgs, params = zip(*candidates.values())
+                x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
+                stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
+                sent = {}
+                for row, c in enumerate(candidates):
+                    if (error := stack.error(row)) is not None:
+                        results[c] = error
+                    else:
+                        sent[c] = stack.one(row)
+                candidates = {}
+            else:
                 break
-            cfgs, params = zip(*candidates.values())
-            x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
-            stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
-            sent = {}
-            for row, c in enumerate(candidates):
-                if (error := stack.error(row)) is not None:
-                    results[c] = error
-                else:
-                    sent[c] = stack.one(row)
     return results
 
 
-def _case_draws(gen: np.random.Generator, n_particles: int, kind, tau: float, d: int, fixed_eps0, tol: Tolerances):
-    """random_tct_case's draws from gen, as a generator: it yields each
-    candidate (cfg, params) that passes the checks before classification,
-    is sent back the candidate's classification, and returns the accepted
-    (cfg, params)."""
+def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: Tolerances) -> np.ndarray:
+    """Per drawn state of a stack (C, N, d), the checks random_tct_case makes
+    before classification: its first contact over [0, tau] is unique, of the
+    pair (1, 2) and in (0.05 tau, 0.8 tau), and that pair's discriminant (as
+    predict_pair gives it) is at least 0.1."""
+    time, k, unique, _, _ = first_contacts(positions, velocities, tau, tol=tol)
+    r, w = positions[:, 0] - positions[:, 1], velocities[:, 0] - velocities[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel and non-meeting pairs
+        _, _, _, delta, _, _ = _quadratic_contact_roots(r, w, tol.grazing_tol)
+    return unique & (k == 0) & (0.05 * tau < time) & (time < 0.8 * tau) & (delta >= 0.1)
+
+
+def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_eps0):
+    """random_tct_case's draws from gen, as a generator.  It yields each
+    drawn state as (positions, velocities) and is sent back whether it
+    passes _prechecks; a state that passes gets its quantum, is yielded as
+    the candidate (cfg, params) and is sent back the candidate's
+    classification.  Returns the accepted (cfg, params)."""
     for _ in range(2000):
         positions = _spread_positions(gen, n_particles, d, min_gap=3.6, spread=2.0 + 1.5 * n_particles)
         # Pull particle 1 onto a shell close to particle 2 so contact falls
@@ -478,16 +543,9 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, tau: float, d:
         speed = 1.5 + gen.random()
         impact = 0.5 * gen.random()
         velocities[0] = velocities[1] + speed * direction + impact * tangent
-        cfg = Configuration(positions, velocities)
-        fc = first_collision(cfg, tau, tol=tol)
-        if fc is None or not fc.unique or fc.pair != PairIndex(1, 2):
+        if not (yield positions, velocities):
             continue
-        if not 0.05 * tau < fc.time < 0.8 * tau:
-            continue
-        pred = predict_pair(cfg, fc.pair, tol=tol)
-        if pred.discriminant < 0.1:
-            continue
-        _, w = cfg.pair_state(fc.pair)
+        w = velocities[0] - velocities[1]
         s2 = float(w @ w)
         if fixed_eps0 is not None:
             eps0 = fixed_eps0
@@ -504,7 +562,7 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, tau: float, d:
                 eps0 = s2 * (0.15 + 0.6 * gen.random()) / 4.0
             else:
                 eps0 = s2 * (0.3 + 0.5 * gen.random())
-        params = ModelParams(eps0)
+        cfg, params = Configuration(positions, velocities), ModelParams(eps0)
         classification = yield cfg, params
         if not classification.is_single_collision:
             continue

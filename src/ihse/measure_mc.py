@@ -209,7 +209,7 @@ def ensemble_volume_evolution(
 
     def flow(z):
         stack, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, tau, params, tol=tol), z, n, d)
-        report = stack.reports[0]
+        report = stack.report(0)
         if report is None:
             raise stack.errors[0]
         if report.halted is not None:

@@ -5,6 +5,7 @@ collision-count bound checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,18 +79,56 @@ class SimReport:
 @dataclass(frozen=True)
 class SimStack:
     """Row by row, what simulate gives each state of a stack alone: its
-    report (None when the run raises, with the error in errors) and its
-    final state (NaN when the run raises)."""
+    error (None when the run does not raise), its final state (NaN when the
+    run raises), and the record its report is built from when read (report,
+    reports): per event (time, pair position in pair_indices, emitting,
+    ke_before, ke_after, rel_speed_sq), the halt and the minimum squared
+    separation."""
 
-    reports: list[Optional[SimReport]]
     errors: list[Optional[IHSEError]]
     positions: np.ndarray  # (S, N, d)
     velocities: np.ndarray  # (S, N, d)
+    events: list[list[tuple]]
+    halted: list[Optional[Pathology]]
+    min_sq: np.ndarray  # (S,)
+
+    def report(self, row: int) -> Optional[SimReport]:
+        """The row's report, None when its run raises."""
+        if self.errors[row] is not None:
+            return None
+        pairs = all_pairs(self.positions.shape[1])
+        events = [SimEvent(t, pairs[k], _kind(emits), *ledger) for t, k, emits, *ledger in self.events[row]]
+        final = Configuration(self.positions[row], self.velocities[row])
+        return _report(events, final, math.sqrt(self.min_sq[row]), self.halted[row])
+
+    @functools.cached_property
+    def reports(self) -> list[Optional[SimReport]]:
+        """Every row's report."""
+        return [self.report(row) for row in range(len(self.errors))]
 
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
-        raises alone."""
-        return [error if report is None else report.event_signature for report, error in zip(self.reports, self.errors)]
+        raises alone.  Rows with one (pair, kind, halt) sequence share one
+        label, built once and without building their reports."""
+        pairs = all_pairs(self.positions.shape[1])
+        signatures: dict = {}
+        labels = []
+        for error, events, halted in zip(self.errors, self.events, self.halted):
+            if error is not None:
+                labels.append(error)
+                continue
+            key = (tuple((k, emits) for _, k, emits, *_ in events), None if halted is None else halted.reason)
+            if (signature := signatures.get(key)) is None:
+                signature = tuple((pairs[k].i, pairs[k].j, _kind(emits).value) for k, emits in key[0])
+                if halted is not None:
+                    signature = signature + (("halted", halted.reason),)
+                signatures[key] = signature
+            labels.append(signature)
+        return labels
+
+
+def _kind(emits: bool) -> CollisionKind:
+    return CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
 
 
 @dataclass(frozen=True)
@@ -214,7 +253,6 @@ def simulate_stack(
     if not 0 < T < math.inf:
         raise UsageError("T must be positive and finite")
     s, n, _ = positions.shape
-    pairs = all_pairs(n)
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
     reachable = within_reach(x, v, T)
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
@@ -228,7 +266,7 @@ def simulate_stack(
     while (active := np.flatnonzero(running & (T - now > 0))).size:
         remaining = T - now[active]
         time, k, unique, graze, closest = first_contacts(
-            x[active], v[active], remaining, tol=tol, recent=recent[active, None] == np.arange(len(pairs))
+            x[active], v[active], remaining, tol=tol, recent=recent[active, None] == np.arange(n * (n - 1) // 2)
         )
         grazing = graze <= np.minimum(time, remaining)
         free = ~grazing & ~(time <= remaining)
@@ -256,19 +294,14 @@ def simulate_stack(
                 error_type, message = SCATTER_CHECKS[failed]
                 errors[row] = error_type(message)
             else:
-                kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
-                events[row].append(SimEvent(at, pairs[pair], kind, before, after, s2))
+                events[row].append((at, pair, emits, before, after, s2))
                 recent[row] = pair
                 if len(events[row]) >= tol.max_events:
                     halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, at)
             running[row] = halted[row] is None and errors[row] is None
     raised = np.array([error is not None for error in errors], dtype=bool)
     x[raised] = v[raised] = np.nan
-    reports = [
-        None if raised[r] else _report(events[r], Configuration(x[r], v[r]), math.sqrt(min_sq[r]), halted[r])
-        for r in range(s)
-    ]
-    return SimStack(reports, errors, x, v)
+    return SimStack(errors, x, v, events, halted, min_sq)
 
 
 def check_collision_bounds(
@@ -307,6 +340,8 @@ def random_configuration(
     10000 tries, for every pairwise gap above 1 + 1e-9) and the stacked
     velocity vector uniform in |V| <= r_velocities."""
     check_dimension(dimension)
+    if n_particles < 1:
+        raise UsageError("need at least one particle")
     gen = sample_generator(seed, index)
     dof = n_particles * dimension
     for _ in range(10000):

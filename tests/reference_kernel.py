@@ -12,10 +12,13 @@ where passes, and a graze array even when no pair grazes.  The third is the coll
 The fourth is the one-collision flow of a single state composed from that
 pair-by-pair scan and collide, as the stacked flow replaced it.  The fifth
 collides the pair again for its post-collisional velocities, as the
-prefactor was computed before it read them from the stacked flow.  The last
-two draw and verify one ``jacobian`` case as a loop over the cases did before
-the cases were stacked: each candidate classified alone, and one stencil
-stack per case.  All stay in the tests so that the kernels can be required to give identical results,
+prefactor was computed before it read them from the stacked flow.  The next
+two check a finite-difference stencil one coordinate at a time, as the FD
+oracles did before every stencil of a stack was checked in array passes.  The
+last two draw and verify one ``jacobian`` case as a loop over the cases did
+before the cases were stacked: each drawn state checked with
+``first_collision`` and ``predict_pair``, each candidate classified alone,
+and one stencil stack per case.  All stay in the tests so that the kernels can be required to give identical results,
 field for field and bit for bit.
 """
 
@@ -27,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from ihse import collision
 from ihse.collision import (
     REARM_TIME,
     FirstCollision,
@@ -45,7 +49,9 @@ from ihse.core import (
     validate_configuration,
 )
 from ihse.jacobian_lab import (
+    BranchCrossingError,
     JacobianReport,
+    NonFiniteError,
     _case_draws,
     _dispatched_velocity_map,
     _stack_map,
@@ -226,6 +232,31 @@ def flow_jacobian_prefactor(
     return 1.0 + float(grad_x @ dv)
 
 
+def difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:
+    """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian)."""
+    finite = np.isfinite(values).all(axis=1).tolist()
+    for k in range(len(labels) // 2):
+        for label in labels[2 * k : 2 * k + 2]:
+            if isinstance(label, Exception):
+                raise label
+            if label != center_label:
+                raise BranchCrossingError(f"stencil point along coordinate {k} crosses a classification boundary")
+        if not (finite[2 * k] and finite[2 * k + 1]):
+            raise NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).T
+
+
+def stencil_jacobians(values: np.ndarray, labels, steps: tuple[float, ...]) -> list[np.ndarray]:
+    """The Jacobian at each step of one stencil (the center, then per step
+    its rows +h e_0, -h e_0, ...), raising the center's error and then each
+    block's, one coordinate at a time (difference_quotients)."""
+    if isinstance(labels[0], Exception):
+        raise labels[0]
+    size = (len(labels) - 1) // len(steps)
+    blocks = [slice(start, start + size) for start in range(1, len(labels), size)]
+    return [difference_quotients(values[b], labels[b], labels[0], h) for b, h in zip(blocks, steps)]
+
+
 def random_tct_case(
     seed: int,
     index: int,
@@ -237,18 +268,35 @@ def random_tct_case(
     fixed_eps0: Optional[float] = None,
     tol: Tolerances = Tolerances(),
 ) -> tuple[Configuration, ModelParams]:
-    """ihse.jacobian_lab.random_tct_case with each candidate of its draws
-    classified alone (classify_tct_domain) before the next is drawn."""
+    """ihse.jacobian_lab.random_tct_case with each drawn state of its draws
+    checked alone (first_collision, then predict_pair on its pair) and each
+    candidate classified alone (classify_tct_domain) before the next is
+    drawn."""
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
-    draws = _case_draws(sample_generator(seed, index), n_particles, kind, tau, d, fixed_eps0, tol)
-    classification = None
+    draws = _case_draws(sample_generator(seed, index), n_particles, kind, d, fixed_eps0)
+    sent = None
     while True:
         try:
-            cfg, params = draws.send(classification)
+            request = draws.send(sent)
         except StopIteration as accepted:
             return accepted.value
-        classification = classify_tct_domain(cfg, tau, params, tol=tol)
+        if isinstance(request[1], ModelParams):
+            cfg, params = request
+            sent = classify_tct_domain(cfg, tau, params, tol=tol)
+        else:
+            sent = precheck(Configuration(*request), tau, tol)
+
+
+def precheck(cfg: Configuration, tau: float, tol: Tolerances) -> bool:
+    """The checks random_tct_case makes on a drawn state before
+    classification, one state at a time."""
+    fc = collision.first_collision(cfg, tau, tol=tol)
+    if fc is None or not fc.unique or fc.pair != PairIndex(1, 2):
+        return False
+    if not 0.05 * tau < fc.time < 0.8 * tau:
+        return False
+    return not predict_pair(cfg, fc.pair, tol=tol).discriminant < 0.1
 
 
 def verify_flow_jacobian(
@@ -270,7 +318,7 @@ def verify_flow_jacobian(
 
     fd_det = fd_determinant(flow, cfg.to_vector(), h)
     ((classification, velocities, omega),) = center
-    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params)
     det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()

@@ -123,7 +123,7 @@ class TestFlowCommand:
 
     def test_collides_once(self, tmp_path, two_body_file, monkeypatch):
         # One stacked collide; scatter once more for the document's outcome
-        # record; one pair prediction, in collision_time_gradients.
+        # record; no pair prediction: the prefactor takes the stack's t_c.
         names = {scattering: ("dispatched_law", "scatter"), collision: ("predict_pair",)}
         calls = {name: count_calls(monkeypatch, module, name) for module, group in names.items() for name in group}
         status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
@@ -131,7 +131,7 @@ class TestFlowCommand:
         assert {name: len(made) for name, made in calls.items()} == {
             "dispatched_law": 1,
             "scatter": 1,
-            "predict_pair": 1,
+            "predict_pair": 0,
         }
 
 
@@ -211,6 +211,17 @@ class TestSimulateCommand:
         assert run_with_flag(tmp_path, argv, flag, value, via_run_config) == 2
         assert not (tmp_path / "out.json").exists()
         assert f"ihse simulate: {flag} has no effect with --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_sampling_no_particles_is_usage_error(self, tmp_path, capsys, monkeypatch, n):
+        # checked before any draw: at --N 0 the ball draw would divide by zero
+        draws = count_calls(monkeypatch, simulator, "uniform_ball")
+        argv = ["simulate", "--N", n, "--R1", "4", "--R2", "1", "--T", "1", "--eps0", "0.5"]
+        status, out = run_to_file(tmp_path, argv)
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "ihse simulate: need at least one particle\n"
+        assert draws == []
 
     def test_default_sampling_flags_accepted_with_config(self, tmp_path, two_body_file):
         argv = ["simulate", "--config", str(two_body_file), "--T", "3", "--eps0", "0.1875", "--seed", "0", "--dim", "2"]
@@ -326,6 +337,19 @@ class TestVerificationCommands:
             status, _ = run_to_file(tmp_path, ["jacobian", "--n-particles", "3", "--samples", samples])
             assert status == 0
             assert len(calls) == 2, samples
+
+    def test_jacobian_checks_and_stencils_are_array_passes(self, tmp_path, monkeypatch):
+        # the draws' checks and the prefactors run over stacked cases: no
+        # one-state scan, pair prediction or contact-time gradient; and the
+        # stencils are built once, every case's at both steps in one call
+        # and every velocity map's in another
+        names = ("first_collision", "predict_pair", "collision_time_gradients")
+        calls = {name: count_calls(monkeypatch, collision, name) for name in names}
+        stencils = count_calls(monkeypatch, jacobian_lab, "_stencil_rows")
+        status, _ = run_to_file(tmp_path, ["jacobian", "--samples", "6", "--n-particles", "3"])
+        assert status == 0
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, 0)
+        assert len(stencils) == 2
 
     def test_scatter_check_lines(self, tmp_path):
         status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "20", "--seed", "3", "--eps0", "0.75"])
@@ -497,15 +521,16 @@ class TestMeasureAndVolume:
         assert abs(doc["predicted"] - doc["measured"]) <= 1e-4
 
     def test_volume_runs_one_stack(self, tmp_path, monkeypatch):
-        # the centre is row 0 of the stencil's one simulate_stack call
-        calls = {name: count_calls(monkeypatch, simulator, name) for name in ("simulate", "simulate_stack")}
+        # the centre is row 0 of the stencil's one simulate_stack call, and
+        # its report is the one built
+        calls = {name: count_calls(monkeypatch, simulator, name) for name in ("simulate", "simulate_stack", "_report")}
         chain = tmp_path / "chain.json"
         chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
         status, _ = run_to_file(
             tmp_path, ["volume", "--config", str(chain), "--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5"]
         )
         assert status == 0
-        assert {name: len(made) for name, made in calls.items()} == {"simulate": 0, "simulate_stack": 1}
+        assert {name: len(made) for name, made in calls.items()} == {"simulate": 0, "simulate_stack": 1, "_report": 1}
 
     def test_volume_rejects_overflowing_radius(self, tmp_path, capsys):
         # a stencil step of 1e299 squares to inf: a usage error before any

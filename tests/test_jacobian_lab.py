@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihse import (
     BranchCrossingError,
@@ -120,6 +122,43 @@ class TestFdJacobian:
         fn = self._labelled(lambda row: IHSEError("center fails") if not row.any() else None)
         with pytest.raises(IHSEError, match="center fails"):
             fd_determinant(fn, np.zeros(2), 1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stencil_checks_match_the_coordinate_loop(self, data):
+        # Stacks of stencils at h and h/2, each block with an error label, a
+        # label other than the center's and a non-finite value, each at a
+        # random coordinate or absent: every stencil gets the quotient bits,
+        # or the error type and message, of the loop over its coordinates.
+        cases, m, outputs = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        h = data.draw(st.sampled_from([1e-6, 1e-3, 0.3]))
+        steps = (h, h / 2.0)
+        size = 1 + 2 * m * len(steps)
+        values = sample_generator(data.draw(st.integers(0, 2**16)), 0).standard_normal((cases, size, outputs))
+        labels = [[0] * size for _ in range(cases)]
+        row = st.none() | st.integers(0, 2 * m - 1)
+        for c in range(cases):
+            if data.draw(st.integers(0, 5)) == 0:
+                labels[c][0] = IHSEError(f"center of stencil {c} fails")
+            for start in range(1, size, 2 * m):
+                if (at := data.draw(row)) is not None:
+                    labels[c][start + at] = IHSEError(f"row {start + at} of stencil {c} fails")
+                if (at := data.draw(row)) is not None:
+                    labels[c][start + at] = 1
+                if (at := data.draw(row)) is not None:
+                    column = data.draw(st.integers(0, outputs - 1))
+                    values[c, start + at, column] = data.draw(st.sampled_from([np.nan, np.inf]))
+        flat = [label for stencil in labels for label in stencil]
+        jacobians, errors = jacobian_lab._fd_jacobians(values.reshape(-1, outputs), flat, cases, steps)
+        for c in range(cases):
+            try:
+                expected = ref.stencil_jacobians(values[c], labels[c], steps)
+            except IHSEError as error:
+                assert (type(errors[c]), str(errors[c])) == (type(error), str(error)), c
+                continue
+            assert errors[c] is None, c
+            for jacobian, alone in zip(jacobians[c], expected):
+                assert jacobian.tobytes() == alone.tobytes(), c
 
 
 class TestTensorLemma:
@@ -330,23 +369,38 @@ class TestBatchedCases:
     def test_lockstep_draws_equal_each_case_alone(self, monkeypatch):
         # With tau = 3 the third particle recollides with a candidate now and
         # then, so a case is rejected by its classification and draws again
-        # in a second round.
-        rounds, stacked = [], jacobian_lab.tct_stack
+        # in a second round; now and then a drawn state fails the checks
+        # before classification, and its case draws again at once.  Both
+        # runs meet both rejections: the first with a kind and a fixed
+        # quantum, the second with neither, so that gen.random() picks each
+        # candidate's branch after its pre-check.
+        rounds, verdicts = [], []
+        stacked, prechecked = jacobian_lab.tct_stack, jacobian_lab._prechecks
 
-        def counting(positions, *args, **kwargs):
+        def counting_stack(positions, *args, **kwargs):
             rounds.append(len(positions))
             return stacked(positions, *args, **kwargs)
 
-        monkeypatch.setattr(jacobian_lab, "tct_stack", counting)
-        kind, options = CollisionKind.INELASTIC, dict(tau=3.0, fixed_eps0=1.0)
-        cases = random_tct_cases(2, range(12), 3, kinds=[kind] * 12, **options)
-        assert rounds[0] == 12 and len(rounds) >= 2
-        for index, (cfg, params) in enumerate(cases):
-            for draw in (random_tct_case, ref.random_tct_case):
-                alone, alone_params = draw(2, index, 3, kind=kind, **options)
-                assert params == alone_params and params.epsilon0 == 1.0
-                assert cfg.positions.tobytes() == alone.positions.tobytes(), index
-                assert cfg.velocities.tobytes() == alone.velocities.tobytes(), index
+        def counting_prechecks(*args):
+            passed = prechecked(*args)
+            verdicts.extend(passed.tolist())
+            return passed
+
+        monkeypatch.setattr(jacobian_lab, "tct_stack", counting_stack)
+        monkeypatch.setattr(jacobian_lab, "_prechecks", counting_prechecks)
+        runs = ((2, CollisionKind.INELASTIC, dict(tau=3.0, fixed_eps0=1.0)), (10, None, dict(tau=3.0)))
+        for seed, kind, options in runs:
+            rounds.clear()
+            verdicts.clear()
+            cases = random_tct_cases(seed, range(12), 3, kinds=[kind] * 12, **options)
+            assert rounds[0] == 12 and sum(rounds) > 12  # a candidate failed its classification
+            assert False in verdicts  # a drawn state failed its pre-check
+            for index, (cfg, params) in enumerate(cases):
+                for draw in (random_tct_case, ref.random_tct_case):
+                    alone, alone_params = draw(seed, index, 3, kind=kind, **options)
+                    assert params == alone_params and params.epsilon0 == options.get("fixed_eps0", params.epsilon0)
+                    assert cfg.positions.tobytes() == alone.positions.tobytes(), index
+                    assert cfg.velocities.tobytes() == alone.velocities.tobytes(), index
 
     @pytest.mark.parametrize("d", (2, 3))
     @pytest.mark.parametrize("n", (2, 3, 4))
