@@ -213,7 +213,7 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     params = ModelParams(flags["eps0"])
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
-    det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params)
+    det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params, tol=tol)
     record = None
     if result.collision_record is not None:
         pair, t_c, outcome = result.collision_record

@@ -27,7 +27,7 @@ from .core import (
 from .collision import _quadratic_contact_roots, first_contacts
 from .rng import sample_generator, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
-from .tct import classified_flow_dets, tct_stack
+from .tct import classified_flow_det, tct_stack
 
 # The most cases one tct_stack call holds: a jacobian run's acceptance rounds
 # and its finite-difference stencils are stacked this many cases at a time.
@@ -125,16 +125,30 @@ def _fd_jacobians(values, labels: Sequence, cases: int, steps: tuple[float, ...]
     return quotients.reshape(cases, len(steps), m, -1).swapaxes(-1, -2), errors
 
 
-def _fd_determinants(values, labels: Sequence, cases: int, h: float) -> tuple[list, list]:
-    """fd_determinant of each of a stack of stencils at steps h and h/2, as
-    for _fd_jacobians: (determinants, errors), errors[c] None or the error
-    stencil c raises, UnreliableStencilError after every _fd_jacobians
-    error."""
-    jacobians, errors = _fd_jacobians(values, labels, cases, (h, h / 2.0))
+def _fd_dets(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> tuple[list, list]:
+    """The determinants of the finite-difference Jacobians of a stack of
+    stencils, as for _fd_jacobians: (dets, errors), dets[c] a list with one
+    determinant per step, or None when stencil c raises errors[c]."""
+    jacobians, errors = _fd_jacobians(values, labels, cases, steps)
     dets: list = [None] * cases
     ok = [c for c, error in enumerate(errors) if error is None]
-    for c, (det_h, det_half) in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
+    for c, det in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
+        dets[c] = det
+    return dets, errors
+
+
+def _fd_determinants(values, labels: Sequence, cases: int, h: float) -> tuple[list, list]:
+    """fd_determinant of each of a stack of stencils at steps h and h/2, as
+    for _fd_dets: (determinants, errors), errors[c] None or the error
+    stencil c raises, UnreliableStencilError after every _fd_jacobians
+    error."""
+    dets, errors = _fd_dets(values, labels, cases, (h, h / 2.0))
+    for c, at_steps in enumerate(dets):
+        if at_steps is None:
+            continue
+        det_h, det_half = at_steps
         if abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
+            dets[c] = None
             errors[c] = UnreliableStencilError(f"determinants at h and h/2 disagree: {det_h} vs {det_half}")
         else:
             dets[c] = (4.0 * det_half - det_h) / 3.0
@@ -368,7 +382,7 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
     n, d = cases[0][0].n_particles, cases[0][0].dimension
     params = [p for _, p in cases]
     points = np.stack([cfg.to_vector() for cfg, _ in cases])
-    x0, v0 = (half.reshape(-1, n, d) for half in np.split(points, 2, axis=1))
+    v0 = points[:, n * d :].reshape(-1, n, d)
     rows = _stencil_rows(points, (h, h / 2.0))
     size = rows.shape[1]
     eps0 = np.repeat([p.epsilon0 for p in params], size)
@@ -380,14 +394,18 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
             classified[c] = stack.one(c * size)
         except IHSEError as error:
             results[c] = error  # the centre's error comes first
-    valid = list(classified)  # the cases whose centre classifies
-    at_tau = stack.velocities[size * np.array(valid, dtype=int)]
-    analytic = classified_flow_dets(x0[valid], v0[valid], list(classified.values()), at_tau, [params[c] for c in valid])
-    for c, det in zip(valid, analytic):
+    for c, classification in classified.items():
         # an excluded centre's error comes first, the analytic determinant's after the FD errors
-        if classified[c].is_excluded or results[c] is None:
-            results[c] = det if isinstance(det, IHSEError) else (det[0], fd_dets[c], det[1])  # (det, fd, prefactor)
-    colliding = [c for c in valid if classified[c].is_single_collision and not isinstance(results[c], IHSEError)]
+        if classification.is_excluded or results[c] is None:
+            try:
+                det, prefactor, _ = classified_flow_det(
+                    cases[c][0], classification, stack.velocities[c * size], params[c], tol=tol
+                )
+            except IHSEError as error:
+                results[c] = error
+            else:
+                results[c] = (det, fd_dets[c], prefactor)
+    colliding = [c for c in classified if classified[c].is_single_collision and not isinstance(results[c], IHSEError)]
     det_n_fd: list = [None] * len(cases)
     if colliding:
         k = np.array([pair_position(n, classified[c].pair) for c in colliding])
@@ -398,12 +416,11 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
         omega = np.repeat(stack.omega[size * np.array(colliding)], rows.shape[1], axis=0)
         eps0 = np.repeat([params[c].epsilon0 for c in colliding], rows.shape[1])
         values, labels = _dispatched_velocity_map(rows.reshape(-1, 2 * d), omega, eps0)
-        jacobians, errors = _fd_jacobians(values, labels, len(colliding), (h,))
-        ok = [q for q, error in enumerate(errors) if error is None]
-        for q, det in zip(ok, np.linalg.det(jacobians[ok, 0]).tolist()):
-            det_n_fd[colliding[q]] = det
-        for c, error in zip(colliding, errors):
-            if error is not None:
+        dets, errors = _fd_dets(values, labels, len(colliding), (h,))
+        for c, det, error in zip(colliding, dets, errors):
+            if error is None:
+                det_n_fd[c] = det[0]
+            else:
                 results[c] = error
     return [
         result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], h)

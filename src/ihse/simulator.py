@@ -108,21 +108,16 @@ class SimStack:
 
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
-        raises alone.  Rows with one (pair, kind, halt) sequence share one
-        label, built once and without building their reports."""
+        raises alone, built without building the row's report."""
         pairs = all_pairs(self.positions.shape[1])
-        signatures: dict = {}
         labels = []
         for error, events, halted in zip(self.errors, self.events, self.halted):
             if error is not None:
                 labels.append(error)
                 continue
-            key = (tuple((k, emits) for _, k, emits, *_ in events), None if halted is None else halted.reason)
-            if (signature := signatures.get(key)) is None:
-                signature = tuple((pairs[k].i, pairs[k].j, _kind(emits).value) for k, emits in key[0])
-                if halted is not None:
-                    signature = signature + (("halted", halted.reason),)
-                signatures[key] = signature
+            signature = tuple((pairs[k].i, pairs[k].j, _kind(emits).value) for _, k, emits, *_ in events)
+            if halted is not None:
+                signature = signature + (("halted", halted.reason),)
             labels.append(signature)
         return labels
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,11 +21,10 @@ from .core import (
     UsageError,
     domain_masks,
     pair_indices,
-    pair_position,
     reach_error,
     within_reach,
 )
-from .collision import GrazingCollisionError, first_contacts
+from .collision import collision_time_gradients, first_contacts
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
 from .scattering import (
     CRITICAL_BAND,
@@ -250,69 +249,32 @@ def analytic_flow_jacobian_det(
     classification = stack.one()
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
-    return classified_flow_det(cfg, classification, stack.velocities[0], params)
+    return classified_flow_det(cfg, classification, stack.velocities[0], params, tol=tol)
 
 
 def classified_flow_det(
-    cfg: Configuration, classification: TCTDomainClass, velocities: np.ndarray, params: ModelParams
+    cfg: Configuration,
+    classification: TCTDomainClass,
+    velocities: np.ndarray,
+    params: ModelParams,
+    *,
+    tol: Tolerances = Tolerances(),
 ) -> tuple[float, float, float]:
     """analytic_flow_jacobian_det of a state already classified as free or
     single collision over its horizon (by tct_stack, classify_tct_domain or
     tct_flow), without classifying it again.  velocities are the state's at
-    tau, the post-collisional V' of the prefactor 1 + grad_X(t_c) . (V - V').
-    The one-state view of classified_flow_dets; raises the state's error."""
-    x, v = cfg.positions[None], cfg.velocities[None]
-    (result,) = classified_flow_dets(x, v, [classification], velocities[None], [params])
-    if isinstance(result, IHSEError):
-        raise result
-    return result
-
-
-def classified_flow_dets(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    classifications: Sequence[TCTDomainClass],
-    final_velocities: np.ndarray,
-    params: Sequence[ModelParams],
-) -> list:
-    """classified_flow_det of each state of a stack (R, N, d), with its
-    classification, its velocities at tau (R, N, d) and its model, as
-    (det, prefactor, det_N), or instead the error it raises: an excluded
-    state is its ExcludedConfigurationError.
-
-    The prefactors of the single-collision rows are one pass of array
-    operations.  The contact time is the classification's t_c, which
-    first_contacts solved with predict_pair's bits, and the contact-time
-    gradient grad_X(t_c) is -omega / (w . omega) on x_i and its negative on
-    x_j, omega the unit contact vector and w = v_i - v_j.  Each dot product
-    is np.vecdot over the operands of the one-state formula (a full-length
-    grad_X), so every row gets the bits that formula gives it alone."""
-    results: list = [
-        ExcludedConfigurationError(c.reason) if c.is_excluded else (1.0, 1.0, 1.0) for c in classifications
-    ]  # the single-collision rows are set below
-    rows = [row for row, c in enumerate(classifications) if c.is_single_collision]
-    if not rows:
-        return results
-    s, (n, d) = len(rows), positions.shape[1:]
-    k = np.array([pair_position(n, classifications[row].pair) for row in rows])
-    at, i, j = np.arange(s), *(index[k] for index in pair_indices(n))
-    x, v = positions[rows], velocities[rows]
-    r, w = x[at, i] - x[at, j], v[at, i] - v[at, j]
-    contact = r + np.array([classifications[row].t_c for row in rows])[:, None] * w
-    omega = contact / np.sqrt(np.vecdot(contact, contact))[:, None]
-    denom = np.vecdot(w, omega)
-    grad_x = np.zeros((s, n, d))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a tangent row (denom 0) is its error below
-        grad_x[at, i], grad_x[at, j] = -omega / denom[:, None], omega / denom[:, None]
-        prefactor = 1.0 + np.vecdot(grad_x.reshape(s, -1), (v - final_velocities[rows]).reshape(s, -1))
-    for row, p, s2, tangent in zip(rows, prefactor.tolist(), np.vecdot(w, w).tolist(), (denom == 0.0).tolist()):
-        if tangent:
-            pair = classifications[row].pair.as_list()
-            results[row] = GrazingCollisionError(f"pair {pair}: relative velocity tangent to contact sphere")
-        else:
-            det_n = scattering_velocity_det_analytic(s2, params[row], d)
-            results[row] = (p * det_n, p, det_n)
-    return results
+    tau, the post-collisional V' of the prefactor 1 + grad_X(t_c) . (V - V'),
+    with grad_X(t_c) from collision_time_gradients.  An excluded
+    classification raises its ExcludedConfigurationError."""
+    if classification.is_excluded:
+        raise ExcludedConfigurationError(classification.reason)
+    if classification.is_free:
+        return 1.0, 1.0, 1.0
+    grad_x, _ = collision_time_gradients(cfg, classification.pair, tol=tol)
+    prefactor = 1.0 + float(grad_x @ (cfg.velocities - velocities).ravel())
+    _, w = cfg.pair_state(classification.pair)
+    det_n = scattering_velocity_det_analytic(float(w @ w), params, cfg.dimension)
+    return prefactor * det_n, prefactor, det_n
 
 
 def contraction_factor(rel_speed_sq: float, params: ModelParams, d: int) -> float:

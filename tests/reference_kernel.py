@@ -318,7 +318,7 @@ def verify_flow_jacobian(
 
     fd_det = fd_determinant(flow, cfg.to_vector(), h)
     ((classification, velocities, omega),) = center
-    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params)
+    analytic, prefactor, _ = classified_flow_det(cfg, classification, velocities, params, tol=tol)
     det_n_fd = None
     if classification.is_single_collision:
         i, j = classification.pair.zero_based()

@@ -123,7 +123,7 @@ class TestFlowCommand:
 
     def test_collides_once(self, tmp_path, two_body_file, monkeypatch):
         # One stacked collide; scatter once more for the document's outcome
-        # record; no pair prediction: the prefactor takes the stack's t_c.
+        # record; one pair prediction, in collision_time_gradients.
         names = {scattering: ("dispatched_law", "scatter"), collision: ("predict_pair",)}
         calls = {name: count_calls(monkeypatch, module, name) for module, group in names.items() for name in group}
         status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
@@ -131,7 +131,7 @@ class TestFlowCommand:
         assert {name: len(made) for name, made in calls.items()} == {
             "dispatched_law": 1,
             "scatter": 1,
-            "predict_pair": 0,
+            "predict_pair": 1,
         }
 
 
@@ -339,16 +339,18 @@ class TestVerificationCommands:
             assert len(calls) == 2, samples
 
     def test_jacobian_checks_and_stencils_are_array_passes(self, tmp_path, monkeypatch):
-        # the draws' checks and the prefactors run over stacked cases: no
-        # one-state scan, pair prediction or contact-time gradient; and the
-        # stencils are built once, every case's at both steps in one call
-        # and every velocity map's in another
+        # the draws' checks run over stacked cases: no one-state scan, and
+        # each case's pair is solved once more only for its contact-time
+        # gradient (collision_time_gradients, one per single-collision
+        # case); the stencils are built once, every case's at both steps in
+        # one call and every velocity map's in another
         names = ("first_collision", "predict_pair", "collision_time_gradients")
         calls = {name: count_calls(monkeypatch, collision, name) for name in names}
         stencils = count_calls(monkeypatch, jacobian_lab, "_stencil_rows")
         status, _ = run_to_file(tmp_path, ["jacobian", "--samples", "6", "--n-particles", "3"])
         assert status == 0
-        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, 0)
+        made = {name: len(made) for name, made in calls.items()}
+        assert made == {"first_collision": 0, "predict_pair": 6, "collision_time_gradients": 6}
         assert len(stencils) == 2
 
     def test_scatter_check_lines(self, tmp_path):
