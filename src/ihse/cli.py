@@ -476,6 +476,13 @@ COMMANDS = {
 }
 
 
+def _output_error(command: str, path, exc: OSError) -> int:
+    """Report an output file that cannot be written (--output, --events-csv,
+    --csv) on one line that names it: a usage error."""
+    print(f"ihse {command}: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -484,11 +491,16 @@ def run(argv=None) -> int:
     except (UsageError, IHSEError) as exc:
         print(f"ihse {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PATHOLOGY
+    except OSError as exc:  # load_file reports unreadable inputs itself: a CSV output
+        return _output_error(args.command, exc.filename, exc)
     text = jsonio.dumps(document) + "\n"
-    if args.output is not None:
-        jsonio.write_atomic(args.output, text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+        return status
+    try:
+        jsonio.write_atomic(args.output, text)
+    except OSError as exc:
+        return _output_error(args.command, args.output, exc)
     return status
 
 

@@ -171,10 +171,7 @@ class Configuration:
     def to_json_dict(self) -> dict:
         return {
             "d": self.dimension,
-            "particles": [
-                {"x": list(self.positions[k]), "v": list(self.velocities[k])}
-                for k in range(self.n_particles)
-            ],
+            "particles": [{"x": x, "v": v} for x, v in zip(self.positions.tolist(), self.velocities.tolist())],
         }
 
     @staticmethod

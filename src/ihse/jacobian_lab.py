@@ -548,11 +548,11 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_
         velocities = 0.2 * gen.standard_normal((n_particles, d))
         # Aim particle 1 at particle 2 with a sub-diameter impact parameter.
         gap = positions[1] - positions[0]
-        dist = float(np.linalg.norm(gap))
+        dist = math.sqrt(float(gap @ gap))  # np.linalg.norm(gap), bit for bit
         direction = gap / dist
         tangent = unit_vector(gen, d)
         tangent -= float(tangent @ direction) * direction
-        t_norm = float(np.linalg.norm(tangent))
+        t_norm = math.sqrt(float(tangent @ tangent))
         if t_norm > 1e-9:
             tangent /= t_norm
         else:

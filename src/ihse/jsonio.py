@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,10 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # The string escaping of json.dumps (ASCII output, \uXXXX for the rest).
 _escape = json.encoder.encode_basestring_ascii
+
+
+# The %-format of each plain number type in a list of them.
+_SCALAR_FORMATS = {float: "%.17g", int: "%d"}
 
 
 def format_float(x: float) -> str:
@@ -35,50 +41,103 @@ def dumps(obj) -> str:
     Enum as its value, a PairIndex as [i, j], a Configuration as its
     to_json_dict() and a numpy array as its elements.  A record's block keys
     are its field names, so renaming a field changes the documents.
+
+    One pass appends the text to one list.  Values of the plain types are
+    dispatched on their exact type; any other value takes the isinstance
+    order (float, int, str, dict, list/tuple subclasses such as np.float64,
+    then the records), so a subclass is written as its base type is.
     """
-    return _encode(obj, "\n")
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    return "".join(parts)
 
 
-def _encode(obj, newline: str) -> str:
-    """obj as JSON; newline is a line break plus the current indentation."""
-    if isinstance(obj, float):
-        return format_float(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return _escape(obj)
+def _write(obj, newline: str, parts: list[str]) -> None:
+    """Append obj as JSON to parts; newline is a line break plus the current
+    indentation."""
+    kind = type(obj)
+    if kind is float:
+        parts.append(format_float(obj))
+    elif kind is dict:
+        _write_dict(obj, newline, parts)
+    elif kind is list or kind is tuple:
+        _write_array(obj, newline, parts)
+    elif kind is str:
+        parts.append(_escape(obj))
+    elif kind is int:
+        parts.append(str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    else:
+        _writer(kind)(obj, newline, parts)
+
+
+def _write_object(members: list[tuple[str, object]], newline: str, parts: list[str]) -> None:
+    """An object from its members, (escaped key, value) pairs."""
+    if not members:
+        parts.append("{}")
+        return
     inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{_escape(str(key))}: {_encode(value, inner)}" for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_encode(value, inner) for value in obj) + newline + "]"
-    return _encode(_plain(obj), newline)
+    head = "{" + inner
+    for key, value in members:
+        parts.append(f"{head}{key}: ")
+        _write(value, inner, parts)
+        head = "," + inner
+    parts.append(newline + "}")
 
 
-def _plain(record):
-    """The dict, list or scalar a record is written as."""
-    if isinstance(record, np.ndarray):
-        return record.tolist()
-    if isinstance(record, enum.Enum):
-        return record.value
-    if isinstance(record, PairIndex):
-        return record.as_list()
-    if isinstance(record, Configuration):
-        return record.to_json_dict()
-    if dataclasses.is_dataclass(record):
-        return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
-    raise UsageError(f"cannot serialize {type(record).__name__}")
+def _write_dict(obj: dict, newline: str, parts: list[str]) -> None:
+    _write_object([(_escape(str(key)), value) for key, value in obj.items()], newline, parts)
+
+
+def _write_array(items, newline: str, parts: list[str]) -> None:
+    if not items:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    formats = [_SCALAR_FORMATS.get(type(value)) for value in items]
+    # One %-format of a list of plain floats and ints: "%.17g" % x is
+    # format(x, ".17g"), and only a non-finite float's text holds an "n".
+    if None not in formats and "n" not in (text := ("," + inner).join(formats) % tuple(items)):
+        parts.append(f"[{inner}{text}{newline}]")
+        return
+    head = "[" + inner
+    for value in items:
+        parts.append(head)
+        _write(value, inner, parts)
+        head = "," + inner
+    parts.append(newline + "]")
+
+
+@functools.cache
+def _writer(kind: type) -> Callable:
+    """How a value of a type other than the plain ones is written: a
+    subclass of a plain type as that type, in the order of the isinstance
+    checks that once chose it (np.float64 as float, an IntEnum as int), a
+    record as the dict, list or scalar it stands for."""
+    for base, write in (
+        (float, lambda obj, newline, parts: parts.append(format_float(obj))),
+        (int, lambda obj, newline, parts: parts.append(str(obj))),
+        (str, lambda obj, newline, parts: parts.append(_escape(obj))),
+        (dict, _write_dict),
+        ((list, tuple), _write_array),
+        (np.ndarray, lambda obj, newline, parts: _write(obj.tolist(), newline, parts)),
+        (enum.Enum, lambda obj, newline, parts: _write(obj.value, newline, parts)),
+        (PairIndex, lambda obj, newline, parts: _write_array((obj.i, obj.j), newline, parts)),
+        (Configuration, lambda obj, newline, parts: _write(obj.to_json_dict(), newline, parts)),
+    ):
+        if issubclass(kind, base):
+            return write
+    if dataclasses.is_dataclass(kind):  # an object of its fields, in declaration order
+        keys = tuple((field.name, _escape(field.name)) for field in dataclasses.fields(kind))
+        return lambda obj, newline, parts: _write_object(
+            [(key, getattr(obj, name)) for name, key in keys], newline, parts
+        )
+    raise UsageError(f"cannot serialize {kind.__name__}")
 
 
 def load_file(path) -> dict:
@@ -87,16 +146,23 @@ def load_file(path) -> dict:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise UsageError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def write_atomic(path, text: str):
-    """Write via temp file + rename in the destination directory."""
+    """Write via temp file + rename in the destination directory.  On any
+    failure the temp file is removed and the error raised."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def csv_cell(value) -> str:

@@ -102,11 +102,17 @@ SCATTER_CHECKS = (
 CRITICAL_BAND = 3  # SCATTER_CHECKS index of the critical band check
 
 
+def _sqrt(x):
+    """Square root of a number (math.sqrt, far cheaper on one value) or of
+    an array (np.sqrt).  Both round correctly, so the bits agree."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def failed_checks(omega_sq, w2, approach, epsilon0, tol: Tolerances) -> tuple:
     """Whether each of scatter's checks (SCATTER_CHECKS) fails, from |omega|^2,
     w2 = |v_j - v_i|^2, approach = (v_j - v_i).omega and the quantum
     epsilon0, numbers or arrays."""
-    speed = np.sqrt(w2)
+    speed = _sqrt(w2)
     return (
         abs(omega_sq - 1.0) > 2 * UNIT_NORM_TOL,
         approach >= 0.0,
@@ -124,12 +130,12 @@ def _reflected_direction(w: np.ndarray, speed, omega: np.ndarray) -> np.ndarray:
     return u - 2.0 * np.vecdot(u, omega, keepdims=True) * omega
 
 
-def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0):
+def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0):
     """(v_i', v_j', sigma, kappa) of the emitting law on (..., d) arrays, for a
-    checked omega and w2 = |v_j - v_i|^2 above 4 eps0 (w2 and epsilon0 each a
-    number or (..., 1))."""
-    sigma = _reflected_direction(v_j - v_i, np.sqrt(w2), omega)
-    kappa = np.sqrt(w2 / 4.0 - epsilon0)
+    checked omega, w = v_j - v_i and w2 = |w|^2 above 4 eps0 (w2 and
+    epsilon0 each a number or (..., 1))."""
+    sigma = _reflected_direction(w, _sqrt(w2), omega)
+    kappa = _sqrt(w2 / 4.0 - epsilon0)
     mean, spread = 0.5 * (v_i + v_j), sigma * kappa
     return mean - spread, mean + spread, sigma, kappa
 
@@ -154,23 +160,34 @@ def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0
         omega = omega[emitting] if omega.ndim > 1 else omega
         epsilon0 = epsilon0[emitting, None] if np.ndim(epsilon0) else epsilon0
         vi_post[emitting], vj_post[emitting], _, _ = _emission(
-            v_i[emitting], v_j[emitting], omega, w2[emitting, None], epsilon0
+            v_i[emitting], v_j[emitting], omega, w[emitting], w2[emitting, None], epsilon0
         )
     return vi_post, vj_post, emitting
 
 
-def checked_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w2, epsilon0: float, tol: Tolerances):
+def checked_law(
+    v_i: np.ndarray,
+    v_j: np.ndarray,
+    omega: np.ndarray,
+    w2,
+    epsilon0: float,
+    tol: Tolerances,
+    w: Optional[np.ndarray] = None,
+):
     """scatter's checks in their order, then the dispatched law, on one pair
-    of (d,) arrays with w2 = |v_j - v_i|^2 (the same bits as |v_i - v_j|^2):
+    of (d,) arrays with w2 = |v_j - v_i|^2 (the same bits as |v_i - v_j|^2)
+    and w = v_j - v_i (computed here when not given):
     (v_i', v_j', sigma, kappa), sigma and kappa None for an elastic exchange.
     Raises the error of the first failed check (SCATTER_CHECKS)."""
-    approach = float((v_j - v_i) @ omega)
+    if w is None:
+        w = v_j - v_i
+    approach = float(w @ omega)
     failed = failed_checks(float(omega @ omega), w2, approach, epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
         raise error(message)
     if w2 > 4.0 * epsilon0:
-        return _emission(v_i, v_j, omega, w2, epsilon0)
+        return _emission(v_i, v_j, omega, w, w2, epsilon0)
     return *_elastic_transfer(v_i, v_j, omega, approach), None, None
 
 
@@ -204,13 +221,14 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    w2 = float((v_j - v_i) @ (v_j - v_i))
+    w = v_j - v_i
+    w2 = float(w @ w)
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
     check_unit(omega)
     if math.sqrt(w2) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
-    vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w2, epsilon0)
+    vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w, w2, epsilon0)
     return vi_post, vj_post, sigma, float(kappa)
 
 
@@ -233,7 +251,7 @@ def scatter(
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
-    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, np.vecdot(w, w), params.epsilon0, tol)
+    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, np.vecdot(w, w), params.epsilon0, tol, w)
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     ke_post = 0.5 * (float(vi_post @ vi_post) + float(vj_post @ vj_post))
     kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC

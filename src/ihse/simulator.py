@@ -208,13 +208,15 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             break
         x, now = x + time * v, now + time
         i, j = int(first[k]), int(second[k])
-        w = v[i] - v[j]
+        v_i, v_j = v[i], v[j]
+        w = v_j - v_i
         rel_speed_sq = float(w @ w)
         if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
         r = x[i] - x[j]
-        v[i], v[j], sigma, _ = checked_law(v[i], v[j], -r / math.sqrt(float(r @ r)), rel_speed_sq, params.epsilon0, tol)
+        omega = -r / math.sqrt(float(r @ r))
+        v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, rel_speed_sq, params.epsilon0, tol, w)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
         kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
         events.append(SimEvent(now, PairIndex(i + 1, j + 1), kind, ke_before, ke, rel_speed_sq))

@@ -622,6 +622,39 @@ class TestFlagResolution:
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert leftovers == []
 
+    @pytest.mark.parametrize("target", ["dir", "missing/out.json", "."])
+    def test_unwritable_output_is_usage_error(self, tmp_path, two_body_file, monkeypatch, capsys, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        argv = ["simulate", "--config", str(two_body_file), "--T", "5", "--eps0", "0.1", "--output", target]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ihse simulate: cannot write {target}: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before and os.listdir(tmp_path / "dir") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "two_body.json", "--T", "5", "--eps0", "0.1", "--events-csv"],
+            ["volume", "--config", "two_body.json", "--radius", "1e-3", "--tau", "3", "--eps0", "0.1875", "--csv"],
+            ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01",
+             "--samples", "100", "--csv"],
+        ],
+    )
+    def test_unwritable_csv_is_usage_error(self, tmp_path, two_body_file, monkeypatch, capsys, argv):
+        monkeypatch.chdir(two_body_file.parent)
+        (tmp_path / "dir").mkdir()
+        status, out = run_to_file(tmp_path, argv + ["dir"])
+        assert status == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"ihse {argv[0]}: cannot write dir: ") and err.count("\n") == 1
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        status, out = run_to_file(tmp_path, ["flow", "--config", str(tmp_path), "--tau", "3", "--eps0", "0.1"])
+        assert status == 2 and not out.exists()
+        assert capsys.readouterr().err == f"ihse flow: cannot read {tmp_path}: Is a directory\n"
+
     @pytest.mark.parametrize(
         "command,values,key",
         [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihse import (
     BelowThresholdError,
@@ -19,7 +21,16 @@ from ihse import (
 )
 from ihse.jacobian_lab import draw_scattering_sample
 from ihse.rng import sample_generator
-from ihse.scattering import cartesian_to_spherical, emission_map_cartesian_3d, spherical_to_cartesian
+from ihse.core import Tolerances
+from ihse.scattering import (
+    SCATTER_CHECKS,
+    cartesian_to_spherical,
+    checked_law,
+    dispatched_law,
+    emission_map_cartesian_3d,
+    failed_checks,
+    spherical_to_cartesian,
+)
 
 from conftest import assert_close
 
@@ -214,3 +225,60 @@ class TestRawLawGuards:
     def test_inelastic_below_threshold(self):
         with pytest.raises(BelowThresholdError):
             inelastic_emission([0.1, 0], [0, 0], [1, 0], 1.0)
+
+
+# Kinds of collide input: the two branches of the law, and pairs that fail
+# a check (receding, tangent, inside the critical band, at zero relative
+# velocity, with a non-unit omega).
+COLLIDE_CASES = ("emitting", "elastic", "receding", "tangent", "critical", "still", "long_omega")
+
+
+@st.composite
+def collide_inputs(draw):
+    """(v_i, v_j, omega, epsilon0, tol) of one pair in d = 2 or 3."""
+    d, case = draw(st.sampled_from((2, 3))), draw(st.sampled_from(COLLIDE_CASES))
+    vector = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d).map(np.array)
+    omega, v_i, w = draw(vector), draw(vector), draw(vector)
+    if float(omega @ omega) < 1e-4 or float(w @ w) < 1e-4:
+        omega, w = np.eye(d)[0], -np.eye(d)[0]  # head on
+    omega = omega / math.sqrt(float(omega @ omega))
+    if (float(w @ omega) < 0.0) == (case == "receding"):
+        w = -w
+    if case == "tangent":
+        w = w - float(w @ omega) * omega
+    if case == "still":
+        w = w * 1e-16
+    if case == "long_omega":
+        omega = omega * 1.001
+    w2 = float(w @ w)
+    fraction = {"emitting": draw(st.floats(0.05, 0.95)), "elastic": draw(st.floats(1.05, 20.0)), "critical": 1.0}
+    epsilon0 = w2 / 4.0 * fraction.get(case, draw(st.floats(0.05, 20.0)))
+    tol = Tolerances(crit_tol=1e-40) if case == "still" else Tolerances()
+    return v_i, v_i + w, omega, epsilon0 if epsilon0 > 0.0 else 1e-300, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(collide_inputs())
+def test_checked_law_is_the_stacked_law_with_or_without_w(case):
+    """checked_law gives the same bits given w = v_j - v_i or not; a valid
+    pair gets the bits of dispatched_law, the stacked law, and an invalid
+    one the error of the first check failed_checks names."""
+    v_i, v_j, omega, epsilon0, tol = case
+    w = v_j - v_i
+    w2 = float(w @ w)
+    failed = failed_checks(float(omega @ omega), w2, float(w @ omega), epsilon0, tol)
+    if any(failed):
+        error, message = SCATTER_CHECKS[failed.index(True)]
+        for given_w in (None, w):
+            with pytest.raises(error, match=message):
+                checked_law(v_i, v_j, omega, w2, epsilon0, tol, given_w)
+        return
+    alone = checked_law(v_i, v_j, omega, w2, epsilon0, tol)
+    assert _bits(checked_law(v_i, v_j, omega, w2, epsilon0, tol, w)) == _bits(alone)
+    vi_post, vj_post, emitting = dispatched_law(v_i[None], v_j[None], omega[None], epsilon0)
+    assert _bits(alone[:2]) == _bits((vi_post[0], vj_post[0]))
+    assert bool(emitting[0]) == (alone[2] is not None) == (w2 > 4.0 * epsilon0)
+
+
+def _bits(values) -> list:
+    return [None if value is None else np.asarray(value, dtype=float).tobytes() for value in values]
