@@ -127,7 +127,7 @@ def _writer(kind: type) -> Callable:
         ((list, tuple), _write_array),
         (np.ndarray, lambda obj, newline, parts: _write(obj.tolist(), newline, parts)),
         (enum.Enum, lambda obj, newline, parts: _write(obj.value, newline, parts)),
-        (PairIndex, lambda obj, newline, parts: _write_array((obj.i, obj.j), newline, parts)),
+        (PairIndex, lambda obj, newline, parts: _write_array(obj.as_list(), newline, parts)),
         (Configuration, lambda obj, newline, parts: _write(obj.to_json_dict(), newline, parts)),
     ):
         if issubclass(kind, base):

@@ -166,21 +166,13 @@ def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0
 
 
 def checked_law(
-    v_i: np.ndarray,
-    v_j: np.ndarray,
-    omega: np.ndarray,
-    w2,
-    epsilon0: float,
-    tol: Tolerances,
-    w: Optional[np.ndarray] = None,
+    v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0: float, tol: Tolerances
 ):
     """scatter's checks in their order, then the dispatched law, on one pair
-    of (d,) arrays with w2 = |v_j - v_i|^2 (the same bits as |v_i - v_j|^2)
-    and w = v_j - v_i (computed here when not given):
-    (v_i', v_j', sigma, kappa), sigma and kappa None for an elastic exchange.
-    Raises the error of the first failed check (SCATTER_CHECKS)."""
-    if w is None:
-        w = v_j - v_i
+    of (d,) arrays with w = v_j - v_i and w2 = |w|^2 (the same bits as
+    |v_i - v_j|^2): (v_i', v_j', sigma, kappa), sigma and kappa None for an
+    elastic exchange.  Raises the error of the first failed check
+    (SCATTER_CHECKS)."""
     approach = float(w @ omega)
     failed = failed_checks(float(omega @ omega), w2, approach, epsilon0, tol)
     if any(failed):
@@ -251,7 +243,7 @@ def scatter(
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
-    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, np.vecdot(w, w), params.epsilon0, tol, w)
+    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, w, np.vecdot(w, w), params.epsilon0, tol)
     ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
     ke_post = 0.5 * (float(vi_post @ vi_post) + float(vj_post @ vj_post))
     kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC

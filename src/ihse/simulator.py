@@ -216,7 +216,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
             break
         r = x[i] - x[j]
         omega = -r / math.sqrt(float(r @ r))
-        v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, rel_speed_sq, params.epsilon0, tol, w)
+        v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
         kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
         events.append(SimEvent(now, PairIndex(i + 1, j + 1), kind, ke_before, ke, rel_speed_sq))

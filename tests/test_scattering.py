@@ -259,25 +259,23 @@ def collide_inputs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(collide_inputs())
-def test_checked_law_is_the_stacked_law_with_or_without_w(case):
-    """checked_law gives the same bits given w = v_j - v_i or not; a valid
-    pair gets the bits of dispatched_law, the stacked law, and an invalid
-    one the error of the first check failed_checks names."""
+def test_checked_law_is_the_stacked_law(case):
+    """A valid pair gets from checked_law the bits of dispatched_law, the
+    stacked law, and an invalid one the error of the first check
+    failed_checks names."""
     v_i, v_j, omega, epsilon0, tol = case
     w = v_j - v_i
     w2 = float(w @ w)
     failed = failed_checks(float(omega @ omega), w2, float(w @ omega), epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
-        for given_w in (None, w):
-            with pytest.raises(error, match=message):
-                checked_law(v_i, v_j, omega, w2, epsilon0, tol, given_w)
+        with pytest.raises(error, match=message):
+            checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
         return
-    alone = checked_law(v_i, v_j, omega, w2, epsilon0, tol)
-    assert _bits(checked_law(v_i, v_j, omega, w2, epsilon0, tol, w)) == _bits(alone)
+    checked = checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
     vi_post, vj_post, emitting = dispatched_law(v_i[None], v_j[None], omega[None], epsilon0)
-    assert _bits(alone[:2]) == _bits((vi_post[0], vj_post[0]))
-    assert bool(emitting[0]) == (alone[2] is not None) == (w2 > 4.0 * epsilon0)
+    assert _bits(checked[:2]) == _bits((vi_post[0], vj_post[0]))
+    assert bool(emitting[0]) == (checked[2] is not None) == (w2 > 4.0 * epsilon0)
 
 
 def _bits(values) -> list:
