@@ -166,8 +166,6 @@ def write_atomic(path, text: str):
 
 
 def csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format_float(value)
     return str(value)

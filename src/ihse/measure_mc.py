@@ -17,7 +17,6 @@ from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError,
 from .core import pair_indices
 from .jacobian_lab import _stack_map, fd_determinant
 from .rng import block_generator, blocks, sample_generator, uniform_ball
-from .scattering import CollisionKind
 from .simulator import random_configuration, simulate_stack
 from .tct import contraction_factor
 
@@ -205,23 +204,22 @@ def ensemble_volume_evolution(
         raise UsageError("radius and tau must be positive")
     check_reach(center, tau, "tau", f"--radius {radius!r}", radius / 10.0)
     n, d = center.n_particles, center.dimension
-    reports = []
+    records = []
 
     def flow(z):
         stack, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, tau, params, tol=tol), z, n, d)
-        report = stack.report(0)
-        if report is None:
+        if stack.errors[0] is not None:
             raise stack.errors[0]
-        if report.halted is not None:
-            raise IHSEError(f"center trajectory halted on pathology: {report.halted.reason}")
-        reports.append(report)
+        if stack.halted[0] is not None:
+            raise IHSEError(f"center trajectory halted on pathology: {stack.halted[0].reason}")
+        records.extend(stack.events[0])
         return values, labels
 
     det = fd_determinant(flow, center.to_vector(), radius / 10.0)
     predicted = 1.0
-    for event in reports[0].events:
-        if event.kind is CollisionKind.INELASTIC:
-            predicted *= contraction_factor(event.rel_speed_sq, params, d)
+    for _, _, emits, _, _, rel_speed_sq in records:
+        if emits:
+            predicted *= contraction_factor(rel_speed_sq, params, d)
     return predicted, abs(det)
 
 

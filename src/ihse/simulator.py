@@ -5,7 +5,6 @@ collision-count bound checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +18,6 @@ from .core import (
     PairIndex,
     Tolerances,
     UsageError,
-    all_pairs,
     check_dimension,
     check_reach,
     domain_masks,
@@ -70,20 +68,17 @@ class SimReport:
     def event_signature(self) -> tuple:
         """Hashable (pair, kind) sequence; used as a branch label when
         differentiating the multi-collision flow map."""
-        sig = tuple((e.pair.i, e.pair.j, e.kind.value) for e in self.events)
-        if self.halted is not None:
-            sig = sig + (("halted", self.halted.reason),)
-        return sig
+        return _signature(((e.pair.i, e.pair.j, e.kind) for e in self.events), self.halted)
 
 
 @dataclass(frozen=True)
 class SimStack:
     """Row by row, what simulate gives each state of a stack alone: its
     error (None when the run does not raise), its final state (NaN when the
-    run raises), and the record its report is built from when read (report,
-    reports): per event (time, pair position in pair_indices, emitting,
-    ke_before, ke_after, rel_speed_sq), the halt and the minimum squared
-    separation."""
+    run raises), and the record its report is built from when read
+    (report): simulate's record, per event (time, pair position in
+    pair_indices, emitting, ke_before, ke_after, rel_speed_sq), the halt
+    and the minimum squared separation."""
 
     errors: list[Optional[IHSEError]]
     positions: np.ndarray  # (S, N, d)
@@ -96,34 +91,44 @@ class SimStack:
         """The row's report, None when its run raises."""
         if self.errors[row] is not None:
             return None
-        pairs = all_pairs(self.positions.shape[1])
-        events = [SimEvent(t, pairs[k], _kind(emits), *ledger) for t, k, emits, *ledger in self.events[row]]
-        final = Configuration(self.positions[row], self.velocities[row])
-        return _report(events, final, math.sqrt(self.min_sq[row]), self.halted[row])
-
-    @functools.cached_property
-    def reports(self) -> list[Optional[SimReport]]:
-        """Every row's report."""
-        return [self.report(row) for row in range(len(self.errors))]
+        return _report(self.events[row], self.positions[row], self.velocities[row], self.min_sq[row], self.halted[row])
 
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
         raises alone, built without building the row's report."""
-        pairs = all_pairs(self.positions.shape[1])
-        labels = []
-        for error, events, halted in zip(self.errors, self.events, self.halted):
-            if error is not None:
-                labels.append(error)
-                continue
-            signature = tuple((pairs[k].i, pairs[k].j, _kind(emits).value) for _, k, emits, *_ in events)
-            if halted is not None:
-                signature = signature + (("halted", halted.reason),)
-            labels.append(signature)
-        return labels
+        n = self.positions.shape[1]
+        return [
+            _signature(_steps(events, n), halted) if error is None else error
+            for error, events, halted in zip(self.errors, self.events, self.halted)
+        ]
 
 
-def _kind(emits: bool) -> CollisionKind:
-    return CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
+_KINDS = (CollisionKind.ELASTIC, CollisionKind.INELASTIC)  # by emitting
+
+
+def _steps(records: list[tuple], n: int) -> list[tuple[int, int, CollisionKind]]:
+    """(i, j, kind) per event of a run's record, the pair 1-based from its
+    position in pair_indices(n)."""
+    first, second = pair_indices(n)
+    return [(int(first[k]) + 1, int(second[k]) + 1, _KINDS[emits]) for _, k, emits, *_ in records]
+
+
+def _signature(steps, halted: Optional[Pathology]) -> tuple:
+    """A run's branch label from its (i, j, kind) per event: (i, j, kind
+    value) per event, then ("halted", reason) when the run halts."""
+    signature = tuple((i, j, kind.value) for i, j, kind in steps)
+    return signature if halted is None else signature + (("halted", halted.reason),)
+
+
+def _report(records: list, x: np.ndarray, v: np.ndarray, min_sq: float, halted: Optional[Pathology]) -> SimReport:
+    """The report of a run's record (SimStack's), its final state and its
+    minimum squared separation: the one place a SimEvent is built."""
+    steps = _steps(records, x.shape[0])
+    events = tuple(
+        SimEvent(t, PairIndex(i, j), kind, *ledger) for (i, j, kind), (t, _, _, *ledger) in zip(steps, records)
+    )
+    n_inelastic = sum(emits for _, _, emits, *_ in records)
+    return SimReport(events, Configuration(x, v), len(events) - n_inelastic, n_inelastic, math.sqrt(min_sq), halted)
 
 
 @dataclass(frozen=True)
@@ -177,16 +182,18 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     Configuration.  A graze at or before the next contact, or with no
     contact left, halts the run; so do near-simultaneous distinct-pair
     contacts, relative speeds inside the critical band and event count
-    overflow, each with an in-band pathology record.  Each ke_before is the
-    previous event's ke_after.  min_separation covers every time in [0, T]
-    the run reaches: the start is probed once (squared_separations), then
-    each segment advanced takes its exact minimum squared gap from its own
-    scan (first_contacts' closest).
+    overflow, each with an in-band pathology record.  The run's record is a
+    SimStack row's, one tuple per event, and its report is built from it
+    (_report).  Each ke_before is the previous event's ke_after.
+    min_separation covers every time in [0, T] the run reaches: the start
+    is probed once (squared_separations), then each segment advanced takes
+    its exact minimum squared gap from its own scan (first_contacts'
+    closest).
     """
     check_reach(cfg, T, "T", "a coordinate")
     if not validate_configuration(cfg, tol.contact_tol).is_interior:
         raise UsageError("initial configuration must be interior (all gaps > 1)")
-    events: list[SimEvent] = []
+    records: list[tuple] = []
     x, v = cfg.positions, cfg.velocities.copy()
     first, second = pair_indices(cfg.n_particles)
     recent = np.zeros(first.size, dtype=bool)  # the pair scattered last
@@ -218,19 +225,13 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
         omega = -r / math.sqrt(float(r @ r))
         v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
-        kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
-        events.append(SimEvent(now, PairIndex(i + 1, j + 1), kind, ke_before, ke, rel_speed_sq))
+        records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
         recent[:], recent[k] = False, True
-        if len(events) >= tol.max_events:
+        if len(records) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
 
-    return _report(events, Configuration(x, v), math.sqrt(min_sq), halted)
-
-
-def _report(events: list[SimEvent], final: Configuration, min_sep: float, halted: Optional[Pathology]) -> SimReport:
-    n_inelastic = sum(1 for e in events if e.kind is CollisionKind.INELASTIC)
-    return SimReport(tuple(events), final, len(events) - n_inelastic, n_inelastic, min_sep, halted)
+    return _report(records, x, v, min_sq, halted)
 
 
 def simulate_stack(

@@ -524,7 +524,7 @@ class TestMeasureAndVolume:
 
     def test_volume_runs_one_stack(self, tmp_path, monkeypatch):
         # the centre is row 0 of the stencil's one simulate_stack call, and
-        # its report is the one built
+        # the prediction reads its records: no report is built
         calls = {name: count_calls(monkeypatch, simulator, name) for name in ("simulate", "simulate_stack", "_report")}
         chain = tmp_path / "chain.json"
         chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
@@ -532,7 +532,7 @@ class TestMeasureAndVolume:
             tmp_path, ["volume", "--config", str(chain), "--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5"]
         )
         assert status == 0
-        assert {name: len(made) for name, made in calls.items()} == {"simulate": 0, "simulate_stack": 1, "_report": 1}
+        assert {name: len(made) for name, made in calls.items()} == {"simulate": 0, "simulate_stack": 1, "_report": 0}
 
     def test_volume_rejects_overflowing_radius(self, tmp_path, capsys):
         # a stencil step of 1e299 squares to inf: a usage error before any
@@ -822,6 +822,26 @@ class TestToleranceFlags:
         assert flow_doc["classification"] == classify_doc["classification"]
         assert classify_doc["classification"]["variant"] == "single_collision"
         assert flow_doc["jacobian"]["det"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("simulate", "--grazing-tol", "0", "grazing_tol must be positive"),
+            ("simulate", "--simultaneity-tol", "-1", "simultaneity_tol must be positive"),
+            ("simulate", "--crit-tol", "nan", "crit_tol must be positive"),
+            ("simulate", "--contact-tol", "-1", "contact_tol must be >= 0"),
+            ("simulate", "--max-events", "0", "max_events must be positive"),
+            ("jacobian", "--h", "0", "fd_step must be positive"),
+        ],
+    )
+    def test_out_of_range_tolerance_is_usage_error(
+        self, tmp_path, capsys, two_body_file, command, flag, value, message
+    ):
+        args = ["--config", str(two_body_file), "--T", "3", "--eps0", "0.1875"] if command == "simulate" else []
+        status, out = run_to_file(tmp_path, [command, *args, flag, value])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {command}: {message}\n"
 
     @pytest.mark.parametrize(
         "command,flag",

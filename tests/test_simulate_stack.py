@@ -51,7 +51,7 @@ def _fingerprint(report):
 def _assert_rows_match(positions, velocities, T, params, tol) -> Counter:
     """Compare every row with simulate alone; count how each row ended."""
     stack = simulate_stack(positions, velocities, T, params, tol=tol)
-    assert len(stack.reports) == len(stack.errors) == len(positions)
+    assert len(stack.errors) == len(positions)
     endings = Counter()
     for row, (x, v) in enumerate(zip(positions, velocities)):
         try:
@@ -59,12 +59,12 @@ def _assert_rows_match(positions, velocities, T, params, tol) -> Counter:
         except IHSEError as exc:
             error = stack.errors[row]
             assert (type(error), str(error)) == (type(exc), str(exc)), row
-            assert stack.reports[row] is None
+            assert stack.report(row) is None
             assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
             endings[type(exc).__name__] += 1
             continue
         assert stack.errors[row] is None, (row, stack.errors[row])
-        assert _fingerprint(stack.reports[row]) == _fingerprint(report), row
+        assert _fingerprint(stack.report(row)) == _fingerprint(report), row
         assert stack.positions[row].tobytes() == report.final.positions.tobytes()
         assert stack.velocities[row].tobytes() == report.final.velocities.tobytes()
         endings[report.halted.reason if report.halted is not None else f"{len(report.events)} events"] += 1
@@ -160,21 +160,30 @@ def test_random_stacks_match_one_state_at_a_time():
     assert len({key for key in endings if key.endswith(" events")}) >= 4, endings
 
 
-def test_one_row_per_ending():
-    eps0, tol = 1.0, Tolerances(grazing_tol=0.1, max_events=2)
-    x, v = _pathology_rows(eps0)
+# One row per ending over [0, 3.5] at eps0 = 1: the pathology rows, the
+# C11 chain cut short after one event, a lone collision and the near miss.
+ENDING_PARAMS, ENDING_TOL = ModelParams(1.0), Tolerances(grazing_tol=0.1, max_events=2)
+
+
+def _ending_rows():
+    x, v = _pathology_rows(ENDING_PARAMS.epsilon0)
     x += [CHAIN_X + [[-40, 60]], [[0, 0], [3, 0], [-40, 60], [40, 60]], NEAR_MISS_ROW[0]]
     v += [CHAIN_V + [[0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]], NEAR_MISS_ROW[1]]
-    positions, velocities = np.array(x, dtype=float), np.array(v, dtype=float)
-    stack = simulate_stack(positions, velocities, 3.5, ModelParams(eps0), tol=tol)
-    halts = [None if r is None or r.halted is None else r.halted.reason for r in stack.reports]
+    return np.array(x, dtype=float), np.array(v, dtype=float)
+
+
+def test_one_row_per_ending():
+    positions, velocities = _ending_rows()
+    stack = simulate_stack(positions, velocities, 3.5, ENDING_PARAMS, tol=ENDING_TOL)
+    reports = [stack.report(row) for row in range(len(stack.errors))]
+    halts = [None if r is None or r.halted is None else r.halted.reason for r in reports]
     assert halts[:3] == [PATHOLOGY_GRAZING, PATHOLOGY_SIMULTANEOUS, PATHOLOGY_CRITICAL_ENERGY]
     assert halts[3:] == [None] * 3 + [PATHOLOGY_MAX_EVENTS] + [None] * 2
     errors = [type(e) for e in stack.errors]
     assert errors == [type(None)] * 3 + [UsageError, UsageError, GrazingContactError] + [type(None)] * 3
-    assert len(stack.reports[-2].events) == 1
-    assert stack.reports[-1].events == () and stack.reports[-1].min_separation == pytest.approx(1.25, abs=1e-12)
-    _assert_rows_match(positions, velocities, 3.5, ModelParams(eps0), tol)
+    assert len(stack.report(-2).events) == 1
+    assert stack.report(-1).events == () and stack.report(-1).min_separation == pytest.approx(1.25, abs=1e-12)
+    _assert_rows_match(positions, velocities, 3.5, ENDING_PARAMS, ENDING_TOL)
 
 
 def test_one_scan_per_event_with_a_graze_past_the_contact():
@@ -200,7 +209,7 @@ def test_one_scan_per_event_with_a_graze_past_the_contact():
     assert report.halted.reason == PATHOLOGY_GRAZING and report.halted.time == pytest.approx(3.86, abs=0.01)
     assert len(scans) <= len(report.events) + 1
     stack = simulate_stack(np.array([x]), np.array([v]), 6.0, params, tol=tol)
-    assert _fingerprint(stack.reports[0]) == _fingerprint(report)
+    assert _fingerprint(stack.report(0)) == _fingerprint(report)
 
 
 def test_near_miss_between_sampled_times_is_seen():
@@ -210,10 +219,10 @@ def test_near_miss_between_sampled_times_is_seen():
     report = simulate(Configuration(*NEAR_MISS), 10.0, params)
     assert report.events == () and report.min_separation == pytest.approx(1.25, abs=1e-12)
     one = simulate_stack(np.array([NEAR_MISS[0]], dtype=float), np.array([NEAR_MISS[1]], dtype=float), 10.0, params)
-    assert _fingerprint(one.reports[0]) == _fingerprint(report)
+    assert _fingerprint(one.report(0)) == _fingerprint(report)
     positions, velocities = _stack(4, 2, 5, 1e-4, 4, 0.5)
     stack = simulate_stack(positions, velocities, 10.0, params)
-    assert stack.reports[-1].min_separation == pytest.approx(1.25, abs=1e-12)
+    assert stack.report(-1).min_separation == pytest.approx(1.25, abs=1e-12)
     _assert_rows_match(positions, velocities, 10.0, params, Tolerances())
 
 
@@ -253,16 +262,17 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     # most two states (its final one among them).  The overlap certificate
     # takes no min_separation and makes one squared_separations call, for
     # the start (each segment's minimum comes from its scan); the ledger
-    # reads the kinetic energy once.
+    # reads the kinetic energy once.  The loop appends record tuples, so
+    # the run's pair records are its report's.
     x, v = _dense_cluster(12)
     params = ModelParams(0.5)
     calls = Counter()
 
-    def count(owner, name):
+    def count(owner, name, key=None):
         original = getattr(owner, name)
 
         def counting(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
@@ -271,6 +281,7 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
         count(owner, name)
     for name in ("__init__", "min_separation"):
         count(Configuration, name)
+    count(PairIndex, "__init__", "PairIndex")
     cfg = Configuration(x, v)
     calls.clear()
     probes = count_calls(monkeypatch, simulator, "squared_separations")
@@ -285,6 +296,18 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     assert calls["kinetic_energy"] == 1
     assert len(probes) == 1
     assert {name: len(made) for name, made in legacy.items()} == {"first_collision": 0, "scatter": 0}
+    # One pair record per event of a report, from the simulate run or a
+    # stack row, and none for the stack's labels.
+    assert calls["PairIndex"] == events
+    stack = simulate_stack(x[None], v[None], 5.0, params)
+    count(PairIndex, "__init__", "PairIndex")
+    calls.clear()
+    labels = stack.labels()
+    labelled = calls["PairIndex"]
+    assert stack.report(0).events == report.events
+    monkeypatch.undo()
+    assert labels == [report.event_signature]
+    assert (labelled, calls["PairIndex"]) == (0, events)
 
 
 @pytest.mark.parametrize("eps0", (0.5, math.inf))
@@ -297,20 +320,38 @@ def test_dense_cluster_row_is_simulate(seed, eps0):
     report = simulate(Configuration(x, v), 5.0, params)
     assert len(report.events) >= 20
     stack = simulate_stack(x[None], v[None], 5.0, params)
-    assert _fingerprint(stack.reports[0]) == _fingerprint(report)
+    assert _fingerprint(stack.report(0)) == _fingerprint(report)
 
 
 def test_flow_map_rows_are_simulate_runs():
     # The volume FD map: one stacked call gives each row simulate's final
-    # vector and event signature.
+    # vector and event signature, or the error simulate raises.  The C11
+    # stencil's rows run to the horizon; the ending rows give every halt its
+    # ("halted", reason) label.
     centre = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
-    points = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
-    params = ModelParams(0.5)
-    _, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, 1.5, params, tol=Tolerances()), points, 3, 2)
-    for z, value, label in zip(points, values, labels):
-        report = simulate(Configuration.from_vector(z, 3, 2), 1.5, params)
-        assert value.tobytes() == report.final.to_vector().tobytes()
-        assert label == report.event_signature
+    stencil = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
+    positions, velocities = _ending_rows()
+    endings = np.concatenate([positions.reshape(len(positions), -1), velocities.reshape(len(velocities), -1)], axis=1)
+    runs = [
+        (stencil, 3, 1.5, ModelParams(0.5), Tolerances(), set()),
+        (endings, 4, 3.5, ENDING_PARAMS, ENDING_TOL, HALTS),
+    ]
+    for points, n, T, params, tol, expected_halts in runs:
+        _, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, T, params, tol=tol), points, n, 2)
+        halts = set()
+        for z, value, label in zip(points, values, labels):
+            try:
+                report = simulate(Configuration.from_vector(z, n, 2), T, params, tol=tol)
+            except IHSEError as exc:
+                assert (type(label), str(label)) == (type(exc), str(exc))
+                assert np.isnan(value).all()
+                continue
+            assert value.tobytes() == report.final.to_vector().tobytes()
+            assert label == report.event_signature
+            if report.halted is not None:
+                assert label[-1] == ("halted", report.halted.reason)
+                halts.add(report.halted.reason)
+        assert halts == expected_halts
 
 
 def test_row_out_of_reach_gets_the_error_of_simulate():
@@ -326,8 +367,8 @@ def test_row_out_of_reach_gets_the_error_of_simulate():
         warnings.simplefilter("error")
         stack = simulate_stack(positions, velocities, 1.0, params)
     for row in (0, 1):
-        assert stack.reports[row] is None
+        assert stack.report(row) is None
         assert (type(stack.errors[row]), str(stack.errors[row])) == (UsageError, str(raised.value))
         assert np.isnan(stack.positions[row]).all() and np.isnan(stack.velocities[row]).all()
-    assert stack.errors[2] is None and len(stack.reports[2].events) == 1
+    assert stack.errors[2] is None and len(stack.report(2).events) == 1
     _assert_rows_match(positions, velocities, 1.0, params, Tolerances())
