@@ -161,7 +161,8 @@ def test_random_stacks_match_one_state_at_a_time():
 
 
 # One row per ending over [0, 3.5] at eps0 = 1: the pathology rows, the
-# C11 chain cut short after one event, a lone collision and the near miss.
+# C11 chain (halted by max_events at its second event), a lone collision
+# and the near miss.
 ENDING_PARAMS, ENDING_TOL = ModelParams(1.0), Tolerances(grazing_tol=0.1, max_events=2)
 
 
@@ -262,8 +263,8 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     # most two states (its final one among them).  The overlap certificate
     # takes no min_separation and makes one squared_separations call, for
     # the start (each segment's minimum comes from its scan); the ledger
-    # reads the kinetic energy once.  The loop appends record tuples, so
-    # the run's pair records are its report's.
+    # reads the kinetic energy once.  The loop builds no PairIndex: the
+    # report builds one per event.
     x, v = _dense_cluster(12)
     params = ModelParams(0.5)
     calls = Counter()
