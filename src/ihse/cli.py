@@ -357,7 +357,7 @@ def cmd_measure(flags: dict) -> tuple[dict, int]:
         band=flags["band"],
     )
     threads = _thread_cap()
-    estimate = estimate_pathological_measure(spec, flags["samples"], flags["seed"], threads=threads)
+    estimate = estimate_pathological_measure(spec, _samples(flags), flags["seed"], threads=threads)
     if flags["csv"] is not None:
         jsonio.csv_append(
             flags["csv"],

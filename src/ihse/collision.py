@@ -121,15 +121,15 @@ def first_contacts(
     horizon: float | np.ndarray,
     *,
     tol: Tolerances = Tolerances(),
-    recent: Optional[np.ndarray] = None,
+    recent: int | np.ndarray = -1,
 ) -> tuple[np.ndarray, ...]:
     """first_collision's scan of a stack (..., N, d) of states, contacts not
     cut at the horizon (a float, or one per state): per state the earliest
     contact time (inf if none), its pair's index in pair_indices order,
     whether it is unique, the earliest graze (inf if none), and closest,
     the minimum of every pair's squared gap |r + t w|^2 - 1 over
-    [0, min(contact, horizon)].  recent masks (..., P) the pair scattered
-    last.
+    [0, min(contact, horizon)].  recent is the position in pair_indices of
+    the pair scattered last, an int or one per state (...), -1 for none.
 
     closest comes from each pair's coefficients at its closest approach
     clipped to that span, t* = clip(-b/a, 0, span), never from the roots: it
@@ -139,8 +139,8 @@ def first_contacts(
     # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
-        if recent is not None:
-            contact[recent & (contact <= REARM_TIME)] = np.inf
+        rearmed = np.arange(contact.shape[-1]) == np.asarray(recent)[..., None]
+        contact[rearmed & (contact <= REARM_TIME)] = np.inf
         if contact.shape[-1] < 2:  # pad with pairs that never meet, so that a second contact exists
             pad = np.full(contact.shape[:-1] + (2 - contact.shape[-1],), np.inf)
             contact = np.concatenate([contact, pad], axis=-1)
@@ -180,7 +180,7 @@ def first_collision(
         raise NoCollisionError("horizon must be positive")
     n = cfg.n_particles
     i, j = pair_indices(n)
-    recent = None if recent_pair is None else np.arange(i.size) == pair_position(n, recent_pair)
+    recent = -1 if recent_pair is None else pair_position(n, recent_pair)
     time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, horizon, tol=tol, recent=recent)
     t_graze = float(graze) if graze <= horizon else None
     if not time <= horizon:

@@ -196,7 +196,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     records: list[tuple] = []
     x, v = cfg.positions, cfg.velocities.copy()
     first, second = pair_indices(cfg.n_particles)
-    recent = np.zeros(first.size, dtype=bool)  # the pair scattered last
+    recent = -1  # the position of the pair scattered last
     min_sq, ke = float(squared_separations(x).min(initial=np.inf)), kinetic_energy(cfg)
     now = 0.0
     halted: Optional[Pathology] = None
@@ -226,7 +226,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
         v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
         records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
-        recent[:], recent[k] = False, True
+        recent = k
         if len(records) >= tol.max_events:
             halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
             break
@@ -250,12 +250,13 @@ def simulate_stack(
     """
     if not 0 < T < math.inf:
         raise UsageError("T must be positive and finite")
-    s, n, _ = positions.shape
+    s = positions.shape[0]
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
     reachable = within_reach(x, v, T)
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
         interior = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
         min_sq = squared_separations(x).min(axis=-1, initial=np.inf)
+        ke = 0.5 * np.square(v).sum(axis=(1, 2))
     errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
     errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
     running = reachable & interior
@@ -264,7 +265,7 @@ def simulate_stack(
     while (active := np.flatnonzero(running & (T - now > 0))).size:
         remaining = T - now[active]
         time, k, unique, graze, closest = first_contacts(
-            x[active], v[active], remaining, tol=tol, recent=recent[active, None] == np.arange(n * (n - 1) // 2)
+            x[active], v[active], remaining, tol=tol, recent=recent[active]
         )
         grazing = graze <= np.minimum(time, remaining)
         free = ~grazing & ~(time <= remaining)
@@ -280,11 +281,10 @@ def simulate_stack(
         x[rows] += remaining[free, None, None] * v[rows]
         now[rows] = T
         rows, k, t = active[colliding], k[colliding], time[colliding]
-        ke_before = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
         x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
         now[rows] += t
-        ke_after = 0.5 * np.square(v[rows]).sum(axis=(1, 2))
-        ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke_after.tolist(), w2.tolist())
+        ke_before, ke[rows] = ke[rows], 0.5 * np.square(v[rows]).sum(axis=(1, 2))
+        ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke[rows].tolist(), w2.tolist())
         for (row, pair, at, before, after, s2), failed, emits in zip(ledger, check.tolist(), emitting.tolist()):
             if failed == CRITICAL_BAND:
                 halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, at)

@@ -165,7 +165,7 @@ def tct_stack(
     (within_reach) is its row's UsageError."""
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
-    s, n, d = positions.shape
+    s, _, d = positions.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
         invalid, boundary = domain_masks(positions, tol.contact_tol)
         time, k, unique, graze, _ = first_contacts(positions, velocities, tau, tol=tol)
@@ -192,8 +192,7 @@ def tct_stack(
         code[failed] = FAILED_CHECK[check[failed]]
         again = (~failed & (remaining > 0)).nonzero()[0]
         if again.size:
-            recent = np.arange(n * (n - 1) // 2) == pair[again, None]
-            t2, _, _, graze2, _ = first_contacts(x[again], v[again], remaining[again], tol=tol, recent=recent)
+            t2, _, _, graze2, _ = first_contacts(x[again], v[again], remaining[again], tol=tol, recent=pair[again])
             code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
         final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
     dropped = label < FREE
@@ -246,10 +245,7 @@ def analytic_flow_jacobian_det(
     x^((d-1)/2) for an emitting one.
     """
     stack = tct_stack(cfg.positions[None], cfg.velocities[None], tau, params.epsilon0, tol=tol)
-    classification = stack.one()
-    if classification.is_excluded:
-        raise ExcludedConfigurationError(classification.reason)
-    return classified_flow_det(cfg, classification, stack.velocities[0], params, tol=tol)
+    return classified_flow_det(cfg, stack.one(), stack.velocities[0], params, tol=tol)
 
 
 def classified_flow_det(
@@ -262,14 +258,17 @@ def classified_flow_det(
 ) -> tuple[float, float, float]:
     """analytic_flow_jacobian_det of a state already classified as free or
     single collision over its horizon (by tct_stack, classify_tct_domain or
-    tct_flow), without classifying it again.  velocities are the state's at
-    tau, the post-collisional V' of the prefactor 1 + grad_X(t_c) . (V - V'),
-    with grad_X(t_c) from collision_time_gradients.  An excluded
-    classification raises its ExcludedConfigurationError."""
+    tct_flow), without classifying it again.  An elastic collision's factors
+    are the law's exact (1, -1, -1), as w' = R w.  velocities are the state's
+    at tau, the V' of an emitting prefactor 1 + grad_X(t_c) . (V - V') with
+    grad_X(t_c) from collision_time_gradients.  An excluded classification
+    raises its ExcludedConfigurationError."""
     if classification.is_excluded:
         raise ExcludedConfigurationError(classification.reason)
     if classification.is_free:
         return 1.0, 1.0, 1.0
+    if classification.kind is CollisionKind.ELASTIC:
+        return 1.0, -1.0, -1.0
     grad_x, _ = collision_time_gradients(cfg, classification.pair, tol=tol)
     prefactor = 1.0 + float(grad_x @ (cfg.velocities - velocities).ravel())
     _, w = cfg.pair_state(classification.pair)

@@ -340,17 +340,18 @@ class TestVerificationCommands:
 
     def test_jacobian_checks_and_stencils_are_array_passes(self, tmp_path, monkeypatch):
         # the draws' checks run over stacked cases: no one-state scan, and
-        # each case's pair is solved once more only for its contact-time
-        # gradient (collision_time_gradients, one per single-collision
-        # case); the stencils are built once, every case's at both steps in
-        # one call and every velocity map's in another
+        # each emitting case's pair is solved once more only for its
+        # contact-time gradient (collision_time_gradients; the default kinds
+        # alternate, so 3 of 6 cases emit); the stencils are built once,
+        # every case's at both steps in one call and every velocity map's in
+        # another
         names = ("first_collision", "predict_pair", "collision_time_gradients")
         calls = {name: count_calls(monkeypatch, collision, name) for name in names}
         stencils = count_calls(monkeypatch, jacobian_lab, "_stencil_rows")
         status, _ = run_to_file(tmp_path, ["jacobian", "--samples", "6", "--n-particles", "3"])
         assert status == 0
         made = {name: len(made) for name, made in calls.items()}
-        assert made == {"first_collision": 0, "predict_pair": 6, "collision_time_gradients": 6}
+        assert made == {"first_collision": 0, "predict_pair": 3, "collision_time_gradients": 3}
         assert len(stencils) == 2
 
     def test_scatter_check_lines(self, tmp_path):
@@ -491,6 +492,36 @@ class TestMeasureAndVolume:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err == "ihse measure: R1 and R2 must be positive and finite\n"
+
+    def test_measure_rejects_non_positive_samples(self, tmp_path, capsys):
+        # the message of the other commands' --samples check (cli._samples)
+        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+        status, out = run_to_file(tmp_path, argv + ["--samples", "0"])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "ihse measure: --samples must be positive\n"
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("measure", "--N", "1", "need at least two particles"),
+            ("measure", "--k", "-1", "k must be >= 0"),
+            ("volume", "--radius", "0", "radius and tau must be positive"),
+            ("volume", "--tau", "0", "radius and tau must be positive"),
+            ("volume", "--radius", "nan", "radius and tau must be positive"),
+        ],
+    )
+    def test_spec_and_volume_rejections(self, tmp_path, capsys, command, flag, value, message):
+        if command == "measure":
+            args = ["--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+        else:
+            chain = tmp_path / "chain.json"
+            chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
+            args = ["--config", str(chain), "--radius", "1e-3", "--tau", "1.5", "--eps0", "0.5"]
+        status, out = run_to_file(tmp_path, [command, *args, flag, value])
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ihse {command}: {message}\n"
 
     @pytest.mark.parametrize("via_run_config", [False, True])
     @pytest.mark.parametrize("flag, value", [("--mu", "0.4"), ("--band", "jacobian_cutoff")])

@@ -151,7 +151,7 @@ class TestClosestApproach:
         graze, rearmed = two_body((3, 1)), Configuration([[0, 0], [1, 0]], [[-1, 0], [1, 0]])
         assert first_contacts(graze.positions, graze.velocities, 5.0)[4] == 0.0
         assert first_contacts(graze.positions, graze.velocities, 2.0)[4] == 1.0
-        closest = first_contacts(rearmed.positions, rearmed.velocities, 5.0, recent=np.array([True]))[4]
+        closest = first_contacts(rearmed.positions, rearmed.velocities, 5.0, recent=0)[4]
         assert closest == 0.0
 
     @given(

@@ -20,7 +20,7 @@ from ihse import (
     predict_pair,
 )
 from ihse.collision import _quadratic_contact_roots, first_contacts
-from ihse.core import pair_indices
+from ihse.core import pair_indices, pair_position
 
 TOLERANCES = (
     Tolerances(),
@@ -131,14 +131,14 @@ def test_kernel_matches_reference(n, d, layout, tol, seed):
     i, j = pair_indices(n)
     for scan_tol in {t for t, _ in cases}:
         rows = [(horizon, recent) for t, horizon in cases if t == scan_tol for recent in recents]
-        masks = [(i == recent.i - 1) & (j == recent.j - 1) if recent else np.zeros(i.size, bool) for _, recent in rows]
+        positions = [pair_position(n, recent) if recent else -1 for _, recent in rows]
         shape = (len(rows),) + cfg.positions.shape
         time, k, unique, graze, _ = first_contacts(
             np.broadcast_to(cfg.positions, shape),
             np.broadcast_to(cfg.velocities, shape),
             np.array([horizon for horizon, _ in rows]),
             tol=scan_tol,
-            recent=np.array(masks).reshape(len(rows), i.size),
+            recent=np.array(positions),
         )
         for row, (horizon, recent) in enumerate(rows):
             t_graze = float(graze[row]) if graze[row] <= horizon else None
