@@ -493,17 +493,10 @@ class TestMeasureAndVolume:
         assert not out.exists()
         assert capsys.readouterr().err == "ihse measure: R1 and R2 must be positive and finite\n"
 
-    def test_measure_rejects_non_positive_samples(self, tmp_path, capsys):
-        # the message of the other commands' --samples check (cli._samples)
-        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
-        status, out = run_to_file(tmp_path, argv + ["--samples", "0"])
-        assert status == 2
-        assert not out.exists()
-        assert capsys.readouterr().err == "ihse measure: --samples must be positive\n"
-
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
+            ("measure", "--samples", "0", "--samples must be positive"),  # the other commands' message
             ("measure", "--N", "1", "need at least two particles"),
             ("measure", "--k", "-1", "k must be >= 0"),
             ("volume", "--radius", "0", "radius and tau must be positive"),
@@ -511,7 +504,7 @@ class TestMeasureAndVolume:
             ("volume", "--radius", "nan", "radius and tau must be positive"),
         ],
     )
-    def test_spec_and_volume_rejections(self, tmp_path, capsys, command, flag, value, message):
+    def test_measure_and_volume_rejections(self, tmp_path, capsys, command, flag, value, message):
         if command == "measure":
             args = ["--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
         else:
