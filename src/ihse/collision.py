@@ -115,6 +115,13 @@ def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Toler
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
 
 
+def _closest(a: np.ndarray, b: np.ndarray, c: np.ndarray, span) -> np.ndarray:
+    """Per state, the minimum over pairs of the squared gap a t^2 + 2 b t + c
+    at each pair's closest approach clipped to [0, span]."""
+    t = np.fmin(np.fmax(-b / a, 0.0), span)  # fmax: a still pair's 0/0 is 0
+    return (c + t * (b + b + t * a)).min(axis=-1, initial=np.inf)
+
+
 def first_contacts(
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -122,7 +129,7 @@ def first_contacts(
     *,
     tol: Tolerances = Tolerances(),
     recent: int | np.ndarray = -1,
-) -> tuple[np.ndarray, ...]:
+) -> tuple:
     """first_collision's scan of a stack (..., N, d) of states, contacts not
     cut at the horizon (a float, or one per state): per state the earliest
     contact time (inf if none), its pair's index in pair_indices order,
@@ -130,6 +137,12 @@ def first_contacts(
     the minimum of every pair's squared gap |r + t w|^2 - 1 over
     [0, min(contact, horizon)].  recent is the position in pair_indices of
     the pair scattered last, an int or one per state (...), -1 for none.
+
+    The reductions follow the shape: a stack gets arrays of shape (...), one
+    state (positions (N, d)) gets Python numbers, (float, int, bool, float,
+    float), reduced without numpy's per-call cost on 0-d arrays.  Both take
+    the same roots, tie, simultaneity and graze rules, so a state scanned
+    alone gets the bits of its row in a stack.
 
     closest comes from each pair's coefficients at its closest approach
     clipped to that span, t* = clip(-b/a, 0, span), never from the roots: it
@@ -139,8 +152,19 @@ def first_contacts(
     # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
-        rearmed = np.arange(contact.shape[-1]) == np.asarray(recent)[..., None]
-        contact[rearmed & (contact <= REARM_TIME)] = np.inf
+        if contact.ndim == 1:  # one state: its reductions on Python numbers
+            if recent >= 0 and contact[recent] <= REARM_TIME:
+                contact[recent] = np.inf
+            k, time = 0, math.inf  # no pair (N = 1)
+            if contact.size:
+                k = int(contact.argmin())  # first occurrence: the lexicographically first pair
+                time, contact[k] = float(contact[k]), np.inf
+            unique = float(contact.min(initial=np.inf)) - time > tol.simultaneity_tol
+            closest = float(_closest(a, b, c, min(time, horizon)))
+            return time, k, unique, math.inf if graze is None else float(graze.min()), closest
+        if np.ndim(recent) or recent >= 0:
+            rearmed = np.arange(contact.shape[-1]) == np.asarray(recent)[..., None]
+            contact[rearmed & (contact <= REARM_TIME)] = np.inf
         if contact.shape[-1] < 2:  # pad with pairs that never meet, so that a second contact exists
             pad = np.full(contact.shape[:-1] + (2 - contact.shape[-1],), np.inf)
             contact = np.concatenate([contact, pad], axis=-1)
@@ -148,8 +172,7 @@ def first_contacts(
         lowest = np.partition(contact, 1, axis=-1)
         time, second = lowest[..., 0], lowest[..., 1]
         unique = second - time > tol.simultaneity_tol
-        t = np.fmin(np.fmax(-b / a, 0.0), np.minimum(time, horizon)[..., None])  # fmax: a still pair's 0/0 is 0
-        closest = (c + t * (b + b + t * a)).min(axis=-1, initial=np.inf)
+        closest = _closest(a, b, c, np.minimum(time, horizon)[..., None])
     graze = np.full(time.shape, np.inf) if graze is None else graze.min(axis=-1)
     return time, k, unique, graze, closest
 
@@ -182,10 +205,10 @@ def first_collision(
     i, j = pair_indices(n)
     recent = -1 if recent_pair is None else pair_position(n, recent_pair)
     time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, horizon, tol=tol, recent=recent)
-    t_graze = float(graze) if graze <= horizon else None
+    t_graze = graze if graze <= horizon else None
     if not time <= horizon:
         return None if t_graze is None else FirstCollision(None, None, True, t_graze)
-    return FirstCollision(float(time), PairIndex(int(i[k]) + 1, int(j[k]) + 1), bool(unique), t_graze)
+    return FirstCollision(time, PairIndex(int(i[k]) + 1, int(j[k]) + 1), unique, t_graze)
 
 
 def collision_time_gradients(

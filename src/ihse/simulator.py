@@ -109,8 +109,8 @@ _KINDS = (CollisionKind.ELASTIC, CollisionKind.INELASTIC)  # by emitting
 def _steps(records: list[tuple], n: int) -> list[tuple[int, int, CollisionKind]]:
     """(i, j, kind) per event of a run's record, the pair 1-based from its
     position in pair_indices(n)."""
-    first, second = pair_indices(n)
-    return [(int(first[k]) + 1, int(second[k]) + 1, _KINDS[emits]) for _, k, emits, *_ in records]
+    first, second = (index.tolist() for index in pair_indices(n))
+    return [(first[k] + 1, second[k] + 1, _KINDS[emits]) for _, k, emits, *_ in records]
 
 
 def _signature(steps, halted: Optional[Pathology]) -> tuple:
@@ -201,8 +201,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     now = 0.0
     halted: Optional[Pathology] = None
     while (remaining := T - now) > 0:
-        scan = first_contacts(x, v, remaining, tol=tol, recent=recent)
-        time, k, unique, graze, closest = (value.item() for value in scan)
+        time, k, unique, graze, closest = first_contacts(x, v, remaining, tol=tol, recent=recent)
         if graze <= min(time, remaining):
             halted = Pathology(PATHOLOGY_GRAZING, now + graze)
             break

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,7 @@ from ihse import (
     predict_pair,
 )
 from ihse.collision import first_contacts
-from ihse.core import squared_separations
+from ihse.core import pair_indices, squared_separations
 from ihse.rng import sample_generator
 
 from conftest import assert_close
@@ -179,6 +180,54 @@ class TestClosestApproach:
             exact = _exact_closest(x[row].tolist(), v[row].tolist(), span)
             scale = max(1.0, float(squared_separations(x[row]).max()))
             assert abs(Fraction(float(closest[row])) - exact) <= 4 * np.finfo(float).eps * scale
+
+
+def test_one_state_scan_is_row_zero_of_its_stack():
+    # first_contacts reduces one state on Python numbers and a stack on
+    # arrays: the one state must get its row's bits in all five outputs,
+    # from no pair (n = 1) and one pair (n = 2) up, with the re-armed pair
+    # given to the stack per row and as one int
+    seen = Counter()
+
+    @given(
+        n=st.integers(1, 5),
+        d=st.sampled_from((2, 3)),
+        recent=st.sampled_from(("none", "random", "at contact")),
+        horizon=st.floats(-9.0, 1.0).map(lambda e: 10.0**e),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def check(n, d, recent, horizon, wide, seed):
+        gen = np.random.default_rng(seed)
+        x, v = gen.uniform(-2.0, 2.0, (n, d)), gen.standard_normal((n, d))
+        tol = Tolerances(grazing_tol=0.5, simultaneity_tol=0.5) if wide else Tolerances()
+        pairs = n * (n - 1) // 2
+        position = int(gen.integers(pairs)) if recent != "none" and pairs else -1
+        if recent == "at contact" and position >= 0:  # as a scatter leaves it: one diameter apart
+            i, j = (int(index[position]) for index in pair_indices(n))
+            u = gen.standard_normal(d)
+            x[j] = x[i] - u / np.linalg.norm(u)
+        one = first_contacts(x, v, horizon, tol=tol, recent=position)
+        assert [type(value) for value in one] == [float, int, bool, float, float]
+        bits = np.array(one, dtype=float).tobytes()
+        for recents in (np.array([position]), position):
+            row = first_contacts(x[None], v[None], np.array([horizon]), tol=tol, recent=recents)
+            assert np.array([value[0] for value in row], dtype=float).tobytes() == bits
+        time, _, unique, graze, _ = one
+        seen.update(
+            {
+                "no pair": pairs == 0,
+                "one pair": pairs == 1,
+                "contact": time <= horizon,
+                "not unique": time < np.inf and not unique,
+                "graze": graze < np.inf,
+                "re-armed": time != first_contacts(x, v, horizon, tol=tol)[0],
+            }
+        )
+
+    check()
+    assert all(seen[key] for key in ("no pair", "one pair", "contact", "not unique", "graze", "re-armed")), seen
 
 
 class TestGradients:

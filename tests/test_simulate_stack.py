@@ -187,6 +187,21 @@ def test_one_row_per_ending():
     _assert_rows_match(positions, velocities, 3.5, ENDING_PARAMS, ENDING_TOL)
 
 
+@pytest.mark.parametrize(
+    "x, v, events",
+    [
+        ([[0.0, 0.0]], [[1.0, -0.5]], 0),  # a lone particle: no pair to scan
+        ([[0.0, 0.0], [3.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], 1),  # a head-on pair: one pair
+    ],
+)
+@pytest.mark.parametrize("eps0", [0.1875, math.inf])
+def test_fewer_than_two_pairs_match_the_stack(x, v, events, eps0):
+    # simulate's scan reduces one state on numbers, the stack's pads to
+    # two pairs: both must give the same report
+    endings = _assert_rows_match(np.array([x]), np.array([v]), 3.0, ModelParams(eps0), Tolerances())
+    assert endings == {f"{events} events": 1}
+
+
 def test_one_scan_per_event_with_a_graze_past_the_contact():
     # pair (1,2) collides at t=1; pair (3,4) crosses shallowly (discriminant
     # 16 - (16 + 0.99^2 - 1), about 0.02 <= grazing_tol) with its entry at
