@@ -11,7 +11,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, PairIndex, Tolerances, pair_differences, pair_indices, pair_position
+from .core import (
+    Configuration,
+    IHSEError,
+    PairIndex,
+    Tolerances,
+    pair_differences,
+    pair_index_table,
+    pair_position,
+)
 
 # A pair is ignored below this root when it has just collided: post-collision
 # states sit numerically on the contact sphere and would otherwise re-report
@@ -202,13 +210,12 @@ def first_collision(
     if horizon <= 0:
         raise NoCollisionError("horizon must be positive")
     n = cfg.n_particles
-    i, j = pair_indices(n)
     recent = -1 if recent_pair is None else pair_position(n, recent_pair)
     time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, horizon, tol=tol, recent=recent)
     t_graze = graze if graze <= horizon else None
     if not time <= horizon:
         return None if t_graze is None else FirstCollision(None, None, True, t_graze)
-    return FirstCollision(time, PairIndex(int(i[k]) + 1, int(j[k]) + 1), unique, t_graze)
+    return FirstCollision(time, pair_index_table(n)[k], unique, t_graze)
 
 
 def collision_time_gradients(

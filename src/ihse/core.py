@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -102,10 +103,17 @@ def pair_position(n: int, pair: PairIndex) -> int:
     return a * (2 * n - a - 1) // 2 + b - a - 1 if b < n else -1
 
 
+@functools.cache
+def pair_index_table(n: int) -> tuple[PairIndex, ...]:
+    """The PairIndex of every pair of n particles, in pair_indices order:
+    the one place pair records are built.  Cached per n."""
+    i, j = pair_indices(n)
+    return tuple(PairIndex(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist()))
+
+
 def all_pairs(n: int) -> list[PairIndex]:
     """All ordered pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
-    i, j = pair_indices(n)
-    return [PairIndex(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist())]
+    return list(pair_index_table(n))
 
 
 def check_dimension(d: int) -> None:
@@ -123,8 +131,11 @@ class Configuration:
     __slots__ = ("positions", "velocities")
 
     def __init__(self, positions, velocities):
-        x = np.array(positions, dtype=float)
-        v = np.array(velocities, dtype=float)
+        try:
+            x = np.array(positions, dtype=float)
+            v = np.array(velocities, dtype=float)
+        except OverflowError as exc:  # an int beyond the floats
+            raise UsageError("positions and velocities must be finite") from exc
         if x.ndim != 2 or v.shape != x.shape:
             raise UsageError(f"positions/velocities must share shape (N, d), got {x.shape} and {v.shape}")
         if x.shape[0] < 1:
@@ -176,13 +187,20 @@ class Configuration:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Configuration":
+        """The configuration of a document: an integer "d" and per particle
+        an "x" and a "v" list of numbers (no strings, booleans or nulls)."""
         try:
-            d = int(doc["d"])
+            d = doc["d"]
             particles = doc["particles"]
             x = [p["x"] for p in particles]
             v = [p["v"] for p in particles]
+            kinds = set(map(type, itertools.chain.from_iterable(x + v)))
         except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed configuration document: {exc}") from exc
+        if type(d) is not int:
+            raise UsageError(f"declared dimension must be an integer, got {d!r}")
+        if not kinds <= {int, float}:
+            raise UsageError("coordinates must be numbers")
         cfg = Configuration(x, v)
         if cfg.dimension != d:
             raise UsageError(f"declared dimension {d} does not match particle data ({cfg.dimension})")
@@ -282,8 +300,8 @@ def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> Doma
     for kind, flagged in ((DomainKind.INVALID, invalid), (DomainKind.BOUNDARY, boundary)):
         hits = np.flatnonzero(flagged)
         if hits.size:
-            i, j = pair_indices(cfg.n_particles)
-            return DomainStatus(kind, tuple(PairIndex(int(i[k]) + 1, int(j[k]) + 1) for k in hits))
+            table = pair_index_table(cfg.n_particles)
+            return DomainStatus(kind, tuple(table[k] for k in hits.tolist()))
     return DomainStatus(DomainKind.INTERIOR)
 
 

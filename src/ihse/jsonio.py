@@ -9,9 +9,12 @@ import dataclasses
 import enum
 import functools
 import json
+import math
+import operator
 import os
 from collections.abc import Callable
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -46,10 +49,15 @@ def dumps(obj) -> str:
     dispatched on their exact type; any other value takes the isinstance
     order (float, int, str, dict, list/tuple subclasses such as np.float64,
     then the records), so a subclass is written as its base type is.
+
+    A Configuration and a dataclass record are written by one %-format of
+    a template cached per layout (_template): an (N, d) configuration's
+    coordinates fill %.17g slots, and a record's fields fill the slots of
+    its field types.  A value a template cannot write exactly, a non-finite
+    float or a field that is not a float, int, None, PairIndex or str-valued
+    Enum, takes the per-value path, with the same text.
     """
-    parts: list[str] = []
-    _write(obj, "\n", parts)
-    return "".join(parts)
+    return _text(obj, "\n")
 
 
 def _write(obj, newline: str, parts: list[str]) -> None:
@@ -113,6 +121,117 @@ def _write_array(items, newline: str, parts: list[str]) -> None:
     parts.append(newline + "]")
 
 
+def _text(obj, newline: str) -> str:
+    """obj as JSON by the per-value path."""
+    parts: list[str] = []
+    _write(obj, newline, parts)
+    return "".join(parts)
+
+
+# The values whose per-value texts stand for the %-format slots of a
+# template, and those slots.  The text slot is the inside of a string.
+_FLOAT_SLOT, _INT_SLOT, _TEXT_SLOT = 1.2345678901234567e-300, 98765432109876543210, "\x00"
+_SLOTS = ((format_float(_FLOAT_SLOT), "%.17g"), (str(_INT_SLOT), "%d"), (_escape(_TEXT_SLOT)[1:-1], "%s"))
+
+
+def _template(sample, newline: str) -> str:
+    """The %-format string of sample's layout: its per-value text with each
+    slot value's text replaced by the slot, so the template filled with
+    values is the per-value text of sample holding them."""
+    text = _text(sample, newline).replace("%", "%%")
+    for slot_text, slot in _SLOTS:
+        text = text.replace(slot_text, slot)
+    return text
+
+
+@functools.cache
+def _configuration_template(n: int, d: int, newline: str) -> str:
+    """An (n, d) Configuration's template: a %.17g slot per coordinate, in
+    the order of its interleaved [x | v] rows."""
+    return _template({"d": d, "particles": [{"x": [_FLOAT_SLOT] * d, "v": [_FLOAT_SLOT] * d}] * n}, newline)
+
+
+def _write_configuration(cfg: Configuration, newline: str, parts: list[str]) -> None:
+    rows = np.hstack((cfg.positions, cfg.velocities)).ravel().tolist()
+    text = _configuration_template(*cfg.positions.shape, newline) % tuple(rows)
+    # No key holds an "n", so only a non-finite coordinate's text does.
+    if "n" in text:
+        _write(cfg.to_json_dict(), newline, parts)
+    else:
+        parts.append(text)
+
+
+def _getter(paths) -> Callable:
+    """obj -> the tuple of its attributes at these (dotted) paths."""
+    if len(paths) > 1:
+        return operator.attrgetter(*paths)
+    if paths:
+        get = operator.attrgetter(paths[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+def _field_slots(kind: type, name: str) -> Optional[tuple[object, list[tuple[str, type]]]]:
+    """A field's value in its record's sample and the (path, type) of each
+    value that fills its slots; None for a type no slot takes."""
+    if kind is float or kind is int:
+        return (_FLOAT_SLOT if kind is float else _INT_SLOT), [(name, kind)]
+    if kind is type(None):
+        return None, []
+    if kind is PairIndex:
+        return [_INT_SLOT, _INT_SLOT], [(f"{name}.i", int), (f"{name}.j", int)]
+    if issubclass(kind, enum.Enum) and not issubclass(kind, (float, int, str)):
+        # Values written as they are, within quotes.
+        if all(type(m.value) is str and _escape(m.value) == f'"{m.value}"' for m in kind):
+            return _TEXT_SLOT, [(f"{name}._value_", str)]
+    return None
+
+
+@functools.cache
+def _record_layout(kind: type, newline: str, types: tuple[type, ...]) -> Optional[tuple]:
+    """For a record type at an indentation with fields of these types: its
+    template, the getter of the values that fill it, their types (a
+    PairIndex's members may be any numbers) and the getter of the floats
+    among them.  None when a field's type has no slot."""
+    sample, fills = {}, []
+    for field, field_type in zip(dataclasses.fields(kind), types):
+        slots = _field_slots(field_type, field.name)
+        if slots is None:
+            return None
+        sample[field.name], field_fills = slots
+        fills += field_fills
+    paths, fill_types = zip(*fills) if fills else ((), ())
+    floats = [k for k, fill_type in enumerate(fill_types) if fill_type is float]
+    return (
+        _template(sample, newline),
+        _getter(paths),
+        fill_types,
+        operator.itemgetter(*floats, *floats[:1]) if floats else None,  # a tuple even of one float
+    )
+
+
+def _record_writer(kind: type) -> Callable:
+    """A dataclass record's writer, an object of its fields in declaration
+    order: its layout's template filled, when it has a layout and its fill
+    values have their types and are finite, else by the per-value path."""
+    names = [field.name for field in dataclasses.fields(kind)]
+    keys, values_of = [_escape(name) for name in names], _getter(names)
+
+    def write(obj, newline: str, parts: list[str]) -> None:
+        values = values_of(obj)
+        layout = _record_layout(kind, newline, tuple(map(type, values)))
+        if layout is not None:
+            template, fills_of, fill_types, floats = layout
+            fills = fills_of(obj)
+            # A sum of floats is finite only when each of them is.
+            if tuple(map(type, fills)) == fill_types and (floats is None or math.isfinite(sum(floats(fills)))):
+                parts.append(template % fills)
+                return
+        _write_object(list(zip(keys, values)), newline, parts)
+
+    return write
+
+
 @functools.cache
 def _writer(kind: type) -> Callable:
     """How a value of a type other than the plain ones is written: a
@@ -128,15 +247,12 @@ def _writer(kind: type) -> Callable:
         (np.ndarray, lambda obj, newline, parts: _write(obj.tolist(), newline, parts)),
         (enum.Enum, lambda obj, newline, parts: _write(obj.value, newline, parts)),
         (PairIndex, lambda obj, newline, parts: _write_array(obj.as_list(), newline, parts)),
-        (Configuration, lambda obj, newline, parts: _write(obj.to_json_dict(), newline, parts)),
+        (Configuration, _write_configuration),
     ):
         if issubclass(kind, base):
             return write
-    if dataclasses.is_dataclass(kind):  # an object of its fields, in declaration order
-        keys = tuple((field.name, _escape(field.name)) for field in dataclasses.fields(kind))
-        return lambda obj, newline, parts: _write_object(
-            [(key, getattr(obj, name)) for name, key in keys], newline, parts
-        )
+    if dataclasses.is_dataclass(kind):
+        return _record_writer(kind)
     raise UsageError(f"cannot serialize {kind.__name__}")
 
 

@@ -22,6 +22,7 @@ from .core import (
     check_reach,
     domain_masks,
     kinetic_energy,
+    pair_index_table,
     pair_indices,
     pair_separations,
     reach_error,
@@ -68,7 +69,7 @@ class SimReport:
     def event_signature(self) -> tuple:
         """Hashable (pair, kind) sequence; used as a branch label when
         differentiating the multi-collision flow map."""
-        return _signature(((e.pair.i, e.pair.j, e.kind) for e in self.events), self.halted)
+        return _signature(((e.pair, e.kind) for e in self.events), self.halted)
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ class SimStack:
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
         raises alone, built without building the row's report."""
-        n = self.positions.shape[1]
+        pairs = pair_index_table(self.positions.shape[1])
         return [
-            _signature(_steps(events, n), halted) if error is None else error
+            _signature(((pairs[k], _KINDS[emits]) for _, k, emits, *_ in events), halted) if error is None else error
             for error, events, halted in zip(self.errors, self.events, self.halted)
         ]
 
@@ -106,27 +107,19 @@ class SimStack:
 _KINDS = (CollisionKind.ELASTIC, CollisionKind.INELASTIC)  # by emitting
 
 
-def _steps(records: list[tuple], n: int) -> list[tuple[int, int, CollisionKind]]:
-    """(i, j, kind) per event of a run's record, the pair 1-based from its
-    position in pair_indices(n)."""
-    first, second = (index.tolist() for index in pair_indices(n))
-    return [(first[k] + 1, second[k] + 1, _KINDS[emits]) for _, k, emits, *_ in records]
-
-
 def _signature(steps, halted: Optional[Pathology]) -> tuple:
-    """A run's branch label from its (i, j, kind) per event: (i, j, kind
+    """A run's branch label from its (pair, kind) per event: (i, j, kind
     value) per event, then ("halted", reason) when the run halts."""
-    signature = tuple((i, j, kind.value) for i, j, kind in steps)
+    signature = tuple((pair.i, pair.j, kind.value) for pair, kind in steps)
     return signature if halted is None else signature + (("halted", halted.reason),)
 
 
 def _report(records: list, x: np.ndarray, v: np.ndarray, min_sq: float, halted: Optional[Pathology]) -> SimReport:
     """The report of a run's record (SimStack's), its final state and its
-    minimum squared separation: the one place a SimEvent is built."""
-    steps = _steps(records, x.shape[0])
-    events = tuple(
-        SimEvent(t, PairIndex(i, j), kind, *ledger) for (i, j, kind), (t, _, _, *ledger) in zip(steps, records)
-    )
+    minimum squared separation: the one place a SimEvent is built, its pair
+    from pair_index_table."""
+    pairs = pair_index_table(x.shape[0])
+    events = tuple(SimEvent(t, pairs[k], _KINDS[emits], *ledger) for t, k, emits, *ledger in records)
     n_inelastic = sum(emits for _, _, emits, *_ in records)
     return SimReport(events, Configuration(x, v), len(events) - n_inelastic, n_inelastic, math.sqrt(min_sq), halted)
 

@@ -20,7 +20,7 @@ from .core import (
     Tolerances,
     UsageError,
     domain_masks,
-    pair_indices,
+    pair_index_table,
     reach_error,
     within_reach,
 )
@@ -149,9 +149,8 @@ class TCTStack:
         if label < 0:
             return TCTDomainClass.excluded(REASONS[-2 - label])
         k, emits = divmod(label, 2)
-        i, j = pair_indices(self.positions.shape[1])
         kind = CollisionKind.INELASTIC if emits else CollisionKind.ELASTIC
-        return TCTDomainClass.single_collision(PairIndex(i.item(k) + 1, j.item(k) + 1), self.t_c.item(row), kind)
+        return TCTDomainClass.single_collision(pair_index_table(self.positions.shape[1])[k], self.t_c.item(row), kind)
 
 
 def tct_stack(

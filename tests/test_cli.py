@@ -259,6 +259,25 @@ class TestHorizonAndReach:
         assert draws == []
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"d": 2.9, "particles": [{"x": [0, 0], "v": [1, 0]}]}', "declared dimension must be an integer, got 2.9"),
+        ('{"d": 2, "particles": [{"x": [0, 0], "v": [true, 0]}]}', "coordinates must be numbers"),
+        ('{"d": 2, "particles": [{"x": ["0", 0], "v": [1, 0]}]}', "coordinates must be numbers"),
+    ],
+)
+def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, config, message):
+    """A config file is read as written: a fractional dimension is not
+    truncated, and true or "0" is not taken for a number."""
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    status, out = run_to_file(tmp_path, ["simulate", "--config", str(path), "--T", "1", "--eps0", "0.5"])
+    assert status == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"ihse simulate: {message}\n"
+
+
 class TestDimensionEntry:
     """The dimension is the state's: every entry of a state, a config file
     or a --dim flag, rejects d < 2 with the same usage error."""

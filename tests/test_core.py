@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,32 @@ class TestSerialization:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(UsageError):
             Configuration.from_json_dict({"d": 3, "particles": [{"x": [0, 0], "v": [0, 0]}]})
+
+    @pytest.mark.parametrize(
+        "d, x, v, message",
+        [
+            (2.9, [0, 0], [1, 0], "declared dimension must be an integer, got 2.9"),
+            ("2", [0, 0], [1, 0], "declared dimension must be an integer, got '2'"),
+            (True, [0, 0], [1, 0], "declared dimension must be an integer, got True"),
+            (2.0, [0, 0], [1, 0], "declared dimension must be an integer, got 2.0"),
+            (2, ["0", 0], [1, 0], "coordinates must be numbers"),
+            (2, [0, 0], [True, 0], "coordinates must be numbers"),
+            (2, [0, None], [1, 0], "coordinates must be numbers"),
+            (2, [0, [0]], [1, 0], "coordinates must be numbers"),
+            (2, "00", [1, 0], "coordinates must be numbers"),
+            (2, [0, 10**400], [1, 0], "positions and velocities must be finite"),
+        ],
+    )
+    def test_malformed_documents_rejected(self, d, x, v, message):
+        """Nothing is truncated or parsed into a number: a dimension that is
+        not a JSON integer, a coordinate that is not a JSON number and an
+        integer beyond the floats are usage errors."""
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            Configuration.from_json_dict({"d": d, "particles": [{"x": x, "v": v}, {"x": [3, 0], "v": [0, 0]}]})
+
+    def test_json_numbers_accepted(self):
+        doc = {"d": 2, "particles": [{"x": [0, 0.5], "v": [-1, 2.5e-3]}, {"x": [3, 0], "v": [0, 0]}]}
+        assert Configuration.from_json_dict(doc) == Configuration([[0.0, 0.5], [3.0, 0.0]], [[-1.0, 2.5e-3], [0.0, 0.0]])
 
 
 def _hex(values):

@@ -92,6 +92,86 @@ def test_dumps_matches_reference_encoder(doc):
     assert dumps(doc) == reference_dumps(doc)
 
 
+class Mark(enum.Enum):
+    """String values that need escaping: written by the per-value path."""
+
+    QUOTE = 'say "hi"'
+    ACCENT = "caf\u00e9"
+
+
+def unchecked_configuration(positions: np.ndarray, velocities: np.ndarray) -> Configuration:
+    """A Configuration of these arrays as they are, non-finite coordinates
+    among them (the constructor refuses those)."""
+    cfg = object.__new__(Configuration)
+    object.__setattr__(cfg, "positions", positions)
+    object.__setattr__(cfg, "velocities", velocities)
+    return cfg
+
+
+@st.composite
+def large_configurations(draw):
+    """N up to 40 in d = 2 or 3, finite or with NaN and infinities."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(2, 3))
+    elements = floats if draw(st.booleans()) else finite
+    return unchecked_configuration(*(draw(hnp.arrays(np.float64, (n, d), elements=elements)) for _ in range(2)))
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# Field values no template slot takes, or takes only for some values.
+odd_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(tuple(Level) + tuple(Mark) + NON_FINITE),
+    st.integers(),
+    finite.map(np.float64),
+    st.builds(PairIndex, st.just(True), st.integers(2, 5)),
+    st.lists(finite, max_size=2),
+)
+pairs = st.builds(lambda i, gap: PairIndex(i, i + gap), st.integers(1, 40), st.integers(1, 40))
+
+
+@st.composite
+def sim_events(draw, odd: bool):
+    """A SimEvent with the field types simulate writes, or with one odd
+    value among them."""
+    fields = (finite, pairs, st.sampled_from(tuple(CollisionKind)), finite, finite, finite)
+    values = [draw(field) for field in fields]
+    if odd:
+        values[draw(st.integers(0, len(fields) - 1))] = draw(odd_values)
+    return SimEvent(*values)
+
+
+@st.composite
+def sim_reports(draw):
+    size = draw(st.integers(0, 150))  # st.lists alone rarely draws long lists
+    events = draw(st.lists(sim_events(draw(st.booleans())), min_size=size, max_size=size))
+    halted = draw(st.none() | st.builds(Pathology, st.text(max_size=6), floats))
+    counts = draw(st.integers(0, 150)), draw(st.integers(0, 150))
+    return SimReport(tuple(events), draw(large_configurations()), *counts, draw(floats), halted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_configurations(), sim_reports())
+def test_template_sized_documents_match_reference_encoder(initial, report):
+    """Documents of the sizes the templates are cached for: configurations
+    of up to 40 particles and reports of up to 150 events, with the values
+    that take the per-value path among them."""
+    doc = {"initial": initial, "report": report, "events": list(report.events)}
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("kind", tuple(CollisionKind) + tuple(Mark) + tuple(Level))
+@pytest.mark.parametrize("pair", [PairIndex(2, 7), PairIndex(True, 3)])
+@pytest.mark.parametrize("time", [0.25, None, 3, math.nan, -math.inf])
+def test_record_fields_of_each_slot(time, pair, kind):
+    """Each field type a record template has a slot for, and the values of
+    those types it leaves to the per-value path: a non-finite float, a pair
+    of a bool, an enum whose values need escaping and an IntEnum."""
+    event = SimEvent(time, pair, kind, 1.0, 0.5, 2.0)
+    for doc in (event, {"events": [event]}):  # two indentations, two templates
+        assert dumps(doc) == reference_dumps(doc)
+
+
 @settings(max_examples=100, deadline=None)
 @given(configurations())
 def test_configuration_text_is_that_of_its_float64_rows(cfg):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihse import Configuration, IHSEError, ModelParams, PairIndex, Tolerances, UsageError, simulate, simulator
+from ihse.core import pair_index_table, pair_position
 from ihse import collision, scattering
 from ihse.jacobian_lab import _stack_map
 from ihse.scattering import GrazingContactError
@@ -278,8 +279,8 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     # most two states (its final one among them).  The overlap certificate
     # takes no min_separation and makes one squared_separations call, for
     # the start (each segment's minimum comes from its scan); the ledger
-    # reads the kinetic energy once.  The loop builds no PairIndex: the
-    # report builds one per event.
+    # reads the kinetic energy once.  No PairIndex is built once the N = 32
+    # pair table exists: each event's pair is the table's record.
     x, v = _dense_cluster(12)
     params = ModelParams(0.5)
     calls = Counter()
@@ -297,6 +298,7 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
         count(owner, name)
     for name in ("__init__", "min_separation"):
         count(Configuration, name)
+    pairs = pair_index_table(32)
     count(PairIndex, "__init__", "PairIndex")
     cfg = Configuration(x, v)
     calls.clear()
@@ -312,18 +314,18 @@ def test_simulate_builds_no_state_per_event(monkeypatch):
     assert calls["kinetic_energy"] == 1
     assert len(probes) == 1
     assert {name: len(made) for name, made in legacy.items()} == {"first_collision": 0, "scatter": 0}
-    # One pair record per event of a report, from the simulate run or a
-    # stack row, and none for the stack's labels.
-    assert calls["PairIndex"] == events
+    # No pair record for the simulate run, a stack row's report or the
+    # stack's labels.
+    assert calls["PairIndex"] == 0
+    assert all(event.pair is pairs[pair_position(32, event.pair)] for event in report.events)
     stack = simulate_stack(x[None], v[None], 5.0, params)
     count(PairIndex, "__init__", "PairIndex")
     calls.clear()
     labels = stack.labels()
-    labelled = calls["PairIndex"]
     assert stack.report(0).events == report.events
     monkeypatch.undo()
     assert labels == [report.event_signature]
-    assert (labelled, calls["PairIndex"]) == (0, events)
+    assert calls["PairIndex"] == 0
 
 
 @pytest.mark.parametrize("eps0", (0.5, math.inf))
