@@ -22,6 +22,7 @@ from .core import (
     UsageError,
     all_pairs,
     conserved_quantities,
+    dot,
 )
 from .collision import predict_pair
 from .jacobian_lab import (
@@ -294,7 +295,7 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     samples = scattering_measure_samples(_samples(flags), params, flags["dim"], flags["seed"], h=tol.fd_step)
     for v_i, v_j, omega, report in samples:
         outcome = scatter(v_i, v_j, omega, params, tol=tol)
-        pre_ke = 0.5 * float(v_i @ v_i + v_j @ v_j)
+        pre_ke = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
         post_ke = pre_ke - outcome.energy_loss
         expected = params.epsilon0 if outcome.kind is CollisionKind.INELASTIC else 0.0
         max_ledger = max(max_ledger, abs(outcome.energy_loss - expected))
@@ -329,9 +330,9 @@ def cmd_tensor_lemma(flags: dict) -> tuple[dict, int]:
         cross = u[0] * omega[1] - u[1] * omega[0]
         scale = max(
             1.0,
-            abs(lam) * float(u @ u),
-            abs(mu * float(u @ omega)),
-            abs(nu) * float(omega @ omega),
+            abs(lam) * dot(u, u),
+            abs(mu * dot(u, omega)),
+            abs(nu) * dot(omega, omega),
             abs(lam * nu) * cross * cross,
         )
         max_abs_diff = max(max_abs_diff, diff)

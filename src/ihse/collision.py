@@ -16,6 +16,7 @@ from .core import (
     IHSEError,
     PairIndex,
     Tolerances,
+    dot,
     pair_differences,
     pair_index_table,
     pair_position,
@@ -75,23 +76,21 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
         there, before the closest approach), else -b/a; inf otherwise.
 
     Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
-    The dot products use np.vecdot: with numpy's OpenBLAS, float(x @ y) of
-    two vectors is a fused multiply-add chain, and np.vecdot rounds exactly
-    as it does (checked on 300k random pairs in d = 2 and 3), while
-    (x * y).sum(-1) and einsum differ from it in the last bit for about one
-    pair in six.  So one call over all pairs gives the same bits as a call
-    per pair, and event times do not depend on how many pairs are solved
-    together.  Callers suppress divide and invalid warnings (np.errstate):
-    parallel and non-meeting pairs divide by zero or root negative deltas.
+    The dot products are core.dot's, elementwise and left to right, so a
+    pair's coefficients do not depend on how many pairs are solved together
+    or on the host's BLAS.  Callers suppress divide and invalid warnings
+    (np.errstate): parallel and non-meeting pairs divide by zero or root
+    negative deltas.
     """
-    a = np.vecdot(w, w)
-    b = np.vecdot(r, w)
-    c = np.vecdot(r, r) - 1.0
-    delta = b * b - a * c
-    approaching = b < 0.0
+    a = dot(w, w)
+    b = dot(r, w)
+    c = dot(r, r)
+    c -= 1.0
+    delta = b * b
+    delta -= a * c
     neg_b = -b
     sq = np.sqrt(delta)
-    q = np.where(approaching, neg_b + sq, neg_b - sq)
+    q = np.where(b < 0.0, neg_b + sq, neg_b - sq)
     # With a > 0 and delta > 0, q < 0 when b >= 0: then q/a is negative
     # and c/q is the only candidate.  When b < 0, c/q is the smaller
     # root and q/a the larger, which is positive only for states inside
@@ -104,14 +103,14 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     if not grazing.any():  # the common case: no graze to time
         return a, b, c, delta, contact, None
     t_graze = np.where(delta > 0.0, small, neg_b / a)
-    graze = np.where(grazing & moving & approaching & (t_graze > 0.0), t_graze, np.inf)
+    graze = np.where(grazing & moving & (b < 0.0) & (t_graze > 0.0), t_graze, np.inf)
     return a, b, c, delta, contact, graze
 
 
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
     """Unit vector from particle i toward particle j."""
     r, _ = cfg.pair_state(pair)  # x_i - x_j
-    return -r / math.sqrt(float(r @ r))  # np.linalg.norm(r), bit for bit
+    return -r / math.sqrt(dot(r, r))
 
 
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
@@ -237,8 +236,8 @@ def collision_time_gradients(
     tau = prediction.time
     r, w = cfg.pair_state(pair)
     contact = r + tau * w
-    omega = contact / np.linalg.norm(contact)
-    denom = float(w @ omega)
+    omega = contact / math.sqrt(dot(contact, contact))
+    denom = dot(w, omega)
     if denom == 0.0:
         raise GrazingCollisionError(f"pair {pair.as_list()}: relative velocity tangent to contact sphere")
     n, d = cfg.n_particles, cfg.dimension

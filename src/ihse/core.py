@@ -68,7 +68,7 @@ class ModelParams:
             raise UsageError("epsilon0 must be > 0")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PairIndex:
     """Ordered particle pair, 1-based, i < j."""
 
@@ -244,45 +244,52 @@ def pair_differences(values: np.ndarray) -> np.ndarray:
     return np.subtract(diff, values.take(j, axis=-2), out=diff)
 
 
+def dot(x: np.ndarray, y: np.ndarray):
+    """Inner product over the last axis: the products of the coordinate
+    columns added left to right, with elementwise operations only, so it
+    rounds the same way on every host (no BLAS kernel, no fused
+    multiply-add).  x and y are (..., d) arrays of broadcastable leading
+    shapes, d >= 2 as for every state, giving an array of the leading shape;
+    two (d,) vectors give a Python float, added on their tolist() values.  A
+    pair gets the same bits alone as in its row of a stack."""
+    if x.ndim > 1 or y.ndim > 1:
+        products = x * y
+        total = products[..., 0] + products[..., 1]
+        for column in range(2, products.shape[-1]):
+            total += products[..., column]
+        return total
+    x, y = x.tolist(), y.tolist()
+    total = x[0] * y[0]
+    for column in range(1, len(x)):
+        total += x[column] * y[column]
+    return total
+
+
 def squared_norms(values: np.ndarray) -> np.ndarray:
-    """np.square(values).sum(axis=-1), bit for bit, for any shape.
+    """np.square(values).sum(axis=-1), bit for bit, for any shape of 2 or
+    more dimensions.
 
     numpy adds fewer than 8 terms left to right, one row at a time, which
-    costs a restarted inner loop per row; here the squared columns are added
-    in that order over all rows at once.  From 8 terms up numpy's own
-    (pairwise) reduction runs.  So np.sqrt of the result equals
-    np.linalg.norm(values, axis=-1) bit for bit."""
-    squares = np.square(values)
-    if not 1 < squares.shape[-1] < 8:
-        return squares.sum(axis=-1)
-    total = squares[..., 0] + squares[..., 1]
-    for column in range(2, squares.shape[-1]):
-        total += squares[..., column]
-    return total
+    costs a restarted inner loop per row; dot adds them in that order over
+    all rows at once.  From 8 terms up numpy's own (pairwise) reduction
+    runs, which rng.uniform_ball's draws depend on."""
+    if 1 < values.shape[-1] < 8:
+        return dot(values, values)
+    return np.square(values).sum(axis=-1)
 
 
 def squared_separations(positions: np.ndarray) -> np.ndarray:
     """Squared separation of every pair of a stack (..., N, d) of position
-    sets, in pair_indices order.  Squares are summed as in numpy's axis-wise
-    norm (squared_norms; no fused multiply-add), which differs in the last
-    bit from a dot product for some pairs; reported minimum separations keep
-    this form, and the root of the smallest sum equals the smallest root."""
+    sets, in pair_indices order (squared_norms of the differences); the root
+    of the smallest sum equals the smallest root."""
     return squared_norms(pair_differences(positions))
 
 
-def pair_separations(positions: np.ndarray) -> np.ndarray:
-    """|x_i - x_j| of every pair of an (..., N, d) position array, in
-    pair_indices order.  Each value is the square root of the same dot
-    product np.linalg.norm takes of one vector, so it equals
-    float(np.linalg.norm(x_i - x_j)) bit for bit."""
-    r = pair_differences(positions)
-    return np.sqrt(np.vecdot(r, r))
-
-
-def domain_masks(positions: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(invalid, boundary) pair masks of a stack (..., N, d) of position sets,
-    by validate_configuration's rules; interior states have neither."""
-    s = pair_separations(positions)
+def domain_masks(squared: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(invalid, boundary) pair masks from the squared_separations of a
+    stack (..., N, d) of position sets, by validate_configuration's rules;
+    interior states have neither."""
+    s = np.sqrt(squared)
     boundary = np.abs(s - 1.0) <= tol
     return ~boundary & (s < 1.0 - tol), boundary
 
@@ -296,7 +303,7 @@ def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> Doma
     """
     if tol < 0:
         raise UsageError("tol must be >= 0")
-    invalid, boundary = domain_masks(cfg.positions, tol)
+    invalid, boundary = domain_masks(squared_separations(cfg.positions), tol)
     for kind, flagged in ((DomainKind.INVALID, invalid), (DomainKind.BOUNDARY, boundary)):
         hits = np.flatnonzero(flagged)
         if hits.size:

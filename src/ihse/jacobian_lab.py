@@ -20,9 +20,10 @@ from .core import (
     Tolerances,
     UsageError,
     check_dimension,
+    dot,
     pair_indices,
     pair_position,
-    pair_separations,
+    squared_separations,
 )
 from .collision import _quadratic_contact_roots, first_contacts
 from .rng import sample_generator, unit_vector
@@ -216,9 +217,9 @@ def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
     cross = u[0] * w[1] - u[1] * w[0]
     formula = (
         1.0
-        + case.lam * float(u @ u)
-        + case.mu * float(u @ w)
-        + case.nu * float(w @ w)
+        + case.lam * dot(u, u)
+        + case.mu * dot(u, w)
+        + case.nu * dot(w, w)
         + case.lam * case.nu * cross * cross
     )
     matrix = (
@@ -259,12 +260,12 @@ def draw_scattering_sample(
         v_j = gen.standard_normal(d)
         omega = unit_vector(gen, d)
         w = v_j - v_i
-        w2 = float(w @ w)
+        w2 = dot(w, w)
         if w2 < 1e-6:
             continue
-        if float(w @ omega) > 0.0:
+        if dot(w, omega) > 0.0:
             omega = -omega
-        if abs(float(w @ omega)) < 0.05 * math.sqrt(w2):
+        if abs(dot(w, omega)) < 0.05 * math.sqrt(w2):
             continue
         if abs(w2 - 4.0 * params.epsilon0) <= 0.05 * max(1.0, w2):
             continue
@@ -297,7 +298,7 @@ def scattering_measure_samples(
         z = np.concatenate([v_i, v_j])
         jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, h)
         w = v_j - v_i
-        analytic = scattering_velocity_det_analytic(float(w @ w), params, d)
+        analytic = scattering_velocity_det_analytic(dot(w, w), params, d)
         yield v_i, v_j, omega, JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h)
 
 
@@ -548,11 +549,11 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_
         velocities = 0.2 * gen.standard_normal((n_particles, d))
         # Aim particle 1 at particle 2 with a sub-diameter impact parameter.
         gap = positions[1] - positions[0]
-        dist = math.sqrt(float(gap @ gap))  # np.linalg.norm(gap), bit for bit
+        dist = math.sqrt(dot(gap, gap))
         direction = gap / dist
         tangent = unit_vector(gen, d)
-        tangent -= float(tangent @ direction) * direction
-        t_norm = math.sqrt(float(tangent @ tangent))
+        tangent -= dot(tangent, direction) * direction
+        t_norm = math.sqrt(dot(tangent, tangent))
         if t_norm > 1e-9:
             tangent /= t_norm
         else:
@@ -563,7 +564,7 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_
         if not (yield positions, velocities):
             continue
         w = velocities[0] - velocities[1]
-        s2 = float(w @ w)
+        s2 = dot(w, w)
         if fixed_eps0 is not None:
             eps0 = fixed_eps0
             if abs(s2 - 4.0 * eps0) <= 0.15 * max(1.0, s2):
@@ -594,6 +595,6 @@ def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: floa
     gap at least min_gap, at most 500 tries."""
     for _ in range(500):
         pts = spread * gen.uniform(-1.0, 1.0, size=(n, d))
-        if (pair_separations(pts) >= min_gap).all():
+        if (np.sqrt(squared_separations(pts)) >= min_gap).all():
             return pts
     raise IHSEError("failed to spread particles")

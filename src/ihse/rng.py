@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import squared_norms
+from .core import dot, squared_norms
 
 BLOCK_SIZE = 4096
 _MASK64 = (1 << 64) - 1
@@ -41,7 +41,7 @@ def uniform_ball(gen: np.random.Generator, count: int, dim: int, radius: float) 
     """Uniform draws from the dim-dimensional ball of the given radius,
     shape (count, dim)."""
     x = gen.standard_normal((count, dim))
-    norms = np.sqrt(squared_norms(x))  # np.linalg.norm(x, axis=1), bit for bit
+    norms = np.sqrt(squared_norms(x))  # numpy's own sum order, also from 8 terms up
     norms[norms == 0.0] = 1.0
     r = radius * gen.random(count) ** (1.0 / dim)
     return x * (r / norms)[:, None]
@@ -51,6 +51,6 @@ def unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     """Single uniform draw from the unit sphere."""
     while True:
         x = gen.standard_normal(dim)
-        n = math.sqrt(float(x @ x))  # np.linalg.norm(x), bit for bit
+        n = math.sqrt(dot(x, x))
         if n > 1e-12:
             return x / n

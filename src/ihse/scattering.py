@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IHSEError, ModelParams, Tolerances, UsageError
+from .core import IHSEError, ModelParams, Tolerances, UsageError, dot
 
 UNIT_NORM_TOL = 1e-12
 ZERO_RELATIVE_SPEED = 1e-14
@@ -87,7 +87,7 @@ class RadialCoordinates:
 def check_unit(omega: np.ndarray):
     """Raise UsageError unless omega, a vector (d,) or a stack (R, d) of
     them, is unit (to 2 UNIT_NORM_TOL)."""
-    if (np.abs(np.vecdot(omega, omega) - 1.0) > 2 * UNIT_NORM_TOL).any():
+    if np.any(abs(dot(omega, omega) - 1.0) > 2 * UNIT_NORM_TOL):
         raise UsageError("omega must be a unit vector")
 
 
@@ -124,10 +124,11 @@ def failed_checks(omega_sq, w2, approach, epsilon0, tol: Tolerances) -> tuple:
 
 def _reflected_direction(w: np.ndarray, speed, omega: np.ndarray) -> np.ndarray:
     """sigma for relative velocities w = v_j - v_i (..., d) with nonzero
-    speeds (a number or (..., 1)) and checked unit omega.  np.vecdot rounds
-    as float(x @ y) does, so a pair gets the same bits alone or stacked."""
+    speeds (a number or (..., 1)) and checked unit omega.  dot gives one pair
+    a Python float with the bits of its row in a stack."""
     u = w / speed
-    return u - 2.0 * np.vecdot(u, omega, keepdims=True) * omega
+    cosine = dot(u, omega)
+    return u - 2.0 * (cosine[..., None] if u.ndim > 1 else cosine) * omega
 
 
 def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0):
@@ -153,9 +154,9 @@ def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0
     epsilon0 a float or one per pair (R,): each pair with scatter's bits at
     its own quantum."""
     w = v_j - v_i
-    w2 = np.vecdot(w, w)
+    w2 = dot(w, w)
     emitting = w2 > 4.0 * epsilon0
-    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, np.vecdot(w, omega, keepdims=True))
+    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, dot(w, omega)[..., None])
     if emitting.any():
         omega = omega[emitting] if omega.ndim > 1 else omega
         epsilon0 = epsilon0[emitting, None] if np.ndim(epsilon0) else epsilon0
@@ -169,12 +170,12 @@ def checked_law(
     v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0: float, tol: Tolerances
 ):
     """scatter's checks in their order, then the dispatched law, on one pair
-    of (d,) arrays with w = v_j - v_i and w2 = |w|^2 (the same bits as
+    of (d,) arrays with w = v_j - v_i and w2 = dot(w, w) (the same bits as
     |v_i - v_j|^2): (v_i', v_j', sigma, kappa), sigma and kappa None for an
     elastic exchange.  Raises the error of the first failed check
     (SCATTER_CHECKS)."""
-    approach = float(w @ omega)
-    failed = failed_checks(float(omega @ omega), w2, approach, epsilon0, tol)
+    approach = dot(w, omega)
+    failed = failed_checks(dot(omega, omega), w2, approach, epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
         raise error(message)
@@ -191,7 +192,7 @@ def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     check_unit(omega)
     w = v_j - v_i
-    if (speed := math.sqrt(float(w @ w))) < ZERO_RELATIVE_SPEED:
+    if (speed := math.sqrt(dot(w, w))) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
     return _reflected_direction(w, speed, omega)
 
@@ -201,7 +202,7 @@ def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    return _elastic_transfer(v_i, v_j, omega, float((v_j - v_i) @ omega))
+    return _elastic_transfer(v_i, v_j, omega, dot(v_j - v_i, omega))
 
 
 def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -214,7 +215,7 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
-    w2 = float(w @ w)
+    w2 = dot(w, w)
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
     check_unit(omega)
@@ -243,9 +244,9 @@ def scatter(
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
     w = v_j - v_i
-    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, w, np.vecdot(w, w), params.epsilon0, tol)
-    ke_pre = 0.5 * (float(v_i @ v_i) + float(v_j @ v_j))
-    ke_post = 0.5 * (float(vi_post @ vi_post) + float(vj_post @ vj_post))
+    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, w, dot(w, w), params.epsilon0, tol)
+    ke_pre = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
+    ke_post = 0.5 * (dot(vi_post, vi_post) + dot(vj_post, vj_post))
     kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
     kappa = None if kappa is None else float(kappa)
     return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
@@ -283,7 +284,7 @@ def spherical_to_cartesian(coords: RadialCoordinates) -> np.ndarray:
 def cartesian_to_spherical(v) -> RadialCoordinates:
     """Inverse of spherical_to_cartesian; phi normalized into [0, 2*pi)."""
     v = np.asarray(v, dtype=float)
-    rho = float(np.linalg.norm(v))
+    rho = math.sqrt(dot(v, v))
     if rho <= 0:
         raise UsageError("zero vector has no spherical representation")
     theta = math.asin(max(-1.0, min(1.0, v[2] / rho)))
@@ -296,7 +297,7 @@ def emission_map_cartesian_3d(v, params: ModelParams) -> np.ndarray:
     (rho^3 - 4 eps0)^(1/3) and mirror the z component (theta -> -theta).
     Measure preserving, but not the engine's fixed-eps0 law."""
     v = np.asarray(v, dtype=float)
-    rho = float(np.linalg.norm(v))
+    rho = math.sqrt(dot(v, v))
     if not rho**3 > 4.0 * params.epsilon0:
         raise BelowThresholdError("rho^3 must exceed 4*epsilon0")
     scale = (rho**3 - 4.0 * params.epsilon0) ** (1.0 / 3.0) / rho
@@ -322,7 +323,7 @@ def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.nda
     d = omega.shape[0]
     ident = np.eye(d)
     w = v_j - v_i
-    w2 = float(w @ w)
+    w2 = dot(w, w)
     if w2 > 4.0 * params.epsilon0:
         speed = math.sqrt(w2)
         u = w / speed
@@ -331,7 +332,7 @@ def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.nda
         a_mat = (kappa / speed) * (
             ident
             + (w2 / (4.0 * kappa_sq) - 1.0) * np.outer(u, u)
-            + float(u @ omega) * (2.0 - w2 / (2.0 * kappa_sq)) * np.outer(omega, u)
+            + dot(u, omega) * (2.0 - w2 / (2.0 * kappa_sq)) * np.outer(omega, u)
             - 2.0 * np.outer(omega, omega)
         )
     else:

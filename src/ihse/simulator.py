@@ -21,13 +21,12 @@ from .core import (
     check_dimension,
     check_reach,
     domain_masks,
+    dot,
     kinetic_energy,
     pair_index_table,
     pair_indices,
-    pair_separations,
     reach_error,
     squared_separations,
-    validate_configuration,
     within_reach,
 )
 from .collision import first_contacts
@@ -153,10 +152,10 @@ def collide_stack(
     at, i, j = np.arange(k.size), *(index[k] for index in pair_indices(positions.shape[-2]))
     x, v = positions + t[:, None, None] * velocities, velocities.copy()
     v_i, v_j, r = v[at, i], v[at, j], x[at, i] - x[at, j]
-    omega = -r / np.sqrt(np.vecdot(r, r))[:, None]
+    omega = -r / np.sqrt(dot(r, r))[:, None]
     w = v_j - v_i
-    w2 = np.vecdot(w, w)
-    failed = np.array(failed_checks(np.vecdot(omega, omega), w2, np.vecdot(w, omega), epsilon0, tol))
+    w2 = dot(w, w)
+    failed = np.array(failed_checks(dot(omega, omega), w2, dot(w, omega), epsilon0, tol))
     check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
     vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, epsilon0)
     scattered = (check < 0)[:, None]
@@ -179,18 +178,19 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     SimStack row's, one tuple per event, and its report is built from it
     (_report).  Each ke_before is the previous event's ke_after.
     min_separation covers every time in [0, T] the run reaches: the start
-    is probed once (squared_separations), then each segment advanced takes
-    its exact minimum squared gap from its own scan (first_contacts'
-    closest).
+    is probed once (squared_separations, which the interior check also
+    reads), then each segment advanced takes its exact minimum squared gap
+    from its own scan (first_contacts' closest).
     """
     check_reach(cfg, T, "T", "a coordinate")
-    if not validate_configuration(cfg, tol.contact_tol).is_interior:
+    x, v = cfg.positions, cfg.velocities.copy()
+    squared = squared_separations(x)
+    if np.logical_or(*domain_masks(squared, tol.contact_tol)).any():
         raise UsageError("initial configuration must be interior (all gaps > 1)")
     records: list[tuple] = []
-    x, v = cfg.positions, cfg.velocities.copy()
     first, second = pair_indices(cfg.n_particles)
     recent = -1  # the position of the pair scattered last
-    min_sq, ke = float(squared_separations(x).min(initial=np.inf)), kinetic_energy(cfg)
+    min_sq, ke = float(squared.min(initial=np.inf)), kinetic_energy(cfg)
     now = 0.0
     halted: Optional[Pathology] = None
     while (remaining := T - now) > 0:
@@ -209,12 +209,12 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
         i, j = int(first[k]), int(second[k])
         v_i, v_j = v[i], v[j]
         w = v_j - v_i
-        rel_speed_sq = float(w @ w)
+        rel_speed_sq = dot(w, w)
         if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
             halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
             break
         r = x[i] - x[j]
-        omega = -r / math.sqrt(float(r @ r))
+        omega = -r / math.sqrt(dot(r, r))
         v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
         ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
         records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
@@ -246,8 +246,9 @@ def simulate_stack(
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
     reachable = within_reach(x, v, T)
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
-        interior = ~np.logical_or(*domain_masks(x, tol.contact_tol)).any(axis=-1)
-        min_sq = squared_separations(x).min(axis=-1, initial=np.inf)
+        squared = squared_separations(x)
+        interior = ~np.logical_or(*domain_masks(squared, tol.contact_tol)).any(axis=-1)
+        min_sq = squared.min(axis=-1, initial=np.inf)
         ke = 0.5 * np.square(v).sum(axis=(1, 2))
     errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
     errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
@@ -336,7 +337,7 @@ def random_configuration(
     dof = n_particles * dimension
     for _ in range(10000):
         x = uniform_ball(gen, 1, dof, r_positions)[0].reshape(n_particles, dimension)
-        if (pair_separations(x) > 1.0 + 1e-9).all():
+        if (np.sqrt(squared_separations(x)) > 1.0 + 1e-9).all():
             v = uniform_ball(gen, 1, dof, r_velocities)[0].reshape(n_particles, dimension)
             return Configuration(x, v)
     raise IHSEError(
@@ -361,7 +362,7 @@ def collision_rich_configuration(
     velocities = cfg.velocities.copy()
     for k in range(n_particles):
         towards = center - cfg.positions[k]
-        norm = float(np.linalg.norm(towards))
+        norm = math.sqrt(dot(towards, towards))
         if norm > 1e-9:
             velocities[k] = velocities[k] + inward_bias * towards / norm
     return Configuration(cfg.positions, velocities)

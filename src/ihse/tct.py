@@ -20,8 +20,10 @@ from .core import (
     Tolerances,
     UsageError,
     domain_masks,
+    dot,
     pair_index_table,
     reach_error,
+    squared_separations,
     within_reach,
 )
 from .collision import collision_time_gradients, first_contacts
@@ -166,7 +168,7 @@ def tct_stack(
         raise UsageError("tau must be positive and finite")
     s, _, d = positions.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
-        invalid, boundary = domain_masks(positions, tol.contact_tol)
+        invalid, boundary = domain_masks(squared_separations(positions), tol.contact_tol)
         time, k, unique, graze, _ = first_contacts(positions, velocities, tau, tol=tol)
         final_x = positions + tau * velocities
     # A contact inside the horizon is simultaneous until it is found unique;
@@ -269,9 +271,9 @@ def classified_flow_det(
     if classification.kind is CollisionKind.ELASTIC:
         return 1.0, -1.0, -1.0
     grad_x, _ = collision_time_gradients(cfg, classification.pair, tol=tol)
-    prefactor = 1.0 + float(grad_x @ (cfg.velocities - velocities).ravel())
+    prefactor = 1.0 + dot(grad_x, (cfg.velocities - velocities).ravel())
     _, w = cfg.pair_state(classification.pair)
-    det_n = scattering_velocity_det_analytic(float(w @ w), params, cfg.dimension)
+    det_n = scattering_velocity_det_analytic(dot(w, w), params, cfg.dimension)
     return prefactor * det_n, prefactor, det_n
 
 

@@ -45,6 +45,7 @@ from ihse.core import (
     PairIndex,
     Tolerances,
     UsageError,
+    dot,
     free_transport,
     validate_configuration,
 )
@@ -72,13 +73,13 @@ from ihse.tct import (
 
 def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float, float, Optional[tuple[float, float]]]:
     """Roots of |r + t w|^2 = 1 as (b, a, delta, (t_small, t_large))."""
-    a = float(w @ w)
-    b = float(r @ w)
-    delta = b * b - a * (float(r @ r) - 1.0)
+    a = dot(w, w)
+    b = dot(r, w)
+    delta = b * b - a * (dot(r, r) - 1.0)
     if a == 0.0 or delta < 0.0:
         return b, a, delta, None
     sq = math.sqrt(delta)
-    c = float(r @ r) - 1.0
+    c = dot(r, r) - 1.0
     if b < 0.0:
         q = -b + sq
         return b, a, delta, (c / q, q / a)
@@ -90,9 +91,9 @@ def quadratic_contact_roots(r: np.ndarray, w: np.ndarray) -> tuple[float, float,
 
 def array_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -> tuple[np.ndarray, ...]:
     """(a, b, c, delta, contact, graze) of P pairs, as ihse.collision._quadratic_contact_roots."""
-    a = np.vecdot(w, w)
-    b = np.vecdot(r, w)
-    c = np.vecdot(r, r) - 1.0
+    a = dot(w, w)
+    b = dot(r, w)
+    c = dot(r, r) - 1.0
     delta = b * b - a * c
     approaching = b < 0.0
     neg_b = -b
@@ -178,7 +179,7 @@ def collide(
     contact = free_transport(cfg, t)
     i, j = pair.zero_based()
     w = contact.velocities[i] - contact.velocities[j]
-    w2 = float(w @ w)
+    w2 = dot(w, w)
     if abs(w2 - 4.0 * params.epsilon0) <= tol.crit_tol:
         return contact, None, w2
     omega = contact_direction(contact, pair)
@@ -229,7 +230,7 @@ def flow_jacobian_prefactor(
     if outcome is None:
         raise CriticalEnergyError("relative speed inside the critical band around the emission threshold")
     dv = (cfg.velocities - post.velocities).ravel()
-    return 1.0 + float(grad_x @ dv)
+    return 1.0 + dot(grad_x, dv)
 
 
 def difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -932,8 +933,13 @@ def test_thread_cap_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys)
 
 # Output bytes and exit status of a fixed invocation of every command, a
 # --run-config run, and the CSV files they write, captured before the CLI's
-# tables were merged into one.
-DOCUMENTS_SHA256 = "e12e955e4bd8d6838d21e94c010c6980c5396246686dd8ba85a5bb11564d04ee"
+# tables were merged into one.  Re-pinned when the engine's inner products
+# moved off BLAS (core.dot).  This digest and RECORDS_SHA256 are still bound
+# to the BLAS kernel through LAPACK's determinant (np.linalg.det): the
+# finite-difference determinants of jacobian, scatter-check and volume, and
+# the fields computed from them, move in the last bits under another
+# OpenBLAS kernel.
+DOCUMENTS_SHA256 = "f93cd25d3f826364f43e47ef4d06b81f4b527b446ff05ff243b325a8dbc34ac5"
 
 DIGEST_CONFIGS = {
     "two_body.json": [([0.0, 0.0], [1.0, 0.0]), ([3.0, 0.0], [0.0, 0.0])],
@@ -977,9 +983,9 @@ def test_documents_digest_is_pinned(tmp_path, monkeypatch):
 # elastic outcome (sigma and kappa null), an excluded classification, d=3
 # Jacobian reports (emitting ones with the closed-form analytic determinant)
 # and a run without events.  Re-pinned when the d=3 emitting reports gained
-# their analytic determinant, prefactor and residual; the other documents
-# are unchanged since before they were encoded from the engine records.
-RECORDS_SHA256 = "e2ff3e531300053c76dd793a66766a80e583450e12caa1c4807744c32ddf9e75"
+# their analytic determinant, prefactor and residual, and when the engine's
+# inner products moved off BLAS.
+RECORDS_SHA256 = "74ea5fd065aab5eff5feab356f67520d27313c31537dc256a9abe834390e2ab1"
 
 RECORD_CONFIGS = {
     "two_body.json": DIGEST_CONFIGS["two_body.json"],
@@ -1010,3 +1016,30 @@ def test_record_documents_digest_is_pinned(tmp_path, monkeypatch):
     assert statuses[0] == 3
     assert not (tmp_path / "none.csv").exists()
     assert digest.hexdigest() == RECORDS_SHA256
+
+
+# OpenBLAS picks its kernel by CPU when it loads; OPENBLAS_CORETYPE forces
+# one.  Under SkylakeX (AVX-512), Haswell and Prescott a dot product through
+# BLAS rounds three ways; the engine takes none, so its documents agree.
+KERNELS = (None, "Haswell", "Prescott")
+KERNEL_RUNS = [
+    ["simulate", "--N", "4", "--R1", "4", "--R2", "1.5", "--T", "10", "--eps0", "0.35", "--seed", "7"],
+    ["classify", "--config", "three.json", "--tau", "3", "--eps0", "0.3"],
+]
+
+
+def test_documents_do_not_depend_on_the_blas_kernel(tmp_path):
+    three = [([0.1234, -0.3], [1.1, 0.05]), ([2.71828, 0.577], [-0.7, 0.33]), ([-1.9, 2.2], [0.4, -0.9])]
+    (tmp_path / "three.json").write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in three]}))
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    documents = {}
+    for kernel in KERNELS:
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        for argv in KERNEL_RUNS:
+            command = [sys.executable, "-m", "ihse.cli", *argv, "--output", "out.json"]
+            subprocess.run(command, cwd=tmp_path, env=env, check=True)
+            documents.setdefault(argv[0], set()).add((tmp_path / "out.json").read_bytes())
+    assert {name: len(texts) for name, texts in documents.items()} == {"simulate": 1, "classify": 1}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ihse import (
     Configuration,
@@ -19,7 +20,7 @@ from ihse import (
     free_transport,
     validate_configuration,
 )
-from ihse.core import pair_differences, pair_indices, pair_position, squared_norms, squared_separations
+from ihse.core import dot, pair_differences, pair_indices, pair_position, squared_norms, squared_separations
 from ihse.scattering import CollisionKind
 from ihse.simulator import SimEvent
 from ihse.jsonio import dumps, format_float
@@ -249,3 +250,33 @@ class TestSquaredNorms:
         assert expected.shape == (2, 240 * 239 // 2)
         assert _hex(squared_separations(positions)) == _hex(expected)
         assert _hex(squared_separations(positions[0])) == _hex(expected[0])
+
+
+@st.composite
+def dot_stacks(draw):
+    """(x, y) stacks (R, d) for d = 2..9; no product or sum overflows."""
+    d, rows = draw(st.integers(2, 9)), draw(st.integers(1, 5))
+    elements = st.floats(-1e150, 1e150, allow_subnormal=True)
+    return tuple(draw(hnp.arrays(np.float64, (rows, d), elements=elements)) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_stacks())
+def test_dot_adds_products_left_to_right(stack):
+    """core.dot is the left-to-right Python sum of the coordinate products,
+    a pair alone gets the bits of its row in a stack, and broadcasting
+    against one vector agrees."""
+    x, y = stack
+    stacked = dot(x, y)
+    assert stacked.shape == (len(x),)
+    for row, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+        expected = a[0] * b[0]
+        for u, v in zip(a[1:], b[1:]):
+            expected = expected + u * v
+        alone = dot(x[row], y[row])
+        assert type(alone) is float
+        assert alone.hex() == expected.hex() == float(stacked[row]).hex()
+    assert _hex(dot(x, y[0])) == _hex([dot(row, y[0]) for row in x])
+    assert _hex(dot(x[None], y[None])[0]) == _hex(stacked)
+    if x.shape[1] < 8:
+        assert _hex(dot(x, x)) == _hex(squared_norms(x))

@@ -12,12 +12,13 @@ statuses at three contact tolerances, single-pair predictions, discriminants
 and contact-time gradients, all-pairs scans with and without a recent pair,
 rejection-sampled draws, and scattering outcomes.
 
-Both digests hash exact floating-point bits, so they are bound to the
-numpy/BLAS build they were taken with: the numpy 2.4 wheel with its bundled
-OpenBLAS 0.3.31 on x86-64.  That OpenBLAS picks its kernel by CPU at run
-time, so a different BLAS, build or CPU that rounds dot products otherwise
-(for instance without fused multiply-add) changes the digests without any
-change in this package.
+Both digests hash exact floating-point bits.  Every inner product the
+engine takes, and every one these tests take to build their inputs, is
+core.dot's: elementwise products added left to right, never BLAS.  So the
+digests do not depend on the kernel OpenBLAS picks by CPU: they pass with
+OPENBLAS_CORETYPE unset and set to SkylakeX, Haswell, Zen and Prescott
+(numpy 2.4 with its bundled OpenBLAS 0.3.31 on an AVX-512 x86-64 host).  They were re-pinned once when the engine moved off BLAS dot
+products; no event's pair or kind, and no halt, changed then.
 """
 
 import hashlib
@@ -43,13 +44,14 @@ from ihse import (
     simulate,
     validate_configuration,
 )
+from ihse.core import dot
 from ihse.jacobian_lab import random_tct_case
 from ihse.measure_mc import low_energy_ensemble
 from ihse.rng import unit_vector
 from ihse.simulator import collision_rich_configuration, random_configuration
 
-GOLDEN_SHA256 = "afbee89ad45ba93650baabd223af86f25f1c6034b8f36e0a3a8d3c282a247ad6"
-DETAIL_SHA256 = "86eeb3bba18b106dbf33b4b5111fcb4b9d0468bb7f32caa34dc950c6b9aef19d"
+GOLDEN_SHA256 = "0f27765fb4959451282e352d6cdfd52079019c95660f554aed39959c4d68acba"
+DETAIL_SHA256 = "298c0ac39b8edd3eb94ff177141e63e3c0acb801922911fcc3b8abac9e966878"
 
 
 def _feed_report(digest, report):
@@ -106,11 +108,11 @@ def _grazing_aimed(gen, n, d):
     positions[1] = positions[0] + (2.0 + gen.random()) * unit_vector(gen, d)
     velocities = gen.standard_normal((n, d))
     r = positions[0] - positions[1]
-    length = float(np.linalg.norm(r))
+    length = math.sqrt(dot(r, r))
     axis = r / length
     perp = unit_vector(gen, d)
-    perp -= float(perp @ axis) * axis
-    perp /= float(np.linalg.norm(perp))
+    perp -= dot(perp, axis) * axis
+    perp /= math.sqrt(dot(perp, perp))
     velocities[0] = velocities[1] + (0.5 + gen.random()) * (
         -axis * math.sqrt(length**2 - 1.0) / length + perp / length
     )
@@ -196,7 +198,7 @@ def test_engine_detail_digest_is_pinned():
         omega = unit_vector(gen, d)
         v_i = gen.standard_normal(d) + omega
         v_j = gen.standard_normal(d) - omega
-        if float((v_j - v_i) @ omega) >= 0.0:
+        if dot(v_j - v_i, omega) >= 0.0:
             v_i, v_j = v_j, v_i
         eps0 = (0.05, 0.5, 2.0)[index % 3]
         try:

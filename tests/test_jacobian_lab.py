@@ -30,6 +30,7 @@ from ihse.jacobian_lab import (
     random_tct_cases,
     verify_flow_jacobians,
 )
+from ihse.core import dot
 from ihse.rng import sample_generator
 from ihse.scattering import scattering_velocity_det_analytic, scattering_velocity_jacobian
 
@@ -229,7 +230,7 @@ class TestScatteringMeasure:
                     v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(31, index), params, d, kind=kind)
                     assert v_i.shape == v_j.shape == omega.shape == (d,)
                     w = v_j - v_i
-                    closed = scattering_velocity_det_analytic(float(w @ w), params, d)
+                    closed = scattering_velocity_det_analytic(dot(w, w), params, d)
                     jac = scattering_velocity_jacobian(v_i, v_j, omega, params)
                     det_2a = float(np.linalg.det(jac[:d, :d] - jac[:d, d:]))
                     assert report.analytic_det == closed

@@ -21,7 +21,7 @@ from ihse import (
 )
 from ihse.jacobian_lab import draw_scattering_sample
 from ihse.rng import sample_generator
-from ihse.core import Tolerances
+from ihse.core import Tolerances, dot
 from ihse.scattering import (
     SCATTER_CHECKS,
     cartesian_to_spherical,
@@ -265,8 +265,8 @@ def test_checked_law_is_the_stacked_law(case):
     failed_checks names."""
     v_i, v_j, omega, epsilon0, tol = case
     w = v_j - v_i
-    w2 = float(w @ w)
-    failed = failed_checks(float(omega @ omega), w2, float(w @ omega), epsilon0, tol)
+    w2 = dot(w, w)
+    failed = failed_checks(dot(omega, omega), w2, dot(w, omega), epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
         with pytest.raises(error, match=message):

@@ -18,6 +18,7 @@ from ihse import (
     tct_flow,
 )
 from ihse.jacobian_lab import random_tct_case, verify_flow_jacobian
+from ihse.core import dot
 from ihse.tct import contraction_factor
 
 from conftest import assert_close
@@ -202,7 +203,7 @@ class TestAnalyticDeterminant:
             cfg, params = random_tct_case(91 + d, index, 2 + index % 2, kind=CollisionKind.INELASTIC, d=d)
             det, prefactor, det_n = analytic_flow_jacobian_det(cfg, 1.0, params)
             _, w = cfg.pair_state(P12)
-            x = 1.0 - 4.0 * params.epsilon0 / float(w @ w)
+            x = 1.0 - 4.0 * params.epsilon0 / dot(w, w)
             assert det_n == -(x ** ((d - 2) / 2))
             assert det == pytest.approx(x ** ((d - 1) / 2), rel=1e-9)
             report = verify_flow_jacobian(cfg, 1.0, params)

@@ -28,6 +28,7 @@ from ihse import (
     classify_tct_domain,
     tct_flow,
 )
+from ihse.core import dot
 from ihse.jacobian_lab import random_tct_case
 from ihse.scattering import GrazingContactError
 from ihse.tct import tct_stack
@@ -260,7 +261,7 @@ def test_rows_with_mixed_quanta_match_each_row_alone(n, d, seed, h, quanta, crit
     m = n * d
     positions, velocities = points[:, :m].reshape(-1, n, d), points[:, m:].reshape(-1, n, d)
     w = velocities[:, 1] - velocities[:, 0]
-    critical = np.vecdot(w, w) / 4.0
+    critical = dot(w, w) / 4.0
     cycle = quanta * len(points)
     eps0 = np.array([critical[row] if cycle[row] == "critical" else cycle[row] for row in range(len(points))])
     _assert_rows_match_alone(positions, velocities, tau, eps0, Tolerances(crit_tol=crit_tol))
