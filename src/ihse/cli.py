@@ -47,6 +47,8 @@ from .tct import classified_flow_det, classify_tct_domain, tct_flow
 
 SCHEMA = "ihse/1"
 
+SEED_LIMIT = 2**64  # every --seed keys rng streams, which take 64 bits
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PATHOLOGY = 3
@@ -176,6 +178,8 @@ def resolve_flags(args: argparse.Namespace) -> dict:
         value = next((v for v in (getattr(args, name), file_values.get(name)) if v is not None), flag.default)
         if value is None and flag.required:
             raise UsageError(f"--{name.replace('_', '-')} is required for '{command}'")
+        if name == "seed" and not 0 <= value < SEED_LIMIT:
+            raise UsageError(f"--seed must be an integer in [0, 2**64), got {value}")
         resolved[name] = value
     return resolved
 

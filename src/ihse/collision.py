@@ -20,6 +20,7 @@ from .core import (
     pair_differences,
     pair_index_table,
     pair_position,
+    reduce_rows,
 )
 
 # A pair is ignored below this root when it has just collided: post-collision
@@ -122,34 +123,38 @@ def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Toler
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
 
 
-def _closest(a: np.ndarray, b: np.ndarray, c: np.ndarray, span) -> np.ndarray:
-    """Per state, the minimum over pairs of the squared gap a t^2 + 2 b t + c
-    at each pair's closest approach clipped to [0, span]."""
+def _closest_gaps(a: np.ndarray, b: np.ndarray, c: np.ndarray, span) -> np.ndarray:
+    """Per pair, the squared gap a t^2 + 2 b t + c at the pair's closest
+    approach clipped to [0, span]."""
     t = np.fmin(np.fmax(-b / a, 0.0), span)  # fmax: a still pair's 0/0 is 0
-    return (c + t * (b + b + t * a)).min(axis=-1, initial=np.inf)
+    return c + t * (b + b + t * a)
 
 
 def first_contacts(
     positions: np.ndarray,
     velocities: np.ndarray,
-    horizon: float | np.ndarray,
+    horizon: float | np.ndarray | None = None,
     *,
     tol: Tolerances = Tolerances(),
     recent: int | np.ndarray = -1,
 ) -> tuple:
-    """first_collision's scan of a stack (..., N, d) of states, contacts not
-    cut at the horizon (a float, or one per state): per state the earliest
-    contact time (inf if none), its pair's index in pair_indices order,
-    whether it is unique, the earliest graze (inf if none), and closest,
-    the minimum of every pair's squared gap |r + t w|^2 - 1 over
-    [0, min(contact, horizon)].  recent is the position in pair_indices of
-    the pair scattered last, an int or one per state (...), -1 for none.
+    """first_collision's scan of a stack (S, N, d) of states, contacts not
+    cut at the horizon: per state the earliest contact time (inf if none),
+    its pair's index in pair_indices order, whether it is unique, the
+    earliest graze (inf if none), and closest, the minimum of every pair's
+    squared gap |r + t w|^2 - 1 over [0, min(contact, horizon)].  closest
+    is computed only when a horizon (a float, or one per state) is given,
+    else it is None.  recent is the position in pair_indices of the pair
+    scattered last, an int or one per state (S,), -1 for none.
 
-    The reductions follow the shape: a stack gets arrays of shape (...), one
+    The reductions follow the shape: a stack gets arrays of shape (S,), one
     state (positions (N, d)) gets Python numbers, (float, int, bool, float,
-    float), reduced without numpy's per-call cost on 0-d arrays.  Both take
-    the same roots, tie, simultaneity and graze rules, so a state scanned
-    alone gets the bits of its row in a stack.
+    float or None), reduced without numpy's per-call cost on 0-d arrays.  A
+    stack is reduced over its pairs with core.reduce_rows, and its earliest
+    contact is its argmin's entry, read from the flat view.  Both take the
+    same roots, tie, simultaneity and graze rules, and a minimum is exact in
+    any order, so a state scanned alone gets the bits of its row in a
+    stack.
 
     closest comes from each pair's coefficients at its closest approach
     clipped to that span, t* = clip(-b/a, 0, span), never from the roots: it
@@ -167,20 +172,27 @@ def first_contacts(
                 k = int(contact.argmin())  # first occurrence: the lexicographically first pair
                 time, contact[k] = float(contact[k]), np.inf
             unique = float(contact.min(initial=np.inf)) - time > tol.simultaneity_tol
-            closest = float(_closest(a, b, c, min(time, horizon)))
+            closest = None
+            if horizon is not None:
+                closest = float(_closest_gaps(a, b, c, min(time, horizon)).min(initial=np.inf))
             return time, k, unique, math.inf if graze is None else float(graze.min()), closest
+        s, p = contact.shape
+        if not p:  # no pair (N = 1): one that never meets
+            contact, p = np.full((s, 1), np.inf), 1
+        row_start = np.arange(0, s * p, p)
+        flat = contact.reshape(-1)  # a view: contact is a fresh array
         if np.ndim(recent) or recent >= 0:
-            rearmed = np.arange(contact.shape[-1]) == np.asarray(recent)[..., None]
-            contact[rearmed & (contact <= REARM_TIME)] = np.inf
-        if contact.shape[-1] < 2:  # pad with pairs that never meet, so that a second contact exists
-            pad = np.full(contact.shape[:-1] + (2 - contact.shape[-1],), np.inf)
-            contact = np.concatenate([contact, pad], axis=-1)
+            at = row_start + recent  # -1 rows point before their own row: masked
+            flat[at[(recent >= 0) & (flat.take(at) <= REARM_TIME)]] = np.inf
         k = contact.argmin(axis=-1)  # first occurrence: the lexicographically first pair
-        lowest = np.partition(contact, 1, axis=-1)
-        time, second = lowest[..., 0], lowest[..., 1]
-        unique = second - time > tol.simultaneity_tol
-        closest = _closest(a, b, c, np.minimum(time, horizon)[..., None])
-    graze = np.full(time.shape, np.inf) if graze is None else graze.min(axis=-1)
+        at = row_start + k
+        time = flat.take(at)
+        flat[at] = np.inf
+        unique = reduce_rows(np.minimum, contact, np.inf) - time > tol.simultaneity_tol
+        closest = None
+        if horizon is not None:
+            closest = reduce_rows(np.minimum, _closest_gaps(a, b, c, np.minimum(time, horizon)[:, None]), np.inf)
+    graze = np.full(s, np.inf) if graze is None else reduce_rows(np.minimum, graze, np.inf)
     return time, k, unique, graze, closest
 
 
@@ -210,7 +222,7 @@ def first_collision(
         raise NoCollisionError("horizon must be positive")
     n = cfg.n_particles
     recent = -1 if recent_pair is None else pair_position(n, recent_pair)
-    time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, horizon, tol=tol, recent=recent)
+    time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
     t_graze = graze if graze <= horizon else None
     if not time <= horizon:
         return None if t_graze is None else FirstCollision(None, None, True, t_graze)

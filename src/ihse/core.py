@@ -258,10 +258,32 @@ def dot(x: np.ndarray, y: np.ndarray):
         for column in range(2, products.shape[-1]):
             total += products[..., column]
         return total
-    x, y = x.tolist(), y.tolist()
+    return dot_floats(x.tolist(), y.tolist())
+
+
+def dot_floats(x: list, y: list) -> float:
+    """dot of two vectors given as lists of Python floats: the products
+    added left to right."""
     total = x[0] * y[0]
     for column in range(1, len(x)):
         total += x[column] * y[column]
+    return total
+
+
+def reduce_rows(ufunc: np.ufunc, values: np.ndarray, initial) -> np.ndarray:
+    """ufunc.reduce(values, axis=-1, initial=initial) of an (S, K) array, bit
+    for bit, for an ufunc whose result does not depend on the order it
+    meets its terms in (np.minimum, np.maximum, np.logical_or; a row holding
+    a NaN gives NaN either way).  numpy reduces each row in an inner loop of
+    its own, about 60 ns a row, so a short axis of many rows (K at most 16
+    and at most S / 10) is reduced one column at a time, each ufunc call
+    over all S rows."""
+    s, k = values.shape
+    if not 0 < k <= min(16, s // 10):
+        return ufunc.reduce(values, axis=-1, initial=initial)
+    total = values[:, 0].copy()
+    for column in range(1, k):
+        ufunc(total, values[:, column], out=total)
     return total
 
 
@@ -326,7 +348,8 @@ def within_reach(positions: np.ndarray, velocities: np.ndarray, horizon: float, 
     energy never grows, so no coordinate leaves reach and no |r|^2 or |w|^2
     tops square.  A non-finite state is out of reach."""
     n, d = positions.shape[-2:]
-    top = np.maximum(np.abs(positions).max(axis=(-2, -1)), np.abs(velocities).max(axis=(-2, -1)))
+    coordinates = np.maximum(np.abs(positions), np.abs(velocities)).reshape(-1, n * d)
+    top = reduce_rows(np.maximum, coordinates, -np.inf).reshape(positions.shape[:-2])
     with np.errstate(over="ignore", invalid="ignore"):
         reach = (top + spread) * (1.0 + horizon * math.sqrt(n * d))
         square = d * (2.0 * reach) * (2.0 * reach)

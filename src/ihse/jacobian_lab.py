@@ -6,6 +6,7 @@ both the scattering map and the full one-collision flow.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -21,12 +22,13 @@ from .core import (
     UsageError,
     check_dimension,
     dot,
+    dot_floats,
     pair_indices,
     pair_position,
     squared_separations,
 )
 from .collision import _quadratic_contact_roots, first_contacts
-from .rng import sample_generator, unit_vector
+from .rng import sample_generator, unit_floats, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
 from .tct import classified_flow_det, tct_stack
 
@@ -238,7 +240,8 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) ->
     law emits.  A non-unit omega of an emitting row is a UsageError."""
     d = points.shape[1] // 2
     v_i, v_j = points[:, :d], points[:, d:]
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, epsilon0)
+    w = v_j - v_i
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, w, dot(w, w), dot(w, omega), epsilon0)
     if emitting.any():
         check_unit(omega[emitting] if omega.ndim > 1 else omega)
     return np.concatenate([vi_post, vj_post], axis=1), emitting.tolist()
@@ -504,7 +507,7 @@ def random_tct_cases(
                 else:  # a candidate (cfg, params), or a drawn state (positions, velocities)
                     (candidates if isinstance(request[1], ModelParams) else drawn)[c] = request
             if drawn:
-                x, v = (np.stack(states) for states in zip(*drawn.values()))
+                x, v = (np.array(states) for states in zip(*drawn.values()))
                 sent = dict(zip(drawn, _prechecks(x, v, tau, tol).tolist()))
             elif candidates:
                 cfgs, params = zip(*candidates.values())
@@ -527,7 +530,7 @@ def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: T
     before classification: its first contact over [0, tau] is unique, of the
     pair (1, 2) and in (0.05 tau, 0.8 tau), and that pair's discriminant (as
     predict_pair gives it) is at least 0.1."""
-    time, k, unique, _, _ = first_contacts(positions, velocities, tau, tol=tol)
+    time, k, unique, _, _ = first_contacts(positions, velocities, tol=tol)
     r, w = positions[:, 0] - positions[:, 1], velocities[:, 0] - velocities[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # parallel and non-meeting pairs
         _, _, _, delta, _, _ = _quadratic_contact_roots(r, w, tol.grazing_tol)
@@ -536,35 +539,36 @@ def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: T
 
 def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_eps0):
     """random_tct_case's draws from gen, as a generator.  It yields each
-    drawn state as (positions, velocities) and is sent back whether it
-    passes _prechecks; a state that passes gets its quantum, is yielded as
-    the candidate (cfg, params) and is sent back the candidate's
-    classification.  Returns the accepted (cfg, params)."""
+    drawn state as (positions, velocities), lists of N lists of Python
+    floats, and is sent back whether it passes _prechecks; a state that
+    passes gets its quantum, is yielded as the candidate (cfg, params) and
+    is sent back the candidate's classification.  Returns the accepted
+    (cfg, params).  Each coordinate is a Python float, computed with the
+    generator calls and the operations, in their order, of the array form
+    kept in tests/reference_draws.py."""
     for _ in range(2000):
         positions = _spread_positions(gen, n_particles, d, min_gap=3.6, spread=2.0 + 1.5 * n_particles)
         # Pull particle 1 onto a shell close to particle 2 so contact falls
         # well inside the horizon.
         shell = 1.3 + 0.9 * gen.random()
-        positions[0] = positions[1] + shell * unit_vector(gen, d)
-        velocities = 0.2 * gen.standard_normal((n_particles, d))
+        positions[0] = [b + shell * u for b, u in zip(positions[1], unit_floats(gen, d))]
+        velocities = [[0.2 * z for z in row] for row in gen.standard_normal((n_particles, d)).tolist()]
         # Aim particle 1 at particle 2 with a sub-diameter impact parameter.
-        gap = positions[1] - positions[0]
-        dist = math.sqrt(dot(gap, gap))
-        direction = gap / dist
-        tangent = unit_vector(gen, d)
-        tangent -= dot(tangent, direction) * direction
-        t_norm = math.sqrt(dot(tangent, tangent))
-        if t_norm > 1e-9:
-            tangent /= t_norm
-        else:
-            tangent = np.zeros(d)
+        gap = [b - a for a, b in zip(positions[0], positions[1])]
+        dist = math.sqrt(dot_floats(gap, gap))
+        direction = [g / dist for g in gap]
+        tangent = unit_floats(gen, d)
+        along = dot_floats(tangent, direction)
+        tangent = [t - along * e for t, e in zip(tangent, direction)]
+        t_norm = math.sqrt(dot_floats(tangent, tangent))
+        tangent = [t / t_norm for t in tangent] if t_norm > 1e-9 else [0.0] * d
         speed = 1.5 + gen.random()
         impact = 0.5 * gen.random()
-        velocities[0] = velocities[1] + speed * direction + impact * tangent
+        velocities[0] = [b + speed * e + impact * t for b, e, t in zip(velocities[1], direction, tangent)]
         if not (yield positions, velocities):
             continue
-        w = velocities[0] - velocities[1]
-        s2 = dot(w, w)
+        w = [a - b for a, b in zip(velocities[0], velocities[1])]
+        s2 = dot_floats(w, w)
         if fixed_eps0 is not None:
             eps0 = fixed_eps0
             if abs(s2 - 4.0 * eps0) <= 0.15 * max(1.0, s2):
@@ -590,11 +594,22 @@ def _case_draws(gen: np.random.Generator, n_particles: int, kind, d: int, fixed_
     raise IHSEError("failed to draw a one-collision configuration within the retry budget")
 
 
-def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: float, spread: float) -> np.ndarray:
+def _spread_positions(gen: np.random.Generator, n: int, d: int, *, min_gap: float, spread: float) -> list:
     """n points uniform in the cube [-spread, spread]^d with every pairwise
-    gap at least min_gap, at most 500 tries."""
+    gap at least min_gap, at most 500 tries, as lists of Python floats.  A
+    gap is the root of squared_separations' sum: dot's, left to right, below
+    8 coordinates, and numpy's own reduction from 8 up."""
+    pairs = list(itertools.combinations(range(n), 2))
     for _ in range(500):
-        pts = spread * gen.uniform(-1.0, 1.0, size=(n, d))
-        if (np.sqrt(squared_separations(pts)) >= min_gap).all():
+        pts = [[spread * u for u in row] for row in gen.uniform(-1.0, 1.0, size=(n, d)).tolist()]
+        if d >= 8:
+            if (np.sqrt(squared_separations(np.array(pts))) >= min_gap).all():
+                return pts
+            continue
+        for i, j in pairs:
+            r = [a - b for a, b in zip(pts[i], pts[j])]
+            if not math.sqrt(dot_floats(r, r)) >= min_gap:
+                break
+        else:
             return pts
     raise IHSEError("failed to spread particles")

@@ -11,15 +11,17 @@ import math
 
 import numpy as np
 
-from .core import dot, squared_norms
+from .core import dot_floats, squared_norms
 
 BLOCK_SIZE = 4096
-_MASK64 = (1 << 64) - 1
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
-    """Independent generator for one block of a seeded stream."""
-    key = np.array([seed & _MASK64, block_index & _MASK64], dtype=np.uint64)
+    """Independent generator for one block of a seeded stream.  The seed and
+    the block index are the two 64-bit words of the Philox key, so each must
+    lie in [0, 2**64); numpy raises OverflowError for any other, so no two
+    seeds share a stream."""
+    key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -49,8 +51,13 @@ def uniform_ball(gen: np.random.Generator, count: int, dim: int, radius: float) 
 
 def unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     """Single uniform draw from the unit sphere."""
+    return np.array(unit_floats(gen, dim))
+
+
+def unit_floats(gen: np.random.Generator, dim: int) -> list:
+    """unit_vector's draw as a list of Python floats."""
     while True:
-        x = gen.standard_normal(dim)
-        n = math.sqrt(dot(x, x))
+        x = gen.standard_normal(dim).tolist()
+        n = math.sqrt(dot_floats(x, x))
         if n > 1e-12:
-            return x / n
+            return [c / n for c in x]

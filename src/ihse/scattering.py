@@ -148,21 +148,24 @@ def _elastic_transfer(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, appro
     return v_i + transfer, v_j - transfer
 
 
-def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0):
+def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, approach, epsilon0):
     """(v_i', v_j', emitting) of the unguarded dispatched law on R pairs,
-    (R, d) arrays with a checked omega (d,) or (R, d) and the quantum
-    epsilon0 a float or one per pair (R,): each pair with scatter's bits at
-    its own quantum."""
-    w = v_j - v_i
-    w2 = dot(w, w)
+    (R, d) arrays with a checked omega (d,) or (R, d), w = v_j - v_i, its
+    w2 = dot(w, w) and approach = dot(w, omega) (R,) as the caller has them
+    (checked_law takes them the same way), and the quantum epsilon0 a float
+    or one per pair (R,): each pair with scatter's bits at its own
+    quantum."""
     emitting = w2 > 4.0 * epsilon0
-    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, dot(w, omega)[..., None])
+    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach[..., None])
     if emitting.any():
-        omega = omega[emitting] if omega.ndim > 1 else omega
-        epsilon0 = epsilon0[emitting, None] if np.ndim(epsilon0) else epsilon0
-        vi_post[emitting], vj_post[emitting], _, _ = _emission(
-            v_i[emitting], v_j[emitting], omega, w[emitting], w2[emitting, None], epsilon0
-        )
+        # Every pair through the emitting law, kept where it emits: elementwise
+        # steps, so no pair's bits depend on the others, and no masked copies.
+        # A pair that does not emit may root a negative or divide by zero here.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            emitted = _emission(v_i, v_j, omega, w, w2[..., None], np.asarray(epsilon0)[..., None])
+        where = emitting[..., None]
+        np.copyto(vi_post, emitted[0], where=where)
+        np.copyto(vj_post, emitted[1], where=where)
     return vi_post, vj_post, emitting
 
 

@@ -5,7 +5,9 @@ collision-count bound checks.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +27,9 @@ from .core import (
     kinetic_energy,
     pair_index_table,
     pair_indices,
+    pair_position,
     reach_error,
+    reduce_rows,
     squared_separations,
     within_reach,
 )
@@ -68,7 +72,8 @@ class SimReport:
     def event_signature(self) -> tuple:
         """Hashable (pair, kind) sequence; used as a branch label when
         differentiating the multi-collision flow map."""
-        return _signature(((e.pair, e.kind) for e in self.events), self.halted)
+        n = self.final.n_particles
+        return _signature(n, ((pair_position(n, e.pair), e.kind is _KINDS[1]) for e in self.events), self.halted)
 
 
 @dataclass(frozen=True)
@@ -96,20 +101,30 @@ class SimStack:
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
         raises alone, built without building the row's report."""
-        pairs = pair_index_table(self.positions.shape[1])
+        n = self.positions.shape[1]
         return [
-            _signature(((pairs[k], _KINDS[emits]) for _, k, emits, *_ in events), halted) if error is None else error
+            _signature(n, map(_STEP, events), halted) if error is None else error
             for error, events, halted in zip(self.errors, self.events, self.halted)
         ]
 
 
 _KINDS = (CollisionKind.ELASTIC, CollisionKind.INELASTIC)  # by emitting
+_STEP = operator.itemgetter(1, 2)  # an event record's (pair position, emitting)
 
 
-def _signature(steps, halted: Optional[Pathology]) -> tuple:
-    """A run's branch label from its (pair, kind) per event: (i, j, kind
-    value) per event, then ("halted", reason) when the run halts."""
-    signature = tuple((pair.i, pair.j, kind.value) for pair, kind in steps)
+@functools.cache
+def _step_labels(n: int) -> tuple:
+    """Per pair position in pair_indices and emitting flag, the label of an
+    event of n particles, (i, j, kind value).  Cached per n."""
+    return tuple(tuple((pair.i, pair.j, kind.value) for kind in _KINDS) for pair in pair_index_table(n))
+
+
+def _signature(n: int, steps, halted: Optional[Pathology]) -> tuple:
+    """A run's branch label from its (pair position, emitting) per event:
+    the _step_labels of its events, then ("halted", reason) when the run
+    halts."""
+    labels = _step_labels(n)
+    signature = tuple(labels[k][emits] for k, emits in steps)
     return signature if halted is None else signature + (("halted", halted.reason),)
 
 
@@ -149,17 +164,23 @@ def collide_stack(
     index of the first failed check: the critical band (CRITICAL_BAND; the
     row is left unscattered, as simulate leaves it) before scatter's own
     checks."""
-    at, i, j = np.arange(k.size), *(index[k] for index in pair_indices(positions.shape[-2]))
+    rows, n, d = positions.shape
+    row_start = np.arange(0, rows * n, n)
+    i, j = (row_start + index[k] for index in pair_indices(n))  # the pair's rows in the (R N, d) views
     x, v = positions + t[:, None, None] * velocities, velocities.copy()
-    v_i, v_j, r = v[at, i], v[at, j], x[at, i] - x[at, j]
+    x_rows, v_rows = x.reshape(-1, d), v.reshape(-1, d)
+    v_i, v_j, r = v_rows.take(i, axis=0), v_rows.take(j, axis=0), x_rows.take(i, axis=0) - x_rows.take(j, axis=0)
     omega = -r / np.sqrt(dot(r, r))[:, None]
     w = v_j - v_i
-    w2 = dot(w, w)
-    failed = np.array(failed_checks(dot(omega, omega), w2, dot(w, omega), epsilon0, tol))
-    check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, epsilon0)
-    scattered = (check < 0)[:, None]
-    v[at, i], v[at, j] = np.where(scattered, vi_post, v_i), np.where(scattered, vj_post, v_j)
+    w2, approach = dot(w, w), dot(w, omega)
+    failed = np.array(failed_checks(dot(omega, omega), w2, approach, epsilon0, tol))
+    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, w, w2, approach, epsilon0)
+    check = np.full(k.size, -1)
+    if failed.any():  # a row that fails a check keeps its velocities
+        check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
+        kept = (check >= 0)[:, None]
+        vi_post, vj_post = np.where(kept, v_i, vi_post), np.where(kept, v_j, vj_post)
+    v_rows[i], v_rows[j] = vi_post, vj_post
     return x, v, omega, w2, emitting, check
 
 
@@ -247,8 +268,8 @@ def simulate_stack(
     reachable = within_reach(x, v, T)
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
         squared = squared_separations(x)
-        interior = ~np.logical_or(*domain_masks(squared, tol.contact_tol)).any(axis=-1)
-        min_sq = squared.min(axis=-1, initial=np.inf)
+        interior = ~reduce_rows(np.logical_or, np.logical_or(*domain_masks(squared, tol.contact_tol)), False)
+        min_sq = reduce_rows(np.minimum, squared, np.inf)
         ke = 0.5 * np.square(v).sum(axis=(1, 2))
     errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
     errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
@@ -270,26 +291,30 @@ def simulate_stack(
         running[active[grazing | simultaneous]] = False
         moving = free | colliding
         min_sq[active[moving]] = np.minimum(min_sq[active[moving]], 1.0 + closest[moving])
-        rows = active[free]
-        x[rows] += remaining[free, None, None] * v[rows]
-        now[rows] = T
+        if free.any():
+            rows = active[free]
+            x[rows] += remaining[free, None, None] * v[rows]
+            now[rows] = T
+        if not colliding.any():
+            continue
         rows, k, t = active[colliding], k[colliding], time[colliding]
         x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
         now[rows] += t
+        recent[rows] = k  # a row whose scatter fails stops running
         ke_before, ke[rows] = ke[rows], 0.5 * np.square(v[rows]).sum(axis=(1, 2))
-        ledger = zip(rows.tolist(), k.tolist(), now[rows].tolist(), ke_before.tolist(), ke[rows].tolist(), w2.tolist())
-        for (row, pair, at, before, after, s2), failed, emits in zip(ledger, check.tolist(), emitting.tolist()):
-            if failed == CRITICAL_BAND:
-                halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, at)
-            elif failed >= 0:
+        ledger = zip(now[rows].tolist(), k.tolist(), emitting.tolist(), ke_before.tolist(), ke[rows].tolist(), w2.tolist())
+        for row, event, failed in zip(rows.tolist(), ledger, check.tolist()):
+            if failed < 0:
+                events[row].append(event)
+                if len(events[row]) < tol.max_events:
+                    continue
+                halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, event[0])
+            elif failed == CRITICAL_BAND:
+                halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, event[0])
+            else:
                 error_type, message = SCATTER_CHECKS[failed]
                 errors[row] = error_type(message)
-            else:
-                events[row].append((at, pair, emits, before, after, s2))
-                recent[row] = pair
-                if len(events[row]) >= tol.max_events:
-                    halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, at)
-            running[row] = halted[row] is None and errors[row] is None
+            running[row] = False
     raised = np.array([error is not None for error in errors], dtype=bool)
     x[raised] = v[raised] = np.nan
     return SimStack(errors, x, v, events, halted, min_sq)

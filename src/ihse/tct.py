@@ -23,6 +23,7 @@ from .core import (
     dot,
     pair_index_table,
     reach_error,
+    reduce_rows,
     squared_separations,
     within_reach,
 )
@@ -169,14 +170,14 @@ def tct_stack(
     s, _, d = positions.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
         invalid, boundary = domain_masks(squared_separations(positions), tol.contact_tol)
-        time, k, unique, graze, _ = first_contacts(positions, velocities, tau, tol=tol)
+        time, k, unique, graze, _ = first_contacts(positions, velocities, tol=tol)
         final_x = positions + tau * velocities
     # A contact inside the horizon is simultaneous until it is found unique;
     # the checks before it overrule it.
     simultaneous = EXCLUDED[ExclusionReason.SIMULTANEOUS]
     label = np.where(time <= tau, simultaneous, FREE)
     label[graze <= tau] = EXCLUDED[ExclusionReason.GRAZING]
-    label[(invalid | boundary).any(axis=-1)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
+    label[reduce_rows(np.logical_or, invalid | boundary, False)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
     label[~within_reach(positions, velocities, tau)] = OUT_OF_REACH
     rows = ((label == simultaneous) & unique).nonzero()[0]
     final_v, omega = velocities.copy(), np.full((s, d), np.nan)
@@ -193,7 +194,7 @@ def tct_stack(
         code[failed] = FAILED_CHECK[check[failed]]
         again = (~failed & (remaining > 0)).nonzero()[0]
         if again.size:
-            t2, _, _, graze2, _ = first_contacts(x[again], v[again], remaining[again], tol=tol, recent=pair[again])
+            t2, _, _, graze2, _ = first_contacts(x[again], v[again], tol=tol, recent=pair[again])
             code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
         final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
     dropped = label < FREE

@@ -18,6 +18,7 @@ from ihse import (
     UsageError,
     collision,
     jacobian_lab,
+    rng,
     scattering,
     simulator,
     tct,
@@ -929,6 +930,49 @@ def test_thread_cap_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys)
     status, out = run_to_file(tmp_path, argv + ["--samples", "100", "--seed", "5"])
     assert status == 2 and not out.exists()
     assert capsys.readouterr().err == "ihse measure: IHSE_THREADS must be an integer, got 'abc'\n"
+
+
+SEEDED = {
+    "measure": ["--family", "E", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"],
+    "jacobian": ["--samples", "2"],
+    "simulate": ["--T", "1", "--eps0", "0.5", "--N", "3", "--R1", "4", "--R2", "1"],
+    "scatter-check": ["--samples", "2"],
+    "tensor-lemma": ["--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**65 + 7])
+@pytest.mark.parametrize("via_run_config", [False, True])
+def test_seed_outside_64_bits_is_usage_error(tmp_path, monkeypatch, capsys, command, seed, via_run_config):
+    # A stream key is 64 bits: a seed outside [0, 2**64) would alias another
+    # seed's stream (2**64 and -2**64 drew what 0 draws), so it is refused
+    # before any draw, on the command line and in a --run-config file alike.
+    draws = count_calls(monkeypatch, rng, "block_generator")
+    out = tmp_path / "out.json"
+    status = run_with_flag(tmp_path, [command, *SEEDED[command], "--output", str(out)], "--seed", str(seed), via_run_config)
+    assert status == 2 and not out.exists()
+    assert capsys.readouterr().err == f"ihse {command}: --seed must be an integer in [0, 2**64), got {seed}\n"
+    assert draws == []
+
+
+def test_seeds_at_the_ends_of_64_bits_run(tmp_path):
+    # 0 and 2**64 - 1 are the ends of the key range, and they draw distinct cases
+    reports = []
+    for seed in (0, 2**64 - 1):
+        status, out = run_to_file(tmp_path, ["jacobian", "--samples", "2", "--seed", str(seed)])
+        assert status == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["seed"] == seed
+        reports.append(doc["reports"])
+    assert reports[0] != reports[1]
+
+
+def test_block_generator_refuses_a_key_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            rng.block_generator(seed, 0)
+    assert rng.block_generator(2**64 - 1, 0).random() != rng.block_generator(0, 0).random()
 
 
 # Output bytes and exit status of a fixed invocation of every command, a

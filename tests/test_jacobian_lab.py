@@ -34,6 +34,7 @@ from ihse.core import dot
 from ihse.rng import sample_generator
 from ihse.scattering import scattering_velocity_det_analytic, scattering_velocity_jacobian
 
+import reference_draws
 import reference_kernel as ref
 from conftest import assert_close
 
@@ -429,3 +430,56 @@ class TestBatchedCases:
         assert _report_hex(reports[0]) == _report_hex(reports[3]) == _report_hex(alone)
         assert isinstance(reports[1], ExcludedConfigurationError) and reports[1].reason is ExclusionReason.GRAZING
         assert reports[2] is budget
+
+
+
+def _case_bits(cfg, params) -> tuple:
+    return cfg.positions.tobytes(), cfg.velocities.tobytes(), params.epsilon0.hex()
+
+
+def _recording(draws, log: list):
+    """draws (a _case_draws) wrapped to log, per yield, the bits of what it
+    yields and the state of its generator."""
+
+    def recorded(gen, *args):
+        inner, sent = draws(gen, *args), None
+        while True:
+            try:
+                request = inner.send(sent)
+            except StopIteration as accepted:
+                return accepted.value
+            if isinstance(request[1], ModelParams):
+                entry = _case_bits(*request)
+            else:
+                entry = tuple(np.asarray(part, dtype=float).tobytes() for part in request)
+            log.append((entry, str(gen.bit_generator.state)))
+            sent = yield request
+
+    return recorded
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(2, 5),
+    d=st.sampled_from((2, 3, 8)),
+    fixed_eps0=st.sampled_from((None, None, 0.05, 0.4, 3.0)),
+    tau=st.sampled_from((1.0, 3.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_case_draws_on_floats_equal_the_array_draws(seed, n, d, fixed_eps0, tau):
+    # The draws on Python floats make the generator calls and the operations
+    # of the array form kept in tests/reference_draws.py: every drawn state
+    # and candidate, the generator's state at each, and every case (or its
+    # error) are the same bits.  d = 8 takes numpy's own sum for the gaps.
+    if fixed_eps0 is None:
+        kinds = [CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC for index in range(3)]
+    else:
+        kinds = [None] * 3
+    runs = []
+    for draws in (jacobian_lab._case_draws, reference_draws._case_draws):
+        log = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jacobian_lab, "_case_draws", _recording(draws, log))
+            cases = random_tct_cases(seed, range(3), n, kinds=kinds, tau=tau, d=d, fixed_eps0=fixed_eps0)
+        runs.append((log, [repr(case) if isinstance(case, IHSEError) else _case_bits(*case) for case in cases]))
+    assert runs[0] == runs[1]

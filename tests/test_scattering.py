@@ -273,7 +273,9 @@ def test_checked_law_is_the_stacked_law(case):
             checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
         return
     checked = checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
-    vi_post, vj_post, emitting = dispatched_law(v_i[None], v_j[None], omega[None], epsilon0)
+    vi_post, vj_post, emitting = dispatched_law(
+        v_i[None], v_j[None], omega[None], w[None], np.array([w2]), np.array([dot(w, omega)]), epsilon0
+    )
     assert _bits(checked[:2]) == _bits((vi_post[0], vj_post[0]))
     assert bool(emitting[0]) == (checked[2] is not None) == (w2 > 4.0 * epsilon0)
 
