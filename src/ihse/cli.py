@@ -297,7 +297,10 @@ def cmd_scatter_check(flags: dict) -> tuple[dict, int]:
     max_ledger = 0.0
     max_det_dev = 0.0
     samples = scattering_measure_samples(_samples(flags), params, flags["dim"], flags["seed"], h=tol.fd_step)
-    for v_i, v_j, omega, report in samples:
+    for sample in samples:
+        if isinstance(sample, IHSEError):
+            raise sample  # the first failing sample, as a loop over the samples meets it
+        v_i, v_j, omega, report = sample
         outcome = scatter(v_i, v_j, omega, params, tol=tol)
         pre_ke = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
         post_ke = pre_ke - outcome.energy_loss

@@ -48,6 +48,9 @@ class Tolerances:
                 raise UsageError(f"{name} must be positive")
         if not self.contact_tol >= 0:
             raise UsageError("contact_tol must be >= 0")
+        for name in ("grazing_tol", "simultaneity_tol", "crit_tol", "contact_tol", "fd_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite")
         if self.max_events <= 0:
             raise UsageError("max_events must be positive")
 

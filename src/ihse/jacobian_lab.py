@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .rng import sample_generator, unit_floats, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
 from .tct import classified_flow_det, tct_stack
 
-# The most cases one tct_stack call holds: a jacobian run's acceptance rounds
-# and its finite-difference stencils are stacked this many cases at a time.
+# The most cases one stacked call holds: a jacobian run's acceptance rounds
+# and its finite-difference stencils, and scatter-check's velocity-map
+# stencils, are stacked this many cases at a time, which bounds the memory
+# a stack takes.
 CASES_PER_STACK = 100
 
 
@@ -129,29 +131,20 @@ def _fd_jacobians(values, labels: Sequence, cases: int, steps: tuple[float, ...]
 
 
 def _fd_dets(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> tuple[list, list]:
-    """The determinants of the finite-difference Jacobians of a stack of
-    stencils, as for _fd_jacobians: (dets, errors), dets[c] a list with one
-    determinant per step, or None when stencil c raises errors[c]."""
+    """The finite-difference determinants of a stack of stencils, as for
+    _fd_jacobians: (dets, errors), dets[c] None when stencil c raises
+    errors[c].  At one step h a determinant is det(h); at steps (h, h/2) it
+    is the Richardson value (4 det(h/2) - det(h)) / 3, and a relative
+    disagreement beyond 0.1 is an UnreliableStencilError, after every
+    _fd_jacobians error."""
     jacobians, errors = _fd_jacobians(values, labels, cases, steps)
     dets: list = [None] * cases
     ok = [c for c, error in enumerate(errors) if error is None]
-    for c, det in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
-        dets[c] = det
-    return dets, errors
-
-
-def _fd_determinants(values, labels: Sequence, cases: int, h: float) -> tuple[list, list]:
-    """fd_determinant of each of a stack of stencils at steps h and h/2, as
-    for _fd_dets: (determinants, errors), errors[c] None or the error
-    stencil c raises, UnreliableStencilError after every _fd_jacobians
-    error."""
-    dets, errors = _fd_dets(values, labels, cases, (h, h / 2.0))
-    for c, at_steps in enumerate(dets):
-        if at_steps is None:
-            continue
-        det_h, det_half = at_steps
-        if abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
-            dets[c] = None
+    for c, at_steps in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
+        det_h, det_half = at_steps[0], at_steps[-1]
+        if len(steps) == 1:
+            dets[c] = det_h
+        elif abs(det_h - det_half) > 0.1 * max(1.0, abs(det_half)):
             errors[c] = UnreliableStencilError(f"determinants at h and h/2 disagree: {det_h} vs {det_half}")
         else:
             dets[c] = (4.0 * det_half - det_h) / 3.0
@@ -199,11 +192,10 @@ def fd_determinant(fn, point, h: float = FD_STEP) -> float:
     Richardson-extrapolated; a relative disagreement beyond 0.1 flags the
     stencil as unreliable.  The center and the stencils at both steps go to
     fn in one call; every failure at step h comes before any at h/2, and
-    UnreliableStencilError comes last.  The one-point view of
-    _fd_determinants.
+    UnreliableStencilError comes last.  The one-point view of _fd_dets.
     """
     values, labels = _stencil_values(fn, point, (h, h / 2.0))
-    (det,), (error,) = _fd_determinants(values, labels, 1, h)
+    (det,), (error,) = _fd_dets(values, labels, 1, (h, h / 2.0))
     if error is not None:
         raise error
     return det
@@ -247,6 +239,18 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) ->
     return np.concatenate([vi_post, vj_post], axis=1), emitting.tolist()
 
 
+def _velocity_map_dets(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0, h: float) -> tuple[list, list]:
+    """The finite-difference determinants (step h) of the velocity maps of C
+    pairs, v_i, v_j and omega (C, d) and epsilon0 (C,) one per pair, as for
+    _fd_dets: every stencil is a row block of one _dispatched_velocity_map
+    call."""
+    rows = _stencil_rows(np.concatenate([v_i, v_j], axis=1), (h,))
+    size = rows.shape[1]
+    omega, epsilon0 = np.repeat(omega, size, axis=0), np.repeat(epsilon0, size)
+    values, labels = _dispatched_velocity_map(rows.reshape(-1, rows.shape[2]), omega, epsilon0)
+    return _fd_dets(values, labels, len(v_i), (h,))
+
+
 def draw_scattering_sample(
     gen: np.random.Generator, params: ModelParams, d: int, *, kind: Optional[CollisionKind] = None
 ):
@@ -287,22 +291,36 @@ def scattering_measure_samples(
     *,
     kind: Optional[CollisionKind] = None,
     h: float = FD_STEP,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, JacobianReport]]:
-    """(v_i, v_j, omega, report) per sample index, each sample drawn once
+) -> list:
+    """Per sample index, (v_i, v_j, omega, report), or instead the error its
+    draw or its finite difference raises: each sample is drawn once
     (draw_scattering_sample in dimension d on the stream
-    sample_generator(seed, index)): the report compares the finite-difference
-    determinant (step h) of the velocity scattering map at the sample with
-    the closed-form determinant scattering_velocity_det_analytic."""
+    sample_generator(seed, index)), and the report compares the
+    finite-difference determinant (step h) of the velocity scattering map
+    at the sample with the closed-form determinant
+    scattering_velocity_det_analytic.  Every sample is drawn first, then
+    the drawn samples' stencils are differenced CASES_PER_STACK at a time,
+    each chunk as one stack, so each sample gets the report or the error it
+    gets alone."""
     if samples <= 0:
         raise IHSEError("samples must be positive")
     check_dimension(d)
+    results: list = []
     for index in range(samples):
-        v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, d, kind=kind)
-        z = np.concatenate([v_i, v_j])
-        jac = fd_jacobian(lambda zz: _dispatched_velocity_map(zz, omega, params.epsilon0), z, h)
+        try:
+            results.append(draw_scattering_sample(sample_generator(seed, index), params, d, kind=kind)[:3])
+        except IHSEError as error:
+            results.append(error)
+    drawn = [c for c, result in enumerate(results) if not isinstance(result, IHSEError)]
+    for start in range(0, len(drawn), CASES_PER_STACK):
+        chunk = drawn[start : start + CASES_PER_STACK]
+        v_i, v_j, omega = (np.stack(column) for column in zip(*(results[c] for c in chunk)))
+        dets, errors = _velocity_map_dets(v_i, v_j, omega, [params.epsilon0] * len(chunk), h)
         w = v_j - v_i
-        analytic = scattering_velocity_det_analytic(dot(w, w), params, d)
-        yield v_i, v_j, omega, JacobianReport.build(analytic, float(np.linalg.det(jac)), None, None, h)
+        for c, s2, det, error in zip(chunk, dot(w, w).tolist(), dets, errors):
+            analytic = scattering_velocity_det_analytic(s2, params, d)
+            results[c] = (*results[c], JacobianReport.build(analytic, det, None, None, h)) if error is None else error
+    return results
 
 
 def verify_scattering_measure(
@@ -321,9 +339,10 @@ def verify_scattering_measure(
     emitting map preserves velocity measure (|det| = 1) only in d=2.
 
     Sampling is keyed per index, so the report list is independent of
-    evaluation order.  The reports of scattering_measure_samples.
+    evaluation order.  The reports of scattering_measure_samples; raises
+    the first sample's error.
     """
-    return [report for *_, report in scattering_measure_samples(samples, params, d, seed, kind=kind, h=h)]
+    return [_value(result)[-1] for result in scattering_measure_samples(samples, params, d, seed, kind=kind, h=h)]
 
 
 def _stack_map(run, points: np.ndarray, n: int, d: int):
@@ -391,13 +410,8 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
     size = rows.shape[1]
     eps0 = np.repeat([p.epsilon0 for p in params], size)
     stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
-    fd_dets, results = _fd_determinants(values, labels, len(cases), h)
-    classified = {}
-    for c in range(len(cases)):
-        try:
-            classified[c] = stack.one(c * size)
-        except IHSEError as error:
-            results[c] = error  # the centre's error comes first
+    fd_dets, results = _fd_dets(values, labels, len(cases), (h, h / 2.0))  # a centre's error comes first
+    classified = {c: stack.one(c * size) for c in range(len(cases)) if stack.error(c * size) is None}
     for c, classification in classified.items():
         # an excluded centre's error comes first, the analytic determinant's after the FD errors
         if classification.is_excluded or results[c] is None:
@@ -415,16 +429,11 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
         k = np.array([pair_position(n, classified[c].pair) for c in colliding])
         i, j = (index[k] for index in pair_indices(n))
         # free flight keeps velocities: the pair's at contact are its initial ones
-        z = np.concatenate([v0[colliding, i], v0[colliding, j]], axis=1)
-        rows = _stencil_rows(z, (h,))
-        omega = np.repeat(stack.omega[size * np.array(colliding)], rows.shape[1], axis=0)
-        eps0 = np.repeat([params[c].epsilon0 for c in colliding], rows.shape[1])
-        values, labels = _dispatched_velocity_map(rows.reshape(-1, 2 * d), omega, eps0)
-        dets, errors = _fd_dets(values, labels, len(colliding), (h,))
+        centres = size * np.array(colliding)
+        dets, errors = _velocity_map_dets(v0[colliding, i], v0[colliding, j], stack.omega[centres], eps0[centres], h)
         for c, det, error in zip(colliding, dets, errors):
-            if error is None:
-                det_n_fd[c] = det[0]
-            else:
+            det_n_fd[c] = det
+            if error is not None:
                 results[c] = error
     return [
         result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], h)

@@ -208,8 +208,6 @@ def ensemble_volume_evolution(
 
     def flow(z):
         stack, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, tau, params, tol=tol), z, n, d)
-        if stack.errors[0] is not None:
-            raise stack.errors[0]
         if stack.halted[0] is not None:
             raise IHSEError(f"center trajectory halted on pathology: {stack.halted[0].reason}")
         records.extend(stack.events[0])

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ihse import (
@@ -458,6 +459,54 @@ class TestVerificationCommands:
         assert (status, capsys.readouterr().err) == (3, f"ihse jacobian: {loop_error}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--seed", "2", "--h", "0.3"], "BranchCrossingError"),  # at sample 0
+            (["--seed", "10", "--h", "0.3"], "BranchCrossingError"),  # at sample 1
+            (["--seed", "0", "--grazing-tol", "0.5"], "GrazingContactError"),  # scatter at sample 1
+            (["--seed", "8", "--h", "0.1"], "IHSEError"),  # sample 2's draw before its own stencil
+            (["--seed", "4"], "IHSEError"),  # nothing fails before sample 2's draw
+        ],
+    )
+    def test_scatter_check_reports_the_first_failing_sample(self, tmp_path, monkeypatch, capsys, argv, expected):
+        # A later sample whose draw runs out of budget does not pre-empt an
+        # earlier sample's failure: the run fails as a loop over the samples,
+        # each drawn, differenced and scattered alone, fails first.
+        budget = IHSEError("could not draw a valid scattering sample within the retry budget")
+        flags = dict(zip(argv[0::2], argv[1::2]))
+        params = ModelParams(0.75)
+        fields = {"--h": "fd_step", "--grazing-tol": "grazing_tol"}
+        tol = Tolerances(**{fields[flag]: float(value) for flag, value in flags.items() if flag in fields})
+        draw = jacobian_lab.draw_scattering_sample
+        loop_error = None
+        for index in range(4):
+            try:
+                if index == 2:
+                    raise budget
+                v_i, v_j, omega, _ = draw(rng.sample_generator(int(flags["--seed"]), index), params, 2)
+                velocity_map = lambda zz: jacobian_lab._dispatched_velocity_map(zz, omega, params.epsilon0)
+                jacobian_lab.fd_jacobian(velocity_map, np.concatenate([v_i, v_j]), tol.fd_step)
+                scattering.scatter(v_i, v_j, omega, params, tol=tol)
+            except IHSEError as error:
+                loop_error = error
+                break
+        assert type(loop_error).__name__ == expected
+
+        drawn = []
+
+        def substituted(gen, *args, **kwargs):
+            drawn.append(None)
+            if len(drawn) == 3:
+                raise budget
+            return draw(gen, *args, **kwargs)
+
+        monkeypatch.setattr(jacobian_lab, "draw_scattering_sample", substituted)
+        status, out = run_to_file(tmp_path, ["scatter-check", "--samples", "4"] + argv)
+        assert len(drawn) == 4
+        assert (status, capsys.readouterr().err) == (3, f"ihse scatter-check: {loop_error}\n")
+        assert not out.exists()
+
     def test_closed_forms_in_3d(self, tmp_path):
         # jacobian and scatter-check certify d=3 as they certify d=2
         status, out = run_to_file(tmp_path, ["jacobian", "--dim", "3", "--samples", "4"])
@@ -877,13 +926,22 @@ class TestToleranceFlags:
             ("simulate", "--contact-tol", "-1", "contact_tol must be >= 0"),
             ("simulate", "--max-events", "0", "max_events must be positive"),
             ("jacobian", "--h", "0", "fd_step must be positive"),
+            ("jacobian", "--h", "inf", "fd_step must be finite"),
+            ("jacobian", "--grazing-tol", "inf", "grazing_tol must be finite"),
+            ("jacobian", "--simultaneity-tol", "inf", "simultaneity_tol must be finite"),
+            ("jacobian", "--contact-tol", "inf", "contact_tol must be finite"),
+            ("scatter-check", "--h", "inf", "fd_step must be finite"),
+            ("scatter-check", "--crit-tol", "inf", "crit_tol must be finite"),
+            ("simulate", "--contact-tol", "inf", "contact_tol must be finite"),
         ],
     )
     def test_out_of_range_tolerance_is_usage_error(
         self, tmp_path, capsys, two_body_file, command, flag, value, message
     ):
         args = ["--config", str(two_body_file), "--T", "3", "--eps0", "0.1875"] if command == "simulate" else []
-        status, out = run_to_file(tmp_path, [command, *args, flag, value])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic could warn
+            status, out = run_to_file(tmp_path, [command, *args, flag, value])
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"ihse {command}: {message}\n"

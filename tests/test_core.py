@@ -14,6 +14,7 @@ from ihse import (
     DomainKind,
     ModelParams,
     PairIndex,
+    Tolerances,
     UsageError,
     all_pairs,
     conserved_quantities,
@@ -133,6 +134,26 @@ class TestModelParams:
             with pytest.raises(UsageError, match="dimension must be an integer >= 2"):
                 Configuration(np.zeros((2, d)), np.zeros((2, d)))
         assert Configuration(np.zeros((1, 3)), np.ones((1, 3))).dimension == 3
+
+
+class TestTolerances:
+    FIELDS = ("grazing_tol", "simultaneity_tol", "crit_tol", "contact_tol", "fd_step")
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_infinite_tolerance_is_refused(self, name):
+        with pytest.raises(UsageError, match=f"^{name} must be finite$"):
+            Tolerances(**{name: math.inf})
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_negative_infinity_and_nan_keep_the_range_message(self, name, value):
+        message = "contact_tol must be >= 0" if name == "contact_tol" else f"{name} must be positive"
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            Tolerances(**{name: value})
+
+    def test_large_finite_tolerances_and_zero_contact_tol_are_accepted(self):
+        tol = Tolerances(1e300, 1e300, 1e300, 0.0, 1e300)
+        assert (tol.grazing_tol, tol.contact_tol, tol.fd_step) == (1e300, 0.0, 1e300)
 
 
 class TestPairs:

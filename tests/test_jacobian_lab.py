@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,6 +241,46 @@ class TestScatteringMeasure:
                     assert abs(closed - report.fd_det) <= 1e-8
                     if kind is CollisionKind.INELASTIC and d > 2:
                         assert abs(closed) < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        d=st.sampled_from([2, 3, 4]),
+        eps0=st.one_of(st.floats(0.01, 4.0), st.just(math.inf)),
+        kind=st.sampled_from([None, CollisionKind.ELASTIC, CollisionKind.INELASTIC]),
+        h=st.sampled_from([1e-6, 1e-5]),
+        counts=st.tuples(st.integers(1, 8), st.integers(0, 6)),
+        per_stack=st.sampled_from([1, 3, jacobian_lab.CASES_PER_STACK]),
+    )
+    def test_stacked_samples_are_the_per_sample_oracle(self, seed, d, eps0, kind, h, counts, per_stack):
+        # Every sample of the stacks gets, bit for bit, the draw, the
+        # one-point finite-difference determinant and the error it gets
+        # alone, whatever the stack size, and the first k samples do not
+        # depend on how many follow.
+        k, more = counts
+        params = ModelParams(eps0)
+        with mock.patch.object(jacobian_lab, "CASES_PER_STACK", per_stack):
+            results = jacobian_lab.scattering_measure_samples(k + more, params, d, seed, kind=kind, h=h)
+        assert len(results) == k + more
+        for index, result in enumerate(results):
+            try:
+                v_i, v_j, omega, _ = draw_scattering_sample(sample_generator(seed, index), params, d, kind=kind)
+                velocity_map = lambda zz: jacobian_lab._dispatched_velocity_map(zz, omega, eps0)
+                det = np.linalg.det(fd_jacobian(velocity_map, np.concatenate([v_i, v_j]), h))
+            except IHSEError as error:
+                assert (type(result), str(result)) == (type(error), str(error))
+                continue
+            got_i, got_j, got_omega, report = result
+            assert all(np.array_equal(a, b) for a, b in ((got_i, v_i), (got_j, v_j), (got_omega, omega)))
+            assert report.fd_det == det
+            assert report.analytic_det == scattering_velocity_det_analytic(dot(v_j - v_i, v_j - v_i), params, d)
+            assert (report.step, report.prefactor, report.det_N_fd) == (h, None, None)
+        first = jacobian_lab.scattering_measure_samples(k, params, d, seed, kind=kind, h=h)
+        for head, full in zip(first, results[:k], strict=True):
+            if isinstance(full, IHSEError):
+                assert (type(head), str(head)) == (type(full), str(full))
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(head[:3], full[:3])) and head[3] == full[3]
 
     def test_3d_emitting_determinant_regression(self):
         # pinned by the finite-difference oracle: the emitting law in d=3
