@@ -491,8 +491,31 @@ def _output_error(command: str, path, exc: OSError) -> int:
     return EXIT_USAGE
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number joined to the flag before it (--tau
+    -1e-3 as --tau=-1e-3): argparse takes a token that starts with "-" for a
+    flag unless it is written like -1 or -.5, so -1e-9 or -inf would read
+    as a missing value rather than as one out of range."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if token.startswith("-") and _is_number(token) and flag.startswith("-") and "=" not in flag:
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         flags = resolve_flags(args)
         document, status = COMMANDS[args.command].handler(flags)

@@ -139,6 +139,8 @@ class Configuration:
             v = np.array(velocities, dtype=float)
         except OverflowError as exc:  # an int beyond the floats
             raise UsageError("positions and velocities must be finite") from exc
+        except ValueError as exc:  # ragged rows, or text that is not a number
+            raise UsageError("positions/velocities must be (N, d) arrays of numbers") from exc
         if x.ndim != 2 or v.shape != x.shape:
             raise UsageError(f"positions/velocities must share shape (N, d), got {x.shape} and {v.shape}")
         if x.shape[0] < 1:

@@ -26,10 +26,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _escape = json.encoder.encode_basestring_ascii
 
 
-# The %-format of each plain number type in a list of them.
-_SCALAR_FORMATS = {float: "%.17g", int: "%d"}
-
-
 def format_float(x: float) -> str:
     text = format(x, ".17g")
     return _NON_FINITE.get(text, text)
@@ -45,10 +41,9 @@ def dumps(obj) -> str:
     to_json_dict() and a numpy array as its elements.  A record's block keys
     are its field names, so renaming a field changes the documents.
 
-    One pass appends the text to one list.  Values of the plain types are
-    dispatched on their exact type; any other value takes the isinstance
-    order (float, int, str, dict, list/tuple subclasses such as np.float64,
-    then the records), so a subclass is written as its base type is.
+    One pass appends the text to one list.  Each value is written by the
+    writer of its type, from one table (_WRITERS) that _writer fills on a
+    type's first value.
 
     A Configuration and a dataclass record are written by one %-format of
     a template cached per layout (_template): an (N, d) configuration's
@@ -63,25 +58,7 @@ def dumps(obj) -> str:
 def _write(obj, newline: str, parts: list[str]) -> None:
     """Append obj as JSON to parts; newline is a line break plus the current
     indentation."""
-    kind = type(obj)
-    if kind is float:
-        parts.append(format_float(obj))
-    elif kind is dict:
-        _write_dict(obj, newline, parts)
-    elif kind is list or kind is tuple:
-        _write_array(obj, newline, parts)
-    elif kind is str:
-        parts.append(_escape(obj))
-    elif kind is int:
-        parts.append(str(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    else:
-        _writer(kind)(obj, newline, parts)
+    _WRITERS[type(obj)](obj, newline, parts)
 
 
 def _write_object(members: list[tuple[str, object]], newline: str, parts: list[str]) -> None:
@@ -107,12 +84,6 @@ def _write_array(items, newline: str, parts: list[str]) -> None:
         parts.append("[]")
         return
     inner = newline + "  "
-    formats = [_SCALAR_FORMATS.get(type(value)) for value in items]
-    # One %-format of a list of plain floats and ints: "%.17g" % x is
-    # format(x, ".17g"), and only a non-finite float's text holds an "n".
-    if None not in formats and "n" not in (text := ("," + inner).join(formats) % tuple(items)):
-        parts.append(f"[{inner}{text}{newline}]")
-        return
     head = "[" + inner
     for value in items:
         parts.append(head)
@@ -146,9 +117,10 @@ def _template(sample, newline: str) -> str:
 
 @functools.cache
 def _configuration_template(n: int, d: int, newline: str) -> str:
-    """An (n, d) Configuration's template: a %.17g slot per coordinate, in
-    the order of its interleaved [x | v] rows."""
-    return _template({"d": d, "particles": [{"x": [_FLOAT_SLOT] * d, "v": [_FLOAT_SLOT] * d}] * n}, newline)
+    """An (n, d) Configuration's template: its to_json_dict() with a %.17g
+    slot per coordinate, in the order of its interleaved [x | v] rows."""
+    slots = np.full((n, d), _FLOAT_SLOT)
+    return _template(Configuration(slots, slots).to_json_dict(), newline)
 
 
 def _write_configuration(cfg: Configuration, newline: str, parts: list[str]) -> None:
@@ -232,13 +204,15 @@ def _record_writer(kind: type) -> Callable:
     return write
 
 
-@functools.cache
 def _writer(kind: type) -> Callable:
-    """How a value of a type other than the plain ones is written: a
-    subclass of a plain type as that type, in the order of the isinstance
-    checks that once chose it (np.float64 as float, an IntEnum as int), a
-    record as the dict, list or scalar it stands for."""
+    """How a value of this type is written: None and a bool first (a bool is
+    an int), then by the first base in this isinstance order, so a subclass
+    of a plain type is written as that type (np.float64 as float, an IntEnum
+    as int, OrderedDict as dict) and a record as the dict, list or scalar it
+    stands for."""
     for base, write in (
+        (type(None), lambda obj, newline, parts: parts.append("null")),
+        (bool, lambda obj, newline, parts: parts.append("true" if obj else "false")),
         (float, lambda obj, newline, parts: parts.append(format_float(obj))),
         (int, lambda obj, newline, parts: parts.append(str(obj))),
         (str, lambda obj, newline, parts: parts.append(_escape(obj))),
@@ -256,6 +230,17 @@ def _writer(kind: type) -> Callable:
     raise UsageError(f"cannot serialize {kind.__name__}")
 
 
+class _Writers(dict):
+    """The writer of each type met so far, keyed by the type."""
+
+    def __missing__(self, kind: type) -> Callable:
+        write = self[kind] = _writer(kind)
+        return write
+
+
+_WRITERS = _Writers()
+
+
 def load_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -264,7 +249,7 @@ def load_file(path) -> dict:
         raise UsageError(f"input file not found: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -252,7 +252,7 @@ class TestHorizonAndReach:
         assert "too large" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-1e-3"])
     def test_jacobian_tau_is_usage_error_before_any_draw(self, tmp_path, capsys, monkeypatch, value):
         draws = count_calls(monkeypatch, jacobian_lab, "_spread_positions")
         status, out = run_to_file(tmp_path, ["jacobian", "--samples", "4", "--tau", value])
@@ -268,6 +268,10 @@ class TestHorizonAndReach:
         ('{"d": 2.9, "particles": [{"x": [0, 0], "v": [1, 0]}]}', "declared dimension must be an integer, got 2.9"),
         ('{"d": 2, "particles": [{"x": [0, 0], "v": [true, 0]}]}', "coordinates must be numbers"),
         ('{"d": 2, "particles": [{"x": ["0", 0], "v": [1, 0]}]}', "coordinates must be numbers"),
+        (
+            '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [3, 0, 1], "v": [0, 0]}]}',
+            "positions/velocities must be (N, d) arrays of numbers",
+        ),
     ],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, config, message):
@@ -701,6 +705,21 @@ class TestFlagResolution:
         assert status == 2 and not out.exists()
         assert capsys.readouterr().err.startswith(f"ihse flow: malformed JSON in {config}: ")
 
+    @pytest.mark.parametrize("flag", ["--config", "--run-config"])
+    def test_input_file_that_is_not_utf8_is_usage_error(self, tmp_path, two_body_file, capsys, flag):
+        """JSON text is UTF-8: a UTF-16 byte order mark is a usage error that
+        names the file, not a decoding traceback."""
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = ["flow", "--tau", "3", "--eps0", "1", "--config", str(bad if flag == "--config" else two_body_file)]
+        if flag == "--run-config":
+            argv += ["--run-config", str(bad)]
+        status, out = run_to_file(tmp_path, argv)
+        assert status == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"ihse flow: malformed JSON in {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_stdout_carries_the_output_file_bytes(self, tmp_path, two_body_file, capsys):
         argv = ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"]
         status, out = run_to_file(tmp_path, argv)
@@ -933,6 +952,8 @@ class TestToleranceFlags:
             ("scatter-check", "--h", "inf", "fd_step must be finite"),
             ("scatter-check", "--crit-tol", "inf", "crit_tol must be finite"),
             ("simulate", "--contact-tol", "inf", "contact_tol must be finite"),
+            ("simulate", "--grazing-tol", "-1e-9", "grazing_tol must be positive"),
+            ("scatter-check", "--crit-tol", "-inf", "crit_tol must be positive"),
         ],
     )
     def test_out_of_range_tolerance_is_usage_error(

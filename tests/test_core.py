@@ -60,6 +60,10 @@ class TestValidation:
         with pytest.raises(UsageError):
             Configuration(np.zeros((0, 2)), np.zeros((0, 2)))
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(UsageError, match=r"^positions/velocities must be \(N, d\) arrays of numbers$"):
+            Configuration([[0, 0], [1]], [[0, 0], [1, 1]])
+
     def test_rejects_nonfinite(self):
         with pytest.raises(UsageError):
             Configuration([[0, math.nan]], [[0, 0]])
@@ -232,12 +236,13 @@ class TestSerialization:
             (2, [0, [0]], [1, 0], "coordinates must be numbers"),
             (2, "00", [1, 0], "coordinates must be numbers"),
             (2, [0, 10**400], [1, 0], "positions and velocities must be finite"),
+            (2, [0, 0, 1], [1, 0], "positions/velocities must be (N, d) arrays of numbers"),
         ],
     )
     def test_malformed_documents_rejected(self, d, x, v, message):
         """Nothing is truncated or parsed into a number: a dimension that is
-        not a JSON integer, a coordinate that is not a JSON number and an
-        integer beyond the floats are usage errors."""
+        not a JSON integer, a coordinate that is not a JSON number, an
+        integer beyond the floats and a ragged row are usage errors."""
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             Configuration.from_json_dict({"d": d, "particles": [{"x": x, "v": v}, {"x": [3, 0], "v": [0, 0]}]})
 

@@ -1,6 +1,7 @@
 """The one-pass document encoder against the recursive encoder it replaced
 (reference_encoder.reference_dumps), and the atomic file write."""
 
+import collections
 import enum
 import math
 import os
@@ -33,9 +34,30 @@ class Level(enum.IntEnum):
     HIGH = 2
 
 
+class Real(float):
+    """A float subclass: written as a float."""
+
+
+class Text(str):
+    """A str subclass: written as a str, also as a key."""
+
+
+class Items(list):
+    """A list subclass: written as a list."""
+
+
+class Row(tuple):
+    """A tuple subclass: written as a list."""
+
+
+class Table(dict):
+    """A dict subclass: written as a dict."""
+
+
 EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e300)
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
 finite = st.floats(-1e6, 1e6, allow_subnormal=True)
+plain = floats | st.integers() | st.text(max_size=3)
 
 
 @st.composite
@@ -62,6 +84,12 @@ scalars = st.one_of(
     st.builds(lambda i, gap: PairIndex(i, i + gap), st.integers(1, 40), st.integers(1, 40)),
     configurations(),
     arrays,
+    floats.map(Real),
+    st.text(max_size=6).map(Text),
+    st.lists(plain, max_size=3).map(Items),
+    st.lists(plain, max_size=3).map(Row),
+    st.dictionaries(st.text(max_size=3).map(Text), plain, max_size=3).map(Table),
+    st.dictionaries(st.text(max_size=3), plain | st.none(), max_size=3).map(collections.OrderedDict),
 )
 
 
