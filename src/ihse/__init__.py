@@ -57,7 +57,6 @@ from .jacobian_lab import (
     BranchCrossingError,
     JacobianReport,
     NonFiniteError,
-    TensorLemmaCase,
     UnreliableStencilError,
     fd_determinant,
     fd_jacobian,

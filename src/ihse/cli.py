@@ -26,7 +26,6 @@ from .core import (
 )
 from .collision import predict_pair
 from .jacobian_lab import (
-    TensorLemmaCase,
     random_tct_cases,
     scattering_measure_samples,
     tensor_sum_det,
@@ -332,16 +331,8 @@ def cmd_tensor_lemma(flags: dict) -> tuple[dict, int]:
         lam, mu, nu = gen.uniform(-10.0, 10.0, size=3)
         u = gen.uniform(-10.0, 10.0, size=2)
         omega = gen.uniform(-10.0, 10.0, size=2)
-        formula, direct = tensor_sum_det(TensorLemmaCase(lam, mu, nu, u, omega))
+        formula, direct, scale = tensor_sum_det(lam, mu, nu, u, omega)
         diff = abs(formula - direct)
-        cross = u[0] * omega[1] - u[1] * omega[0]
-        scale = max(
-            1.0,
-            abs(lam) * dot(u, u),
-            abs(mu * dot(u, omega)),
-            abs(nu) * dot(omega, omega),
-            abs(lam * nu) * cross * cross,
-        )
         max_abs_diff = max(max_abs_diff, diff)
         max_scaled_diff = max(max_scaled_diff, diff / scale)
     summary = {

@@ -79,9 +79,10 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
     The dot products are core.dot's, elementwise and left to right, so a
     pair's coefficients do not depend on how many pairs are solved together
-    or on the host's BLAS.  Callers suppress divide and invalid warnings
-    (np.errstate): parallel and non-meeting pairs divide by zero or root
-    negative deltas.
+    or on the host's BLAS.  Callers suppress divide, invalid and overflow
+    warnings (np.errstate): parallel and non-meeting pairs divide by zero or
+    root negative deltas, and at subnormal speeds c/q overflows to an
+    infinite root, so such a pair has no contact.
     """
     a = dot(w, w)
     b = dot(r, w)
@@ -117,7 +118,7 @@ def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
     """Full prediction record for one pair."""
     r, w = cfg.pair_state(pair)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         *_, deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
     delta, time = float(deltas[0]), float(contacts[0])
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
@@ -161,8 +162,9 @@ def first_contacts(
     also sees a contact the roots, the re-arm mask or the graze rule miss.
     It is exact but for rounding, a few ulps of max(1, |r|^2)."""
     r, w = pair_differences(positions), pair_differences(velocities)
-    # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf;
+    # subnormal speeds overflow c/q.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
         if contact.ndim == 1:  # one state: its reductions on Python numbers
             if recent >= 0 and contact[recent] <= REARM_TIME:

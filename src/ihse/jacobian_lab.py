@@ -69,18 +69,6 @@ class JacobianReport:
         return JacobianReport(analytic_det, fd_det, prefactor, det_n_fd, residual, step)
 
 
-@dataclass(frozen=True)
-class TensorLemmaCase:
-    """Planar determinant identity input: det(I + lam u(x)u + mu u(x)w +
-    nu w(x)w) against its closed form."""
-
-    lam: float
-    mu: float
-    nu: float
-    u: np.ndarray
-    omega: np.ndarray
-
-
 def _stencil_rows(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
     """The rows a batch map is handed for a stack (C, m) of points: per
     point its center, then per step h the rows +h e_0, -h e_0, +h e_1, ...;
@@ -92,53 +80,61 @@ def _stencil_rows(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
     return np.concatenate([points[:, None]] + [points[:, None] + h * offsets for h in steps], axis=1)
 
 
-def _fd_jacobians(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> tuple[np.ndarray, list]:
-    """The finite-difference Jacobians of the stencils of cases points, from
-    a batch map's values and labels on all their rows (_stencil_rows of the
-    points, in its order): (jacobians (cases, len(steps), outputs, inputs),
-    errors), errors[c] None or the error stencil c raises (its jacobians
-    are then meaningless).
+def _fd_jacobians(rows: np.ndarray, values, labels: Sequence, steps: tuple[float, ...]) -> tuple[np.ndarray, list]:
+    """The finite-difference Jacobians of a stack (cases, size, m) of
+    stencil rows (_stencil_rows of cases points), from a batch map's values
+    and labels on all of them, in their order: (jacobians (cases,
+    len(steps), outputs, m), errors), errors[c] None or the error stencil c
+    raises (its jacobians are then meaningless).
 
     The checks are array passes over every stencil at once, and a stencil's
     error is the one a loop over its rows meets first: the center's error;
     then per step and per coordinate k, ascending, the +e_k and then the
-    -e_k point, each with its error before a label other than the center's
-    (BranchCrossingError: no differencing across a discontinuity); then
-    NonFiniteError for a non-finite value on either."""
-    size = len(labels) // cases
-    m = (size - 1) // (2 * len(steps))
+    -e_k point, each with a UsageError when it equals the center in
+    coordinate k (the step does not move it), then its error before a label
+    other than the center's (BranchCrossingError: no differencing across a
+    discontinuity); then NonFiniteError for a non-finite value on either."""
+    cases, size, m = rows.shape
     labels = np.fromiter(labels, dtype=object, count=len(labels)).reshape(cases, size)
     values = np.asarray(values, dtype=float).reshape(cases, size, -1)
-    # per stencil, step and coordinate k: which of its points +e_k, -e_k are off the center's label
+    # per stencil, step and coordinate k: which of its points +e_k, -e_k keep the center's coordinate k,
+    # and which are off the center's label
+    perturbed = np.diagonal(rows[:, 1:].reshape(cases, len(steps), m, 2, m), axis1=2, axis2=4)
+    unmoved = np.equal(perturbed, rows[:, :1, None]).swapaxes(-1, -2).reshape(cases, -1, 2)
     crossing = np.not_equal(labels[:, 1:], labels[:, :1]).reshape(cases, -1, 2)
     finite = np.isfinite(values[:, 1:]).all(axis=-1).reshape(cases, -1, 2).all(axis=-1)
-    failed = crossing.any(axis=-1) | ~finite
+    failed = (unmoved | crossing).any(axis=-1) | ~finite
     errors = [center if isinstance(center, Exception) else None for center in labels[:, 0].tolist()]
     for c in np.flatnonzero(failed.any(axis=-1)).tolist():
         if errors[c] is None:
             at = int(failed[c].argmax())
             k = at % m
-            if crossing[c, at].any():
-                label = labels[c, 1 + 2 * at + int(crossing[c, at].argmax())]
+            point = unmoved[c, at] | crossing[c, at]
+            sign = int(point.argmax())  # the +e_k point first
+            if not point.any():
+                errors[c] = NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
+            elif unmoved[c, at, sign]:
+                h, x = float(steps[at // m]), float(rows[c, 0, k])
+                errors[c] = UsageError(f"finite-difference step {h!r} does not move coordinate {k} (value {x!r})")
+            else:
+                label = labels[c, 1 + 2 * at + sign]
                 message = f"stencil point along coordinate {k} crosses a classification boundary"
                 errors[c] = label if isinstance(label, Exception) else BranchCrossingError(message)
-            else:
-                errors[c] = NonFiniteError(f"non-finite map value on the stencil of coordinate {k}")
     h = np.repeat(steps, m)[:, None]
     with np.errstate(invalid="ignore", over="ignore"):  # a stencil with an error may hold inf
         quotients = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
     return quotients.reshape(cases, len(steps), m, -1).swapaxes(-1, -2), errors
 
 
-def _fd_dets(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> tuple[list, list]:
+def _fd_dets(rows: np.ndarray, values, labels: Sequence, steps: tuple[float, ...]) -> tuple[list, list]:
     """The finite-difference determinants of a stack of stencils, as for
     _fd_jacobians: (dets, errors), dets[c] None when stencil c raises
     errors[c].  At one step h a determinant is det(h); at steps (h, h/2) it
     is the Richardson value (4 det(h/2) - det(h)) / 3, and a relative
     disagreement beyond 0.1 is an UnreliableStencilError, after every
     _fd_jacobians error."""
-    jacobians, errors = _fd_jacobians(values, labels, cases, steps)
-    dets: list = [None] * cases
+    jacobians, errors = _fd_jacobians(rows, values, labels, steps)
+    dets: list = [None] * len(rows)
     ok = [c for c, error in enumerate(errors) if error is None]
     for c, at_steps in zip(ok, np.linalg.det(jacobians[ok]).tolist()):
         det_h, det_half = at_steps[0], at_steps[-1]
@@ -151,12 +147,14 @@ def _fd_dets(values, labels: Sequence, cases: int, steps: tuple[float, ...]) -> 
     return dets, errors
 
 
-def _stencil_values(fn, point, steps: tuple[float, ...]) -> tuple[np.ndarray, Sequence]:
-    """fn's (values, labels) on the stencil rows of one point."""
+def _stencil_values(fn, point, steps: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, Sequence]:
+    """The stencil rows (1, size, m) of one point, and fn's (values, labels)
+    on them."""
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise IHSEError("point must be a flat vector")
-    return fn(_stencil_rows(point[None], steps)[0])
+    rows = _stencil_rows(point[None], steps)
+    return (rows, *fn(rows[0]))
 
 
 def fd_jacobian(
@@ -172,13 +170,13 @@ def fd_jacobian(
     the exception that row raises alone.  The center and its 2n stencil
     points go to fn in one call.  Failures come as a loop over the points
     would meet them: the center's error; then per coordinate k, ascending,
-    the +e_k and then the -e_k point, each with its error before a label
-    other than the center's (BranchCrossingError: no differencing across a
+    the +e_k and then the -e_k point, each with a UsageError when h does not
+    move its coordinate k (x + h == x), then its error before a label other
+    than the center's (BranchCrossingError: no differencing across a
     discontinuity); then NonFiniteError for a non-finite value on either.
     The one-point view of _fd_jacobians.
     """
-    values, labels = _stencil_values(fn, point, (h,))
-    jacobians, (error,) = _fd_jacobians(values, labels, 1, (h,))
+    jacobians, (error,) = _fd_jacobians(*_stencil_values(fn, point, (h,)), (h,))
     if error is not None:
         raise error
     return jacobians[0, 0]
@@ -194,35 +192,32 @@ def fd_determinant(fn, point, h: float = FD_STEP) -> float:
     fn in one call; every failure at step h comes before any at h/2, and
     UnreliableStencilError comes last.  The one-point view of _fd_dets.
     """
-    values, labels = _stencil_values(fn, point, (h, h / 2.0))
-    (det,), (error,) = _fd_dets(values, labels, 1, (h, h / 2.0))
+    (det,), (error,) = _fd_dets(*_stencil_values(fn, point, (h, h / 2.0)), (h, h / 2.0))
     if error is not None:
         raise error
     return det
 
 
-def tensor_sum_det(case: TensorLemmaCase) -> tuple[float, float]:
-    """(closed form, direct 2x2 determinant) of
-    I + lam u(x)u + mu u(x)omega + nu omega(x)omega."""
-    u = np.asarray(case.u, dtype=float)
-    w = np.asarray(case.omega, dtype=float)
+def tensor_sum_det(lam: float, mu: float, nu: float, u, omega) -> tuple[float, float, float]:
+    """(closed form, direct 2x2 determinant, scale) of
+    I + lam u(x)u + mu u(x)omega + nu omega(x)omega.  The closed form is
+    1 + lam |u|^2 + mu u.omega + nu |omega|^2 + lam nu (u x omega)^2, its
+    terms added in that order; scale is the largest of 1 and their
+    magnitudes, the size both sides cancel in their own order."""
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(omega, dtype=float)
     if u.shape != (2,) or w.shape != (2,):
         raise IHSEError("the tensor-sum identity is planar: u and omega must be 2-vectors")
     cross = u[0] * w[1] - u[1] * w[0]
-    formula = (
-        1.0
-        + case.lam * dot(u, u)
-        + case.mu * dot(u, w)
-        + case.nu * dot(w, w)
-        + case.lam * case.nu * cross * cross
-    )
+    terms = (lam * dot(u, u), mu * dot(u, w), nu * dot(w, w), lam * nu * cross * cross)
+    formula = 1.0 + terms[0] + terms[1] + terms[2] + terms[3]
     matrix = (
         np.eye(2)
-        + case.lam * np.outer(u, u)
-        + case.mu * np.outer(u, w)
-        + case.nu * np.outer(w, w)
+        + lam * np.outer(u, u)
+        + mu * np.outer(u, w)
+        + nu * np.outer(w, w)
     )
-    return formula, float(np.linalg.det(matrix))
+    return formula, float(np.linalg.det(matrix)), max(1.0, *map(abs, terms))
 
 
 def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) -> tuple[np.ndarray, list]:
@@ -248,7 +243,7 @@ def _velocity_map_dets(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsi
     size = rows.shape[1]
     omega, epsilon0 = np.repeat(omega, size, axis=0), np.repeat(epsilon0, size)
     values, labels = _dispatched_velocity_map(rows.reshape(-1, rows.shape[2]), omega, epsilon0)
-    return _fd_dets(values, labels, len(v_i), (h,))
+    return _fd_dets(rows, values, labels, (h,))
 
 
 def draw_scattering_sample(
@@ -410,7 +405,7 @@ def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
     size = rows.shape[1]
     eps0 = np.repeat([p.epsilon0 for p in params], size)
     stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
-    fd_dets, results = _fd_dets(values, labels, len(cases), (h, h / 2.0))  # a centre's error comes first
+    fd_dets, results = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
     classified = {c: stack.one(c * size) for c in range(len(cases)) if stack.error(c * size) is None}
     for c, classification in classified.items():
         # an excluded centre's error comes first, the analytic determinant's after the FD errors
@@ -541,7 +536,7 @@ def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: T
     predict_pair gives it) is at least 0.1."""
     time, k, unique, _, _ = first_contacts(positions, velocities, tol=tol)
     r, w = positions[:, 0] - positions[:, 1], velocities[:, 0] - velocities[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel and non-meeting pairs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # parallel, non-meeting and subnormal pairs
         _, _, _, delta, _, _ = _quadratic_contact_roots(r, w, tol.grazing_tol)
     return unique & (k == 0) & (0.05 * tau < time) & (time < 0.8 * tau) & (delta >= 0.1)
 

@@ -7,6 +7,7 @@ per-event analytic contraction factors.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -86,6 +87,21 @@ def ball_volume(dim: int, radius: float) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
 
 
+def box_volume(dim: int, r_positions: float, r_velocities: float) -> float:
+    """ball_volume(dim, r_positions) * ball_volume(dim, r_velocities), the
+    volume of the sampling box.  Where a factor overflows, the product is
+    taken from logarithms instead, inf when it is not a finite float."""
+    try:
+        box = ball_volume(dim, r_positions) * ball_volume(dim, r_velocities)
+    except OverflowError:  # pi**(dim/2), gamma or radius**dim
+        box = math.inf
+    if box < math.inf:
+        return box
+    log_ball = dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
+    log_box = 2.0 * log_ball + dim * (math.log(r_positions) + math.log(r_velocities))
+    return math.exp(log_box) if log_box < math.log(sys.float_info.max) else math.inf
+
+
 def _pair_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise distances for a block of stacked configurations (block, N, d),
     shape (block, n_pairs), in pair_indices order.
@@ -97,18 +113,20 @@ def _pair_distances(points: np.ndarray) -> np.ndarray:
     boundary rounds as it always has.  Unlike squared_norms' row layout,
     the result is a view of a pair-major buffer: each pair's column is
     contiguous, and the reductions over the pairs that follow run one column
-    at a time, which on a block is many times faster than over rows.
+    at a time, which on a block is many times faster than over rows.  A
+    distance too large for its square is inf, beyond every threshold.
     """
     count, n, d = points.shape
     i, j = pair_indices(n)
     dist = np.empty((i.size, count))
-    for row, a, b in zip(dist, i.tolist(), j.tolist()):
-        np.subtract(points[:, a, 0], points[:, b, 0], out=row)
-        np.square(row, out=row)
-        for c in range(1, d):
-            diff = points[:, a, c] - points[:, b, c]
-            row += np.square(diff, out=diff)
-        np.sqrt(row, out=row)
+    with np.errstate(over="ignore"):
+        for row, a, b in zip(dist, i.tolist(), j.tolist()):
+            np.subtract(points[:, a, 0], points[:, b, 0], out=row)
+            np.square(row, out=row)
+            for c in range(1, d):
+                diff = points[:, a, c] - points[:, b, c]
+                row += np.square(diff, out=diff)
+            np.sqrt(row, out=row)
     return dist.T
 
 
@@ -154,10 +172,19 @@ def estimate_pathological_measure(
     B(0, R1 + k delta R2) x B(0, R2); draws whose configuration is not
     interior cannot belong to the set and count as misses.  Blocks of
     rng.BLOCK_SIZE draws are keyed by (seed, block index), so the result is
-    independent of thread count and evaluation order.
+    independent of thread count and evaluation order.  A box whose volume
+    (box_volume) is not a finite float is a UsageError, raised before any
+    draw.
     """
     if n_samples <= 0:
         raise UsageError("n_samples must be positive")
+    n, d = spec.n_particles, 2
+    box = box_volume(n * d, spec.position_radius, spec.R2)
+    if not box < math.inf:
+        raise UsageError(
+            f"the sampling box |X| <= {spec.position_radius!r}, |V| <= {spec.R2!r} in {n * d} dimensions each"
+            " has no finite volume"
+        )
     work = list(blocks(n_samples))
 
     def run(item):
@@ -169,8 +196,6 @@ def estimate_pathological_measure(
             hits = sum(pool.map(run, work))
     else:
         hits = sum(run(item) for item in work)
-    n, d = spec.n_particles, 2
-    box = ball_volume(n * d, spec.position_radius) * ball_volume(n * d, spec.R2)
     fraction = hits / n_samples
     ci95 = 1.96 * math.sqrt(max(fraction * (1.0 - fraction), 0.0) / n_samples) * box
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)

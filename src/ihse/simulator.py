@@ -354,17 +354,24 @@ def random_configuration(
     """Interior configuration with the stacked position vector drawn
     uniformly from the ball |X| <= r_positions (rejection sampled, at most
     10000 tries, for every pairwise gap above 1 + 1e-9) and the stacked
-    velocity vector uniform in |V| <= r_velocities."""
+    velocity vector uniform in |V| <= r_velocities.  A radius that is not
+    positive and finite is a UsageError, raised before any draw.  Near the
+    float limit a draw may overflow: a state with a non-finite coordinate is
+    rejected like an overlapping one."""
     check_dimension(dimension)
     if n_particles < 1:
         raise UsageError("need at least one particle")
+    if not (0 < r_positions < math.inf and 0 < r_velocities < math.inf):
+        raise UsageError("R1 and R2 must be positive and finite")
     gen = sample_generator(seed, index)
     dof = n_particles * dimension
-    for _ in range(10000):
-        x = uniform_ball(gen, 1, dof, r_positions)[0].reshape(n_particles, dimension)
-        if (np.sqrt(squared_separations(x)) > 1.0 + 1e-9).all():
-            v = uniform_ball(gen, 1, dof, r_velocities)[0].reshape(n_particles, dimension)
-            return Configuration(x, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge radii: squares and draws may overflow
+        for _ in range(10000):
+            x = uniform_ball(gen, 1, dof, r_positions)[0].reshape(n_particles, dimension)
+            if np.isfinite(x).all() and (np.sqrt(squared_separations(x)) > 1.0 + 1e-9).all():
+                v = uniform_ball(gen, 1, dof, r_velocities)[0].reshape(n_particles, dimension)
+                if np.isfinite(v).all():
+                    return Configuration(x, v)
     raise IHSEError(
         f"could not place {n_particles} interior particles in |X| <= {r_positions} within the retry budget"
     )

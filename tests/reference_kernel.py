@@ -233,11 +233,18 @@ def flow_jacobian_prefactor(
     return 1.0 + dot(grad_x, dv)
 
 
-def difference_quotients(values: np.ndarray, labels, center_label, h: float) -> np.ndarray:
-    """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian)."""
+def difference_quotients(values: np.ndarray, labels, center_label, h: float, center=None) -> np.ndarray:
+    """Jacobian from stencil rows +h e_0, -h e_0, +h e_1, ... (see fd_jacobian);
+    given the stencil's center point, a row whose coordinate k, center[k] +
+    h or center[k] - h, rounds back to center[k] raises before its label is
+    read."""
     finite = np.isfinite(values).all(axis=1).tolist()
     for k in range(len(labels) // 2):
-        for label in labels[2 * k : 2 * k + 2]:
+        for at, label in enumerate(labels[2 * k : 2 * k + 2]):
+            if center is not None and (center[k] + h, center[k] - h)[at] == center[k]:
+                raise UsageError(
+                    f"finite-difference step {float(h)!r} does not move coordinate {k} (value {float(center[k])!r})"
+                )
             if isinstance(label, Exception):
                 raise label
             if label != center_label:
@@ -247,15 +254,16 @@ def difference_quotients(values: np.ndarray, labels, center_label, h: float) -> 
     return ((values[0::2] - values[1::2]) / (2.0 * h)).T
 
 
-def stencil_jacobians(values: np.ndarray, labels, steps: tuple[float, ...]) -> list[np.ndarray]:
+def stencil_jacobians(values: np.ndarray, labels, steps: tuple[float, ...], center=None) -> list[np.ndarray]:
     """The Jacobian at each step of one stencil (the center, then per step
     its rows +h e_0, -h e_0, ...), raising the center's error and then each
-    block's, one coordinate at a time (difference_quotients)."""
+    block's, one coordinate at a time (difference_quotients, which checks
+    each row's step when given the center point)."""
     if isinstance(labels[0], Exception):
         raise labels[0]
     size = (len(labels) - 1) // len(steps)
     blocks = [slice(start, start + size) for start in range(1, len(labels), size)]
-    return [difference_quotients(values[b], labels[b], labels[0], h) for b, h in zip(blocks, steps)]
+    return [difference_quotients(values[b], labels[b], labels[0], h, center) for b, h in zip(blocks, steps)]
 
 
 def random_tct_case(

@@ -27,7 +27,7 @@ from ihse import (
     verify_flow_jacobian,
     verify_scattering_measure,
 )
-from ihse.jacobian_lab import TensorLemmaCase, draw_scattering_sample, fd_jacobian, random_tct_case
+from ihse.jacobian_lab import draw_scattering_sample, fd_jacobian, random_tct_case
 from ihse.measure_mc import (
     PathologicalSetSpec,
     ensemble_volume_evolution,
@@ -129,7 +129,7 @@ def test_c04_tensor_sum_determinant_identity():
         u = gen.uniform(-10, 10, (10_000, 2))
         w = gen.uniform(-10, 10, (10_000, 2))
         for k in range(10_000):
-            formula, direct = tensor_sum_det(TensorLemmaCase(lam[k], mu[k], nu[k], u[k], w[k]))
+            formula, direct, _ = tensor_sum_det(lam[k], mu[k], nu[k], u[k], w[k])
             cross = u[k][0] * w[k][1] - u[k][1] * w[k][0]
             scale = max(
                 1.0,

@@ -19,6 +19,7 @@ from ihse import (
     UsageError,
     collision,
     jacobian_lab,
+    measure_mc,
     rng,
     scattering,
     simulator,
@@ -226,6 +227,34 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "ihse simulate: need at least one particle\n"
         assert draws == []
 
+    @pytest.mark.parametrize("radii", [["--R1", "-4", "--R2", "-1"], ["--R1", "inf"], ["--R1", "nan"], ["--R2", "0"]])
+    def test_sampling_radius_not_positive_and_finite_is_usage_error(self, tmp_path, capsys, monkeypatch, radii):
+        # a negative pair of radii ran and exited 0, and an infinite one
+        # warned before its error
+        draws = count_calls(monkeypatch, simulator, "uniform_ball")
+        argv = ["simulate", "--N", "2", "--R1", "4", "--R2", "1", "--T", "1", "--eps0", "0.5", *radii]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_to_file(tmp_path, argv)
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "ihse simulate: R1 and R2 must be positive and finite\n"
+        assert draws == []
+
+    @pytest.mark.parametrize("radii", [["--R1", "1e300"], ["--R1", "1.7e308", "--R2", "1.7e308"]])
+    def test_sampling_radius_too_large_for_the_contact_roots(self, tmp_path, capsys, radii):
+        # the draw's squared gaps overflowed with a warning; near the float
+        # limit some draws overflow and are drawn again
+        for seed in ("0", "1", "2", "3"):
+            argv = ["simulate", "--N", "2", "--R1", "4", "--R2", "1", "--T", "1", "--eps0", "0.5", "--seed", seed]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                status, out = run_to_file(tmp_path, argv + radii)
+            assert status == 2
+            assert not out.exists()
+            expected = "ihse simulate: a coordinate is too large: the contact roots would overflow over [0, T]\n"
+            assert capsys.readouterr().err == expected
+
     def test_default_sampling_flags_accepted_with_config(self, tmp_path, two_body_file):
         argv = ["simulate", "--config", str(two_body_file), "--T", "3", "--eps0", "0.1875", "--seed", "0", "--dim", "2"]
         assert run_to_file(tmp_path, argv)[0] == 0
@@ -260,6 +289,24 @@ class TestHorizonAndReach:
         assert not out.exists()
         assert capsys.readouterr().err == "ihse jacobian: tau must be positive and finite\n"
         assert draws == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--T", "1"], ["classify", "--tau", "1"], ["volume", "--tau", "1", "--radius", "1e-3"]],
+)
+def test_subnormal_speeds_have_no_contact(tmp_path, argv):
+    # c/q overflowed in the scan with a warning, an error under -W error
+    config = tmp_path / "subnormal.json"
+    speeds = [[1e-310, 0.0], [0.0, 1e-310], [1e-310, 1e-310]]
+    particles = [{"x": x, "v": v} for x, v in zip([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], speeds)]
+    config.write_text(dumps({"d": 2, "particles": particles}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out = run_to_file(tmp_path, argv + ["--config", str(config), "--eps0", "0.5"])
+    assert status == 0
+    if argv[0] == "simulate":
+        assert json.loads(out.read_text())["report"]["events"] == []
 
 
 @pytest.mark.parametrize(
@@ -395,6 +442,31 @@ class TestVerificationCommands:
         assert status == 0
         assert len(json.loads(out.read_text())["samples"]) == 50
         assert len(calls) == 50
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["jacobian", "--samples", "2", "--h", "1e-300"], "step 1e-300 does not move coordinate 0 (value "),
+            (["scatter-check", "--samples", "2", "--h", "1e-17"], "step 1e-17 does not move coordinate "),
+            (
+                ["volume", "--radius", "1e-300", "--tau", "1.5", "--eps0", "0.5"],
+                "step 1e-301 does not move coordinate 0 (value 3.0)",
+            ),
+        ],
+    )
+    def test_step_that_does_not_move_a_coordinate_is_usage_error(self, tmp_path, capsys, argv, message):
+        # x + h == x made every stencil column 0: fd_det 0, exit 0
+        if argv[0] == "volume":
+            chain = tmp_path / "chain.json"
+            chain.write_text(dumps({"d": 2, "particles": [{"x": x, "v": v} for x, v in FLAG_CONFIGS["chain"]]}))
+            argv = argv + ["--config", str(chain)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_to_file(tmp_path, argv)
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"ihse {argv[0]}: finite-difference {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, samples", [("jacobian", "-3"), ("scatter-check", "0"), ("tensor-lemma", "-2")])
     def test_non_positive_samples_is_usage_error(self, tmp_path, capsys, command, samples):
@@ -566,6 +638,32 @@ class TestMeasureAndVolume:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err == "ihse measure: R1 and R2 must be positive and finite\n"
+
+    def test_measure_box_without_finite_volume_is_usage_error_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # radius**dim raised OverflowError after every draw
+        draws = count_calls(monkeypatch, measure_mc, "block_generator")
+        argv = ["measure", "--family", "E", "--N", "3", "--delta", "0.3", "--R1", "1e60", "--R2", "1", "--eps0", "0.01"]
+        status, out = run_to_file(tmp_path, argv + ["--samples", "10"])
+        assert status == 2
+        assert not out.exists()
+        message = "the sampling box |X| <= 1e+60, |V| <= 1.0 in 6 dimensions each has no finite volume"
+        assert capsys.readouterr().err == f"ihse measure: {message}\n"
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--N", "100", "--delta", "0.001", "--R1", "100", "--R2", "1"],  # 100**200 overflows, the box is 3.09e183
+            ["--N", "2", "--delta", "0.3", "--R1", "1e160", "--R2", "1e-160"],  # the squared gaps overflow
+        ],
+    )
+    def test_measure_box_with_finite_volume_runs(self, tmp_path, args):
+        argv = ["measure", "--family", "E", *args, "--eps0", "0.01", "--samples", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_to_file(tmp_path, argv)
+        assert status == 0
+        assert json.loads(out.read_text())["estimate"]["n_samples"] == 10
 
     @pytest.mark.parametrize(
         "command, flag, value, message",

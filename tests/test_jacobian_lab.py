@@ -16,7 +16,6 @@ from ihse import (
     IHSEError,
     ModelParams,
     NonFiniteError,
-    TensorLemmaCase,
     UsageError,
     fd_determinant,
     fd_jacobian,
@@ -153,7 +152,8 @@ class TestFdJacobian:
                     column = data.draw(st.integers(0, outputs - 1))
                     values[c, start + at, column] = data.draw(st.sampled_from([np.nan, np.inf]))
         flat = [label for stencil in labels for label in stencil]
-        jacobians, errors = jacobian_lab._fd_jacobians(values.reshape(-1, outputs), flat, cases, steps)
+        rows = jacobian_lab._stencil_rows(np.zeros((cases, m)), steps)
+        jacobians, errors = jacobian_lab._fd_jacobians(rows, values.reshape(-1, outputs), flat, steps)
         for c in range(cases):
             try:
                 expected = ref.stencil_jacobians(values[c], labels[c], steps)
@@ -164,22 +164,65 @@ class TestFdJacobian:
             for jacobian, alone in zip(jacobians[c], expected):
                 assert jacobian.tobytes() == alone.tobytes(), c
 
+    def test_step_that_does_not_move_a_coordinate_is_usage_error(self):
+        identity = self._labelled(lambda row: None)
+        message = r"step 1e-06 does not move coordinate 0 \(value 1e\+20\)"
+        with pytest.raises(UsageError, match=message):
+            fd_jacobian(identity, [1e20, 0.0], 1e-6)
+        with pytest.raises(UsageError, match=message):
+            fd_determinant(identity, [1e20, 0.0], 1e-6)
+        # at 1.0, h = 2e-16 moves both points, and h/2 moves only the -e_0 one
+        with pytest.raises(UsageError, match=r"step 1e-16 does not move coordinate 0 \(value 1.0\)"):
+            fd_determinant(identity, [1.0], 2e-16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unmoved_points_match_the_coordinate_loop(self, data):
+        # Stacks of stencils at h and h/2 about points whose coordinates a
+        # step may not move, each with an error label and another label at
+        # a random row (the center included) or absent: every stencil gets
+        # the quotient bits, or the error, of the loop over its rows.
+        cases, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        h = data.draw(st.sampled_from([1e-6, 2e-16, 1e-300]))
+        steps = (h, h / 2.0)
+        coordinates = st.lists(st.sampled_from([0.0, 1.0, -3.0, 1e20]), min_size=cases * m, max_size=cases * m)
+        rows = jacobian_lab._stencil_rows(np.reshape(data.draw(coordinates), (cases, m)), steps)
+        size = rows.shape[1]
+        labels = [[0] * size for _ in range(cases)]
+        row = st.none() | st.integers(0, size - 1)
+        for c in range(cases):
+            if (at := data.draw(row)) is not None:
+                labels[c][at] = IHSEError(f"row {at} of stencil {c} fails")
+            if (at := data.draw(row)) is not None:
+                labels[c][at] = 1
+        flat = [label for stencil in labels for label in stencil]
+        jacobians, errors = jacobian_lab._fd_jacobians(rows, rows.reshape(-1, m), flat, steps)
+        for c in range(cases):
+            try:
+                expected = ref.stencil_jacobians(rows[c], labels[c], steps, rows[c, 0])
+            except IHSEError as error:
+                assert (type(errors[c]), str(errors[c])) == (type(error), str(error)), c
+                continue
+            assert errors[c] is None, c
+            for jacobian, alone in zip(jacobians[c], expected):
+                assert jacobian.tobytes() == alone.tobytes(), c
+
 
 class TestTensorLemma:
     def test_hand_example(self):
-        formula, direct = tensor_sum_det(TensorLemmaCase(1, 1, 1, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+        formula, direct, _ = tensor_sum_det(1, 1, 1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert formula == pytest.approx(4.0, abs=0)
         assert direct == pytest.approx(4.0, abs=1e-14)
 
     def test_zero_coefficients(self):
-        formula, direct = tensor_sum_det(TensorLemmaCase(0, 0, 0, np.array([2.0, 3.0]), np.array([1.0, -1.0])))
+        formula, direct, _ = tensor_sum_det(0, 0, 0, np.array([2.0, 3.0]), np.array([1.0, -1.0]))
         assert formula == 1.0 and direct == pytest.approx(1.0, abs=1e-15)
 
     def test_single_tensor_product(self):
         u = np.array([0.7, -0.2])
         w = np.array([0.3, 1.1])
         for t in (-2.0, 0.5, 3.0):
-            formula, direct = tensor_sum_det(TensorLemmaCase(0.0, t, 0.0, u, w))
+            formula, direct, _ = tensor_sum_det(0.0, t, 0.0, u, w)
             assert formula == pytest.approx(1.0 + t * float(u @ w), abs=1e-14)
             assert direct == pytest.approx(formula, abs=1e-12)
 
@@ -192,7 +235,7 @@ class TestTensorLemma:
             lam, mu, nu = gen.uniform(-10, 10, 3)
             u = gen.uniform(-10, 10, 2)
             w = gen.uniform(-10, 10, 2)
-            formula, direct = tensor_sum_det(TensorLemmaCase(lam, mu, nu, u, w))
+            formula, direct, _ = tensor_sum_det(lam, mu, nu, u, w)
             cross = u[0] * w[1] - u[1] * w[0]
             scale = max(
                 1.0,
@@ -203,6 +246,24 @@ class TestTensorLemma:
             )
             worst = max(worst, abs(formula - direct) / scale)
         assert worst <= 1e-12
+
+    def test_scale_is_the_largest_term_magnitude(self):
+        # the magnitudes of the closed form's terms, each from the factors'
+        # own magnitudes; coefficients near 0 let the floor 1 win
+        for index in range(500):
+            gen = sample_generator(5, index)
+            lam, mu, nu = gen.uniform(-10, 10, 3) * (1e-3 if index % 2 else 1.0)
+            u = gen.uniform(-10, 10, 2)
+            w = gen.uniform(-10, 10, 2)
+            *_, scale = tensor_sum_det(lam, mu, nu, u, w)
+            uu, uw, ww = (a[0] * b[0] + a[1] * b[1] for a, b in ((u, u), (u, w), (w, w)))
+            cross = u[0] * w[1] - u[1] * w[0]
+            terms = abs(lam) * uu, abs(mu) * abs(uw), abs(nu) * ww, abs(lam) * abs(nu) * abs(cross) * abs(cross)
+            assert scale == max(1.0, *terms), index
+
+    def test_rejects_non_planar_vectors(self):
+        with pytest.raises(IHSEError, match="planar"):
+            tensor_sum_det(1.0, 1.0, 1.0, np.ones(3), np.ones(3))
 
 
 class TestScatteringMeasure:
@@ -281,6 +342,20 @@ class TestScatteringMeasure:
                 assert (type(head), str(head)) == (type(full), str(full))
             else:
                 assert all(np.array_equal(a, b) for a, b in zip(head[:3], full[:3])) and head[3] == full[3]
+
+    def test_unmoved_coordinate_is_the_error_of_its_pair_alone(self):
+        # pair 1's v_i[1] is too large for the step to move; pairs 0 and 2
+        # get the determinants they get alone
+        params = ModelParams(0.4)
+        draws = [draw_scattering_sample(sample_generator(3, k), params, 2)[:3] for k in range(3)]
+        v_i, v_j, omega = (np.stack(column) for column in zip(*draws))
+        v_i[1, 1] = 1e20
+        dets, errors = jacobian_lab._velocity_map_dets(v_i, v_j, omega, [0.4] * 3, 1e-6)
+        assert isinstance(errors[1], UsageError) and dets[1] is None
+        assert str(errors[1]) == "finite-difference step 1e-06 does not move coordinate 1 (value 1e+20)"
+        for c in (0, 2):
+            alone = jacobian_lab._velocity_map_dets(v_i[c : c + 1], v_j[c : c + 1], omega[c : c + 1], [0.4], 1e-6)
+            assert errors[c] is None and alone == ([dets[c]], [None])
 
     def test_3d_emitting_determinant_regression(self):
         # pinned by the finite-difference oracle: the emitting law in d=3

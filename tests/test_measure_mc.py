@@ -17,7 +17,7 @@ from ihse import (
     estimate_pathological_measure,
 )
 from ihse.core import pair_indices
-from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances, ball_volume
+from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances, ball_volume, box_volume
 from ihse.rng import BLOCK_SIZE, block_generator, uniform_ball
 from ihse.simulator import collision_rich_configuration, simulate
 
@@ -81,6 +81,16 @@ class TestEstimator:
         assert est1.ci95 == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 40_000) * box, rel=1e-12)
         # doubling n shrinks the half-width by ~sqrt(2) (fractions nearly equal)
         assert est2.ci95 * math.sqrt(2) == pytest.approx(est1.ci95, rel=0.1)
+
+    def test_box_volume(self):
+        # the product of the two balls, bit for bit, where no factor
+        # overflows; from logarithms where one does; inf past the float range
+        for dim, r_x, r_v in ((6, 3.0, 1.0), (4, 7.25, 0.5), (40, 12.0, 1.5)):
+            assert box_volume(dim, r_x, r_v) == ball_volume(dim, r_x) * ball_volume(dim, r_v)
+        exact = (math.pi**100) ** 2 * (10**400 / math.factorial(100) ** 2)  # |X| <= 100, |V| <= 1 in 200 dimensions
+        assert box_volume(200, 100.0, 1.0) == pytest.approx(exact, rel=1e-12)
+        assert box_volume(4, 1e160, 1e-160) == pytest.approx((math.pi**2 / 2.0) ** 2, rel=1e-12)
+        assert box_volume(6, 1e60, 1.0) == math.inf
 
     def test_tiny_delta_all_miss(self):
         est = estimate_pathological_measure(e_spec(1e-6), 10_000, seed=2)
