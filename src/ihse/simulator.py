@@ -355,14 +355,22 @@ def random_configuration(
     uniformly from the ball |X| <= r_positions (rejection sampled, at most
     10000 tries, for every pairwise gap above 1 + 1e-9) and the stacked
     velocity vector uniform in |V| <= r_velocities.  A radius that is not
-    positive and finite is a UsageError, raised before any draw.  Near the
-    float limit a draw may overflow: a state with a non-finite coordinate is
-    rejected like an overlapping one."""
+    positive and finite is a UsageError, raised before any draw, and so is a
+    ball that cannot hold the particles: gaps above 1 give
+    N |X|^2 >= sum over pairs of |x_i - x_j|^2 > N (N - 1) / 2, so
+    r_positions must exceed sqrt((N - 1) / 2) (exact for N <= d + 1, a
+    regular simplex).  Near the float limit a draw may overflow: a state
+    with a non-finite coordinate is rejected like an overlapping one."""
     check_dimension(dimension)
     if n_particles < 1:
         raise UsageError("need at least one particle")
     if not (0 < r_positions < math.inf and 0 < r_velocities < math.inf):
         raise UsageError("R1 and R2 must be positive and finite")
+    least = math.sqrt((n_particles - 1) / 2)  # not r_positions**2, which overflows near the float limit
+    if r_positions <= least:
+        raise UsageError(
+            f"{n_particles} particles at gaps above 1 need R1 > sqrt((N - 1) / 2) = {least!r}, got {r_positions!r}"
+        )
     gen = sample_generator(seed, index)
     dof = n_particles * dimension
     with np.errstate(over="ignore", invalid="ignore"):  # huge radii: squares and draws may overflow

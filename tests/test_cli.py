@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -95,13 +96,6 @@ class TestFlowCommand:
         assert particles[0]["x"] == [2.25, 0] and particles[0]["v"] == [0.25, 0]
         assert particles[1]["x"] == [3.75, 0] and particles[1]["v"] == [0.75, 0]
         assert doc["jacobian"] == {"det": 0.5, "prefactor": -0.5, "det_N": -1}
-
-    def test_byte_identical_reruns(self, tmp_path, two_body_file):
-        argv = ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"]
-        _, out1 = run_to_file(tmp_path, argv)
-        first = out1.read_bytes()
-        _, out2 = run_to_file(tmp_path, argv)
-        assert out2.read_bytes() == first
 
     def test_excluded_is_pathology_exit(self, tmp_path):
         grazing = tmp_path / "grazing.json"
@@ -395,7 +389,7 @@ class TestVerificationCommands:
         dets = [report["analytic_det"] for report in doc["reports"]]
         assert len(dets) == 6
         if eps0 == "2.0":
-            assert dets == [pytest.approx(1.0, abs=1e-12)] * 6
+            assert dets == [1.0] * 6
         else:
             assert all(det < 1.0 for det in dets)
         assert doc["summary"]["max_residual"] <= 1e-5
@@ -803,19 +797,24 @@ class TestFlagResolution:
         assert status == 2 and not out.exists()
         assert capsys.readouterr().err.startswith(f"ihse flow: malformed JSON in {config}: ")
 
-    @pytest.mark.parametrize("flag", ["--config", "--run-config"])
-    def test_input_file_that_is_not_utf8_is_usage_error(self, tmp_path, two_body_file, capsys, flag):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("flow", "--config"), ("flow", "--run-config"), ("simulate", "--config")],
+        ids=["--config", "--run-config", "simulate"],
+    )
+    def test_input_file_that_is_not_utf8_is_usage_error(self, tmp_path, two_body_file, capsys, command, flag):
         """JSON text is UTF-8: a UTF-16 byte order mark is a usage error that
         names the file, not a decoding traceback."""
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe{}")
-        argv = ["flow", "--tau", "3", "--eps0", "1", "--config", str(bad if flag == "--config" else two_body_file)]
+        horizon = ["--T", "1", "--eps0", "0.5"] if command == "simulate" else ["--tau", "3", "--eps0", "1"]
+        argv = [command, *horizon, "--config", str(bad if flag == "--config" else two_body_file)]
         if flag == "--run-config":
             argv += ["--run-config", str(bad)]
         status, out = run_to_file(tmp_path, argv)
         assert status == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith(f"ihse flow: malformed JSON in {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"ihse {command}: malformed JSON in {bad}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
     def test_stdout_carries_the_output_file_bytes(self, tmp_path, two_body_file, capsys):
@@ -909,6 +908,142 @@ class TestFlagResolution:
         assert "9.9999999999999998e-13" in text  # grazing tolerance, full precision
         reparsed = json.loads(text)
         assert reparsed["config"]["grazing_tol"] == 1e-12
+
+
+class CLICase(NamedTuple):
+    """One CLI run, made in process in tmp_path with --output: its argv, the
+    JSON text of its --config file if any, its exit status, whether a rerun
+    writes the same bytes, the IHSE_THREADS of the run and of the rerun, and
+    check(doc, again) on its document, where again(*flags) is the document
+    of a run with these flags appended."""
+
+    argv: list
+    config: str = None
+    status: int = 0
+    rerun: bool = False
+    threads: tuple = (None, None)
+    check: object = None
+
+
+TWO_BODY = '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [3, 0], "v": [0, 0]}]}'
+CHAIN = '{"d": 2, "particles": [{"x": [3, 0], "v": [0, 0]}, {"x": [0, 0], "v": [3, 0]}, {"x": [6, 0], "v": [-1, 0]}]}'
+CHAIN_3D = (
+    '{"d": 3, "particles": [{"x": [3, 0.1, -0.05], "v": [0, 0.02, 0.01]}, {"x": [0, 0, 0], "v": [3, 0.05, -0.04]},'
+    ' {"x": [6, -0.08, 0.06], "v": [-1, -0.03, 0.02]}]}'
+)
+# 32 particles at spacing 1.6 on a 6 x 6 lattice without its corners, each
+# drifting toward the centre with a spread
+LATTICE_SITES = [(a, b) for a in range(6) for b in range(6) if (a in (0, 5)) + (b in (0, 5)) < 2]
+LATTICE = {
+    "d": 2,
+    "particles": [
+        {"x": [1.6 * a, 1.6 * b], "v": [0.5 * (2.5 - a) + math.sin(7 * k), 0.5 * (2.5 - b) + math.cos(5 * k)]}
+        for k, (a, b) in enumerate(LATTICE_SITES)
+    ],
+}
+VOLUME_CHAIN = ["volume", "--radius", "1e-3", "--tau", "1.5"]
+MEASURE_P = ["measure", "--family", "P", "--N", "3", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+MEASURE_E = ["measure", "--family", "E", "--N", "4", "--delta", "0.3", "--R1", "3", "--R2", "1", "--eps0", "0.01"]
+SAMPLED = ["simulate", "--R2", "1", "--T", "1", "--eps0", "0.5"]
+
+
+def volume_agrees(doc, again):
+    return abs(doc["measured"] - doc["predicted"]) <= 1e-4
+
+
+CLI_CASES = {
+    "tensor-lemma": CLICase(["tensor-lemma", "--samples", "10"], rerun=True),
+    "flow": CLICase(["flow", "--tau", "3", "--eps0", "0.1875"], TWO_BODY, rerun=True),
+    "classify": CLICase(["classify", "--tau", "3", "--eps0", "0.75"], TWO_BODY, rerun=True),
+    "simulate-sampled": CLICase(
+        ["simulate", "--N", "4", "--R1", "4", "--R2", "1.5", "--T", "10", "--eps0", "0.35", "--seed", "7",
+         "--events-csv", "ev.csv"],
+        rerun=True,
+    ),
+    "simulate-lone-particle": CLICase(
+        ["simulate", "--T", "3", "--eps0", "0.1875"],
+        '{"d": 2, "particles": [{"x": [0, 0], "v": [1, -0.5]}]}',
+        check=lambda doc, again: doc["report"]["events"] == [],
+    ),
+    "simulate-head-on": CLICase(
+        ["simulate", "--T", "3", "--eps0", "0.1875"],
+        '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [3, 0], "v": [-1, 0]}]}',
+        rerun=True,
+        check=lambda doc, again: len(doc["report"]["events"]) == 1,
+    ),
+    # the closest approach, 1.25, falls between any fixed probe times
+    "simulate-near-miss": CLICase(
+        ["simulate", "--T", "10", "--eps0", "0.5"],
+        '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [0.15, 1.25], "v": [0, 0]}]}',
+        check=lambda doc, again: abs(doc["report"]["min_separation"] - 1.25) <= 1e-12,
+    ),
+    "simulate-lattice": CLICase(
+        ["simulate", "--T", "5", "--eps0", "0.5"],
+        json.dumps(LATTICE),
+        rerun=True,
+        check=lambda doc, again: doc["initial"] == LATTICE and doc["report"]["events"] != [],
+    ),
+    # no interior state fits: the pairwise gaps force R1 > sqrt((N - 1) / 2)
+    "simulate-ball-too-small-2": CLICase([*SAMPLED, "--N", "2", "--R1", "0.5"], status=2),
+    "simulate-ball-too-small-3": CLICase([*SAMPLED, "--N", "3", "--R1", "1.0"], status=2),
+    "simulate-ball-fits-2": CLICase([*SAMPLED, "--N", "2", "--R1", "0.75"]),
+    "volume-max-events": CLICase([*VOLUME_CHAIN, "--eps0", "0.5", "--max-events", "1"], CHAIN, status=3),
+    "volume-elastic": CLICase([*VOLUME_CHAIN, "--eps0", "inf"], CHAIN, rerun=True, check=volume_agrees),
+    "volume-d3": CLICase([*VOLUME_CHAIN, "--eps0", "0.5"], CHAIN_3D, check=volume_agrees),
+    "jacobian-d3": CLICase(["jacobian", "--dim", "3", "--samples", "4"], rerun=True),
+    # a case's report does not depend on how many cases the run draws
+    "jacobian-prefix": CLICase(
+        ["jacobian", "--samples", "3", "--seed", "11", "--n-particles", "4"],
+        check=lambda doc, again: doc["reports"] == again("--samples", "8")["reports"][:3],
+    ),
+    "jacobian-prefix-eps0": CLICase(
+        ["jacobian", "--samples", "3", "--seed", "11", "--n-particles", "4", "--eps0", "0.3"],
+        check=lambda doc, again: doc["reports"] == again("--samples", "8")["reports"][:3],
+    ),
+    "scatter-check-d3": CLICase(
+        ["scatter-check", "--samples", "20", "--dim", "3"],
+        check=lambda doc, again: doc["summary"]["max_abs_det_deviation"] <= 1e-6,
+    ),
+    "scatter-check-prefix": CLICase(
+        ["scatter-check", "--samples", "8", "--seed", "5"],
+        rerun=True,
+        check=lambda doc, again: again("--samples", "3")["samples"] == doc["samples"][:3],
+    ),
+    # the documents do not depend on the thread count
+    "measure-P-threads": CLICase(
+        [*MEASURE_P, "--mu", "0.25", "--samples", "100000", "--seed", "3"], rerun=True, threads=("1", "2")
+    ),
+    "measure-E-threads": CLICase([*MEASURE_E, "--samples", "100000", "--seed", "3"], rerun=True, threads=("1", "2")),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_CASES))
+def test_cli_case(tmp_path, monkeypatch, name):
+    case = CLI_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    argv = list(case.argv)
+    if case.config is not None:
+        Path("config.json").write_text(case.config)
+        argv += ["--config", "config.json"]
+
+    def written(output, *flags, threads=None):
+        if threads is not None:
+            monkeypatch.setenv("IHSE_THREADS", threads)
+        status = run([*argv, *flags, "--output", output])
+        return status, Path(output).read_bytes() if Path(output).exists() else None
+
+    status, first = written("out.json", threads=case.threads[0])
+    assert status == case.status
+    if status == 2:
+        assert first is None
+    if case.rerun:
+        assert written("rerun.json", threads=case.threads[1]) == (status, first)
+    if case.check is not None:
+        assert case.check(json.loads(first), lambda *flags: json.loads(written("again.json", *flags)[1]))
+
+
+def test_every_command_has_a_rerun_case():
+    assert {case.argv[0] for case in CLI_CASES.values() if case.status == 0 and case.rerun} == set(COMMANDS)
 
 
 # Configurations on which each tolerance flag decides the outcome.
