@@ -34,14 +34,11 @@ from .scattering import (
     CriticalEnergyError,
     GrazingContactError,
     NotPreCollisionalError,
-    RadialCoordinates,
     ScatteringOutcome,
     ZeroRelativeVelocityError,
     elastic_reflection,
     inelastic_emission,
-    radial_emission_map,
     scatter,
-    sigma_direction,
 )
 from .tct import (
     ExcludedConfigurationError,

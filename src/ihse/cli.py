@@ -218,12 +218,10 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     tol = _tolerances(flags)
     result = tct_flow(cfg, flags["tau"], params, tol=tol)
     det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params, tol=tol)
-    record = None
-    if result.collision_record is not None:
-        pair, t_c, outcome = result.collision_record
-        record = {"pair": pair, "t_c": t_c, "outcome": outcome}
+    cls, outcome = result.classification, result.outcome
+    record = None if outcome is None else {"pair": cls.pair, "t_c": cls.t_c, "outcome": outcome}
     body = {
-        "classification": result.classification,
+        "classification": cls,
         "final": result.final,
         "collision_record": record,
         "jacobian": {"det": det, "prefactor": prefactor, "det_N": det_n},

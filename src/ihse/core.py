@@ -314,11 +314,11 @@ def squared_separations(positions: np.ndarray) -> np.ndarray:
 
 def domain_masks(squared: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(invalid, boundary) pair masks from the squared_separations of a
-    stack (..., N, d) of position sets, by validate_configuration's rules;
-    interior states have neither."""
-    s = np.sqrt(squared)
-    boundary = np.abs(s - 1.0) <= tol
-    return ~boundary & (s < 1.0 - tol), boundary
+    stack (..., N, d) of position sets, by validate_configuration's rules on
+    one gap g = |x_i - x_j| - 1 per pair: invalid when g < -tol, boundary
+    when |g| <= tol, so every pair with neither has g > tol (interior)."""
+    gap = np.sqrt(squared) - 1.0
+    return gap < -tol, np.abs(gap) <= tol
 
 
 def validate_configuration(cfg: Configuration, tol: float = CONTACT_TOL) -> DomainStatus:

@@ -74,7 +74,7 @@ def _stencil_rows(points: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
     point its center, then per step h the rows +h e_0, -h e_0, +h e_1, ...;
     shape (C, 1 + 2 m len(steps), m)."""
     if not steps[0] > 0:
-        raise IHSEError("step h must be positive")
+        raise UsageError("step h must be positive")
     offsets = np.repeat(np.eye(points.shape[1]), 2, axis=0)  # +e_0, -e_0, +e_1, ...
     offsets[1::2] *= -1.0  # point + h (-e_k) is point - h e_k, bit for bit
     return np.concatenate([points[:, None]] + [points[:, None] + h * offsets for h in steps], axis=1)
@@ -152,7 +152,7 @@ def _stencil_values(fn, point, steps: tuple[float, ...]) -> tuple[np.ndarray, np
     on them."""
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
-        raise IHSEError("point must be a flat vector")
+        raise UsageError("point must be a flat vector")
     rows = _stencil_rows(point[None], steps)
     return (rows, *fn(rows[0]))
 
@@ -298,7 +298,7 @@ def scattering_measure_samples(
     each chunk as one stack, so each sample gets the report or the error it
     gets alone."""
     if samples <= 0:
-        raise IHSEError("samples must be positive")
+        raise UsageError("samples must be positive")
     check_dimension(d)
     results: list = []
     for index in range(samples):

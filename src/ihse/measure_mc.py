@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach, kinetic_energy
+from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach
 from .core import pair_indices
 from .jacobian_lab import _stack_map, fd_determinant
-from .rng import block_generator, blocks, sample_generator, uniform_ball
-from .simulator import random_configuration, simulate_stack
+from .rng import block_generator, blocks, uniform_ball
+from .simulator import simulate_stack
 from .tct import contraction_factor
 
 SPEED_BAND_WIDTH = "relative_speed_band"  # band 2 sqrt(e0) <= |w| <= 2 sqrt(e0)(1 + (sqrt(2)-1) mu)
@@ -244,18 +244,3 @@ def ensemble_volume_evolution(
         if emits:
             predicted *= contraction_factor(rel_speed_sq, params, d)
     return predicted, abs(det)
-
-
-def low_energy_ensemble(seed: int, index: int, n_particles: int, d: int, params: ModelParams) -> Configuration:
-    """Random interior d-dimensional configuration (|X| <= 4, |V| <= 1) with
-    total kinetic energy strictly below 2*epsilon0: scaled to a fraction of
-    that bound drawn uniformly from [0.3, 0.95)."""
-    cfg = random_configuration(seed, index, n_particles, d, 4.0, 1.0)
-    gen = sample_generator(seed ^ 0x5DEECE66D, index)
-    # (0.95 - 0.3) rounds to 0.6499999999999999, not 0.65: keep the expression.
-    target = (0.3 + (0.95 - 0.3) * gen.random()) * 2.0 * params.epsilon0
-    ke = kinetic_energy(cfg)
-    if ke <= 0:
-        raise IHSEError("degenerate zero-velocity draw")
-    scale = math.sqrt(target / ke)
-    return Configuration(cfg.positions, scale * cfg.velocities)

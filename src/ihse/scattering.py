@@ -3,8 +3,7 @@
 Two laws share the dispatch threshold |v_i - v_j|^2 = 4*eps0: above it the
 pair emits, losing exactly eps0 of kinetic energy while every component of
 the relative velocity is rescaled by the same factor; at or below it the
-collision is the standard elastic exchange of normal components.  The
-emitting law is also provided in its center-of-mass radial form.
+collision is the standard elastic exchange of normal components.
 """
 
 from __future__ import annotations
@@ -59,29 +58,6 @@ class ScatteringOutcome:
     v_i_post: np.ndarray
     v_j_post: np.ndarray
     energy_loss: float
-
-
-@dataclass(frozen=True)
-class RadialCoordinates:
-    """Center-of-mass relative velocity in polar (d=2) or spherical (d=3)
-    coordinates; theta is latitude in [-pi/2, pi/2] and phi azimuth."""
-
-    rho: float
-    theta: float
-    phi: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise UsageError("rho must be positive")
-        if self.phi is not None:
-            if not -math.pi / 2 <= self.theta <= math.pi / 2:
-                raise UsageError("theta must lie in [-pi/2, pi/2] for d=3")
-            if not 0 <= self.phi < 2 * math.pi:
-                raise UsageError("phi must lie in [0, 2*pi)")
-
-    @property
-    def dimension(self) -> int:
-        return 2 if self.phi is None else 3
 
 
 def check_unit(omega: np.ndarray):
@@ -187,19 +163,6 @@ def checked_law(
     return *_elastic_transfer(v_i, v_j, omega, approach), None, None
 
 
-def sigma_direction(v_i, v_j, omega) -> np.ndarray:
-    """Reflection of the normalized relative velocity (v_j - v_i)/|v_j - v_i|
-    through the plane orthogonal to omega; always unit norm."""
-    v_i = np.asarray(v_i, dtype=float)
-    v_j = np.asarray(v_j, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    check_unit(omega)
-    w = v_j - v_i
-    if (speed := math.sqrt(dot(w, w))) < ZERO_RELATIVE_SPEED:
-        raise ZeroRelativeVelocityError("relative velocity is zero")
-    return _reflected_direction(w, speed, omega)
-
-
 def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
     """Elastic exchange of the normal velocity components (unguarded)."""
     v_i = np.asarray(v_i, dtype=float)
@@ -255,96 +218,6 @@ def scatter(
     return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
 
 
-def radial_emission_map(coords: RadialCoordinates, params: ModelParams) -> RadialCoordinates:
-    """Center-of-mass form of the emitting collision.
-
-    d=2: (rho, theta) -> (sqrt(rho^2 - 4 eps0), -theta), exactly the
-    dispatched law conjugated into polar coordinates about the contact
-    plane.  d=3: (rho, theta, phi) -> ((rho^3 - 4 eps0)^(1/3), -theta, phi),
-    the cubic-radius variant whose induced Cartesian map is measure
-    preserving in three dimensions.  It loses an energy that depends on rho,
-    not a fixed eps0, so it is a separate model: the dispatched law contracts
-    velocity measure in d=3 (see scattering_velocity_det_analytic).
-    """
-    eps0 = params.epsilon0
-    if coords.dimension == 2:
-        if not coords.rho**2 > 4.0 * eps0:
-            raise BelowThresholdError("rho^2 must exceed 4*epsilon0")
-        return RadialCoordinates(math.sqrt(coords.rho**2 - 4.0 * eps0), -coords.theta)
-    if not coords.rho**3 > 4.0 * eps0:
-        raise BelowThresholdError("rho^3 must exceed 4*epsilon0")
-    return RadialCoordinates((coords.rho**3 - 4.0 * eps0) ** (1.0 / 3.0), -coords.theta, coords.phi)
-
-
-def spherical_to_cartesian(coords: RadialCoordinates) -> np.ndarray:
-    """Cartesian vector for d=3 spherical coordinates (latitude convention)."""
-    if coords.dimension != 3:
-        raise UsageError("expected d=3 coordinates")
-    ct = math.cos(coords.theta)
-    return coords.rho * np.array([ct * math.cos(coords.phi), ct * math.sin(coords.phi), math.sin(coords.theta)])
-
-
-def cartesian_to_spherical(v) -> RadialCoordinates:
-    """Inverse of spherical_to_cartesian; phi normalized into [0, 2*pi)."""
-    v = np.asarray(v, dtype=float)
-    rho = math.sqrt(dot(v, v))
-    if rho <= 0:
-        raise UsageError("zero vector has no spherical representation")
-    theta = math.asin(max(-1.0, min(1.0, v[2] / rho)))
-    phi = math.atan2(v[1], v[0]) % (2 * math.pi)
-    return RadialCoordinates(rho, theta, phi)
-
-
-def emission_map_cartesian_3d(v, params: ModelParams) -> np.ndarray:
-    """Cartesian form of the d=3 radial emission map: rescale the radius to
-    (rho^3 - 4 eps0)^(1/3) and mirror the z component (theta -> -theta).
-    Measure preserving, but not the engine's fixed-eps0 law."""
-    v = np.asarray(v, dtype=float)
-    rho = math.sqrt(dot(v, v))
-    if not rho**3 > 4.0 * params.epsilon0:
-        raise BelowThresholdError("rho^3 must exceed 4*epsilon0")
-    scale = (rho**3 - 4.0 * params.epsilon0) ** (1.0 / 3.0) / rho
-    return scale * np.array([v[0], v[1], -v[2]])
-
-
-def scattering_velocity_jacobian(v_i, v_j, omega, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of the velocity map (v_i, v_j) -> (v_i', v_j') at
-    fixed contact direction, as a 2d x 2d matrix in block form
-    [[B+, B-], [B-, B+]] with B+/- = I/2 +/- A; its determinant is det(2A),
-    which scattering_velocity_det_analytic gives in closed form.
-
-    For the elastic branch A = I/2 - omega (x) omega.  For the emitting
-    branch, with w = v_j - v_i, u = w/|w| and kappa^2 = |w|^2/4 - eps0:
-
-        A = (kappa/|w|) [ I + (|w|^2/(4 kappa^2) - 1) u(x)u
-                            + (u.omega)(2 - |w|^2/(2 kappa^2)) omega(x)u
-                            - 2 omega(x)omega ]
-    """
-    v_i = np.asarray(v_i, dtype=float)
-    v_j = np.asarray(v_j, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    d = omega.shape[0]
-    ident = np.eye(d)
-    w = v_j - v_i
-    w2 = dot(w, w)
-    if w2 > 4.0 * params.epsilon0:
-        speed = math.sqrt(w2)
-        u = w / speed
-        kappa_sq = w2 / 4.0 - params.epsilon0
-        kappa = math.sqrt(kappa_sq)
-        a_mat = (kappa / speed) * (
-            ident
-            + (w2 / (4.0 * kappa_sq) - 1.0) * np.outer(u, u)
-            + dot(u, omega) * (2.0 - w2 / (2.0 * kappa_sq)) * np.outer(omega, u)
-            - 2.0 * np.outer(omega, omega)
-        )
-    else:
-        a_mat = 0.5 * ident - np.outer(omega, omega)
-    b_plus = 0.5 * ident + a_mat
-    b_minus = 0.5 * ident - a_mat
-    return np.block([[b_plus, b_minus], [b_minus, b_plus]])
-
-
 def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams, d: int) -> float:
     """det N, the determinant of the velocity map (v_i, v_j) -> (v_i', v_j')
     at fixed contact direction in d dimensions, for squared relative speed
@@ -353,8 +226,9 @@ def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams, d
     The map keeps the mean (v_i + v_j)/2 and sends w = v_j - v_i to
     w' = 2 kappa(|w|) R(w/|w|), with R the reflection through the plane
     orthogonal to omega (det R = -1).  The change of variables to mean and
-    w has determinant 1, so det N, which is det(2A) of
-    scattering_velocity_jacobian, is the determinant of that map.
+    w has determinant 1, so det N, which is det(2A) of the map's block
+    Jacobian [[I/2 + A, I/2 - A], [I/2 - A, I/2 + A]], is the determinant of
+    that map.
     Elastic: w' = R w.  Emitting: kappa(r) = sqrt(r^2/4 - eps0) makes the
     radial map r -> 2 kappa(r) stretch the radius by d(2 kappa)/dr =
     r/(2 kappa) and each of the d-1 tangential directions by 2 kappa/r, so

@@ -33,6 +33,7 @@ from .scattering import (
     CRITICAL_BAND,
     SCATTER_CHECKS,
     CollisionKind,
+    ScatteringOutcome,
     scatter,
     scattering_velocity_det_analytic,
 )
@@ -95,7 +96,7 @@ class TCTDomainClass:
 class TCTResult:
     final: Configuration
     classification: TCTDomainClass
-    collision_record: Optional[tuple] = None  # (pair, t_c, ScatteringOutcome)
+    outcome: Optional[ScatteringOutcome] = None  # the collision's, None when free
 
 
 # tct_stack labels each row with one int: 2 k + 1 for a single emitting
@@ -230,7 +231,7 @@ def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolera
         return TCTResult(final, classification)
     i, j = classification.pair.zero_based()
     outcome = scatter(cfg.velocities[i], cfg.velocities[j], stack.omega[0], params, tol=tol)
-    return TCTResult(final, classification, (classification.pair, classification.t_c, outcome))
+    return TCTResult(final, classification, outcome)
 
 
 def analytic_flow_jacobian_det(

@@ -32,11 +32,11 @@ from ihse.measure_mc import (
     PathologicalSetSpec,
     ensemble_volume_evolution,
     estimate_pathological_measure,
-    low_energy_ensemble,
 )
 from ihse.rng import block_generator, sample_generator
-from ihse.scattering import emission_map_cartesian_3d, scattering_velocity_jacobian
 from ihse.simulator import collision_rich_configuration
+
+from oracles import emission_map_cartesian_3d, low_energy_ensemble, scattering_velocity_jacobian
 
 
 @contextmanager

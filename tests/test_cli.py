@@ -313,6 +313,9 @@ def test_subnormal_speeds_have_no_contact(tmp_path, argv):
             '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [3, 0, 1], "v": [0, 0]}]}',
             "positions/velocities must be (N, d) arrays of numbers",
         ),
+        ('{"d": 2}', "malformed configuration document: 'particles'"),
+        ('{"d": 2, "particles": [{"x": [0, 0]}]}', "malformed configuration document: 'v'"),
+        ('{"d": 2, "particles": 5}', "malformed configuration document: 'int' object is not iterable"),
     ],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, config, message):
@@ -987,6 +990,12 @@ CLI_CASES = {
     "simulate-ball-too-small-2": CLICase([*SAMPLED, "--N", "2", "--R1", "0.5"], status=2),
     "simulate-ball-too-small-3": CLICase([*SAMPLED, "--N", "3", "--R1", "1.0"], status=2),
     "simulate-ball-fits-2": CLICase([*SAMPLED, "--N", "2", "--R1", "0.75"]),
+    # 1 - 1e-3 rounds down to 0.999, whose gap is below -1e-3: not interior
+    "simulate-overlap-at-contact-tol": CLICase(
+        ["simulate", "--T", "1", "--eps0", "0.5", "--contact-tol", "1e-3"],
+        '{"d": 2, "particles": [{"x": [0, 0], "v": [0, 0]}, {"x": [0.999, 0], "v": [0, 0]}]}',
+        status=2,
+    ),
     "volume-max-events": CLICase([*VOLUME_CHAIN, "--eps0", "0.5", "--max-events", "1"], CHAIN, status=3),
     "volume-elastic": CLICase([*VOLUME_CHAIN, "--eps0", "inf"], CHAIN, rerun=True, check=volume_agrees),
     "volume-d3": CLICase([*VOLUME_CHAIN, "--eps0", "0.5"], CHAIN_3D, check=volume_agrees),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis.extra import numpy as hnp
 from ihse import (
     Configuration,
     DomainKind,
+    ExclusionReason,
     ModelParams,
     PairIndex,
+    TCTDomainClass,
     Tolerances,
     UsageError,
     all_pairs,
@@ -23,7 +26,8 @@ from ihse import (
 )
 from ihse.core import dot, pair_differences, pair_indices, pair_position, squared_norms, squared_separations
 from ihse.scattering import CollisionKind
-from ihse.simulator import SimEvent
+from ihse.simulator import SimEvent, simulate_stack
+from ihse.tct import tct_stack
 from ihse.jsonio import dumps, format_float
 
 from conftest import assert_close
@@ -53,6 +57,21 @@ class TestValidation:
         cfg = cfg2((0, 0), (1.0 + 5e-7, 0))
         assert validate_configuration(cfg, 1e-9).kind is DomainKind.INTERIOR
         assert validate_configuration(cfg, 1e-6).kind is DomainKind.BOUNDARY
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.3])
+    def test_no_separation_just_below_contact_is_interior(self, tol):
+        # 1 - tol rounds down for 1e-6, 1e-3 and 0.3, so the pair at
+        # fl(1 - tol) overlaps by more than tol: each double around it is
+        # invalid or boundary by its exact gap, in every interior check
+        below = 1.0 - tol
+        for separation in (math.nextafter(below, 0.0), below, math.nextafter(below, 2.0)):
+            cfg = cfg2((0, 0), (separation, 0))
+            gap = Fraction(separation) - 1
+            assert validate_configuration(cfg, tol).kind is (DomainKind.INVALID if gap < -tol else DomainKind.BOUNDARY)
+            x, v, tols = cfg.positions[None], cfg.velocities[None], Tolerances(contact_tol=tol)
+            assert tct_stack(x, v, 1.0, 0.5, tol=tols).one() == TCTDomainClass.excluded(ExclusionReason.BOUNDARY_START)
+            error = simulate_stack(x, v, 1.0, ModelParams(0.5), tol=tols).errors[0]
+            assert isinstance(error, UsageError) and str(error) == "initial configuration must be interior (all gaps > 1)"
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(UsageError):

@@ -40,15 +40,15 @@ from ihse import (
     inelastic_emission,
     predict_pair,
     scatter,
-    sigma_direction,
     simulate,
     validate_configuration,
 )
 from ihse.core import dot
 from ihse.jacobian_lab import random_tct_case
-from ihse.measure_mc import low_energy_ensemble
 from ihse.rng import unit_vector
 from ihse.simulator import collision_rich_configuration, random_configuration
+
+from oracles import low_energy_ensemble, sigma_direction
 
 GOLDEN_SHA256 = "0f27765fb4959451282e352d6cdfd52079019c95660f554aed39959c4d68acba"
 DETAIL_SHA256 = "298c0ac39b8edd3eb94ff177141e63e3c0acb801922911fcc3b8abac9e966878"

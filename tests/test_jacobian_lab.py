@@ -33,11 +33,12 @@ from ihse.jacobian_lab import (
 )
 from ihse.core import dot
 from ihse.rng import sample_generator
-from ihse.scattering import scattering_velocity_det_analytic, scattering_velocity_jacobian
+from ihse.scattering import scattering_velocity_det_analytic
 
 import reference_draws
 import reference_kernel as ref
 from conftest import assert_close
+from oracles import scattering_velocity_jacobian
 
 
 class TestFdJacobian:
@@ -175,6 +176,14 @@ class TestFdJacobian:
         with pytest.raises(UsageError, match=r"step 1e-16 does not move coordinate 0 \(value 1.0\)"):
             fd_determinant(identity, [1.0], 2e-16)
 
+    @pytest.mark.parametrize(
+        "point, h, message",
+        [([1.0, 0.0], 0.0, "step h must be positive"), ([[1.0, 0.0]], 1e-6, "point must be a flat vector")],
+    )
+    def test_nonpositive_step_or_nested_point_is_usage_error(self, point, h, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            fd_jacobian(self._labelled(lambda row: None), point, h)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_unmoved_points_match_the_coordinate_loop(self, data):
@@ -267,6 +276,10 @@ class TestTensorLemma:
 
 
 class TestScatteringMeasure:
+    def test_no_samples_is_usage_error(self):
+        with pytest.raises(UsageError, match=r"^samples must be positive$"):
+            jacobian_lab.scattering_measure_samples(0, ModelParams(0.75), 2, 7)
+
     def test_planar_measure_preservation(self):
         reports = verify_scattering_measure(100, ModelParams(0.75), 2, seed=7)
         for report in reports:

@@ -11,28 +11,30 @@ from ihse import (
     CriticalEnergyError,
     ModelParams,
     NotPreCollisionalError,
-    RadialCoordinates,
     ZeroRelativeVelocityError,
     elastic_reflection,
     inelastic_emission,
-    radial_emission_map,
     scatter,
-    sigma_direction,
 )
 from ihse.jacobian_lab import draw_scattering_sample
 from ihse.rng import sample_generator
 from ihse.core import Tolerances, dot
 from ihse.scattering import (
     SCATTER_CHECKS,
-    cartesian_to_spherical,
     checked_law,
     dispatched_law,
-    emission_map_cartesian_3d,
     failed_checks,
-    spherical_to_cartesian,
 )
 
 from conftest import assert_close
+from oracles import (
+    RadialCoordinates,
+    cartesian_to_spherical,
+    emission_map_cartesian_3d,
+    radial_emission_map,
+    sigma_direction,
+    spherical_to_cartesian,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 

@@ -25,7 +25,6 @@ from ihse import (
     tct_flow,
 )
 from ihse.core import squared_separations
-from ihse.measure_mc import low_energy_ensemble
 from ihse.simulator import (
     PATHOLOGY_CRITICAL_ENERGY,
     PATHOLOGY_GRAZING,
@@ -36,6 +35,7 @@ from ihse.simulator import (
 )
 
 from conftest import assert_close
+from oracles import low_energy_ensemble
 
 
 class TestSingleEvent:

@@ -102,22 +102,21 @@ class TestFlow:
         res = tct_flow(head_on, 3.0, params_elastic_example)
         assert_close(res.final.positions, [[2, 0], [4, 0]], 1e-12, "positions")
         assert_close(res.final.velocities, [[0, 0], [1, 0]], 1e-12, "velocities")
-        pair, t_c, outcome = res.collision_record
-        assert pair == P12 and t_c == pytest.approx(2.0)
-        assert outcome.kind is CollisionKind.ELASTIC
+        assert res.classification.pair == P12 and res.classification.t_c == pytest.approx(2.0)
+        assert res.outcome.kind is CollisionKind.ELASTIC
 
     def test_inelastic_hand_example(self, head_on, params_inelastic_example):
         res = tct_flow(head_on, 3.0, params_inelastic_example)
         assert_close(res.final.positions, [[2.25, 0], [3.75, 0]], 1e-12, "positions")
         assert_close(res.final.velocities, [[0.25, 0], [0.75, 0]], 1e-12, "velocities")
-        _, _, outcome = res.collision_record
+        outcome = res.outcome
         assert outcome.kappa == pytest.approx(0.25, abs=1e-15)
         assert_close(outcome.sigma, [1, 0], 1e-15)
         assert outcome.energy_loss == pytest.approx(0.1875, abs=1e-14)
 
     def test_free_case(self, head_on, params_elastic_example):
         res = tct_flow(head_on, 1.0, params_elastic_example)
-        assert res.collision_record is None
+        assert res.outcome is None
         assert res.final == free_transport(head_on, 1.0)
 
     def test_excluded_raises(self, params_elastic_example):

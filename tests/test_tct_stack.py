@@ -86,10 +86,10 @@ def _assert_rows_match(positions, velocities, tau, params, tol):
             assert stack.positions[row].tobytes() == result.positions.tobytes()
             assert stack.velocities[row].tobytes() == result.velocities.tobytes()
         if record is None:
-            assert flow.collision_record is None
+            assert flow.outcome is None
             continue
-        (pair, t_c, expected), (flow_pair, flow_t_c, outcome) = record, flow.collision_record
-        assert (flow_pair, flow_t_c) == (pair, t_c)
+        (pair, t_c, expected), outcome = record, flow.outcome
+        assert (flow.classification.pair, flow.classification.t_c) == (pair, t_c)
         assert (outcome.kind, outcome.kappa, outcome.energy_loss) == (expected.kind, expected.kappa, expected.energy_loss)
         for name in ("omega", "v_i_post", "v_j_post"):
             assert getattr(outcome, name).tobytes() == getattr(expected, name).tobytes()
