@@ -41,8 +41,8 @@ from .measure_mc import (
 )
 from .rng import sample_generator
 from .scattering import CollisionKind, scatter
-from .simulator import random_configuration, simulate
-from .tct import classified_flow_det, classify_tct_domain, tct_flow
+from .simulator import NOT_INTERIOR, random_configuration, simulate
+from .tct import ExcludedConfigurationError, ExclusionReason, classified_flow_det, classify_tct_domain, tct_flow
 
 SCHEMA = "ihse/1"
 
@@ -216,7 +216,12 @@ def cmd_flow(flags: dict) -> tuple[dict, int]:
     cfg = _load_configuration(flags["config"])
     params = ModelParams(flags["eps0"])
     tol = _tolerances(flags)
-    result = tct_flow(cfg, flags["tau"], params, tol=tol)
+    try:
+        result = tct_flow(cfg, flags["tau"], params, tol=tol)
+    except ExcludedConfigurationError as exc:
+        if exc.reason is ExclusionReason.BOUNDARY_START:  # an input error, as for simulate and volume
+            raise UsageError(NOT_INTERIOR) from exc
+        raise
     det, prefactor, det_n = classified_flow_det(cfg, result.classification, result.final.velocities, params, tol=tol)
     cls, outcome = result.classification, result.outcome
     record = None if outcome is None else {"pair": cls.pair, "t_c": cls.t_c, "outcome": outcome}

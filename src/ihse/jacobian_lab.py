@@ -207,7 +207,7 @@ def tensor_sum_det(lam: float, mu: float, nu: float, u, omega) -> tuple[float, f
     u = np.asarray(u, dtype=float)
     w = np.asarray(omega, dtype=float)
     if u.shape != (2,) or w.shape != (2,):
-        raise IHSEError("the tensor-sum identity is planar: u and omega must be 2-vectors")
+        raise UsageError("the tensor-sum identity is planar: u and omega must be 2-vectors")
     cross = u[0] * w[1] - u[1] * w[0]
     terms = (lam * dot(u, u), mu * dot(u, w), nu * dot(w, w), lam * nu * cross * cross)
     formula = 1.0 + terms[0] + terms[1] + terms[2] + terms[3]

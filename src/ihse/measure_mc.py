@@ -17,7 +17,7 @@ import numpy as np
 from .core import Configuration, IHSEError, ModelParams, Tolerances, UsageError, check_reach
 from .core import pair_indices
 from .jacobian_lab import _stack_map, fd_determinant
-from .rng import block_generator, blocks, uniform_ball
+from .rng import BLOCK_SIZE, block_generator, blocks, uniform_ball
 from .simulator import simulate_stack
 from .tct import contraction_factor
 
@@ -102,9 +102,10 @@ def box_volume(dim: int, r_positions: float, r_velocities: float) -> float:
     return math.exp(log_box) if log_box < math.log(sys.float_info.max) else math.inf
 
 
-def _pair_distances(points: np.ndarray) -> np.ndarray:
+def _pair_distances(points: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairwise distances for a block of stacked configurations (block, N, d),
-    shape (block, n_pairs), in pair_indices order.
+    shape (block, n_pairs), in pair_indices order; the transpose of out, an
+    (n_pairs, block) float array whose rows are contiguous, when given.
 
     Each pair is computed column by column: the square of its component-0
     difference, plus the square of each further component in order, then
@@ -118,7 +119,7 @@ def _pair_distances(points: np.ndarray) -> np.ndarray:
     """
     count, n, d = points.shape
     i, j = pair_indices(n)
-    dist = np.empty((i.size, count))
+    dist = np.empty((i.size, count)) if out is None else out
     with np.errstate(over="ignore"):
         for row, a, b in zip(dist, i.tolist(), j.tolist()):
             np.subtract(points[:, a, 0], points[:, b, 0], out=row)
@@ -130,33 +131,49 @@ def _pair_distances(points: np.ndarray) -> np.ndarray:
     return dist.T
 
 
-def _count_hits_block(spec: PathologicalSetSpec, gen: np.random.Generator, count: int) -> int:
-    """Hits among one block of count draws from gen.
+class _BlockKernel:
+    """Hit counter for the blocks of one estimate, run by one thread.  Its
+    draws and pair distances are written into BLOCK_SIZE-row arrays it keeps
+    from block to block, one block in views [:count] of them, so no block
+    frees an array the next one must page back in.
 
     Both families draw the positions first.  Family E reads nothing else
     and draws nothing more; family P then draws the velocities from the same
     stream, so its draws are those of a kernel that always drew both."""
-    n, d = spec.n_particles, 2
-    x = uniform_ball(gen, count, n * d, spec.position_radius).reshape(count, n, d)
-    xdist = _pair_distances(x)
-    interior = (xdist > 1.0).all(axis=1)
-    if spec.family == "E":
-        proximity = 1.0 + 1.5 * math.sqrt(2.0) * spec.delta * spec.R2
-        hits = interior & ((xdist <= proximity).sum(axis=1) >= 2)
+
+    def __init__(self, spec: PathologicalSetSpec):
+        self.spec = spec
+        n = spec.n_particles
+        self.x = np.empty((BLOCK_SIZE, 2 * n))
+        self.xdist = np.empty((n * (n - 1) // 2, BLOCK_SIZE))
+        if spec.family == "P":
+            self.v = np.empty_like(self.x)
+            self.vdist = np.empty_like(self.xdist)
+
+    def hits(self, gen: np.random.Generator, count: int) -> int:
+        """Hits among one block of count draws from gen."""
+        spec = self.spec
+        n, d = spec.n_particles, 2
+        x = uniform_ball(gen, count, n * d, spec.position_radius, out=self.x[:count]).reshape(count, n, d)
+        xdist = _pair_distances(x, out=self.xdist[:, :count])
+        interior = (xdist > 1.0).all(axis=1)
+        if spec.family == "E":
+            proximity = 1.0 + 1.5 * math.sqrt(2.0) * spec.delta * spec.R2
+            hits = interior & ((xdist <= proximity).sum(axis=1) >= 2)
+            return int(hits.sum())
+        v = uniform_ball(gen, count, n * d, spec.R2, out=self.v[:count]).reshape(count, n, d)
+        proximity = 1.0 + math.sqrt(2.0) * spec.delta * spec.R2
+        vdist = _pair_distances(v, out=self.vdist[:, :count])
+        eps0 = spec.params.epsilon0
+        lo = 2.0 * math.sqrt(eps0)
+        if spec.band == SPEED_BAND_WIDTH:
+            hi = lo * (1.0 + (math.sqrt(2.0) - 1.0) * spec.mu)
+            in_band = (vdist >= lo) & (vdist <= hi)
+        else:
+            hi_sq = 4.0 * eps0 / (1.0 - spec.mu)
+            in_band = (vdist >= lo) & (vdist**2 < hi_sq)
+        hits = interior & ((xdist <= proximity) & in_band).any(axis=1)
         return int(hits.sum())
-    v = uniform_ball(gen, count, n * d, spec.R2).reshape(count, n, d)
-    proximity = 1.0 + math.sqrt(2.0) * spec.delta * spec.R2
-    vdist = _pair_distances(v)
-    eps0 = spec.params.epsilon0
-    lo = 2.0 * math.sqrt(eps0)
-    if spec.band == SPEED_BAND_WIDTH:
-        hi = lo * (1.0 + (math.sqrt(2.0) - 1.0) * spec.mu)
-        in_band = (vdist >= lo) & (vdist <= hi)
-    else:
-        hi_sq = 4.0 * eps0 / (1.0 - spec.mu)
-        in_band = (vdist >= lo) & (vdist**2 < hi_sq)
-    hits = interior & ((xdist <= proximity) & in_band).any(axis=1)
-    return int(hits.sum())
 
 
 def estimate_pathological_measure(
@@ -172,7 +189,9 @@ def estimate_pathological_measure(
     B(0, R1 + k delta R2) x B(0, R2); draws whose configuration is not
     interior cannot belong to the set and count as misses.  Blocks of
     rng.BLOCK_SIZE draws are keyed by (seed, block index), so the result is
-    independent of thread count and evaluation order.  A box whose volume
+    independent of thread count and evaluation order.  The blocks are dealt
+    to min(threads, blocks) workers in turn, each with its own _BlockKernel,
+    and their integer hits summed.  A box whose volume
     (box_volume) is not a finite float is a UsageError, raised before any
     draw.
     """
@@ -186,16 +205,17 @@ def estimate_pathological_measure(
             " has no finite volume"
         )
     work = list(blocks(n_samples))
+    workers = min(threads, len(work))
 
-    def run(item):
-        index, count = item
-        return _count_hits_block(spec, block_generator(seed, index), count)
+    def run(share):
+        kernel = _BlockKernel(spec)
+        return sum(kernel.hits(block_generator(seed, index), count) for index, count in share)
 
-    if threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run, work))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(run, [work[t::workers] for t in range(workers)]))
     else:
-        hits = sum(run(item) for item in work)
+        hits = run(work)
     fraction = hits / n_samples
     ci95 = 1.96 * math.sqrt(max(fraction * (1.0 - fraction), 0.0) / n_samples) * box
     return MeasureEstimate(spec, n_samples, hits, fraction, fraction * box, ci95)

@@ -8,6 +8,7 @@ results.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -39,14 +40,18 @@ def blocks(n_samples: int):
         yield full, rest
 
 
-def uniform_ball(gen: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+def uniform_ball(
+    gen: np.random.Generator, count: int, dim: int, radius: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Uniform draws from the dim-dimensional ball of the given radius,
-    shape (count, dim)."""
-    x = gen.standard_normal((count, dim))
+    shape (count, dim).  Given out, a C-contiguous (count, dim) float array,
+    the draws are written into it and it is returned, with the same bits."""
+    x = gen.standard_normal((count, dim)) if out is None else gen.standard_normal(out=out)
     norms = np.sqrt(squared_norms(x))  # numpy's own sum order, also from 8 terms up
     norms[norms == 0.0] = 1.0
     r = radius * gen.random(count) ** (1.0 / dim)
-    return x * (r / norms)[:, None]
+    x *= (r / norms)[:, None]
+    return x
 
 
 def unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:

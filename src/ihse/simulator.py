@@ -41,6 +41,7 @@ PATHOLOGY_SIMULTANEOUS = "simultaneous"
 PATHOLOGY_GRAZING = "grazing"
 PATHOLOGY_CRITICAL_ENERGY = "critical_energy"
 PATHOLOGY_MAX_EVENTS = "max_events"
+NOT_INTERIOR = "initial configuration must be interior (all gaps > 1)"
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     x, v = cfg.positions, cfg.velocities.copy()
     squared = squared_separations(x)
     if np.logical_or(*domain_masks(squared, tol.contact_tol)).any():
-        raise UsageError("initial configuration must be interior (all gaps > 1)")
+        raise UsageError(NOT_INTERIOR)
     records: list[tuple] = []
     first, second = pair_indices(cfg.n_particles)
     recent = -1  # the position of the pair scattered last
@@ -271,7 +272,7 @@ def simulate_stack(
         interior = ~reduce_rows(np.logical_or, np.logical_or(*domain_masks(squared, tol.contact_tol)), False)
         min_sq = reduce_rows(np.minimum, squared, np.inf)
         ke = 0.5 * np.square(v).sum(axis=(1, 2))
-    errors = [None if ok else UsageError("initial configuration must be interior (all gaps > 1)") for ok in interior]
+    errors = [None if ok else UsageError(NOT_INTERIOR) for ok in interior]
     errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
     running = reachable & interior
     now, recent = np.zeros(s), np.full(s, -1)

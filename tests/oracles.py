@@ -9,6 +9,8 @@ scattering_velocity_jacobian is the velocity map's analytic Jacobian,
 whose determinant det(2A) C03 compares with
 ihse.scattering.scattering_velocity_det_analytic.  low_energy_ensemble
 draws the below-threshold states of C09 and the golden digest.
+count_hits_block is the Monte Carlo block kernel as first written, with
+arrays allocated per block, the reference for measure_mc._BlockKernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ihse.core import Configuration, IHSEError, ModelParams, UsageError, dot, kinetic_energy
-from ihse.rng import sample_generator
+from ihse.measure_mc import SPEED_BAND_WIDTH, PathologicalSetSpec, _pair_distances
+from ihse.rng import sample_generator, uniform_ball
 from ihse.scattering import (
     ZERO_RELATIVE_SPEED,
     BelowThresholdError,
@@ -170,3 +173,32 @@ def low_energy_ensemble(seed: int, index: int, n_particles: int, d: int, params:
         raise IHSEError("degenerate zero-velocity draw")
     scale = math.sqrt(target / ke)
     return Configuration(cfg.positions, scale * cfg.velocities)
+
+
+def count_hits_block(spec: PathologicalSetSpec, gen: np.random.Generator, count: int) -> int:
+    """Hits among one block of count draws from gen.
+
+    Both families draw the positions first.  Family E reads nothing else
+    and draws nothing more; family P then draws the velocities from the same
+    stream, so its draws are those of a kernel that always drew both."""
+    n, d = spec.n_particles, 2
+    x = uniform_ball(gen, count, n * d, spec.position_radius).reshape(count, n, d)
+    xdist = _pair_distances(x)
+    interior = (xdist > 1.0).all(axis=1)
+    if spec.family == "E":
+        proximity = 1.0 + 1.5 * math.sqrt(2.0) * spec.delta * spec.R2
+        hits = interior & ((xdist <= proximity).sum(axis=1) >= 2)
+        return int(hits.sum())
+    v = uniform_ball(gen, count, n * d, spec.R2).reshape(count, n, d)
+    proximity = 1.0 + math.sqrt(2.0) * spec.delta * spec.R2
+    vdist = _pair_distances(v)
+    eps0 = spec.params.epsilon0
+    lo = 2.0 * math.sqrt(eps0)
+    if spec.band == SPEED_BAND_WIDTH:
+        hi = lo * (1.0 + (math.sqrt(2.0) - 1.0) * spec.mu)
+        in_band = (vdist >= lo) & (vdist <= hi)
+    else:
+        hi_sq = 4.0 * eps0 / (1.0 - spec.mu)
+        in_band = (vdist >= lo) & (vdist**2 < hi_sq)
+    hits = interior & ((xdist <= proximity) & in_band).any(axis=1)
+    return int(hits.sum())

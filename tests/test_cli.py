@@ -929,6 +929,7 @@ class CLICase(NamedTuple):
 
 
 TWO_BODY = '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [3, 0], "v": [0, 0]}]}'
+OVERLAP = '{"d": 2, "particles": [{"x": [0, 0], "v": [1, 0]}, {"x": [0.5, 0], "v": [0, 0]}]}'
 CHAIN = '{"d": 2, "particles": [{"x": [3, 0], "v": [0, 0]}, {"x": [0, 0], "v": [3, 0]}, {"x": [6, 0], "v": [-1, 0]}]}'
 CHAIN_3D = (
     '{"d": 3, "particles": [{"x": [3, 0.1, -0.05], "v": [0, 0.02, 0.01]}, {"x": [0, 0, 0], "v": [3, 0.05, -0.04]},'
@@ -996,6 +997,7 @@ CLI_CASES = {
         '{"d": 2, "particles": [{"x": [0, 0], "v": [0, 0]}, {"x": [0.999, 0], "v": [0, 0]}]}',
         status=2,
     ),
+    "flow-overlap": CLICase(["flow", "--tau", "1", "--eps0", "0.5"], OVERLAP, status=2),
     "volume-max-events": CLICase([*VOLUME_CHAIN, "--eps0", "0.5", "--max-events", "1"], CHAIN, status=3),
     "volume-elastic": CLICase([*VOLUME_CHAIN, "--eps0", "inf"], CHAIN, rerun=True, check=volume_agrees),
     "volume-d3": CLICase([*VOLUME_CHAIN, "--eps0", "0.5"], CHAIN_3D, check=volume_agrees),
@@ -1053,6 +1055,24 @@ def test_cli_case(tmp_path, monkeypatch, name):
 
 def test_every_command_has_a_rerun_case():
     assert {case.argv[0] for case in CLI_CASES.values() if case.status == 0 and case.rerun} == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--T", "1", "--eps0", "0.5"],
+        ["flow", "--tau", "1", "--eps0", "0.5"],
+        ["volume", "--radius", "1e-3", "--tau", "1", "--eps0", "0.5"],
+    ],
+)
+def test_start_that_is_not_interior_is_usage_error(tmp_path, capsys, argv):
+    # flow's boundary_start label is the input error simulate and volume raise
+    config = tmp_path / "overlap.json"
+    config.write_text(OVERLAP)
+    status, out = run_to_file(tmp_path, [*argv, "--config", str(config)])
+    assert status == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"ihse {argv[0]}: initial configuration must be interior (all gaps > 1)\n"
 
 
 # Configurations on which each tolerance flag decides the outcome.

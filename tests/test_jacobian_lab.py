@@ -271,7 +271,7 @@ class TestTensorLemma:
             assert scale == max(1.0, *terms), index
 
     def test_rejects_non_planar_vectors(self):
-        with pytest.raises(IHSEError, match="planar"):
+        with pytest.raises(UsageError, match="^the tensor-sum identity is planar: u and omega must be 2-vectors$"):
             tensor_sum_det(1.0, 1.0, 1.0, np.ones(3), np.ones(3))
 
 

@@ -18,8 +18,10 @@ from ihse import (
 )
 from ihse.core import pair_indices
 from ihse.measure_mc import SPEED_BAND_CUTOFF, SPEED_BAND_WIDTH, _pair_distances, ball_volume, box_volume
-from ihse.rng import BLOCK_SIZE, block_generator, uniform_ball
+from ihse.rng import BLOCK_SIZE, block_generator, blocks, uniform_ball
 from ihse.simulator import collision_rich_configuration, simulate
+
+from oracles import count_hits_block
 
 PARAMS = ModelParams(0.01)
 
@@ -131,6 +133,18 @@ class TestEstimator:
         est = estimate_pathological_measure(p_spec(0.3, 0.4, band=SPEED_BAND_CUTOFF), 100_000, seed=9)
         assert est.hits >= 0  # predicate evaluates; band is narrower than the default at same mu
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family, band", [("E", SPEED_BAND_WIDTH), ("P", SPEED_BAND_WIDTH), ("P", SPEED_BAND_CUTOFF)])
+    def test_buffered_kernel_matches_allocating_kernel(self, family, band, n, k):
+        # partial first, full, partial last blocks; 3 threads on 2 blocks
+        mu = None if family == "E" else 0.5
+        spec = PathologicalSetSpec(family, n, k, 0.3, mu, 3.0, 1.0, PARAMS, band=band)
+        for n_samples in (1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1000):
+            expected = sum(count_hits_block(spec, block_generator(19, b), count) for b, count in blocks(n_samples))
+            for threads in (1, 2, 3):
+                assert estimate_pathological_measure(spec, n_samples, seed=19, threads=threads).hits == expected
+
 
 def _axis_sum_distances(points):
     """Pair distances as the square root of numpy's sum over the length-d axis."""
@@ -156,6 +170,15 @@ def test_uniform_ball_matches_norm_body(dim):
     for count in (1, 1000):
         got = uniform_ball(block_generator(5, dim), count, dim, 2.5)
         assert _hex(got) == _hex(_ball_by_norm(block_generator(5, dim), count, dim, 2.5))
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_uniform_ball_into_a_buffer_matches(dim):
+    buf = np.empty((BLOCK_SIZE, dim))
+    for count in (1, 1000):
+        got = uniform_ball(block_generator(5, dim), count, dim, 2.5, out=buf[:count])
+        assert np.shares_memory(got, buf)
+        assert _hex(got) == _hex(uniform_ball(block_generator(5, dim), count, dim, 2.5))
 
 
 class TestPairDistances:
