@@ -79,10 +79,10 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     Roots are the cancellation-free pair q/a, c/q with q = -b -/+ sqrt(delta).
     The dot products are core.dot's, elementwise and left to right, so a
     pair's coefficients do not depend on how many pairs are solved together
-    or on the host's BLAS.  Callers suppress divide, invalid and overflow
-    warnings (np.errstate): parallel and non-meeting pairs divide by zero or
-    root negative deltas, and at subnormal speeds c/q overflows to an
-    infinite root, so such a pair has no contact.
+    or on the host's BLAS.  Callers hold scan_errstate(): parallel and
+    non-meeting pairs divide by zero or root negative deltas, and at
+    subnormal speeds c/q overflows to an infinite root, so such a pair has
+    no contact.
     """
     a = dot(w, w)
     b = dot(r, w)
@@ -98,6 +98,9 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     # root and q/a the larger, which is positive only for states inside
     # the contact sphere (interior configurations never take it).
     small = c / q
+    # A creeping pair (|w|^2 underflows to a = 0 while b * b does not) has
+    # delta = b^2 > 0 and a finite c/q: a != 0 keeps it still in the contact
+    # mask, as it is in the graze rule.
     moving = a != 0.0
     contact = np.where(small > 0.0, small, q / a)
     contact[~((contact > 0.0) & (delta > grazing_tol) & moving)] = np.inf
@@ -109,6 +112,15 @@ def _quadratic_contact_roots(r: np.ndarray, w: np.ndarray, grazing_tol: float) -
     return a, b, c, delta, contact, graze
 
 
+def scan_errstate() -> np.errstate:
+    """The error state first_contacts and _quadratic_contact_roots leave to
+    their callers: divide, invalid and overflow ignored.  An engine loop
+    enters it once per run, not once per scan (each entry and exit costs a
+    few microseconds); within_reach bounds every coordinate of the states it
+    runs, so no other operation of the loop can warn."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
     """Unit vector from particle i toward particle j."""
     r, _ = cfg.pair_state(pair)  # x_i - x_j
@@ -118,7 +130,7 @@ def contact_direction(cfg: Configuration, pair: PairIndex) -> np.ndarray:
 def predict_pair(cfg: Configuration, pair: PairIndex, *, tol: Tolerances = Tolerances()) -> CollisionPrediction:
     """Full prediction record for one pair."""
     r, w = cfg.pair_state(pair)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with scan_errstate():
         *_, deltas, contacts, _ = _quadratic_contact_roots(r[None], w[None], tol.grazing_tol)
     delta, time = float(deltas[0]), float(contacts[0])
     return CollisionPrediction(pair, delta, time if time < math.inf else None, abs(delta) <= tol.grazing_tol)
@@ -160,40 +172,41 @@ def first_contacts(
     closest comes from each pair's coefficients at its closest approach
     clipped to that span, t* = clip(-b/a, 0, span), never from the roots: it
     also sees a contact the roots, the re-arm mask or the graze rule miss.
-    It is exact but for rounding, a few ulps of max(1, |r|^2)."""
+    It is exact but for rounding, a few ulps of max(1, |r|^2).
+
+    Callers hold scan_errstate(), one block per run of their loop: parallel
+    pairs divide by zero, where no pair meets second - time is inf - inf,
+    and subnormal speeds overflow c/q."""
     r, w = pair_differences(positions), pair_differences(velocities)
-    # Parallel pairs divide by zero; where no pair meets, second - time is inf - inf;
-    # subnormal speeds overflow c/q.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
-        if contact.ndim == 1:  # one state: its reductions on Python numbers
-            if recent >= 0 and contact[recent] <= REARM_TIME:
-                contact[recent] = np.inf
-            k, time = 0, math.inf  # no pair (N = 1)
-            if contact.size:
-                k = int(contact.argmin())  # first occurrence: the lexicographically first pair
-                time, contact[k] = float(contact[k]), np.inf
-            unique = float(contact.min(initial=np.inf)) - time > tol.simultaneity_tol
-            closest = None
-            if horizon is not None:
-                closest = float(_closest_gaps(a, b, c, min(time, horizon)).min(initial=np.inf))
-            return time, k, unique, math.inf if graze is None else float(graze.min()), closest
-        s, p = contact.shape
-        if not p:  # no pair (N = 1): one that never meets
-            contact, p = np.full((s, 1), np.inf), 1
-        row_start = np.arange(0, s * p, p)
-        flat = contact.reshape(-1)  # a view: contact is a fresh array
-        if np.ndim(recent) or recent >= 0:
-            at = row_start + recent  # -1 rows point before their own row: masked
-            flat[at[(recent >= 0) & (flat.take(at) <= REARM_TIME)]] = np.inf
-        k = contact.argmin(axis=-1)  # first occurrence: the lexicographically first pair
-        at = row_start + k
-        time = flat.take(at)
-        flat[at] = np.inf
-        unique = reduce_rows(np.minimum, contact, np.inf) - time > tol.simultaneity_tol
+    a, b, c, _, contact, graze = _quadratic_contact_roots(r, w, tol.grazing_tol)
+    if contact.ndim == 1:  # one state: its reductions on Python numbers
+        if recent >= 0 and contact[recent] <= REARM_TIME:
+            contact[recent] = np.inf
+        k, time = 0, math.inf  # no pair (N = 1)
+        if contact.size:
+            k = int(contact.argmin())  # first occurrence: the lexicographically first pair
+            time, contact[k] = float(contact[k]), np.inf
+        unique = float(contact.min(initial=np.inf)) - time > tol.simultaneity_tol
         closest = None
         if horizon is not None:
-            closest = reduce_rows(np.minimum, _closest_gaps(a, b, c, np.minimum(time, horizon)[:, None]), np.inf)
+            closest = float(_closest_gaps(a, b, c, min(time, horizon)).min(initial=np.inf))
+        return time, k, unique, math.inf if graze is None else float(graze.min()), closest
+    s, p = contact.shape
+    if not p:  # no pair (N = 1): one that never meets
+        contact, p = np.full((s, 1), np.inf), 1
+    row_start = np.arange(0, s * p, p)
+    flat = contact.reshape(-1)  # a view: contact is a fresh array
+    if np.ndim(recent) or recent >= 0:
+        at = row_start + recent  # -1 rows point before their own row: masked
+        flat[at[(recent >= 0) & (flat.take(at) <= REARM_TIME)]] = np.inf
+    k = contact.argmin(axis=-1)  # first occurrence: the lexicographically first pair
+    at = row_start + k
+    time = flat.take(at)
+    flat[at] = np.inf
+    unique = reduce_rows(np.minimum, contact, np.inf) - time > tol.simultaneity_tol
+    closest = None
+    if horizon is not None:
+        closest = reduce_rows(np.minimum, _closest_gaps(a, b, c, np.minimum(time, horizon)[:, None]), np.inf)
     graze = np.full(s, np.inf) if graze is None else reduce_rows(np.minimum, graze, np.inf)
     return time, k, unique, graze, closest
 
@@ -224,7 +237,8 @@ def first_collision(
         raise NoCollisionError("horizon must be positive")
     n = cfg.n_particles
     recent = -1 if recent_pair is None else pair_position(n, recent_pair)
-    time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
+    with scan_errstate():
+        time, k, unique, graze, _ = first_contacts(cfg.positions, cfg.velocities, tol=tol, recent=recent)
     t_graze = graze if graze <= horizon else None
     if not time <= horizon:
         return None if t_graze is None else FirstCollision(None, None, True, t_graze)

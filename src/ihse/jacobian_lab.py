@@ -27,7 +27,7 @@ from .core import (
     pair_position,
     squared_separations,
 )
-from .collision import _quadratic_contact_roots, first_contacts
+from .collision import _quadratic_contact_roots, first_contacts, scan_errstate
 from .rng import sample_generator, unit_floats, unit_vector
 from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
 from .tct import classified_flow_det, tct_stack
@@ -534,9 +534,9 @@ def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: T
     before classification: its first contact over [0, tau] is unique, of the
     pair (1, 2) and in (0.05 tau, 0.8 tau), and that pair's discriminant (as
     predict_pair gives it) is at least 0.1."""
-    time, k, unique, _, _ = first_contacts(positions, velocities, tol=tol)
     r, w = positions[:, 0] - positions[:, 1], velocities[:, 0] - velocities[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # parallel, non-meeting and subnormal pairs
+    with scan_errstate():  # parallel, non-meeting and subnormal pairs
+        time, k, unique, _, _ = first_contacts(positions, velocities, tol=tol)
         _, _, _, delta, _, _ = _quadratic_contact_roots(r, w, tol.grazing_tol)
     return unique & (k == 0) & (0.05 * tau < time) & (time < 0.8 * tau) & (delta >= 0.1)
 

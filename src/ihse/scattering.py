@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IHSEError, ModelParams, Tolerances, UsageError, dot
+from .core import IHSEError, ModelParams, Tolerances, UsageError, dot, dot_floats
 
 UNIT_NORM_TOL = 1e-12
 ZERO_RELATIVE_SPEED = 1e-14
@@ -98,23 +98,30 @@ def failed_checks(omega_sq, w2, approach, epsilon0, tol: Tolerances) -> tuple:
     )
 
 
-def _reflected_direction(w: np.ndarray, speed, omega: np.ndarray) -> np.ndarray:
-    """sigma for relative velocities w = v_j - v_i (..., d) with nonzero
-    speeds (a number or (..., 1)) and checked unit omega.  dot gives one pair
-    a Python float with the bits of its row in a stack."""
-    u = w / speed
-    cosine = dot(u, omega)
-    return u - 2.0 * (cosine[..., None] if u.ndim > 1 else cosine) * omega
-
-
 def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0):
-    """(v_i', v_j', sigma, kappa) of the emitting law on (..., d) arrays, for a
+    """(v_i', v_j', sigma, kappa) of the emitting law on (R, d) arrays, for a
     checked omega, w = v_j - v_i and w2 = |w|^2 above 4 eps0 (w2 and
-    epsilon0 each a number or (..., 1))."""
-    sigma = _reflected_direction(w, _sqrt(w2), omega)
-    kappa = _sqrt(w2 / 4.0 - epsilon0)
+    epsilon0 each (R, 1)); sigma is w/|w| reflected through the plane
+    orthogonal to omega."""
+    u = w / np.sqrt(w2)
+    sigma = u - 2.0 * dot(u, omega)[:, None] * omega
+    kappa = np.sqrt(w2 / 4.0 - epsilon0)
     mean, spread = 0.5 * (v_i + v_j), sigma * kappa
     return mean - spread, mean + spread, sigma, kappa
+
+
+def _emission_floats(v_i: list, v_j: list, omega: list, w: list, w2: float, epsilon0: float):
+    """_emission on one pair given as lists of Python floats, its operations
+    in their order: the bits of the pair's row in a stack, without numpy's
+    per-call cost on (d,) arrays."""
+    speed = math.sqrt(w2)
+    u = [c / speed for c in w]
+    twice_cosine = 2.0 * dot_floats(u, omega)
+    sigma = [c - twice_cosine * o for c, o in zip(u, omega)]
+    kappa = math.sqrt(w2 / 4.0 - epsilon0)
+    mean = [0.5 * (a + b) for a, b in zip(v_i, v_j)]
+    spread = [c * kappa for c in sigma]
+    return [m - c for m, c in zip(mean, spread)], [m + c for m, c in zip(mean, spread)], sigma, kappa
 
 
 def _elastic_transfer(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, approach) -> tuple[np.ndarray, np.ndarray]:
@@ -145,22 +152,23 @@ def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.nd
     return vi_post, vj_post, emitting
 
 
-def checked_law(
-    v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0: float, tol: Tolerances
-):
+def checked_law(v_i: list, v_j: list, omega: list, w: list, w2: float, epsilon0: float, tol: Tolerances):
     """scatter's checks in their order, then the dispatched law, on one pair
-    of (d,) arrays with w = v_j - v_i and w2 = dot(w, w) (the same bits as
-    |v_i - v_j|^2): (v_i', v_j', sigma, kappa), sigma and kappa None for an
-    elastic exchange.  Raises the error of the first failed check
-    (SCATTER_CHECKS)."""
-    approach = dot(w, omega)
-    failed = failed_checks(dot(omega, omega), w2, approach, epsilon0, tol)
+    given as lists of Python floats, with w = v_j - v_i and w2 =
+    dot_floats(w, w) (the same bits as |v_i - v_j|^2): (v_i', v_j', sigma,
+    kappa), lists and a float, sigma and kappa None for an elastic exchange.
+    Raises the error of the first failed check (SCATTER_CHECKS).  Each step
+    is dispatched_law's, the stacked form, in its order, so a pair gets the
+    bits of its row in a stack."""
+    approach = dot_floats(w, omega)
+    failed = failed_checks(dot_floats(omega, omega), w2, approach, epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
         raise error(message)
     if w2 > 4.0 * epsilon0:
-        return _emission(v_i, v_j, omega, w, w2, epsilon0)
-    return *_elastic_transfer(v_i, v_j, omega, approach), None, None
+        return _emission_floats(v_i, v_j, omega, w, w2, epsilon0)
+    transfer = [approach * o for o in omega]
+    return [a + t for a, t in zip(v_i, transfer)], [b - t for b, t in zip(v_j, transfer)], None, None
 
 
 def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +195,9 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     check_unit(omega)
     if math.sqrt(w2) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
-    vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w, w2, epsilon0)
-    return vi_post, vj_post, sigma, float(kappa)
+    floats = v_i.tolist(), v_j.tolist(), omega.tolist(), w.tolist()
+    vi_post, vj_post, sigma, kappa = _emission_floats(*floats, w2, epsilon0)
+    return np.array(vi_post), np.array(vj_post), np.array(sigma), kappa
 
 
 def scatter(
@@ -209,12 +218,15 @@ def scatter(
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    w = v_j - v_i
-    vi_post, vj_post, sigma, kappa = checked_law(v_i, v_j, omega, w, dot(w, w), params.epsilon0, tol)
+    w = (v_j - v_i).tolist()
+    vi_post, vj_post, sigma, kappa = checked_law(
+        v_i.tolist(), v_j.tolist(), omega.tolist(), w, dot_floats(w, w), params.epsilon0, tol
+    )
     ke_pre = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
-    ke_post = 0.5 * (dot(vi_post, vi_post) + dot(vj_post, vj_post))
+    ke_post = 0.5 * (dot_floats(vi_post, vi_post) + dot_floats(vj_post, vj_post))
     kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
-    kappa = None if kappa is None else float(kappa)
+    sigma = None if sigma is None else np.array(sigma)
+    vi_post, vj_post = np.array(vi_post), np.array(vj_post)
     return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
 
 

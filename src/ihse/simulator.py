@@ -24,6 +24,7 @@ from .core import (
     check_reach,
     domain_masks,
     dot,
+    dot_floats,
     kinetic_energy,
     pair_index_table,
     pair_indices,
@@ -33,7 +34,7 @@ from .core import (
     squared_separations,
     within_reach,
 )
-from .collision import first_contacts
+from .collision import first_contacts, scan_errstate
 from .rng import sample_generator, uniform_ball
 from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, checked_law, dispatched_law, failed_checks
 
@@ -191,14 +192,16 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
 
     Each event is one all-pairs scan of the carried arrays (first_contacts)
     over the remaining time, then the collision at the earliest pair contact
-    (transport, the critical band, scatter's checks and law: checked_law),
-    as collide_stack collides a simulate_stack row; no event builds a
-    Configuration.  A graze at or before the next contact, or with no
-    contact left, halts the run; so do near-simultaneous distinct-pair
-    contacts, relative speeds inside the critical band and event count
-    overflow, each with an in-band pathology record.  The run's record is a
-    SimStack row's, one tuple per event, and its report is built from it
-    (_report).  Each ke_before is the previous event's ke_after.
+    (transport, the critical band, scatter's checks and law: checked_law, on
+    the pair's rows as Python floats), as collide_stack collides a
+    simulate_stack row; no event builds a Configuration.  The loop holds
+    the scans' error state (scan_errstate) once for the run.  A graze at or
+    before the next contact, or with no contact left, halts the run; so do
+    near-simultaneous distinct-pair contacts, relative speeds inside the
+    critical band and event count overflow, each with an in-band pathology
+    record.  The run's record is a SimStack row's, one tuple per event, and
+    its report is built from it (_report).  Each ke_before is the previous
+    event's ke_after.
     min_separation covers every time in [0, T] the run reaches: the start
     is probed once (squared_separations, which the interior check also
     reads), then each segment advanced takes its exact minimum squared gap
@@ -210,40 +213,42 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     if np.logical_or(*domain_masks(squared, tol.contact_tol)).any():
         raise UsageError(NOT_INTERIOR)
     records: list[tuple] = []
-    first, second = pair_indices(cfg.n_particles)
+    first, second = (index.tolist() for index in pair_indices(cfg.n_particles))
     recent = -1  # the position of the pair scattered last
     min_sq, ke = float(squared.min(initial=np.inf)), kinetic_energy(cfg)
     now = 0.0
     halted: Optional[Pathology] = None
-    while (remaining := T - now) > 0:
-        time, k, unique, graze, closest = first_contacts(x, v, remaining, tol=tol, recent=recent)
-        if graze <= min(time, remaining):
-            halted = Pathology(PATHOLOGY_GRAZING, now + graze)
-            break
-        if time <= remaining and not unique:
-            halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + time)
-            break
-        min_sq = min(min_sq, 1.0 + closest)
-        if time > remaining:
-            x, now = x + remaining * v, T
-            break
-        x, now = x + time * v, now + time
-        i, j = int(first[k]), int(second[k])
-        v_i, v_j = v[i], v[j]
-        w = v_j - v_i
-        rel_speed_sq = dot(w, w)
-        if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
-            halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
-            break
-        r = x[i] - x[j]
-        omega = -r / math.sqrt(dot(r, r))
-        v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
-        ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
-        records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
-        recent = k
-        if len(records) >= tol.max_events:
-            halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
-            break
+    with scan_errstate():
+        while (remaining := T - now) > 0:
+            time, k, unique, graze, closest = first_contacts(x, v, remaining, tol=tol, recent=recent)
+            if graze <= min(time, remaining):
+                halted = Pathology(PATHOLOGY_GRAZING, now + graze)
+                break
+            if time <= remaining and not unique:
+                halted = Pathology(PATHOLOGY_SIMULTANEOUS, now + time)
+                break
+            min_sq = min(min_sq, 1.0 + closest)
+            if time > remaining:
+                x, now = x + remaining * v, T
+                break
+            x, now = x + time * v, now + time
+            i, j = first[k], second[k]
+            v_i, v_j = v[i].tolist(), v[j].tolist()
+            w = [b - a for a, b in zip(v_i, v_j)]
+            rel_speed_sq = dot_floats(w, w)
+            if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
+                halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
+                break
+            r = [a - b for a, b in zip(x[i].tolist(), x[j].tolist())]
+            norm = math.sqrt(dot_floats(r, r))
+            omega = [-c / norm for c in r]
+            v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
+            ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
+            records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
+            recent = k
+            if len(records) >= tol.max_events:
+                halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
+                break
 
     return _report(records, x, v, min_sq, halted)
 
@@ -267,55 +272,59 @@ def simulate_stack(
     s = positions.shape[0]
     x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
     reachable = within_reach(x, v, T)
-    with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
+    # One error state for the run: rows out of reach may overflow the start's
+    # separations and energies, and the scans leave theirs to the caller.
+    with scan_errstate():
         squared = squared_separations(x)
         interior = ~reduce_rows(np.logical_or, np.logical_or(*domain_masks(squared, tol.contact_tol)), False)
         min_sq = reduce_rows(np.minimum, squared, np.inf)
         ke = 0.5 * np.square(v).sum(axis=(1, 2))
-    errors = [None if ok else UsageError(NOT_INTERIOR) for ok in interior]
-    errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
-    running = reachable & interior
-    now, recent = np.zeros(s), np.full(s, -1)
-    events, halted = [[] for _ in range(s)], [None] * s
-    while (active := np.flatnonzero(running & (T - now > 0))).size:
-        remaining = T - now[active]
-        time, k, unique, graze, closest = first_contacts(
-            x[active], v[active], remaining, tol=tol, recent=recent[active]
-        )
-        grazing = graze <= np.minimum(time, remaining)
-        free = ~grazing & ~(time <= remaining)
-        simultaneous = ~(grazing | free | unique)
-        colliding = ~(grazing | free) & unique
-        for a in np.flatnonzero(grazing | simultaneous).tolist():
-            reason, t = (PATHOLOGY_GRAZING, graze[a]) if grazing[a] else (PATHOLOGY_SIMULTANEOUS, time[a])
-            halted[active[a]] = Pathology(reason, float(now[active[a]] + t))
-        running[active[grazing | simultaneous]] = False
-        moving = free | colliding
-        min_sq[active[moving]] = np.minimum(min_sq[active[moving]], 1.0 + closest[moving])
-        if free.any():
-            rows = active[free]
-            x[rows] += remaining[free, None, None] * v[rows]
-            now[rows] = T
-        if not colliding.any():
-            continue
-        rows, k, t = active[colliding], k[colliding], time[colliding]
-        x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
-        now[rows] += t
-        recent[rows] = k  # a row whose scatter fails stops running
-        ke_before, ke[rows] = ke[rows], 0.5 * np.square(v[rows]).sum(axis=(1, 2))
-        ledger = zip(now[rows].tolist(), k.tolist(), emitting.tolist(), ke_before.tolist(), ke[rows].tolist(), w2.tolist())
-        for row, event, failed in zip(rows.tolist(), ledger, check.tolist()):
-            if failed < 0:
-                events[row].append(event)
-                if len(events[row]) < tol.max_events:
-                    continue
-                halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, event[0])
-            elif failed == CRITICAL_BAND:
-                halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, event[0])
-            else:
-                error_type, message = SCATTER_CHECKS[failed]
-                errors[row] = error_type(message)
-            running[row] = False
+        errors = [None if ok else UsageError(NOT_INTERIOR) for ok in interior]
+        errors = [error if fits else reach_error("T", "a coordinate") for error, fits in zip(errors, reachable)]
+        running = reachable & interior
+        now, recent = np.zeros(s), np.full(s, -1)
+        events, halted = [[] for _ in range(s)], [None] * s
+        while (active := np.flatnonzero(running & (T - now > 0))).size:
+            remaining = T - now[active]
+            time, k, unique, graze, closest = first_contacts(
+                x[active], v[active], remaining, tol=tol, recent=recent[active]
+            )
+            grazing = graze <= np.minimum(time, remaining)
+            free = ~grazing & ~(time <= remaining)
+            simultaneous = ~(grazing | free | unique)
+            colliding = ~(grazing | free) & unique
+            for a in np.flatnonzero(grazing | simultaneous).tolist():
+                reason, t = (PATHOLOGY_GRAZING, graze[a]) if grazing[a] else (PATHOLOGY_SIMULTANEOUS, time[a])
+                halted[active[a]] = Pathology(reason, float(now[active[a]] + t))
+            running[active[grazing | simultaneous]] = False
+            moving = free | colliding
+            min_sq[active[moving]] = np.minimum(min_sq[active[moving]], 1.0 + closest[moving])
+            if free.any():
+                rows = active[free]
+                x[rows] += remaining[free, None, None] * v[rows]
+                now[rows] = T
+            if not colliding.any():
+                continue
+            rows, k, t = active[colliding], k[colliding], time[colliding]
+            x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
+            now[rows] += t
+            recent[rows] = k  # a row whose scatter fails stops running
+            ke_before, ke[rows] = ke[rows], 0.5 * np.square(v[rows]).sum(axis=(1, 2))
+            ledger = zip(
+                now[rows].tolist(), k.tolist(), emitting.tolist(), ke_before.tolist(), ke[rows].tolist(), w2.tolist()
+            )
+            for row, event, failed in zip(rows.tolist(), ledger, check.tolist()):
+                if failed < 0:
+                    events[row].append(event)
+                    if len(events[row]) < tol.max_events:
+                        continue
+                    halted[row] = Pathology(PATHOLOGY_MAX_EVENTS, event[0])
+                elif failed == CRITICAL_BAND:
+                    halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, event[0])
+                else:
+                    error_type, message = SCATTER_CHECKS[failed]
+                    errors[row] = error_type(message)
+                running[row] = False
     raised = np.array([error is not None for error in errors], dtype=bool)
     x[raised] = v[raised] = np.nan
     return SimStack(errors, x, v, events, halted, min_sq)

@@ -27,7 +27,7 @@ from .core import (
     squared_separations,
     within_reach,
 )
-from .collision import collision_time_gradients, first_contacts
+from .collision import collision_time_gradients, first_contacts, scan_errstate
 from .collision import contact_direction  # noqa: F401  (re-exported as ihse.tct.contact_direction)
 from .scattering import (
     CRITICAL_BAND,
@@ -169,35 +169,37 @@ def tct_stack(
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
     s, _, d = positions.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # rows out of reach may overflow here
+    # One error state for the call: rows out of reach may overflow here, and
+    # the scans leave theirs to the caller.
+    with scan_errstate():
         invalid, boundary = domain_masks(squared_separations(positions), tol.contact_tol)
         time, k, unique, graze, _ = first_contacts(positions, velocities, tol=tol)
         final_x = positions + tau * velocities
-    # A contact inside the horizon is simultaneous until it is found unique;
-    # the checks before it overrule it.
-    simultaneous = EXCLUDED[ExclusionReason.SIMULTANEOUS]
-    label = np.where(time <= tau, simultaneous, FREE)
-    label[graze <= tau] = EXCLUDED[ExclusionReason.GRAZING]
-    label[reduce_rows(np.logical_or, invalid | boundary, False)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
-    label[~within_reach(positions, velocities, tau)] = OUT_OF_REACH
-    rows = ((label == simultaneous) & unique).nonzero()[0]
-    final_v, omega = velocities.copy(), np.full((s, d), np.nan)
-    if rows.size:
-        # Collide at the contact, then rescan the remaining time.
-        pair, t = k[rows], time[rows]
-        quantum = np.asarray(epsilon0)[rows] if np.ndim(epsilon0) else epsilon0
-        x, v, omega[rows], _, emitting, check = collide_stack(
-            positions[rows], velocities[rows], pair, t, quantum, tol=tol
-        )
-        remaining = tau - t
-        code = 2 * pair + emitting
-        failed = check >= 0
-        code[failed] = FAILED_CHECK[check[failed]]
-        again = (~failed & (remaining > 0)).nonzero()[0]
-        if again.size:
-            t2, _, _, graze2, _ = first_contacts(x[again], v[again], tol=tol, recent=pair[again])
-            code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
-        final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
+        # A contact inside the horizon is simultaneous until it is found unique;
+        # the checks before it overrule it.
+        simultaneous = EXCLUDED[ExclusionReason.SIMULTANEOUS]
+        label = np.where(time <= tau, simultaneous, FREE)
+        label[graze <= tau] = EXCLUDED[ExclusionReason.GRAZING]
+        label[reduce_rows(np.logical_or, invalid | boundary, False)] = EXCLUDED[ExclusionReason.BOUNDARY_START]
+        label[~within_reach(positions, velocities, tau)] = OUT_OF_REACH
+        rows = ((label == simultaneous) & unique).nonzero()[0]
+        final_v, omega = velocities.copy(), np.full((s, d), np.nan)
+        if rows.size:
+            # Collide at the contact, then rescan the remaining time.
+            pair, t = k[rows], time[rows]
+            quantum = np.asarray(epsilon0)[rows] if np.ndim(epsilon0) else epsilon0
+            x, v, omega[rows], _, emitting, check = collide_stack(
+                positions[rows], velocities[rows], pair, t, quantum, tol=tol
+            )
+            remaining = tau - t
+            code = 2 * pair + emitting
+            failed = check >= 0
+            code[failed] = FAILED_CHECK[check[failed]]
+            again = (~failed & (remaining > 0)).nonzero()[0]
+            if again.size:
+                t2, _, _, graze2, _ = first_contacts(x[again], v[again], tol=tol, recent=pair[again])
+                code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
+            final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
     dropped = label < FREE
     final_x[dropped] = final_v[dropped] = np.nan
     return TCTStack(label, time, final_x, final_v, omega)

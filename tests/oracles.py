@@ -28,7 +28,6 @@ from ihse.scattering import (
     ZERO_RELATIVE_SPEED,
     BelowThresholdError,
     ZeroRelativeVelocityError,
-    _reflected_direction,
     check_unit,
 )
 from ihse.simulator import random_configuration
@@ -67,7 +66,8 @@ def sigma_direction(v_i, v_j, omega) -> np.ndarray:
     w = v_j - v_i
     if (speed := math.sqrt(dot(w, w))) < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
-    return _reflected_direction(w, speed, omega)
+    u = w / speed
+    return u - 2.0 * dot(u, omega) * omega
 
 
 def radial_emission_map(coords: RadialCoordinates, params: ModelParams) -> RadialCoordinates:

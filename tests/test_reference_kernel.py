@@ -19,7 +19,7 @@ from ihse import (
     first_collision,
     predict_pair,
 )
-from ihse.collision import _quadratic_contact_roots, first_contacts
+from ihse.collision import _quadratic_contact_roots, first_contacts, scan_errstate
 from ihse.core import pair_indices, pair_position
 
 TOLERANCES = (
@@ -133,13 +133,14 @@ def test_kernel_matches_reference(n, d, layout, tol, seed):
         rows = [(horizon, recent) for t, horizon in cases if t == scan_tol for recent in recents]
         positions = [pair_position(n, recent) if recent else -1 for _, recent in rows]
         shape = (len(rows),) + cfg.positions.shape
-        time, k, unique, graze, _ = first_contacts(
-            np.broadcast_to(cfg.positions, shape),
-            np.broadcast_to(cfg.velocities, shape),
-            np.array([horizon for horizon, _ in rows]),
-            tol=scan_tol,
-            recent=np.array(positions),
-        )
+        with scan_errstate():
+            time, k, unique, graze, _ = first_contacts(
+                np.broadcast_to(cfg.positions, shape),
+                np.broadcast_to(cfg.velocities, shape),
+                np.array([horizon for horizon, _ in rows]),
+                tol=scan_tol,
+                recent=np.array(positions),
+            )
         for row, (horizon, recent) in enumerate(rows):
             t_graze = float(graze[row]) if graze[row] <= horizon else None
             if time[row] <= horizon:

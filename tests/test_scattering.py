@@ -237,8 +237,8 @@ COLLIDE_CASES = ("emitting", "elastic", "receding", "tangent", "critical", "stil
 
 @st.composite
 def collide_inputs(draw):
-    """(v_i, v_j, omega, epsilon0, tol) of one pair in d = 2 or 3."""
-    d, case = draw(st.sampled_from((2, 3))), draw(st.sampled_from(COLLIDE_CASES))
+    """(v_i, v_j, omega, epsilon0, tol) of one pair in d = 2, 3 or 4."""
+    d, case = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from(COLLIDE_CASES))
     vector = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d).map(np.array)
     omega, v_i, w = draw(vector), draw(vector), draw(vector)
     if float(omega @ omega) < 1e-4 or float(w @ w) < 1e-4:
@@ -262,19 +262,21 @@ def collide_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(collide_inputs())
 def test_checked_law_is_the_stacked_law(case):
-    """A valid pair gets from checked_law the bits of dispatched_law, the
-    stacked law, and an invalid one the error of the first check
-    failed_checks names."""
+    """A valid pair gets from checked_law, on Python floats, the bits of
+    dispatched_law, the stacked law on arrays, and an invalid one the error
+    of the first check failed_checks names."""
     v_i, v_j, omega, epsilon0, tol = case
     w = v_j - v_i
     w2 = dot(w, w)
+    floats = v_i.tolist(), v_j.tolist(), omega.tolist(), w.tolist(), w2, epsilon0, tol
     failed = failed_checks(dot(omega, omega), w2, dot(w, omega), epsilon0, tol)
     if any(failed):
         error, message = SCATTER_CHECKS[failed.index(True)]
         with pytest.raises(error, match=message):
-            checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
+            checked_law(*floats)
         return
-    checked = checked_law(v_i, v_j, omega, w, w2, epsilon0, tol)
+    checked = checked_law(*floats)
+    assert all(type(c) is float for vector in checked[:2] for c in vector)
     vi_post, vj_post, emitting = dispatched_law(
         v_i[None], v_j[None], omega[None], w[None], np.array([w2]), np.array([dot(w, omega)]), epsilon0
     )

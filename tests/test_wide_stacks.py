@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihse import ModelParams, PairIndex, Tolerances
-from ihse.collision import first_contacts
+from ihse.collision import first_contacts, scan_errstate
 from ihse.core import pair_indices, pair_position, within_reach
 from ihse.jacobian_lab import _stencil_rows
 from ihse.simulator import simulate_stack
@@ -103,7 +103,7 @@ def _assert_rows_alone(x, v, recent, kinds, tau, eps0, tol, seen: Counter):
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
     assert (within_reach(x, v, tau) == finite).all()  # a non-finite row alone is out of reach
     horizon = np.full(s, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with scan_errstate():
         for span in (None, horizon):
             stacked = first_contacts(x, v, span, tol=tol, recent=recent)
             for row in range(s):
