@@ -266,9 +266,11 @@ def dot(x: np.ndarray, y: np.ndarray):
     return dot_floats(x.tolist(), y.tolist())
 
 
-def dot_floats(x: list, y: list) -> float:
-    """dot of two vectors given as lists of Python floats: the products
-    added left to right."""
+def dot_floats(x: list, y: list):
+    """dot of two vectors given as their coordinate columns, the products
+    added left to right: lists of Python floats give a float, and columns
+    of arrays (any of them may be a float shared by every row) an array
+    with dot's bits for each row."""
     total = x[0] * y[0]
     for column in range(1, len(x)):
         total += x[column] * y[column]

@@ -29,7 +29,7 @@ from .core import (
 )
 from .collision import _quadratic_contact_roots, first_contacts, scan_errstate
 from .rng import sample_generator, unit_floats, unit_vector
-from .scattering import CollisionKind, check_unit, dispatched_law, scattering_velocity_det_analytic
+from .scattering import CollisionKind, check_error, collide, scattering_velocity_det_analytic
 from .tct import classified_flow_det, tct_stack
 
 # The most cases one stacked call holds: a jacobian run's acceptance rounds
@@ -224,14 +224,14 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) ->
     """Batch map: post-collision velocities (v_i', v_j') of rows (v_i, v_j)
     at contact direction omega (d,), or one per row (R, d), and the quantum
     epsilon0 (a float, or one per row), labelled True where the collision
-    law emits.  A non-unit omega of an emitting row is a UsageError."""
-    d = points.shape[1] // 2
-    v_i, v_j = points[:, :d], points[:, d:]
-    w = v_j - v_i
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, w, dot(w, w), dot(w, omega), epsilon0)
-    if emitting.any():
-        check_unit(omega[emitting] if omega.ndim > 1 else omega)
-    return np.concatenate([vi_post, vj_post], axis=1), emitting.tolist()
+    law emits.  A non-unit omega of an emitting row is a UsageError; no
+    other check of collide's stops a row."""
+    columns, d = list(points.T), points.shape[1] // 2
+    omega = omega.tolist() if omega.ndim == 1 else list(omega.T)
+    _, failed, (vi_post, vj_post, _, _, emitting) = collide(columns[:d], columns[d:], omega, epsilon0)
+    if np.any(failed[0] & emitting):  # check 0: omega is unit
+        raise check_error(0)
+    return np.column_stack(vi_post + vj_post), emitting.tolist()
 
 
 def _velocity_map_dets(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0, h: float) -> tuple[list, list]:

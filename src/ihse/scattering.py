@@ -67,7 +67,7 @@ def check_unit(omega: np.ndarray):
         raise UsageError("omega must be a unit vector")
 
 
-# scatter's checks, in the order it applies them (see failed_checks).
+# scatter's checks, in the order it applies them (see collide).
 SCATTER_CHECKS = (
     (UsageError, "omega must be a unit vector"),
     (NotPreCollisionalError, "pair is not approaching along the contact direction"),
@@ -84,99 +84,86 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
-def failed_checks(omega_sq, w2, approach, epsilon0, tol: Tolerances) -> tuple:
-    """Whether each of scatter's checks (SCATTER_CHECKS) fails, from |omega|^2,
-    w2 = |v_j - v_i|^2, approach = (v_j - v_i).omega and the quantum
-    epsilon0, numbers or arrays."""
-    speed = _sqrt(w2)
-    return (
-        abs(omega_sq - 1.0) > 2 * UNIT_NORM_TOL,
-        approach >= 0.0,
-        abs(approach) < tol.grazing_tol * speed,
-        abs(w2 - 4.0 * epsilon0) <= tol.crit_tol,
-        (w2 > 4.0 * epsilon0) & (speed < ZERO_RELATIVE_SPEED),
-    )
-
-
-def _emission(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, epsilon0):
-    """(v_i', v_j', sigma, kappa) of the emitting law on (R, d) arrays, for a
-    checked omega, w = v_j - v_i and w2 = |w|^2 above 4 eps0 (w2 and
-    epsilon0 each (R, 1)); sigma is w/|w| reflected through the plane
-    orthogonal to omega."""
-    u = w / np.sqrt(w2)
-    sigma = u - 2.0 * dot(u, omega)[:, None] * omega
-    kappa = np.sqrt(w2 / 4.0 - epsilon0)
-    mean, spread = 0.5 * (v_i + v_j), sigma * kappa
-    return mean - spread, mean + spread, sigma, kappa
-
-
-def _emission_floats(v_i: list, v_j: list, omega: list, w: list, w2: float, epsilon0: float):
-    """_emission on one pair given as lists of Python floats, its operations
-    in their order: the bits of the pair's row in a stack, without numpy's
-    per-call cost on (d,) arrays."""
-    speed = math.sqrt(w2)
+def _emission(v_i: list, v_j: list, omega: list, w: list, w2, speed, epsilon0):
+    """(v_i', v_j', sigma, kappa) of the emitting law, for a checked omega,
+    w = v_j - v_i, w2 = |w|^2 above 4 eps0 and speed = sqrt(w2), on
+    coordinate columns (see collide); sigma is w/|w| reflected through the
+    plane orthogonal to omega."""
     u = [c / speed for c in w]
     twice_cosine = 2.0 * dot_floats(u, omega)
     sigma = [c - twice_cosine * o for c, o in zip(u, omega)]
-    kappa = math.sqrt(w2 / 4.0 - epsilon0)
+    kappa = _sqrt(w2 / 4.0 - epsilon0)
     mean = [0.5 * (a + b) for a, b in zip(v_i, v_j)]
     spread = [c * kappa for c in sigma]
     return [m - c for m, c in zip(mean, spread)], [m + c for m, c in zip(mean, spread)], sigma, kappa
 
 
-def _elastic_transfer(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, approach) -> tuple[np.ndarray, np.ndarray]:
-    """The elastic law on (..., d) arrays from approach = (v_j - v_i).omega
-    (a number or (..., 1)), which is exactly -(v_i - v_j).omega."""
-    transfer = approach * omega
-    return v_i + transfer, v_j - transfer
-
-
-def dispatched_law(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, w: np.ndarray, w2, approach, epsilon0):
-    """(v_i', v_j', emitting) of the unguarded dispatched law on R pairs,
-    (R, d) arrays with a checked omega (d,) or (R, d), w = v_j - v_i, its
-    w2 = dot(w, w) and approach = dot(w, omega) (R,) as the caller has them
-    (checked_law takes them the same way), and the quantum epsilon0 a float
-    or one per pair (R,): each pair with scatter's bits at its own
-    quantum."""
-    emitting = w2 > 4.0 * epsilon0
-    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach[..., None])
-    if emitting.any():
-        # Every pair through the emitting law, kept where it emits: elementwise
-        # steps, so no pair's bits depend on the others, and no masked copies.
-        # A pair that does not emit may root a negative or divide by zero here.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            emitted = _emission(v_i, v_j, omega, w, w2[..., None], np.asarray(epsilon0)[..., None])
-        where = emitting[..., None]
-        np.copyto(vi_post, emitted[0], where=where)
-        np.copyto(vj_post, emitted[1], where=where)
-    return vi_post, vj_post, emitting
-
-
-def checked_law(v_i: list, v_j: list, omega: list, w: list, w2: float, epsilon0: float, tol: Tolerances):
-    """scatter's checks in their order, then the dispatched law, on one pair
-    given as lists of Python floats, with w = v_j - v_i and w2 =
-    dot_floats(w, w) (the same bits as |v_i - v_j|^2): (v_i', v_j', sigma,
-    kappa), lists and a float, sigma and kappa None for an elastic exchange.
-    Raises the error of the first failed check (SCATTER_CHECKS).  Each step
-    is dispatched_law's, the stacked form, in its order, so a pair gets the
-    bits of its row in a stack."""
-    approach = dot_floats(w, omega)
-    failed = failed_checks(dot_floats(omega, omega), w2, approach, epsilon0, tol)
-    if any(failed):
-        error, message = SCATTER_CHECKS[failed.index(True)]
-        raise error(message)
-    if w2 > 4.0 * epsilon0:
-        return _emission_floats(v_i, v_j, omega, w, w2, epsilon0)
+def _elastic_transfer(v_i: list, v_j: list, omega: list, approach) -> tuple[list, list]:
+    """The elastic law on coordinate columns from approach = (v_j - v_i).omega,
+    which is exactly -(v_i - v_j).omega."""
     transfer = [approach * o for o in omega]
-    return [a + t for a, t in zip(v_i, transfer)], [b - t for b, t in zip(v_j, transfer)], None, None
+    return [a + t for a, t in zip(v_i, transfer)], [b - t for b, t in zip(v_j, transfer)]
+
+
+def collide(v_i: list, v_j: list, omega: list, epsilon0, tol: Tolerances = Tolerances()):
+    """The one checked collide: scatter's checks and the dispatched law on
+    one pair or a stack of R pairs, each vector given as the list of its d
+    coordinate columns: Python floats for one pair, (R,) arrays for a
+    stack, where an omega column may also be one float shared by every row
+    and epsilon0 is a float or one per row (R,).  Each row gets the bits of
+    its pair alone.
+
+    Returns (w2, failed, law): w2 = |v_j - v_i|^2; failed, whether each of
+    scatter's checks (SCATTER_CHECKS) fails for the pair or for each row;
+    and law = (v_i', v_j', sigma, kappa, emitting), the post-collisional
+    columns with sigma and kappa of the emitting law (None where no pair
+    emits).  One pair is dispatched by a Python if, and a pair that fails a
+    check gets law None: its law is not run.  A stack runs every row
+    through the elastic law and, if any row emits, through the emitting
+    law, keeping per column the one it dispatches to; a row that fails a
+    check gets the unguarded law, which may be NaN, and its caller decides
+    what it keeps."""
+    w = [b - a for a, b in zip(v_i, v_j)]
+    w2, approach = dot_floats(w, w), dot_floats(w, omega)
+    speed, threshold = _sqrt(w2), 4.0 * epsilon0
+    emitting = w2 > threshold
+    failed = (
+        abs(dot_floats(omega, omega) - 1.0) > 2 * UNIT_NORM_TOL,
+        approach >= 0.0,
+        abs(approach) < tol.grazing_tol * speed,
+        abs(w2 - threshold) <= tol.crit_tol,
+        emitting & (speed < ZERO_RELATIVE_SPEED),
+    )
+    if isinstance(w2, float):
+        if any(failed):
+            return w2, failed, None
+        if emitting:
+            return w2, failed, (*_emission(v_i, v_j, omega, w, w2, speed, epsilon0), True)
+        return w2, failed, (*_elastic_transfer(v_i, v_j, omega, approach), None, None, False)
+    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach)
+    sigma = kappa = None
+    if emitting.any():
+        # Elementwise steps, so no row's bits depend on the others.  A row that
+        # does not emit may root a negative or divide by zero here.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            emitted_i, emitted_j, sigma, kappa = _emission(v_i, v_j, omega, w, w2, speed, epsilon0)
+        for post, emitted in zip(vi_post + vj_post, emitted_i + emitted_j):
+            np.copyto(post, emitted, where=emitting)
+    return w2, failed, (vi_post, vj_post, sigma, kappa, emitting)
+
+
+def check_error(check: int) -> IHSEError:
+    """The error scatter raises when check SCATTER_CHECKS[check] fails."""
+    error, message = SCATTER_CHECKS[check]
+    return error(message)
 
 
 def elastic_reflection(v_i, v_j, omega) -> tuple[np.ndarray, np.ndarray]:
     """Elastic exchange of the normal velocity components (unguarded)."""
-    v_i = np.asarray(v_i, dtype=float)
-    v_j = np.asarray(v_j, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    return _elastic_transfer(v_i, v_j, omega, dot(v_j - v_i, omega))
+    v_i, v_j, omega = (np.asarray(a, dtype=float).tolist() for a in (v_i, v_j, omega))
+    approach = dot_floats([b - a for a, b in zip(v_i, v_j)], omega)
+    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach)
+    return np.array(vi_post), np.array(vj_post)
 
 
 def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -193,10 +180,11 @@ def inelastic_emission(v_i, v_j, omega, epsilon0: float) -> tuple[np.ndarray, np
     if not w2 / 4.0 - epsilon0 > 0.0:
         raise BelowThresholdError("relative speed below the emission threshold")
     check_unit(omega)
-    if math.sqrt(w2) < ZERO_RELATIVE_SPEED:
+    speed = math.sqrt(w2)
+    if speed < ZERO_RELATIVE_SPEED:
         raise ZeroRelativeVelocityError("relative velocity is zero")
     floats = v_i.tolist(), v_j.tolist(), omega.tolist(), w.tolist()
-    vi_post, vj_post, sigma, kappa = _emission_floats(*floats, w2, epsilon0)
+    vi_post, vj_post, sigma, kappa = _emission(*floats, w2, speed, epsilon0)
     return np.array(vi_post), np.array(vj_post), np.array(sigma), kappa
 
 
@@ -218,14 +206,14 @@ def scatter(
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    w = (v_j - v_i).tolist()
-    vi_post, vj_post, sigma, kappa = checked_law(
-        v_i.tolist(), v_j.tolist(), omega.tolist(), w, dot_floats(w, w), params.epsilon0, tol
-    )
+    _, failed, law = collide(v_i.tolist(), v_j.tolist(), omega.tolist(), params.epsilon0, tol)
+    if law is None:
+        raise check_error(failed.index(True))
+    vi_post, vj_post, sigma, kappa, emitting = law
     ke_pre = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
     ke_post = 0.5 * (dot_floats(vi_post, vi_post) + dot_floats(vj_post, vj_post))
-    kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
-    sigma = None if sigma is None else np.array(sigma)
+    kind = CollisionKind.INELASTIC if emitting else CollisionKind.ELASTIC
+    sigma = np.array(sigma) if emitting else None
     vi_post, vj_post = np.array(vi_post), np.array(vj_post)
     return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
 

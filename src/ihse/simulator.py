@@ -36,7 +36,7 @@ from .core import (
 )
 from .collision import first_contacts, scan_errstate
 from .rng import sample_generator, uniform_ball
-from .scattering import CRITICAL_BAND, SCATTER_CHECKS, CollisionKind, checked_law, dispatched_law, failed_checks
+from .scattering import CRITICAL_BAND, CollisionKind, check_error, collide
 
 PATHOLOGY_SIMULTANEOUS = "simultaneous"
 PATHOLOGY_GRAZING = "grazing"
@@ -165,7 +165,10 @@ def collide_stack(
     contacts.  check is -1 for a scattered row, else the SCATTER_CHECKS
     index of the first failed check: the critical band (CRITICAL_BAND; the
     row is left unscattered, as simulate leaves it) before scatter's own
-    checks."""
+    checks.  The law is collide's, handed the rows taken from the flat
+    (R N, d) views as lists of column views (rows.T) and written back
+    through the column views of v_rows.T; a failed row gets its velocities
+    back."""
     rows, n, d = positions.shape
     row_start = np.arange(0, rows * n, n)
     i, j = (row_start + index[k] for index in pair_indices(n))  # the pair's rows in the (R N, d) views
@@ -173,16 +176,14 @@ def collide_stack(
     x_rows, v_rows = x.reshape(-1, d), v.reshape(-1, d)
     v_i, v_j, r = v_rows.take(i, axis=0), v_rows.take(j, axis=0), x_rows.take(i, axis=0) - x_rows.take(j, axis=0)
     omega = -r / np.sqrt(dot(r, r))[:, None]
-    w = v_j - v_i
-    w2, approach = dot(w, w), dot(w, omega)
-    failed = np.array(failed_checks(dot(omega, omega), w2, approach, epsilon0, tol))
-    vi_post, vj_post, emitting = dispatched_law(v_i, v_j, omega, w, w2, approach, epsilon0)
-    check = np.full(k.size, -1)
+    w2, failed, (vi_post, vj_post, _, _, emitting) = collide(list(v_i.T), list(v_j.T), list(omega.T), epsilon0, tol)
+    for column, post_i, post_j in zip(v_rows.T, vi_post, vj_post):
+        column[i], column[j] = post_i, post_j
+    failed, check = np.array(failed), np.full(k.size, -1)
     if failed.any():  # a row that fails a check keeps its velocities
         check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
-        kept = (check >= 0)[:, None]
-        vi_post, vj_post = np.where(kept, v_i, vi_post), np.where(kept, v_j, vj_post)
-    v_rows[i], v_rows[j] = vi_post, vj_post
+        kept = check >= 0
+        v_rows[i[kept]], v_rows[j[kept]] = v_i[kept], v_j[kept]
     return x, v, omega, w2, emitting, check
 
 
@@ -192,9 +193,10 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
 
     Each event is one all-pairs scan of the carried arrays (first_contacts)
     over the remaining time, then the collision at the earliest pair contact
-    (transport, the critical band, scatter's checks and law: checked_law, on
-    the pair's rows as Python floats), as collide_stack collides a
-    simulate_stack row; no event builds a Configuration.  The loop holds
+    (transport, then collide on the pair's rows as Python floats: a halt on
+    the critical band, scatter's error on any other failed check, else the
+    law), as collide_stack collides a simulate_stack row; no event builds a
+    Configuration.  The loop holds
     the scans' error state (scan_errstate) once for the run.  A graze at or
     before the next contact, or with no contact left, halts the run; so do
     near-simultaneous distinct-pair contacts, relative speeds inside the
@@ -233,18 +235,18 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
                 break
             x, now = x + time * v, now + time
             i, j = first[k], second[k]
-            v_i, v_j = v[i].tolist(), v[j].tolist()
-            w = [b - a for a, b in zip(v_i, v_j)]
-            rel_speed_sq = dot_floats(w, w)
-            if abs(rel_speed_sq - 4.0 * params.epsilon0) <= tol.crit_tol:
-                halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
-                break
             r = [a - b for a, b in zip(x[i].tolist(), x[j].tolist())]
             norm = math.sqrt(dot_floats(r, r))
             omega = [-c / norm for c in r]
-            v[i], v[j], sigma, _ = checked_law(v_i, v_j, omega, w, rel_speed_sq, params.epsilon0, tol)
+            rel_speed_sq, failed, law = collide(v[i].tolist(), v[j].tolist(), omega, params.epsilon0, tol)
+            if failed[CRITICAL_BAND]:
+                halted = Pathology(PATHOLOGY_CRITICAL_ENERGY, now)
+                break
+            if law is None:
+                raise check_error(failed.index(True))
+            v[i], v[j], _, _, emitting = law
             ke_before, ke = ke, 0.5 * float((v**2).sum())  # as kinetic_energy sums
-            records.append((now, k, sigma is not None, ke_before, ke, rel_speed_sq))
+            records.append((now, k, emitting, ke_before, ke, rel_speed_sq))
             recent = k
             if len(records) >= tol.max_events:
                 halted = Pathology(PATHOLOGY_MAX_EVENTS, now)
@@ -322,8 +324,7 @@ def simulate_stack(
                 elif failed == CRITICAL_BAND:
                     halted[row] = Pathology(PATHOLOGY_CRITICAL_ENERGY, event[0])
                 else:
-                    error_type, message = SCATTER_CHECKS[failed]
-                    errors[row] = error_type(message)
+                    errors[row] = check_error(failed)
                 running[row] = False
     raised = np.array([error is not None for error in errors], dtype=bool)
     x[raised] = v[raised] = np.nan

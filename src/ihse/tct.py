@@ -34,6 +34,7 @@ from .scattering import (
     SCATTER_CHECKS,
     CollisionKind,
     ScatteringOutcome,
+    check_error,
     scatter,
     scattering_velocity_det_analytic,
 )
@@ -135,8 +136,7 @@ class TCTStack:
             return None
         if check == len(SCATTER_CHECKS):
             return reach_error("tau", "a coordinate")
-        error_type, message = SCATTER_CHECKS[check]
-        return error_type(message)
+        return check_error(check)
 
     def labels(self) -> list:
         """Per row, its label, or instead the error its state raises alone."""

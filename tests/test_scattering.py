@@ -18,13 +18,8 @@ from ihse import (
 )
 from ihse.jacobian_lab import draw_scattering_sample
 from ihse.rng import sample_generator
-from ihse.core import Tolerances, dot
-from ihse.scattering import (
-    SCATTER_CHECKS,
-    checked_law,
-    dispatched_law,
-    failed_checks,
-)
+from ihse.core import Tolerances
+from ihse.scattering import SCATTER_CHECKS, collide
 
 from conftest import assert_close
 from oracles import (
@@ -236,9 +231,9 @@ COLLIDE_CASES = ("emitting", "elastic", "receding", "tangent", "critical", "stil
 
 
 @st.composite
-def collide_inputs(draw):
-    """(v_i, v_j, omega, epsilon0, tol) of one pair in d = 2, 3 or 4."""
-    d, case = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from(COLLIDE_CASES))
+def collide_inputs(draw, d):
+    """(v_i, v_j, omega, epsilon0) of one pair in d dimensions."""
+    case = draw(st.sampled_from(COLLIDE_CASES))
     vector = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d).map(np.array)
     omega, v_i, w = draw(vector), draw(vector), draw(vector)
     if float(omega @ omega) < 1e-4 or float(w @ w) < 1e-4:
@@ -255,33 +250,47 @@ def collide_inputs(draw):
     w2 = float(w @ w)
     fraction = {"emitting": draw(st.floats(0.05, 0.95)), "elastic": draw(st.floats(1.05, 20.0)), "critical": 1.0}
     epsilon0 = w2 / 4.0 * fraction.get(case, draw(st.floats(0.05, 20.0)))
-    tol = Tolerances(crit_tol=1e-40) if case == "still" else Tolerances()
-    return v_i, v_i + w, omega, epsilon0 if epsilon0 > 0.0 else 1e-300, tol
+    return v_i, v_i + w, omega, epsilon0 if epsilon0 > 0.0 else 1e-300
 
 
 @settings(max_examples=400, deadline=None)
-@given(collide_inputs())
-def test_checked_law_is_the_stacked_law(case):
-    """A valid pair gets from checked_law, on Python floats, the bits of
-    dispatched_law, the stacked law on arrays, and an invalid one the error
-    of the first check failed_checks names."""
-    v_i, v_j, omega, epsilon0, tol = case
-    w = v_j - v_i
-    w2 = dot(w, w)
-    floats = v_i.tolist(), v_j.tolist(), omega.tolist(), w.tolist(), w2, epsilon0, tol
-    failed = failed_checks(dot(omega, omega), w2, dot(w, omega), epsilon0, tol)
-    if any(failed):
-        error, message = SCATTER_CHECKS[failed.index(True)]
-        with pytest.raises(error, match=message):
-            checked_law(*floats)
-        return
-    checked = checked_law(*floats)
-    assert all(type(c) is float for vector in checked[:2] for c in vector)
-    vi_post, vj_post, emitting = dispatched_law(
-        v_i[None], v_j[None], omega[None], w[None], np.array([w2]), np.array([dot(w, omega)]), epsilon0
-    )
-    assert _bits(checked[:2]) == _bits((vi_post[0], vj_post[0]))
-    assert bool(emitting[0]) == (checked[2] is not None) == (w2 > 4.0 * epsilon0)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(lambda d: st.lists(collide_inputs(d), min_size=1, max_size=8)),
+    st.booleans(),
+    # A still pair sits inside the default critical band; a narrow band lets
+    # the zero relative velocity check see it.
+    st.sampled_from((Tolerances(), Tolerances(crit_tol=1e-40))),
+)
+def test_checked_law_is_the_stacked_law(pairs, shared_omega, tol):
+    """collide on a stack of pairs, omega one row per pair or the first
+    pair's as float columns shared by every row, gives each valid row the
+    bits and the emitting flag of its pair alone on Python floats, and each
+    invalid row the checks of its pair alone, whose first is the error
+    scatter raises.  A failed row, whose unguarded law may be NaN, leaves
+    the bits of the valid rows as the stack of those rows alone gives
+    them."""
+    v_i, v_j, omega, epsilon0 = (np.array(column) for column in zip(*pairs))
+    if shared_omega:
+        omega = np.repeat(omega[:1], len(pairs), axis=0)
+    columns = omega[0].tolist() if shared_omega else omega.T
+    w2, failed, (vi_post, vj_post, _, _, emitting) = collide(v_i.T, v_j.T, columns, epsilon0, tol)
+    failed = np.array(np.broadcast_arrays(*failed))
+    stacked = np.column_stack(vi_post + vj_post)
+    for row, pair in enumerate(zip(v_i.tolist(), v_j.tolist(), omega.tolist(), epsilon0.tolist())):
+        alone_w2, alone_failed, law = collide(*pair, tol)
+        assert alone_failed == tuple(failed[:, row].tolist())
+        if law is None:
+            error, message = SCATTER_CHECKS[failed[:, row].argmax()]
+            with pytest.raises(error, match=message):
+                scatter(*pair[:3], ModelParams(pair[3]), tol=tol)
+            continue
+        assert all(type(c) is float for vector in law[:2] for c in vector)
+        assert _bits((alone_w2, np.concatenate(law[:2]))) == _bits((w2[row], stacked[row]))
+        assert law[4] == emitting[row] == (alone_w2 > 4.0 * pair[3])
+    valid = ~failed.any(axis=0)
+    columns = columns if shared_omega else omega[valid].T
+    _, _, (vi_alone, vj_alone, _, _, _) = collide(v_i[valid].T, v_j[valid].T, columns, epsilon0[valid], tol)
+    assert _bits(stacked[valid]) == _bits(np.column_stack(vi_alone + vj_alone))
 
 
 def _bits(values) -> list:
