@@ -231,7 +231,7 @@ def _dispatched_velocity_map(points: np.ndarray, omega: np.ndarray, epsilon0) ->
     _, failed, (vi_post, vj_post, _, _, emitting) = collide(columns[:d], columns[d:], omega, epsilon0)
     if np.any(failed[0] & emitting):  # check 0: omega is unit
         raise check_error(0)
-    return np.column_stack(vi_post + vj_post), emitting.tolist()
+    return np.array(vi_post + vj_post).T, emitting.tolist()
 
 
 def _velocity_map_dets(v_i: np.ndarray, v_j: np.ndarray, omega: np.ndarray, epsilon0, h: float) -> tuple[list, list]:

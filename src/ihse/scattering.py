@@ -119,10 +119,10 @@ def collide(v_i: list, v_j: list, omega: list, epsilon0, tol: Tolerances = Toler
     columns with sigma and kappa of the emitting law (None where no pair
     emits).  One pair is dispatched by a Python if, and a pair that fails a
     check gets law None: its law is not run.  A stack runs every row
-    through the elastic law and, if any row emits, through the emitting
-    law, keeping per column the one it dispatches to; a row that fails a
-    check gets the unguarded law, which may be NaN, and its caller decides
-    what it keeps."""
+    through the emitting law if any row emits and through the elastic law
+    if any row does not, keeping per column the one each row dispatches
+    to; a row that fails a check gets the unguarded law, which may be NaN,
+    and its caller decides what it keeps."""
     w = [b - a for a, b in zip(v_i, v_j)]
     w2, approach = dot_floats(w, w), dot_floats(w, omega)
     speed, threshold = _sqrt(w2), 4.0 * epsilon0
@@ -140,15 +140,16 @@ def collide(v_i: list, v_j: list, omega: list, epsilon0, tol: Tolerances = Toler
         if emitting:
             return w2, failed, (*_emission(v_i, v_j, omega, w, w2, speed, epsilon0), True)
         return w2, failed, (*_elastic_transfer(v_i, v_j, omega, approach), None, None, False)
-    vi_post, vj_post = _elastic_transfer(v_i, v_j, omega, approach)
-    sigma = kappa = None
-    if emitting.any():
-        # Elementwise steps, so no row's bits depend on the others.  A row that
-        # does not emit may root a negative or divide by zero here.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            emitted_i, emitted_j, sigma, kappa = _emission(v_i, v_j, omega, w, w2, speed, epsilon0)
-        for post, emitted in zip(vi_post + vj_post, emitted_i + emitted_j):
-            np.copyto(post, emitted, where=emitting)
+    if not emitting.any():
+        return w2, failed, (*_elastic_transfer(v_i, v_j, omega, approach), None, None, emitting)
+    # Elementwise steps, so no row's bits depend on the others.  A row that
+    # does not emit may root a negative or divide by zero here.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vi_post, vj_post, sigma, kappa = _emission(v_i, v_j, omega, w, w2, speed, epsilon0)
+    if not emitting.all():
+        elastic_i, elastic_j = _elastic_transfer(v_i, v_j, omega, approach)
+        for post, elastic in zip(vi_post + vj_post, elastic_i + elastic_j):
+            np.copyto(post, elastic, where=~emitting)
     return w2, failed, (vi_post, vj_post, sigma, kappa, emitting)
 
 

@@ -196,14 +196,13 @@ def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Toleranc
     (transport, then collide on the pair's rows as Python floats: a halt on
     the critical band, scatter's error on any other failed check, else the
     law), as collide_stack collides a simulate_stack row; no event builds a
-    Configuration.  The loop holds
-    the scans' error state (scan_errstate) once for the run.  A graze at or
-    before the next contact, or with no contact left, halts the run; so do
-    near-simultaneous distinct-pair contacts, relative speeds inside the
-    critical band and event count overflow, each with an in-band pathology
-    record.  The run's record is a SimStack row's, one tuple per event, and
-    its report is built from it (_report).  Each ke_before is the previous
-    event's ke_after.
+    Configuration.  The loop holds the scans' error state (scan_errstate)
+    once for the run.  A graze at or before the next contact, or with no
+    contact left, halts the run; so do near-simultaneous distinct-pair
+    contacts, relative speeds inside the critical band and event count
+    overflow, each with an in-band pathology record.  The run's record is
+    a SimStack row's, one tuple per event, and its report is built from it
+    (_report).  Each ke_before is the previous event's ke_after.
     min_separation covers every time in [0, T] the run reaches: the start
     is probed once (squared_separations, which the interior check also
     reads), then each segment advanced takes its exact minimum squared gap
