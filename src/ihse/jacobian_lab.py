@@ -380,60 +380,80 @@ def verify_flow_jacobians(cases: Sequence, tau: float, *, tol: Tolerances = Tole
     instead the error it raises there; a case given as an error is passed
     through.  The cases share one particle count and dimension.
 
-    Up to CASES_PER_STACK cases run as one stacked flow: every case's center
-    and stencils at h and h/2 are rows of one tct_stack call, each with its
-    case's quantum, and each case's fd_determinant takes its slice.  Then the
-    velocity maps of the single-collision cases are one dispatched law call.
-    So each case gets the report or the error it gets alone, bit for bit."""
+    Up to CASES_PER_STACK cases run as one stacked flow (_FlowStencils):
+    every case's center and stencils at h and h/2 are rows of one tct_stack
+    call, each with its case's quantum, and each case's fd_determinant takes
+    its slice.  Then the velocity maps of the single-collision cases are one
+    dispatched law call.  So each case gets the report or the error it gets
+    alone, bit for bit.  random_flow_jacobians reads its reports from the
+    stacks that classify its candidates, the same way."""
     results = list(cases)
     drawn = [c for c, case in enumerate(results) if not isinstance(case, IHSEError)]
     for start in range(0, len(drawn), CASES_PER_STACK):
         chunk = drawn[start : start + CASES_PER_STACK]
-        for c, result in zip(chunk, _verify_stack([results[c] for c in chunk], tau, tol)):
+        stencils = _FlowStencils([results[c] for c in chunk], tau, tol)
+        for c, result in zip(chunk, stencils.reports(range(len(chunk)))):
             results[c] = result
     return results
 
 
-def _verify_stack(cases: list, tau: float, tol: Tolerances) -> list:
-    """verify_flow_jacobians of cases that form one stack."""
-    h = tol.fd_step
-    n, d = cases[0][0].n_particles, cases[0][0].dimension
-    params = [p for _, p in cases]
-    points = np.stack([cfg.to_vector() for cfg, _ in cases])
-    v0 = points[:, n * d :].reshape(-1, n, d)
-    rows = _stencil_rows(points, (h, h / 2.0))
-    size = rows.shape[1]
-    eps0 = np.repeat([p.epsilon0 for p in params], size)
-    stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
-    fd_dets, results = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
-    classified = {c: stack.one(c * size) for c in range(len(cases)) if stack.error(c * size) is None}
-    for c, classification in classified.items():
-        # an excluded centre's error comes first, the analytic determinant's after the FD errors
-        if classification.is_excluded or results[c] is None:
-            try:
-                det, prefactor, _ = classified_flow_det(
-                    cases[c][0], classification, stack.velocities[c * size], params[c], tol=tol
-                )
-            except IHSEError as error:
-                results[c] = error
-            else:
-                results[c] = (det, fd_dets[c], prefactor)
-    colliding = [c for c in classified if classified[c].is_single_collision and not isinstance(results[c], IHSEError)]
-    det_n_fd: list = [None] * len(cases)
-    if colliding:
-        k = np.array([pair_position(n, classified[c].pair) for c in colliding])
-        i, j = (index[k] for index in pair_indices(n))
-        # free flight keeps velocities: the pair's at contact are its initial ones
-        centres = size * np.array(colliding)
-        dets, errors = _velocity_map_dets(v0[colliding, i], v0[colliding, j], stack.omega[centres], eps0[centres], h)
-        for c, det, error in zip(colliding, dets, errors):
-            det_n_fd[c] = det
-            if error is not None:
-                results[c] = error
-    return [
-        result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], h)
-        for c, result in enumerate(results)
-    ]
+class _FlowStencils:
+    """The stencil stack of cases (cfg, params) that form one stack: every
+    case's center and stencils at h and h/2 as rows of one tct_stack call
+    over [0, tau], each row at its case's quantum, with every case's
+    finite-difference determinant (_fd_dets).  Case c's center is row
+    c * size."""
+
+    def __init__(self, cases: list, tau: float, tol: Tolerances):
+        h = tol.fd_step
+        n, d = cases[0][0].n_particles, cases[0][0].dimension
+        points = np.stack([cfg.to_vector() for cfg, _ in cases])
+        rows = _stencil_rows(points, (h, h / 2.0))
+        self.cases, self.tol, self.size, self.n = cases, tol, rows.shape[1], n
+        self.v0 = points[:, n * d :].reshape(-1, n, d)
+        self.eps0 = np.repeat([p.epsilon0 for _, p in cases], self.size)
+        flow = lambda x, v: tct_stack(x, v, tau, self.eps0, tol=tol)
+        self.stack, values, labels = _stack_map(flow, np.concatenate(rows), n, d)
+        self.fd_dets, self.errors = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
+
+    def reports(self, chosen: Sequence[int]) -> list:
+        """verify_flow_jacobian of each chosen case, in their order, or
+        instead the error it raises."""
+        stack, size, tol, n = self.stack, self.size, self.tol, self.n
+        results = {c: self.errors[c] for c in chosen}
+        classified = {c: stack.one(c * size) for c in chosen if stack.error(c * size) is None}
+        for c, classification in classified.items():
+            # an excluded centre's error comes first, the analytic determinant's after the FD errors
+            if classification.is_excluded or results[c] is None:
+                cfg, params = self.cases[c]
+                try:
+                    det, prefactor, _ = classified_flow_det(
+                        cfg, classification, stack.velocities[c * size], params, tol=tol
+                    )
+                except IHSEError as error:
+                    results[c] = error
+                else:
+                    results[c] = (det, self.fd_dets[c], prefactor)
+        colliding = [
+            c
+            for c, classification in classified.items()
+            if classification.is_single_collision and not isinstance(results[c], IHSEError)
+        ]
+        det_n_fd = dict.fromkeys(chosen)
+        if colliding:
+            k = np.array([pair_position(n, classified[c].pair) for c in colliding])
+            i, j = (index[k] for index in pair_indices(n))
+            # free flight keeps velocities: the pair's at contact are its initial ones
+            v_i, v_j, centres = self.v0[colliding, i], self.v0[colliding, j], size * np.array(colliding)
+            dets, errors = _velocity_map_dets(v_i, v_j, stack.omega[centres], self.eps0[centres], tol.fd_step)
+            for c, det, error in zip(colliding, dets, errors):
+                det_n_fd[c] = det
+                if error is not None:
+                    results[c] = error
+        return [
+            result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], tol.fd_step)
+            for c, result in results.items()
+        ]
 
 
 def random_tct_case(
@@ -477,15 +497,85 @@ def random_tct_cases(
     """random_tct_case of each index in indices, with kind kinds[c] for
     indices[c], or instead the error it raises there.
 
-    The draws run in lockstep, CASES_PER_STACK cases at a time.  Each round
-    checks the pending drawn state of every case in one pass (_prechecks),
-    until every pending case holds a candidate that passes; then one
-    tct_stack call classifies the candidates, each row with its case's
-    quantum, and each rejected case draws again from its own stream.  So
-    every case makes the draws, and gets the configuration or the error,
-    that it makes and gets alone.  A d < 2 or a tau outside (0, inf) is a
-    UsageError, raised before any draw.
+    The draws run in lockstep (_draw_rounds), CASES_PER_STACK cases at a
+    time; each acceptance round is one tct_stack call on its candidates,
+    each row with its case's quantum.  So every case makes the draws, and
+    gets the configuration or the error, that it makes and gets alone.  A
+    d < 2 or a tau outside (0, inf) is a UsageError, raised before any
+    draw.
     """
+    return _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, _classify_rows)
+
+
+def random_flow_jacobians(
+    seed: int,
+    indices: Sequence[int],
+    n_particles: int,
+    *,
+    kinds: Sequence[Optional[CollisionKind]],
+    tau: float = 1.0,
+    d: int = 2,
+    fixed_eps0: Optional[float] = None,
+    tol: Tolerances = Tolerances(),
+) -> list:
+    """verify_flow_jacobian over [0, tau] of each case random_tct_case draws
+    at indices[c] with kind kinds[c], or instead the error its draw or its
+    verification raises there: random_tct_cases, then
+    verify_flow_jacobians, with each state solved once.
+
+    Each acceptance round of the lockstep draws (_draw_rounds) is one
+    stencil stack (_FlowStencils): a candidate's classification is its
+    centre row, an accepted case's report is read from that stack, and a
+    rejected candidate's rows are dropped.  So a run whose first candidates
+    all pass makes one tct_stack call per CASES_PER_STACK cases.  A case
+    accepted without a classification round is verified by
+    verify_flow_jacobians.  Every case gets the draws, the report and the
+    error it gets alone, bit for bit.
+    """
+    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, _classify_stencils)
+    unverified = [c for c, result in enumerate(results) if isinstance(result, tuple)]
+    for c, report in zip(unverified, verify_flow_jacobians([results[c] for c in unverified], tau, tol=tol)):
+        results[c] = report
+    return results
+
+
+def _classify_rows(candidates: list, tau: float, tol: Tolerances) -> tuple:
+    """A round's classifier for _draw_rounds: per candidate (cfg, params),
+    its classification over [0, tau] or instead the error it raises, from
+    one tct_stack call with a row per candidate; accepted cases keep their
+    (cfg, params)."""
+    cfgs, params = zip(*candidates)
+    x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
+    stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
+    return [_verdict(stack, row) for row in range(len(candidates))], None
+
+
+def _classify_stencils(candidates: list, tau: float, tol: Tolerances) -> tuple:
+    """A round's classifier for _draw_rounds: the candidates' verdicts as
+    for _classify_rows, each from its centre row in the candidates' stencil
+    stack, and that stack's reader of reports."""
+    stencils = _FlowStencils(candidates, tau, tol)
+    return [_verdict(stencils.stack, c * stencils.size) for c in range(len(candidates))], stencils.reports
+
+
+def _verdict(stack, row: int):
+    """A stack row's classification, or instead the error its state raises."""
+    error = stack.error(row)
+    return stack.one(row) if error is None else error
+
+
+def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, classify) -> list:
+    """The lockstep draws of random_tct_cases: per index, its case, or
+    instead the error it raises.  classify(candidates, tau, tol) takes a
+    round's candidates (cfg, params) and returns (verdicts, read): per
+    candidate its classification or error, and read(rows) the results of
+    the candidates at rows that their draws accept, or None to keep the
+    accepted (cfg, params).
+
+    The draws run CASES_PER_STACK cases at a time.  Each round checks the
+    pending drawn state of every case in one pass (_prechecks), until every
+    pending case holds a candidate that passes; then classify takes the
+    candidates, and each rejected case draws again from its own stream."""
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
     check_dimension(d)
@@ -498,31 +588,36 @@ def random_tct_cases(
             c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], d, fixed_eps0) for c in chunk
         }
         sent = dict.fromkeys(chunk)  # what each case's draws are sent next
+        read, rows = None, {}  # the reader of the round whose verdicts sent holds, and each case's row in it
         candidates = {}  # the cases whose candidate (cfg, params) awaits its classification
         while sent:
-            drawn = {}  # the cases whose drawn state awaits its pre-check
+            drawn, accepted = {}, []  # the cases whose drawn state awaits its pre-check, and those accepted
             for c, value in sent.items():
                 try:
                     request = draws[c].send(value)
-                except StopIteration as accepted:
-                    results[c] = accepted.value
+                except StopIteration as stop:
+                    results[c] = stop.value
+                    accepted.append(c)
                 except IHSEError as error:
                     results[c] = error
                 else:  # a candidate (cfg, params), or a drawn state (positions, velocities)
                     (candidates if isinstance(request[1], ModelParams) else drawn)[c] = request
+            if read is not None and accepted:
+                for c, result in zip(accepted, read([rows[c] for c in accepted])):
+                    results[c] = result
+            read = None
             if drawn:
                 x, v = (np.array(states) for states in zip(*drawn.values()))
                 sent = dict(zip(drawn, _prechecks(x, v, tau, tol).tolist()))
             elif candidates:
-                cfgs, params = zip(*candidates.values())
-                x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
-                stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
+                verdicts, read = classify(list(candidates.values()), tau, tol)
+                rows = {c: row for row, c in enumerate(candidates)}
                 sent = {}
-                for row, c in enumerate(candidates):
-                    if (error := stack.error(row)) is not None:
-                        results[c] = error
+                for c, verdict in zip(candidates, verdicts):
+                    if isinstance(verdict, IHSEError):
+                        results[c] = verdict
                     else:
-                        sent[c] = stack.one(row)
+                        sent[c] = verdict
                 candidates = {}
             else:
                 break

@@ -55,11 +55,11 @@ def run_to_file(tmp_path, argv):
 
 def count_calls(monkeypatch, module, name) -> list:
     """Wrap module.name under every ihse module name that holds it; the
-    returned list grows by one per call."""
+    returned list grows by each call's positional arguments."""
     original, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for holder in list(sys.modules.values()):
@@ -399,16 +399,25 @@ class TestVerificationCommands:
             assert all(det < 1.0 for det in dets)
         assert doc["summary"]["max_residual"] <= 1e-5
 
-    def test_jacobian_classifies_each_centre_once(self, tmp_path, monkeypatch):
-        # per run, whatever the case count: one acceptance round of the
-        # lockstep draws (every case's first candidate is accepted at the
-        # default seed) and one stencil stack, each centre a row of it
+    @pytest.mark.parametrize(
+        "argv, rounds",
+        [
+            (["--n-particles", "3", "--samples", "2"], [2]),
+            (["--n-particles", "3", "--samples", "6"], [6]),
+            # a third particle recollides with one candidate: a second round
+            (["--n-particles", "4", "--seed", "1", "--tau", "3", "--samples", "10"], [10, 1]),
+        ],
+    )
+    def test_jacobian_classifies_each_centre_once(self, tmp_path, monkeypatch, argv, rounds):
+        # one tct_stack call per acceptance round of the lockstep draws: the
+        # stencil stack of that round's candidates, each centre a row of it
+        # that classifies the candidate and, when it is accepted, is row 0 of
+        # its finite-difference stencils (1 + 8 N d rows per case)
         calls = count_calls(monkeypatch, tct, "tct_stack")
-        for samples in ("2", "6"):
-            calls.clear()
-            status, _ = run_to_file(tmp_path, ["jacobian", "--n-particles", "3", "--samples", samples])
-            assert status == 0
-            assert len(calls) == 2, samples
+        status, _ = run_to_file(tmp_path, ["jacobian"] + argv)
+        assert status == 0
+        size = 1 + 8 * int(argv[1]) * 2  # N particles in d = 2
+        assert [len(positions) for positions, *_ in calls] == [size * cases for cases in rounds]
 
     def test_jacobian_checks_and_stencils_are_array_passes(self, tmp_path, monkeypatch):
         # the draws' checks run over stacked cases: no one-state scan, and

@@ -16,6 +16,7 @@ from ihse import (
     IHSEError,
     ModelParams,
     NonFiniteError,
+    Tolerances,
     UsageError,
     fd_determinant,
     fd_jacobian,
@@ -27,6 +28,7 @@ from ihse import jacobian_lab
 from ihse.jacobian_lab import (
     UnreliableStencilError,
     draw_scattering_sample,
+    random_flow_jacobians,
     random_tct_case,
     random_tct_cases,
     verify_flow_jacobians,
@@ -495,8 +497,9 @@ def _report_hex(report) -> tuple:
 
 
 class TestBatchedCases:
-    """random_tct_cases and verify_flow_jacobians against their one-case
-    views and the one-case loops of reference_kernel, bit for bit."""
+    """random_tct_cases, verify_flow_jacobians and random_flow_jacobians
+    against their one-case views and the one-case loops of
+    reference_kernel, bit for bit."""
 
     def test_lockstep_draws_equal_each_case_alone(self, monkeypatch):
         # With tau = 3 the third particle recollides with a candidate now and
@@ -547,6 +550,48 @@ class TestBatchedCases:
             assert _report_hex(report) == _report_hex(ref.verify_flow_jacobian(cfg, 1.0, params)), index
             assert _report_hex(report) == _report_hex(verify_flow_jacobian(cfg, 1.0, params)), index
             assert report.det_N_fd is not None
+
+    @pytest.mark.parametrize(
+        "seed, n, kind, options, per_stack",
+        [
+            # the two runs of test_lockstep_draws_equal_each_case_alone, which
+            # meet both rejections
+            (2, 3, CollisionKind.INELASTIC, dict(tau=3.0, fixed_eps0=1.0), 100),
+            (10, 3, None, dict(tau=3.0), 100),
+            (10, 3, None, dict(tau=3.0), 3),  # 12 cases in stacks of 3
+            (19, 4, CollisionKind.INELASTIC, dict(d=3), 100),
+            (7, 2, None, dict(fixed_eps0=0.3), 100),
+            (2, 2, CollisionKind.ELASTIC, dict(tol=Tolerances(fd_step=0.3)), 5),  # branch-crossing stencils
+        ],
+    )
+    def test_flow_jacobians_equal_each_case_drawn_and_verified_alone(
+        self, monkeypatch, seed, n, kind, options, per_stack
+    ):
+        # each acceptance round is one stencil stack, its candidates'
+        # centres their classifications: per case the report, or the type
+        # and message of the error, of a draw and a verification alone
+        monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", per_stack)
+        stacks, stacked = [], jacobian_lab.tct_stack
+
+        def counting_stack(positions, *args, **kwargs):
+            stacks.append(len(positions))
+            return stacked(positions, *args, **kwargs)
+
+        monkeypatch.setattr(jacobian_lab, "tct_stack", counting_stack)
+        reports = random_flow_jacobians(seed, range(12), n, kinds=[kind] * 12, **options)
+        if options.get("tau") == 3.0:
+            assert len(stacks) > -(-12 // per_stack)  # a candidate failed its classification
+        if "tol" in options:
+            assert any(isinstance(report, IHSEError) for report in reports)
+        tau, tol = options.get("tau", 1.0), options.get("tol", Tolerances())
+        for index, report in enumerate(reports):
+            try:
+                cfg, params = ref.random_tct_case(seed, index, n, kind=kind, **options)
+                alone = ref.verify_flow_jacobian(cfg, tau, params, tol=tol)
+            except IHSEError as error:
+                assert (type(report), str(report)) == (type(error), str(error)), index
+            else:
+                assert _report_hex(report) == _report_hex(alone), index
 
     def test_errors_stay_with_their_cases(self):
         # an excluded centre (the grazing pair of test_excluded_centre_raises)
