@@ -402,7 +402,9 @@ class _FlowStencils:
     case's center and stencils at h and h/2 as rows of one tct_stack call
     over [0, tau], each row at its case's quantum, with every case's
     finite-difference determinant (_fd_dets).  Case c's center is row
-    c * size."""
+    c * size, so its classification (verdict) and its report (reports)
+    come from the one call.  A lockstep draw's acceptance round is the
+    stack of its candidates (_draw_rounds)."""
 
     def __init__(self, cases: list, tau: float, tol: Tolerances):
         h = tol.fd_step
@@ -415,6 +417,12 @@ class _FlowStencils:
         flow = lambda x, v: tct_stack(x, v, tau, self.eps0, tol=tol)
         self.stack, values, labels = _stack_map(flow, np.concatenate(rows), n, d)
         self.fd_dets, self.errors = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
+
+    def verdict(self, c: int):
+        """Case c's classification, read from its centre row, or instead the
+        error its state raises."""
+        error = self.stack.error(c * self.size)
+        return self.stack.one(c * self.size) if error is None else error
 
     def reports(self, chosen: Sequence[int]) -> list:
         """verify_flow_jacobian of each chosen case, in their order, or
@@ -477,7 +485,8 @@ def random_tct_case(
     dispatch threshold; pass fixed_eps0 to pin it instead (draws whose
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
     At most 2000 draws are tried, on the stream sample_generator(seed,
-    index).  The one-case view of random_tct_cases; raises the case's error.
+    index), and each candidate is classified as the centre of its stencil
+    stack.  The one-case view of random_tct_cases; raises the case's error.
     """
     cases = random_tct_cases(seed, [index], n_particles, kinds=[kind], tau=tau, d=d, fixed_eps0=fixed_eps0, tol=tol)
     return _value(cases[0])
@@ -498,13 +507,14 @@ def random_tct_cases(
     indices[c], or instead the error it raises there.
 
     The draws run in lockstep (_draw_rounds), CASES_PER_STACK cases at a
-    time; each acceptance round is one tct_stack call on its candidates,
-    each row with its case's quantum.  So every case makes the draws, and
-    gets the configuration or the error, that it makes and gets alone.  A
-    d < 2 or a tau outside (0, inf) is a UsageError, raised before any
-    draw.
+    time; each acceptance round is one stencil stack of its candidates
+    (_FlowStencils), and an accepted case is its round's case at its row.
+    So every case makes the draws, and gets the configuration or the error,
+    that it makes and gets alone.  A d < 2 or a tau outside (0, inf) is a
+    UsageError, raised before any draw.
     """
-    return _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, _classify_rows)
+    results = itertools.chain.from_iterable(_draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol))
+    return [result if isinstance(result, IHSEError) else result[0].cases[result[1]] for result in results]
 
 
 def random_flow_jacobians(
@@ -524,104 +534,77 @@ def random_flow_jacobians(
     verify_flow_jacobians, with each state solved once.
 
     Each acceptance round of the lockstep draws (_draw_rounds) is one
-    stencil stack (_FlowStencils): a candidate's classification is its
-    centre row, an accepted case's report is read from that stack, and a
-    rejected candidate's rows are dropped.  So a run whose first candidates
-    all pass makes one tct_stack call per CASES_PER_STACK cases.  A case
-    accepted without a classification round is verified by
-    verify_flow_jacobians.  Every case gets the draws, the report and the
-    error it gets alone, bit for bit.
+    stencil stack (_FlowStencils), and the accepted cases of a round get
+    their reports from it in one reports call.  So a run whose first
+    candidates all pass makes one tct_stack call per CASES_PER_STACK cases.
+    Every case gets the draws, the report and the error it gets alone, bit
+    for bit.
     """
-    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, _classify_stencils)
-    unverified = [c for c, result in enumerate(results) if isinstance(result, tuple)]
-    for c, report in zip(unverified, verify_flow_jacobians([results[c] for c in unverified], tau, tol=tol)):
-        results[c] = report
+    results: list = []
+    for chunk in _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol):
+        accepted: dict = {}  # per round, its accepted cases and their rows
+        for c, result in enumerate(chunk, len(results)):
+            if not isinstance(result, IHSEError):
+                accepted.setdefault(result[0], []).append((c, result[1]))
+        results += chunk
+        for stencils, cases in accepted.items():
+            chosen, rows = zip(*cases)
+            for c, report in zip(chosen, stencils.reports(rows)):
+                results[c] = report
     return results
 
 
-def _classify_rows(candidates: list, tau: float, tol: Tolerances) -> tuple:
-    """A round's classifier for _draw_rounds: per candidate (cfg, params),
-    its classification over [0, tau] or instead the error it raises, from
-    one tct_stack call with a row per candidate; accepted cases keep their
-    (cfg, params)."""
-    cfgs, params = zip(*candidates)
-    x, v = np.stack([cfg.positions for cfg in cfgs]), np.stack([cfg.velocities for cfg in cfgs])
-    stack = tct_stack(x, v, tau, np.array([p.epsilon0 for p in params]), tol=tol)
-    return [_verdict(stack, row) for row in range(len(candidates))], None
+def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol):
+    """The lockstep draws of random_tct_cases, CASES_PER_STACK cases at a
+    time, as a generator of each chunk's results: per index, the (stencils,
+    row) of the acceptance round that classified its accepted case, or
+    instead the error it raises.
 
-
-def _classify_stencils(candidates: list, tau: float, tol: Tolerances) -> tuple:
-    """A round's classifier for _draw_rounds: the candidates' verdicts as
-    for _classify_rows, each from its centre row in the candidates' stencil
-    stack, and that stack's reader of reports."""
-    stencils = _FlowStencils(candidates, tau, tol)
-    return [_verdict(stencils.stack, c * stencils.size) for c in range(len(candidates))], stencils.reports
-
-
-def _verdict(stack, row: int):
-    """A stack row's classification, or instead the error its state raises."""
-    error = stack.error(row)
-    return stack.one(row) if error is None else error
-
-
-def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol, classify) -> list:
-    """The lockstep draws of random_tct_cases: per index, its case, or
-    instead the error it raises.  classify(candidates, tau, tol) takes a
-    round's candidates (cfg, params) and returns (verdicts, read): per
-    candidate its classification or error, and read(rows) the results of
-    the candidates at rows that their draws accept, or None to keep the
-    accepted (cfg, params).
-
-    The draws run CASES_PER_STACK cases at a time.  Each round checks the
-    pending drawn state of every case in one pass (_prechecks), until every
-    pending case holds a candidate that passes; then classify takes the
-    candidates, and each rejected case draws again from its own stream."""
+    Each round checks the pending drawn state of every case in one pass
+    (_prechecks), until every pending case holds a candidate that passes;
+    then the candidates form one _FlowStencils, each candidate's verdict is
+    its centre row, and each rejected case draws again from its own
+    stream."""
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
     check_dimension(d)
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
-    results: list = [None] * len(indices)
     for start in range(0, len(indices), CASES_PER_STACK):
         chunk = range(start, min(start + CASES_PER_STACK, len(indices)))
         draws = {
             c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], d, fixed_eps0) for c in chunk
         }
+        results = dict.fromkeys(chunk)  # per case, its error or the (stencils, row) of its latest round
         sent = dict.fromkeys(chunk)  # what each case's draws are sent next
-        read, rows = None, {}  # the reader of the round whose verdicts sent holds, and each case's row in it
         candidates = {}  # the cases whose candidate (cfg, params) awaits its classification
         while sent:
-            drawn, accepted = {}, []  # the cases whose drawn state awaits its pre-check, and those accepted
+            drawn = {}  # the cases whose drawn state awaits its pre-check
             for c, value in sent.items():
                 try:
                     request = draws[c].send(value)
-                except StopIteration as stop:
-                    results[c] = stop.value
-                    accepted.append(c)
+                except StopIteration:
+                    pass  # accepted: results[c] holds the round that classified it
                 except IHSEError as error:
                     results[c] = error
                 else:  # a candidate (cfg, params), or a drawn state (positions, velocities)
                     (candidates if isinstance(request[1], ModelParams) else drawn)[c] = request
-            if read is not None and accepted:
-                for c, result in zip(accepted, read([rows[c] for c in accepted])):
-                    results[c] = result
-            read = None
             if drawn:
                 x, v = (np.array(states) for states in zip(*drawn.values()))
                 sent = dict(zip(drawn, _prechecks(x, v, tau, tol).tolist()))
             elif candidates:
-                verdicts, read = classify(list(candidates.values()), tau, tol)
-                rows = {c: row for row, c in enumerate(candidates)}
+                stencils = _FlowStencils(list(candidates.values()), tau, tol)
                 sent = {}
-                for c, verdict in zip(candidates, verdicts):
+                for row, c in enumerate(candidates):
+                    verdict = stencils.verdict(row)
                     if isinstance(verdict, IHSEError):
                         results[c] = verdict
                     else:
-                        sent[c] = verdict
+                        results[c], sent[c] = (stencils, row), verdict
                 candidates = {}
             else:
                 break
-    return results
+        yield list(results.values())
 
 
 def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: Tolerances) -> np.ndarray:

@@ -524,11 +524,11 @@ class TestVerificationCommands:
                 break
         assert type(loop_error).__name__ == expected
 
-        def given(case):  # draws that give the case without drawing
+        def given(case):  # draws that give the case as their one candidate
             if isinstance(case, IHSEError):
                 raise case
+            yield case
             return case
-            yield
 
         drawn, original = [], jacobian_lab._case_draws
 

@@ -528,7 +528,8 @@ class TestBatchedCases:
             rounds.clear()
             verdicts.clear()
             cases = random_tct_cases(seed, range(12), 3, kinds=[kind] * 12, **options)
-            assert rounds[0] == 12 and sum(rounds) > 12  # a candidate failed its classification
+            # a round is one stack of 1 + 8 N d = 49 stencil rows per candidate
+            assert rounds[0] == 12 * 49 and sum(rounds) > 12 * 49  # a candidate failed its classification
             assert False in verdicts  # a drawn state failed its pre-check
             for index, (cfg, params) in enumerate(cases):
                 for draw in (random_tct_case, ref.random_tct_case):
@@ -569,7 +570,9 @@ class TestBatchedCases:
     ):
         # each acceptance round is one stencil stack, its candidates'
         # centres their classifications: per case the report, or the type
-        # and message of the error, of a draw and a verification alone
+        # and message of the error, of a draw and a verification alone.
+        # random_tct_cases takes the same path: the same stacks, and its
+        # cases verified give the same reports and errors.
         monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", per_stack)
         stacks, stacked = [], jacobian_lab.tct_stack
 
@@ -592,6 +595,15 @@ class TestBatchedCases:
                 assert (type(report), str(report)) == (type(error), str(error)), index
             else:
                 assert _report_hex(report) == _report_hex(alone), index
+        flowed = list(stacks)
+        stacks.clear()
+        cases = random_tct_cases(seed, range(12), n, kinds=[kind] * 12, **options)
+        assert stacks == flowed  # the same tct_stack calls, row for row
+        for index, (report, verified) in enumerate(zip(reports, verify_flow_jacobians(cases, tau, tol=tol))):
+            if isinstance(report, IHSEError):
+                assert (type(verified), str(verified)) == (type(report), str(report)), index
+            else:
+                assert _report_hex(verified) == _report_hex(report), index
 
     def test_errors_stay_with_their_cases(self):
         # an excluded centre (the grazing pair of test_excluded_centre_raises)
