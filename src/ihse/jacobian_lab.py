@@ -33,9 +33,10 @@ from .scattering import CollisionKind, check_error, collide, scattering_velocity
 from .tct import classified_flow_det, tct_stack
 
 # The most cases one stacked call holds: a jacobian run's acceptance rounds
-# and its finite-difference stencils, and scatter-check's velocity-map
-# stencils, are stacked this many cases at a time, which bounds the memory
-# a stack takes.
+# and verify_flow_jacobians' chunks (each one stencil stack, dropped once it
+# has given its cases' verdicts and reports), and scatter-check's
+# velocity-map stencils, are stacked this many cases at a time, which
+# bounds the memory a stack takes.
 CASES_PER_STACK = 100
 
 
@@ -380,88 +381,67 @@ def verify_flow_jacobians(cases: Sequence, tau: float, *, tol: Tolerances = Tole
     instead the error it raises there; a case given as an error is passed
     through.  The cases share one particle count and dimension.
 
-    Up to CASES_PER_STACK cases run as one stacked flow (_FlowStencils):
-    every case's center and stencils at h and h/2 are rows of one tct_stack
-    call, each with its case's quantum, and each case's fd_determinant takes
-    its slice.  Then the velocity maps of the single-collision cases are one
+    Up to CASES_PER_STACK cases run as one stacked flow (_flow_round): every
+    case's center and stencils at h and h/2 are rows of one tct_stack call,
+    each with its case's quantum, and each case's fd_determinant takes its
+    slice.  Then the velocity maps of the single-collision cases are one
     dispatched law call.  So each case gets the report or the error it gets
-    alone, bit for bit.  random_flow_jacobians reads its reports from the
-    stacks that classify its candidates, the same way."""
+    alone, bit for bit.  random_flow_jacobians gets its reports from the
+    rounds that classify its candidates, the same way."""
     results = list(cases)
     drawn = [c for c, case in enumerate(results) if not isinstance(case, IHSEError)]
     for start in range(0, len(drawn), CASES_PER_STACK):
         chunk = drawn[start : start + CASES_PER_STACK]
-        stencils = _FlowStencils([results[c] for c in chunk], tau, tol)
-        for c, result in zip(chunk, stencils.reports(range(len(chunk)))):
+        for c, result in zip(chunk, _flow_round([results[c] for c in chunk], tau, tol)[1]):
             results[c] = result
     return results
 
 
-class _FlowStencils:
-    """The stencil stack of cases (cfg, params) that form one stack: every
-    case's center and stencils at h and h/2 as rows of one tct_stack call
-    over [0, tau], each row at its case's quantum, with every case's
-    finite-difference determinant (_fd_dets).  Case c's center is row
-    c * size, so its classification (verdict) and its report (reports)
-    come from the one call.  A lockstep draw's acceptance round is the
-    stack of its candidates (_draw_rounds)."""
-
-    def __init__(self, cases: list, tau: float, tol: Tolerances):
-        h = tol.fd_step
-        n, d = cases[0][0].n_particles, cases[0][0].dimension
-        points = np.stack([cfg.to_vector() for cfg, _ in cases])
-        rows = _stencil_rows(points, (h, h / 2.0))
-        self.cases, self.tol, self.size, self.n = cases, tol, rows.shape[1], n
-        self.v0 = points[:, n * d :].reshape(-1, n, d)
-        self.eps0 = np.repeat([p.epsilon0 for _, p in cases], self.size)
-        flow = lambda x, v: tct_stack(x, v, tau, self.eps0, tol=tol)
-        self.stack, values, labels = _stack_map(flow, np.concatenate(rows), n, d)
-        self.fd_dets, self.errors = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
-
-    def verdict(self, c: int):
-        """Case c's classification, read from its centre row, or instead the
-        error its state raises."""
-        error = self.stack.error(c * self.size)
-        return self.stack.one(c * self.size) if error is None else error
-
-    def reports(self, chosen: Sequence[int]) -> list:
-        """verify_flow_jacobian of each chosen case, in their order, or
-        instead the error it raises."""
-        stack, size, tol, n = self.stack, self.size, self.tol, self.n
-        results = {c: self.errors[c] for c in chosen}
-        classified = {c: stack.one(c * size) for c in chosen if stack.error(c * size) is None}
-        for c, classification in classified.items():
-            # an excluded centre's error comes first, the analytic determinant's after the FD errors
-            if classification.is_excluded or results[c] is None:
-                cfg, params = self.cases[c]
-                try:
-                    det, prefactor, _ = classified_flow_det(
-                        cfg, classification, stack.velocities[c * size], params, tol=tol
-                    )
-                except IHSEError as error:
-                    results[c] = error
-                else:
-                    results[c] = (det, self.fd_dets[c], prefactor)
-        colliding = [
-            c
-            for c, classification in classified.items()
-            if classification.is_single_collision and not isinstance(results[c], IHSEError)
-        ]
-        det_n_fd = dict.fromkeys(chosen)
-        if colliding:
-            k = np.array([pair_position(n, classified[c].pair) for c in colliding])
-            i, j = (index[k] for index in pair_indices(n))
-            # free flight keeps velocities: the pair's at contact are its initial ones
-            v_i, v_j, centres = self.v0[colliding, i], self.v0[colliding, j], size * np.array(colliding)
-            dets, errors = _velocity_map_dets(v_i, v_j, stack.omega[centres], self.eps0[centres], tol.fd_step)
-            for c, det, error in zip(colliding, dets, errors):
-                det_n_fd[c] = det
-                if error is not None:
-                    results[c] = error
-        return [
-            result if isinstance(result, IHSEError) else JacobianReport.build(*result, det_n_fd[c], tol.fd_step)
-            for c, result in results.items()
-        ]
+def _flow_round(cases: list, tau: float, tol: Tolerances) -> tuple[list, list]:
+    """(verdicts, reports) of cases (cfg, params) that form one stack: every
+    case's center and stencils at h and h/2 are rows of one tct_stack call
+    over [0, tau], each row at its case's quantum.  Case c's centre is row
+    c * size, so its classification, or instead the error its state
+    raises, is verdicts[c], and reports[c] is its verify_flow_jacobian, or
+    instead the error that raises.  A lockstep draw's acceptance round is
+    the stack of its candidates (_draw_rounds)."""
+    h = tol.fd_step
+    n, d = cases[0][0].n_particles, cases[0][0].dimension
+    points = np.stack([cfg.to_vector() for cfg, _ in cases])
+    rows = _stencil_rows(points, (h, h / 2.0))
+    size = rows.shape[1]
+    eps0 = np.repeat([p.epsilon0 for _, p in cases], size)
+    stack, values, labels = _stack_map(lambda x, v: tct_stack(x, v, tau, eps0, tol=tol), np.concatenate(rows), n, d)
+    fd_dets, reports = _fd_dets(rows, values, labels, (h, h / 2.0))  # a centre's error comes first
+    verdicts = [stack.error(row) or stack.one(row) for row in range(0, len(rows) * size, size)]
+    for c, ((cfg, params), verdict) in enumerate(zip(cases, verdicts)):
+        # an excluded centre's error comes first, the analytic determinant's after the FD errors
+        if not isinstance(verdict, IHSEError) and (verdict.is_excluded or reports[c] is None):
+            try:
+                det, prefactor, _ = classified_flow_det(cfg, verdict, stack.velocities[c * size], params, tol=tol)
+            except IHSEError as error:
+                reports[c] = error
+            else:
+                reports[c] = (det, fd_dets[c], prefactor)
+    colliding = [
+        c for c, report in enumerate(reports) if not isinstance(report, IHSEError) and verdicts[c].is_single_collision
+    ]
+    det_n_fd = {}
+    if colliding:
+        k = np.array([pair_position(n, verdicts[c].pair) for c in colliding])
+        i, j = (index[k] for index in pair_indices(n))
+        # free flight keeps velocities: the pair's at contact are its initial ones
+        v0, centres = points[:, n * d :].reshape(-1, n, d), size * np.array(colliding)
+        dets, errors = _velocity_map_dets(v0[colliding, i], v0[colliding, j], stack.omega[centres], eps0[centres], h)
+        det_n_fd = dict(zip(colliding, dets))
+        for c, error in zip(colliding, errors):
+            if error is not None:
+                reports[c] = error
+    reports = [
+        report if isinstance(report, IHSEError) else JacobianReport.build(*report, det_n_fd.get(c), h)
+        for c, report in enumerate(reports)
+    ]
+    return verdicts, reports
 
 
 def random_tct_case(
@@ -485,8 +465,9 @@ def random_tct_case(
     dispatch threshold; pass fixed_eps0 to pin it instead (draws whose
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
     At most 2000 draws are tried, on the stream sample_generator(seed,
-    index), and each candidate is classified as the centre of its stencil
-    stack.  The one-case view of random_tct_cases; raises the case's error.
+    index), and each candidate is classified, and verified, as the centre
+    of its stencil stack (_flow_round).  The one-case view of
+    random_tct_cases; raises the case's error.
     """
     cases = random_tct_cases(seed, [index], n_particles, kinds=[kind], tau=tau, d=d, fixed_eps0=fixed_eps0, tol=tol)
     return _value(cases[0])
@@ -508,13 +489,13 @@ def random_tct_cases(
 
     The draws run in lockstep (_draw_rounds), CASES_PER_STACK cases at a
     time; each acceptance round is one stencil stack of its candidates
-    (_FlowStencils), and an accepted case is its round's case at its row.
-    So every case makes the draws, and gets the configuration or the error,
+    (_flow_round), and an accepted case is its round's candidate.  So
+    every case makes the draws, and gets the configuration or the error,
     that it makes and gets alone.  A d < 2 or a tau outside (0, inf) is a
     UsageError, raised before any draw.
     """
-    results = itertools.chain.from_iterable(_draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol))
-    return [result if isinstance(result, IHSEError) else result[0].cases[result[1]] for result in results]
+    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol)
+    return [result if isinstance(result, IHSEError) else result[0] for result in results]
 
 
 def random_flow_jacobians(
@@ -534,48 +515,38 @@ def random_flow_jacobians(
     verify_flow_jacobians, with each state solved once.
 
     Each acceptance round of the lockstep draws (_draw_rounds) is one
-    stencil stack (_FlowStencils), and the accepted cases of a round get
-    their reports from it in one reports call.  So a run whose first
+    stencil stack (_flow_round), which gives every candidate of the round
+    its report; an accepted case keeps its own.  So a run whose first
     candidates all pass makes one tct_stack call per CASES_PER_STACK cases.
     Every case gets the draws, the report and the error it gets alone, bit
     for bit.
     """
-    results: list = []
-    for chunk in _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol):
-        accepted: dict = {}  # per round, its accepted cases and their rows
-        for c, result in enumerate(chunk, len(results)):
-            if not isinstance(result, IHSEError):
-                accepted.setdefault(result[0], []).append((c, result[1]))
-        results += chunk
-        for stencils, cases in accepted.items():
-            chosen, rows = zip(*cases)
-            for c, report in zip(chosen, stencils.reports(rows)):
-                results[c] = report
-    return results
+    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol)
+    return [result if isinstance(result, IHSEError) else result[1] for result in results]
 
 
-def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol):
+def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol) -> list:
     """The lockstep draws of random_tct_cases, CASES_PER_STACK cases at a
-    time, as a generator of each chunk's results: per index, the (stencils,
-    row) of the acceptance round that classified its accepted case, or
+    time: per index, the (case, report) of its accepted candidate, or
     instead the error it raises.
 
     Each round checks the pending drawn state of every case in one pass
     (_prechecks), until every pending case holds a candidate that passes;
-    then the candidates form one _FlowStencils, each candidate's verdict is
-    its centre row, and each rejected case draws again from its own
+    then the candidates form one _flow_round, which gives each its verdict
+    and its report, and each rejected case draws again from its own
     stream."""
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
     check_dimension(d)
     if not 0 < tau < math.inf:
         raise UsageError("tau must be positive and finite")
+    results: list = []
     for start in range(0, len(indices), CASES_PER_STACK):
         chunk = range(start, min(start + CASES_PER_STACK, len(indices)))
         draws = {
             c: _case_draws(sample_generator(seed, indices[c]), n_particles, kinds[c], d, fixed_eps0) for c in chunk
         }
-        results = dict.fromkeys(chunk)  # per case, its error or the (stencils, row) of its latest round
+        outcomes = dict.fromkeys(chunk)  # per case, its error or its latest candidate's (case, report)
         sent = dict.fromkeys(chunk)  # what each case's draws are sent next
         candidates = {}  # the cases whose candidate (cfg, params) awaits its classification
         while sent:
@@ -584,27 +555,27 @@ def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol):
                 try:
                     request = draws[c].send(value)
                 except StopIteration:
-                    pass  # accepted: results[c] holds the round that classified it
+                    pass  # accepted: outcomes[c] holds its candidate and report
                 except IHSEError as error:
-                    results[c] = error
+                    outcomes[c] = error
                 else:  # a candidate (cfg, params), or a drawn state (positions, velocities)
                     (candidates if isinstance(request[1], ModelParams) else drawn)[c] = request
             if drawn:
                 x, v = (np.array(states) for states in zip(*drawn.values()))
                 sent = dict(zip(drawn, _prechecks(x, v, tau, tol).tolist()))
             elif candidates:
-                stencils = _FlowStencils(list(candidates.values()), tau, tol)
+                verdicts, reports = _flow_round(list(candidates.values()), tau, tol)
                 sent = {}
-                for row, c in enumerate(candidates):
-                    verdict = stencils.verdict(row)
+                for (c, case), verdict, report in zip(candidates.items(), verdicts, reports):
                     if isinstance(verdict, IHSEError):
-                        results[c] = verdict
+                        outcomes[c] = verdict
                     else:
-                        results[c], sent[c] = (stencils, row), verdict
+                        outcomes[c], sent[c] = (case, report), verdict
                 candidates = {}
             else:
                 break
-        yield list(results.values())
+        results += outcomes.values()
+    return results
 
 
 def _prechecks(positions: np.ndarray, velocities: np.ndarray, tau: float, tol: Tolerances) -> np.ndarray:

@@ -59,6 +59,17 @@ class ScatteringOutcome:
     v_j_post: np.ndarray
     energy_loss: float
 
+    @staticmethod
+    def build(v_i, v_j, omega, vi_post, vj_post, sigma, kappa) -> "ScatteringOutcome":
+        """The outcome of the collision of (v_i, v_j) at omega into
+        (vi_post, vj_post), all (d,) arrays, with the kinetic energy it
+        loses: emitting with its sigma and kappa, elastic when they are
+        None."""
+        ke_pre = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
+        ke_post = 0.5 * (dot(vi_post, vi_post) + dot(vj_post, vj_post))
+        kind = CollisionKind.ELASTIC if sigma is None else CollisionKind.INELASTIC
+        return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
+
 
 def check_unit(omega: np.ndarray):
     """Raise UsageError unless omega, a vector (d,) or a stack (R, d) of
@@ -211,12 +222,8 @@ def scatter(
     if law is None:
         raise check_error(failed.index(True))
     vi_post, vj_post, sigma, kappa, emitting = law
-    ke_pre = 0.5 * (dot(v_i, v_i) + dot(v_j, v_j))
-    ke_post = 0.5 * (dot_floats(vi_post, vi_post) + dot_floats(vj_post, vj_post))
-    kind = CollisionKind.INELASTIC if emitting else CollisionKind.ELASTIC
     sigma = np.array(sigma) if emitting else None
-    vi_post, vj_post = np.array(vi_post), np.array(vj_post)
-    return ScatteringOutcome(kind, omega, sigma, kappa, vi_post, vj_post, energy_loss=ke_pre - ke_post)
+    return ScatteringOutcome.build(v_i, v_j, omega, np.array(vi_post), np.array(vj_post), sigma, kappa)
 
 
 def scattering_velocity_det_analytic(rel_speed_sq: float, params: ModelParams, d: int) -> float:

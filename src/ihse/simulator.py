@@ -161,14 +161,14 @@ def collide_stack(
     pair at position k[r] of pair_indices, the contact time t[r] and the
     quantum epsilon0 (a float, or epsilon0[r] when one is given per row),
     each row with the bits simulate gives it at that quantum.  Returns
-    (positions, velocities, omega, rel_speed_sq, emitting, check) at the
-    contacts.  check is -1 for a scattered row, else the SCATTER_CHECKS
-    index of the first failed check: the critical band (CRITICAL_BAND; the
-    row is left unscattered, as simulate leaves it) before scatter's own
-    checks.  The law is collide's, handed the rows taken from the flat
-    (R N, d) views as lists of column views (rows.T) and written back
-    through the column views of v_rows.T; a failed row gets its velocities
-    back."""
+    (positions, velocities, omega, rel_speed_sq, emitting, check, sigma,
+    kappa) at the contacts, sigma and kappa as collide gives them.  check
+    is -1 for a scattered row, else the SCATTER_CHECKS index of the first
+    failed check: the critical band (CRITICAL_BAND; the row is left
+    unscattered, as simulate leaves it) before scatter's own checks.  The
+    law is collide's, handed the rows taken from the flat (R N, d) views as
+    lists of column views (rows.T) and written back through the column
+    views of v_rows.T; a failed row gets its velocities back."""
     rows, n, d = positions.shape
     row_start = np.arange(0, rows * n, n)
     i, j = (row_start + index[k] for index in pair_indices(n))  # the pair's rows in the (R N, d) views
@@ -176,7 +176,8 @@ def collide_stack(
     x_rows, v_rows = x.reshape(-1, d), v.reshape(-1, d)
     v_i, v_j, r = v_rows.take(i, axis=0), v_rows.take(j, axis=0), x_rows.take(i, axis=0) - x_rows.take(j, axis=0)
     omega = -r / np.sqrt(dot(r, r))[:, None]
-    w2, failed, (vi_post, vj_post, _, _, emitting) = collide(list(v_i.T), list(v_j.T), list(omega.T), epsilon0, tol)
+    w2, failed, law = collide(list(v_i.T), list(v_j.T), list(omega.T), epsilon0, tol)
+    vi_post, vj_post, sigma, kappa, emitting = law
     for column, post_i, post_j in zip(v_rows.T, vi_post, vj_post):
         column[i], column[j] = post_i, post_j
     failed, check = np.array(failed), np.full(k.size, -1)
@@ -184,7 +185,7 @@ def collide_stack(
         check = np.where(failed[CRITICAL_BAND], CRITICAL_BAND, np.where(failed.any(axis=0), failed.argmax(axis=0), -1))
         kept = check >= 0
         v_rows[i[kept]], v_rows[j[kept]] = v_i[kept], v_j[kept]
-    return x, v, omega, w2, emitting, check
+    return x, v, omega, w2, emitting, check, sigma, kappa
 
 
 def simulate(cfg: Configuration, T: float, params: ModelParams, *, tol: Tolerances = Tolerances()) -> SimReport:
@@ -307,7 +308,9 @@ def simulate_stack(
             if not colliding.any():
                 continue
             rows, k, t = active[colliding], k[colliding], time[colliding]
-            x[rows], v[rows], _, w2, emitting, check = collide_stack(x[rows], v[rows], k, t, params.epsilon0, tol=tol)
+            x[rows], v[rows], _, w2, emitting, check, _, _ = collide_stack(
+                x[rows], v[rows], k, t, params.epsilon0, tol=tol
+            )
             now[rows] += t
             recent[rows] = k  # a row whose scatter fails stops running
             ke_before, ke[rows] = ke[rows], 0.5 * np.square(v[rows]).sum(axis=(1, 2))

@@ -35,7 +35,6 @@ from .scattering import (
     CollisionKind,
     ScatteringOutcome,
     check_error,
-    scatter,
     scattering_velocity_det_analytic,
 )
 from .simulator import collide_stack
@@ -121,13 +120,17 @@ FAILED_CHECK = np.array(
 class TCTStack:
     """Row by row, what each state of a stack gives alone: its label (see
     FREE), its first contact time, its state at tau (NaN when excluded or
-    raising) and its collision's contact direction."""
+    raising), its collision's contact direction, and the sigma and kappa
+    of the emitting law (NaN unless the row is a single emitting
+    collision)."""
 
     label: np.ndarray  # (S,) int
     t_c: np.ndarray  # (S,)
     positions: np.ndarray  # (S, N, d)
     velocities: np.ndarray  # (S, N, d)
     omega: np.ndarray  # (S, d)
+    sigma: np.ndarray  # (S, d)
+    kappa: np.ndarray  # (S,)
 
     def error(self, row: int) -> Optional[IHSEError]:
         """The error the row's state raises alone, or None."""
@@ -184,13 +187,16 @@ def tct_stack(
         label[~within_reach(positions, velocities, tau)] = OUT_OF_REACH
         rows = ((label == simultaneous) & unique).nonzero()[0]
         final_v, omega = velocities.copy(), np.full((s, d), np.nan)
+        sigma, kappa = np.full((s, d), np.nan), np.full(s, np.nan)
         if rows.size:
             # Collide at the contact, then rescan the remaining time.
             pair, t = k[rows], time[rows]
             quantum = np.asarray(epsilon0)[rows] if np.ndim(epsilon0) else epsilon0
-            x, v, omega[rows], _, emitting, check = collide_stack(
+            x, v, omega[rows], _, emitting, check, row_sigma, row_kappa = collide_stack(
                 positions[rows], velocities[rows], pair, t, quantum, tol=tol
             )
+            if row_kappa is not None:  # the emitting law ran: keep it on the rows that emit
+                sigma[rows[emitting]], kappa[rows[emitting]] = np.array(row_sigma).T[emitting], row_kappa[emitting]
             remaining = tau - t
             code = 2 * pair + emitting
             failed = check >= 0
@@ -201,8 +207,8 @@ def tct_stack(
                 code[again[np.minimum(t2, graze2) <= remaining[again]]] = EXCLUDED[ExclusionReason.RECOLLISION]
             final_x[rows], final_v[rows], label[rows] = x + remaining[:, None, None] * v, v, code
     dropped = label < FREE
-    final_x[dropped] = final_v[dropped] = np.nan
-    return TCTStack(label, time, final_x, final_v, omega)
+    final_x[dropped] = final_v[dropped] = sigma[dropped] = kappa[dropped] = np.nan
+    return TCTStack(label, time, final_x, final_v, omega, sigma, kappa)
 
 
 def classify_tct_domain(
@@ -232,7 +238,9 @@ def tct_flow(cfg: Configuration, tau: float, params: ModelParams, *, tol: Tolera
     if classification.is_free:
         return TCTResult(final, classification)
     i, j = classification.pair.zero_based()
-    outcome = scatter(cfg.velocities[i], cfg.velocities[j], stack.omega[0], params, tol=tol)
+    v, v_post = cfg.velocities, stack.velocities[0]
+    law = (stack.sigma[0], stack.kappa.item(0)) if classification.kind is CollisionKind.INELASTIC else (None, None)
+    outcome = ScatteringOutcome.build(v[i], v[j], stack.omega[0], v_post[i], v_post[j], *law)
     return TCTResult(final, classification, outcome)
 
 

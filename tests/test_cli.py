@@ -120,17 +120,17 @@ class TestFlowCommand:
         assert len(calls) == 1
 
     def test_collides_once(self, tmp_path, two_body_file, monkeypatch):
-        # One stacked collide; scatter once more for the document's outcome
-        # record; one pair prediction, in collision_time_gradients.  Both
-        # collides go through scattering.collide, so the stacked one is
-        # counted as collide_stack.
+        # One stacked collide, whose sigma and kappa the stack keeps for the
+        # document's outcome record, so no scatter; one pair prediction, in
+        # collision_time_gradients.  The collide goes through
+        # scattering.collide, so it is counted as collide_stack.
         names = {simulator: ("collide_stack",), scattering: ("scatter",), collision: ("predict_pair",)}
         calls = {name: count_calls(monkeypatch, module, name) for module, group in names.items() for name in group}
         status, _ = run_to_file(tmp_path, ["flow", "--config", str(two_body_file), "--tau", "3", "--eps0", "0.1875"])
         assert status == 0
         assert {name: len(made) for name, made in calls.items()} == {
             "collide_stack": 1,
-            "scatter": 1,
+            "scatter": 0,
             "predict_pair": 1,
         }
 

@@ -571,16 +571,24 @@ class TestBatchedCases:
         # each acceptance round is one stencil stack, its candidates'
         # centres their classifications: per case the report, or the type
         # and message of the error, of a draw and a verification alone.
-        # random_tct_cases takes the same path: the same stacks, and its
-        # cases verified give the same reports and errors.
+        # random_tct_cases takes the same path: the same stacks and
+        # velocity maps, and its cases verified give the same reports and
+        # errors.
         monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", per_stack)
         stacks, stacked = [], jacobian_lab.tct_stack
+        maps, mapped = [], jacobian_lab._velocity_map_dets
 
         def counting_stack(positions, *args, **kwargs):
             stacks.append(len(positions))
             return stacked(positions, *args, **kwargs)
 
+        def counting_maps(v_i, v_j, omega, epsilon0, h):
+            rows = jacobian_lab._stencil_rows(np.concatenate([v_i, v_j], axis=1), (h,))
+            maps.append((rows.tobytes(), omega.tobytes(), np.asarray(epsilon0).tobytes()))
+            return mapped(v_i, v_j, omega, epsilon0, h)
+
         monkeypatch.setattr(jacobian_lab, "tct_stack", counting_stack)
+        monkeypatch.setattr(jacobian_lab, "_velocity_map_dets", counting_maps)
         reports = random_flow_jacobians(seed, range(12), n, kinds=[kind] * 12, **options)
         if options.get("tau") == 3.0:
             assert len(stacks) > -(-12 // per_stack)  # a candidate failed its classification
@@ -595,10 +603,12 @@ class TestBatchedCases:
                 assert (type(report), str(report)) == (type(error), str(error)), index
             else:
                 assert _report_hex(report) == _report_hex(alone), index
-        flowed = list(stacks)
+        flowed, flowed_maps = list(stacks), list(maps)
         stacks.clear()
+        maps.clear()
         cases = random_tct_cases(seed, range(12), n, kinds=[kind] * 12, **options)
         assert stacks == flowed  # the same tct_stack calls, row for row
+        assert maps and maps == flowed_maps  # the same velocity maps, stencil row for stencil row
         for index, (report, verified) in enumerate(zip(reports, verify_flow_jacobians(cases, tau, tol=tol))):
             if isinstance(report, IHSEError):
                 assert (type(verified), str(verified)) == (type(report), str(report)), index
