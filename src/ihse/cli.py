@@ -25,7 +25,7 @@ from .core import (
     dot,
 )
 from .collision import predict_pair
-from .jacobian_lab import random_flow_jacobians, scattering_measure_samples, tensor_sum_det
+from .jacobian_lab import random_flow_cases, scattering_measure_samples, tensor_sum_det
 from .measure_mc import (
     SPEED_BAND_CUTOFF,
     SPEED_BAND_WIDTH,
@@ -266,7 +266,7 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
         kinds = [CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC for index in indices]
     else:
         kinds = [None] * len(indices)  # fixed quantum: take the branch the draw lands on
-    reports = random_flow_jacobians(
+    cases = random_flow_cases(
         flags["seed"],
         indices,
         flags["n_particles"],
@@ -276,6 +276,7 @@ def cmd_jacobian(flags: dict) -> tuple[dict, int]:
         fixed_eps0=flags["eps0"],
         tol=tol,
     )
+    reports = [case if isinstance(case, IHSEError) else case[1] for case in cases]
     for report in reports:
         if isinstance(report, IHSEError):
             raise report  # the first failing case, as a loop over the cases meets it

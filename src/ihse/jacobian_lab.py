@@ -32,9 +32,9 @@ from .rng import sample_generator, unit_floats, unit_vector
 from .scattering import CollisionKind, check_error, collide, scattering_velocity_det_analytic
 from .tct import classified_flow_det, tct_stack
 
-# The most cases one stacked call holds: a jacobian run's acceptance rounds
-# and verify_flow_jacobians' chunks (each one stencil stack, dropped once it
-# has given its cases' verdicts and reports), and scatter-check's
+# The most cases one stacked call holds: random_flow_cases' acceptance
+# rounds and verify_flow_jacobians' chunks (each one stencil stack, dropped
+# once it has given its cases' verdicts and reports), and scatter-check's
 # velocity-map stencils, are stacked this many cases at a time, which
 # bounds the memory a stack takes.
 CASES_PER_STACK = 100
@@ -386,8 +386,8 @@ def verify_flow_jacobians(cases: Sequence, tau: float, *, tol: Tolerances = Tole
     each with its case's quantum, and each case's fd_determinant takes its
     slice.  Then the velocity maps of the single-collision cases are one
     dispatched law call.  So each case gets the report or the error it gets
-    alone, bit for bit.  random_flow_jacobians gets its reports from the
-    rounds that classify its candidates, the same way."""
+    alone, bit for bit.  random_flow_cases gets its reports from the rounds
+    that classify its candidates, the same way."""
     results = list(cases)
     drawn = [c for c, case in enumerate(results) if not isinstance(case, IHSEError)]
     for start in range(0, len(drawn), CASES_PER_STACK):
@@ -404,7 +404,7 @@ def _flow_round(cases: list, tau: float, tol: Tolerances) -> tuple[list, list]:
     c * size, so its classification, or instead the error its state
     raises, is verdicts[c], and reports[c] is its verify_flow_jacobian, or
     instead the error that raises.  A lockstep draw's acceptance round is
-    the stack of its candidates (_draw_rounds)."""
+    the stack of its candidates (random_flow_cases)."""
     h = tol.fd_step
     n, d = cases[0][0].n_particles, cases[0][0].dimension
     points = np.stack([cfg.to_vector() for cfg, _ in cases])
@@ -466,14 +466,14 @@ def random_tct_case(
     relative speed falls near 4*eps0 or on the wrong branch are rejected).
     At most 2000 draws are tried, on the stream sample_generator(seed,
     index), and each candidate is classified, and verified, as the centre
-    of its stencil stack (_flow_round).  The one-case view of
-    random_tct_cases; raises the case's error.
+    of its stencil stack (_flow_round).  The case random_flow_cases draws
+    at index; raises the error of its draw, not of its verification.
     """
-    cases = random_tct_cases(seed, [index], n_particles, kinds=[kind], tau=tau, d=d, fixed_eps0=fixed_eps0, tol=tol)
-    return _value(cases[0])
+    cases = random_flow_cases(seed, [index], n_particles, kinds=[kind], tau=tau, d=d, fixed_eps0=fixed_eps0, tol=tol)
+    return _value(cases[0])[0]
 
 
-def random_tct_cases(
+def random_flow_cases(
     seed: int,
     indices: Sequence[int],
     n_particles: int,
@@ -484,57 +484,22 @@ def random_tct_cases(
     fixed_eps0: Optional[float] = None,
     tol: Tolerances = Tolerances(),
 ) -> list:
-    """random_tct_case of each index in indices, with kind kinds[c] for
-    indices[c], or instead the error it raises there.
+    """Per index indices[c], ((cfg, params), report): the case
+    random_tct_case draws there with kind kinds[c] and its
+    verify_flow_jacobian over [0, tau], or instead the error that
+    verification raises; or instead the error the draw raises.
 
-    The draws run in lockstep (_draw_rounds), CASES_PER_STACK cases at a
-    time; each acceptance round is one stencil stack of its candidates
-    (_flow_round), and an accepted case is its round's candidate.  So
-    every case makes the draws, and gets the configuration or the error,
-    that it makes and gets alone.  A d < 2 or a tau outside (0, inf) is a
-    UsageError, raised before any draw.
+    The draws run in lockstep, CASES_PER_STACK cases at a time.  Each round
+    checks the pending drawn state of every case in one pass (_prechecks),
+    until every pending case holds a candidate that passes; then the
+    candidates form one stencil stack (_flow_round), which gives each its
+    verdict and its report, an accepted case keeps its own, and each
+    rejected case draws again from its own stream.  So a run whose first
+    candidates all pass makes one tct_stack call per CASES_PER_STACK cases,
+    and every case gets the draws, the report and the error it gets alone,
+    bit for bit.  A d < 2 or a tau outside (0, inf) is a UsageError, raised
+    before any draw.
     """
-    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol)
-    return [result if isinstance(result, IHSEError) else result[0] for result in results]
-
-
-def random_flow_jacobians(
-    seed: int,
-    indices: Sequence[int],
-    n_particles: int,
-    *,
-    kinds: Sequence[Optional[CollisionKind]],
-    tau: float = 1.0,
-    d: int = 2,
-    fixed_eps0: Optional[float] = None,
-    tol: Tolerances = Tolerances(),
-) -> list:
-    """verify_flow_jacobian over [0, tau] of each case random_tct_case draws
-    at indices[c] with kind kinds[c], or instead the error its draw or its
-    verification raises there: random_tct_cases, then
-    verify_flow_jacobians, with each state solved once.
-
-    Each acceptance round of the lockstep draws (_draw_rounds) is one
-    stencil stack (_flow_round), which gives every candidate of the round
-    its report; an accepted case keeps its own.  So a run whose first
-    candidates all pass makes one tct_stack call per CASES_PER_STACK cases.
-    Every case gets the draws, the report and the error it gets alone, bit
-    for bit.
-    """
-    results = _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol)
-    return [result if isinstance(result, IHSEError) else result[1] for result in results]
-
-
-def _draw_rounds(seed, indices, n_particles, kinds, tau, d, fixed_eps0, tol) -> list:
-    """The lockstep draws of random_tct_cases, CASES_PER_STACK cases at a
-    time: per index, the (case, report) of its accepted candidate, or
-    instead the error it raises.
-
-    Each round checks the pending drawn state of every case in one pass
-    (_prechecks), until every pending case holds a candidate that passes;
-    then the candidates form one _flow_round, which gives each its verdict
-    and its report, and each rejected case draws again from its own
-    stream."""
     if n_particles < 2:
         raise UsageError("a one-collision case needs at least 2 particles")
     check_dimension(d)

@@ -5,7 +5,6 @@ collision-count bound checks.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,10 +71,12 @@ class SimReport:
 
     @property
     def event_signature(self) -> tuple:
-        """Hashable (pair, kind) sequence; used as a branch label when
-        differentiating the multi-collision flow map."""
+        """Hashable (pair position in pair_indices, emitting) per event, then
+        ("halted", reason) when the run halts; used as a branch label when
+        differentiating the multi-collision flow map, so it is compared only
+        between runs of one particle count."""
         n = self.final.n_particles
-        return _signature(n, ((pair_position(n, e.pair), e.kind is _KINDS[1]) for e in self.events), self.halted)
+        return _signature(((pair_position(n, e.pair), e.kind is _KINDS[1]) for e in self.events), self.halted)
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,8 @@ class SimStack:
     def labels(self) -> list:
         """Per row, its run's event_signature, or instead the error the run
         raises alone, built without building the row's report."""
-        n = self.positions.shape[1]
         return [
-            _signature(n, map(_STEP, events), halted) if error is None else error
+            _signature(map(_STEP, events), halted) if error is None else error
             for error, events, halted in zip(self.errors, self.events, self.halted)
         ]
 
@@ -114,19 +114,10 @@ _KINDS = (CollisionKind.ELASTIC, CollisionKind.INELASTIC)  # by emitting
 _STEP = operator.itemgetter(1, 2)  # an event record's (pair position, emitting)
 
 
-@functools.cache
-def _step_labels(n: int) -> tuple:
-    """Per pair position in pair_indices and emitting flag, the label of an
-    event of n particles, (i, j, kind value).  Cached per n."""
-    return tuple(tuple((pair.i, pair.j, kind.value) for kind in _KINDS) for pair in pair_index_table(n))
-
-
-def _signature(n: int, steps, halted: Optional[Pathology]) -> tuple:
-    """A run's branch label from its (pair position, emitting) per event:
-    the _step_labels of its events, then ("halted", reason) when the run
-    halts."""
-    labels = _step_labels(n)
-    signature = tuple(labels[k][emits] for k, emits in steps)
+def _signature(steps, halted: Optional[Pathology]) -> tuple:
+    """A run's branch label: its (pair position, emitting) per event, then
+    ("halted", reason) when the run halts."""
+    signature = tuple(steps)
     return signature if halted is None else signature + (("halted", halted.reason),)
 
 

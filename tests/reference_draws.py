@@ -1,6 +1,6 @@
 """The array form of jacobian_lab's case draws, kept as the oracle of the
-engine's draws on Python floats: random_tct_cases with these draws in place
-of jacobian_lab._case_draws must give the same cases, bit for bit
+engine's draws on Python floats: random_flow_cases with these draws in
+place of jacobian_lab._case_draws must give the same cases, bit for bit
 (tests/test_jacobian_lab.py).  The functions below are the engine's before
 it drew on Python floats, unchanged."""
 

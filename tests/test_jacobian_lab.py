@@ -28,9 +28,8 @@ from ihse import jacobian_lab
 from ihse.jacobian_lab import (
     UnreliableStencilError,
     draw_scattering_sample,
-    random_flow_jacobians,
+    random_flow_cases,
     random_tct_case,
-    random_tct_cases,
     verify_flow_jacobians,
 )
 from ihse.core import dot
@@ -497,9 +496,8 @@ def _report_hex(report) -> tuple:
 
 
 class TestBatchedCases:
-    """random_tct_cases, verify_flow_jacobians and random_flow_jacobians
-    against their one-case views and the one-case loops of
-    reference_kernel, bit for bit."""
+    """random_flow_cases and verify_flow_jacobians against their one-case
+    views and the one-case loops of reference_kernel, bit for bit."""
 
     def test_lockstep_draws_equal_each_case_alone(self, monkeypatch):
         # With tau = 3 the third particle recollides with a candidate now and
@@ -527,11 +525,11 @@ class TestBatchedCases:
         for seed, kind, options in runs:
             rounds.clear()
             verdicts.clear()
-            cases = random_tct_cases(seed, range(12), 3, kinds=[kind] * 12, **options)
+            cases = random_flow_cases(seed, range(12), 3, kinds=[kind] * 12, **options)
             # a round is one stack of 1 + 8 N d = 49 stencil rows per candidate
             assert rounds[0] == 12 * 49 and sum(rounds) > 12 * 49  # a candidate failed its classification
             assert False in verdicts  # a drawn state failed its pre-check
-            for index, (cfg, params) in enumerate(cases):
+            for index, ((cfg, params), _) in enumerate(cases):
                 for draw in (random_tct_case, ref.random_tct_case):
                     alone, alone_params = draw(seed, index, 3, kind=kind, **options)
                     assert params == alone_params and params.epsilon0 == options.get("fixed_eps0", params.epsilon0)
@@ -544,7 +542,7 @@ class TestBatchedCases:
         # 7 cases in stacks of 3: two full stacks and one of 1
         monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", 3)
         kinds = [CollisionKind.INELASTIC if index % 2 else CollisionKind.ELASTIC for index in range(7)]
-        cases = random_tct_cases(19, range(7), n, kinds=kinds, d=d)
+        cases = [case for case, _ in random_flow_cases(19, range(7), n, kinds=kinds, d=d)]
         reports = verify_flow_jacobians(cases, 1.0)
         for index, (report, kind) in enumerate(zip(reports, kinds)):
             cfg, params = ref.random_tct_case(19, index, n, kind=kind, d=d)
@@ -571,25 +569,18 @@ class TestBatchedCases:
         # each acceptance round is one stencil stack, its candidates'
         # centres their classifications: per case the report, or the type
         # and message of the error, of a draw and a verification alone.
-        # random_tct_cases takes the same path: the same stacks and
-        # velocity maps, and its cases verified give the same reports and
-        # errors.
+        # The drawn cases verified give the same reports and errors.
         monkeypatch.setattr(jacobian_lab, "CASES_PER_STACK", per_stack)
         stacks, stacked = [], jacobian_lab.tct_stack
-        maps, mapped = [], jacobian_lab._velocity_map_dets
 
         def counting_stack(positions, *args, **kwargs):
             stacks.append(len(positions))
             return stacked(positions, *args, **kwargs)
 
-        def counting_maps(v_i, v_j, omega, epsilon0, h):
-            rows = jacobian_lab._stencil_rows(np.concatenate([v_i, v_j], axis=1), (h,))
-            maps.append((rows.tobytes(), omega.tobytes(), np.asarray(epsilon0).tobytes()))
-            return mapped(v_i, v_j, omega, epsilon0, h)
-
         monkeypatch.setattr(jacobian_lab, "tct_stack", counting_stack)
-        monkeypatch.setattr(jacobian_lab, "_velocity_map_dets", counting_maps)
-        reports = random_flow_jacobians(seed, range(12), n, kinds=[kind] * 12, **options)
+        drawn = random_flow_cases(seed, range(12), n, kinds=[kind] * 12, **options)
+        cases = [case if isinstance(case, IHSEError) else case[0] for case in drawn]
+        reports = [case if isinstance(case, IHSEError) else case[1] for case in drawn]
         if options.get("tau") == 3.0:
             assert len(stacks) > -(-12 // per_stack)  # a candidate failed its classification
         if "tol" in options:
@@ -603,12 +594,6 @@ class TestBatchedCases:
                 assert (type(report), str(report)) == (type(error), str(error)), index
             else:
                 assert _report_hex(report) == _report_hex(alone), index
-        flowed, flowed_maps = list(stacks), list(maps)
-        stacks.clear()
-        maps.clear()
-        cases = random_tct_cases(seed, range(12), n, kinds=[kind] * 12, **options)
-        assert stacks == flowed  # the same tct_stack calls, row for row
-        assert maps and maps == flowed_maps  # the same velocity maps, stencil row for stencil row
         for index, (report, verified) in enumerate(zip(reports, verify_flow_jacobians(cases, tau, tol=tol))):
             if isinstance(report, IHSEError):
                 assert (type(verified), str(verified)) == (type(report), str(report)), index
@@ -677,6 +662,6 @@ def test_case_draws_on_floats_equal_the_array_draws(seed, n, d, fixed_eps0, tau)
         log = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(jacobian_lab, "_case_draws", _recording(draws, log))
-            cases = random_tct_cases(seed, range(3), n, kinds=kinds, tau=tau, d=d, fixed_eps0=fixed_eps0)
-        runs.append((log, [repr(case) if isinstance(case, IHSEError) else _case_bits(*case) for case in cases]))
+            cases = random_flow_cases(seed, range(3), n, kinds=kinds, tau=tau, d=d, fixed_eps0=fixed_eps0)
+        runs.append((log, [repr(case) if isinstance(case, IHSEError) else _case_bits(*case[0]) for case in cases]))
     assert runs[0] == runs[1]

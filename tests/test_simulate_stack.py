@@ -4,6 +4,7 @@ alone, bit for bit: the final state, every event (time, pair, kind,
 energies, relative speed), the halt reason and time, the minimum
 separation, and the exception type and message of a run that raises."""
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -349,20 +350,28 @@ def test_dense_cluster_row_is_simulate(seed, eps0):
     assert _fingerprint(stack.report(0)) == _fingerprint(report)
 
 
+CHAIN_CENTRE = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
+
+
+def _flow_map_runs() -> list:
+    """The volume FD map's stacks, as (points, n, T, params, tol, halts):
+    the C11 stencil, whose rows run to the horizon, and the ending rows,
+    which meet every halt."""
+    stencil = np.vstack([CHAIN_CENTRE, CHAIN_CENTRE + 1e-4 * np.eye(12), CHAIN_CENTRE - 1e-4 * np.eye(12)])
+    positions, velocities = _ending_rows()
+    endings = np.concatenate([positions.reshape(len(positions), -1), velocities.reshape(len(velocities), -1)], axis=1)
+    return [
+        (stencil, 3, 1.5, ModelParams(0.5), Tolerances(), set()),
+        (endings, 4, 3.5, ENDING_PARAMS, ENDING_TOL, HALTS),
+    ]
+
+
 def test_flow_map_rows_are_simulate_runs():
     # The volume FD map: one stacked call gives each row simulate's final
     # vector and event signature, or the error simulate raises.  The C11
     # stencil's rows run to the horizon; the ending rows give every halt its
     # ("halted", reason) label.
-    centre = np.concatenate([np.ravel(CHAIN_X), np.ravel(CHAIN_V)])
-    stencil = np.vstack([centre, centre + 1e-4 * np.eye(12), centre - 1e-4 * np.eye(12)])
-    positions, velocities = _ending_rows()
-    endings = np.concatenate([positions.reshape(len(positions), -1), velocities.reshape(len(velocities), -1)], axis=1)
-    runs = [
-        (stencil, 3, 1.5, ModelParams(0.5), Tolerances(), set()),
-        (endings, 4, 3.5, ENDING_PARAMS, ENDING_TOL, HALTS),
-    ]
-    for points, n, T, params, tol, expected_halts in runs:
+    for points, n, T, params, tol, expected_halts in _flow_map_runs():
         _, values, labels = _stack_map(lambda x, v: simulate_stack(x, v, T, params, tol=tol), points, n, 2)
         halts = set()
         for z, value, label in zip(points, values, labels):
@@ -378,6 +387,27 @@ def test_flow_map_rows_are_simulate_runs():
                 assert label[-1] == ("halted", report.halted.reason)
                 halts.add(report.halted.reason)
         assert halts == expected_halts
+
+
+def test_labels_are_equal_exactly_for_equal_branches():
+    # A label is compared only between rows of one stencil, so of one
+    # particle count: two such rows get equal labels exactly when their
+    # simulate reports have the same (pair, kind) per event and the same
+    # halt reason.  The C11 centre at eps0 = 0.5 and at inf makes the same
+    # pairs collide, emitting and elastic.
+    centres = [(CHAIN_CENTRE[None], 3, 1.5, ModelParams(eps0), Tolerances(), None) for eps0 in (0.5, math.inf)]
+    rows = {}
+    for points, n, T, params, tol, _ in _flow_map_runs() + centres:
+        _, _, labels = _stack_map(lambda x, v: simulate_stack(x, v, T, params, tol=tol), points, n, 2)
+        for z, label in zip(points, labels):
+            if not isinstance(label, IHSEError):
+                report = simulate(Configuration.from_vector(z, n, 2), T, params, tol=tol)
+                branch = [(e.pair, e.kind) for e in report.events], report.halted and report.halted.reason
+                rows.setdefault(n, []).append((label, branch))
+    for runs in rows.values():
+        assert len({repr(branch) for _, branch in runs}) > 1  # distinct branches to tell apart
+        for (label_a, branch_a), (label_b, branch_b) in itertools.combinations(runs, 2):
+            assert (label_a == label_b) == (branch_a == branch_b), (branch_a, branch_b)
 
 
 def test_row_out_of_reach_gets_the_error_of_simulate():
